@@ -33,19 +33,13 @@ __all__ = [
     "su_coords",
     "su_from_coords",
     "ad_matrix",
-    "random_su",
     "dagger",
-    "frobenius",
 ]
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose on the trailing two axes (batch friendly)."""
     return np.conj(np.swapaxes(A, -1, -2))
-
-
-def frobenius(A) -> float:
-    return float(np.linalg.norm(A))
 
 
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -248,7 +242,3 @@ def ad_matrix(X: np.ndarray) -> np.ndarray:
     B = su_basis(X.shape[-1])
     br = B @ X - X @ B
     return -np.einsum("jpq,iqp->ij", br, B).real
-
-
-def random_su(k: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return AlgebraSpec("su", k).random_element(rng, scale)

@@ -35,14 +35,15 @@ from .paths import (
 from .solver import (
     BoundaryTarget,
     NahmBlowUpError,
+    asymptotic_model,
     coth_solution,
     halfline_solve,
     integrate_nahm,
+    lax_extract,
     orbit_identify,
 )
-from .spectral import char_coeffs, conservation_check, fixed_curve, reality_check, spectral_flow
+from .spectral import _coeff_drift, char_coeffs, conservation_check, fixed_curve, reality_check, spectral_flow
 from .sympair import classify_real_orbit, kc_orbit_form_check, vergne_map_j
-from .solver import lax_extract
 
 log = logging.getLogger("nahmlab")
 
@@ -93,9 +94,19 @@ def _matrix(entry, k: int) -> np.ndarray:
         raise ConfigError(f"bad matrix entry: {exc}") from exc
 
 
-def _initial_triple(cfg: dict, algebra: AlgebraSpec, s0: float):
+def _coth_initial(a: float, s0_offset: float, grid: Grid) -> list:
+    """(T1, T2, T3)(grid.s0) of the closed-form coth solution."""
+    try:
+        d = coth_solution(a, s0_offset, grid)
+    except ValueError as exc:
+        raise ConfigError(f"bad coth parameters: {exc}") from exc
+    return [c.values[0] for c in (d.T1, d.T2, d.T3)]
+
+
+def _initial_triple(cfg: dict, algebra: AlgebraSpec, grid: Grid):
     init = _get(cfg, "init", dict, required=True)
     kind = _get(init, "kind", str, required=True)
+    s0 = grid.s0
     if kind == "nil":
         offset = _get(init, "offset", float, 1.0)
         if abs(s0 + offset) < 1e-12:
@@ -105,11 +116,7 @@ def _initial_triple(cfg: dict, algebra: AlgebraSpec, s0: float):
     if kind == "coth":
         if algebra.dim != 2:
             raise ConfigError("coth init is an su(2) solution")
-        a = _get(init, "a", float, 1.0)
-        off = _get(init, "s0_offset", float, 1.0)
-        e1, e2, e3 = su2_basis()
-        xi = a * (s0 + off)
-        return (-a / np.tanh(xi) * e1, a / np.sinh(xi) * e2, -a / np.sinh(xi) * e3)
+        return tuple(_coth_initial(_get(init, "a", float, 1.0), _get(init, "s0_offset", float, 1.0), grid))
     if kind == "matrices":
         return tuple(_matrix(_get(init, name, list, required=True), algebra.dim) for name in ("T1", "T2", "T3"))
     raise ConfigError(f"unknown init kind {kind!r}")
@@ -120,7 +127,7 @@ def cmd_evolve(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     grid = _grid(cfg, {"s0": 0.0, "s1": 1.0, "n": 1000})
     bound = _get(cfg, "residual_bound", float, 1e-6)
     blowup = _get(cfg, "blowup_bound", float, 1e6)
-    init = _initial_triple(cfg, algebra, grid.s0)
+    init = _initial_triple(cfg, algebra, grid)
     try:
         d = integrate_nahm(algebra, init, grid, blowup_bound=blowup)
     except NahmBlowUpError as exc:
@@ -191,15 +198,14 @@ def cmd_spectral(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     grid = _grid(cfg, {"s0": 0.0, "s1": 5.0, "n": 5000})
     drift_bound = _get(cfg, "drift_bound", float, 1e-7)
     nonreal = _get(cfg, "nonreal_control", bool, False)
-    init = _initial_triple(cfg, algebra, grid.s0)
+    init = _initial_triple(cfg, algebra, grid)
     try:
         d = integrate_nahm(algebra, init, grid, blowup_bound=_get(cfg, "blowup_bound", float, 1e6))
     except NahmBlowUpError as exc:
         print(f"spectral: blow-up ({exc})")
         return EXIT_BLOWUP
     flows = spectral_flow(d, beta_dagger_zero=nonreal)
-    scale = max(1.0, max(float(np.max(np.abs(f[:, 0]))) for f in flows))
-    drift = max(float(np.max(np.abs(f - f[:, :1]))) for f in flows) / scale
+    drift = _coeff_drift(flows)
     lax = lax_extract(d)
     curve0 = char_coeffs(lax.alpha[0], lax.beta[0], beta_dagger=np.zeros_like(lax.beta[0]) if nonreal else None)
     violation = reality_check(curve0)
@@ -237,10 +243,8 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
         if k != 2:
             raise ConfigError("coth target needs su(2)")
         a = _get(tcfg, "a", float, 1.5)
-        e1, e2, e3 = su2_basis()
-        target = BoundaryTarget(-a * e1, zero, zero, sigma=None, L=L)
-        xi = a * 1.0
-        seed = [-a / np.tanh(xi) * e1, a / np.sinh(xi) * e2, -a / np.sinh(xi) * e3]
+        target = BoundaryTarget(-a * su2_basis().e1, zero, zero, sigma=None, L=L)
+        seed = _coth_initial(a, 1.0, Grid(0.0, L, 2))
     elif kind == "nil":
         sigma = _sigma_from_config(_get(tcfg, "sigma", object, "irreducible"), algebra)
         target = BoundaryTarget(zero, zero, zero, sigma=sigma, L=L)
@@ -249,8 +253,6 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
         taus = [_matrix(_get(tcfg, name, list, required=True), k) for name in ("tau1", "tau2", "tau3")]
         sigma = _sigma_from_config(tcfg.get("sigma"), algebra)
         target = BoundaryTarget(*taus, sigma=sigma, L=L)
-        from .solver import asymptotic_model
-
         seed = list(asymptotic_model(target, 0.0))
     else:
         raise ConfigError(f"unknown target kind {kind!r}")

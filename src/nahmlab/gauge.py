@@ -4,7 +4,8 @@ and the horizontal projection behind the quotient metric.
 The action is g.(T0, Ti) = (g T0 g^-1 - g' g^-1, g Ti g^-1).  Trivializing
 T0 means solving g' = g T0 with g(s0) = 1; the endpoint value g(s1) is the
 monodromy realizing the identification of the path-space quotient with the
-group itself.
+group itself.  The ODE is stepped by the RK4 stepper of ``paths`` (the one the
+Nahm and baby flows use); real gauges are re-unitarized after every step.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .algebra import AlgebraSpec, ad_matrix, bracket, dagger, expm, su_coords, su_from_coords
+from .algebra import ad_matrix, bracket, dagger, expm, su_coords, su_from_coords
 from .paths import (
     AlgebraPath,
     Grid,
     NahmData,
+    _rk4_path,
     dirichlet_derivative,
     path_derivative,
     pairing_nodes,
@@ -90,46 +92,15 @@ def act(g: GroupPath, d: NahmData) -> NahmData:
     return NahmData.from_arrays(d.algebra, d.grid, T0, *rest)
 
 
-def _midpoints(v: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of node samples at interval midpoints."""
-    n = v.shape[0] - 1
-    if n < 3:
-        return 0.5 * (v[:-1] + v[1:])
-    mid = np.empty((n,) + v.shape[1:], dtype=v.dtype)
-    mid[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
-    mid[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-    mid[-1] = (v[-4] - 5.0 * v[-3] + 15.0 * v[-2] + 5.0 * v[-1]) / 16.0
-    return mid
-
-
-def _unitary_factor(M: np.ndarray) -> np.ndarray:
+def _unitary_factor(M: np.ndarray, m: int) -> np.ndarray:
+    """Post-step map of the real trivialization: the unitary polar factor."""
     w, _, vh = np.linalg.svd(M)
     return w @ vh
 
 
-def _integrate_right(T: np.ndarray, h: float, unitarize: bool) -> np.ndarray:
-    """RK4 for g' = g T(s), g(0) = 1, with optional polar re-unitarization."""
-    n = T.shape[0] - 1
-    k = T.shape[-1]
-    mid = _midpoints(T)
-    g = np.empty_like(T)
-    g[0] = np.eye(k)
-    cur = g[0]
-    for m in range(n):
-        k1 = cur @ T[m]
-        k2 = (cur + 0.5 * h * k1) @ mid[m]
-        k3 = (cur + 0.5 * h * k2) @ mid[m]
-        k4 = (cur + h * k3) @ T[m + 1]
-        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if unitarize:
-            cur = _unitary_factor(cur)
-        g[m + 1] = cur
-    return g
-
-
 def trivialize(T0: AlgebraPath) -> GroupPath:
     """Unique gauge g with g(s0) = 1 solving g.T0 = 0 (so g' = g T0)."""
-    g = _integrate_right(T0.values, T0.grid.h, unitarize=True)
+    g = _rk4_path(np.matmul, np.eye(T0.dim, dtype=complex), T0.grid, _unitary_factor, T0.values)
     return GroupPath(T0.grid, g, "unitary")
 
 
@@ -142,7 +113,7 @@ def complex_trivialize_direct(T0: AlgebraPath, T1: AlgebraPath) -> GroupPath:
     """One-stage complex trivialization: solve g' = g (T0 + i T1), g(s0) = 1."""
     if T0.grid != T1.grid:
         raise ValueError("grid mismatch")
-    g = _integrate_right(T0.values + 1j * T1.values, T0.grid.h, unitarize=False)
+    g = _rk4_path(np.matmul, np.eye(T0.dim, dtype=complex), T0.grid, lambda y, m: y, T0.values + 1j * T1.values)
     return GroupPath(T0.grid, g, "complex")
 
 

@@ -13,6 +13,9 @@ Two difference operators are used:
                              the discrete integration-by-parts identity exact,
                              which the moment-map and quotient-metric checks
                              rely on.
+
+Every ODE in the package (Nahm flow, baby/Lax flow, trivializing gauge) is
+stepped by the one RK4 stepper ``_rk4`` kept here.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, bracket, su_basis, su_from_coords
+from .algebra import AlgebraSpec, su_from_coords
 
 __all__ = [
     "Grid",
@@ -75,17 +78,23 @@ class Grid:
         return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraPath:
-    """A discretized map [s0, s1] -> g, node-indexed matrix samples."""
+    """A discretized map [s0, s1] -> g, node-indexed matrix samples.
+
+    The samples are a read-only copy of the input, so later writes to the
+    caller's array do not show up in the path.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape[0] != self.grid.n + 1 or self.values.ndim != 3:
-            raise ValueError(f"bad path shape {self.values.shape} for grid n={self.grid.n}")
+        values = np.array(self.values, dtype=complex)
+        if values.shape[0] != self.grid.n + 1 or values.ndim != 3:
+            raise ValueError(f"bad path shape {values.shape} for grid n={self.grid.n}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:
@@ -130,7 +139,7 @@ class NahmData:
 
     @classmethod
     def from_arrays(cls, algebra: AlgebraSpec, grid: Grid, T0, T1, T2, T3) -> "NahmData":
-        return cls(algebra, *(AlgebraPath(grid, np.asarray(T, dtype=complex)) for T in (T0, T1, T2, T3)))
+        return cls(algebra, *(AlgebraPath(grid, T) for T in (T0, T1, T2, T3)))
 
 
 @dataclass
@@ -158,7 +167,7 @@ class TangentVector:
 
     @classmethod
     def from_arrays(cls, grid: Grid, t0, t1, t2, t3) -> "TangentVector":
-        return cls(*(AlgebraPath(grid, np.asarray(t, dtype=complex)) for t in (t0, t1, t2, t3)))
+        return cls(*(AlgebraPath(grid, t) for t in (t0, t1, t2, t3)))
 
 
 def quadrature(f: np.ndarray, grid: Grid) -> float:
@@ -191,6 +200,51 @@ def dirichlet_derivative(values: np.ndarray, h: float) -> np.ndarray:
     d[0] = (v[1] - v[0]) / h
     d[-1] = (v[-1] - v[-2]) / h
     return d
+
+
+def _midpoints(v: np.ndarray) -> np.ndarray:
+    """Cubic interpolation of node samples at interval midpoints."""
+    n = v.shape[0] - 1
+    if n < 3:
+        return 0.5 * (v[:-1] + v[1:])
+    mid = np.empty((n,) + v.shape[1:], dtype=v.dtype)
+    mid[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
+    mid[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+    mid[-1] = (v[-4] - 5.0 * v[-3] + 15.0 * v[-2] + 5.0 * v[-1]) / 16.0
+    return mid
+
+
+def _rk4(rhs, y0: np.ndarray, grid: Grid, post, coeff=None):
+    """Classical RK4 for y' = rhs(y, c(s)); yields the states at nodes 1..n.
+
+    ``coeff`` holds node samples c(s_0..s_n), read at the left node, the cubic
+    midpoint (twice) and the right node of each step, so a sampled coefficient
+    keeps fourth-order accuracy; ``None`` passes c = None (autonomous flow).
+    ``post(y, m)`` maps the raw update of step m to the state carried on: the
+    reprojection onto the constraint set, and any blow-up check.
+    """
+    h, n = grid.h, grid.n
+    if coeff is None:
+        node = mid = [None] * (n + 1)
+    else:
+        node, mid = coeff, _midpoints(coeff)
+    y = y0
+    for m in range(n):
+        k1 = rhs(y, node[m])
+        k2 = rhs(y + 0.5 * h * k1, mid[m])
+        k3 = rhs(y + 0.5 * h * k2, mid[m])
+        k4 = rhs(y + h * k3, node[m + 1])
+        y = post(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), m)
+        yield y
+
+
+def _rk4_path(rhs, y0: np.ndarray, grid: Grid, post, coeff=None) -> np.ndarray:
+    """All n+1 node values of the ``_rk4`` solution, stacked on a leading axis."""
+    path = np.empty((grid.n + 1,) + y0.shape, dtype=complex)
+    path[0] = y0
+    for m, y in enumerate(_rk4(rhs, y0, grid, post, coeff), 1):
+        path[m] = y
+    return path
 
 
 def pairing_nodes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -3,10 +3,12 @@ equations, closed-form reference solutions, Lax extraction, and half-line
 adjoint-orbit identification.
 
 All initial-value work is done in the T0 = 0 gauge, where the system reads
-T1' = [T2, T3] (and cyclic).  The half-line solver shoots from s = 0 onto the
-first-order asymptotic model tau_i + sigma(e_i)/(L+1) at a truncation length
-L, with Newton damping and continuation in L as a fallback when a perturbed
-seed leaves the (exponentially thin) basin and blows up.
+T1' = [T2, T3] (and cyclic); it and the baby flow are stepped by the RK4
+stepper of ``paths`` with a projection onto the algebra after every step.
+The half-line solver shoots from s = 0 onto the first-order asymptotic model
+tau_i + sigma(e_i)/(L+1) at a truncation length L, with Newton damping and
+continuation in L as a fallback when a perturbed seed leaves the
+(exponentially thin) basin and blows up.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraSpec, Su2Triple, bracket, su2_basis, su_coords, su_from_coords
-from .paths import AlgebraPath, Grid, NahmData, path_derivative, sup_norm
+from .paths import AlgebraPath, Grid, NahmData, _rk4, _rk4_path
 
 __all__ = [
     "NahmBlowUpError",
@@ -61,57 +63,32 @@ def char_poly(M: np.ndarray) -> np.ndarray:
     return np.poly(eigs)
 
 
-def _skew_project(X: np.ndarray, k: int) -> np.ndarray:
-    X = 0.5 * (X - np.conj(np.swapaxes(X, -1, -2)))
-    tr = np.trace(X, axis1=-2, axis2=-1)
-    return X - (tr / k)[..., None, None] * np.eye(k)
-
-
-def _nahm_rhs(Y: np.ndarray) -> np.ndarray:
+def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:
     """Right-hand side (T1', T2', T3') = ([T2,T3], [T3,T1], [T1,T2]), batched."""
-    T1 = Y[..., 0, :, :]
-    T2 = Y[..., 1, :, :]
-    T3 = Y[..., 2, :, :]
-    return np.stack([bracket(T2, T3), bracket(T3, T1), bracket(T1, T2)], axis=-3)
+    A = Y[..., [1, 2, 0], :, :]
+    B = Y[..., [2, 0, 1], :, :]
+    return A @ B - B @ A
 
 
-def _nahm_flow(
-    init: np.ndarray,
-    grid: Grid,
-    blowup_bound: float,
-    store: bool,
-):
-    """RK4 on the T0 = 0 Nahm system.
-
-    With store=True returns the full trajectory (n+1, ..., 3, k, k) and raises
-    on blow-up.  With store=False integrates a leading batch axis to the
-    terminal value, marking blown-up members with NaN instead of raising.
+def _nahm_post(algebra: AlgebraSpec, grid: Grid, blowup_bound: float, batched: bool):
+    """Per-step map of the Nahm flow: project onto the algebra, then check the
+    norm.  A single trajectory raises NahmBlowUpError once its norm passes the
+    bound or stops being finite; with ``batched`` the leading axis holds
+    independent members, and blown-up ones are marked with NaN instead.
     """
-    h = grid.h
-    k = init.shape[-1]
-    cur = np.array(init, dtype=complex)
-    batched = not store
-    traj = None
-    if store:
-        traj = np.empty((grid.n + 1,) + cur.shape, dtype=complex)
-        traj[0] = cur
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(grid.n):
-            k1 = _nahm_rhs(cur)
-            k2 = _nahm_rhs(cur + 0.5 * h * k1)
-            k3 = _nahm_rhs(cur + 0.5 * h * k2)
-            k4 = _nahm_rhs(cur + h * k3)
-            cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            cur = _skew_project(cur, k)
-            norms = np.linalg.norm(cur, axis=(-2, -1))
-            bad = ~np.isfinite(norms) | (norms > blowup_bound)
-            if np.any(bad):
-                if not batched:
-                    raise NahmBlowUpError(grid.s0 + (m + 1) * h, float(np.max(norms[np.isfinite(norms)], initial=0.0)))
-                cur[np.any(bad, axis=-1)] = np.nan
-            if store:
-                traj[m + 1] = cur
-    return traj if store else cur
+
+    def post(y, m):
+        y = algebra.project(y)
+        norms = np.linalg.norm(y, axis=(-2, -1))
+        bad = ~np.isfinite(norms) | (norms > blowup_bound)
+        if np.any(bad):
+            if not batched:
+                norm = float(np.max(norms)) if np.all(np.isfinite(norms)) else np.inf
+                raise NahmBlowUpError(grid.s0 + (m + 1) * grid.h, norm)
+            y[np.any(bad, axis=-1)] = np.nan
+        return y
+
+    return post
 
 
 def integrate_nahm(
@@ -122,13 +99,14 @@ def integrate_nahm(
 ) -> NahmData:
     """Solve the Nahm equations in the T0 = 0 gauge from (T1, T2, T3)(s0).
 
-    Skew-Hermiticity is restored by projection after every step; blow-up past
-    the norm bound raises NahmBlowUpError.
+    The state is projected onto the algebra after every RK4 step; blow-up
+    past the norm bound raises NahmBlowUpError.
     """
     Y0 = np.stack([np.asarray(M, dtype=complex) for M in init])
     if not algebra.is_member(Y0, tol=1e-8):
         raise ValueError("initial matrices are not algebra elements")
-    traj = _nahm_flow(Y0, grid, blowup_bound, store=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = _rk4_path(_nahm_rhs, Y0, grid, _nahm_post(algebra, grid, blowup_bound, batched=False))
     zero = np.zeros_like(traj[:, 0])
     return NahmData.from_arrays(algebra, grid, zero, traj[:, 0], traj[:, 1], traj[:, 2])
 
@@ -139,23 +117,10 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
     T0 is sampled on the grid; midpoint values use cubic interpolation so the
     integrator keeps its fourth-order accuracy (the flow is isospectral).
     """
-    grid = T0.grid
-    h = grid.h
-    k = T0.dim
-    from .gauge import _midpoints  # local import to avoid a cycle
-
-    mid = _midpoints(T0.values)
-    T1 = np.empty_like(T0.values)
-    T1[0] = np.asarray(T1_init, dtype=complex)
-    cur = T1[0]
-    for m in range(grid.n):
-        k1 = bracket(cur, T0.values[m])
-        k2 = bracket(cur + 0.5 * h * k1, mid[m])
-        k3 = bracket(cur + 0.5 * h * k2, mid[m])
-        k4 = bracket(cur + h * k3, T0.values[m + 1])
-        cur = _skew_project(cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k)
-        T1[m + 1] = cur
-    return T0, AlgebraPath(grid, T1)
+    su = AlgebraSpec("su", T0.dim)
+    y0 = np.asarray(T1_init, dtype=complex)
+    T1 = _rk4_path(lambda y, c: y @ c - c @ y, y0, T0.grid, lambda y, m: su.project(y), T0.values)
+    return T0, AlgebraPath(T0.grid, T1)
 
 
 def nil_solution(algebra: AlgebraSpec, grid: Grid, sigma: Optional[Su2Triple] = None, offset: float = 1.0) -> NahmData:
@@ -268,7 +233,9 @@ def _terminal_map(xs: np.ndarray, target: BoundaryTarget, L: float, step: float,
     inits = np.stack([_unpack(x, k) for x in xs])
     n = max(int(np.ceil(L / step)), 8)
     grid = Grid(0.0, L, n)
-    term = _nahm_flow(inits, grid, bound, store=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in _rk4(_nahm_rhs, inits, grid, _nahm_post(AlgebraSpec("su", k), grid, bound, batched=True)):
+            pass
     dev = term - asymptotic_model(target, L)[None]
     out = np.empty((B, 3 * (k * k - 1)))
     for b in range(B):

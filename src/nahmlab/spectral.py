@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .algebra import dagger
 from .paths import NahmData
-from .solver import BoundaryTarget, LaxPair, lax_extract
+from .solver import BoundaryTarget, lax_extract
 
 __all__ = [
     "SpectralData",
@@ -136,12 +136,17 @@ def spectral_flow(d: NahmData, beta_dagger_zero: bool = False) -> list:
     return _fit_coeffs(zetas, vals, k)
 
 
-def conservation_check(d: NahmData) -> float:
-    """Max relative drift of any curve coefficient along the flow."""
-    flows = spectral_flow(d)
+def _coeff_drift(flows: list) -> float:
+    """Max drift of any coefficient from its value at the first node, relative
+    to the largest first-node coefficient (at least 1)."""
     scale = max(1.0, max(float(np.max(np.abs(f[:, 0]))) for f in flows))
     drift = max(float(np.max(np.abs(f - f[:, :1]))) for f in flows)
     return drift / scale
+
+
+def conservation_check(d: NahmData) -> float:
+    """Max relative drift of any curve coefficient along the flow."""
+    return _coeff_drift(spectral_flow(d))
 
 
 def curve_value(s: SpectralData, eta: complex, zeta: complex) -> complex:

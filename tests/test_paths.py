@@ -42,6 +42,16 @@ def test_grid_validation():
     assert np.allclose(g.nodes, [0, 0.5, 1, 1.5, 2])
 
 
+def test_algebra_path_is_immutable():
+    grid = Grid(0.0, 1.0, 4)
+    samples = np.zeros((5, 2, 2), dtype=complex)
+    path = AlgebraPath(grid, samples)
+    samples[0] = E1
+    assert np.all(path.values == 0)
+    with pytest.raises(ValueError):
+        path.values[0] = E1
+
+
 def test_quadrature_constant():
     g = Grid(0.0, 1.0, 10)
     assert quadrature(np.ones(11), g) == pytest.approx(1.0, abs=1e-15)

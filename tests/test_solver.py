@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, su2_basis, su2_embed
+from nahmlab.algebra import AlgebraSpec, su2_basis, su2_embed, su_coords, su_from_coords
 from nahmlab.moment import mu_nahm
-from nahmlab.paths import AlgebraPath, Grid, sup_norm
+from nahmlab.gauge import complex_trivialize_direct, trivialize
+from nahmlab.paths import AlgebraPath, Grid, random_smooth_path, sup_norm
 from nahmlab.solver import (
     BoundaryTarget,
     NahmBlowUpError,
@@ -17,6 +18,7 @@ from nahmlab.solver import (
     nil_solution,
     orbit_identify,
 )
+from nahmlab.solver import _terminal_map
 
 SU2 = AlgebraSpec("su", 2)
 E1, E2, E3 = su2_basis()
@@ -126,6 +128,26 @@ def test_integrate_nahm_blowup():
         integrate_nahm(SU2, (-2.0 * E1, -2.0 * E2, -2.0 * E3), g)
     # the scaled pole family blows up at s = 1/2
     assert abs(info.value.s - 0.5) < 0.05
+
+
+def test_integrate_nahm_blowup_reports_nonfinite_norm():
+    # the first step overflows: the reported norm must be inf, not the max of
+    # an empty set of finite norms
+    g = Grid(0.0, 1e308, 100)
+    with pytest.raises(NahmBlowUpError) as info:
+        integrate_nahm(SU2, (E1, E2, E3), g, blowup_bound=1e6)
+    assert info.value.norm > 1e6
+    assert "norm inf" in str(info.value)
+
+
+def test_integrate_nahm_sl_complex_stays_on_flow():
+    # the per-step projection must keep sl(2, C) data complex; projecting onto
+    # su(2) gives a residual of order 1e3 here
+    spec = AlgebraSpec("sl_complex", 2)
+    rng = np.random.default_rng(0)
+    init = tuple(spec.random_element(rng, 0.5) for _ in range(3))
+    d = integrate_nahm(spec, init, Grid(0.0, 1.0, 2000))
+    assert mu_nahm(d).sup <= 1e-5
 
 
 def test_integrate_nahm_rejects_non_algebra():
@@ -365,3 +387,113 @@ def test_orbit_identify_residual_gate(rng):
     target = BoundaryTarget(Z2, Z2, Z2, sigma=None, L=1.0)
     rep = orbit_identify(d, target)
     assert not rep.certified
+
+
+# Bitwise reference: a plain RK4 loop with its own arithmetic for each flow
+# (stacked brackets for the Nahm field, an explicit skew projection, SVD
+# re-unitarization).  The shared stepper must reproduce it exactly, not
+# merely to a tolerance.
+
+
+def ref_midpoints(v):
+    n = v.shape[0] - 1
+    mid = np.empty((n,) + v.shape[1:], dtype=v.dtype)
+    mid[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
+    mid[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+    mid[-1] = (v[-4] - 5.0 * v[-3] + 15.0 * v[-2] + 5.0 * v[-1]) / 16.0
+    return mid
+
+
+def ref_skew_project(X, k):
+    X = 0.5 * (X - np.conj(np.swapaxes(X, -1, -2)))
+    tr = np.trace(X, axis1=-2, axis2=-1)
+    return X - (tr / k)[..., None, None] * np.eye(k)
+
+
+def ref_bracket(X, Y):
+    return X @ Y - Y @ X
+
+
+def ref_nahm_rhs(Y, _):
+    T1, T2, T3 = Y[..., 0, :, :], Y[..., 1, :, :], Y[..., 2, :, :]
+    return np.stack([ref_bracket(T2, T3), ref_bracket(T3, T1), ref_bracket(T1, T2)], axis=-3)
+
+
+def ref_rk4(rhs, y0, h, n, post, coeff=None):
+    """All n + 1 states of RK4 on y' = rhs(y, c(s))."""
+    ys = [np.array(y0, dtype=complex)]
+    mid = None if coeff is None else ref_midpoints(coeff)
+    cur = ys[0]
+    for m in range(n):
+        c0, cm, c1 = (None, None, None) if coeff is None else (coeff[m], mid[m], coeff[m + 1])
+        k1 = rhs(cur, c0)
+        k2 = rhs(cur + 0.5 * h * k1, cm)
+        k3 = rhs(cur + 0.5 * h * k2, cm)
+        k4 = rhs(cur + h * k3, c1)
+        cur = post(cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        ys.append(cur)
+    return np.array(ys)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_integrate_nahm_bitwise_matches_reference(k):
+    # a coarse step keeps the increment large enough that a reordered sum
+    # changes the last bit of the state
+    spec = AlgebraSpec("su", k)
+    rng = np.random.default_rng(k)
+    init = np.stack([spec.random_element(rng, 1.0 / k) for _ in range(3)])
+    n = 500
+    g = Grid(0.0, 1.0, n)
+    d = integrate_nahm(spec, tuple(init), g)
+    ref = ref_rk4(ref_nahm_rhs, init, g.h, n, lambda y: ref_skew_project(y, k))
+    for i, c in enumerate((d.T1, d.T2, d.T3)):
+        assert np.array_equal(c.values, ref[:, i])
+
+
+def test_batched_terminal_flow_bitwise_matches_reference():
+    k, L, step, bound = 3, 1.0, 5e-3, 1e6
+    spec = AlgebraSpec("su", k)
+    target = BoundaryTarget(*(np.zeros((k, k)),) * 3, sigma=su2_embed(spec), L=L)
+    rng = np.random.default_rng(5)
+    xs = np.stack([su_coords(np.stack([spec.random_element(rng, s) for _ in range(3)])).reshape(-1)
+                   for s in (0.3, 0.5, 8.0, 0.2)])
+    out = _terminal_map(xs, target, L, step, bound)
+    inits = np.stack([su_from_coords(x.reshape(3, -1), k) for x in xs])
+
+    def post(y):
+        y = ref_skew_project(y, k)
+        norms = np.linalg.norm(y, axis=(-2, -1))
+        y[np.any(~np.isfinite(norms) | (norms > bound), axis=-1)] = np.nan
+        return y
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = int(np.ceil(L / step))
+        term = ref_rk4(ref_nahm_rhs, inits, L / n, n, post)[-1]
+    blown = ~np.all(np.isfinite(term), axis=(-3, -2, -1))
+    assert blown.tolist() == [False, False, True, False]
+    ref = np.stack([su_coords(dev).reshape(-1) for dev in term - asymptotic_model(target, L)])
+    ref[blown] = np.nan
+    assert np.array_equal(out, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_right_and_baby_flows_bitwise_match_reference(k):
+    spec = AlgebraSpec("su", k)
+    rng = np.random.default_rng(10 + k)
+    g = Grid(0.0, 1.0, 600)
+    T0 = random_smooth_path(spec, g, rng, modes=1, scale=0.4)
+    X = spec.random_element(rng)
+    _, T1 = integrate_baby(X, T0)
+    ref = ref_rk4(lambda y, c: ref_bracket(y, c), X, g.h, g.n, lambda y: ref_skew_project(y, k), T0.values)
+    assert np.array_equal(T1.values, ref)
+
+    def unitarize(M):
+        w, _, vh = np.linalg.svd(M)
+        return w @ vh
+
+    eye = np.eye(k, dtype=complex)
+    ref = ref_rk4(lambda y, c: y @ c, eye, g.h, g.n, unitarize, T0.values)
+    assert np.array_equal(trivialize(T0).values, ref)
+    Tc = T0.values + 1j * T1.values
+    ref = ref_rk4(lambda y, c: y @ c, eye, g.h, g.n, lambda y: y, Tc)
+    assert np.array_equal(complex_trivialize_direct(T0, T1).values, ref)
