@@ -103,6 +103,13 @@ def _coth_initial(a: float, s0_offset: float, grid: Grid) -> list:
     return [c.values[0] for c in (d.T1, d.T2, d.T3)]
 
 
+def _boundary_target(taus, sigma, L: float) -> BoundaryTarget:
+    try:
+        return BoundaryTarget(*taus, sigma=sigma, L=L)
+    except ValueError as exc:
+        raise ConfigError(f"bad target: {exc}") from exc
+
+
 def _initial_triple(cfg: dict, algebra: AlgebraSpec, grid: Grid):
     init = _get(cfg, "init", dict, required=True)
     kind = _get(init, "kind", str, required=True)
@@ -180,7 +187,7 @@ def cmd_spectral(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
                 taus.append(float(entry["te3"]) * su2_basis().e3)
             else:
                 taus.append(_matrix(entry, k))
-        target = BoundaryTarget(*taus, sigma=None, L=_get(sub, "L", float, 10.0))
+        target = _boundary_target(taus, None, _get(sub, "L", float, 10.0))
         curve = fixed_curve(target)
         violation = reality_check(curve)
         summary = {
@@ -228,7 +235,10 @@ def _sigma_from_config(entry, algebra: AlgebraSpec):
     if entry == "irreducible":
         return su2_embed(algebra)
     if isinstance(entry, dict) and "block" in entry:
-        return su2_embed_block(algebra, int(entry["block"]))
+        try:
+            return su2_embed_block(algebra, int(entry["block"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad sigma block: {exc}") from exc
     raise ConfigError(f"unknown sigma spec {entry!r}")
 
 
@@ -243,16 +253,16 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
         if k != 2:
             raise ConfigError("coth target needs su(2)")
         a = _get(tcfg, "a", float, 1.5)
-        target = BoundaryTarget(-a * su2_basis().e1, zero, zero, sigma=None, L=L)
+        target = _boundary_target((-a * su2_basis().e1, zero, zero), None, L)
         seed = _coth_initial(a, 1.0, Grid(0.0, L, 2))
     elif kind == "nil":
         sigma = _sigma_from_config(_get(tcfg, "sigma", object, "irreducible"), algebra)
-        target = BoundaryTarget(zero, zero, zero, sigma=sigma, L=L)
+        target = _boundary_target((zero, zero, zero), sigma, L)
         seed = [np.asarray(e, dtype=complex) for e in sigma]
     elif kind == "explicit":
         taus = [_matrix(_get(tcfg, name, list, required=True), k) for name in ("tau1", "tau2", "tau3")]
         sigma = _sigma_from_config(tcfg.get("sigma"), algebra)
-        target = BoundaryTarget(*taus, sigma=sigma, L=L)
+        target = _boundary_target(taus, sigma, L)
         seed = list(asymptotic_model(target, 0.0))
     else:
         raise ConfigError(f"unknown target kind {kind!r}")
@@ -262,13 +272,17 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
         scale = max(max(np.linalg.norm(m) for m in seed), 1.0)
         seed = [m + pert * scale * algebra.random_element(rng, 1.0) for m in seed]
 
-    newton = _get(cfg, "newton", dict, {})
+    if "newton" in cfg:
+        raise ConfigError("the half-line solver no longer iterates: remove the 'newton' block "
+                          "and set the terminal tolerance with the top-level 'tol'")
+    step = _get(cfg, "step", float, 5e-3)
+    if not step > 0:
+        raise ConfigError("need step > 0")
     result = halfline_solve(
         target,
         tuple(seed),
-        step=_get(cfg, "step", float, 5e-3),
-        tol=_get(newton, "tol", float, 1e-6),
-        max_iter=_get(newton, "max_iter", int, 12),
+        step=step,
+        tol=_get(cfg, "tol", float, 1e-6),
         blowup_bound=_get(cfg, "blowup_bound", float, 1e6),
     )
     report = None
@@ -284,7 +298,6 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
             "converged": result.converged,
             "terminal_deviation": result.terminal_deviation,
             "iterations": result.iterations,
-            "fnorm_history": result.fnorm_history,
             "message": result.message,
             "orbit": None if report is None else report.to_json(),
         },

@@ -19,7 +19,6 @@ import scipy.sparse.linalg
 from .algebra import ad_matrix, bracket, dagger, expm, su_coords, su_from_coords
 from .paths import (
     AlgebraPath,
-    Grid,
     NahmData,
     _rk4_path,
     dirichlet_derivative,
@@ -48,29 +47,23 @@ class LevelSetError(ValueError):
     """Input does not satisfy the level-set equation to tolerance."""
 
 
-@dataclass
-class GroupPath:
-    """Node-indexed invertible matrices; flavor 'unitary' or 'complex'."""
+@dataclass(frozen=True)
+class GroupPath(AlgebraPath):
+    """Node-indexed invertible matrices; flavor 'unitary' or 'complex'.
 
-    grid: Grid
-    values: np.ndarray
+    The samples are a read-only copy of the input, as in ``AlgebraPath``.
+    """
+
     flavor: str = "unitary"
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape[0] != self.grid.n + 1 or self.values.ndim != 3:
-            raise ValueError("bad group path shape")
+        super().__post_init__()
         if self.flavor not in ("unitary", "complex"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "unitary":
-            k = self.values.shape[-1]
-            dev = np.max(np.linalg.norm(dagger(self.values) @ self.values - np.eye(k), axis=(-2, -1)))
+            dev = np.max(np.linalg.norm(dagger(self.values) @ self.values - np.eye(self.dim), axis=(-2, -1)))
             if dev > 1e-8:
                 raise ValueError(f"unitary flavor violated, max |g^dag g - 1| = {dev:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
 
 
 def exp_su_path(rho: AlgebraPath) -> GroupPath:

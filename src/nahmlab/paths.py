@@ -15,7 +15,7 @@ Two difference operators are used:
                              rely on.
 
 Every ODE in the package (Nahm flow, baby/Lax flow, trivializing gauge) is
-stepped by the one RK4 stepper ``_rk4`` kept here.
+stepped by the one RK4 stepper ``_rk4_path`` kept here.
 """
 
 from __future__ import annotations
@@ -214,8 +214,9 @@ def _midpoints(v: np.ndarray) -> np.ndarray:
     return mid
 
 
-def _rk4(rhs, y0: np.ndarray, grid: Grid, post, coeff=None):
-    """Classical RK4 for y' = rhs(y, c(s)); yields the states at nodes 1..n.
+def _rk4_path(rhs, y0: np.ndarray, grid: Grid, post, coeff=None) -> np.ndarray:
+    """Classical RK4 for y' = rhs(y, c(s)); all n+1 node states, stacked on a
+    leading axis.
 
     ``coeff`` holds node samples c(s_0..s_n), read at the left node, the cubic
     midpoint (twice) and the right node of each step, so a sampled coefficient
@@ -228,22 +229,14 @@ def _rk4(rhs, y0: np.ndarray, grid: Grid, post, coeff=None):
         node = mid = [None] * (n + 1)
     else:
         node, mid = coeff, _midpoints(coeff)
-    y = y0
+    path = np.empty((n + 1,) + y0.shape, dtype=complex)
+    path[0] = y = y0
     for m in range(n):
         k1 = rhs(y, node[m])
         k2 = rhs(y + 0.5 * h * k1, mid[m])
         k3 = rhs(y + 0.5 * h * k2, mid[m])
         k4 = rhs(y + h * k3, node[m + 1])
-        y = post(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), m)
-        yield y
-
-
-def _rk4_path(rhs, y0: np.ndarray, grid: Grid, post, coeff=None) -> np.ndarray:
-    """All n+1 node values of the ``_rk4`` solution, stacked on a leading axis."""
-    path = np.empty((grid.n + 1,) + y0.shape, dtype=complex)
-    path[0] = y0
-    for m, y in enumerate(_rk4(rhs, y0, grid, post, coeff), 1):
-        path[m] = y
+        y = path[m + 1] = post(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), m)
     return path
 
 

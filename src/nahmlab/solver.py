@@ -1,25 +1,27 @@
-"""Initial-value and boundary-value solvers for the baby and full Nahm
+"""Initial-value and terminal-value solvers for the baby and full Nahm
 equations, closed-form reference solutions, Lax extraction, and half-line
 adjoint-orbit identification.
 
 All initial-value work is done in the T0 = 0 gauge, where the system reads
 T1' = [T2, T3] (and cyclic); it and the baby flow are stepped by the RK4
 stepper of ``paths`` with a projection onto the algebra after every step.
-The half-line solver shoots from s = 0 onto the first-order asymptotic model
-tau_i + sigma(e_i)/(L+1) at a truncation length L, with Newton damping and
-continuation in L as a fallback when a perturbed seed leaves the
-(exponentially thin) basin and blows up.
+The half-line problem fixes the whole state at a truncation length L to the
+first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
+solution: since S(u) = -T(L - u) solves Nahm whenever T does, one forward
+integration from -model(L) gives T(0), and a forward replay from T(0) gives
+the trajectory on [0, L].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Su2Triple, bracket, su2_basis, su_coords, su_from_coords
-from .paths import AlgebraPath, Grid, NahmData, _rk4, _rk4_path
+from .algebra import AlgebraSpec, Su2Triple, bracket, su2_basis
+from .paths import AlgebraPath, Grid, NahmData, _rk4_path
 
 __all__ = [
     "NahmBlowUpError",
@@ -70,27 +72,6 @@ def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:
     return A @ B - B @ A
 
 
-def _nahm_post(algebra: AlgebraSpec, grid: Grid, blowup_bound: float, batched: bool):
-    """Per-step map of the Nahm flow: project onto the algebra, then check the
-    norm.  A single trajectory raises NahmBlowUpError once its norm passes the
-    bound or stops being finite; with ``batched`` the leading axis holds
-    independent members, and blown-up ones are marked with NaN instead.
-    """
-
-    def post(y, m):
-        y = algebra.project(y)
-        norms = np.linalg.norm(y, axis=(-2, -1))
-        bad = ~np.isfinite(norms) | (norms > blowup_bound)
-        if np.any(bad):
-            if not batched:
-                norm = float(np.max(norms)) if np.all(np.isfinite(norms)) else np.inf
-                raise NahmBlowUpError(grid.s0 + (m + 1) * grid.h, norm)
-            y[np.any(bad, axis=-1)] = np.nan
-        return y
-
-    return post
-
-
 def integrate_nahm(
     algebra: AlgebraSpec,
     init: tuple,
@@ -105,8 +86,17 @@ def integrate_nahm(
     Y0 = np.stack([np.asarray(M, dtype=complex) for M in init])
     if not algebra.is_member(Y0, tol=1e-8):
         raise ValueError("initial matrices are not algebra elements")
+
+    def post(y, m):
+        y = algebra.project(y)
+        norms = np.linalg.norm(y, axis=(-2, -1))
+        if not np.all(norms <= blowup_bound):
+            norm = float(np.max(norms)) if np.all(np.isfinite(norms)) else np.inf
+            raise NahmBlowUpError(grid.s0 + (m + 1) * grid.h, norm)
+        return y
+
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _rk4_path(_nahm_rhs, Y0, grid, _nahm_post(algebra, grid, blowup_bound, batched=False))
+        traj = _rk4_path(_nahm_rhs, Y0, grid, post)
     zero = np.zeros_like(traj[:, 0])
     return NahmData.from_arrays(algebra, grid, zero, traj[:, 0], traj[:, 1], traj[:, 2])
 
@@ -186,6 +176,8 @@ class BoundaryTarget:
             for j in range(i + 1, 3):
                 if np.linalg.norm(bracket(taus[i], taus[j])) > 1e-10 * scale**2:
                     raise ValueError("boundary limits tau_i must commute")
+        if not AlgebraSpec("su", self.dim).is_member(np.stack(taus)):
+            raise ValueError("boundary limits tau_i must lie in su(k)")
         if self.sigma is not None:
             sig = [np.asarray(s, dtype=complex) for s in self.sigma]
             sscale = max(max(np.linalg.norm(s) for s in sig), 1.0)
@@ -213,79 +205,7 @@ class HalflineResult:
     converged: bool
     terminal_deviation: float
     iterations: int
-    fnorm_history: list = field(default_factory=list)
     message: str = ""
-
-
-def _pack(Y: np.ndarray, k: int) -> np.ndarray:
-    return su_coords(Y).reshape(-1)
-
-
-def _unpack(x: np.ndarray, k: int) -> np.ndarray:
-    d = k * k - 1
-    return su_from_coords(np.asarray(x).reshape(3, d), k)
-
-
-def _terminal_map(xs: np.ndarray, target: BoundaryTarget, L: float, step: float, bound: float) -> np.ndarray:
-    """Batched shooting map: init coords -> terminal deviation coords (NaN on blow-up)."""
-    k = target.dim
-    B = xs.shape[0]
-    inits = np.stack([_unpack(x, k) for x in xs])
-    n = max(int(np.ceil(L / step)), 8)
-    grid = Grid(0.0, L, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for term in _rk4(_nahm_rhs, inits, grid, _nahm_post(AlgebraSpec("su", k), grid, bound, batched=True)):
-            pass
-    dev = term - asymptotic_model(target, L)[None]
-    out = np.empty((B, 3 * (k * k - 1)))
-    for b in range(B):
-        if np.all(np.isfinite(dev[b])):
-            out[b] = _pack(dev[b], k)
-        else:
-            out[b] = np.nan
-    return out
-
-
-def _newton_stage(
-    x: np.ndarray,
-    target: BoundaryTarget,
-    L: float,
-    step: float,
-    bound: float,
-    tol: float,
-    max_iter: int,
-    fd_step: float = 1e-7,
-):
-    """Damped Newton on the shooting map at fixed L. Returns (x, history, converged)."""
-    dim = x.size
-    history = []
-    F = _terminal_map(x[None], target, L, step, bound)[0]
-    fnorm = float(np.max(np.abs(F))) if np.all(np.isfinite(F)) else np.inf
-    history.append(fnorm)
-    it = 0
-    while fnorm > tol and it < max_iter and np.isfinite(fnorm):
-        delta = fd_step * max(1.0, float(np.max(np.abs(x))))
-        probes = x[None] + delta * np.eye(dim)
-        Fp = _terminal_map(probes, target, L, step, bound)
-        J = (Fp - F[None]).T / delta
-        if not np.all(np.isfinite(J)):
-            return x, history, False
-        dx = np.linalg.lstsq(J, -F, rcond=None)[0]
-        lam, accepted = 1.0, False
-        for _ in range(10):
-            Ftry = _terminal_map((x + lam * dx)[None], target, L, step, bound)[0]
-            ftry = float(np.max(np.abs(Ftry))) if np.all(np.isfinite(Ftry)) else np.inf
-            if ftry < fnorm:
-                x = x + lam * dx
-                F, fnorm = Ftry, ftry
-                accepted = True
-                break
-            lam *= 0.5
-        it += 1
-        history.append(fnorm)
-        if not accepted:
-            return x, history, fnorm <= tol
-    return x, history, fnorm <= tol
 
 
 def halfline_solve(
@@ -293,58 +213,44 @@ def halfline_solve(
     init_guess: tuple,
     step: float = 5e-3,
     tol: float = 1e-6,
-    max_iter: int = 12,
     blowup_bound: float = 1e6,
-    continuation: bool = True,
 ) -> HalflineResult:
-    """Newton shooting for Nahm solutions on [0, L] matching the asymptotic
-    model at the far end.
+    """The Nahm solution on [0, L] whose state at s = L is the asymptotic model.
 
-    Tries a direct solve at the full length first; if the seed cannot even be
-    integrated that far (the generic case for perturbed seeds, since the
-    boundary-value problem sits on an exponentially thin stable set), falls
-    back to continuation: converge on a short interval and extend in stages.
-    Returns the best iterate with diagnostics instead of raising on
-    non-convergence.
+    Fixing the full state at L is a terminal-value problem with exactly one
+    solution.  A guess whose forward flow already ends within ``tol`` of the
+    model is kept (``iterations`` 0); otherwise the solution is integrated
+    backward from the model and its T(0) replayed forward (``iterations`` 1).
+    ``converged`` means the reported trajectory ends within 10 tol of the
+    model; a blow-up before L gives ``data=None``.
     """
-    k = target.dim
-    x0 = _pack(np.stack([np.asarray(M, dtype=complex) for M in init_guess]), k)
     L = float(target.L)
+    grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
+    algebra = AlgebraSpec("su", target.dim)
+    model = asymptotic_model(target, L)
 
-    x, history, ok = _newton_stage(x0, target, L, step, blowup_bound, tol, max_iter)
-    used_continuation = False
-    if not ok and continuation:
-        used_continuation = True
-        tau_scale = max(np.linalg.norm(asymptotic_model(target, L)[0]), 1.0)
-        dL = min(L, max(1.0, 2.5 / tau_scale))
-        x = x0
-        history = []
-        Lk = dL
-        while True:
-            Lk = min(Lk, L)
-            x, hist_k, ok = _newton_stage(x, target, Lk, step, blowup_bound, tol, max_iter)
-            history.extend(hist_k)
-            if Lk >= L or not ok:
-                break
-            Lk += dL
+    def flow(init):
+        d = integrate_nahm(algebra, tuple(init), grid, blowup_bound)
+        return d, np.stack([c.values[-1] for c in (d.T1, d.T2, d.T3)])
 
-    n = max(int(np.ceil(L / step)), 8)
-    grid = Grid(0.0, L, n)
-    algebra = AlgebraSpec("su", k)
-    try:
-        data = integrate_nahm(algebra, tuple(_unpack(x, k)), grid, blowup_bound)
-        term = np.stack([c.values[-1] for c in (data.T1, data.T2, data.T3)])
-        deviation = float(np.max(np.linalg.norm(term - asymptotic_model(target, L), axis=(-2, -1))))
-    except NahmBlowUpError:
-        data = None
-        deviation = np.inf
-    converged = ok and deviation <= 10.0 * tol and data is not None
+    def gap(term):
+        return float(np.max(np.linalg.norm(term - model, axis=(-2, -1))))
+
+    iterations, data = 0, None
+    with suppress(NahmBlowUpError):
+        data, term = flow(algebra.project(np.stack([np.asarray(M, dtype=complex) for M in init_guess])))
+    if data is None or gap(term) > tol:
+        # S(u) = -T(L - u) solves Nahm whenever T does, so the solution
+        # through model(L) has T(0) = -S(L) for the S starting at -model(L)
+        iterations, data = 1, None
+        with suppress(NahmBlowUpError):
+            data, term = flow(-flow(-model)[1])
+    deviation = np.inf if data is None else gap(term)
+    converged = data is not None and deviation <= 10.0 * tol
     msg = "converged" if converged else "did not reach terminal tolerance"
-    if used_continuation:
-        msg += " (continuation in L)"
     if data is None:
-        msg = "best iterate blows up before L"
-    return HalflineResult(data, converged, deviation, len(history) - 1, history, msg)
+        msg = "the solution through the model blows up on [0, L]"
+    return HalflineResult(data, converged, deviation, iterations, msg)
 
 
 @dataclass

@@ -130,16 +130,38 @@ def test_halfline_nil_converges(tmp_path):
     assert rep["orbit"]["certified"]
 
 
-def test_halfline_budget_zero_nonconvergence(tmp_path):
+def test_halfline_tolerance_below_roundoff_nonconvergence(tmp_path):
+    # a terminal tolerance below roundoff cannot be met
     cfg = {
         "algebra": {"family": "su", "dim": 2},
         "target": {"kind": "nil", "L": 10.0},
         "perturbation": 0.001,
         "seed": 7,
-        "newton": {"max_iter": 0},
+        "tol": 1e-300,
     }
     code, out = run(tmp_path, "halfline", cfg)
     assert code == 4
+    rep = json.loads((out / "halfline.json").read_text())
+    assert not rep["converged"]
+    assert "fnorm_history" not in rep
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"newton": {"tol": 1e-8}},  # the solver no longer iterates
+        {"target": {"kind": "coth", "L": -1.0}},
+        {"target": {"kind": "explicit", "tau1": [[0.0, 0.5], [0.0, 0.0], [0.0, 0.0], [0.0, -0.5]],
+                    "tau2": [[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0], [0.0, 0.0]],
+                    "tau3": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}},  # non-commuting
+        {"step": 0.0},
+        {"target": {"kind": "nil", "sigma": {"block": 5}}},  # larger than su(2)
+    ],
+)
+def test_halfline_bad_config(tmp_path, change):
+    cfg = {"algebra": {"family": "su", "dim": 2}, "target": {"kind": "nil", "L": 6.0}, "step": 0.01, **change}
+    code, _ = run(tmp_path, "halfline", cfg)
+    assert code == 2
 
 
 def test_vergne_default(tmp_path):

@@ -309,3 +309,15 @@ def test_group_path_unitary_validation():
     with pytest.raises(ValueError):
         GroupPath(g, vals, "unitary")
     GroupPath(g, vals, "complex")  # fine for the complexified group
+
+
+def test_group_path_is_immutable():
+    g = Grid(0.0, 1.0, 4)
+    vals = np.broadcast_to(np.eye(2), (5, 2, 2)).astype(complex)
+    path = GroupPath(g, vals)
+    vals[0] = 5.0
+    assert np.array_equal(path.values, np.broadcast_to(np.eye(2), (5, 2, 2)))
+    with pytest.raises(ValueError):
+        path.values[0] = 5.0
+    with pytest.raises(AttributeError):
+        path.values = vals
