@@ -9,6 +9,7 @@ explicit sl(2) examples.
 
 from .algebra import (
     AlgebraSpec,
+    InputError,
     Su2Triple,
     bracket,
     expm,
@@ -40,23 +41,23 @@ from .gauge import (
     trivialize,
 )
 from .moment import (
+    LaxPair,
     MomentResidual,
     hamiltonian_check,
     kahler_potential,
     kks_form,
+    lax_extract,
     mu_baby,
     mu_complex,
     mu_nahm,
 )
 from .solver import (
     BoundaryTarget,
-    LaxPair,
     NahmBlowUpError,
     coth_solution,
     halfline_solve,
     integrate_baby,
     integrate_nahm,
-    lax_extract,
     nil_solution,
     orbit_identify,
 )

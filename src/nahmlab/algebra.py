@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "InputError",
     "AlgebraSpec",
     "Su2Triple",
     "bracket",
@@ -35,6 +36,12 @@ __all__ = [
     "ad_matrix",
     "dagger",
 ]
+
+
+class InputError(ValueError):
+    """An argument outside the domain a function accepts (a family, a size, a
+    step, a point).  The CLI reports it as a config error; numerical failures
+    are never raised as this type."""
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
@@ -64,9 +71,9 @@ class AlgebraSpec:
 
     def __post_init__(self):
         if self.family not in ("su", "sl_complex"):
-            raise ValueError(f"unknown family {self.family!r}")
+            raise InputError(f"unknown family {self.family!r}")
         if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+            raise InputError("dim must be >= 2")
 
     @property
     def real_dimension(self) -> int:
@@ -178,7 +185,7 @@ def su2_embed(spec: AlgebraSpec) -> Su2Triple:
     this is the identity embedding.
     """
     if spec.family != "su":
-        raise ValueError("su2_embed requires an su(k) spec")
+        raise InputError("su2_embed requires an su(k) spec")
     J1, J2, J3 = _spin_matrices(spec.dim)
     return Su2Triple(1j * J1, 1j * J2, 1j * J3)
 
@@ -186,7 +193,7 @@ def su2_embed(spec: AlgebraSpec) -> Su2Triple:
 def su2_embed_block(spec: AlgebraSpec, m: int) -> Su2Triple:
     """Irreducible m-dimensional embedding padded with a trivial summand."""
     if not 2 <= m <= spec.dim:
-        raise ValueError("block size out of range")
+        raise InputError("block size out of range")
     small = su2_embed(AlgebraSpec("su", m))
     out = []
     for s in small:

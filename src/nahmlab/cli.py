@@ -1,9 +1,9 @@
 """Command-line front end: run solvers, spectral checks, half-line orbit
 identification, the Vergne demo, and the invariant suite from JSON configs.
 
-Exit codes: 0 pass, 1 check failure, 2 config error, 3 blow-up,
-4 non-convergence.  All randomness is seeded; identical config + seed gives
-byte-identical artifacts.
+Exit codes: 0 pass, 1 check failure, 2 config error (a bad config value, or
+the library's ``InputError`` for one), 3 blow-up, 4 non-convergence.  All
+randomness is seeded; identical config + seed gives byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -18,9 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from .algebra import AlgebraSpec, pairing, su2_basis, su2_embed, su2_embed_block
-from .gauge import act, exp_su_path, horizontal_project, monodromy, quotient_metric, trivialize, vertical_field
-from .moment import hamiltonian_check, kahler_form_identity_check, mu_nahm, s1_moment_identity_check
+from .algebra import AlgebraSpec, InputError, pairing, su2_basis, su2_embed, su2_embed_block
+from .gauge import GroupPath, act, exp_su_path, horizontal_project, monodromy, quotient_metric, trivialize, vertical_field
+from .moment import (
+    _omega_baby,
+    hamiltonian_check,
+    kahler_form_identity_check,
+    lax_extract,
+    mu_nahm,
+    rho_star,
+    s1_moment_identity_check,
+)
 from .paths import (
     AlgebraPath,
     Grid,
@@ -39,7 +47,6 @@ from .solver import (
     coth_solution,
     halfline_solve,
     integrate_nahm,
-    lax_extract,
     orbit_identify,
 )
 from .spectral import _coeff_drift, char_coeffs, conservation_check, fixed_curve, reality_check, spectral_flow
@@ -54,8 +61,18 @@ EXIT_BLOWUP = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
+
+
+def _typed(val, typ, what: str):
+    """val checked against typ; an int is taken as a float, a bool is never
+    taken as a number."""
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
+        val = float(val)
+    if not isinstance(val, typ) or (isinstance(val, bool) and typ in (int, float)):
+        raise ConfigError(f"{what} must be {typ.__name__}, got {type(val).__name__}")
+    return val
 
 
 def _get(cfg: dict, key: str, typ, default=None, required: bool = False):
@@ -63,28 +80,17 @@ def _get(cfg: dict, key: str, typ, default=None, required: bool = False):
         if required:
             raise ConfigError(f"missing config key {key!r}")
         return default
-    val = cfg[key]
-    if typ is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, typ):
-        raise ConfigError(f"config key {key!r} must be {typ}, got {type(val).__name__}")
-    return val
+    return _typed(cfg[key], typ, f"config key {key!r}")
 
 
 def _algebra(cfg: dict) -> AlgebraSpec:
     sub = _get(cfg, "algebra", dict, {"family": "su", "dim": 2})
-    try:
-        return AlgebraSpec(_get(sub, "family", str, "su"), _get(sub, "dim", int, 2))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return AlgebraSpec(_get(sub, "family", str, "su"), _get(sub, "dim", int, 2))
 
 
 def _grid(cfg: dict, default=None) -> Grid:
     sub = _get(cfg, "grid", dict, default, required=default is None)
-    try:
-        return Grid(float(sub.get("s0", 0.0)), float(sub.get("s1", 1.0)), int(sub.get("n", 1000)))
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
+    return Grid(_get(sub, "s0", float, 0.0), _get(sub, "s1", float, 1.0), _get(sub, "n", int, 1000))
 
 
 def _matrix(entry, k: int) -> np.ndarray:
@@ -96,18 +102,8 @@ def _matrix(entry, k: int) -> np.ndarray:
 
 def _coth_initial(a: float, s0_offset: float, grid: Grid) -> list:
     """(T1, T2, T3)(grid.s0) of the closed-form coth solution."""
-    try:
-        d = coth_solution(a, s0_offset, grid)
-    except ValueError as exc:
-        raise ConfigError(f"bad coth parameters: {exc}") from exc
+    d = coth_solution(a, s0_offset, grid)
     return [c.values[0] for c in (d.T1, d.T2, d.T3)]
-
-
-def _boundary_target(taus, sigma, L: float) -> BoundaryTarget:
-    try:
-        return BoundaryTarget(*taus, sigma=sigma, L=L)
-    except ValueError as exc:
-        raise ConfigError(f"bad target: {exc}") from exc
 
 
 def _initial_triple(cfg: dict, algebra: AlgebraSpec, grid: Grid):
@@ -151,24 +147,6 @@ def cmd_evolve(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _coeffs_csv(grid: Grid, flows, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["s"]
-        for j, f in enumerate(flows, start=1):
-            for m in range(f.shape[0]):
-                header += [f"a{j}_{m}_re", f"a{j}_{m}_im"]
-        writer.writerow(header)
-        for idx, s in enumerate(grid.nodes):
-            row = [nio.fmt(s)]
-            for f in flows:
-                for m in range(f.shape[0]):
-                    row += [nio.fmt(f[m, idx].real), nio.fmt(f[m, idx].imag)]
-            writer.writerow(row)
-
-
 def cmd_spectral(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     algebra = _algebra(cfg)
     reality_bound = _get(cfg, "reality_bound", float, 1e-9)
@@ -184,17 +162,15 @@ def cmd_spectral(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
             elif isinstance(entry, dict) and "te3" in entry:
                 if k != 2:
                     raise ConfigError("te3 preset needs su(2)")
-                taus.append(float(entry["te3"]) * su2_basis().e3)
+                taus.append(_get(entry, "te3", float) * su2_basis().e3)
             else:
                 taus.append(_matrix(entry, k))
-        target = _boundary_target(taus, None, _get(sub, "L", float, 10.0))
+        target = BoundaryTarget(*taus, L=_get(sub, "L", float, 10.0))
         curve = fixed_curve(target)
         violation = reality_check(curve)
         summary = {
             "curve": curve.to_json(),
-            "factors": None
-            if curve.factors is None
-            else [[[float(c.real), float(c.imag)] for c in q] for q in curve.factors],
+            "factors": None if curve.factors is None else [nio.to_pairs(q).tolist() for q in curve.factors],
             "reality_violation": violation,
         }
         nio.write_json(summary, out_dir / "spectral.json")
@@ -216,7 +192,7 @@ def cmd_spectral(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     lax = lax_extract(d)
     curve0 = char_coeffs(lax.alpha[0], lax.beta[0], beta_dagger=np.zeros_like(lax.beta[0]) if nonreal else None)
     violation = reality_check(curve0)
-    _coeffs_csv(grid, flows, out_dir / "coeffs.csv")
+    nio.coeffs_to_csv(grid, flows, out_dir / "coeffs.csv")
     nio.write_json(
         {"drift": drift, "reality_violation": violation, "curve0": curve0.to_json()},
         out_dir / "spectral.json",
@@ -235,10 +211,7 @@ def _sigma_from_config(entry, algebra: AlgebraSpec):
     if entry == "irreducible":
         return su2_embed(algebra)
     if isinstance(entry, dict) and "block" in entry:
-        try:
-            return su2_embed_block(algebra, int(entry["block"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sigma block: {exc}") from exc
+        return su2_embed_block(algebra, _get(entry, "block", int))
     raise ConfigError(f"unknown sigma spec {entry!r}")
 
 
@@ -253,16 +226,16 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
         if k != 2:
             raise ConfigError("coth target needs su(2)")
         a = _get(tcfg, "a", float, 1.5)
-        target = _boundary_target((-a * su2_basis().e1, zero, zero), None, L)
+        target = BoundaryTarget(-a * su2_basis().e1, zero, zero, L=L)
         seed = _coth_initial(a, 1.0, Grid(0.0, L, 2))
     elif kind == "nil":
         sigma = _sigma_from_config(_get(tcfg, "sigma", object, "irreducible"), algebra)
-        target = _boundary_target((zero, zero, zero), sigma, L)
+        target = BoundaryTarget(zero, zero, zero, sigma=sigma, L=L)
         seed = [np.asarray(e, dtype=complex) for e in sigma]
     elif kind == "explicit":
         taus = [_matrix(_get(tcfg, name, list, required=True), k) for name in ("tau1", "tau2", "tau3")]
         sigma = _sigma_from_config(tcfg.get("sigma"), algebra)
-        target = _boundary_target(taus, sigma, L)
+        target = BoundaryTarget(*taus, sigma=sigma, L=L)
         seed = list(asymptotic_model(target, 0.0))
     else:
         raise ConfigError(f"unknown target kind {kind!r}")
@@ -275,13 +248,10 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     if "newton" in cfg:
         raise ConfigError("the half-line solver no longer iterates: remove the 'newton' block "
                           "and set the terminal tolerance with the top-level 'tol'")
-    step = _get(cfg, "step", float, 5e-3)
-    if not step > 0:
-        raise ConfigError("need step > 0")
     result = halfline_solve(
         target,
         tuple(seed),
-        step=step,
+        step=_get(cfg, "step", float, 5e-3),
         tol=_get(cfg, "tol", float, 1e-6),
         blowup_bound=_get(cfg, "blowup_bound", float, 1e6),
     )
@@ -323,7 +293,9 @@ def cmd_vergne(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     points = []
     if "points" in cfg:
         for entry in _get(cfg, "points", list):
-            ur, ui, vr, vi = (float(x) for x in entry)
+            if not (isinstance(entry, list) and len(entry) == 4):
+                raise ConfigError(f"a point is [re u, im u, re v, im v], got {entry!r}")
+            ur, ui, vr, vi = (_typed(x, float, "a point coordinate") for x in entry)
             points.append((complex(ur, ui), complex(vr, vi)))
     samples = _get(cfg, "samples", int, 0)
     for i in range(samples):
@@ -400,8 +372,6 @@ def run_check_suite(seed: int = 0, n: int = 300, samples: int = 10, inject_sign_
             err = hamiltonian_check(data, rho, v, which)
             if inject_sign_flip and which == "baby":
                 # deliberate harness control: a sign flip must be caught
-                from .moment import _omega_baby, rho_star
-
                 err = abs(err + 2.0 * abs(_omega_baby(rho_star(data, rho), v)))
             worst[which] = max(worst[which], err)
     add("hamiltonian_baby", worst["baby"], 1e-5, 0)
@@ -424,18 +394,13 @@ def run_check_suite(seed: int = 0, n: int = 300, samples: int = 10, inject_sign_
     g1 = exp_su_path(random_smooth_path(su2, grid, rng, scale=0.5))
     g2 = exp_su_path(random_smooth_path(su2, grid, rng, scale=0.5))
     data = NahmData(su2, *(random_smooth_path(su2, grid, rng) for _ in range(4)))
-    from .gauge import GroupPath
-
     g12 = GroupPath(grid, g1.values @ g2.values, "unitary")
     lhs = act(g12, data)
     rhs = act(g1, act(g2, data))
     comp_err = max(sup_norm(a.values - b.values) for a, b in zip(lhs.components, rhs.components))
     add("act_composition", comp_err, 500.0 * grid.h**2, 2)
 
-    g = trivialize(T0)
-    k = su2.dim
-    unit_dev = np.max(np.linalg.norm(np.conj(np.swapaxes(g.values, -1, -2)) @ g.values - np.eye(k), axis=(-2, -1)))
-    add("trivialize_unitarity", unit_dev, 1e-8, 0)
+    add("trivialize_unitarity", trivialize(T0).unitarity_defect, 1e-8, 0)
 
     zero_T0 = AlgebraPath(grid, np.zeros_like(T0.values))
     e1 = su2_basis().e1
@@ -491,21 +456,18 @@ def main(argv=None) -> int:
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
+        seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        print("config error: seed must be an integer", file=sys.stderr)
-        return EXIT_CONFIG
     rng = np.random.default_rng(seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         return _COMMANDS[args.command](cfg, out_dir, rng)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NahmBlowUpError as exc:

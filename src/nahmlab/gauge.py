@@ -11,6 +11,7 @@ Nahm and baby flows use); real gauges are re-unitarized after every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -21,6 +22,7 @@ from .paths import (
     AlgebraPath,
     NahmData,
     _rk4_path,
+    _shared_grid,
     dirichlet_derivative,
     path_derivative,
     pairing_nodes,
@@ -60,10 +62,13 @@ class GroupPath(AlgebraPath):
         super().__post_init__()
         if self.flavor not in ("unitary", "complex"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "unitary":
-            dev = np.max(np.linalg.norm(dagger(self.values) @ self.values - np.eye(self.dim), axis=(-2, -1)))
-            if dev > 1e-8:
-                raise ValueError(f"unitary flavor violated, max |g^dag g - 1| = {dev:.3e}")
+        if self.flavor == "unitary" and self.unitarity_defect > 1e-8:
+            raise ValueError(f"unitary flavor violated, max |g^dag g - 1| = {self.unitarity_defect:.3e}")
+
+    @cached_property
+    def unitarity_defect(self) -> float:
+        """max over the nodes of |g^dag g - 1|."""
+        return float(np.max(np.linalg.norm(dagger(self.values) @ self.values - np.eye(self.dim), axis=(-2, -1))))
 
 
 def exp_su_path(rho: AlgebraPath) -> GroupPath:
@@ -75,8 +80,7 @@ def exp_su_path(rho: AlgebraPath) -> GroupPath:
 
 def act(g: GroupPath, d: NahmData) -> NahmData:
     """Gauge action: T0 conjugates with the connection term, Ti conjugate."""
-    if g.grid != d.grid:
-        raise ValueError("grid mismatch between gauge and data")
+    _shared_grid(g, d)
     gv = g.values
     ginv = np.linalg.inv(gv)
     dg = path_derivative(gv, d.grid.h)
@@ -104,8 +108,7 @@ def monodromy(T0: AlgebraPath) -> np.ndarray:
 
 def complex_trivialize_direct(T0: AlgebraPath, T1: AlgebraPath) -> GroupPath:
     """One-stage complex trivialization: solve g' = g (T0 + i T1), g(s0) = 1."""
-    if T0.grid != T1.grid:
-        raise ValueError("grid mismatch")
+    _shared_grid(T0, T1)
     g = _rk4_path(np.matmul, np.eye(T0.dim, dtype=complex), T0.grid, lambda y, m: y, T0.values + 1j * T1.values)
     return GroupPath(T0.grid, g, "complex")
 
@@ -117,8 +120,7 @@ def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6
     gauge g, the endpoint exp(i (s1-s0) T1(s0)) g(s1) of the combined complex
     gauge, and T1(s0).
     """
-    if T0.grid != T1.grid:
-        raise ValueError("grid mismatch")
+    _shared_grid(T0, T1)
     grid = T0.grid
     residual = path_derivative(T1.values, grid.h) + bracket(T0.values, T1.values)
     res = sup_norm(residual)
@@ -136,8 +138,7 @@ def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6
 
 def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
     """Tangent to the based-gauge orbit: [rho, T0] - rho' for Dirichlet rho."""
-    if T0.grid != rho.grid:
-        raise ValueError("grid mismatch")
+    _shared_grid(T0, rho)
     end = max(np.linalg.norm(rho.values[0]), np.linalg.norm(rho.values[-1]))
     if end > 1e-10 * max(1.0, sup_norm(rho.values)):
         raise ValueError("gauge parameter must vanish at both endpoints")
@@ -185,8 +186,7 @@ def horizontal_project(T0: AlgebraPath, t: AlgebraPath) -> AlgebraPath:
     Solves the weighted normal equations for the optimal gauge parameter and
     subtracts the fitted vertical field.
     """
-    if T0.grid != t.grid:
-        raise ValueError("grid mismatch")
+    _shared_grid(T0, t)
     grid = T0.grid
     k = T0.dim
     d = k * k - 1

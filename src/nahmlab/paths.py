@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, su_from_coords
+from .algebra import AlgebraSpec, InputError, su_from_coords
 
 __all__ = [
     "Grid",
@@ -58,9 +58,9 @@ class Grid:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("grid needs n >= 2 intervals")
+            raise InputError("grid needs n >= 2 intervals")
         if not self.s1 > self.s0:
-            raise ValueError("need s1 > s0")
+            raise InputError("need s1 > s0")
 
     @property
     def h(self) -> float:
@@ -78,6 +78,13 @@ class Grid:
         return w
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only complex copy, for the array fields of frozen values."""
+    values = np.array(values, dtype=complex)
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class AlgebraPath:
     """A discretized map [s0, s1] -> g, node-indexed matrix samples.
@@ -90,10 +97,9 @@ class AlgebraPath:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=complex)
+        values = _read_only(self.values)
         if values.shape[0] != self.grid.n + 1 or values.ndim != 3:
             raise ValueError(f"bad path shape {values.shape} for grid n={self.grid.n}")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -101,7 +107,8 @@ class AlgebraPath:
         return self.values.shape[-1]
 
 
-def _shared_grid(*paths: AlgebraPath) -> Grid:
+def _shared_grid(*paths) -> Grid:
+    """The grid of paths (or path quadruples) that must share one."""
     g = paths[0].grid
     for p in paths[1:]:
         if p.grid != g:
@@ -109,8 +116,24 @@ def _shared_grid(*paths: AlgebraPath) -> Grid:
     return g
 
 
-@dataclass
-class NahmData:
+@dataclass(frozen=True)
+class _PathQuadruple:
+    """Four algebra paths on one shared grid; the subclasses name them."""
+
+    def __post_init__(self):
+        _shared_grid(*self.components)
+
+    @property
+    def grid(self) -> Grid:
+        return self.components[0].grid
+
+    def stack(self) -> np.ndarray:
+        """Component-stacked array of shape (4, n+1, k, k)."""
+        return np.stack([c.values for c in self.components])
+
+
+@dataclass(frozen=True)
+class NahmData(_PathQuadruple):
     """The quadruple (T0, T1, T2, T3) of algebra paths on a shared grid."""
 
     algebra: AlgebraSpec
@@ -120,30 +143,21 @@ class NahmData:
     T3: AlgebraPath
 
     def __post_init__(self):
-        g = _shared_grid(self.T0, self.T1, self.T2, self.T3)
+        super().__post_init__()
         if self.T0.dim != self.algebra.dim:
             raise ValueError("algebra dimension does not match path samples")
-        del g
-
-    @property
-    def grid(self) -> Grid:
-        return self.T0.grid
 
     @property
     def components(self):
         return (self.T0, self.T1, self.T2, self.T3)
-
-    def stack(self) -> np.ndarray:
-        """Component-stacked array of shape (4, n+1, k, k)."""
-        return np.stack([c.values for c in self.components])
 
     @classmethod
     def from_arrays(cls, algebra: AlgebraSpec, grid: Grid, T0, T1, T2, T3) -> "NahmData":
         return cls(algebra, *(AlgebraPath(grid, T) for T in (T0, T1, T2, T3)))
 
 
-@dataclass
-class TangentVector:
+@dataclass(frozen=True)
+class TangentVector(_PathQuadruple):
     """A free tangent vector (t0, t1, t2, t3) to the discretized path space."""
 
     t0: AlgebraPath
@@ -151,19 +165,9 @@ class TangentVector:
     t2: AlgebraPath
     t3: AlgebraPath
 
-    def __post_init__(self):
-        _shared_grid(self.t0, self.t1, self.t2, self.t3)
-
-    @property
-    def grid(self) -> Grid:
-        return self.t0.grid
-
     @property
     def components(self):
         return (self.t0, self.t1, self.t2, self.t3)
-
-    def stack(self) -> np.ndarray:
-        return np.stack([c.values for c in self.components])
 
     @classmethod
     def from_arrays(cls, grid: Grid, t0, t1, t2, t3) -> "TangentVector":

@@ -1,6 +1,7 @@
 """Initial-value and terminal-value solvers for the baby and full Nahm
-equations, closed-form reference solutions, Lax extraction, and half-line
-adjoint-orbit identification.
+equations, closed-form reference solutions, and half-line adjoint-orbit
+identification.  The Lax pair (``LaxPair``, ``lax_extract``) lives in
+``moment``; the names here are the same objects.
 
 All initial-value work is done in the T0 = 0 gauge, where the system reads
 T1' = [T2, T3] (and cyclic); it and the baby flow are stepped by the RK4
@@ -20,8 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Su2Triple, bracket, su2_basis
-from .paths import AlgebraPath, Grid, NahmData, _rk4_path
+from .algebra import AlgebraSpec, InputError, Su2Triple, bracket, su2_basis, su2_embed
+from .io import to_pairs
+from .moment import LaxPair, lax_extract, mu_nahm
+from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_path
 
 __all__ = [
     "NahmBlowUpError",
@@ -50,15 +53,6 @@ class NahmBlowUpError(RuntimeError):
         self.norm = norm
 
 
-@dataclass
-class LaxPair:
-    """alpha = T0 - i T1 and beta = T2 + i T3, node-indexed."""
-
-    grid: Grid
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
 def char_poly(M: np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial coefficients of det(eta - M), descending."""
     eigs = np.linalg.eigvals(np.asarray(M, dtype=complex))
@@ -85,7 +79,7 @@ def integrate_nahm(
     """
     Y0 = np.stack([np.asarray(M, dtype=complex) for M in init])
     if not algebra.is_member(Y0, tol=1e-8):
-        raise ValueError("initial matrices are not algebra elements")
+        raise InputError("initial matrices are not algebra elements")
 
     def post(y, m):
         y = algebra.project(y)
@@ -113,17 +107,19 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
     return T0, AlgebraPath(T0.grid, T1)
 
 
+def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> NahmData:
+    """T0 = 0 and T_i(s) = f_i(s) triple_i, for node-sampled profiles f_i."""
+    zero = np.zeros((grid.n + 1, algebra.dim, algebra.dim), dtype=complex)
+    comps = [f[:, None, None] * np.asarray(e)[None] for f, e in zip(profiles, triple)]
+    return NahmData.from_arrays(algebra, grid, zero, *comps)
+
+
 def nil_solution(algebra: AlgebraSpec, grid: Grid, sigma: Optional[Su2Triple] = None, offset: float = 1.0) -> NahmData:
     """The pole solution T_i(s) = sigma(e_i)/(s + offset), T0 = 0."""
     if sigma is None:
-        from .algebra import su2_embed
-
         sigma = su2_embed(algebra)
-    s = grid.nodes
-    f = 1.0 / (s + offset)
-    zero = np.zeros((grid.n + 1, algebra.dim, algebra.dim), dtype=complex)
-    comps = [f[:, None, None] * np.asarray(e)[None] for e in sigma]
-    return NahmData.from_arrays(algebra, grid, zero, *comps)
+    f = 1.0 / (grid.nodes + offset)
+    return _separable(algebra, grid, (f, f, f), sigma)
 
 
 def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
@@ -132,31 +128,18 @@ def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
     T1 = -a coth(a(s+c)) e1, T2 = a/sinh(a(s+c)) e2, T3 = -a/sinh(a(s+c)) e3.
     """
     if a <= 0 or s0_offset <= 0:
-        raise ValueError("need a > 0 and s0_offset > 0")
-    e1, e2, e3 = su2_basis()
+        raise InputError("need a > 0 and s0_offset > 0")
     xi = a * (grid.nodes + s0_offset)
-    f1 = -a / np.tanh(xi)
-    f2 = a / np.sinh(xi)
-    f3 = -a / np.sinh(xi)
-    algebra = AlgebraSpec("su", 2)
-    zero = np.zeros((grid.n + 1, 2, 2), dtype=complex)
-    T1 = f1[:, None, None] * e1[None]
-    T2 = f2[:, None, None] * e2[None]
-    T3 = f3[:, None, None] * e3[None]
-    return NahmData.from_arrays(algebra, grid, zero, T1, T2, T3)
+    return _separable(AlgebraSpec("su", 2), grid, (-a / np.tanh(xi), a / np.sinh(xi), -a / np.sinh(xi)), su2_basis())
 
 
-def lax_extract(d: NahmData) -> LaxPair:
-    """alpha = T0 - i T1, beta = T2 + i T3; beta' = [beta, alpha] on solutions."""
-    alpha = d.T0.values - 1j * d.T1.values
-    beta = d.T2.values + 1j * d.T3.values
-    return LaxPair(d.grid, alpha, beta)
-
-
-@dataclass
+@dataclass(frozen=True)
 class BoundaryTarget:
     """Commuting limits (tau1, tau2, tau3), optional su(2) embedding images,
-    and the truncation length L of the half-line."""
+    and the truncation length L of the half-line.
+
+    The matrices are read-only copies of the input, as in ``AlgebraPath``.
+    """
 
     tau1: np.ndarray
     tau2: np.ndarray
@@ -165,26 +148,26 @@ class BoundaryTarget:
     L: float = 10.0
 
     def __post_init__(self):
-        self.tau1 = np.asarray(self.tau1, dtype=complex)
-        self.tau2 = np.asarray(self.tau2, dtype=complex)
-        self.tau3 = np.asarray(self.tau3, dtype=complex)
+        for name in ("tau1", "tau2", "tau3"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        if self.sigma is not None:
+            object.__setattr__(self, "sigma", Su2Triple(*(_read_only(e) for e in self.sigma)))
         if self.L <= 0:
-            raise ValueError("need L > 0")
+            raise InputError("need L > 0")
         taus = (self.tau1, self.tau2, self.tau3)
         scale = max(max(np.linalg.norm(t) for t in taus), 1.0)
         for i in range(3):
             for j in range(i + 1, 3):
                 if np.linalg.norm(bracket(taus[i], taus[j])) > 1e-10 * scale**2:
-                    raise ValueError("boundary limits tau_i must commute")
+                    raise InputError("boundary limits tau_i must commute")
         if not AlgebraSpec("su", self.dim).is_member(np.stack(taus)):
-            raise ValueError("boundary limits tau_i must lie in su(k)")
+            raise InputError("boundary limits tau_i must lie in su(k)")
         if self.sigma is not None:
-            sig = [np.asarray(s, dtype=complex) for s in self.sigma]
-            sscale = max(max(np.linalg.norm(s) for s in sig), 1.0)
-            for s in sig:
+            sscale = max(max(np.linalg.norm(s) for s in self.sigma), 1.0)
+            for s in self.sigma:
                 for t in taus:
                     if np.linalg.norm(bracket(s, t)) > 1e-8 * sscale * scale:
-                        raise ValueError("sigma images must commute with the tau_i")
+                        raise InputError("sigma images must commute with the tau_i")
 
     @property
     def dim(self) -> int:
@@ -195,7 +178,7 @@ def asymptotic_model(target: BoundaryTarget, s: float) -> np.ndarray:
     """First-order asymptotic values (tau_i + sigma(e_i)/(s+1)) as (3,k,k)."""
     taus = np.stack([target.tau1, target.tau2, target.tau3])
     if target.sigma is not None:
-        taus = taus + np.stack([np.asarray(e, dtype=complex) for e in target.sigma]) / (s + 1.0)
+        taus = taus + np.stack(target.sigma) / (s + 1.0)
     return taus
 
 
@@ -224,6 +207,8 @@ def halfline_solve(
     ``converged`` means the reported trajectory ends within 10 tol of the
     model; a blow-up before L gives ``data=None``.
     """
+    if not (np.isfinite(step) and step > 0):
+        raise InputError(f"need a finite step > 0, got {step!r}")
     L = float(target.L)
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
     algebra = AlgebraSpec("su", target.dim)
@@ -263,12 +248,9 @@ class OrbitReport:
     beta0_rank: int
 
     def to_json(self) -> dict:
-        def poly(p):
-            return [[float(c.real), float(c.imag)] for c in p]
-
         return {
-            "charpoly_beta0": poly(self.charpoly_beta0),
-            "charpoly_target": poly(self.charpoly_target),
+            "charpoly_beta0": to_pairs(self.charpoly_beta0).tolist(),
+            "charpoly_target": to_pairs(self.charpoly_target).tolist(),
             "max_coeff_dev": float(self.max_coeff_dev),
             "certified": bool(self.certified),
             "residual_sup": float(self.residual_sup),
@@ -288,12 +270,10 @@ def orbit_identify(
     Certification requires both coefficient agreement and a small Nahm
     residual on the supplied data.
     """
-    from .moment import mu_nahm
-
-    beta0 = d.T2.values[0] + 1j * d.T3.values[0]
+    beta0 = lax_extract(d).beta[0]
     rep = target.tau2 + 1j * target.tau3
     if target.sigma is not None:
-        rep = rep + np.asarray(target.sigma.e2, dtype=complex) + 1j * np.asarray(target.sigma.e3, dtype=complex)
+        rep = rep + target.sigma.e2 + 1j * target.sigma.e3
     p_beta = char_poly(beta0)
     p_rep = char_poly(rep)
     scale = max(1.0, float(np.max(np.abs(p_rep))))

@@ -18,8 +18,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .algebra import dagger
+from .io import from_pairs, to_pairs
+from .moment import lax_extract
 from .paths import NahmData
-from .solver import BoundaryTarget, lax_extract
+from .solver import BoundaryTarget
 
 __all__ = [
     "SpectralData",
@@ -49,13 +51,12 @@ class SpectralData:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "a": [[[float(c.real), float(c.imag)] for c in cs] for cs in self.coeffs],
+            "a": [to_pairs(cs).tolist() for cs in self.coeffs],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "SpectralData":
-        coeffs = [np.array([complex(re, im) for re, im in cs]) for cs in data["a"]]
-        return cls(int(data["k"]), coeffs)
+        return cls(int(data["k"]), [from_pairs(cs) for cs in data["a"]])
 
 
 def beta_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex, beta_dagger=None) -> np.ndarray:
@@ -75,65 +76,41 @@ def alpha_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex) -> np.ndarray
     return np.asarray(alpha, dtype=complex) - dagger(np.asarray(beta, dtype=complex)) * zeta
 
 
-def _chebyshev_points(m: int) -> np.ndarray:
-    return np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
+def _curve_coeffs(beta: np.ndarray, herm: np.ndarray, quad: np.ndarray) -> list:
+    """Coefficients a_j(zeta) of det(eta - (beta + herm zeta - quad zeta^2)).
 
-
-def _poly_from_roots(roots: np.ndarray) -> np.ndarray:
-    """Monic coefficients (descending) from batched root sets (..., k)."""
-    shape = roots.shape[:-1]
-    k = roots.shape[-1]
-    c = np.zeros(shape + (k + 1,), dtype=complex)
+    beta/herm/quad are node-batched (N, k, k).  The pencil eigenvalues at
+    2k+1 Chebyshev points give the monic a_j values there, and a least-squares
+    fit of degree 2j gives a_j; returns a list of (2j+1, N) arrays, j = 1..k.
+    """
+    k = beta.shape[-1]
+    m = 2 * k + 1
+    zetas = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
+    z = zetas[:, None, None, None]
+    eigs = np.linalg.eigvals(beta[None] + herm[None] * z - quad[None] * z * z)
+    # monic coefficients (descending) of prod (eta - eig), shape (M, N, k+1)
+    c = np.zeros(eigs.shape[:-1] + (k + 1,), dtype=complex)
     c[..., 0] = 1.0
     for r in range(k):
-        lam = roots[..., r]
-        c[..., 1 : r + 2] = c[..., 1 : r + 2] - lam[..., None] * c[..., : r + 1].copy()
-    return c
-
-
-def _pencil_coeff_values(beta: np.ndarray, herm: np.ndarray, quad: np.ndarray, zetas: np.ndarray) -> np.ndarray:
-    """a_j values of det(eta - (beta + herm z - quad z^2)) at sample points.
-
-    beta/herm/quad are node-batched (N, k, k); returns (M, N, k+1) monic rows.
-    """
-    z = zetas[:, None, None, None]
-    pencil = beta[None] + herm[None] * z - quad[None] * z * z
-    eigs = np.linalg.eigvals(pencil)
-    return _poly_from_roots(eigs)
-
-
-def _fit_coeffs(zetas: np.ndarray, values: np.ndarray, k: int) -> list:
-    """Per-j polynomial fits of degree 2j; values has shape (M, N, k+1)."""
-    out = []
-    for j in range(1, k + 1):
-        deg = 2 * j
-        V = np.vander(zetas, deg + 1, increasing=True)
-        sol, *_ = np.linalg.lstsq(V, values[:, :, j], rcond=None)
-        out.append(sol)  # (deg+1, N)
-    return out
+        c[..., 1 : r + 2] = c[..., 1 : r + 2] - eigs[..., r, None] * c[..., : r + 1].copy()
+    return [np.linalg.lstsq(np.vander(zetas, 2 * j + 1, increasing=True), c[:, :, j], rcond=None)[0]
+            for j in range(1, k + 1)]
 
 
 def char_coeffs(alpha: np.ndarray, beta: np.ndarray, beta_dagger=None) -> SpectralData:
     """Spectral-curve coefficients a_j(zeta) for a single Lax-pair node."""
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
-    k = beta.shape[-1]
     bd = dagger(beta) if beta_dagger is None else np.asarray(beta_dagger, dtype=complex)
-    zetas = _chebyshev_points(2 * k + 1)
-    vals = _pencil_coeff_values(beta[None], (alpha + dagger(alpha))[None], bd[None], zetas)
-    fits = _fit_coeffs(zetas, vals, k)
-    return SpectralData(k, [f[:, 0] for f in fits])
+    fits = _curve_coeffs(beta[None], (alpha + dagger(alpha))[None], bd[None])
+    return SpectralData(beta.shape[-1], [f[:, 0] for f in fits])
 
 
 def spectral_flow(d: NahmData, beta_dagger_zero: bool = False) -> list:
     """Coefficients a_j(zeta) at every node; list of (2j+1, n+1) arrays."""
     lax = lax_extract(d)
-    k = lax.beta.shape[-1]
-    herm = lax.alpha + dagger(lax.alpha)
     quad = np.zeros_like(lax.beta) if beta_dagger_zero else dagger(lax.beta)
-    zetas = _chebyshev_points(2 * k + 1)
-    vals = _pencil_coeff_values(lax.beta, herm, quad, zetas)
-    return _fit_coeffs(zetas, vals, k)
+    return _curve_coeffs(lax.beta, lax.alpha + dagger(lax.alpha), quad)
 
 
 def _coeff_drift(flows: list) -> float:
@@ -171,9 +148,7 @@ def fixed_curve(target: BoundaryTarget) -> SpectralData:
     beta0 = t2 + 1j * t3
     herm = 2j * t1
     quad = -(t2 - 1j * t3)  # pencil beta0 + herm z - quad z^2
-    zetas = _chebyshev_points(2 * k + 1)
-    vals = _pencil_coeff_values(beta0[None], herm[None], quad[None], zetas)
-    fits = _fit_coeffs(zetas, vals, k)
+    fits = _curve_coeffs(beta0[None], herm[None], quad[None])
     factors = None
     if all(np.allclose(t, np.diag(np.diagonal(t)), atol=1e-12) for t in (t1, t2, t3)):
         factors = []

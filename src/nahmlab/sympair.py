@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, bracket, dagger, su_basis
+from .algebra import AlgebraSpec, InputError, bracket, dagger, su_basis
+from .moment import lax_extract
 from .paths import NahmData, sup_norm
 from .solver import integrate_nahm
 
@@ -62,15 +63,15 @@ class SymmetricPairSpec:
         sign = np.concatenate([np.ones(self.p), -np.ones(self.q)])
         return sign[:, None] * Z * sign[None, :]
 
+    def _eigenbasis(self, sign: float) -> np.ndarray:
+        """The su basis elements b with theta(b) = sign b."""
+        return np.array([b for b in su_basis(self.base.dim) if np.linalg.norm(self.theta(b) - sign * b) < 1e-12])
+
     def k_basis(self) -> np.ndarray:
-        B = su_basis(self.base.dim)
-        keep = [b for b in B if np.linalg.norm(self.theta(b) - b) < 1e-12]
-        return np.array(keep)
+        return self._eigenbasis(1.0)
 
     def m_basis(self) -> np.ndarray:
-        B = su_basis(self.base.dim)
-        keep = [b for b in B if np.linalg.norm(self.theta(b) + b) < 1e-12]
-        return np.array(keep)
+        return self._eigenbasis(-1.0)
 
     def validate(self, rng: Optional[np.random.Generator] = None, samples: int = 20) -> float:
         """Max defect over: involutivity, automorphism property, bracket closure."""
@@ -128,17 +129,15 @@ def flow_preserves_split(spec: SymmetricPairSpec, init: tuple, grid) -> tuple:
 def lax_pairs_13(d: NahmData):
     """Lax pairs for the structures I1 and I3:
     (alpha1, beta1) = (T0 - iT1, T2 + iT3), (alpha3, beta3) = (T0 - iT3, T1 + iT2)."""
-    a1 = d.T0.values - 1j * d.T1.values
-    b1 = d.T2.values + 1j * d.T3.values
-    a3 = d.T0.values - 1j * d.T3.values
-    b3 = d.T1.values + 1j * d.T2.values
-    return (a1, b1), (a3, b3)
+    lax1 = lax_extract(d)
+    lax3 = lax_extract(NahmData(d.algebra, d.T0, d.T3, d.T1, d.T2))  # (T1, T2, T3) -> (T3, T1, T2)
+    return (lax1.alpha, lax1.beta), (lax3.alpha, lax3.beta)
 
 
 def vergne_map(u: complex, v: complex) -> np.ndarray:
     """Identification of (C^2 - 0)/Z2 with the nonzero nilpotent orbit in sl(2,C)."""
     if abs(u) == 0.0 and abs(v) == 0.0:
-        raise ValueError("(u, v) must be nonzero")
+        raise InputError("(u, v) must be nonzero")
     return np.array([[u * v, u * u], [-v * v, -u * v]], dtype=complex)
 
 
@@ -146,12 +145,8 @@ def vergne_map_j(u: complex, v: complex) -> np.ndarray:
     """The same map written for the complex structure j of the quaternionic
     coordinates u = x0 + i x1, v = x2 + i x3."""
     if abs(u) == 0.0 and abs(v) == 0.0:
-        raise ValueError("(u, v) must be nonzero")
-    a = u - 1j * np.conj(v)
-    b = v + 1j * np.conj(u)
-    if abs(a) < 1e-300 and abs(b) < 1e-300:
-        raise ValueError("degenerate point of the j-structure chart")
-    return np.array([[a * b, a * a], [-b * b, -a * b]], dtype=complex)
+        raise InputError("(u, v) must be nonzero")
+    return vergne_map(u - 1j * np.conj(v), v + 1j * np.conj(u))
 
 
 def classify_real_orbit(u: complex, v: complex, tol: float = 1e-10) -> str:
@@ -160,7 +155,7 @@ def classify_real_orbit(u: complex, v: complex, tol: float = 1e-10) -> str:
     u = complex(u)
     v = complex(v)
     if u == 0 and v == 0:
-        raise ValueError("(u, v) must be nonzero")
+        raise InputError("(u, v) must be nonzero")
     vals = (u * u, v * v, u * v)
     if any(abs(z.imag) > tol for z in vals):
         return "not_real"

@@ -164,6 +164,38 @@ def test_halfline_bad_config(tmp_path, change):
     assert code == 2
 
 
+SL2 = {"family": "sl_complex", "dim": 2}
+SMALL_GRID = {"s0": 0.0, "s1": 1.0, "n": 50}
+HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("evolve", {"algebra": SL2, "grid": SMALL_GRID, "init": {"kind": "nil"}}),
+        ("spectral", {"algebra": SL2, "grid": SMALL_GRID, "init": {"kind": "nil"}}),
+        ("halfline", {"algebra": SL2, "target": {"kind": "nil", "L": 6.0}}),
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "matrices", "T1": HERMITIAN, "T2": HERMITIAN,
+                                                 "T3": HERMITIAN}}),  # not in su(2)
+        ("vergne", {"points": [[1.0, 0.0, 0.0]]}),
+        ("vergne", {"points": [[0.0, 0.0, 0.0, 0.0]]}),
+        ("spectral", {"fixed_curve": {"tau1": {"te3": "x"}}}),
+        ("check", {"n": 1, "samples": 1}),
+        # no silent coercion of config values
+        ("vergne", {"samples": True}),
+        ("check", {"n": True, "samples": 1}),
+        ("evolve", {"grid": {"s0": 0.0, "s1": 1.0, "n": 2.9}, "init": {"kind": "nil"}}),
+        ("evolve", {"grid": {"s0": 0.0, "s1": 1.0, "n": "5"}, "init": {"kind": "nil"}}),
+    ],
+)
+def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
+    code, _ = run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_vergne_default(tmp_path):
     cfg = {"samples": 200, "seed": 3}
     code, out = run(tmp_path, "vergne", cfg)

@@ -180,6 +180,12 @@ def test_hamiltonian_rejects_non_dirichlet(rng):
         hamiltonian_check(d, random_smooth_path(SU2, g, rng), v, "baby")
 
 
+def test_rho_star_rejects_non_dirichlet(rng):
+    g = Grid(0.0, 1.0, 100)
+    with pytest.raises(ValueError, match="vanish at both endpoints"):
+        rho_star(random_nahm(SU2, g, rng), random_smooth_path(SU2, g, rng))
+
+
 def test_moment_equivariance_rate(rng):
     errs = {}
     for n in (400, 800):

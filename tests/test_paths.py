@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,15 @@ def test_metric_invariance_under_s1_block_rotation(rng):
 
     assert l2_metric(rot(u), rot(v)) == pytest.approx(l2_metric(u, v), abs=1e-12)
     assert omega(1, rot(u), rot(v)) == pytest.approx(omega(1, u, v), abs=1e-12)
+
+
+def test_nahm_data_and_tangent_fields_cannot_be_reassigned(rng):
+    g = Grid(0.0, 1.0, 20)
+    d = coth_solution(1.0, 1.0, g)
+    v = random_tangent(SU2, g, rng)
+    with pytest.raises(FrozenInstanceError):
+        d.T1 = d.T2
+    with pytest.raises(FrozenInstanceError):
+        d.algebra = AlgebraSpec("su", 3)
+    with pytest.raises(FrozenInstanceError):
+        v.t0 = v.t1

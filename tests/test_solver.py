@@ -1,7 +1,9 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, Su2Triple, su2_basis, su2_embed
+from nahmlab.algebra import AlgebraSpec, Su2Triple, bracket, su2_basis, su2_embed
 from nahmlab.moment import mu_nahm
 from nahmlab.gauge import complex_trivialize_direct, trivialize
 from nahmlab.paths import AlgebraPath, Grid, random_smooth_path, sup_norm
@@ -256,6 +258,24 @@ def test_boundary_target_validation(rng):
     BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=5.0).__class__  # valid
 
 
+def test_boundary_target_holds_read_only_copies():
+    tau1, tau2 = E3.copy(), 2.0 * E3
+    target = BoundaryTarget(tau1, tau2, Z2, L=5.0)
+    # a later write into the caller's array must not reach the target
+    tau2[...] = E1
+    assert np.array_equal(target.tau2, 2.0 * E3)
+    assert np.linalg.norm(bracket(target.tau1, target.tau2)) == 0.0
+    with pytest.raises(ValueError):
+        target.tau1[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        target.L = -5.0
+    sigma = su2_embed(SU2)
+    nil = BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=5.0)
+    assert nil.sigma.e1 is not sigma.e1
+    with pytest.raises(ValueError):
+        nil.sigma.e1[0, 0] = 1.0
+
+
 def test_asymptotic_model():
     sigma = su2_embed(SU2)
     t = BoundaryTarget(-1.5 * E1, Z2, Z2, sigma=None, L=10.0)
@@ -310,6 +330,13 @@ def test_halfline_perturbed_coth_same_orbit(rng):
     b0 = base.data.T2.values[0] + 1j * base.data.T3.values[0]
     b1 = pert.data.T2.values[0] + 1j * pert.data.T3.values[0]
     assert np.abs(char_poly(b0) - char_poly(b1)).max() <= 1e-5
+
+
+@pytest.mark.parametrize("step", [-0.5, 0.0, np.nan, np.inf])
+def test_halfline_rejects_bad_step(step):
+    target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
+    with pytest.raises(ValueError, match="finite step > 0"):
+        halfline_solve(target, tuple(su2_embed(SU2)), step=step)
 
 
 def test_halfline_blowup_returns_no_data():
