@@ -24,6 +24,7 @@ __all__ = [
     "AlgebraSpec",
     "Su2Triple",
     "bracket",
+    "char_poly_coeffs",
     "pairing",
     "expm",
     "polar_decompose",
@@ -58,6 +59,28 @@ def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
+def char_poly_coeffs(P: np.ndarray) -> list:
+    """[a_1, ..., a_k] with det(eta - P(zeta)) = eta^k + a_1 eta^(k-1) + ... + a_k
+    for P(zeta) = sum_d P[d] zeta^d, given as (deg+1, ..., k, k) and batched
+    over the middle axes; a_j has shape (j deg + 1, ...), ascending in zeta.
+
+    Faddeev-LeVerrier: M_1 = P, a_j = -tr(M_j)/j, M_(j+1) = P (M_j + a_j I),
+    each product a convolution in zeta: exact up to rounding, no eigenvalues.
+    """
+    P = np.asarray(P, dtype=complex)
+    k, diag = P.shape[-1], np.arange(P.shape[-1])
+    M, coeffs = P.copy(), []
+    for j in range(1, k + 1):
+        coeffs.append(0.0 - np.trace(M, axis1=-2, axis2=-1) / j)  # 0.0 - x: never a negative zero
+        if j < k:
+            M[..., diag, diag] += coeffs[-1][..., None]
+            nxt = np.zeros((len(M) + len(P) - 1,) + P.shape[1:], dtype=complex)
+            for d, e in np.ndindex(len(P), len(M)):
+                nxt[d + e] += P[d] @ M[e]  # one degree slice at a time
+            M = nxt
+    return coeffs
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Which matrix Lie algebra we work in, with its membership test.
@@ -74,11 +97,6 @@ class AlgebraSpec:
             raise InputError(f"unknown family {self.family!r}")
         if self.dim < 2:
             raise InputError("dim must be >= 2")
-
-    @property
-    def real_dimension(self) -> int:
-        d = self.dim * self.dim - 1
-        return d if self.family == "su" else 2 * d
 
     def member_defect(self, X: np.ndarray) -> float:
         """Distance-like defect of X from the algebra (0 for members)."""

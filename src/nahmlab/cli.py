@@ -49,7 +49,7 @@ from .solver import (
     integrate_nahm,
     orbit_identify,
 )
-from .spectral import _coeff_drift, char_coeffs, conservation_check, fixed_curve, reality_check, spectral_flow
+from .spectral import SpectralData, _coeff_drift, char_coeffs, conservation_check, fixed_curve, reality_check, spectral_flow
 from .sympair import classify_real_orbit, kc_orbit_form_check, vergne_map_j
 
 log = logging.getLogger("nahmlab")
@@ -67,12 +67,18 @@ class ConfigError(InputError):
 
 def _typed(val, typ, what: str):
     """val checked against typ; an int is taken as a float, a bool is never
-    taken as a number."""
+    taken as a number, and a float must be finite."""
     if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if not isinstance(val, typ) or (isinstance(val, bool) and typ in (int, float)):
         raise ConfigError(f"{what} must be {typ.__name__}, got {type(val).__name__}")
+    if typ is float and not np.isfinite(val):
+        raise ConfigError(f"{what} must be finite, got {val}")
     return val
+
+
+# bounds and tolerances, whatever the command: a value given must be > 0
+_POSITIVE = {"residual_bound", "blowup_bound", "drift_bound", "reality_bound", "tol", "coeff_tol", "residual_gate"}
 
 
 def _get(cfg: dict, key: str, typ, default=None, required: bool = False):
@@ -80,7 +86,10 @@ def _get(cfg: dict, key: str, typ, default=None, required: bool = False):
         if required:
             raise ConfigError(f"missing config key {key!r}")
         return default
-    return _typed(cfg[key], typ, f"config key {key!r}")
+    val = _typed(cfg[key], typ, f"config key {key!r}")
+    if key in _POSITIVE and val <= 0:
+        raise ConfigError(f"config key {key!r} must be > 0, got {val}")
+    return val
 
 
 def _algebra(cfg: dict) -> AlgebraSpec:
@@ -189,8 +198,7 @@ def cmd_spectral(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
         return EXIT_BLOWUP
     flows = spectral_flow(d, beta_dagger_zero=nonreal)
     drift = _coeff_drift(flows)
-    lax = lax_extract(d)
-    curve0 = char_coeffs(lax.alpha[0], lax.beta[0], beta_dagger=np.zeros_like(lax.beta[0]) if nonreal else None)
+    curve0 = SpectralData(algebra.dim, [f[:, 0] for f in flows])
     violation = reality_check(curve0)
     nio.coeffs_to_csv(grid, flows, out_dir / "coeffs.csv")
     nio.write_json(
@@ -217,6 +225,8 @@ def _sigma_from_config(entry, algebra: AlgebraSpec):
 
 def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     algebra = _algebra(cfg)
+    if algebra.family != "su":
+        raise ConfigError("the half-line solver works in su(k)")
     tcfg = _get(cfg, "target", dict, required=True)
     kind = _get(tcfg, "kind", str, required=True)
     L = _get(tcfg, "L", float, 10.0)
@@ -248,6 +258,8 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     if "newton" in cfg:
         raise ConfigError("the half-line solver no longer iterates: remove the 'newton' block "
                           "and set the terminal tolerance with the top-level 'tol'")
+    coeff_tol = _get(cfg, "coeff_tol", float, 1e-6)
+    residual_gate = _get(cfg, "residual_gate", float, 1e-3)
     result = halfline_solve(
         target,
         tuple(seed),
@@ -257,12 +269,7 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     )
     report = None
     if result.data is not None:
-        report = orbit_identify(
-            result.data,
-            target,
-            coeff_tol=_get(cfg, "coeff_tol", float, 1e-6),
-            residual_gate=_get(cfg, "residual_gate", float, 1e-3),
-        )
+        report = orbit_identify(result.data, target, coeff_tol=coeff_tol, residual_gate=residual_gate)
     nio.write_json(
         {
             "converged": result.converged,

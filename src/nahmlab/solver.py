@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, Su2Triple, bracket, su2_basis, su2_embed
+from .algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coeffs, su2_basis, su2_embed
 from .io import to_pairs
 from .moment import LaxPair, lax_extract, mu_nahm
 from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_path
@@ -55,8 +55,7 @@ class NahmBlowUpError(RuntimeError):
 
 def char_poly(M: np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial coefficients of det(eta - M), descending."""
-    eigs = np.linalg.eigvals(np.asarray(M, dtype=complex))
-    return np.poly(eigs)
+    return np.concatenate([[1.0], *char_poly_coeffs(np.asarray(M, dtype=complex)[None])])
 
 
 def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:

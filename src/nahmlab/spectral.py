@@ -4,9 +4,10 @@ a_j(zeta) of det(eta - beta(zeta)), their conservation along solutions, the
 fixed singular curve of an orbit target, and the antiholomorphic reality
 involution (zeta, eta) -> (-1/conj(zeta), -conj(eta)/conj(zeta)^2).
 
-Coefficients are recovered by sampling the determinant at Chebyshev-placed
-zeta values and polynomial interpolation; a_j has degree <= 2j because the
-pencil entries are quadratics in zeta.
+Coefficients come from the Faddeev-LeVerrier recursion run on the pencil's
+three coefficient matrices (``algebra.char_poly_coeffs``): a_j has degree
+<= 2j because the pencil entries are quadratics in zeta, and the recursion
+gives its 2j+1 coefficients exactly, with no eigen-solve and no fit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .algebra import dagger
+from .algebra import char_poly_coeffs, dagger
 from .io import from_pairs, to_pairs
 from .moment import lax_extract
 from .paths import NahmData
@@ -48,11 +49,12 @@ class SpectralData:
     def a(self, j: int) -> np.ndarray:
         return self.coeffs[j - 1]
 
+    def eta_poly(self, zeta: complex) -> np.ndarray:
+        """Coefficients [1, a_1(zeta), ..., a_k(zeta)] of the curve over zeta, descending in eta."""
+        return np.array([1.0 + 0j] + [np.polynomial.polynomial.polyval(zeta, c) for c in self.coeffs])
+
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "a": [to_pairs(cs).tolist() for cs in self.coeffs],
-        }
+        return {"k": self.k, "a": [to_pairs(cs).tolist() for cs in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "SpectralData":
@@ -77,24 +79,10 @@ def alpha_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex) -> np.ndarray
 
 
 def _curve_coeffs(beta: np.ndarray, herm: np.ndarray, quad: np.ndarray) -> list:
-    """Coefficients a_j(zeta) of det(eta - (beta + herm zeta - quad zeta^2)).
-
-    beta/herm/quad are node-batched (N, k, k).  The pencil eigenvalues at
-    2k+1 Chebyshev points give the monic a_j values there, and a least-squares
-    fit of degree 2j gives a_j; returns a list of (2j+1, N) arrays, j = 1..k.
-    """
-    k = beta.shape[-1]
-    m = 2 * k + 1
-    zetas = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
-    z = zetas[:, None, None, None]
-    eigs = np.linalg.eigvals(beta[None] + herm[None] * z - quad[None] * z * z)
-    # monic coefficients (descending) of prod (eta - eig), shape (M, N, k+1)
-    c = np.zeros(eigs.shape[:-1] + (k + 1,), dtype=complex)
-    c[..., 0] = 1.0
-    for r in range(k):
-        c[..., 1 : r + 2] = c[..., 1 : r + 2] - eigs[..., r, None] * c[..., : r + 1].copy()
-    return [np.linalg.lstsq(np.vander(zetas, 2 * j + 1, increasing=True), c[:, :, j], rcond=None)[0]
-            for j in range(1, k + 1)]
+    """Coefficients a_j(zeta) of det(eta - (beta + herm zeta - quad zeta^2)) for
+    node-batched (N, k, k) inputs, exact by Faddeev-LeVerrier on the pencil's
+    coefficient matrices: a list of (2j+1, N) arrays, ascending in zeta."""
+    return char_poly_coeffs(np.stack([beta, herm, -quad]))
 
 
 def char_coeffs(alpha: np.ndarray, beta: np.ndarray, beta_dagger=None) -> SpectralData:
@@ -128,10 +116,7 @@ def conservation_check(d: NahmData) -> float:
 
 def curve_value(s: SpectralData, eta: complex, zeta: complex) -> complex:
     """Evaluate eta^k + a_1(zeta) eta^{k-1} + ... + a_k(zeta)."""
-    total = eta**s.k
-    for j in range(1, s.k + 1):
-        total += np.polynomial.polynomial.polyval(zeta, s.a(j)) * eta ** (s.k - j)
-    return complex(total)
+    return complex(np.polyval(s.eta_poly(zeta), eta))
 
 
 def fixed_curve(target: BoundaryTarget) -> SpectralData:
@@ -151,9 +136,7 @@ def fixed_curve(target: BoundaryTarget) -> SpectralData:
     fits = _curve_coeffs(beta0[None], herm[None], quad[None])
     factors = None
     if all(np.allclose(t, np.diag(np.diagonal(t)), atol=1e-12) for t in (t1, t2, t3)):
-        factors = []
-        for i in range(k):
-            factors.append(np.array([beta0[i, i], herm[i, i], -quad[i, i]]))
+        factors = [np.array([beta0[i, i], herm[i, i], -quad[i, i]]) for i in range(k)]
     return SpectralData(k, [f[:, 0] for f in fits], factors)
 
 
@@ -183,15 +166,8 @@ def reality_violation_substitution(s: SpectralData, n_samples: int = 20, seed: i
         r = rng.uniform(0.4, 1.6)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         zeta = r * np.exp(1j * phi)
-
-        def roots_at(z):
-            coeff = [1.0 + 0j]
-            for j in range(1, s.k + 1):
-                coeff.append(np.polynomial.polynomial.polyval(z, s.a(j)))
-            return np.roots(coeff)
-
-        image = -np.conj(roots_at(zeta)) / np.conj(zeta) ** 2
-        target = roots_at(-1.0 / np.conj(zeta))
+        image = -np.conj(np.roots(s.eta_poly(zeta))) / np.conj(zeta) ** 2
+        target = np.roots(s.eta_poly(-1.0 / np.conj(zeta)))
         # compare root multisets via optimal matching
         cost = np.abs(image[:, None] - target[None, :])
         rows, cols = linear_sum_assignment(cost)

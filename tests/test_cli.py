@@ -186,6 +186,22 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         ("check", {"n": True, "samples": 1}),
         ("evolve", {"grid": {"s0": 0.0, "s1": 1.0, "n": 2.9}, "init": {"kind": "nil"}}),
         ("evolve", {"grid": {"s0": 0.0, "s1": 1.0, "n": "5"}, "init": {"kind": "nil"}}),
+        # bounds and tolerances are finite and > 0; no float is NaN or infinite
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "blowup_bound": float("nan")}),
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "residual_bound": -1.0}),
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "residual_bound": float("nan")}),
+        ("evolve", {"grid": {"s0": 0.0, "s1": float("inf"), "n": 50}, "init": {"kind": "nil"}}),
+        ("spectral", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "drift_bound": float("nan")}),
+        ("spectral", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "reality_bound": 0.0}),
+        ("spectral", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "blowup_bound": float("-inf")}),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "tol": float("nan")}),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "tol": -1e-6}),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "coeff_tol": 0.0}),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "residual_gate": float("inf")}),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "perturbation": float("nan")}),
+        ("vergne", {"points": [[float("nan"), 0.0, 1.0, 0.0]]}),
+        # the half-line solver works in su(k) only
+        ("halfline", {"algebra": SL2, "target": {"kind": "coth", "L": 5.0}}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):

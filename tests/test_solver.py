@@ -487,3 +487,15 @@ def test_right_and_baby_flows_bitwise_match_reference(k):
     Tc = T0.values + 1j * T1.values
     ref = ref_rk4(lambda y, c: y @ c, eye, g.h, g.n, lambda y: y, Tc)
     assert np.array_equal(complex_trivialize_direct(T0, T1).values, ref)
+
+
+def test_char_poly_exact_oracles():
+    # nilpotent Jordan block: det(eta - J) = eta^k
+    for k in (2, 4, 6):
+        J = np.diag(np.ones(k - 1), 1)
+        want = np.zeros(k + 1)
+        want[0] = 1.0
+        assert np.array_equal(char_poly(J), want)
+    # diagonal: (eta - 1)(eta - 2)(eta - 3) and (eta - i)(eta + 2)
+    assert np.array_equal(char_poly(np.diag([1.0, 2.0, 3.0])), [1.0, -6.0, 11.0, -6.0])
+    assert np.array_equal(char_poly(np.diag([1j, -2.0])), [1.0, 2.0 - 1j, -2j])

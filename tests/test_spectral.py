@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import sympy
 
-from nahmlab.algebra import AlgebraSpec, su2_basis
+from nahmlab.algebra import AlgebraSpec, su2_basis, su2_embed
 from nahmlab.paths import Grid, NahmData, random_smooth_path
 from nahmlab.solver import BoundaryTarget, coth_solution, integrate_nahm, lax_extract, nil_solution
 from nahmlab.spectral import (
     SpectralData,
+    _curve_coeffs,
     alpha_zeta,
     beta_zeta,
     char_coeffs,
@@ -218,3 +220,45 @@ def test_curve_value_and_json_roundtrip(rng):
     pencil = beta_zeta(lax.alpha[0], lax.beta[0], zeta)
     for eta in np.linalg.eigvals(pencil):
         assert abs(curve_value(sd, eta, zeta)) < 1e-10
+
+
+def _sympy_curve_coeffs(beta, herm, quad):
+    """Exact coefficients of det(eta - (beta + herm zeta - quad zeta^2)) from
+    the rational values of the float entries; list of ascending arrays."""
+    eta, zeta = sympy.symbols("eta zeta")
+
+    def exact(z):
+        return sympy.Rational(z.real) + sympy.I * sympy.Rational(z.imag)
+
+    k = beta.shape[-1]
+    pencil = sympy.Matrix(k, k, lambda r, c: exact(beta[r, c]) + exact(herm[r, c]) * zeta
+                          - exact(quad[r, c]) * zeta**2)
+    det = sympy.Poly(sympy.expand((eta * sympy.eye(k) - pencil).det(method="berkowitz")), eta, zeta)
+    return [np.array([complex(det.coeff_monomial(eta ** (k - j) * zeta**m)) for m in range(2 * j + 1)])
+            for j in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("case", ["su3_lax", "complex4"])
+def test_curve_coeffs_match_exact_determinant(rng, case):
+    # the recursion is exact in zeta: compare with the symbolic expansion
+    if case == "su3_lax":
+        d = NahmData(SU3, *(random_smooth_path(SU3, Grid(0.0, 1.0, 10), rng) for _ in range(4)))
+        lax = lax_extract(d)
+        beta, herm, quad = lax.beta[0], lax.alpha[0] + lax.alpha[0].conj().T, lax.beta[0].conj().T
+    else:
+        beta, herm, quad = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
+    got = _curve_coeffs(beta[None], herm[None], quad[None])
+    for g, w in zip(got, _sympy_curve_coeffs(beta, herm, quad)):
+        assert g.shape == (len(w), 1)
+        assert np.abs(g[:, 0] - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+
+def test_conservation_nil_su6_conjugated(rng):
+    # the nilpotent pencils have ill-conditioned eigenvalues: eigenvalue-based
+    # coefficients drift by about 2e-9 here, the flow itself by about 3e-12
+    spec = AlgebraSpec("su", 6)
+    Q, R = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    U = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+    g = Grid(0.0, 1.0, 1000)
+    d = integrate_nahm(spec, tuple(U @ e @ U.conj().T for e in su2_embed(spec)), g)
+    assert conservation_check(d) <= 1e-10
