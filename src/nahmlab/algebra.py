@@ -262,8 +262,9 @@ def su_from_coords(c: np.ndarray, k: int) -> np.ndarray:
 
 
 def ad_matrix(X: np.ndarray) -> np.ndarray:
-    """Matrix of rho |-> [rho, X] on su(k) in the orthonormal basis."""
+    """Matrix of rho |-> [rho, X] on su(k) in the orthonormal basis, batched
+    over leading axes: entry (i, j) is <e_i, [e_j, X]> = -Re tr([e_i, e_j] X)."""
     X = np.asarray(X, dtype=complex)
     B = su_basis(X.shape[-1])
-    br = B @ X - X @ B
-    return -np.einsum("jpq,iqp->ij", br, B).real
+    structure = B[:, None] @ B[None] - B[None] @ B[:, None]  # [e_i, e_j]
+    return -np.einsum("ijpq,...qp->...ij", structure, X, optimize=True).real

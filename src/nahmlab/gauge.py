@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .algebra import ad_matrix, bracket, dagger, expm, su_coords, su_from_coords
 from .paths import (
@@ -25,7 +24,6 @@ from .paths import (
     _shared_grid,
     dirichlet_derivative,
     path_derivative,
-    pairing_nodes,
     quadrature,
     sup_norm,
 )
@@ -146,38 +144,53 @@ def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
     return AlgebraPath(T0.grid, v)
 
 
-def _vertical_operator(T0: AlgebraPath) -> scipy.sparse.csr_matrix:
-    """Sparse matrix of rho -> [rho, T0] - rho' in basis coordinates.
+def _vertical_operator(T0: AlgebraPath):
+    """Blocks (ad, below, above) of rho -> [rho, T0] - rho' in basis coordinates.
 
-    Rows: (n+1) nodes x d coords.  Columns: (n-1) interior nodes x d coords.
+    Over nodes 0..n, with rho(0) = rho(n) = 0, row m of the field reads
+    below[m-1] rho[m-1] + ad[m] rho[m] + above[m] rho[m+1]: the one-sided rows
+    of ``dirichlet_derivative`` at the ends, the central difference inside.
+    The stencil coefficients have shape (n, 1, 1), to scale blocks node-wise.
     """
-    grid = T0.grid
-    n, k = grid.n, T0.dim
-    d = k * k - 1
-    h = grid.h
-    eye = np.eye(d)
-    rows, cols, data = [], [], []
+    below = np.full((T0.grid.n, 1, 1), 0.5 / T0.grid.h)
+    below[-1] = 1.0 / T0.grid.h
+    return ad_matrix(T0.values), below, -below[::-1]
 
-    def add_block(node, inode, block):
-        r0, c0 = node * d, (inode - 1) * d
-        idx = np.nonzero(block)
-        rows.append(r0 + idx[0])
-        cols.append(c0 + idx[1])
-        data.append(block[idx])
 
-    add_block(0, 1, -eye / h)
-    add_block(n, n - 1, eye / h)
-    for m in range(1, n):
-        add_block(m, m, ad_matrix(T0.values[m]))
-        if m - 1 >= 1:
-            add_block(m, m - 1, eye / (2.0 * h))
-        if m + 1 <= n - 1:
-            add_block(m, m + 1, -eye / (2.0 * h))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    V = scipy.sparse.coo_matrix((data, (rows, cols)), shape=((n + 1) * d, (n - 1) * d))
-    return V.tocsr()
+def _block_tridiagonal(ad, below, above, x: np.ndarray) -> np.ndarray:
+    """Row m is ad[m] x[m] + below[m-1] x[m-1] + above[m] x[m+1], for x of shape
+    (n+1, d, c); the operator (ad^T, above, below) is its transpose."""
+    out = ad @ x
+    out[1:] += below * x[:-1]
+    out[:-1] += above * x[1:]
+    return out
+
+
+def _horizontal_coords(T0: AlgebraPath, *ts: AlgebraPath) -> np.ndarray:
+    """Coordinates (n+1, d, len(ts)) of the horizontal parts of ts at T0.
+
+    The weighted normal equations (V^T W V) rho = V^T W t for the optimal
+    Dirichlet gauge parameter are block-pentadiagonal and positive definite:
+    one banded Cholesky factorization serves every t.
+    """
+    _shared_grid(T0, *ts)
+    n, d, w = T0.grid.n, T0.dim**2 - 1, T0.grid.weights[:, None, None]
+    ad, below, above = _vertical_operator(T0)
+    A, At, eye = ad[1:-1], np.swapaxes(ad[1:-1], -1, -2), np.eye(d)
+    # blocks G[i, i], G[i+1, i], G[i+2, i] for interior nodes i, zero-padded to 4
+    col = np.zeros((n - 1, 4, d, d))
+    col[:, 0] = w[1:-1] * (At @ A) + (w[:-2] * above[:-1] ** 2 + w[2:] * below[1:] ** 2) * eye
+    col[:-1, 1] = w[1:-2] * above[1:-1] * A[:-1] + w[2:-1] * below[1:-1] * At[1:]
+    col[:-2, 2] = w[2:-2] * above[2:-1] * below[1:-2] * eye
+    # lower band storage: band[u, i d + q] = G[i d + q + u, i d + q] for u < 3d
+    u, q = np.arange(3 * d)[:, None], np.arange(d)
+    band = col.reshape(n - 1, 4 * d, d)[:, u + q, q].transpose(1, 0, 2).reshape(3 * d, -1)
+    tc = np.stack([su_coords(t.values) for t in ts], axis=-1)
+    rhs = _block_tridiagonal(np.swapaxes(ad, -1, -2), above, below, w * tc)[1:-1]
+    rho = np.zeros_like(tc)
+    factor = cholesky_banded(band, lower=True)
+    rho[1:-1] = cho_solve_banded((factor, True), rhs.reshape(-1, len(ts))).reshape(rhs.shape)
+    return tc - _block_tridiagonal(ad, below, above, rho)
 
 
 def horizontal_project(T0: AlgebraPath, t: AlgebraPath) -> AlgebraPath:
@@ -186,23 +199,10 @@ def horizontal_project(T0: AlgebraPath, t: AlgebraPath) -> AlgebraPath:
     Solves the weighted normal equations for the optimal gauge parameter and
     subtracts the fitted vertical field.
     """
-    _shared_grid(T0, t)
-    grid = T0.grid
-    k = T0.dim
-    d = k * k - 1
-    V = _vertical_operator(T0)
-    w = np.repeat(grid.weights, d)
-    tc = su_coords(t.values).reshape(-1)
-    WV = V.multiply(w[:, None])
-    G = (V.T @ WV).tocsc()
-    rhs = V.T @ (w * tc)
-    rho = scipy.sparse.linalg.spsolve(G, rhs)
-    res = tc - V @ rho
-    return AlgebraPath(grid, su_from_coords(res.reshape(grid.n + 1, d), k))
+    return AlgebraPath(T0.grid, su_from_coords(_horizontal_coords(T0, t)[..., 0], T0.dim))
 
 
 def quotient_metric(T0: AlgebraPath, t: AlgebraPath, t2: AlgebraPath) -> float:
     """L2 metric of the horizontal projections of t and t2 at T0."""
-    p = horizontal_project(T0, t)
-    q = horizontal_project(T0, t2)
-    return quadrature(pairing_nodes(p.values, q.values), T0.grid)
+    p = _horizontal_coords(T0, t, t2)
+    return quadrature(np.einsum("mi,mi->m", p[..., 0], p[..., 1]), T0.grid)

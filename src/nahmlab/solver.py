@@ -76,6 +76,8 @@ def integrate_nahm(
     The state is projected onto the algebra after every RK4 step; blow-up
     past the norm bound raises NahmBlowUpError.
     """
+    if not blowup_bound > 0:
+        raise InputError(f"need a blow-up bound > 0, got {blowup_bound!r}")
     Y0 = np.stack([np.asarray(M, dtype=complex) for M in init])
     if not algebra.is_member(Y0, tol=1e-8):
         raise InputError("initial matrices are not algebra elements")
@@ -208,6 +210,8 @@ def halfline_solve(
     """
     if not (np.isfinite(step) and step > 0):
         raise InputError(f"need a finite step > 0, got {step!r}")
+    if not tol > 0:
+        raise InputError(f"need a tolerance > 0, got {tol!r}")
     L = float(target.L)
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
     algebra = AlgebraSpec("su", target.dim)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .algebra import char_poly_coeffs, dagger
 from .io import from_pairs, to_pairs
@@ -160,6 +159,8 @@ def reality_check(s: SpectralData) -> float:
 def reality_violation_substitution(s: SpectralData, n_samples: int = 20, seed: int = 0) -> float:
     """Brute-force involution check: map the eta-roots over sampled zeta and
     compare with the roots over the image point -1/conj(zeta)."""
+    from scipy.optimize import linear_sum_assignment  # loaded only by this oracle
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):

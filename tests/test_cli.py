@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nahmlab
 from nahmlab.cli import main, run_check_suite
 
 
@@ -302,3 +307,11 @@ def test_seed_override(tmp_path):
     assert main(["vergne", "--config", cfg, "--out-dir", str(out1), "--seed", "99"]) == 0
     assert main(["vergne", "--config", cfg, "--out-dir", str(out2), "--seed", "99"]) == 0
     assert (out1 / "vergne.json").read_bytes() == (out2 / "vergne.json").read_bytes()
+
+
+def test_import_loads_no_sparse_or_optimize():
+    # a fresh start pays only for what every command uses
+    probe = "import sys, nahmlab; print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, expm, polar_decompose, su2_basis
+from nahmlab.algebra import AlgebraSpec, expm, polar_decompose, su2_basis, su_basis, su_coords
 from nahmlab.gauge import (
     GroupPath,
     LevelSetError,
+    _block_tridiagonal,
+    _vertical_operator,
     act,
     complex_trivialize,
     complex_trivialize_direct,
@@ -294,6 +296,47 @@ def test_quotient_metric_vertical_vanishes(rng):
     T0 = random_smooth_path(SU2, g, rng, scale=0.6)
     v = vertical_field(T0, random_dirichlet_path(SU2, g, rng))
     assert abs(quotient_metric(T0, v, v)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_vertical_operator_matches_vertical_field(rng, k):
+    spec = AlgebraSpec("su", k)
+    g = Grid(0.0, 1.0, 40)
+    T0 = random_smooth_path(spec, g, rng, scale=0.7)
+    rho = random_dirichlet_path(spec, g, rng)
+    field = _block_tridiagonal(*_vertical_operator(T0), su_coords(rho.values)[..., None])[..., 0]
+    assert np.abs(field - su_coords(vertical_field(T0, rho).values)).max() <= 1e-12
+
+
+def test_horizontal_project_matches_dense_lstsq(rng):
+    # reference: the weighted least-squares fit over every vertical field,
+    # each column built by vertical_field from one basis element at one node
+    spec = AlgebraSpec("su", 3)
+    g = Grid(0.0, 1.0, 30)
+    T0 = random_smooth_path(spec, g, rng, scale=0.7)
+    t = random_smooth_path(spec, g, rng)
+    columns = []
+    for m in range(1, g.n):
+        for e in su_basis(3):
+            rho = np.zeros((g.n + 1, 3, 3), dtype=complex)
+            rho[m] = e
+            columns.append(su_coords(vertical_field(T0, AlgebraPath(g, rho)).values).reshape(-1))
+    V = np.stack(columns, axis=1)
+    sw = np.sqrt(np.repeat(g.weights, 8))
+    tc = su_coords(t.values).reshape(-1)
+    rho = np.linalg.lstsq(sw[:, None] * V, sw * tc, rcond=None)[0]
+    ref = (tc - V @ rho).reshape(g.n + 1, 8)
+    assert np.abs(su_coords(horizontal_project(T0, t).values) - ref).max() <= 1e-10
+
+
+def test_quotient_metric_is_pairing_of_projections(rng):
+    spec = AlgebraSpec("su", 3)
+    g = Grid(0.0, 1.0, 200)
+    T0 = random_smooth_path(spec, g, rng, scale=0.6)
+    t = random_smooth_path(spec, g, rng)
+    t2 = random_smooth_path(spec, g, rng)
+    pairing = quadrature(pairing_nodes(horizontal_project(T0, t).values, horizontal_project(T0, t2).values), g)
+    assert abs(quotient_metric(T0, t, t2) - pairing) <= 1e-12
 
 
 def test_vertical_field_requires_dirichlet(rng):

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, Su2Triple, bracket, su2_basis, su2_embed
+from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, su2_basis, su2_embed
 from nahmlab.moment import mu_nahm
 from nahmlab.gauge import complex_trivialize_direct, trivialize
 from nahmlab.paths import AlgebraPath, Grid, random_smooth_path, sup_norm
@@ -337,6 +337,19 @@ def test_halfline_rejects_bad_step(step):
     target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
     with pytest.raises(ValueError, match="finite step > 0"):
         halfline_solve(target, tuple(su2_embed(SU2)), step=step)
+
+
+@pytest.mark.parametrize("bound", [np.nan, 0.0, -1.0])
+def test_integrate_nahm_rejects_bad_blowup_bound(bound):
+    with pytest.raises(InputError, match="blow-up bound > 0"):
+        integrate_nahm(SU2, tuple(su2_embed(SU2)), Grid(0.0, 1.0, 10), blowup_bound=bound)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6])
+def test_halfline_rejects_bad_tol(tol):
+    target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
+    with pytest.raises(InputError, match="tolerance > 0"):
+        halfline_solve(target, tuple(su2_embed(SU2)), tol=tol)
 
 
 def test_halfline_blowup_returns_no_data():

@@ -124,6 +124,18 @@ def test_conservation_coth_long_interval():
     assert conservation_check(d) <= 1e-7
 
 
+def test_conservation_sees_late_drift():
+    # the exact nil solution leaves its flow only at the last node: a drift
+    # measured against node 0 at every node must see it
+    g = Grid(0.0, 1.0, 200)
+    nil = nil_solution(SU2, g)
+    T1 = nil.T1.values.copy()
+    T1[-1] *= 2.0
+    late = NahmData.from_arrays(SU2, g, nil.T0.values, T1, nil.T2.values, nil.T3.values)
+    assert conservation_check(nil) <= 1e-12
+    assert conservation_check(late) >= 0.1
+
+
 def test_conservation_fourth_order():
     drifts = {}
     for n in (1250, 2500):
