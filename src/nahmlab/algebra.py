@@ -97,6 +97,7 @@ class AlgebraSpec:
             raise InputError(f"unknown family {self.family!r}")
         if self.dim < 2:
             raise InputError("dim must be >= 2")
+        object.__setattr__(self, "_eye", np.eye(self.dim))  # for project; never written
 
     def member_defect(self, X: np.ndarray) -> float:
         """Distance-like defect of X from the algebra (0 for members)."""
@@ -119,10 +120,11 @@ class AlgebraSpec:
         """Nearest traceless (skew-Hermitian for su) matrix, batched."""
         X = np.asarray(X, dtype=complex)
         if self.family == "su":
-            X = 0.5 * (X - dagger(X))
-        tr = np.trace(X, axis1=-2, axis2=-1)
-        eye = np.eye(self.dim)
-        return X - (tr / self.dim)[..., None, None] * eye
+            X = 0.5 * (X - X.conj().swapaxes(-1, -2))
+        tr = X.trace(axis1=-2, axis2=-1)
+        # the scaled identity comes off every entry: for sl(k, C), a
+        # diagonal-only update would leave some off-diagonal zeros signed -0
+        return X - (tr / self.dim)[..., None, None] * self._eye
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         Z = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))

@@ -341,6 +341,8 @@ def run_check_suite(seed: int = 0, n: int = 300, samples: int = 10, inject_sign_
     Returns a list of {name, error, threshold, order, pass} entries; ``order``
     tags the expected refinement rate (0 = grid-independent).
     """
+    if samples < 1:
+        raise InputError(f"the Hamiltonian checks need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     su2 = AlgebraSpec("su", 2)
     grid = Grid(0.0, 1.0, n)

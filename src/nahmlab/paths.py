@@ -15,7 +15,11 @@ Two difference operators are used:
                              rely on.
 
 Every ODE in the package (Nahm flow, baby/Lax flow, trivializing gauge) is
-stepped by the one RK4 stepper ``_rk4_path`` kept here.
+stepped by the one RK4 stepper ``_rk4_path`` kept here.  One step makes four
+right-hand-side calls (one stacked matmul each for the Nahm flow), forms the
+stages and the RK4 sum as whole-array expressions in a fixed order, and hands
+the sum to the flow's ``post``: a projection, and for the Nahm flow a one-call
+blow-up test that defers to the exact norm test near the bound.
 """
 
 from __future__ import annotations

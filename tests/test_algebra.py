@@ -188,6 +188,14 @@ def test_project_idempotent(rng):
     assert np.abs(AlgebraSpec("su", 3).project(P) - P).max() < 1e-15
 
 
+def test_project_sl_signed_zeros():
+    # the scaled identity comes off every entry, so an off-diagonal -0 - 0j
+    # becomes -0 + 0j; the bytes of integrate_nahm on sl(k, C) data depend on it
+    X = np.array([[-1.0 - 1.0j, complex(-0.0, -0.0)], [complex(-0.0, -0.0), 0.5 - 0.5j]])
+    want = np.array([[-0.75 - 0.25j, complex(-0.0, 0.0)], [complex(-0.0, 0.0), 0.75 + 0.25j]])
+    assert AlgebraSpec("sl_complex", 2).project(X).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_su_basis_orthonormal(k):
     B = su_basis(k)

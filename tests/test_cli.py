@@ -207,6 +207,9 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         ("vergne", {"points": [[float("nan"), 0.0, 1.0, 0.0]]}),
         # the half-line solver works in su(k) only
         ("halfline", {"algebra": SL2, "target": {"kind": "coth", "L": 5.0}}),
+        # no sample would leave the Hamiltonian checks unevaluated, reported as passing
+        ("check", {"n": 50, "samples": 0}),
+        ("check", {"n": 50, "samples": -3}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):

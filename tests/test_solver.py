@@ -6,7 +6,7 @@ import pytest
 from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, su2_basis, su2_embed
 from nahmlab.moment import mu_nahm
 from nahmlab.gauge import complex_trivialize_direct, trivialize
-from nahmlab.paths import AlgebraPath, Grid, random_smooth_path, sup_norm
+from nahmlab.paths import AlgebraPath, Grid, NahmData, random_smooth_path, sup_norm
 from nahmlab.solver import (
     BoundaryTarget,
     NahmBlowUpError,
@@ -139,6 +139,45 @@ def test_integrate_nahm_blowup_reports_nonfinite_norm():
         integrate_nahm(SU2, (E1, E2, E3), g, blowup_bound=1e6)
     assert info.value.norm > 1e6
     assert "norm inf" in str(info.value)
+
+
+POLE = (-2.0 * E1, -2.0 * E2, -2.0 * E3)  # -2 e_i / (1 - 2 s), a pole at s = 1/2
+
+# (init, grid, bound, s, norm): the first node past the bound and its norm as
+# the exact per-node norm test reports them; the cheap sufficient test in
+# front of it must not change either
+BLOWUPS = {
+    "first_step": (POLE, Grid(0.0, 0.4, 100), 1.415, 0.004, 1.4256185104547554),
+    "mid_flow": (POLE, Grid(0.0, 1.0, 1000), 1e6, 0.501, 71421404565696.95),
+    "last_step": (POLE, Grid(0.0, 0.4, 100), 7.0, 0.4, 7.071067563081193),
+    # the squared norms overflow although the norms are below the bound
+    "overflow_above_1e150": (POLE, Grid(0.0, 1.0, 1000), 1e200, 0.502, np.inf),
+    # no bound: only a non-finite state stops the flow
+    "nonfinite_unbounded": (POLE, Grid(0.0, 1.0, 1000), np.inf, 0.503, np.inf),
+    # a constant state, one component past the bound: the sum of all three
+    # squared norms (2) is below three times the squared bound (4.32)
+    "one_component": ((2.0 * E1, Z2, Z2), Grid(0.0, 1.0, 10), 1.2, 0.1, 1.4142135623730951),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOWUPS))
+def test_integrate_nahm_blowup_node_and_norm(case):
+    init, g, bound, s, norm = BLOWUPS[case]
+    with pytest.raises(NahmBlowUpError) as info:
+        integrate_nahm(SU2, init, g, blowup_bound=bound)
+    assert info.value.s == s
+    assert info.value.norm == norm
+    assert f"s = {s:.6g} (norm {norm:.3e})" in str(info.value)
+
+
+def test_integrate_nahm_near_bound_without_blowup():
+    # the norms end within 1% of the bound, so the exact test runs on every
+    # step past norm 7.1 / sqrt(3); it must pass them all and change nothing
+    g = Grid(0.0, 0.4, 100)
+    d = integrate_nahm(SU2, POLE, g, blowup_bound=7.1)
+    assert np.linalg.norm(d.T1.values[-1]) == 7.071067563081193
+    free = integrate_nahm(SU2, POLE, g, blowup_bound=np.inf)
+    assert d.stack().tobytes() == free.stack().tobytes()
 
 
 def test_integrate_nahm_sl_complex_stays_on_flow():
@@ -407,6 +446,35 @@ def test_orbit_identify_semisimple(rng):
     assert np.abs(got - want).max() < 1e-12
 
 
+def test_orbit_identify_matching_beta0_with_large_residual_is_not_certified():
+    # coth(0) held constant: beta(0) has the target's characteristic
+    # polynomial, but T1' = 0 while [T2, T3] is not, so the residual is large
+    a = 1.5
+    g = Grid(0.0, 10.0, 200)
+    init = [c.values[0] for c in coth_solution(a, 1.0, Grid(0.0, 1.0, 2)).components[1:]]
+    d = NahmData.from_arrays(SU2, g, *(const_path(g, M).values for M in (Z2, *init)))
+    rep = orbit_identify(d, BoundaryTarget(-a * E1, Z2, Z2, sigma=None, L=10.0))
+    assert rep.max_coeff_dev <= 1e-12
+    assert rep.residual_sup > 0.5  # the gate is 1e-3
+    assert not rep.certified
+
+
+def test_orbit_identify_rank_at_threshold():
+    # beta(0) = [[0, 1, 0], [0, 0, x], [y, 0, 0]] has singular values 1, x, y
+    # and |beta(0)| = sqrt(1 + x^2 + y^2); at coeff_tol 1e-6 the rank cut is
+    # 1e-3 |beta(0)| = 1.000001e-3, between x (2% above) and y (2% below)
+    su3 = AlgebraSpec("su", 3)
+    x, y = 1.02e-3, 0.98e-3
+    B = np.array([[0, 1, 0], [0, 0, x], [y, 0, 0]], dtype=complex)
+    T2, T3 = 0.5 * (B - B.conj().T), -0.5j * (B + B.conj().T)
+    g = Grid(0.0, 1.0, 20)
+    Z3 = np.zeros((3, 3), dtype=complex)
+    d = NahmData.from_arrays(su3, g, *(const_path(g, M).values for M in (Z3, Z3, T2, T3)))
+    rep = orbit_identify(d, BoundaryTarget(Z3, Z3, Z3, sigma=None, L=1.0))
+    assert np.allclose(lax_extract(d).beta[0], B, rtol=0, atol=1e-16)
+    assert rep.beta0_rank == 2
+
+
 def test_orbit_identify_residual_gate(rng):
     # garbage data cannot be certified even if beta(0) happens to match
     g = Grid(0.0, 1.0, 100)
@@ -477,6 +545,19 @@ def test_integrate_nahm_bitwise_matches_reference(k):
     ref = ref_rk4(ref_nahm_rhs, init, g.h, n, lambda y: ref_skew_project(y, k))
     for i, c in enumerate((d.T1, d.T2, d.T3)):
         assert np.array_equal(c.values, ref[:, i])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_integrate_nahm_nil_start_bytes_match_reference(k):
+    # the irreducible triple holds negative zeros, which np.array_equal
+    # cannot tell from positive ones; compare the bytes
+    spec = AlgebraSpec("su", k)
+    init = np.stack(su2_embed(spec))
+    assert np.signbit(init.real[init.real == 0]).any()
+    g = Grid(0.0, 1.0, 200)
+    d = integrate_nahm(spec, tuple(init), g)
+    ref = ref_rk4(ref_nahm_rhs, init, g.h, g.n, lambda y: ref_skew_project(y, k))
+    assert d.stack()[1:].swapaxes(0, 1).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 4])
