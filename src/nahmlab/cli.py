@@ -305,6 +305,8 @@ def cmd_vergne(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
             ur, ui, vr, vi = (_typed(x, float, "a point coordinate") for x in entry)
             points.append((complex(ur, ui), complex(vr, vi)))
     samples = _get(cfg, "samples", int, 0)
+    if samples < 0:
+        raise ConfigError(f"config key 'samples' must be >= 0, got {samples}")
     for i in range(samples):
         x = rng.standard_normal(2)
         if i % 2 == 0:

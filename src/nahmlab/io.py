@@ -1,15 +1,15 @@
 """JSON / CSV serialization.
 
-Matrices serialize as flat row-major JSON arrays of [re, im] pairs.  CSV
-files have one row per grid node, a complex value takes an _re and an _im
-column, and floats are printed with 17 significant digits so identical runs
-produce byte-identical artifacts.
+Matrices serialize as flat row-major JSON arrays of [re, im] pairs, in the
+stdlib's ``json.dumps(obj, indent=2, sort_keys=True)`` layout, and a float
+array is written whole.  CSV files have one row per grid node, a complex value
+takes an _re and an _im column, and floats have 17 significant digits, so
+identical runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
-import csv
-import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -32,24 +32,23 @@ __all__ = [
     "residual_to_csv",
     "coeffs_to_csv",
     "write_json",
-    "fmt",
 ]
-
-
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def to_pairs(z) -> np.ndarray:
     """Complex values with a trailing [re, im] axis: how every artifact stores
-    a complex number (``.tolist()`` of it in JSON, column pairs in CSV)."""
+    a complex number (nested lists of pairs in JSON, column pairs in CSV)."""
     z = np.asarray(z, dtype=complex)
     return np.stack([z.real, z.imag], axis=-1)
 
 
 def from_pairs(data) -> np.ndarray:
-    """Complex array from a flat list of [re, im] pairs, the JSON form of ``to_pairs``."""
-    return np.array([complex(re, im) for re, im in data])
+    """Complex array from (nested lists of) [re, im] pairs, the JSON form of
+    ``to_pairs``: bit for bit, as the pairs are reinterpreted, not recombined."""
+    pairs = np.ascontiguousarray(data, dtype=float)
+    if pairs.shape[-1:] != (2,):
+        raise ValueError(f"expected [re, im] pairs, got shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]
 
 
 def matrix_to_json(M: np.ndarray) -> list:
@@ -58,8 +57,8 @@ def matrix_to_json(M: np.ndarray) -> list:
 
 def matrix_from_json(data: list, k: int) -> np.ndarray:
     flat = from_pairs(data)
-    if flat.size != k * k:
-        raise ValueError(f"expected {k * k} entries, got {flat.size}")
+    if flat.shape != (k * k,):
+        raise ValueError(f"expected {k * k} entries, got shape {flat.shape}")
     return flat.reshape(k, k)
 
 
@@ -71,27 +70,27 @@ def _grid_from_json(data: dict) -> Grid:
     return Grid(float(data["s0"]), float(data["s1"]), int(data["n"]))
 
 
-def _nodes_to_json(values: np.ndarray) -> list:
-    """One flat row-major matrix per node."""
-    return to_pairs(values.reshape(len(values), -1)).tolist()
+def _nodes_to_json(values: np.ndarray) -> np.ndarray:
+    """One flat row-major matrix per node, as a float array of [re, im] pairs."""
+    return to_pairs(values.reshape(len(values), -1))
+
+
+def _nodes_from_json(data, grid: Grid, k: int) -> np.ndarray:
+    z = from_pairs(data)
+    if z.shape != (grid.n + 1, k * k):
+        raise ValueError(f"expected {grid.n + 1} nodes of {k * k} [re, im] pairs, got shape {z.shape}")
+    return z.reshape(grid.n + 1, k, k)
 
 
 def nahm_to_json(d: NahmData) -> dict:
-    out = {
-        "algebra": {"family": d.algebra.family, "dim": d.algebra.dim},
-        "grid": _grid_to_json(d.grid),
-    }
-    for name, comp in zip(("T0", "T1", "T2", "T3"), d.components):
-        out[name] = _nodes_to_json(comp.values)
-    return out
+    nodes = {name: _nodes_to_json(comp.values) for name, comp in zip(("T0", "T1", "T2", "T3"), d.components)}
+    return {"algebra": {"family": d.algebra.family, "dim": d.algebra.dim}, "grid": _grid_to_json(d.grid), **nodes}
 
 
 def nahm_from_json(data: dict) -> NahmData:
     spec = AlgebraSpec(data["algebra"]["family"], int(data["algebra"]["dim"]))
     grid = _grid_from_json(data["grid"])
-    comps = []
-    for name in ("T0", "T1", "T2", "T3"):
-        comps.append(np.stack([matrix_from_json(m, spec.dim) for m in data[name]]))
+    comps = [_nodes_from_json(data[name], grid, spec.dim) for name in ("T0", "T1", "T2", "T3")]
     return NahmData.from_arrays(spec, grid, *comps)
 
 
@@ -101,7 +100,7 @@ def group_path_to_json(g: GroupPath) -> dict:
 
 def group_path_from_json(data: dict) -> GroupPath:
     grid = _grid_from_json(data["grid"])
-    vals = np.stack([matrix_from_json(m, int(np.sqrt(len(data["values"][0])))) for m in data["values"]])
+    vals = _nodes_from_json(data["values"], grid, int(np.sqrt(len(data["values"][0]))))
     return GroupPath(grid, vals, data["flavor"])
 
 
@@ -113,11 +112,9 @@ def write_csv(grid: Grid, names: list, table: np.ndarray, path) -> None:
     if np.iscomplexobj(table):
         names = [f"{name}_{part}" for name in names for part in ("re", "im")]
         table = to_pairs(table).reshape(len(table), -1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s"] + names)
-        for s, row in zip(grid.nodes.tolist(), table.tolist()):
-            writer.writerow([fmt(s)] + [fmt(x) for x in row])
+    rows = np.column_stack([grid.nodes, table])
+    text = ((",".join(["%.17g"] * rows.shape[1]) + "\r\n") * len(rows)) % tuple(rows.ravel().tolist())
+    Path(path).write_text(",".join(["s"] + names) + "\r\n" + text, newline="")
 
 
 def nahm_to_csv(d: NahmData, path) -> None:
@@ -139,19 +136,50 @@ def coeffs_to_csv(grid: Grid, flows: list, path) -> None:
     write_csv(grid, names, np.concatenate(flows).T, path)
 
 
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _float_array(a: np.ndarray, depth: int) -> str:
+    """A finite float array at nesting ``depth``: one join per axis lays out
+    ``%r`` slots, and one C-level ``%`` fills them all."""
+    text = "%r"
+    for axis in range(a.ndim - 1, -1, -1):
+        inner = "\n" + "  " * (depth + axis + 1)
+        text = "[" + inner + ("," + inner).join([text] * a.shape[axis]) + "\n" + "  " * (depth + axis) + "]"
+    return text % tuple(a.ravel().tolist())
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` at nesting ``depth``; dict keys must be str."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, np.generic) and not isinstance(item := obj.item(), np.generic):
+        return _encode(item, depth)
     if isinstance(obj, np.ndarray):
-        return _pyify(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
+            return _float_array(obj, depth)
+        return _encode(obj.tolist(), depth)
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(key) + ": " + _encode(obj[key], depth + 1) for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_encode(v, depth + 1) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def write_json(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(_pyify(data), indent=2, sort_keys=True) + "\n")
+    """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline."""
+    Path(path).write_text(_encode(data, 0) + "\n")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -210,6 +212,8 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         # no sample would leave the Hamiltonian checks unevaluated, reported as passing
         ("check", {"n": 50, "samples": 0}),
         ("check", {"n": 50, "samples": -3}),
+        # a negative sample count is no count, even beside explicit points
+        ("vergne", {"points": [[1.0, 0.0, 0.0, 0.0]], "samples": -5}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
@@ -297,6 +301,39 @@ def test_check_refinement_orders():
         ratio = entry["error"] / max(fine[name]["error"], 1e-300)
         expected = 2.0**order
         assert expected / 2.0 <= ratio <= expected * 2.0, (name, ratio)
+
+
+SU2 = {"family": "su", "dim": 2}
+README_CONFIGS = [
+    ("evolve", {"algebra": SU2, "grid": {"s0": 0.0, "s1": 1.0, "n": 1000}, "init": {"kind": "nil"},
+                "residual_bound": 2e-6}),
+    ("spectral", {"algebra": SU2, "grid": {"s0": 0.0, "s1": 5.0, "n": 5000}, "init": {"kind": "coth", "a": 1.0},
+                  "drift_bound": 1e-7, "reality_bound": 1e-9}),
+    ("spectral", {"algebra": SU2, "fixed_curve": {"tau1": {"te3": 0.8}}}),
+    ("halfline", {"algebra": SU2, "target": {"kind": "coth", "a": 1.5, "L": 10.0}, "perturbation": 0.01, "seed": 7}),
+    ("vergne", {"samples": 1000, "seed": 3}),
+    ("check", {"seed": 0, "n": 300, "samples": 10}),
+]
+
+
+@pytest.mark.parametrize("command, cfg", README_CONFIGS)
+def test_artifacts_keep_the_stdlib_layout(tmp_path, command, cfg):
+    # every artifact is a fixed point of the stdlib writers it was first made
+    # with, so its bytes do not hang on how the writer is implemented
+    run(tmp_path, command, cfg)
+    artifacts = sorted((tmp_path / "out").iterdir())
+    assert artifacts
+    for path in artifacts:
+        text = path.read_bytes().decode("ascii")
+        if path.suffix == ".json":
+            assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, path.name
+            continue
+        header, *rows = csv.reader(text.splitlines())
+        again = io.StringIO()
+        writer = csv.writer(again)
+        writer.writerow(header)
+        writer.writerows([f"{float(x):.17g}" for x in row] for row in rows)
+        assert again.getvalue() == text, path.name
 
 
 def test_missing_config_file(tmp_path):

@@ -2,9 +2,13 @@ import csv
 import json
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nahmlab.algebra import AlgebraSpec
-from nahmlab.gauge import exp_su_path
+from nahmlab.gauge import GroupPath, exp_su_path
 from nahmlab.io import (
     group_path_from_json,
     group_path_to_json,
@@ -14,6 +18,8 @@ from nahmlab.io import (
     nahm_to_csv,
     nahm_to_json,
     residual_to_csv,
+    to_pairs,
+    write_csv,
     write_json,
 )
 from nahmlab.moment import mu_nahm
@@ -80,3 +86,147 @@ def test_residual_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["s", "mu1", "mu2", "mu3"]
     assert len(rows) == 12
+
+
+# --------------------------------------------------------------------------
+# the serializers against the stdlib paths they replaced
+
+
+def _pyify(obj):
+    """The pre-pass that fed ``json.dumps`` before ``write_json`` had its own
+    encoder: the reference the encoder must match byte for byte."""
+    if isinstance(obj, dict):
+        return {k: _pyify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_pyify(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return _pyify(obj.tolist())
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def _fmt(x) -> str:
+    """The per-float CSV format that ``write_csv`` replaced."""
+    return f"{float(x):.17g}"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+STRINGS = st.text(max_size=8) | st.sampled_from(['"', 'a "quoted" key', "back\\slash", "\u00e9t\u00e9", "\u2603", "\n\t"])
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+ARRAYS = hnp.arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False)) | hnp.arrays(
+    np.float64, SHAPES, elements=FLOATS)
+LEAVES = (st.none() | st.booleans() | st.integers() | FLOATS | STRINGS | ARRAYS
+          | FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_))
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(STRINGS, kids, max_size=4),
+    max_leaves=24,
+)
+EDGE_TREE = {
+    "floats": EDGE_FLOATS,
+    "strings": ["\u00e9", 'say "hi"', ""],
+    "scalars": (np.float64(-0.0), np.float64("nan"), np.int64(-7), np.bool_(True), np.bool_(False)),
+    "empty": [{}, [], ()],
+    "arrays": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.arange(6.0).reshape(1, 2, 3),
+               np.array([[1.5, np.nan], [-np.inf, -0.0]])],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.dictionaries(STRINGS, TREES, max_size=5) | st.lists(TREES, max_size=5))
+@example(data=EDGE_TREE)
+def test_write_json_matches_stdlib_encoder(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    write_json(data, path)
+    assert path.read_text() == json.dumps(_pyify(data), indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_rejects_unknown_types(tmp_path):
+    for bad in ({"x": {1, 2}}, {"x": 1j}, {"x": np.array([1j])}, {1: "non-string key"}):
+        with pytest.raises(TypeError):
+            write_json(bad, tmp_path / "bad.json")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    ends=st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6)),
+    ncols=st.integers(1, 4),
+    is_complex=st.booleans(),
+    draw=st.data(),
+)
+def test_write_csv_matches_csv_writer(n, ends, ncols, is_complex, draw, tmp_path_factory):
+    grid = Grid(ends[0], ends[0] + ends[1], n)
+    table = draw.draw(hnp.arrays(np.float64, (n + 1, ncols * (2 if is_complex else 1)), elements=FLOATS))
+    if is_complex:
+        table = table.view(complex)  # bit-exact, unlike re + 1j * im
+    names = [f"c{i}" for i in range(ncols)]
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(grid, names, table, out / "new.csv")
+    if is_complex:
+        names = [f"{name}_{part}" for name in names for part in ("re", "im")]
+        table = to_pairs(table).reshape(n + 1, -1)
+    with open(out / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s"] + names)
+        for s, row in zip(grid.nodes.tolist(), table.tolist()):
+            writer.writerow([_fmt(s)] + [_fmt(x) for x in row])
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+# --------------------------------------------------------------------------
+# exact read-back
+
+
+def _awkward_values(grid: Grid, k: int, rng) -> np.ndarray:
+    """Node samples with -0.0 and non-finite parts, which survive a JSON round
+    trip only if nothing recombines re and im arithmetically."""
+    z = rng.standard_normal((grid.n + 1, k, k)) + 1j * rng.standard_normal((grid.n + 1, k, k))
+    flat = z.reshape(-1).view(float)
+    flat[:6] = [-0.0, -0.0, np.inf, 0.0, np.nan, -np.inf]
+    return z
+
+
+def test_nahm_json_reads_back_bit_for_bit(rng, tmp_path):
+    grid = Grid(0.0, 1.0, 6)
+    d = NahmData.from_arrays(SU2, grid, *(_awkward_values(grid, 2, rng) for _ in range(4)))
+    path = tmp_path / "sol.json"
+    write_json(nahm_to_json(d), path)
+    back = nahm_from_json(json.loads(path.read_text()))
+    for a, b in zip(back.components, d.components):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_nahm_json_wrong_pair_count_raises(tmp_path):
+    d = nil_solution(SU2, Grid(0.0, 1.0, 5))
+    path = tmp_path / "sol.json"
+    write_json(nahm_to_json(d), path)
+    ragged = json.loads(path.read_text())
+    ragged["T2"][3] = ragged["T2"][3][:-1]
+    short = json.loads(path.read_text())
+    short["T1"] = [node[:-1] for node in short["T1"]]
+    fours = json.loads(path.read_text())  # the same numbers, grouped in fours
+    fours["T3"] = [[node[0] + node[1], node[2] + node[3]] for node in fours["T3"]]
+    for data in (ragged, short, fours):
+        with pytest.raises(ValueError):
+            nahm_from_json(data)
+
+
+def test_group_path_json_reads_back_bit_for_bit(rng, tmp_path):
+    grid = Grid(0.0, 1.0, 4)
+    g = GroupPath(grid, _awkward_values(grid, 3, rng), "complex")
+    path = tmp_path / "g.json"
+    write_json(group_path_to_json(g), path)
+    data = json.loads(path.read_text())
+    assert group_path_from_json(data).values.tobytes() == g.values.tobytes()
+    data["values"][2] = data["values"][2][:-1]
+    with pytest.raises(ValueError):
+        group_path_from_json(data)
+    data["values"] = [node[:-1] for node in data["values"]]
+    with pytest.raises(ValueError):
+        group_path_from_json(data)
