@@ -1,8 +1,12 @@
-"""Dense complex matrix arithmetic and Lie-algebra structure for su(k) / sl(k,C).
+"""Dense complex matrix arithmetic and Lie-algebra structure for su(k).
+
+The paper's sl(k,C) values (the Lax pair, the pencils, the Vergne map) are
+plain complex arrays; only su(k) has an ``AlgebraSpec``.
 
 Conventions used throughout the package:
 
-* invariant pairing  <X, Y> = -Re tr(XY), positive definite on su(k);
+* invariant pairing  <X, Y> = -Re tr(XY) (``pairing_nodes``), positive
+  definite on su(k);
 * su(2) spin basis   e_j = (i/2) sigma_j, so |e_j|^2 = 1/2 and
   [e1, e2] = -e3,  [e2, e3] = -e1,  [e3, e1] = -e2.
 
@@ -26,6 +30,7 @@ __all__ = [
     "bracket",
     "char_poly_coeffs",
     "pairing",
+    "pairing_nodes",
     "expm",
     "polar_decompose",
     "su2_basis",
@@ -83,17 +88,14 @@ def char_poly_coeffs(P: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Which matrix Lie algebra we work in, with its membership test.
-
-    family 'su': traceless skew-Hermitian k x k matrices.
-    family 'sl_complex': traceless complex k x k matrices.
-    """
+    """The algebra su(k) of traceless skew-Hermitian k x k matrices, with its
+    membership test; ``family`` must be 'su'."""
 
     family: str
     dim: int
 
     def __post_init__(self):
-        if self.family not in ("su", "sl_complex"):
+        if self.family != "su":
             raise InputError(f"unknown family {self.family!r}")
         if self.dim < 2:
             raise InputError("dim must be >= 2")
@@ -104,12 +106,8 @@ class AlgebraSpec:
         X = np.asarray(X, dtype=complex)
         if X.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {X.shape}")
-        k = self.dim
-        tr = np.trace(X, axis1=-2, axis2=-1)
-        defect = float(np.max(np.abs(tr))) / np.sqrt(k)
-        if self.family == "su":
-            defect = max(defect, float(np.max(np.linalg.norm(X + dagger(X), axis=(-2, -1)))))
-        return defect
+        trace = float(np.max(np.abs(np.trace(X, axis1=-2, axis2=-1)))) / np.sqrt(self.dim)
+        return max(trace, float(np.max(np.linalg.norm(X + dagger(X), axis=(-2, -1)))))
 
     def is_member(self, X: np.ndarray, tol: float = 1e-10) -> bool:
         X = np.asarray(X, dtype=complex)
@@ -117,30 +115,32 @@ class AlgebraSpec:
         return self.member_defect(X) <= tol * max(scale, 1.0)
 
     def project(self, X: np.ndarray) -> np.ndarray:
-        """Nearest traceless (skew-Hermitian for su) matrix, batched."""
+        """Nearest traceless skew-Hermitian matrix, batched."""
         X = np.asarray(X, dtype=complex)
-        if self.family == "su":
-            X = 0.5 * (X - X.conj().swapaxes(-1, -2))
+        X = 0.5 * (X - X.conj().swapaxes(-1, -2))
         tr = X.trace(axis1=-2, axis2=-1)
-        # the scaled identity comes off every entry: for sl(k, C), a
-        # diagonal-only update would leave some off-diagonal zeros signed -0
+        # the scaled identity comes off every entry: a diagonal-only update
+        # would sign some off-diagonal zeros differently, and so change the
+        # bytes of every trajectory
         return X - (tr / self.dim)[..., None, None] * self._eye
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         Z = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))
-        if self.family == "su":
-            return scale * self.project(Z)
-        Z -= np.trace(Z) / self.dim * np.eye(self.dim)
-        return scale * Z
+        return scale * self.project(Z)
+
+
+def pairing_nodes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Node-wise invariant pairing -Re tr(X_n Y_n)."""
+    return -np.einsum("...pq,...qp->...", X, Y).real
 
 
 def pairing(spec: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> float:
-    """Invariant scalar product -Re tr(XY)."""
+    """Invariant scalar product of two k x k matrices."""
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if X.shape != (spec.dim, spec.dim) or Y.shape != X.shape:
         raise ValueError("dimension mismatch in pairing")
-    return float(-np.einsum("pq,qp->", X, Y).real)
+    return float(pairing_nodes(X, Y))
 
 
 def expm(X: np.ndarray) -> np.ndarray:
@@ -204,8 +204,6 @@ def su2_embed(spec: AlgebraSpec) -> Su2Triple:
     The images satisfy the same bracket relations as (e1, e2, e3); for k = 2
     this is the identity embedding.
     """
-    if spec.family != "su":
-        raise InputError("su2_embed requires an su(k) spec")
     J1, J2, J3 = _spin_matrices(spec.dim)
     return Su2Triple(1j * J1, 1j * J2, 1j * J3)
 
@@ -225,7 +223,7 @@ def su2_embed_block(spec: AlgebraSpec, m: int) -> Su2Triple:
 
 @lru_cache(maxsize=None)
 def su_basis(k: int) -> np.ndarray:
-    """Orthonormal basis of su(k) for <X,Y> = -Re tr(XY), shape (k^2-1, k, k).
+    """Orthonormal basis of su(k) for the invariant pairing, shape (k^2-1, k, k).
 
     Off-diagonal pairs (E_ab - E_ba)/sqrt2 and i(E_ab + E_ba)/sqrt2, then the
     diagonal family i diag(1,..,1,-a,0,..)/sqrt(a(a+1)).
@@ -252,10 +250,9 @@ def su_basis(k: int) -> np.ndarray:
 
 
 def su_coords(X: np.ndarray) -> np.ndarray:
-    """Real coordinates of su(k) matrices in the orthonormal basis, batched."""
+    """Real coordinates <X, e_i> of su(k) matrices in the orthonormal basis, batched."""
     X = np.asarray(X, dtype=complex)
-    B = su_basis(X.shape[-1])
-    return -np.einsum("...pq,iqp->...i", X, B).real
+    return pairing_nodes(X[..., None, :, :], su_basis(X.shape[-1]))
 
 
 def su_from_coords(c: np.ndarray, k: int) -> np.ndarray:
@@ -265,7 +262,7 @@ def su_from_coords(c: np.ndarray, k: int) -> np.ndarray:
 
 def ad_matrix(X: np.ndarray) -> np.ndarray:
     """Matrix of rho |-> [rho, X] on su(k) in the orthonormal basis, batched
-    over leading axes: entry (i, j) is <e_i, [e_j, X]> = -Re tr([e_i, e_j] X)."""
+    over leading axes: entry (i, j) is <e_i, [e_j, X]> = <[e_i, e_j], X>."""
     X = np.asarray(X, dtype=complex)
     B = su_basis(X.shape[-1])
     structure = B[:, None] @ B[None] - B[None] @ B[:, None]  # [e_i, e_j]

@@ -225,8 +225,6 @@ def _sigma_from_config(entry, algebra: AlgebraSpec):
 
 def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     algebra = _algebra(cfg)
-    if algebra.family != "su":
-        raise ConfigError("the half-line solver works in su(k)")
     tcfg = _get(cfg, "target", dict, required=True)
     kind = _get(tcfg, "kind", str, required=True)
     L = _get(tcfg, "L", float, 10.0)

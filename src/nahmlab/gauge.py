@@ -16,16 +16,17 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .algebra import ad_matrix, bracket, dagger, expm, su_coords, su_from_coords
+from .algebra import ad_matrix, dagger, expm, su_coords, su_from_coords
+from .moment import mu_baby
 from .paths import (
     AlgebraPath,
     NahmData,
     _rk4_path,
     _shared_grid,
-    dirichlet_derivative,
     path_derivative,
     quadrature,
     sup_norm,
+    vertical_field,
 )
 
 __all__ = [
@@ -60,7 +61,7 @@ class GroupPath(AlgebraPath):
         super().__post_init__()
         if self.flavor not in ("unitary", "complex"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "unitary" and self.unitarity_defect > 1e-8:
+        if self.flavor == "unitary" and not self.unitarity_defect <= 1e-8:
             raise ValueError(f"unitary flavor violated, max |g^dag g - 1| = {self.unitarity_defect:.3e}")
 
     @cached_property
@@ -118,10 +119,8 @@ def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6
     gauge g, the endpoint exp(i (s1-s0) T1(s0)) g(s1) of the combined complex
     gauge, and T1(s0).
     """
-    _shared_grid(T0, T1)
-    grid = T0.grid
-    residual = path_derivative(T1.values, grid.h) + bracket(T0.values, T1.values)
-    res = sup_norm(residual)
+    grid = _shared_grid(T0, T1)
+    res = sup_norm(mu_baby(T0, T1).values)
     if res > level_tol:
         raise LevelSetError(f"level-set residual {res:.3e} exceeds {level_tol:.1e}")
     g = trivialize(T0)
@@ -132,16 +131,6 @@ def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6
     T1_0 = T1.values[0]
     g_tilde_end = expm(1j * (grid.s1 - grid.s0) * T1_0) @ g.values[-1]
     return g, g_tilde_end, T1_0
-
-
-def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
-    """Tangent to the based-gauge orbit: [rho, T0] - rho' for Dirichlet rho."""
-    _shared_grid(T0, rho)
-    end = max(np.linalg.norm(rho.values[0]), np.linalg.norm(rho.values[-1]))
-    if end > 1e-10 * max(1.0, sup_norm(rho.values)):
-        raise ValueError("gauge parameter must vanish at both endpoints")
-    v = bracket(rho.values, T0.values) - dirichlet_derivative(rho.values, rho.grid.h)
-    return AlgebraPath(T0.grid, v)
 
 
 def _vertical_operator(T0: AlgebraPath):

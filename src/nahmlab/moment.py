@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, bracket
-from .gauge import vertical_field
 from .paths import (
     AlgebraPath,
     Grid,
@@ -26,6 +25,7 @@ from .paths import (
     quadrature,
     random_tangent,
     sup_norm,
+    vertical_field,
 )
 
 __all__ = [

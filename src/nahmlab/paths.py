@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, su_from_coords
+from .algebra import AlgebraSpec, InputError, bracket, pairing_nodes, su_from_coords
 
 __all__ = [
     "Grid",
@@ -39,6 +39,7 @@ __all__ = [
     "path_derivative",
     "dirichlet_derivative",
     "pairing_nodes",
+    "vertical_field",
     "l2_metric",
     "l2_norm",
     "sup_norm",
@@ -63,6 +64,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 2:
             raise InputError("grid needs n >= 2 intervals")
+        if not (np.isfinite(self.s0) and np.isfinite(self.s1)):
+            raise InputError(f"grid endpoints must be finite, got [{self.s0}, {self.s1}]")
         if not self.s1 > self.s0:
             raise InputError("need s1 > s0")
 
@@ -248,11 +251,6 @@ def _rk4_path(rhs, y0: np.ndarray, grid: Grid, post, coeff=None) -> np.ndarray:
     return path
 
 
-def pairing_nodes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Node-wise invariant pairing -Re tr(X_n Y_n)."""
-    return -np.einsum("...pq,...qp->...", X, Y).real
-
-
 def l2_metric(u: TangentVector, v: TangentVector) -> float:
     """L2 metric: integral of the summed component pairings."""
     g = _shared_grid(u.t0, v.t0)
@@ -269,6 +267,16 @@ def l2_norm(u: TangentVector) -> float:
 def sup_norm(values: np.ndarray) -> float:
     """Max Frobenius norm over nodes."""
     return float(np.max(np.linalg.norm(values, axis=(-2, -1))))
+
+
+def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
+    """Tangent to the based-gauge orbit: [rho, T0] - rho' for Dirichlet rho."""
+    _shared_grid(T0, rho)
+    end = max(np.linalg.norm(rho.values[0]), np.linalg.norm(rho.values[-1]))
+    if end > 1e-10 * max(1.0, sup_norm(rho.values)):
+        raise ValueError("gauge parameter must vanish at both endpoints")
+    v = bracket(rho.values, T0.values) - dirichlet_derivative(rho.values, rho.grid.h)
+    return AlgebraPath(T0.grid, v)
 
 
 # Components of right multiplication by the quaternion units i, j, k acting on
@@ -323,8 +331,6 @@ def random_smooth_path(
     scale: float = 1.0,
 ) -> AlgebraPath:
     """Low-frequency Fourier path with exactly algebra-valued samples."""
-    if spec.family != "su":
-        raise ValueError("random paths are generated in su(k)")
     d = spec.dim * spec.dim - 1
     x = (grid.nodes - grid.s0) / (grid.s1 - grid.s0)
     coeff = np.zeros((grid.n + 1, d))

@@ -162,8 +162,8 @@ class BoundaryTarget:
             object.__setattr__(self, name, _read_only(getattr(self, name)))
         if self.sigma is not None:
             object.__setattr__(self, "sigma", Su2Triple(*(_read_only(e) for e in self.sigma)))
-        if self.L <= 0:
-            raise InputError("need L > 0")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise InputError(f"need a finite L > 0, got {self.L!r}")
         taus = (self.tau1, self.tau2, self.tau3)
         scale = max(max(np.linalg.norm(t) for t in taus), 1.0)
         for i in range(3):

@@ -17,7 +17,7 @@ from nahmlab.gauge import (
     trivialize,
     vertical_field,
 )
-from nahmlab.moment import mu_nahm
+from nahmlab.moment import mu_baby, mu_nahm
 from nahmlab.paths import (
     AlgebraPath,
     Grid,
@@ -212,6 +212,19 @@ def test_complex_trivialize_two_stage_equals_direct(rng):
     assert np.abs(gt_end - direct.values[-1]).max() < 1e-8
 
 
+def test_complex_trivialize_level_gate_is_baby_map():
+    # the gate compares the sup norm of mu_baby with level_tol, no other residual
+    rng = np.random.default_rng(1000)
+    g = Grid(0.0, 1.0, 1500)
+    T0 = random_smooth_path(SU2, g, rng, modes=1, scale=0.4)
+    _, T1 = integrate_baby(SU2.random_element(rng, 0.8), T0)
+    r = sup_norm(mu_baby(T0, T1).values)
+    assert 0.0 < r < 2e-5
+    complex_trivialize(T0, T1, level_tol=r)
+    with pytest.raises(LevelSetError):
+        complex_trivialize(T0, T1, level_tol=np.nextafter(r, 0))
+
+
 def test_complex_trivialize_rejects_off_level_set(rng):
     g = Grid(0.0, 1.0, 200)
     T0 = random_smooth_path(SU2, g, rng)
@@ -352,6 +365,10 @@ def test_group_path_unitary_validation():
     with pytest.raises(ValueError):
         GroupPath(g, vals, "unitary")
     GroupPath(g, vals, "complex")  # fine for the complexified group
+    vals = np.broadcast_to(np.eye(2), (11, 2, 2)).copy().astype(complex)
+    vals[3, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        GroupPath(g, vals, "unitary")  # a NaN defect is no pass
 
 
 def test_group_path_is_immutable():

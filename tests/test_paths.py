@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, su2_basis
+from nahmlab.algebra import AlgebraSpec, InputError, su2_basis
 from nahmlab.moment import mu_nahm
 from nahmlab.paths import (
     AlgebraPath,
@@ -39,6 +39,9 @@ def test_grid_validation():
         Grid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         Grid(1.0, 0.0, 10)
+    for s0, s1 in [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (0.0, np.nan)]:
+        with pytest.raises(InputError):
+            Grid(s0, s1, 10)  # no infinite step h
     g = Grid(0.0, 2.0, 4)
     assert g.h == 0.5
     assert np.allclose(g.nodes, [0, 0.5, 1, 1.5, 2])
