@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "InputError",
@@ -148,6 +147,7 @@ def expm(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite entries in expm argument")
+    import scipy.linalg  # loaded on first use, not at import
     return scipy.linalg.expm(X)
 
 

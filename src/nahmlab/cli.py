@@ -134,7 +134,7 @@ def _initial_triple(cfg: dict, algebra: AlgebraSpec, grid: Grid):
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
-def cmd_evolve(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
+def cmd_evolve(cfg: dict, out_dir: Path, seed: int) -> int:
     algebra = _algebra(cfg)
     grid = _grid(cfg, {"s0": 0.0, "s1": 1.0, "n": 1000})
     bound = _get(cfg, "residual_bound", float, 1e-6)
@@ -156,7 +156,7 @@ def cmd_evolve(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_spectral(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
+def cmd_spectral(cfg: dict, out_dir: Path, seed: int) -> int:
     algebra = _algebra(cfg)
     reality_bound = _get(cfg, "reality_bound", float, 1e-9)
     if "fixed_curve" in cfg:
@@ -223,7 +223,7 @@ def _sigma_from_config(entry, algebra: AlgebraSpec):
     raise ConfigError(f"unknown sigma spec {entry!r}")
 
 
-def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
+def cmd_halfline(cfg: dict, out_dir: Path, seed: int) -> int:
     algebra = _algebra(cfg)
     tcfg = _get(cfg, "target", dict, required=True)
     kind = _get(tcfg, "kind", str, required=True)
@@ -235,23 +235,26 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
             raise ConfigError("coth target needs su(2)")
         a = _get(tcfg, "a", float, 1.5)
         target = BoundaryTarget(-a * su2_basis().e1, zero, zero, L=L)
-        seed = _coth_initial(a, 1.0, Grid(0.0, L, 2))
+        guess = _coth_initial(a, 1.0, Grid(0.0, L, 2))
     elif kind == "nil":
         sigma = _sigma_from_config(_get(tcfg, "sigma", object, "irreducible"), algebra)
         target = BoundaryTarget(zero, zero, zero, sigma=sigma, L=L)
-        seed = [np.asarray(e, dtype=complex) for e in sigma]
+        guess = [np.asarray(e, dtype=complex) for e in sigma]
     elif kind == "explicit":
         taus = [_matrix(_get(tcfg, name, list, required=True), k) for name in ("tau1", "tau2", "tau3")]
         sigma = _sigma_from_config(tcfg.get("sigma"), algebra)
         target = BoundaryTarget(*taus, sigma=sigma, L=L)
-        seed = list(asymptotic_model(target, 0.0))
+        guess = list(asymptotic_model(target, 0.0))
     else:
         raise ConfigError(f"unknown target kind {kind!r}")
 
     pert = _get(cfg, "perturbation", float, 0.0)
+    if pert < 0:
+        raise ConfigError(f"config key 'perturbation' must be >= 0, got {pert}")
     if pert > 0:
-        scale = max(max(np.linalg.norm(m) for m in seed), 1.0)
-        seed = [m + pert * scale * algebra.random_element(rng, 1.0) for m in seed]
+        rng = np.random.default_rng(seed)
+        scale = max(max(np.linalg.norm(m) for m in guess), 1.0)
+        guess = [m + pert * scale * algebra.random_element(rng, 1.0) for m in guess]
 
     if "newton" in cfg:
         raise ConfigError("the half-line solver no longer iterates: remove the 'newton' block "
@@ -260,7 +263,7 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     residual_gate = _get(cfg, "residual_gate", float, 1e-3)
     result = halfline_solve(
         target,
-        tuple(seed),
+        tuple(guess),
         step=_get(cfg, "step", float, 5e-3),
         tol=_get(cfg, "tol", float, 1e-6),
         blowup_bound=_get(cfg, "blowup_bound", float, 1e6),
@@ -292,7 +295,7 @@ def cmd_halfline(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     return EXIT_OK if certified else EXIT_CHECK_FAILED
 
 
-def cmd_vergne(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
+def cmd_vergne(cfg: dict, out_dir: Path, seed: int) -> int:
     table = []
     crossovers = 0
     points = []
@@ -305,6 +308,7 @@ def cmd_vergne(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
     samples = _get(cfg, "samples", int, 0)
     if samples < 0:
         raise ConfigError(f"config key 'samples' must be >= 0, got {samples}")
+    rng = np.random.default_rng(seed)
     for i in range(samples):
         x = rng.standard_normal(2)
         if i % 2 == 0:
@@ -427,8 +431,7 @@ def run_check_suite(seed: int = 0, n: int = 300, samples: int = 10, inject_sign_
     return checks
 
 
-def cmd_check(cfg: dict, out_dir: Path, rng: np.random.Generator) -> int:
-    seed = _get(cfg, "seed", int, 0)
+def cmd_check(cfg: dict, out_dir: Path, seed: int) -> int:
     n = _get(cfg, "n", int, 300)
     samples = _get(cfg, "samples", int, 10)
     flip = _get(cfg, "inject_sign_flip", bool, False)
@@ -470,12 +473,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rng = np.random.default_rng(seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        return _COMMANDS[args.command](cfg, out_dir, rng)
+        return _COMMANDS[args.command](cfg, out_dir, seed)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,8 +4,9 @@ and the horizontal projection behind the quotient metric.
 The action is g.(T0, Ti) = (g T0 g^-1 - g' g^-1, g Ti g^-1).  Trivializing
 T0 means solving g' = g T0 with g(s0) = 1; the endpoint value g(s1) is the
 monodromy realizing the identification of the path-space quotient with the
-group itself.  The ODE is stepped by the RK4 stepper of ``paths`` (the one the
-Nahm and baby flows use); real gauges are re-unitarized after every step.
+group itself.  The ODE is linear, so one batched step of the RK4 formula of
+``paths`` (the one the Nahm flow uses) gives every step's propagator at once;
+a real gauge takes one unitary polar factor at the end.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .algebra import ad_matrix, dagger, expm, su_coords, su_from_coords
+from .algebra import InputError, ad_matrix, dagger, expm, su_coords, su_from_coords
 from .moment import mu_baby
 from .paths import (
     AlgebraPath,
     NahmData,
-    _rk4_path,
+    _midpoints,
+    _rk4_step,
     _shared_grid,
     path_derivative,
     quadrature,
@@ -88,16 +89,24 @@ def act(g: GroupPath, d: NahmData) -> NahmData:
     return NahmData.from_arrays(d.algebra, d.grid, T0, *rest)
 
 
-def _unitary_factor(M: np.ndarray, m: int) -> np.ndarray:
-    """Post-step map of the real trivialization: the unitary polar factor."""
-    w, _, vh = np.linalg.svd(M)
-    return w @ vh
+def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:
+    """g' = g C, g(s0) = 1.  The flow is linear, so the RK4 step from node m
+    is g_m P_m with P_m the step from the identity: one step batched over the
+    intervals gives every P_m, their running product gives g, and a real gauge
+    takes the unitary polar factor of nodes 1..n once."""
+    c, eye = C.values, np.eye(C.dim, dtype=complex)
+    g = np.concatenate([eye[None], _rk4_step(np.matmul, eye, C.grid.h, c[:-1], _midpoints(c), c[1:])])
+    for m in range(1, C.grid.n):
+        g[m + 1] = g[m] @ g[m + 1]
+    if unitary:
+        w, _, vh = np.linalg.svd(g[1:])
+        g[1:] = w @ vh
+    return GroupPath(C.grid, g, "unitary" if unitary else "complex")
 
 
 def trivialize(T0: AlgebraPath) -> GroupPath:
     """Unique gauge g with g(s0) = 1 solving g.T0 = 0 (so g' = g T0)."""
-    g = _rk4_path(np.matmul, np.eye(T0.dim, dtype=complex), T0.grid, _unitary_factor, T0.values)
-    return GroupPath(T0.grid, g, "unitary")
+    return _right_trivialize(T0, unitary=True)
 
 
 def monodromy(T0: AlgebraPath) -> np.ndarray:
@@ -108,8 +117,7 @@ def monodromy(T0: AlgebraPath) -> np.ndarray:
 def complex_trivialize_direct(T0: AlgebraPath, T1: AlgebraPath) -> GroupPath:
     """One-stage complex trivialization: solve g' = g (T0 + i T1), g(s0) = 1."""
     _shared_grid(T0, T1)
-    g = _rk4_path(np.matmul, np.eye(T0.dim, dtype=complex), T0.grid, lambda y, m: y, T0.values + 1j * T1.values)
-    return GroupPath(T0.grid, g, "complex")
+    return _right_trivialize(AlgebraPath(T0.grid, T0.values + 1j * T1.values), unitary=False)
 
 
 def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6):
@@ -120,6 +128,8 @@ def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6
     gauge, and T1(s0).
     """
     grid = _shared_grid(T0, T1)
+    if not level_tol > 0:
+        raise InputError(f"need a level-set tolerance > 0, got {level_tol!r}")
     res = sup_norm(mu_baby(T0, T1).values)
     if res > level_tol:
         raise LevelSetError(f"level-set residual {res:.3e} exceeds {level_tol:.1e}")
@@ -162,6 +172,7 @@ def _horizontal_coords(T0: AlgebraPath, *ts: AlgebraPath) -> np.ndarray:
     Dirichlet gauge parameter are block-pentadiagonal and positive definite:
     one banded Cholesky factorization serves every t.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded  # loaded on first use, not at import
     _shared_grid(T0, *ts)
     n, d, w = T0.grid.n, T0.dim**2 - 1, T0.grid.weights[:, None, None]
     ad, below, above = _vertical_operator(T0)

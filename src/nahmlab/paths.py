@@ -14,12 +14,10 @@ Two difference operators are used:
                              which the moment-map and quotient-metric checks
                              rely on.
 
-Every ODE in the package (Nahm flow, baby/Lax flow, trivializing gauge) is
-stepped by the one RK4 stepper ``_rk4_path`` kept here.  One step makes four
-right-hand-side calls (one stacked matmul each for the Nahm flow), forms the
-stages and the RK4 sum as whole-array expressions in a fixed order, and hands
-the sum to the flow's ``post``: a projection, and for the Nahm flow a one-call
-blow-up test that defers to the exact norm test near the bound.
+``_rk4_step`` is the package's one RK4 formula.  The Nahm flow calls it once
+per step in its own loop (``solver.integrate_nahm``); the linear flows of
+``gauge`` call it once in all, batched over the intervals, to get every
+step's propagator.
 """
 
 from __future__ import annotations
@@ -225,30 +223,16 @@ def _midpoints(v: np.ndarray) -> np.ndarray:
     return mid
 
 
-def _rk4_path(rhs, y0: np.ndarray, grid: Grid, post, coeff=None) -> np.ndarray:
-    """Classical RK4 for y' = rhs(y, c(s)); all n+1 node states, stacked on a
-    leading axis.
-
-    ``coeff`` holds node samples c(s_0..s_n), read at the left node, the cubic
-    midpoint (twice) and the right node of each step, so a sampled coefficient
-    keeps fourth-order accuracy; ``None`` passes c = None (autonomous flow).
-    ``post(y, m)`` maps the raw update of step m to the state carried on: the
-    reprojection onto the constraint set, and any blow-up check.
-    """
-    h, n = grid.h, grid.n
-    if coeff is None:
-        node = mid = [None] * (n + 1)
-    else:
-        node, mid = coeff, _midpoints(coeff)
-    path = np.empty((n + 1,) + y0.shape, dtype=complex)
-    path[0] = y = y0
-    for m in range(n):
-        k1 = rhs(y, node[m])
-        k2 = rhs(y + 0.5 * h * k1, mid[m])
-        k3 = rhs(y + 0.5 * h * k2, mid[m])
-        k4 = rhs(y + h * k3, node[m + 1])
-        y = path[m + 1] = post(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), m)
-    return path
+def _rk4_step(rhs, y: np.ndarray, h: float, c0, cm, c1) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y, c(s)), the package's one RK4
+    formula: c0, cm, c1 are c at the left node, the midpoint (read twice; the
+    cubic ``_midpoints`` keep a sampled c fourth order) and the right node.
+    State and coefficients broadcast, so one call can take a batch of steps."""
+    k1 = rhs(y, c0)
+    k2 = rhs(y + 0.5 * h * k1, cm)
+    k3 = rhs(y + 0.5 * h * k2, cm)
+    k4 = rhs(y + h * k3, c1)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def l2_metric(u: TangentVector, v: TangentVector) -> float:

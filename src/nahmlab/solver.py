@@ -4,8 +4,9 @@ identification.  The Lax pair (``LaxPair``, ``lax_extract``) lives in
 ``moment``; the names here are the same objects.
 
 All initial-value work is done in the T0 = 0 gauge, where the system reads
-T1' = [T2, T3] (and cyclic); it and the baby flow are stepped by the RK4
-stepper of ``paths`` with a projection onto the algebra after every step.
+T1' = [T2, T3] (and cyclic), stepped by the RK4 formula of ``paths`` with a
+projection onto the algebra after every step; the baby flow is a conjugation
+by the trivializing gauge of ``gauge``, with no stepping of its own.
 The half-line problem fixes the whole state at a truncation length L to the
 first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
 solution: since S(u) = -T(L - u) solves Nahm whenever T does, one forward
@@ -21,10 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coeffs, su2_basis, su2_embed
+from .algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
+from .gauge import trivialize
 from .io import to_pairs
 from .moment import LaxPair, lax_extract, mu_nahm
-from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_path
+from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_step
 
 __all__ = [
     "NahmBlowUpError",
@@ -90,31 +92,31 @@ def integrate_nahm(
     bound = min(float(blowup_bound), 1e150)
     cheap_bound = bound * bound * (1.0 - 1e-12) if bound > 1e-150 else 0.0
 
-    def post(y, m):
-        y = algebra.project(y)
-        if not np.vdot(y, y).real <= cheap_bound:
-            norms = np.linalg.norm(y, axis=(-2, -1))
-            if not np.all(norms <= blowup_bound):
-                norm = float(np.max(norms)) if np.all(np.isfinite(norms)) else np.inf
-                raise NahmBlowUpError(grid.s0 + (m + 1) * grid.h, norm)
-        return y
-
+    h, traj = grid.h, np.empty((grid.n + 1,) + Y0.shape, dtype=complex)
+    traj[0] = y = Y0
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _rk4_path(_nahm_rhs, Y0, grid, post)
+        for m in range(grid.n):
+            y = traj[m + 1] = algebra.project(_rk4_step(_nahm_rhs, y, h, None, None, None))
+            if not np.vdot(y, y).real <= cheap_bound:
+                norms = np.linalg.norm(y, axis=(-2, -1))
+                if not np.all(norms <= blowup_bound):
+                    norm = float(np.max(norms)) if np.all(np.isfinite(norms)) else np.inf
+                    raise NahmBlowUpError(grid.s0 + (m + 1) * h, norm)
     zero = np.zeros_like(traj[:, 0])
     return NahmData.from_arrays(algebra, grid, zero, traj[:, 0], traj[:, 1], traj[:, 2])
 
 
 def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
-    """RK4 for the Lax equation T1' = [T1, T0(s)]; returns the (T0, T1) paths.
+    """The Lax flow T1' = [T1, T0(s)] from T1(s0); returns the (T0, T1) paths.
 
-    T0 is sampled on the grid; midpoint values use cubic interpolation so the
-    integrator keeps its fourth-order accuracy (the flow is isospectral).
-    """
+    T1 is covariantly constant, T1(s) = g(s)^-1 T1(s0) g(s) for g' = g T0
+    (``gauge.trivialize``): isospectral to rounding, fourth order as g is."""
     su = AlgebraSpec("su", T0.dim)
-    y0 = np.asarray(T1_init, dtype=complex)
-    T1 = _rk4_path(lambda y, c: y @ c - c @ y, y0, T0.grid, lambda y, m: su.project(y), T0.values)
-    return T0, AlgebraPath(T0.grid, T1)
+    X = np.asarray(T1_init, dtype=complex)
+    if X.shape != (T0.dim, T0.dim) or not su.is_member(X, tol=1e-8):
+        raise InputError(f"initial T1 is not an element of su({T0.dim})")
+    g = trivialize(T0).values
+    return T0, AlgebraPath(T0.grid, su.project(dagger(g) @ X @ g))
 
 
 def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> NahmData:

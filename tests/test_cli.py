@@ -214,6 +214,8 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         ("check", {"n": 50, "samples": -3}),
         # a negative sample count is no count, even beside explicit points
         ("vergne", {"points": [[1.0, 0.0, 0.0, 0.0]], "samples": -5}),
+        # a negative perturbation is no perturbation size
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "perturbation": -0.5}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
@@ -349,9 +351,23 @@ def test_seed_override(tmp_path):
     assert (out1 / "vergne.json").read_bytes() == (out2 / "vergne.json").read_bytes()
 
 
+def test_check_seed_flag_overrides_the_config_seed(tmp_path):
+    # --seed N gives the bytes of a run whose config seed is N
+    base = {"n": 50, "samples": 1}
+    code, flagged = run(tmp_path, "check", {**base, "seed": 0}, name="a.json", seed=5)
+    assert code == 0
+    report = (flagged / "check.json").read_bytes()
+    assert json.loads(report)["seed"] == 5
+    (flagged / "check.json").unlink()
+    code, configured = run(tmp_path, "check", {**base, "seed": 5}, name="b.json")
+    assert code == 0
+    assert (configured / "check.json").read_bytes() == report
+
+
 def test_import_loads_no_sparse_or_optimize():
     # a fresh start pays only for what every command uses
-    probe = "import sys, nahmlab; print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+    probe = ("import sys, nahmlab; "
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

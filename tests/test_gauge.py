@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, expm, polar_decompose, su2_basis, su_basis, su_coords
+from nahmlab.algebra import AlgebraSpec, InputError, expm, polar_decompose, su2_basis, su_basis, su_coords
 from nahmlab.gauge import (
     GroupPath,
     LevelSetError,
@@ -223,6 +223,14 @@ def test_complex_trivialize_level_gate_is_baby_map():
     complex_trivialize(T0, T1, level_tol=r)
     with pytest.raises(LevelSetError):
         complex_trivialize(T0, T1, level_tol=np.nextafter(r, 0))
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6])
+def test_complex_trivialize_rejects_bad_level_tol(tol):
+    # a NaN tolerance would otherwise pass any pair: every comparison with it is false
+    g = Grid(0.0, 1.0, 50)
+    with pytest.raises(InputError, match="level-set tolerance > 0"):
+        complex_trivialize(const_path(g, E1), const_path(g, E2), level_tol=tol)
 
 
 def test_complex_trivialize_rejects_off_level_set(rng):

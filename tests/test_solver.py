@@ -68,6 +68,20 @@ def test_integrate_baby_isospectral(rng):
     assert drift <= 1e-8 * scale
 
 
+@pytest.mark.parametrize(
+    "start",
+    [
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),  # Hermitian, not skew
+        1j * np.eye(2),  # skew but not traceless
+        np.zeros((3, 3), dtype=complex),  # in su(3), not su(2)
+    ],
+)
+def test_integrate_baby_rejects_a_start_outside_su_k(start):
+    g = Grid(0.0, 1.0, 20)
+    with pytest.raises(InputError, match="not an element of su"):
+        integrate_baby(start, const_path(g, Z2))
+
+
 def test_integrate_nahm_commuting_constants(rng):
     g = Grid(0.0, 1.0, 200)
     X = SU2.random_element(rng)
@@ -553,26 +567,42 @@ def test_integrate_nahm_nil_start_bytes_match_reference(k):
     assert d.stack()[1:].swapaxes(0, 1).tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("k", [2, 4])
+def ref_right_trivialize(C, h, unitary):
+    """g' = g C, interval by interval: the RK4 step from the identity is the
+    propagator P_m, g_(m+1) = g_m P_m, and a real gauge takes the unitary
+    polar factor of each node past the first."""
+    eye = np.eye(C.shape[-1], dtype=complex)
+    mid = ref_midpoints(C)
+    g = [eye]
+    for m in range(len(C) - 1):
+        k1 = eye @ C[m]
+        k2 = (eye + 0.5 * h * k1) @ mid[m]
+        k3 = (eye + 0.5 * h * k2) @ mid[m]
+        k4 = (eye + h * k3) @ C[m + 1]
+        g.append(g[-1] @ (eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+    if unitary:
+        for m in range(1, len(g)):
+            w, _, vh = np.linalg.svd(g[m])
+            g[m] = w @ vh
+    return np.array(g)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_right_and_baby_flows_bitwise_match_reference(k):
+    # the linear flows are the batched construction of ref_right_trivialize,
+    # and the baby flow is the conjugation T1(s) = g(s)^-1 T1(s0) g(s)
     spec = AlgebraSpec("su", k)
     rng = np.random.default_rng(10 + k)
     g = Grid(0.0, 1.0, 600)
     T0 = random_smooth_path(spec, g, rng, modes=1, scale=0.4)
     X = spec.random_element(rng)
+    ref_g = ref_right_trivialize(T0.values, g.h, unitary=True)
+    assert np.array_equal(trivialize(T0).values, ref_g)
     _, T1 = integrate_baby(X, T0)
-    ref = ref_rk4(lambda y, c: ref_bracket(y, c), X, g.h, g.n, lambda y: ref_skew_project(y, k), T0.values)
+    ref = ref_skew_project(np.conj(np.swapaxes(ref_g, -1, -2)) @ X @ ref_g, k)
     assert np.array_equal(T1.values, ref)
-
-    def unitarize(M):
-        w, _, vh = np.linalg.svd(M)
-        return w @ vh
-
-    eye = np.eye(k, dtype=complex)
-    ref = ref_rk4(lambda y, c: y @ c, eye, g.h, g.n, unitarize, T0.values)
-    assert np.array_equal(trivialize(T0).values, ref)
     Tc = T0.values + 1j * T1.values
-    ref = ref_rk4(lambda y, c: y @ c, eye, g.h, g.n, lambda y: y, Tc)
+    ref = ref_right_trivialize(Tc, g.h, unitary=False)
     assert np.array_equal(complex_trivialize_direct(T0, T1).values, ref)
 
 
