@@ -98,7 +98,8 @@ class AlgebraSpec:
             raise InputError(f"unknown family {self.family!r}")
         if self.dim < 2:
             raise InputError("dim must be >= 2")
-        object.__setattr__(self, "_eye", np.eye(self.dim))  # for project; never written
+        for name, c in (("_half", 0.5), ("_dim", self.dim), ("_eye", np.eye(self.dim))):  # for project
+            object.__setattr__(self, name, np.array(c, dtype=complex))
 
     def member_defect(self, X: np.ndarray) -> float:
         """Distance-like defect of X from the algebra (0 for members)."""
@@ -116,12 +117,12 @@ class AlgebraSpec:
     def project(self, X: np.ndarray) -> np.ndarray:
         """Nearest traceless skew-Hermitian matrix, batched."""
         X = np.asarray(X, dtype=complex)
-        X = 0.5 * (X - X.conj().swapaxes(-1, -2))
+        X = self._half * (X - X.conj().swapaxes(-1, -2))
         tr = X.trace(axis1=-2, axis2=-1)
-        # the scaled identity comes off every entry: a diagonal-only update
-        # would sign some off-diagonal zeros differently, and so change the
-        # bytes of every trajectory
-        return X - (tr / self.dim)[..., None, None] * self._eye
+        # the constants are complex, as numpy would convert them per call; the
+        # scaled identity comes off every entry: a diagonal-only update would
+        # sign some off-diagonal zeros differently, changing every trajectory
+        return X - (tr / self._dim)[..., None, None] * self._eye
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         Z = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))

@@ -22,6 +22,7 @@ from .paths import (
     AlgebraPath,
     NahmData,
     _midpoints,
+    _rk4_scalars,
     _rk4_step,
     _shared_grid,
     path_derivative,
@@ -95,7 +96,7 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:
     intervals gives every P_m, their running product gives g, and a real gauge
     takes the unitary polar factor of nodes 1..n once."""
     c, eye = C.values, np.eye(C.dim, dtype=complex)
-    g = np.concatenate([eye[None], _rk4_step(np.matmul, eye, C.grid.h, c[:-1], _midpoints(c), c[1:])])
+    g = np.concatenate([eye[None], _rk4_step(np.matmul, eye, _rk4_scalars(C.grid.h), c[:-1], _midpoints(c), c[1:])])
     for m in range(1, C.grid.n):
         g[m + 1] = g[m] @ g[m + 1]
     if unitary:

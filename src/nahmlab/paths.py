@@ -15,9 +15,9 @@ Two difference operators are used:
                              rely on.
 
 ``_rk4_step`` is the package's one RK4 formula.  The Nahm flow calls it once
-per step in its own loop (``solver.integrate_nahm``); the linear flows of
-``gauge`` call it once in all, batched over the intervals, to get every
-step's propagator.
+per step in its own loop over a batch of states (``solver._nahm_flow``); the
+linear flows of ``gauge`` call it once in all, batched over the intervals,
+to get every step's propagator.
 """
 
 from __future__ import annotations
@@ -223,16 +223,22 @@ def _midpoints(v: np.ndarray) -> np.ndarray:
     return mid
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float, c0, cm, c1) -> np.ndarray:
+def _rk4_scalars(h: float) -> tuple:
+    """h/2, h, h/6, 2 as 0-d complex arrays (as numpy converts them per product)."""
+    return tuple(np.array(c, dtype=complex) for c in (0.5 * h, h, h / 6.0, 2.0))
+
+
+def _rk4_step(rhs, y: np.ndarray, scalars: tuple, c0, cm, c1) -> np.ndarray:
     """One classical RK4 step of y' = rhs(y, c(s)), the package's one RK4
-    formula: c0, cm, c1 are c at the left node, the midpoint (read twice; the
-    cubic ``_midpoints`` keep a sampled c fourth order) and the right node.
-    State and coefficients broadcast, so one call can take a batch of steps."""
+    formula, with ``_rk4_scalars(h)``: c0, cm, c1 are c at the left node, the
+    midpoint (read twice; cubic ``_midpoints`` keep a sampled c fourth order)
+    and the right node.  State and coefficients broadcast to batch steps."""
+    half, h, sixth, two = scalars
     k1 = rhs(y, c0)
-    k2 = rhs(y + 0.5 * h * k1, cm)
-    k3 = rhs(y + 0.5 * h * k2, cm)
+    k2 = rhs(y + half * k1, cm)
+    k3 = rhs(y + half * k2, cm)
     k4 = rhs(y + h * k3, c1)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
 def l2_metric(u: TangentVector, v: TangentVector) -> float:

@@ -10,8 +10,8 @@ by the trivializing gauge of ``gauge``, with no stepping of its own.
 The half-line problem fixes the whole state at a truncation length L to the
 first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
 solution: since S(u) = -T(L - u) solves Nahm whenever T does, one forward
-integration from -model(L) gives T(0), and a forward replay from T(0) gives
-the trajectory on [0, L].
+integration from -model(L), batched with the guess's, gives T(0); unless the
+guess ends at the model, a forward replay from T(0) gives the path on [0, L].
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coef
 from .gauge import trivialize
 from .io import to_pairs
 from .moment import LaxPair, lax_extract, mu_nahm
-from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_step
+from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step
 
 __all__ = [
     "NahmBlowUpError",
@@ -70,6 +70,40 @@ def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:
     return P[..., :3, :, :] - P[..., 3:, :, :]
 
 
+def _member_triple(algebra: AlgebraSpec, mats, what: str) -> np.ndarray:
+    """mats as a (3, k, k) stack; InputError unless three elements of the algebra."""
+    Y = [np.asarray(M, dtype=complex) for M in mats]
+    if len(Y) != 3 or any(M.shape != (algebra.dim, algebra.dim) for M in Y) or not algebra.is_member(Y, tol=1e-8):
+        raise InputError(f"{what} must be three elements of su({algebra.dim})")
+    return np.stack(Y)
+
+
+def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
+    """Projected RK4 steps from states Y0 (B, 3, k, k): the (n+1, B, 3, k, k) path
+    and per member None or (s, max norm or inf) at the first node past the bound,
+    where it is zeroed (a fixed point, so the cheap test holds for the rest)."""
+    if not blowup_bound > 0:
+        raise InputError(f"need a blow-up bound > 0, got {blowup_bound!r}")
+    # a sum of the squared norms below this keeps every norm within the
+    # bound, rounding allowed for; the clamp keeps the square normal and finite
+    bound = min(float(blowup_bound), 1e150)
+    cheap_bound = bound * bound * (1.0 - 1e-12) if bound > 1e-150 else 0.0
+
+    scalars, blowups, traj = _rk4_scalars(grid.h), [None] * len(Y0), np.empty((grid.n + 1,) + Y0.shape, dtype=complex)
+    traj[0] = y = Y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(grid.n):
+            y = traj[m + 1] = algebra.project(_rk4_step(_nahm_rhs, y, scalars, None, None, None))
+            if not np.vdot(y, y).real <= cheap_bound:
+                norms = np.linalg.norm(y, axis=(-2, -1))
+                for b in np.flatnonzero(~np.all(norms <= blowup_bound, axis=-1)):
+                    norm = float(np.max(norms[b])) if np.all(np.isfinite(norms[b])) else np.inf
+                    blowups[b], y[b] = (grid.s0 + (m + 1) * grid.h, norm), 0.0
+                if None not in blowups:
+                    break
+    return traj, blowups
+
+
 def integrate_nahm(
     algebra: AlgebraSpec,
     init: tuple,
@@ -81,29 +115,10 @@ def integrate_nahm(
     The state is projected onto the algebra after every RK4 step; blow-up
     past the norm bound raises NahmBlowUpError.
     """
-    if not blowup_bound > 0:
-        raise InputError(f"need a blow-up bound > 0, got {blowup_bound!r}")
-    Y0 = np.stack([np.asarray(M, dtype=complex) for M in init])
-    if not algebra.is_member(Y0, tol=1e-8):
-        raise InputError("initial matrices are not algebra elements")
-
-    # a sum of the three squared norms below this keeps every norm within the
-    # bound, rounding allowed for; the clamp keeps the square normal and finite
-    bound = min(float(blowup_bound), 1e150)
-    cheap_bound = bound * bound * (1.0 - 1e-12) if bound > 1e-150 else 0.0
-
-    h, traj = grid.h, np.empty((grid.n + 1,) + Y0.shape, dtype=complex)
-    traj[0] = y = Y0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(grid.n):
-            y = traj[m + 1] = algebra.project(_rk4_step(_nahm_rhs, y, h, None, None, None))
-            if not np.vdot(y, y).real <= cheap_bound:
-                norms = np.linalg.norm(y, axis=(-2, -1))
-                if not np.all(norms <= blowup_bound):
-                    norm = float(np.max(norms)) if np.all(np.isfinite(norms)) else np.inf
-                    raise NahmBlowUpError(grid.s0 + (m + 1) * h, norm)
-    zero = np.zeros_like(traj[:, 0])
-    return NahmData.from_arrays(algebra, grid, zero, traj[:, 0], traj[:, 1], traj[:, 2])
+    traj, (blowup,) = _nahm_flow(algebra, _member_triple(algebra, init, "init")[None], grid, blowup_bound)
+    if blowup is not None:
+        raise NahmBlowUpError(*blowup)
+    return _gauge_zero(algebra, grid, *traj[:, 0].swapaxes(0, 1))
 
 
 def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
@@ -119,11 +134,14 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
     return T0, AlgebraPath(T0.grid, su.project(dagger(g) @ X @ g))
 
 
+def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T1, T2, T3) -> NahmData:
+    """NahmData with T0 = 0 and the node arrays T1, T2, T3."""
+    return NahmData.from_arrays(algebra, grid, np.zeros_like(T1, dtype=complex), T1, T2, T3)
+
+
 def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> NahmData:
     """T0 = 0 and T_i(s) = f_i(s) triple_i, for node-sampled profiles f_i."""
-    zero = np.zeros((grid.n + 1, algebra.dim, algebra.dim), dtype=complex)
-    comps = [f[:, None, None] * np.asarray(e)[None] for f, e in zip(profiles, triple)]
-    return NahmData.from_arrays(algebra, grid, zero, *comps)
+    return _gauge_zero(algebra, grid, *(f[:, None, None] * np.asarray(e)[None] for f, e in zip(profiles, triple)))
 
 
 def nil_solution(algebra: AlgebraSpec, grid: Grid, sigma: Optional[Su2Triple] = None, offset: float = 1.0) -> NahmData:
@@ -213,9 +231,9 @@ def halfline_solve(
     """The Nahm solution on [0, L] whose state at s = L is the asymptotic model.
 
     Fixing the full state at L is a terminal-value problem with exactly one
-    solution.  A guess whose forward flow already ends within ``tol`` of the
-    model is kept (``iterations`` 0); otherwise the solution is integrated
-    backward from the model and its T(0) replayed forward (``iterations`` 1).
+    solution.  The guess (three elements of su(k)) and -model(L) flow as one
+    batch; a guess ending within ``tol`` of the model is kept (``iterations``
+    0), else the backward solve's T(0) is replayed forward (``iterations`` 1).
     ``converged`` means the reported trajectory ends within 10 tol of the
     model; a blow-up before L gives ``data=None``.
     """
@@ -226,25 +244,21 @@ def halfline_solve(
     L = float(target.L)
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
     algebra = AlgebraSpec("su", target.dim)
-    model = asymptotic_model(target, L)
-
-    def flow(init):
-        d = integrate_nahm(algebra, tuple(init), grid, blowup_bound)
-        return d, np.stack([c.values[-1] for c in (d.T1, d.T2, d.T3)])
+    model = _member_triple(algebra, asymptotic_model(target, L), "the model at L")
+    guess = algebra.project(_member_triple(algebra, init_guess, "init_guess"))
 
     def gap(term):
         return float(np.max(np.linalg.norm(term - model, axis=(-2, -1))))
 
-    iterations, data = 0, None
-    with suppress(NahmBlowUpError):
-        data, term = flow(algebra.project(np.stack([np.asarray(M, dtype=complex) for M in init_guess])))
-    if data is None or gap(term) > tol:
-        # S(u) = -T(L - u) solves Nahm whenever T does, so the solution
-        # through model(L) has T(0) = -S(L) for the S starting at -model(L)
-        iterations, data = 1, None
+    # S(u) = -T(L - u) solves Nahm whenever T does, so the solution through
+    # model(L) has T(0) = -S(L) for the S starting at -model(L)
+    traj, (guess_blowup, back_blowup) = _nahm_flow(algebra, np.stack([guess, -model]), grid, blowup_bound)
+    kept = guess_blowup is None and gap(traj[-1, 0]) <= tol
+    iterations, data = int(not kept), _gauge_zero(algebra, grid, *traj[:, 0].swapaxes(0, 1)) if kept else None
+    if not kept and back_blowup is None:
         with suppress(NahmBlowUpError):
-            data, term = flow(-flow(-model)[1])
-    deviation = np.inf if data is None else gap(term)
+            data = integrate_nahm(algebra, tuple(-traj[-1, 1]), grid, blowup_bound)
+    deviation = np.inf if data is None else gap(np.stack([c.values[-1] for c in data.components[1:]]))
     converged = data is not None and deviation <= 10.0 * tol
     msg = "converged" if converged else "did not reach terminal tolerance"
     if data is None:

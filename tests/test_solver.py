@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, su2_basis, su2_embed
+from nahmlab import solver
 from nahmlab.moment import mu_nahm
 from nahmlab.gauge import complex_trivialize_direct, trivialize
-from nahmlab.paths import AlgebraPath, Grid, NahmData, random_smooth_path, sup_norm
+from nahmlab.paths import AlgebraPath, Grid, NahmData, _rk4_scalars, _rk4_step, random_smooth_path, sup_norm
 from nahmlab.solver import (
     BoundaryTarget,
     NahmBlowUpError,
@@ -523,17 +524,15 @@ def ref_nahm_rhs(Y, _):
     return np.stack([ref_bracket(T2, T3), ref_bracket(T3, T1), ref_bracket(T1, T2)], axis=-3)
 
 
-def ref_rk4(rhs, y0, h, n, post, coeff=None):
-    """All n + 1 states of RK4 on y' = rhs(y, c(s))."""
+def ref_rk4(rhs, y0, h, n, post):
+    """All n + 1 states of RK4 on the autonomous y' = rhs(y)."""
     ys = [np.array(y0, dtype=complex)]
-    mid = None if coeff is None else ref_midpoints(coeff)
     cur = ys[0]
-    for m in range(n):
-        c0, cm, c1 = (None, None, None) if coeff is None else (coeff[m], mid[m], coeff[m + 1])
-        k1 = rhs(cur, c0)
-        k2 = rhs(cur + 0.5 * h * k1, cm)
-        k3 = rhs(cur + 0.5 * h * k2, cm)
-        k4 = rhs(cur + h * k3, c1)
+    for _ in range(n):
+        k1 = rhs(cur, None)
+        k2 = rhs(cur + 0.5 * h * k1, None)
+        k3 = rhs(cur + 0.5 * h * k2, None)
+        k4 = rhs(cur + h * k3, None)
         cur = post(cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         ys.append(cur)
     return np.array(ys)
@@ -616,3 +615,166 @@ def test_char_poly_exact_oracles():
     # diagonal: (eta - 1)(eta - 2)(eta - 3) and (eta - i)(eta + 2)
     assert np.array_equal(char_poly(np.diag([1.0, 2.0, 3.0])), [1.0, -6.0, 11.0, -6.0])
     assert np.array_equal(char_poly(np.diag([1j, -2.0])), [1.0, 2.0 - 1j, -2j])
+
+
+# Malformed triples: not three k x k matrices, or not in su(k).  Both entry
+# points must refuse them; a (1, 3, k, k) batch is never read as one state.
+MALFORMED = {
+    "two": lambda e: e[:2],
+    "four": lambda e: e + e[:1],
+    "batch_of_one": lambda e: np.stack(e)[None],
+    "wrong_size": lambda e: tuple(np.zeros((3, 3), dtype=complex) for _ in e),
+    "ragged": lambda e: e[:2] + (np.zeros((3, 3), dtype=complex),),
+    "not_in_su": lambda e: tuple(np.ones((2, 2)) for _ in e),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_integrate_nahm_and_halfline_reject_malformed_triples(case):
+    bad = MALFORMED[case](tuple(su2_embed(SU2)))
+    with pytest.raises(InputError, match="init must be three elements of su"):
+        integrate_nahm(SU2, bad, Grid(0.0, 1.0, 10))
+    target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=2.0)
+    with pytest.raises(InputError, match="init_guess must be three elements of su"):
+        halfline_solve(target, bad)
+
+
+def test_halfline_rejects_a_model_outside_su_k():
+    # sigma is only checked to commute with the tau_i; a Hermitian sigma puts
+    # the model at L outside su(2)
+    sigma = Su2Triple(*(1j * np.asarray(e) for e in su2_embed(SU2)))
+    target = BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=2.0)
+    with pytest.raises(InputError, match="model at L must be"):
+        halfline_solve(target, tuple(su2_embed(SU2)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_prepared_constants_are_bitwise_safe(k):
+    # project's and the RK4 step's 0-d complex constants against Python
+    # floats and ints, on states full of signed zeros
+    spec = AlgebraSpec("su", k)
+    rng = np.random.default_rng(40 + k)
+    X = rng.standard_normal((40, 3, k, k)) + 1j * rng.standard_normal((40, 3, k, k))
+    for part in (X.real, X.imag):
+        mask = rng.random(X.shape) < 0.4
+        part[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
+    nil = np.stack(su2_embed(spec))
+    X = np.concatenate([X, nil[None], -nil[None], 0.0 * X[:1], -0.0 * X[:1]])
+    assert spec.project(X).tobytes() == ref_skew_project(X, k).tobytes()
+    h = 0.037
+    for Y in (X, spec.project(X)):
+        k1 = ref_nahm_rhs(Y, None)
+        k2 = ref_nahm_rhs(Y + 0.5 * h * k1, None)
+        k3 = ref_nahm_rhs(Y + 0.5 * h * k2, None)
+        k4 = ref_nahm_rhs(Y + h * k3, None)
+        want = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert _rk4_step(ref_nahm_rhs, Y, _rk4_scalars(h), None, None, None).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_nahm_batch_members_match_their_single_runs(k):
+    # a random start, the pole -2 sigma / (1 - 2 s) (blow-up at s = 1/2) and
+    # the nil solution, stepped as one batch
+    spec = AlgebraSpec("su", k)
+    rng = np.random.default_rng(50 + k)
+    nil = np.stack(su2_embed(spec))
+    starts = [np.stack([spec.random_element(rng, 0.5 / k) for _ in range(3)]), -2.0 * nil, nil]
+    g = Grid(0.0, 1.0, 400)
+    traj, blowups = solver._nahm_flow(spec, np.stack(starts), g, 1e6)
+    assert traj.shape == (g.n + 1, 3, 3, k, k)
+    for b, start in enumerate(starts):
+        try:
+            single = integrate_nahm(spec, tuple(start), g).stack()[1:].swapaxes(0, 1)
+        except NahmBlowUpError as exc:
+            assert b == 1
+            assert blowups[b] == (exc.s, exc.norm)
+            node = int(round(exc.s / g.h))
+            ref = ref_rk4(ref_nahm_rhs, start, g.h, node, lambda y: ref_skew_project(y, k))
+            assert traj[: node + 1, b].tobytes() == ref.tobytes()
+        else:
+            assert blowups[b] is None
+            assert traj[:, b].tobytes() == single.tobytes()
+
+
+def test_nahm_batch_stops_when_every_member_blew_up():
+    # poles at s = 1/2 and s = 1/4: each member's record is its single run's
+    g = Grid(0.0, 1.0, 1000)
+    starts = [-2.0 * np.stack(su2_embed(SU2)), -4.0 * np.stack(su2_embed(SU2))]
+    _, blowups = solver._nahm_flow(SU2, np.stack(starts), g, 1e6)
+    for start, blowup in zip(starts, blowups):
+        with pytest.raises(NahmBlowUpError) as info:
+            integrate_nahm(SU2, tuple(start), g)
+        assert blowup == (info.value.s, info.value.norm)
+
+
+def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
+    """The half-line solve as three separate flows: the guess forward, the
+    model backward, and the replay of the backward T(0)."""
+    L = float(target.L)
+    grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
+    spec = AlgebraSpec("su", target.dim)
+    model = asymptotic_model(target, L)
+
+    def flow(init):
+        d = integrate_nahm(spec, tuple(init), grid, bound)
+        return d, d.stack()[1:, -1]
+
+    def gap(term):
+        return float(np.max(np.linalg.norm(term - model, axis=(-2, -1))))
+
+    iterations, data = 0, None
+    try:
+        data, term = flow(spec.project(np.stack(guess)))
+    except NahmBlowUpError:
+        pass
+    if data is None or gap(term) > tol:
+        iterations, data = 1, None
+        try:
+            data, term = flow(-flow(-model)[1])
+        except NahmBlowUpError:
+            pass
+    return data, iterations, np.inf if data is None else gap(term)
+
+
+def coth_seed(a=1.5):
+    return (-a / np.tanh(a) * E1, a / np.sinh(a) * E2, -a / np.sinh(a) * E3)
+
+
+def halfline_cases():
+    rng = np.random.default_rng(60)
+    coth = BoundaryTarget(-1.5 * E1, Z2, Z2, sigma=None, L=10.0)
+    spec3 = AlgebraSpec("su", 3)
+    nil3 = BoundaryTarget(*(np.zeros((3, 3), dtype=complex),) * 3, sigma=su2_embed(spec3), L=10.0)
+    nil2 = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
+    scaled = Su2Triple(*(3.0 * np.asarray(e) for e in su2_embed(SU2)))
+    return {
+        # (target, guess, sequential flow loops): the kept guess makes one
+        "coth_exact_kept": (coth, coth_seed(), 1),
+        "coth_perturbed": (coth, tuple(m + 0.01 * SU2.random_element(rng) for m in coth_seed()), 2),
+        "nil_su3_perturbed": (nil3, tuple(e + 0.01 * spec3.random_element(rng) for e in su2_embed(spec3)), 2),
+        # the guess -2 sigma blows up at s = 1/2, the backward solve does not
+        "guess_blows_up": (nil2, tuple(-2.0 * np.asarray(e) for e in su2_embed(SU2)), 2),
+        # the backward solve blows up, so there is nothing to replay
+        "backward_blows_up": (BoundaryTarget(Z2, Z2, Z2, sigma=scaled, L=10.0), tuple(scaled), 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(halfline_cases()))
+def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
+    target, guess, loops = halfline_cases()[case]
+    flow, calls = solver._nahm_flow, []
+
+    def counted(*args):
+        calls.append(len(args[1]))  # the batch size of each loop
+        return flow(*args)
+
+    monkeypatch.setattr(solver, "_nahm_flow", counted)
+    res = halfline_solve(target, guess)
+    monkeypatch.undo()
+    data, iterations, deviation = ref_halfline(target, guess)
+    assert (res.iterations, res.terminal_deviation) == (iterations, deviation)
+    assert (res.data is None) == (data is None)
+    if data is not None:
+        assert res.data.stack().tobytes() == data.stack().tobytes()
+    # the guess and the backward solve share the first loop
+    assert calls == [2, 1][:loops]
