@@ -84,10 +84,9 @@ def act(g: GroupPath, d: NahmData) -> NahmData:
     _shared_grid(g, d)
     gv = g.values
     ginv = np.linalg.inv(gv)
-    dg = path_derivative(gv, d.grid.h)
-    T0 = gv @ d.T0.values @ ginv - dg @ ginv
-    rest = [gv @ c.values @ ginv for c in (d.T1, d.T2, d.T3)]
-    return NahmData.from_arrays(d.algebra, d.grid, T0, *rest)
+    out = gv @ d.values @ ginv
+    out[0] -= path_derivative(gv, d.grid.h) @ ginv
+    return NahmData._own(d.grid, out)
 
 
 def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:

@@ -71,8 +71,9 @@ def _grid_from_json(data: dict) -> Grid:
 
 
 def _nodes_to_json(values: np.ndarray) -> np.ndarray:
-    """One flat row-major matrix per node, as a float array of [re, im] pairs."""
-    return to_pairs(values.reshape(len(values), -1))
+    """One flat row-major matrix per node (per component of a stack), as a
+    float array of [re, im] pairs."""
+    return to_pairs(values.reshape(values.shape[:-2] + (-1,)))
 
 
 def _nodes_from_json(data, grid: Grid, k: int) -> np.ndarray:
@@ -83,7 +84,7 @@ def _nodes_from_json(data, grid: Grid, k: int) -> np.ndarray:
 
 
 def nahm_to_json(d: NahmData) -> dict:
-    nodes = {name: _nodes_to_json(comp.values) for name, comp in zip(("T0", "T1", "T2", "T3"), d.components)}
+    nodes = dict(zip(("T0", "T1", "T2", "T3"), _nodes_to_json(d.values)))
     return {"algebra": {"family": d.algebra.family, "dim": d.algebra.dim}, "grid": _grid_to_json(d.grid), **nodes}
 
 
@@ -121,7 +122,7 @@ def nahm_to_csv(d: NahmData, path) -> None:
     """Columns s, then the re/im parts of each component's row-major entries."""
     k = d.algebra.dim
     names = [f"{name}_{a}{b}" for name in ("T0", "T1", "T2", "T3") for a in range(k) for b in range(k)]
-    write_csv(d.grid, names, np.moveaxis(d.stack(), 0, 1).reshape(d.grid.n + 1, -1), path)
+    write_csv(d.grid, names, np.moveaxis(d.values, 0, 1).reshape(d.grid.n + 1, -1), path)
 
 
 def residual_to_csv(grid: Grid, norms: np.ndarray, path) -> None:

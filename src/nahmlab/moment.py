@@ -16,6 +16,7 @@ from .paths import (
     Grid,
     NahmData,
     TangentVector,
+    _component,
     _shared_grid,
     complex_structure,
     l2_norm,
@@ -45,16 +46,17 @@ __all__ = [
 ]
 
 
-@dataclass
-class MomentResidual:
-    mu1: AlgebraPath
-    mu2: AlgebraPath
-    mu3: AlgebraPath
-    sup_norms: tuple
+@dataclass(frozen=True)
+class MomentResidual(AlgebraPath):
+    """The moment maps (mu1, mu2, mu3) as one read-only (3, n+1, k, k) stack,
+    the components views of it."""
+
+    _lead = (3,)
+    mu1, mu2, mu3 = map(_component, range(3))
 
     @property
     def sup(self) -> float:
-        return max(self.sup_norms)
+        return sup_norm(self.values)
 
 
 def mu_baby(T0: AlgebraPath, T1: AlgebraPath) -> AlgebraPath:
@@ -64,21 +66,14 @@ def mu_baby(T0: AlgebraPath, T1: AlgebraPath) -> AlgebraPath:
     return AlgebraPath(T0.grid, v)
 
 
-def _mu_arrays(T: np.ndarray, h: float) -> np.ndarray:
-    """The three Nahm residuals for stacked components T of shape (4,n+1,k,k)."""
-    T0, T1, T2, T3 = T
+def mu_nahm(d: NahmData) -> MomentResidual:
+    """The three moment maps whose common zero set is the Nahm equations."""
+    T0, T1, T2, T3 = d.values
+    h = d.grid.h
     m1 = path_derivative(T1, h) + bracket(T0, T1) - bracket(T2, T3)
     m2 = path_derivative(T2, h) + bracket(T0, T2) - bracket(T3, T1)
     m3 = path_derivative(T3, h) + bracket(T0, T3) - bracket(T1, T2)
-    return np.stack([m1, m2, m3])
-
-
-def mu_nahm(d: NahmData) -> MomentResidual:
-    """The three moment maps whose common zero set is the Nahm equations."""
-    mus = _mu_arrays(d.stack(), d.grid.h)
-    paths = [AlgebraPath(d.grid, m) for m in mus]
-    sups = tuple(sup_norm(m) for m in mus)
-    return MomentResidual(*paths, sups)
+    return MomentResidual._own(d.grid, np.stack([m1, m2, m3]))
 
 
 @dataclass
@@ -92,9 +87,10 @@ class LaxPair:
 
 def lax_extract(d: NahmData) -> LaxPair:
     """alpha = T0 - i T1, beta = T2 + i T3; beta' = [beta, alpha] on solutions."""
-    alpha = d.T0.values - 1j * d.T1.values
-    beta = d.T2.values + 1j * d.T3.values
-    return LaxPair(d.grid, alpha, beta)
+    pair = 1j * d.values[1::2]  # i T1, i T3
+    np.negative(pair[0], out=pair[0])  # T0 - i T1 is -i T1 + T0 bit for bit
+    pair += d.values[::2]
+    return LaxPair(d.grid, *pair)
 
 
 def mu_complex(d: NahmData) -> np.ndarray:
@@ -106,8 +102,8 @@ def mu_complex(d: NahmData) -> np.ndarray:
 def rho_star(d: NahmData, rho: AlgebraPath) -> TangentVector:
     """Vector field induced by the gauge parameter rho, which must vanish at
     both endpoints: the vertical field in t0, [rho, Ti] in the others."""
-    rest = (AlgebraPath(d.grid, bracket(rho.values, c.values)) for c in (d.T1, d.T2, d.T3))
-    return TangentVector(vertical_field(d.T0, rho), *rest)
+    t0 = vertical_field(d.T0, rho).values
+    return TangentVector._own(d.grid, np.concatenate([t0[None], bracket(rho.values, d.values[1:])]))
 
 
 def _omega_baby(u: TangentVector, v: TangentVector) -> float:
@@ -116,8 +112,8 @@ def _omega_baby(u: TangentVector, v: TangentVector) -> float:
 
 
 def _perturbed(d: NahmData, v: TangentVector, eps: float) -> NahmData:
-    comps = [c.values + eps * t.values for c, t in zip(d.components, v.components)]
-    return NahmData.from_arrays(d.algebra, d.grid, *comps)
+    _shared_grid(d, v)
+    return NahmData._own(d.grid, d.values + eps * v.values)
 
 
 def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which, eps: float = 1e-5) -> float:
@@ -126,25 +122,14 @@ def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which, ep
 
     ``which`` is "baby" or a symplectic-structure index 1, 2, 3.
     """
-    star = rho_star(d, rho)
-    if which == "baby":
-        lhs = _omega_baby(star, v)
-
-        def moment(data):
-            return mu_baby(data.T0, data.T1).values
-
-    elif which in (1, 2, 3):
-        lhs = omega(which, star, v)
-        idx = which - 1
-
-        def moment(data):
-            return _mu_arrays(data.stack(), data.grid.h)[idx]
-
-    else:
+    if which not in ("baby", 1, 2, 3):
         raise ValueError("which must be 'baby', 1, 2 or 3")
+    star = rho_star(d, rho)
+    lhs = _omega_baby(star, v) if which == "baby" else omega(which, star, v)
 
     def paired(data):
-        return quadrature(pairing_nodes(moment(data), rho.values), d.grid)
+        mu = mu_baby(data.T0, data.T1).values if which == "baby" else mu_nahm(data).values[which - 1]
+        return quadrature(pairing_nodes(mu, rho.values), d.grid)
 
     rhs = (paired(_perturbed(d, v, eps)) - paired(_perturbed(d, v, -eps))) / (2.0 * eps)
     scale = max(abs(lhs), abs(rhs), l2_norm(star) * l2_norm(v))
@@ -156,8 +141,7 @@ def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which, ep
 def _s1_pairing(u, v) -> float:
     """<u2, v2> + <u3, v3> integrated, for Nahm data or tangent vectors: the
     bilinear form of the S^1 moment map, and its Hessian."""
-    (u2, u3), (v2, v3) = u.components[2:], v.components[2:]
-    return quadrature(pairing_nodes(u2.values, v2.values) + pairing_nodes(u3.values, v3.values), u.grid)
+    return quadrature(pairing_nodes(u.values[2:], v.values[2:]).sum(axis=0), _shared_grid(u, v))
 
 
 def kahler_potential(d: NahmData) -> float:
@@ -188,8 +172,7 @@ def kahler_form_identity_check(
 
 def theta_star(d: NahmData) -> TangentVector:
     """Vector field of the S^1 action fixing I_1: (0, 0, -T3, T2)."""
-    z = np.zeros_like(d.T0.values)
-    return TangentVector.from_arrays(d.grid, z, z, -d.T3.values, d.T2.values)
+    return TangentVector._own(d.grid, np.concatenate([np.zeros_like(d.values[:2]), -d.values[3:], d.values[2:3]]))
 
 
 def s1_moment_identity_check(d: NahmData, v: TangentVector) -> float:

@@ -1,8 +1,11 @@
 """Discretized path spaces: grids, quadrature, the L2 metric, the quaternionic
 complex structures and their symplectic forms, and the SO(3) / S^1 actions.
 
-Paths are sampled on uniform grids and stored as (n+1, k, k) complex arrays.
-Two difference operators are used:
+Paths are sampled on uniform grids and stored as read-only (n+1, k, k)
+complex arrays; a point or tangent vector t0 + t1 i + t2 j + t3 k of the path
+space (``NahmData``, ``TangentVector``) is one (4, n+1, k, k) stack, the
+moment-map triple (``moment.MomentResidual``) one (3, n+1, k, k) stack, their
+components ``AlgebraPath`` views of it.  Two difference operators are used:
 
 * ``path_derivative``      - centered interior, second-order one-sided rows at
                              the endpoints; used for free paths (connections,
@@ -23,6 +26,7 @@ to get every step's propagator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +64,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InputError("grid needs n >= 2 intervals")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise InputError(f"grid needs an integer n >= 2 intervals, got {self.n!r}")
         if not (np.isfinite(self.s0) and np.isfinite(self.s1)):
             raise InputError(f"grid endpoints must be finite, got [{self.s0}, {self.s1}]")
         if not self.s1 > self.s0:
@@ -92,28 +96,51 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlgebraPath:
-    """A discretized map [s0, s1] -> g, node-indexed matrix samples.
-
-    The samples are a read-only copy of the input, so later writes to the
-    caller's array do not show up in the path.
-    """
+    """A discretized map [s0, s1] -> g: node-indexed (n+1, k, k) samples, a
+    read-only copy of the input, so later writes to the caller's array do not
+    show up in the path.  A subclass with a leading component axis ``_lead``
+    holds its component paths as one such stack."""
 
     grid: Grid
     values: np.ndarray
 
+    _lead = ()
+
     def __post_init__(self):
-        values = _read_only(self.values)
-        if values.shape[0] != self.grid.n + 1 or values.ndim != 3:
-            raise ValueError(f"bad path shape {values.shape} for grid n={self.grid.n}")
+        self._hold(self.grid, np.array(self.values, dtype=complex))
+
+    def _hold(self, grid: Grid, values: np.ndarray, k: int | None = None):
+        """Take ``values``, a fresh complex array of shape lead + (n+1, k, k),
+        without a copy and make it read-only; k is checked when given."""
+        want = self._lead + (grid.n + 1,) + (values.shape[-1:] * 2 if k is None else (k, k))
+        if values.shape != want:
+            raise ValueError(f"bad {type(self).__name__} shape {values.shape}, expected {want}")
+        values.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        return self
+
+    @classmethod
+    def _own(cls, grid: Grid, values: np.ndarray, k: int | None = None):
+        """The record of ``values``, a fresh array that no one else holds."""
+        return object.__new__(cls)._hold(grid, values, k)
 
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
 
+    @cached_property
+    def components(self) -> tuple:
+        """The component paths of a stack, views of it; a plain path is its own."""
+        return tuple(AlgebraPath._own(self.grid, v) for v in self.values) if self._lead else (self,)
+
+
+def _component(i: int) -> property:
+    return property(lambda self: self.components[i], doc=f"Component {i}, a view of the stack.")
+
 
 def _shared_grid(*paths) -> Grid:
-    """The grid of paths (or path quadruples) that must share one."""
+    """The grid of paths that must share one."""
     g = paths[0].grid
     for p in paths[1:]:
         if p.grid != g:
@@ -121,62 +148,40 @@ def _shared_grid(*paths) -> Grid:
     return g
 
 
-@dataclass(frozen=True)
-class _PathQuadruple:
-    """Four algebra paths on one shared grid; the subclasses name them."""
+@dataclass(frozen=True, init=False)
+class NahmData(AlgebraPath):
+    """The quadruple (T0, T1, T2, T3) of su(k) paths on one grid, held as one
+    read-only stack of shape (4, n+1, k, k); the components are views of it."""
 
-    def __post_init__(self):
-        _shared_grid(*self.components)
+    _lead = (4,)
+    T0, T1, T2, T3 = map(_component, range(4))
 
-    @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
-
-    def stack(self) -> np.ndarray:
-        """Component-stacked array of shape (4, n+1, k, k)."""
-        return np.stack([c.values for c in self.components])
-
-
-@dataclass(frozen=True)
-class NahmData(_PathQuadruple):
-    """The quadruple (T0, T1, T2, T3) of algebra paths on a shared grid."""
-
-    algebra: AlgebraSpec
-    T0: AlgebraPath
-    T1: AlgebraPath
-    T2: AlgebraPath
-    T3: AlgebraPath
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.T0.dim != self.algebra.dim:
-            raise ValueError("algebra dimension does not match path samples")
+    def __init__(self, algebra: AlgebraSpec, T0: AlgebraPath, T1: AlgebraPath, T2: AlgebraPath, T3: AlgebraPath):
+        self._hold(_shared_grid(T0, T1, T2, T3), np.array([T.values for T in (T0, T1, T2, T3)]), algebra.dim)
 
     @property
-    def components(self):
-        return (self.T0, self.T1, self.T2, self.T3)
+    def algebra(self) -> AlgebraSpec:
+        return AlgebraSpec("su", self.dim)
 
     @classmethod
     def from_arrays(cls, algebra: AlgebraSpec, grid: Grid, T0, T1, T2, T3) -> "NahmData":
-        return cls(algebra, *(AlgebraPath(grid, T) for T in (T0, T1, T2, T3)))
+        return cls._own(grid, np.array((T0, T1, T2, T3), dtype=complex), algebra.dim)
 
 
-@dataclass(frozen=True)
-class TangentVector(_PathQuadruple):
-    """A free tangent vector (t0, t1, t2, t3) to the discretized path space."""
+@dataclass(frozen=True, init=False)
+class TangentVector(AlgebraPath):
+    """A free tangent vector (t0, t1, t2, t3) to the discretized path space:
+    one read-only stack of shape (4, n+1, k, k), the components views of it."""
 
-    t0: AlgebraPath
-    t1: AlgebraPath
-    t2: AlgebraPath
-    t3: AlgebraPath
+    _lead = (4,)
+    t0, t1, t2, t3 = map(_component, range(4))
 
-    @property
-    def components(self):
-        return (self.t0, self.t1, self.t2, self.t3)
+    def __init__(self, t0: AlgebraPath, t1: AlgebraPath, t2: AlgebraPath, t3: AlgebraPath):
+        self._hold(_shared_grid(t0, t1, t2, t3), np.array([t.values for t in (t0, t1, t2, t3)]))
 
     @classmethod
     def from_arrays(cls, grid: Grid, t0, t1, t2, t3) -> "TangentVector":
-        return cls(*(AlgebraPath(grid, t) for t in (t0, t1, t2, t3)))
+        return cls._own(grid, np.array((t0, t1, t2, t3), dtype=complex))
 
 
 def quadrature(f: np.ndarray, grid: Grid) -> float:
@@ -243,11 +248,7 @@ def _rk4_step(rhs, y: np.ndarray, scalars: tuple, c0, cm, c1) -> np.ndarray:
 
 def l2_metric(u: TangentVector, v: TangentVector) -> float:
     """L2 metric: integral of the summed component pairings."""
-    g = _shared_grid(u.t0, v.t0)
-    total = np.zeros(g.n + 1)
-    for uc, vc in zip(u.components, v.components):
-        total += pairing_nodes(uc.values, vc.values)
-    return quadrature(total, g)
+    return quadrature(pairing_nodes(u.values, v.values).sum(axis=0, initial=0.0), _shared_grid(u, v))
 
 
 def l2_norm(u: TangentVector) -> float:
@@ -269,13 +270,14 @@ def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
     return AlgebraPath(T0.grid, v)
 
 
-# Components of right multiplication by the quaternion units i, j, k acting on
-# t0 + t1 i + t2 j + t3 k.  Operators compose in application order:
+# Right multiplication by the quaternion units i, j, k acting on
+# t0 + t1 i + t2 j + t3 k: component m of the result is signs[m] times
+# component source[m].  Operators compose in application order:
 # (v I1) I2 = v I3.
-_STRUCTURE = {
-    1: ((-1, 1), (1, 0), (1, 3), (-1, 2)),
-    2: ((-1, 2), (-1, 3), (1, 0), (1, 1)),
-    3: ((-1, 3), (1, 2), (-1, 1), (1, 0)),
+_STRUCTURE = {  # i: (signs, source)
+    1: ((-1, 1, 1, -1), (1, 0, 3, 2)),
+    2: ((-1, -1, 1, 1), (2, 3, 0, 1)),
+    3: ((-1, 1, -1, 1), (3, 2, 1, 0)),
 }
 
 
@@ -283,9 +285,8 @@ def complex_structure(i: int, v: TangentVector) -> TangentVector:
     """Apply the complex structure I_i (right quaternion multiplication)."""
     if i not in (1, 2, 3):
         raise ValueError("complex structure index must be 1, 2 or 3")
-    comps = [c.values for c in v.components]
-    out = [sign * comps[idx] for sign, idx in _STRUCTURE[i]]
-    return TangentVector.from_arrays(v.grid, *out)
+    signs, source = _STRUCTURE[i]
+    return TangentVector._own(v.grid, np.reshape(signs, (4, 1, 1, 1)) * v.values[list(source)])
 
 
 def omega(i: int, u: TangentVector, v: TangentVector) -> float:
@@ -296,21 +297,21 @@ def omega(i: int, u: TangentVector, v: TangentVector) -> float:
 def so3_rotate(A: np.ndarray, d: NahmData) -> NahmData:
     """Rotate the triple (T1, T2, T3) by A in SO(3); T0 is unchanged."""
     A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3) or np.linalg.norm(A.T @ A - np.eye(3)) > 1e-10:
-        raise ValueError("need an orthogonal 3x3 matrix")
-    if np.linalg.det(A) < 0:
-        raise ValueError("need det A = +1")
-    T = np.stack([d.T1.values, d.T2.values, d.T3.values])
-    R = np.einsum("ij,jnkl->inkl", A, T)
-    return NahmData.from_arrays(d.algebra, d.grid, d.T0.values, R[0], R[1], R[2])
+    if A.shape != (3, 3) or not np.linalg.norm(A.T @ A - np.eye(3)) <= 1e-10:
+        raise InputError("need an orthogonal 3x3 matrix")
+    if not np.linalg.det(A) > 0:
+        raise InputError("need det A = +1")
+    return NahmData._own(d.grid, np.concatenate([d.values[:1], np.einsum("ij,jnkl->inkl", A, d.values[1:])]))
 
 
 def s1_action(theta: float, d: NahmData) -> NahmData:
     """(T2 + i T3) -> e^{i theta} (T2 + i T3); fixes T0, T1."""
-    c, s = np.cos(theta), np.sin(theta)
-    T2 = c * d.T2.values - s * d.T3.values
-    T3 = s * d.T2.values + c * d.T3.values
-    return NahmData.from_arrays(d.algebra, d.grid, d.T0.values, d.T1.values, T2, T3)
+    if not np.isfinite(theta):
+        raise InputError(f"need a finite theta, got {theta!r}")
+    v, c, s = d.values, np.cos(theta), np.sin(theta)
+    sv = s * v[[3, 2]]
+    sv[0] = -sv[0]  # c T2 - s T3 is c T2 + (-s T3) bit for bit
+    return NahmData._own(d.grid, np.concatenate([v[:2], c * v[2:] + sv]))
 
 
 def random_smooth_path(

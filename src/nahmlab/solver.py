@@ -118,7 +118,7 @@ def integrate_nahm(
     traj, (blowup,) = _nahm_flow(algebra, _member_triple(algebra, init, "init")[None], grid, blowup_bound)
     if blowup is not None:
         raise NahmBlowUpError(*blowup)
-    return _gauge_zero(algebra, grid, *traj[:, 0].swapaxes(0, 1))
+    return _gauge_zero(algebra, grid, traj[:, 0].swapaxes(0, 1))
 
 
 def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
@@ -134,14 +134,14 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
     return T0, AlgebraPath(T0.grid, su.project(dagger(g) @ X @ g))
 
 
-def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T1, T2, T3) -> NahmData:
-    """NahmData with T0 = 0 and the node arrays T1, T2, T3."""
-    return NahmData.from_arrays(algebra, grid, np.zeros_like(T1, dtype=complex), T1, T2, T3)
+def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T: np.ndarray) -> NahmData:
+    """NahmData with T0 = 0 and (T1, T2, T3) = T, of shape (3, n+1, k, k)."""
+    return NahmData._own(grid, np.concatenate([np.zeros_like(T[:1]), T]), algebra.dim)
 
 
 def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> NahmData:
     """T0 = 0 and T_i(s) = f_i(s) triple_i, for node-sampled profiles f_i."""
-    return _gauge_zero(algebra, grid, *(f[:, None, None] * np.asarray(e)[None] for f, e in zip(profiles, triple)))
+    return _gauge_zero(algebra, grid, np.asarray(profiles)[:, :, None, None] * np.asarray(triple)[:, None])
 
 
 def nil_solution(algebra: AlgebraSpec, grid: Grid, sigma: Optional[Su2Triple] = None, offset: float = 1.0) -> NahmData:
@@ -254,11 +254,11 @@ def halfline_solve(
     # model(L) has T(0) = -S(L) for the S starting at -model(L)
     traj, (guess_blowup, back_blowup) = _nahm_flow(algebra, np.stack([guess, -model]), grid, blowup_bound)
     kept = guess_blowup is None and gap(traj[-1, 0]) <= tol
-    iterations, data = int(not kept), _gauge_zero(algebra, grid, *traj[:, 0].swapaxes(0, 1)) if kept else None
+    iterations, data = int(not kept), _gauge_zero(algebra, grid, traj[:, 0].swapaxes(0, 1)) if kept else None
     if not kept and back_blowup is None:
         with suppress(NahmBlowUpError):
             data = integrate_nahm(algebra, tuple(-traj[-1, 1]), grid, blowup_bound)
-    deviation = np.inf if data is None else gap(np.stack([c.values[-1] for c in data.components[1:]]))
+    deviation = np.inf if data is None else gap(data.values[1:, -1])
     converged = data is not None and deviation <= 10.0 * tol
     msg = "converged" if converged else "did not reach terminal tolerance"
     if data is None:

@@ -103,12 +103,8 @@ def split(spec: SymmetricPairSpec, X: np.ndarray):
 
 def is_gk_valued(spec: SymmetricPairSpec, d: NahmData) -> float:
     """Max leakage of the constraint T0, T1 in k and T2, T3 in m."""
-    leak = 0.0
-    for c in (d.T0, d.T1):
-        leak = max(leak, sup_norm(split(spec, c.values)[1]))
-    for c in (d.T2, d.T3):
-        leak = max(leak, sup_norm(split(spec, c.values)[0]))
-    return leak
+    k_part, m_part = split(spec, d.values)
+    return sup_norm(np.concatenate([m_part[:2], k_part[2:]]))
 
 
 def gstar_defect(spec: SymmetricPairSpec, Z: np.ndarray) -> float:
@@ -130,7 +126,7 @@ def lax_pairs_13(d: NahmData):
     """Lax pairs for the structures I1 and I3:
     (alpha1, beta1) = (T0 - iT1, T2 + iT3), (alpha3, beta3) = (T0 - iT3, T1 + iT2)."""
     lax1 = lax_extract(d)
-    lax3 = lax_extract(NahmData(d.algebra, d.T0, d.T3, d.T1, d.T2))  # (T1, T2, T3) -> (T3, T1, T2)
+    lax3 = lax_extract(NahmData._own(d.grid, d.values[[0, 3, 1, 2]]))  # (T1, T2, T3) -> (T3, T1, T2)
     return (lax1.alpha, lax1.beta), (lax3.alpha, lax3.beta)
 
 

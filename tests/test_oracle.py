@@ -135,5 +135,5 @@ def test_integrate_nahm_is_fourth_order_against_the_oracle(k):
     errs = []
     for n in (200, 400):
         d = integrate_nahm(spec, tuple(init), Grid(0.0, 1.0, n))
-        errs.append(np.abs(d.stack()[1:].swapaxes(0, 1) - truth[:: 400 // n]).max())
+        errs.append(np.abs(d.values[1:].swapaxes(0, 1) - truth[:: 400 // n]).max())
     assert abs(measured_order(errs) - 4.0) <= 0.1, errs

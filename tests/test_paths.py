@@ -295,3 +295,84 @@ def test_nahm_data_and_tangent_fields_cannot_be_reassigned(rng):
         d.algebra = AlgebraSpec("su", 3)
     with pytest.raises(FrozenInstanceError):
         v.t0 = v.t1
+
+
+def test_grid_rejects_non_integer_n():
+    for n in (10.5, 10.0, "10"):
+        with pytest.raises(InputError):
+            Grid(0.0, 1.0, n)
+    assert Grid(0.0, 1.0, np.int64(4)).nodes.shape == (5,)
+
+
+def test_paths_reject_non_square_and_mixed_matrix_sizes():
+    g = Grid(0.0, 1.0, 4)
+    with pytest.raises(ValueError):
+        AlgebraPath(g, np.zeros((5, 2, 3)))
+    p2, p3 = AlgebraPath(g, np.zeros((5, 2, 2))), AlgebraPath(g, np.zeros((5, 3, 3)))
+    with pytest.raises(ValueError):
+        NahmData(SU2, p2, p3, p2, p2)
+    with pytest.raises(ValueError):
+        NahmData.from_arrays(SU2, g, p2.values, p2.values, p2.values, p3.values)
+    with pytest.raises(ValueError):
+        NahmData(SU2, p3, p3, p3, p3)  # su(2) data must be 2 x 2
+    with pytest.raises(ValueError):
+        TangentVector(p2, p2, p3, p2)
+    with pytest.raises(ValueError):
+        TangentVector.from_arrays(g, p3.values, p2.values, p2.values, p2.values)
+
+
+def test_quadruples_copy_their_input():
+    g = Grid(0.0, 1.0, 4)
+    arrays = [np.zeros((5, 2, 2), dtype=complex) for _ in range(4)]
+    records = (
+        NahmData.from_arrays(SU2, g, *arrays),
+        TangentVector.from_arrays(g, *arrays),
+        TangentVector(*(AlgebraPath(g, a) for a in arrays)),
+    )
+    for a in arrays:
+        a[0] = E1
+    for r in records:
+        assert not r.values.any()
+
+
+def test_quadruples_are_read_only_stacks_with_component_views(rng):
+    g = Grid(0.0, 1.0, 10)
+    d = NahmData(SU2, *(random_smooth_path(SU2, g, rng) for _ in range(4)))
+    v = random_tangent(SU2, g, rng)
+    r = mu_nahm(d)
+    assert (d.values.shape, v.values.shape, r.values.shape) == ((4, 11, 2, 2), (4, 11, 2, 2), (3, 11, 2, 2))
+    assert d.algebra == SU2
+    for values in (d.values, d.T1.values, v.values, v.t0.values, r.values, r.mu1.values):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = E1
+    for whole, part in ((d, d.T1), (d, d.T3), (v, v.t0), (r, r.mu1), (r, r.mu3)):
+        assert np.shares_memory(whole.values, part.values)
+    assert np.array_equal(d.T2.values, d.values[2]) and np.array_equal(r.mu2.values, r.values[1])
+    with pytest.raises(FrozenInstanceError):
+        r.mu1 = r.mu2
+    with pytest.raises(FrozenInstanceError):
+        d.values = v.values
+
+
+def test_read_only_input_made_writable_again_does_not_alias():
+    g = Grid(0.0, 1.0, 4)
+    a = np.zeros((5, 2, 2), dtype=complex)
+    a.flags.writeable = False
+    records = (AlgebraPath(g, a), NahmData.from_arrays(SU2, g, a, a, a, a), TangentVector.from_arrays(g, a, a, a, a))
+    a.flags.writeable = True
+    a[0] = E1
+    for r in records:
+        assert not np.shares_memory(r.values, a) and not r.values.any()
+
+
+def test_so3_rotate_and_s1_action_reject_nan(rng):
+    g = Grid(0.0, 1.0, 10)
+    d = NahmData(SU2, *(random_smooth_path(SU2, g, rng) for _ in range(4)))
+    with pytest.raises(InputError):
+        so3_rotate(np.full((3, 3), np.nan), d)
+    with pytest.raises(InputError):
+        so3_rotate(np.diag([1.0, 1.0, np.nan]), d)
+    for theta in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            s1_action(theta, d)

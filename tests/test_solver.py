@@ -192,7 +192,7 @@ def test_integrate_nahm_near_bound_without_blowup():
     d = integrate_nahm(SU2, POLE, g, blowup_bound=7.1)
     assert np.linalg.norm(d.T1.values[-1]) == 7.071067563081193
     free = integrate_nahm(SU2, POLE, g, blowup_bound=np.inf)
-    assert d.stack().tobytes() == free.stack().tobytes()
+    assert d.values.tobytes() == free.values.tobytes()
 
 
 def test_integrate_nahm_rejects_non_algebra():
@@ -563,7 +563,7 @@ def test_integrate_nahm_nil_start_bytes_match_reference(k):
     g = Grid(0.0, 1.0, 200)
     d = integrate_nahm(spec, tuple(init), g)
     ref = ref_rk4(ref_nahm_rhs, init, g.h, g.n, lambda y: ref_skew_project(y, k))
-    assert d.stack()[1:].swapaxes(0, 1).tobytes() == ref.tobytes()
+    assert d.values[1:].swapaxes(0, 1).tobytes() == ref.tobytes()
 
 
 def ref_right_trivialize(C, h, unitary):
@@ -684,7 +684,7 @@ def test_nahm_batch_members_match_their_single_runs(k):
     assert traj.shape == (g.n + 1, 3, 3, k, k)
     for b, start in enumerate(starts):
         try:
-            single = integrate_nahm(spec, tuple(start), g).stack()[1:].swapaxes(0, 1)
+            single = integrate_nahm(spec, tuple(start), g).values[1:].swapaxes(0, 1)
         except NahmBlowUpError as exc:
             assert b == 1
             assert blowups[b] == (exc.s, exc.norm)
@@ -717,7 +717,7 @@ def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
 
     def flow(init):
         d = integrate_nahm(spec, tuple(init), grid, bound)
-        return d, d.stack()[1:, -1]
+        return d, d.values[1:, -1]
 
     def gap(term):
         return float(np.max(np.linalg.norm(term - model, axis=(-2, -1))))
@@ -775,6 +775,6 @@ def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
     assert (res.iterations, res.terminal_deviation) == (iterations, deviation)
     assert (res.data is None) == (data is None)
     if data is not None:
-        assert res.data.stack().tobytes() == data.stack().tobytes()
+        assert res.data.values.tobytes() == data.values.tobytes()
     # the guess and the backward solve share the first loop
     assert calls == [2, 1][:loops]
