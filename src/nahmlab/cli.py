@@ -2,8 +2,9 @@
 identification, the Vergne demo, and the invariant suite from JSON configs.
 
 Exit codes: 0 pass, 1 check failure, 2 config error (a bad config value, or
-the library's ``InputError`` for one), 3 blow-up, 4 non-convergence.  All
-randomness is seeded; identical config + seed gives byte-identical artifacts.
+the library's ``InputError`` for one), 3 blow-up, 4 non-convergence (or the
+library's ``numpy.linalg.LinAlgError``).  All randomness is seeded; identical
+config + seed gives byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -478,6 +479,9 @@ def main(argv=None) -> int:
     except NahmBlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except np.linalg.LinAlgError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

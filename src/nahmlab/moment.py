@@ -66,14 +66,14 @@ def mu_baby(T0: AlgebraPath, T1: AlgebraPath) -> AlgebraPath:
     return AlgebraPath(T0.grid, v)
 
 
+def _mu(T: np.ndarray, h: float, i: int) -> np.ndarray:
+    """mu_i = T_i' + [T0, T_i] - [T_(i+1), T_(i+2)] of a quadruple's stack, indices 1, 2, 3 cyclic."""
+    return path_derivative(T[i], h) + bracket(T[0], T[i]) - bracket(T[i % 3 + 1], T[(i + 1) % 3 + 1])
+
+
 def mu_nahm(d: NahmData) -> MomentResidual:
     """The three moment maps whose common zero set is the Nahm equations."""
-    T0, T1, T2, T3 = d.values
-    h = d.grid.h
-    m1 = path_derivative(T1, h) + bracket(T0, T1) - bracket(T2, T3)
-    m2 = path_derivative(T2, h) + bracket(T0, T2) - bracket(T3, T1)
-    m3 = path_derivative(T3, h) + bracket(T0, T3) - bracket(T1, T2)
-    return MomentResidual._own(d.grid, np.stack([m1, m2, m3]))
+    return MomentResidual._own(d.grid, np.stack([_mu(d.values, d.grid.h, i) for i in (1, 2, 3)]))
 
 
 @dataclass
@@ -128,7 +128,7 @@ def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which, ep
     lhs = _omega_baby(star, v) if which == "baby" else omega(which, star, v)
 
     def paired(data):
-        mu = mu_baby(data.T0, data.T1).values if which == "baby" else mu_nahm(data).values[which - 1]
+        mu = mu_baby(data.T0, data.T1).values if which == "baby" else _mu(data.values, d.grid.h, which)
         return quadrature(pairing_nodes(mu, rho.values), d.grid)
 
     rhs = (paired(_perturbed(d, v, eps)) - paired(_perturbed(d, v, -eps))) / (2.0 * eps)

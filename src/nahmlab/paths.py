@@ -121,9 +121,11 @@ class AlgebraPath:
         return self
 
     @classmethod
-    def _own(cls, grid: Grid, values: np.ndarray, k: int | None = None):
-        """The record of ``values``, a fresh array that no one else holds."""
-        return object.__new__(cls)._hold(grid, values, k)
+    def _own(cls, grid: Grid, values: np.ndarray, k: int | None = None, **fields):
+        """The record of ``values``, a fresh array no one else holds, and of ``fields``."""
+        rec = object.__new__(cls)
+        rec.__dict__.update(fields)
+        return rec._hold(grid, values, k)
 
     @property
     def dim(self) -> int:

@@ -261,6 +261,17 @@ def test_check_default_passes(tmp_path):
     assert {"hamiltonian_baby", "kahler_form_identity", "conservation_drift", "act_composition"} <= names
 
 
+def test_check_at_the_smallest_grid_keeps_the_exit_code_contract(tmp_path, capsys):
+    # at n = 2 (h = 0.5) the RK4 product of the gauge check is too far from
+    # unitary to correct: no convergence (exit 4), with the finite defect
+    # stated and no traceback
+    code, _ = run(tmp_path, "check", {"n": 2, "samples": 1})
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("no convergence: RK4 gauge off unitary by")
+    assert "Traceback" not in err and "nan" not in err
+
+
 def test_check_sign_flip_fails(tmp_path):
     cfg = {"seed": 0, "n": 200, "samples": 3, "inject_sign_flip": True}
     code, out = run(tmp_path, "check", cfg)

@@ -122,6 +122,40 @@ def test_trivialize_unitarity(rng):
     assert dev <= 1e-8
 
 
+def test_trivialize_polar_correction_on_a_coarse_grid():
+    # h max|eig T0| is about 0.1, well inside RK4's stability region, but 16
+    # steps leave the product off unitary by far more than rounding: the
+    # correction must bring it to rounding and land on the SVD polar factor
+    su3 = AlgebraSpec("su", 3)
+    g = Grid(0.0, 1.0, 16)
+    T0 = random_smooth_path(su3, g, np.random.default_rng(0), modes=2, scale=1.0)
+    assert g.h * np.abs(np.linalg.eigvals(T0.values)).max() < 0.2
+    raw = complex_trivialize_direct(T0, const_path(g, np.zeros((3, 3), dtype=complex))).values
+    assert np.linalg.norm(np.conj(np.swapaxes(raw, -1, -2)) @ raw - np.eye(3), axis=(-2, -1)).max() >= 1e-8
+    gp = trivialize(T0)
+    assert gp.unitarity_defect <= 1e-14
+    w, _, vh = np.linalg.svd(raw)
+    assert np.abs(gp.values - w @ vh).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 400])
+def test_trivialize_past_rk4_stability_raises(n):
+    # h max|eig T0| = 4 is past RK4's stability limit 2 sqrt(2) on the
+    # imaginary axis: the product grows (at n = 400 it overflows), and no
+    # polar factor of it is a solution
+    g = Grid(0.0, 1.0, n)
+    T0 = const_path(g, 8.0 * n * E3)
+    assert g.h * np.abs(np.linalg.eigvals(T0.values[0])).max() == pytest.approx(4.0)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trivialize(T0)
+    assert not isinstance(info.value, InputError)
+    msg = str(info.value)
+    assert "nan" not in msg.lower() and "inf" not in msg.lower()
+    defect = float(msg.split("off unitary by ")[1].split()[0])
+    assert np.isfinite(defect) and defect >= 0.5 and "grid too coarse" in msg
+
+
 def test_trivialize_residual_second_order(rng):
     errs = {}
     for n in (400, 800):
@@ -389,3 +423,19 @@ def test_group_path_is_immutable():
         path.values[0] = 5.0
     with pytest.raises(AttributeError):
         path.values = vals
+
+
+def test_group_path_own_takes_the_array_and_still_checks():
+    # the producers hand over fresh arrays: held without a copy, made
+    # read-only, and checked as the constructor checks a copy
+    g = Grid(0.0, 1.0, 10)
+    vals = np.broadcast_to(2.0 * np.eye(2), (11, 2, 2)).astype(complex)
+    with pytest.raises(ValueError, match="unitary flavor violated"):
+        GroupPath._own(g, vals.copy())
+    with pytest.raises(ValueError, match="unknown flavor"):
+        GroupPath._own(g, vals.copy(), flavor="real")
+    path = GroupPath._own(g, vals, flavor="complex")
+    assert path.values is vals and not vals.flags.writeable and path.flavor == "complex"
+    rng = np.random.default_rng(1)
+    for made in (trivialize(random_smooth_path(SU2, g, rng)), exp_su_path(random_dirichlet_path(SU2, g, rng))):
+        assert made.flavor == "unitary" and not made.values.flags.writeable

@@ -4,6 +4,7 @@ import pytest
 from nahmlab.algebra import AlgebraSpec, bracket, su2_basis
 from nahmlab.gauge import act, exp_su_path
 from nahmlab.moment import (
+    _omega_baby,
     hamiltonian_check,
     kahler_form_identity_check,
     kahler_potential,
@@ -21,6 +22,7 @@ from nahmlab.paths import (
     NahmData,
     TangentVector,
     dirichlet_derivative,
+    l2_norm,
     omega,
     pairing_nodes,
     path_derivative,
@@ -150,6 +152,43 @@ def test_hamiltonian_identity_random(spec, rng):
         v = random_tangent(spec, g, rng)
         for which in ("baby", 1, 2, 3):
             assert hamiltonian_check(d, rho, v, which) <= 1e-5
+
+
+def ref_mu_nahm(d):
+    """The three moment maps written out one by one."""
+    T0, T1, T2, T3 = d.values
+    h = d.grid.h
+    m1 = path_derivative(T1, h) + bracket(T0, T1) - bracket(T2, T3)
+    m2 = path_derivative(T2, h) + bracket(T0, T2) - bracket(T3, T1)
+    m3 = path_derivative(T3, h) + bracket(T0, T3) - bracket(T1, T2)
+    return np.stack([m1, m2, m3])
+
+
+def ref_hamiltonian_check(d, rho, v, which, eps=1e-5):
+    """hamiltonian_check pairing one map of the full triple with rho."""
+    star = rho_star(d, rho)
+    lhs = _omega_baby(star, v) if which == "baby" else omega(which, star, v)
+
+    def paired(data):
+        mu = mu_baby(data.T0, data.T1).values if which == "baby" else ref_mu_nahm(data)[which - 1]
+        return quadrature(pairing_nodes(mu, rho.values), d.grid)
+
+    plus = NahmData.from_arrays(d.algebra, d.grid, *(d.values + eps * v.values))
+    minus = NahmData.from_arrays(d.algebra, d.grid, *(d.values - eps * v.values))
+    rhs = (paired(plus) - paired(minus)) / (2.0 * eps)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), l2_norm(star) * l2_norm(v))
+
+
+@pytest.mark.parametrize("spec", [SU2, SU3])
+def test_mu_nahm_and_hamiltonian_check_match_the_written_out_maps_bitwise(spec, rng):
+    # each map is written once, with cyclic indices; the bits must not move
+    g = Grid(0.0, 1.0, 120)
+    d = random_nahm(spec, g, rng)
+    assert mu_nahm(d).values.tobytes() == ref_mu_nahm(d).tobytes()
+    rho = random_dirichlet_path(spec, g, rng)
+    v = random_tangent(spec, g, rng)
+    for which in ("baby", 1, 2, 3):
+        assert hamiltonian_check(d, rho, v, which) == ref_hamiltonian_check(d, rho, v, which)
 
 
 def test_hamiltonian_integration_by_parts_chain(rng):

@@ -566,19 +566,58 @@ def test_integrate_nahm_nil_start_bytes_match_reference(k):
     assert d.values[1:].swapaxes(0, 1).tobytes() == ref.tobytes()
 
 
-def ref_right_trivialize(C, h, unitary):
-    """g' = g C, interval by interval: the RK4 step from the identity is the
-    propagator P_m, g_(m+1) = g_m P_m, and a real gauge takes the unitary
-    polar factor of each node past the first."""
+def ref_propagators(C, h):
+    """1 and the RK4 steps P_m from the identity of g' = g C, interval by
+    interval."""
     eye = np.eye(C.shape[-1], dtype=complex)
     mid = ref_midpoints(C)
-    g = [eye]
+    p = [eye]
     for m in range(len(C) - 1):
         k1 = eye @ C[m]
         k2 = (eye + 0.5 * h * k1) @ mid[m]
         k3 = (eye + 0.5 * h * k2) @ mid[m]
         k4 = (eye + h * k3) @ C[m + 1]
-        g.append(g[-1] @ (eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+        p.append(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return p
+
+
+def ref_right_trivialize(C, h, unitary):
+    """g' = g C in plain loops of the blocked construction: the running
+    product of 1, P_0, ..., P_(n-1), padded with identities to b * b matrices
+    (b = ceil(sqrt(n + 1))), is taken inside each block of b, then across the
+    block ends, then carried into the next block; a real gauge then takes
+    Newton-Schulz steps g + g (1 - g^dag g) / 2 until the max defect is
+    4 k eps or stops falling, at most 8."""
+    k, n1 = C.shape[-1], len(C)
+    eye = np.eye(k, dtype=complex)
+    b = int(np.ceil(np.sqrt(n1)))
+    g = ref_propagators(C, h) + [eye] * (b * b - n1)
+    for i in range(b):
+        for j in range(1, b):
+            g[i * b + j] = g[i * b + j - 1] @ g[i * b + j]
+    for i in range(1, b):
+        g[i * b + b - 1] = g[i * b - 1] @ g[i * b + b - 1]
+    for i in range(1, b):
+        for j in range(b - 1):
+            g[i * b + j] = g[i * b - 1] @ g[i * b + j]
+    g = g[:n1]
+    if unitary:
+        last = np.inf
+        for _ in range(8):
+            e = [np.eye(k) - np.conj(x.T) @ x for x in g]
+            defect = max(np.linalg.norm(x) for x in e)
+            if defect <= 4 * k * np.finfo(float).eps or defect >= last:
+                break
+            g, last = [x + 0.5 * (x @ y) for x, y in zip(g, e)], defect
+    return np.array(g)
+
+
+def ref_sequential_svd_trivialize(C, h, unitary):
+    """g' = g C node by node, g_(m+1) = g_m P_m, and a real gauge takes the
+    SVD polar factor of each node past the first."""
+    g = ref_propagators(C, h)
+    for m in range(1, len(g)):
+        g[m] = g[m - 1] @ g[m]
     if unitary:
         for m in range(1, len(g)):
             w, _, vh = np.linalg.svd(g[m])
@@ -586,23 +625,43 @@ def ref_right_trivialize(C, h, unitary):
     return np.array(g)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 6])
-def test_right_and_baby_flows_bitwise_match_reference(k):
-    # the linear flows are the batched construction of ref_right_trivialize,
-    # and the baby flow is the conjugation T1(s) = g(s)^-1 T1(s0) g(s)
+def _right_and_baby_flows(k):
     spec = AlgebraSpec("su", k)
     rng = np.random.default_rng(10 + k)
     g = Grid(0.0, 1.0, 600)
     T0 = random_smooth_path(spec, g, rng, modes=1, scale=0.4)
     X = spec.random_element(rng)
+    _, T1 = integrate_baby(X, T0)
+    return g, T0, X, T1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_right_and_baby_flows_bitwise_match_reference(k):
+    # the linear flows are the batched construction of ref_right_trivialize,
+    # and the baby flow is the conjugation T1(s) = g(s)^-1 T1(s0) g(s)
+    g, T0, X, T1 = _right_and_baby_flows(k)
     ref_g = ref_right_trivialize(T0.values, g.h, unitary=True)
     assert np.array_equal(trivialize(T0).values, ref_g)
-    _, T1 = integrate_baby(X, T0)
     ref = ref_skew_project(np.conj(np.swapaxes(ref_g, -1, -2)) @ X @ ref_g, k)
     assert np.array_equal(T1.values, ref)
     Tc = T0.values + 1j * T1.values
     ref = ref_right_trivialize(Tc, g.h, unitary=False)
     assert np.array_equal(complex_trivialize_direct(T0, T1).values, ref)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_right_and_baby_flows_match_sequential_svd_reference(k):
+    # the blocked product and the Newton-Schulz polar factor reorder the
+    # rounding of the node-by-node product and its SVD polar factor: within
+    # 1e-14 absolute for the unitary gauge and the baby flow, 1e-14 relative
+    # for the complex gauge
+    g, T0, X, T1 = _right_and_baby_flows(k)
+    ref_g = ref_sequential_svd_trivialize(T0.values, g.h, unitary=True)
+    assert np.abs(trivialize(T0).values - ref_g).max() <= 1e-14
+    ref = ref_skew_project(np.conj(np.swapaxes(ref_g, -1, -2)) @ X @ ref_g, k)
+    assert np.abs(T1.values - ref).max() <= 1e-14
+    ref = ref_sequential_svd_trivialize(T0.values + 1j * T1.values, g.h, unitary=False)
+    assert np.abs(complex_trivialize_direct(T0, T1).values - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_char_poly_exact_oracles():
