@@ -15,41 +15,19 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import io as nio
 from .algebra import AlgebraSpec, InputError, pairing, su2_basis, su2_embed, su2_embed_block
 from .gauge import GroupPath, act, exp_su_path, horizontal_project, monodromy, quotient_metric, trivialize, vertical_field
-from .moment import (
-    _omega_baby,
-    hamiltonian_check,
-    kahler_form_identity_check,
-    lax_extract,
-    mu_nahm,
-    rho_star,
-    s1_moment_identity_check,
-)
-from .paths import (
-    AlgebraPath,
-    Grid,
-    NahmData,
-    pairing_nodes,
-    quadrature,
-    random_dirichlet_path,
-    random_smooth_path,
-    random_tangent,
-    sup_norm,
-)
-from .solver import (
-    BoundaryTarget,
-    NahmBlowUpError,
-    asymptotic_model,
-    coth_solution,
-    halfline_solve,
-    integrate_nahm,
-    orbit_identify,
-)
+from .moment import _omega_baby, hamiltonian_check, kahler_form_identity_check, lax_extract, mu_nahm, rho_star
+from .moment import s1_moment_identity_check
+from .paths import AlgebraPath, Grid, NahmData, pairing_nodes, quadrature, random_dirichlet_path, random_smooth_path
+from .paths import random_tangent, sup_norm
+from .solver import BoundaryTarget, NahmBlowUpError, asymptotic_model, coth_solution, halfline_solve, integrate_nahm
+from .solver import orbit_identify
 from .spectral import SpectralData, _coeff_drift, char_coeffs, conservation_check, fixed_curve, reality_check, spectral_flow
 from .sympair import classify_real_orbit, kc_orbit_form_check, vergne_map_j
 
@@ -66,6 +44,63 @@ class ConfigError(InputError):
     pass
 
 
+REQUIRED = object()  # the default of a key that has none
+
+
+class Key(NamedTuple):
+    """One config key: its type, its default and its bound ("> 0" or ">= 0").
+    The type is a JSON type, a sub-table (a dict of Keys), a ``Kinds``, or a
+    pair (JSON type, sub-table), the table taking object values.  A key whose
+    default is None also takes null."""
+
+    typ: object
+    default: object = REQUIRED
+    bound: str | None = None
+
+
+class Kinds(dict):
+    """A block whose required "kind" key picks its sub-table."""
+
+
+_MATRIX = Key(list)
+_L = Key(float, 10.0, "> 0")
+_TAU = Key((list, {"te3": Key(float)}), None)
+_SIGMA = (str, {"block": Key(int)})  # "irreducible", "none" or {"block": b}
+_COMMON = {"seed": Key(int, 0, ">= 0")}
+_SOLVE = {**_COMMON, "algebra": Key({"family": Key(str, "su"), "dim": Key(int, 2)}, {}),
+          "blowup_bound": Key(float, 1e6, "> 0")}
+_GRID = {"s0": Key(float, 0.0), "s1": Key(float, 1.0), "n": Key(int, 1000)}
+_INIT = Kinds(
+    nil={"offset": Key(float, 1.0)},
+    coth={"a": Key(float, 1.0, "> 0"), "s0_offset": Key(float, 1.0, "> 0")},
+    matrices={"T1": _MATRIX, "T2": _MATRIX, "T3": _MATRIX},
+)
+_FLOW = {**_SOLVE, "init": Key(_INIT, None)}  # required unless spectral has a fixed curve
+
+SCHEMAS = {
+    "evolve": {**_FLOW, "grid": Key(_GRID, {}), "residual_bound": Key(float, 1e-6, "> 0")},
+    "spectral": {
+        **_FLOW,
+        "grid": Key(_GRID, {"s1": 5.0, "n": 5000}),  # a grid given takes the other keys from _GRID
+        "drift_bound": Key(float, 1e-7, "> 0"), "reality_bound": Key(float, 1e-9, "> 0"),
+        "nonreal_control": Key(bool, False),
+        "fixed_curve": Key({"tau1": _TAU, "tau2": _TAU, "tau3": _TAU, "L": _L}, None),
+    },
+    "halfline": {
+        **_SOLVE,
+        "target": Key(Kinds(
+            coth={"L": _L, "a": Key(float, 1.5, "> 0")},
+            nil={"L": _L, "sigma": Key(_SIGMA, "irreducible")},
+            explicit={"L": _L, "tau1": _MATRIX, "tau2": _MATRIX, "tau3": _MATRIX, "sigma": Key(_SIGMA, None)},
+        )),
+        "perturbation": Key(float, 0.0, ">= 0"), "step": Key(float, 5e-3, "> 0"), "tol": Key(float, 1e-6, "> 0"),
+        "coeff_tol": Key(float, 1e-6, "> 0"), "residual_gate": Key(float, 1e-3, "> 0"),
+    },
+    "vergne": {**_COMMON, "points": Key(list, []), "samples": Key(int, 0, ">= 0")},
+    "check": {**_COMMON, "n": Key(int, 300), "samples": Key(int, 10), "inject_sign_flip": Key(bool, False)},
+}
+
+
 def _typed(val, typ, what: str):
     """val checked against typ; an int is taken as a float, a bool is never
     taken as a number, and a float must be finite."""
@@ -78,66 +113,70 @@ def _typed(val, typ, what: str):
     return val
 
 
-# bounds and tolerances, whatever the command: a value given must be > 0
-_POSITIVE = {"residual_bound", "blowup_bound", "drift_bound", "reality_bound", "tol", "coeff_tol", "residual_gate"}
-
-
-def _get(cfg: dict, key: str, typ, default=None, required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    val = _typed(cfg[key], typ, f"config key {key!r}")
-    if key in _POSITIVE and val <= 0:
-        raise ConfigError(f"config key {key!r} must be > 0, got {val}")
+def _value(val, spec: Key, name: str = ""):
+    """val checked against spec: typed and bounded, a block read against its
+    table with the defaults filled in and any key the table lacks refused."""
+    if val is REQUIRED:
+        raise ConfigError(f"missing config key {name!r}")
+    if val is None and spec.default is None:
+        return None
+    typ, where = spec.typ, name + "." if name else ""
+    if isinstance(typ, Kinds) and isinstance(val, dict):
+        kind = _value(val.get("kind", REQUIRED), Key(str), where + "kind")
+        if kind not in typ:
+            raise ConfigError(f"unknown {name} kind {kind!r}")
+        typ = {"kind": Key(str), **typ[kind]}
+    if isinstance(typ, tuple):
+        typ = typ[isinstance(val, dict)]
+    if isinstance(typ, dict):
+        if not isinstance(val, dict):
+            raise ConfigError(f"{name or 'the config'} must be an object, got {type(val).__name__}")
+        for key in val:
+            if key not in typ:
+                raise ConfigError(f"unknown config key {where + key!r}")
+        return {key: _value(val.get(key, sub.default), sub, where + key) for key, sub in typ.items()}
+    val = _typed(val, typ, f"config key {name!r}")
+    if spec.bound == "> 0" and not val > 0 or spec.bound == ">= 0" and not val >= 0:
+        raise ConfigError(f"config key {name!r} must be {spec.bound}, got {val}")
     return val
 
 
-def _algebra(cfg: dict) -> AlgebraSpec:
-    sub = _get(cfg, "algebra", dict, {"family": "su", "dim": 2})
-    return AlgebraSpec(_get(sub, "family", str, "su"), _get(sub, "dim", int, 2))
-
-
-def _grid(cfg: dict, default=None) -> Grid:
-    sub = _get(cfg, "grid", dict, default, required=default is None)
-    return Grid(_get(sub, "s0", float, 0.0), _get(sub, "s1", float, 1.0), _get(sub, "n", int, 1000))
-
-
 def _matrix(entry, k: int) -> np.ndarray:
+    """A matrix entry: [re, im] pairs, row-major; a fixed-curve tau may also be
+    null (zero) or the su(2) preset {"te3": x}, x e3."""
+    if entry is None:
+        return np.zeros((k, k), dtype=complex)
+    if isinstance(entry, dict):
+        if k != 2:
+            raise ConfigError("te3 preset needs su(2)")
+        return entry["te3"] * su2_basis().e3
     try:
         return nio.matrix_from_json(entry, k)
     except Exception as exc:
         raise ConfigError(f"bad matrix entry: {exc}") from exc
 
 
-def _initial_triple(cfg: dict, algebra: AlgebraSpec, grid: Grid):
-    init = _get(cfg, "init", dict, required=True)
-    kind = _get(init, "kind", str, required=True)
-    s0 = grid.s0
-    if kind == "nil":
-        offset = _get(init, "offset", float, 1.0)
-        if abs(s0 + offset) < 1e-12:
+def _flow(cfg: dict) -> NahmData:
+    """The Nahm flow of an evolve or spectral config, from its initial triple."""
+    algebra, grid, init = AlgebraSpec(**cfg["algebra"]), Grid(**cfg["grid"]), cfg["init"]
+    if init is None:
+        raise ConfigError("missing config key 'init'")
+    if init["kind"] == "nil":
+        if abs(grid.s0 + init["offset"]) < 1e-12:
             raise ConfigError("nil init has a pole at the left endpoint")
-        sigma = su2_embed(algebra)
-        return tuple(np.asarray(e) / (s0 + offset) for e in sigma)
-    if kind == "coth":
+        triple = tuple(np.asarray(e) / (grid.s0 + init["offset"]) for e in su2_embed(algebra))
+    elif init["kind"] == "coth":
         if algebra.dim != 2:
             raise ConfigError("coth init is an su(2) solution")
-        coth = coth_solution(_get(init, "a", float, 1.0), _get(init, "s0_offset", float, 1.0), Grid(s0, grid.s1, 2))
-        return tuple(coth.values[1:, 0])  # (T1, T2, T3)(s0)
-    if kind == "matrices":
-        return tuple(_matrix(_get(init, name, list, required=True), algebra.dim) for name in ("T1", "T2", "T3"))
-    raise ConfigError(f"unknown init kind {kind!r}")
+        triple = tuple(coth_solution(init["a"], init["s0_offset"], Grid(grid.s0, grid.s1, 2)).values[1:, 0])
+    else:
+        triple = tuple(_matrix(init[name], algebra.dim) for name in ("T1", "T2", "T3"))
+    return integrate_nahm(algebra, triple, grid, blowup_bound=cfg["blowup_bound"])
 
 
-def cmd_evolve(cfg: dict, out_dir: Path, seed: int) -> int:
-    algebra = _algebra(cfg)
-    grid = _grid(cfg, {"s0": 0.0, "s1": 1.0, "n": 1000})
-    bound = _get(cfg, "residual_bound", float, 1e-6)
-    blowup = _get(cfg, "blowup_bound", float, 1e6)
-    init = _initial_triple(cfg, algebra, grid)
+def cmd_evolve(cfg: dict, out_dir: Path) -> int:
     try:
-        d = integrate_nahm(algebra, init, grid, blowup_bound=blowup)
+        d = _flow(cfg)
     except NahmBlowUpError as exc:
         log.warning("%s", exc)
         nio.write_json({"blow_up": True, "message": str(exc)}, out_dir / "solution.json")
@@ -146,144 +185,96 @@ def cmd_evolve(cfg: dict, out_dir: Path, seed: int) -> int:
     res = mu_nahm(d)
     norms = np.linalg.norm(res.values, axis=(-2, -1))
     nio.write_json(nio.nahm_to_json(d), out_dir / "solution.json")
-    nio.residual_to_csv(grid, norms, out_dir / "residual.csv")
+    nio.residual_to_csv(d.grid, norms, out_dir / "residual.csv")
+    bound = cfg["residual_bound"]
     ok = res.sup <= bound
     print(f"evolve: max residual {res.sup:.3e} (bound {bound:.1e}) -> {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_spectral(cfg: dict, out_dir: Path, seed: int) -> int:
-    algebra = _algebra(cfg)
-    reality_bound = _get(cfg, "reality_bound", float, 1e-9)
-    if "fixed_curve" in cfg:
-        sub = _get(cfg, "fixed_curve", dict)
-        k = algebra.dim
-        zero = np.zeros((k, k), dtype=complex)
-        taus = []
-        for name in ("tau1", "tau2", "tau3"):
-            entry = sub.get(name)
-            if entry is None:
-                taus.append(zero)
-            elif isinstance(entry, dict) and "te3" in entry:
-                if k != 2:
-                    raise ConfigError("te3 preset needs su(2)")
-                taus.append(_get(entry, "te3", float) * su2_basis().e3)
-            else:
-                taus.append(_matrix(entry, k))
-        target = BoundaryTarget(*taus, L=_get(sub, "L", float, 10.0))
-        curve = fixed_curve(target)
+def cmd_spectral(cfg: dict, out_dir: Path) -> int:
+    reality_bound = cfg["reality_bound"]
+    if cfg["fixed_curve"] is not None:
+        k, fc = AlgebraSpec(**cfg["algebra"]).dim, cfg["fixed_curve"]
+        taus = [_matrix(fc[name], k) for name in ("tau1", "tau2", "tau3")]
+        curve = fixed_curve(BoundaryTarget(*taus, L=fc["L"]))
         violation = reality_check(curve)
-        summary = {
-            "curve": curve.to_json(),
-            "factors": None if curve.factors is None else [nio.to_pairs(q).tolist() for q in curve.factors],
-            "reality_violation": violation,
-        }
-        nio.write_json(summary, out_dir / "spectral.json")
+        factors = None if curve.factors is None else [nio.to_pairs(q).tolist() for q in curve.factors]
+        nio.write_json({"curve": curve.to_json(), "factors": factors, "reality_violation": violation},
+                       out_dir / "spectral.json")
         ok = violation <= reality_bound
         print(f"spectral: fixed curve reality violation {violation:.3e} -> {'pass' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
-    grid = _grid(cfg, {"s0": 0.0, "s1": 5.0, "n": 5000})
-    drift_bound = _get(cfg, "drift_bound", float, 1e-7)
-    nonreal = _get(cfg, "nonreal_control", bool, False)
-    init = _initial_triple(cfg, algebra, grid)
     try:
-        d = integrate_nahm(algebra, init, grid, blowup_bound=_get(cfg, "blowup_bound", float, 1e6))
+        d = _flow(cfg)
     except NahmBlowUpError as exc:
         print(f"spectral: blow-up ({exc})")
         return EXIT_BLOWUP
-    flows = spectral_flow(d, beta_dagger_zero=nonreal)
+    flows = spectral_flow(d, beta_dagger_zero=cfg["nonreal_control"])
     drift = _coeff_drift(flows)
-    curve0 = SpectralData(algebra.dim, [f[:, 0] for f in flows])
+    curve0 = SpectralData(d.algebra.dim, [f[:, 0] for f in flows])
     violation = reality_check(curve0)
-    nio.coeffs_to_csv(grid, flows, out_dir / "coeffs.csv")
-    nio.write_json(
-        {"drift": drift, "reality_violation": violation, "curve0": curve0.to_json()},
-        out_dir / "spectral.json",
-    )
+    nio.coeffs_to_csv(d.grid, flows, out_dir / "coeffs.csv")
+    nio.write_json({"drift": drift, "reality_violation": violation, "curve0": curve0.to_json()},
+                   out_dir / "spectral.json")
+    drift_bound = cfg["drift_bound"]
     ok = drift <= drift_bound and violation <= reality_bound
-    print(
-        f"spectral: drift {drift:.3e} (bound {drift_bound:.1e}), "
-        f"reality {violation:.3e} (bound {reality_bound:.1e}) -> {'pass' if ok else 'FAIL'}"
-    )
+    print(f"spectral: drift {drift:.3e} (bound {drift_bound:.1e}), "
+          f"reality {violation:.3e} (bound {reality_bound:.1e}) -> {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _sigma_from_config(entry, algebra: AlgebraSpec):
+def _sigma(entry, algebra: AlgebraSpec):
+    if isinstance(entry, dict):
+        return su2_embed_block(algebra, entry["block"])
     if entry in (None, "none"):
         return None
     if entry == "irreducible":
         return su2_embed(algebra)
-    if isinstance(entry, dict) and "block" in entry:
-        return su2_embed_block(algebra, _get(entry, "block", int))
     raise ConfigError(f"unknown sigma spec {entry!r}")
 
 
-def cmd_halfline(cfg: dict, out_dir: Path, seed: int) -> int:
-    algebra = _algebra(cfg)
-    tcfg = _get(cfg, "target", dict, required=True)
-    kind = _get(tcfg, "kind", str, required=True)
-    L = _get(tcfg, "L", float, 10.0)
+def cmd_halfline(cfg: dict, out_dir: Path) -> int:
+    algebra, t = AlgebraSpec(**cfg["algebra"]), cfg["target"]
     k = algebra.dim
     zero = np.zeros((k, k), dtype=complex)
-    if kind == "coth":
+    if t["kind"] == "coth":
         if k != 2:
             raise ConfigError("coth target needs su(2)")
-        a = _get(tcfg, "a", float, 1.5)
-        target = BoundaryTarget(-a * su2_basis().e1, zero, zero, L=L)
-        guess = list(coth_solution(a, 1.0, Grid(0.0, L, 2)).values[1:, 0])
-    elif kind == "nil":
-        sigma = _sigma_from_config(_get(tcfg, "sigma", object, "irreducible"), algebra)
-        target = BoundaryTarget(zero, zero, zero, sigma=sigma, L=L)
+        target = BoundaryTarget(-t["a"] * su2_basis().e1, zero, zero, L=t["L"])
+        guess = list(coth_solution(t["a"], 1.0, Grid(0.0, t["L"], 2)).values[1:, 0])
+    elif t["kind"] == "nil":
+        sigma = _sigma(t["sigma"], algebra)
+        if sigma is None:
+            raise ConfigError("a nil target needs a sigma")
+        target = BoundaryTarget(zero, zero, zero, sigma=sigma, L=t["L"])
         guess = [np.asarray(e, dtype=complex) for e in sigma]
-    elif kind == "explicit":
-        taus = [_matrix(_get(tcfg, name, list, required=True), k) for name in ("tau1", "tau2", "tau3")]
-        sigma = _sigma_from_config(tcfg.get("sigma"), algebra)
-        target = BoundaryTarget(*taus, sigma=sigma, L=L)
-        guess = list(asymptotic_model(target, 0.0))
     else:
-        raise ConfigError(f"unknown target kind {kind!r}")
+        taus = [_matrix(t[name], k) for name in ("tau1", "tau2", "tau3")]
+        target = BoundaryTarget(*taus, sigma=_sigma(t["sigma"], algebra), L=t["L"])
+        guess = list(asymptotic_model(target, 0.0))
 
-    pert = _get(cfg, "perturbation", float, 0.0)
-    if pert < 0:
-        raise ConfigError(f"config key 'perturbation' must be >= 0, got {pert}")
+    pert = cfg["perturbation"]
     if pert > 0:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg["seed"])
         scale = max(max(np.linalg.norm(m) for m in guess), 1.0)
         guess = [m + pert * scale * algebra.random_element(rng, 1.0) for m in guess]
 
-    if "newton" in cfg:
-        raise ConfigError("the half-line solver no longer iterates: remove the 'newton' block "
-                          "and set the terminal tolerance with the top-level 'tol'")
-    coeff_tol = _get(cfg, "coeff_tol", float, 1e-6)
-    residual_gate = _get(cfg, "residual_gate", float, 1e-3)
-    result = halfline_solve(
-        target,
-        tuple(guess),
-        step=_get(cfg, "step", float, 5e-3),
-        tol=_get(cfg, "tol", float, 1e-6),
-        blowup_bound=_get(cfg, "blowup_bound", float, 1e6),
-    )
+    result = halfline_solve(target, tuple(guess), step=cfg["step"], tol=cfg["tol"],
+                            blowup_bound=cfg["blowup_bound"])
     report = None
     if result.data is not None:
-        report = orbit_identify(result.data, target, coeff_tol=coeff_tol, residual_gate=residual_gate)
-    nio.write_json(
-        {
-            "converged": result.converged,
-            "terminal_deviation": result.terminal_deviation,
-            "iterations": result.iterations,
-            "message": result.message,
-            "orbit": None if report is None else report.to_json(),
-        },
-        out_dir / "halfline.json",
-    )
+        report = orbit_identify(result.data, target, coeff_tol=cfg["coeff_tol"], residual_gate=cfg["residual_gate"])
+    orbit = None if report is None else report.to_json()
+    nio.write_json({"converged": result.converged, "terminal_deviation": result.terminal_deviation,
+                    "iterations": result.iterations, "message": result.message, "orbit": orbit},
+                   out_dir / "halfline.json")
     if result.data is not None:
         nio.write_json(nio.nahm_to_json(result.data), out_dir / "solution.json")
     certified = report is not None and report.certified
-    print(
-        f"halfline: {result.message}; terminal deviation {result.terminal_deviation:.3e}; "
-        f"orbit certified: {certified}"
-    )
+    print(f"halfline: {result.message}; terminal deviation {result.terminal_deviation:.3e}; "
+          f"orbit certified: {certified}")
     if result.data is None:
         return EXIT_BLOWUP
     if not result.converged:
@@ -291,21 +282,17 @@ def cmd_halfline(cfg: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK if certified else EXIT_CHECK_FAILED
 
 
-def cmd_vergne(cfg: dict, out_dir: Path, seed: int) -> int:
+def cmd_vergne(cfg: dict, out_dir: Path) -> int:
     table = []
     crossovers = 0
     points = []
-    if "points" in cfg:
-        for entry in _get(cfg, "points", list):
-            if not (isinstance(entry, list) and len(entry) == 4):
-                raise ConfigError(f"a point is [re u, im u, re v, im v], got {entry!r}")
-            ur, ui, vr, vi = (_typed(x, float, "a point coordinate") for x in entry)
-            points.append((complex(ur, ui), complex(vr, vi)))
-    samples = _get(cfg, "samples", int, 0)
-    if samples < 0:
-        raise ConfigError(f"config key 'samples' must be >= 0, got {samples}")
-    rng = np.random.default_rng(seed)
-    for i in range(samples):
+    for entry in cfg["points"]:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ConfigError(f"a point is [re u, im u, re v, im v], got {entry!r}")
+        ur, ui, vr, vi = (_typed(x, float, "a point coordinate") for x in entry)
+        points.append((complex(ur, ui), complex(vr, vi)))
+    rng = np.random.default_rng(cfg["seed"])
+    for i in range(cfg["samples"]):
         x = rng.standard_normal(2)
         if i % 2 == 0:
             points.append((complex(x[0], 0.0), complex(x[1], 0.0)))
@@ -320,16 +307,8 @@ def cmd_vergne(cfg: dict, out_dir: Path, seed: int) -> int:
         expected = {"O_plus": "plus_form", "O_minus": "minus_form"}.get(orbit)
         if expected is not None and form != expected:
             crossovers += 1
-        table.append(
-            {
-                "u": [u.real, u.imag],
-                "v": [v.real, v.imag],
-                "orbit": orbit,
-                "image": nio.matrix_to_json(M),
-                "form": form,
-                "b": None if b is None else [b.real, b.imag],
-            }
-        )
+        table.append({"u": [u.real, u.imag], "v": [v.real, v.imag], "orbit": orbit, "image": nio.matrix_to_json(M),
+                      "form": form, "b": None if b is None else [b.real, b.imag]})
     nio.write_json({"samples": table, "crossovers": crossovers}, out_dir / "vergne.json")
     print(f"vergne: {len(points)} points, {crossovers} crossovers")
     return EXIT_OK if crossovers == 0 else EXIT_CHECK_FAILED
@@ -426,11 +405,9 @@ def run_check_suite(seed: int = 0, n: int = 300, samples: int = 10, inject_sign_
     return checks
 
 
-def cmd_check(cfg: dict, out_dir: Path, seed: int) -> int:
-    n = _get(cfg, "n", int, 300)
-    samples = _get(cfg, "samples", int, 10)
-    flip = _get(cfg, "inject_sign_flip", bool, False)
-    checks = run_check_suite(seed=seed, n=n, samples=samples, inject_sign_flip=flip)
+def cmd_check(cfg: dict, out_dir: Path) -> int:
+    seed, n = cfg["seed"], cfg["n"]
+    checks = run_check_suite(seed=seed, n=n, samples=cfg["samples"], inject_sign_flip=cfg["inject_sign_flip"])
     all_pass = all(c["pass"] for c in checks)
     nio.write_json({"checks": checks, "n": n, "seed": seed, "all_pass": all_pass}, out_dir / "check.json")
     for c in checks:
@@ -460,19 +437,18 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
 
     try:
-        cfg = json.loads(Path(args.config).read_text())
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
+        raw = json.loads(Path(args.config).read_text())
+        if args.seed is not None and isinstance(raw, dict):
+            raw = {**raw, "seed": args.seed}
+        cfg = _value(raw, Key(SCHEMAS[args.command]))
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
-        return _COMMANDS[args.command](cfg, out_dir, seed)
+        return _COMMANDS[args.command](cfg, out_dir)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -103,22 +103,23 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:
     b = int(np.ceil(np.sqrt(len(c))))
     steps = _rk4_step(np.matmul, eye, _rk4_scalars(C.grid.h), c[:-1], _midpoints(c), c[1:])
     g = np.concatenate([eye[None], steps, np.broadcast_to(eye, (b * b - len(c), k, k))]).reshape(b, b, k, k)
-    for j in range(1, b):
-        g[:, j] = g[:, j - 1] @ g[:, j]
-    for i in range(1, b):
-        g[i, -1] = g[i - 1, -1] @ g[i, -1]
-    g[1:, :-1] = g[:-1, -1:] @ g[1:, :-1]
-    g, last = g.reshape(b * b, k, k)[: len(c)], np.inf
-    for _ in range(8 if unitary else 0):
-        e = eye - dagger(g) @ g
-        defect = np.linalg.norm(e, axis=(-2, -1))
-        if not defect.max() < 0.5:
-            m = np.argmin(defect < 0.5)  # the first node off: finite, unlike a later overflow
-            raise np.linalg.LinAlgError(f"RK4 gauge off unitary by {defect[m]:.3e} at s = {C.grid.nodes[m]:.6g}: "
-                                        "grid too coarse")
-        if defect.max() <= 4 * k * np.finfo(float).eps or defect.max() >= last:
-            break
-        g, last = g + 0.5 * (g @ e), defect.max()
+    with np.errstate(over="ignore", invalid="ignore"):  # past RK4 stability: the defect test reports it
+        for j in range(1, b):
+            g[:, j] = g[:, j - 1] @ g[:, j]
+        for i in range(1, b):
+            g[i, -1] = g[i - 1, -1] @ g[i, -1]
+        g[1:, :-1] = g[:-1, -1:] @ g[1:, :-1]
+        g, last = g.reshape(b * b, k, k)[: len(c)], np.inf
+        for _ in range(8 if unitary else 0):
+            e = eye - dagger(g) @ g
+            defect = np.linalg.norm(e, axis=(-2, -1))
+            if not defect.max() < 0.5:
+                m = np.argmin(defect < 0.5)  # the first node off: finite, unlike a later overflow
+                raise np.linalg.LinAlgError(f"RK4 gauge off unitary by {defect[m]:.3e} at s = {C.grid.nodes[m]:.6g}: "
+                                            "grid too coarse")
+            if defect.max() <= 4 * k * np.finfo(float).eps or defect.max() >= last:
+                break
+            g, last = g + 0.5 * (g @ e), defect.max()
     return GroupPath._own(C.grid, g, flavor="unitary" if unitary else "complex")
 
 

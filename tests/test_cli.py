@@ -1,16 +1,21 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nahmlab
-from nahmlab.cli import main, run_check_suite
+from nahmlab.cli import REQUIRED, SCHEMAS, Key, Kinds, main, run_check_suite
 
 
 def write_config(tmp_path, name, cfg):
@@ -216,6 +221,13 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         ("vergne", {"points": [[1.0, 0.0, 0.0, 0.0]], "samples": -5}),
         # a negative perturbation is no perturbation size
         ("halfline", {"target": {"kind": "coth", "L": 5.0}, "perturbation": -0.5}),
+        # a seed is a non-negative int, whatever the command
+        ("vergne", {"samples": 3, "seed": -1}),
+        ("check", {"n": 50, "samples": 1, "seed": -1}),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "perturbation": 0.01, "seed": -1}),
+        # a nil target has a sigma to converge to
+        ("halfline", {"target": {"kind": "nil", "L": 5.0, "sigma": "none"}}),
+        ("halfline", {"target": {"kind": "nil", "L": 5.0, "sigma": None}}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
@@ -224,6 +236,43 @@ def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "-4"], ["--out-dir", "{file}"], ["--out-dir", "{file}/out"]],
+    ids=["negative-seed", "out-dir-is-a-file", "out-dir-under-a-file"],
+)
+def test_bad_flag_exits_2(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path, "v.json", {"samples": 3})
+    code = main(["vergne", "--config", cfg, "--out-dir", str(tmp_path / "out")] + [f.format(file=cfg) for f in flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("spectral", {"grid": SMALL_GRID, "init": {"kind": "coth", "a": 1.0}, "nonreal_contrl": True}, "nonreal_contrl"),
+        ("check", {"n": 50, "samples": 1, "inject_sign_flp": True}, "inject_sign_flp"),
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "residual_bond": 1e-30}, "residual_bond"),
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "nil", "ofset": -0.5}}, "init.ofset"),
+        ("evolve", {"grid": {"s0": 0.0, "s1": 1.0, "m": 50}, "init": {"kind": "nil"}}, "grid.m"),
+        ("halfline", {"target": {"kind": "nil", "L": 6.0, "sigma": {"block": 2, "extra": 1}}, "step": 0.01},
+         "target.sigma.extra"),
+        ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8}, "tau4": {"te3": 0.5}}}, "fixed_curve.tau4"),
+        ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8, "scale": 2}}}, "fixed_curve.tau1.scale"),
+        ("halfline", {"target": {"kind": "nil", "L": 6.0}, "newton": {"tol": 1e-8}}, "newton"),
+    ],
+)
+def test_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, cfg, key):
+    # a misspelled key at any level is refused, not ignored
+    code, _ = run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: unknown config key {key!r}")
 
 
 def test_vergne_default(tmp_path):
@@ -316,24 +365,19 @@ def test_check_refinement_orders():
         assert expected / 2.0 <= ratio <= expected * 2.0, (name, ratio)
 
 
-SU2 = {"family": "su", "dim": 2}
-README_CONFIGS = [
-    ("evolve", {"algebra": SU2, "grid": {"s0": 0.0, "s1": 1.0, "n": 1000}, "init": {"kind": "nil"},
-                "residual_bound": 2e-6}),
-    ("spectral", {"algebra": SU2, "grid": {"s0": 0.0, "s1": 5.0, "n": 5000}, "init": {"kind": "coth", "a": 1.0},
-                  "drift_bound": 1e-7, "reality_bound": 1e-9}),
-    ("spectral", {"algebra": SU2, "fixed_curve": {"tau1": {"te3": 0.8}}}),
-    ("halfline", {"algebra": SU2, "target": {"kind": "coth", "a": 1.5, "L": 10.0}, "perturbation": 0.01, "seed": 7}),
-    ("vergne", {"samples": 1000, "seed": 3}),
-    ("check", {"seed": 0, "n": 300, "samples": 10}),
-]
+# the README's JSON examples, in order, with the command each is run by
+README_JSON = re.findall(r"```json\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S)
+README_CONFIGS = list(zip(["evolve", "spectral", "spectral", "halfline", "vergne", "check"],
+                          map(json.loads, README_JSON), strict=True))
 
 
 @pytest.mark.parametrize("command, cfg", README_CONFIGS)
 def test_artifacts_keep_the_stdlib_layout(tmp_path, command, cfg):
     # every artifact is a fixed point of the stdlib writers it was first made
-    # with, so its bytes do not hang on how the writer is implemented
-    run(tmp_path, command, cfg)
+    # with, so its bytes do not hang on how the writer is implemented; every
+    # README example passes
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 0
     artifacts = sorted((tmp_path / "out").iterdir())
     assert artifacts
     for path in artifacts:
@@ -382,3 +426,71 @@ def test_import_loads_no_sparse_or_optimize():
     env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+# values of the right type for a key, (in range, out of range); sizes stay
+# small (n <= 60, L <= 4, samples <= 3), so a key whose default is larger is
+# always given
+SMALL_VALUES = {
+    "n": ([2, 10, 60], [1, 0]), "L": ([0.5, 4.0], [0.0, -1.0]), "samples": ([1, 3], [0, -1]),
+    "dim": ([2, 3], [1]), "family": (["su"], ["sl_complex"]), "block": ([1, 2], [5]),
+    "sigma": (["irreducible"], ["none", "x"]), "points": ([[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0]]], [[[1.0]], []]),
+    "s0": ([0.0], [2.0]), "s1": ([1.0, 3.0], [-1.0]),
+}
+BY_TYPE = {
+    (float, "> 0"): ([0.5, 2.0], [0.0, -1.0]), (float, ">= 0"): ([0.0, 0.5], [-1.0]), (float, None): ([-0.5, 0.5], [0.0]),
+    (int, ">= 0"): ([0, 3], [-1]), (bool, None): ([True, False], []), (str, None): (["x"], []),
+    (list, None): ([[[0.0, 0.5], [0.0, 0.0], [0.0, 0.0], [0.0, -0.5]]], [[[1.0, 0.0]]]),
+}
+WRONG = {float: ["x", True, None], int: [2.5, "5", True], bool: [1, "yes"], str: [3, True], list: [2.5, True],
+         dict: ["x", [1.0]]}
+ALWAYS_GIVEN = {"n", "L", "samples", "grid", "init"}
+
+
+@st.composite
+def block(draw, table, mode):
+    """A config block drawn from a schema table, and whether it must be
+    refused: a key of the wrong type or one the table does not list.  mode
+    "valid" keeps every value in range; "range" puts some out of range; "bad"
+    gives some keys the wrong type and now and then adds an unknown key."""
+    out, bad = {}, False
+    for key, spec in table.items():
+        if spec.default is not REQUIRED and key not in ALWAYS_GIVEN and draw(st.integers(0, 3)) == 3:
+            continue
+        typ = spec.typ
+        if isinstance(typ, tuple):
+            typ = draw(st.sampled_from(typ))
+        if mode == "bad" and draw(st.integers(0, 4)) == 4:
+            wrong = [2.5, True] if isinstance(spec.typ, tuple) else WRONG[dict if isinstance(typ, dict) else typ]
+            out[key], bad = draw(st.sampled_from(wrong)), True
+        elif isinstance(typ, Kinds):
+            kind = draw(st.sampled_from(sorted(typ)))
+            out[key], sub_bad = draw(block({"kind": Key(str), **typ[kind]}, mode))
+            out[key]["kind"] = kind
+            bad |= sub_bad
+        elif isinstance(typ, dict):
+            out[key], sub_bad = draw(block(typ, mode))
+            bad |= sub_bad
+        else:
+            good, off = SMALL_VALUES.get(key) or BY_TYPE[typ, spec.bound]
+            out[key] = draw(st.sampled_from(off if off and mode == "range" and draw(st.booleans()) else good))
+    if mode == "bad" and draw(st.integers(0, 2)) == 2:
+        out["unknown_key"], bad = 1, True
+    return out, bad
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_config_keeps_the_exit_code_contract(data):
+    command = data.draw(st.sampled_from(sorted(SCHEMAS)))
+    mode = data.draw(st.sampled_from(["valid", "valid", "range", "bad"]))
+    cfg, bad = data.draw(block(SCHEMAS[command], mode))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), "cfg.json", cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if bad:
+        assert code == 2

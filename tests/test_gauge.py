@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,16 @@ def test_trivialize_past_rk4_stability_raises(n):
     assert "nan" not in msg.lower() and "inf" not in msg.lower()
     defect = float(msg.split("off unitary by ")[1].split()[0])
     assert np.isfinite(defect) and defect >= 0.5 and "grid too coarse" in msg
+
+
+def test_trivialize_past_rk4_stability_warns_nothing():
+    # the overflow past RK4's stability limit is reported by the defect test
+    # alone, with the first finite defect, and no numpy warning reaches stderr
+    g = Grid(0.0, 1.0, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=r"off unitary by 8\.045e\+01 "):
+            trivialize(const_path(g, 3200.0 * E1))
 
 
 def test_trivialize_residual_second_order(rng):
