@@ -12,7 +12,6 @@ from .algebra import (
     InputError,
     Su2Triple,
     bracket,
-    expm,
     pairing,
     polar_decompose,
     su2_basis,

@@ -30,7 +30,6 @@ __all__ = [
     "char_poly_coeffs",
     "pairing",
     "pairing_nodes",
-    "expm",
     "polar_decompose",
     "su2_basis",
     "su2_embed",
@@ -141,15 +140,6 @@ def pairing(spec: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> float:
     if X.shape != (spec.dim, spec.dim) or Y.shape != X.shape:
         raise ValueError("dimension mismatch in pairing")
     return float(pairing_nodes(X, Y))
-
-
-def expm(X: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy)."""
-    X = np.asarray(X, dtype=complex)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite entries in expm argument")
-    import scipy.linalg  # loaded on first use, not at import
-    return scipy.linalg.expm(X)
 
 
 def polar_decompose(A: np.ndarray):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import InputError, ad_matrix, dagger, expm, su_coords, su_from_coords
+from .algebra import AlgebraSpec, InputError, ad_matrix, dagger, su_coords, su_from_coords
 from .moment import mu_baby
 from .paths import (
     AlgebraPath,
@@ -142,23 +142,27 @@ def complex_trivialize_direct(T0: AlgebraPath, T1: AlgebraPath) -> GroupPath:
 def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6):
     """Two-stage complex gauge fixing of a level-set pair (T0, T1).
 
-    Requires T1' = [T1, T0] to tolerance.  Returns the real trivializing
-    gauge g, the endpoint exp(i (s1-s0) T1(s0)) g(s1) of the combined complex
-    gauge, and T1(s0).
+    Requires T1(s0) in su(k) and T1' = [T1, T0] to tolerance.  Returns the
+    real trivializing gauge g, the endpoint exp(i (s1-s0) T1(s0)) g(s1) of the
+    combined complex gauge, and T1(s0); the exponent is Hermitian, so one eigh
+    gives the exponential.
     """
     grid = _shared_grid(T0, T1)
     if not level_tol > 0:
         raise InputError(f"need a level-set tolerance > 0, got {level_tol!r}")
+    T1_0 = T1.values[0]
+    if not AlgebraSpec("su", T1.dim).is_member(T1_0, tol=1e-8):
+        raise InputError("T1(s0) is not in su(k)")
     res = sup_norm(mu_baby(T0, T1).values)
-    if res > level_tol:
+    if not res <= level_tol:
         raise LevelSetError(f"level-set residual {res:.3e} exceeds {level_tol:.1e}")
     g = trivialize(T0)
     conj = g.values @ T1.values @ dagger(g.values)
     drift = sup_norm(conj - conj[0])
-    if drift > max(10.0 * level_tol, 1e-8):
+    if not drift <= max(10.0 * level_tol, 1e-8):
         raise LevelSetError(f"gauged T1 drifts by {drift:.3e}, not constant")
-    T1_0 = T1.values[0]
-    g_tilde_end = expm(1j * (grid.s1 - grid.s0) * T1_0) @ g.values[-1]
+    w, V = np.linalg.eigh(1j * (grid.s1 - grid.s0) * T1_0)
+    g_tilde_end = (V * np.exp(w)) @ dagger(V) @ g.values[-1]
     return g, g_tilde_end, T1_0
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .gauge import GroupPath
 from .paths import Grid, NahmData
 
 __all__ = [
@@ -25,10 +24,7 @@ __all__ = [
     "matrix_from_json",
     "nahm_to_json",
     "nahm_from_json",
-    "group_path_to_json",
-    "group_path_from_json",
     "write_csv",
-    "nahm_to_csv",
     "residual_to_csv",
     "coeffs_to_csv",
     "write_json",
@@ -62,20 +58,6 @@ def matrix_from_json(data: list, k: int) -> np.ndarray:
     return flat.reshape(k, k)
 
 
-def _grid_to_json(grid: Grid) -> dict:
-    return {"s0": float(grid.s0), "s1": float(grid.s1), "n": int(grid.n)}
-
-
-def _grid_from_json(data: dict) -> Grid:
-    return Grid(float(data["s0"]), float(data["s1"]), int(data["n"]))
-
-
-def _nodes_to_json(values: np.ndarray) -> np.ndarray:
-    """One flat row-major matrix per node (per component of a stack), as a
-    float array of [re, im] pairs."""
-    return to_pairs(values.reshape(values.shape[:-2] + (-1,)))
-
-
 def _nodes_from_json(data, grid: Grid, k: int) -> np.ndarray:
     z = from_pairs(data)
     if z.shape != (grid.n + 1, k * k):
@@ -84,25 +66,17 @@ def _nodes_from_json(data, grid: Grid, k: int) -> np.ndarray:
 
 
 def nahm_to_json(d: NahmData) -> dict:
-    nodes = dict(zip(("T0", "T1", "T2", "T3"), _nodes_to_json(d.values)))
-    return {"algebra": {"family": d.algebra.family, "dim": d.algebra.dim}, "grid": _grid_to_json(d.grid), **nodes}
+    """Each component as one flat row-major matrix per node, a float array of [re, im] pairs."""
+    nodes = dict(zip(("T0", "T1", "T2", "T3"), to_pairs(d.values.reshape(4, d.grid.n + 1, -1))))
+    grid = {"s0": float(d.grid.s0), "s1": float(d.grid.s1), "n": int(d.grid.n)}
+    return {"algebra": {"family": d.algebra.family, "dim": d.algebra.dim}, "grid": grid, **nodes}
 
 
 def nahm_from_json(data: dict) -> NahmData:
     spec = AlgebraSpec(data["algebra"]["family"], int(data["algebra"]["dim"]))
-    grid = _grid_from_json(data["grid"])
+    grid = Grid(float(data["grid"]["s0"]), float(data["grid"]["s1"]), int(data["grid"]["n"]))
     comps = [_nodes_from_json(data[name], grid, spec.dim) for name in ("T0", "T1", "T2", "T3")]
     return NahmData.from_arrays(spec, grid, *comps)
-
-
-def group_path_to_json(g: GroupPath) -> dict:
-    return {"grid": _grid_to_json(g.grid), "flavor": g.flavor, "values": _nodes_to_json(g.values)}
-
-
-def group_path_from_json(data: dict) -> GroupPath:
-    grid = _grid_from_json(data["grid"])
-    vals = _nodes_from_json(data["values"], grid, int(np.sqrt(len(data["values"][0]))))
-    return GroupPath(grid, vals, data["flavor"])
 
 
 def write_csv(grid: Grid, names: list, table: np.ndarray, path) -> None:
@@ -116,13 +90,6 @@ def write_csv(grid: Grid, names: list, table: np.ndarray, path) -> None:
     rows = np.column_stack([grid.nodes, table])
     text = ((",".join(["%.17g"] * rows.shape[1]) + "\r\n") * len(rows)) % tuple(rows.ravel().tolist())
     Path(path).write_text(",".join(["s"] + names) + "\r\n" + text, newline="")
-
-
-def nahm_to_csv(d: NahmData, path) -> None:
-    """Columns s, then the re/im parts of each component's row-major entries."""
-    k = d.algebra.dim
-    names = [f"{name}_{a}{b}" for name in ("T0", "T1", "T2", "T3") for a in range(k) for b in range(k)]
-    write_csv(d.grid, names, np.moveaxis(d.values, 0, 1).reshape(d.grid.n + 1, -1), path)
 
 
 def residual_to_csv(grid: Grid, norms: np.ndarray, path) -> None:

@@ -159,15 +159,15 @@ def kahler_form_identity_check(
     S^1 moment map reproduces omega_2 as a bilinear form on random tangents.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    worst = 0.0
+    errs = []
     for _ in range(n_samples):
         u = random_tangent(spec, grid, rng)
         v = random_tangent(spec, grid, rng)
         B = _s1_pairing(v, complex_structure(2, u)) - _s1_pairing(u, complex_structure(2, v))
         w2 = omega(2, u, v)
         scale = max(1.0, abs(w2), abs(B))
-        worst = max(worst, abs(B - w2) / scale)
-    return worst
+        errs.append(abs(B - w2) / scale)
+    return float(np.max(errs, initial=0.0))  # NaN if any sample is NaN
 
 
 def theta_star(d: NahmData) -> TangentVector:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import char_poly_coeffs, dagger
-from .io import from_pairs, to_pairs
+from .io import to_pairs
 from .moment import lax_extract
 from .paths import NahmData
 from .solver import BoundaryTarget
@@ -26,14 +26,11 @@ from .solver import BoundaryTarget
 __all__ = [
     "SpectralData",
     "beta_zeta",
-    "alpha_zeta",
     "char_coeffs",
     "spectral_flow",
     "conservation_check",
     "fixed_curve",
     "reality_check",
-    "reality_violation_substitution",
-    "curve_value",
 ]
 
 
@@ -48,16 +45,8 @@ class SpectralData:
     def a(self, j: int) -> np.ndarray:
         return self.coeffs[j - 1]
 
-    def eta_poly(self, zeta: complex) -> np.ndarray:
-        """Coefficients [1, a_1(zeta), ..., a_k(zeta)] of the curve over zeta, descending in eta."""
-        return np.array([1.0 + 0j] + [np.polynomial.polynomial.polyval(zeta, c) for c in self.coeffs])
-
     def to_json(self) -> dict:
         return {"k": self.k, "a": [to_pairs(cs).tolist() for cs in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SpectralData":
-        return cls(int(data["k"]), [from_pairs(cs) for cs in data["a"]])
 
 
 def beta_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex, beta_dagger=None) -> np.ndarray:
@@ -70,11 +59,6 @@ def beta_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex, beta_dagger=No
     beta = np.asarray(beta, dtype=complex)
     bd = dagger(beta) if beta_dagger is None else np.asarray(beta_dagger, dtype=complex)
     return beta + (alpha + dagger(alpha)) * zeta - bd * zeta * zeta
-
-
-def alpha_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex) -> np.ndarray:
-    """Companion pencil alpha - beta* zeta."""
-    return np.asarray(alpha, dtype=complex) - dagger(np.asarray(beta, dtype=complex)) * zeta
 
 
 def _curve_coeffs(beta: np.ndarray, herm: np.ndarray, quad: np.ndarray) -> list:
@@ -102,20 +86,15 @@ def spectral_flow(d: NahmData, beta_dagger_zero: bool = False) -> list:
 
 def _coeff_drift(flows: list) -> float:
     """Max drift of any coefficient from its value at the first node, relative
-    to the largest first-node coefficient (at least 1)."""
-    scale = max(1.0, max(float(np.max(np.abs(f[:, 0]))) for f in flows))
-    drift = max(float(np.max(np.abs(f - f[:, :1]))) for f in flows)
-    return drift / scale
+    to the largest first-node coefficient (at least 1); NaN if any is NaN."""
+    scale = np.max([1.0] + [np.max(np.abs(f[:, 0])) for f in flows])
+    drift = np.max([np.max(np.abs(f - f[:, :1])) for f in flows])
+    return float(drift) / float(scale)
 
 
 def conservation_check(d: NahmData) -> float:
     """Max relative drift of any curve coefficient along the flow."""
     return _coeff_drift(spectral_flow(d))
-
-
-def curve_value(s: SpectralData, eta: complex, zeta: complex) -> complex:
-    """Evaluate eta^k + a_1(zeta) eta^{k-1} + ... + a_k(zeta)."""
-    return complex(np.polyval(s.eta_poly(zeta), eta))
 
 
 def fixed_curve(target: BoundaryTarget) -> SpectralData:
@@ -144,34 +123,13 @@ def reality_check(s: SpectralData) -> float:
 
     Invariance is equivalent to the coefficient identity
     a_j(zeta) = (-1)^j zeta^{2j} conj(a_j(-1/conj(zeta))), i.e.
-    c_{j,m} = (-1)^{j+m} conj(c_{j,2j-m}).
+    c_{j,m} = (-1)^{j+m} conj(c_{j,2j-m}).  NaN if a coefficient is not finite.
     """
-    worst = 0.0
-    scale = max(1.0, max(float(np.max(np.abs(c))) for c in s.coeffs))
+    worst = []
+    scale = np.max([1.0] + [np.max(np.abs(c)) for c in s.coeffs])
     for j in range(1, s.k + 1):
         c = s.a(j)
         m = np.arange(2 * j + 1)
         mirrored = ((-1.0) ** (j + m)) * np.conj(c[::-1])
-        worst = max(worst, float(np.max(np.abs(c - mirrored))))
-    return worst / scale
-
-
-def reality_violation_substitution(s: SpectralData, n_samples: int = 20, seed: int = 0) -> float:
-    """Brute-force involution check: map the eta-roots over sampled zeta and
-    compare with the roots over the image point -1/conj(zeta)."""
-    from scipy.optimize import linear_sum_assignment  # loaded only by this oracle
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        r = rng.uniform(0.4, 1.6)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        zeta = r * np.exp(1j * phi)
-        image = -np.conj(np.roots(s.eta_poly(zeta))) / np.conj(zeta) ** 2
-        target = np.roots(s.eta_poly(-1.0 / np.conj(zeta)))
-        # compare root multisets via optimal matching
-        cost = np.abs(image[:, None] - target[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        scale = max(1.0, float(np.max(np.abs(target))))
-        worst = max(worst, float(np.max(cost[rows, cols])) / scale)
-    return worst
+        worst.append(np.max(np.abs(c - mirrored)))
+    return float(np.max(worst)) / float(scale)

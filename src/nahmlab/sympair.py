@@ -14,7 +14,6 @@ Two involution families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -72,26 +71,6 @@ class SymmetricPairSpec:
 
     def m_basis(self) -> np.ndarray:
         return self._eigenbasis(-1.0)
-
-    def validate(self, rng: Optional[np.random.Generator] = None, samples: int = 20) -> float:
-        """Max defect over: involutivity, automorphism property, bracket closure."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        worst = 0.0
-        for _ in range(samples):
-            X = self.base.random_element(rng)
-            Y = self.base.random_element(rng)
-            worst = max(worst, float(np.linalg.norm(self.theta(self.theta(X)) - X)))
-            worst = max(worst, float(np.linalg.norm(self.theta(bracket(X, Y)) - bracket(self.theta(X), self.theta(Y)))))
-        kb, mb = self.k_basis(), self.m_basis()
-        if len(kb) + len(mb) != self.base.dim ** 2 - 1:
-            raise ValueError("basis does not split into theta eigenspaces")
-        for A, B_, sign in ((kb, kb, -1.0), (kb, mb, 1.0), (mb, mb, -1.0)):
-            for a in A:
-                for b in B_:
-                    br = bracket(a, b)
-                    # [k,k] and [m,m] land in k, [k,m] in m
-                    worst = max(worst, float(np.linalg.norm(self.theta(br) - (-sign) * br)))
-        return worst
 
 
 def split(spec: SymmetricPairSpec, X: np.ndarray):

@@ -8,8 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from nahmlab.algebra import AlgebraSpec, expm, pairing, su2_basis, su2_embed
+from nahmlab.algebra import AlgebraSpec, pairing, su2_basis, su2_embed
 from nahmlab.gauge import (
     complex_trivialize,
     complex_trivialize_direct,

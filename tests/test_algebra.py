@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nahmlab.algebra import (
     AlgebraSpec,
@@ -7,7 +8,6 @@ from nahmlab.algebra import (
     ad_matrix,
     bracket,
     dagger,
-    expm,
     pairing,
     polar_decompose,
     su2_basis,
@@ -79,33 +79,6 @@ def test_pairing_positive_definite(k, rng):
     gram = np.array([[pairing(spec, a, b) for b in mats] for a in mats])
     assert np.abs(gram - gram.T).max() < 1e-12
     assert np.linalg.eigvalsh(gram).min() > 0
-
-
-def test_expm_zero():
-    assert np.abs(expm(np.zeros((3, 3))) - np.eye(3)).max() == 0.0
-
-
-def test_expm_diagonal_oracles():
-    # e3 = diag(i/2, -i/2) so exp(2 pi e3) = diag(e^{i pi}, e^{-i pi}) = -I
-    assert np.abs(expm(2.0 * np.pi * E3) + np.eye(2)).max() < 1e-12
-    got = expm(np.diag([1.0, -1.0]).astype(complex))
-    assert np.abs(got - np.diag([np.e, 1.0 / np.e])).max() < 1e-12
-
-
-def test_expm_accuracy_and_inverse(rng):
-    for scale in (0.5, 3.0, 10.0):
-        X = SU2.random_element(rng)
-        X *= scale / np.linalg.norm(X)
-        # eigendecomposition oracle for skew-Hermitian matrices
-        w, V = np.linalg.eigh(-1j * X)
-        oracle = (V * np.exp(1j * w)) @ V.conj().T
-        assert np.abs(expm(X) - oracle).max() < 1e-12 * np.linalg.norm(oracle)
-        assert np.abs(expm(X) @ expm(-X) - np.eye(2)).max() < 1e-10
-
-
-def test_expm_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        expm(np.array([[np.nan, 0], [0, 0]]))
 
 
 def test_polar_unitary_input(rng):

@@ -127,6 +127,14 @@ def test_spectral_fixed_curve(tmp_path):
     assert summary["factors"] is not None
 
 
+def test_spectral_fixed_curve_overflow_fails(tmp_path):
+    # 1e308 overflows a_2 to NaN: a reality violation of NaN is no pass
+    cfg = {"algebra": {"family": "su", "dim": 2}, "fixed_curve": {"tau1": {"te3": 1e308}}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(tmp_path, "spectral", cfg)
+    assert code == 1
+
+
 def test_halfline_nil_converges(tmp_path):
     cfg = {
         "algebra": {"family": "su", "dim": 2},
@@ -330,6 +338,13 @@ def test_check_sign_flip_fails(tmp_path):
     assert "hamiltonian_baby" in failing
 
 
+def test_check_nan_hamiltonian_error_fails(monkeypatch):
+    monkeypatch.setattr("nahmlab.cli.hamiltonian_check", lambda *args: np.nan)
+    checks = {c["name"]: c for c in run_check_suite(n=100, samples=2)}
+    for name in ("hamiltonian_baby", "hamiltonian_I1", "hamiltonian_I2", "hamiltonian_I3"):
+        assert np.isnan(checks[name]["error"]) and not checks[name]["pass"]
+
+
 def test_check_deterministic(tmp_path):
     cfg = {"seed": 12, "n": 150, "samples": 2}
     cfg_path = write_config(tmp_path, "c.json", cfg)
@@ -421,11 +436,19 @@ def test_check_seed_flag_overrides_the_config_seed(tmp_path):
 
 def test_import_loads_no_sparse_or_optimize():
     # a fresh start pays only for what every command uses
-    probe = ("import sys, nahmlab; "
-             "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    # and complex gauge fixing exponentiates by eigh, without scipy.linalg
+    probe = "\n".join([
+        "import sys, numpy as np, nahmlab",
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))",
+        "grid = nahmlab.Grid(0.0, 1.0, 20)",
+        "T0 = nahmlab.AlgebraPath(grid, np.zeros((21, 2, 2), dtype=complex))",
+        "T1 = nahmlab.AlgebraPath(grid, np.broadcast_to(nahmlab.su2_basis().e3, (21, 2, 2)))",
+        "nahmlab.complex_trivialize(T0, T1)",
+        "print('scipy.linalg' in sys.modules)",
+    ])
     env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
 
 
 # values of the right type for a key, (in range, out of range); sizes stay

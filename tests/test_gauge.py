@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from nahmlab.algebra import AlgebraSpec, InputError, expm, polar_decompose, su2_basis, su_basis, su_coords
+from nahmlab.algebra import AlgebraSpec, InputError, polar_decompose, su2_basis, su_basis, su_coords
 from nahmlab.gauge import (
     GroupPath,
     LevelSetError,
@@ -285,6 +286,24 @@ def test_complex_trivialize_rejects_off_level_set(rng):
     T1 = random_smooth_path(SU2, g, rng)  # generic: far from the level set
     with pytest.raises(LevelSetError):
         complex_trivialize(T0, T1)
+
+
+def test_complex_trivialize_rejects_nan_level_set_residual(rng):
+    # one NaN entry makes the residual NaN, and a NaN residual is no pass
+    g = Grid(0.0, 1.0, 200)
+    T1 = np.broadcast_to(SU2.random_element(rng), (g.n + 1, 2, 2)).copy()
+    T1[100, 0, 1] = np.nan
+    with pytest.raises(LevelSetError):
+        complex_trivialize(const_path(g, np.zeros((2, 2), dtype=complex)), AlgebraPath(g, T1))
+
+
+def test_complex_trivialize_rejects_t1_outside_su():
+    # eigh reads one triangle of i (s1 - s0) T1(s0), so T1(s0) must be in su(k);
+    # a constant nilpotent T1 with T0 = 0 is on the level set but not in su(2)
+    g = Grid(0.0, 1.0, 50)
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(InputError, match="su"):
+        complex_trivialize(const_path(g, np.zeros((2, 2), dtype=complex)), const_path(g, nil))
 
 
 def test_horizontal_project_constants_fixed():

@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nahmlab.algebra import AlgebraSpec
-from nahmlab.gauge import GroupPath, exp_su_path
 from nahmlab.io import (
-    group_path_from_json,
-    group_path_to_json,
     matrix_from_json,
     matrix_to_json,
     nahm_from_json,
-    nahm_to_csv,
     nahm_to_json,
     residual_to_csv,
     to_pairs,
@@ -54,26 +50,6 @@ def test_nahm_json_is_serializable(rng, tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded["algebra"] == {"family": "su", "dim": 2}
     assert len(loaded["T1"]) == 11
-
-
-def test_group_path_roundtrip(rng):
-    g = Grid(0.0, 1.0, 15)
-    gp = exp_su_path(random_smooth_path(SU2, g, rng, scale=0.5))
-    back = group_path_from_json(group_path_to_json(gp))
-    assert back.flavor == "unitary"
-    assert np.abs(back.values - gp.values).max() == 0.0
-
-
-def test_nahm_csv_layout(tmp_path):
-    d = nil_solution(SU2, Grid(0.0, 1.0, 10))
-    path = tmp_path / "sol.csv"
-    nahm_to_csv(d, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "s"
-    assert len(rows) == 12  # header + 11 nodes
-    assert len(rows[0]) == 1 + 4 * 2 * 4  # s + 4 components x 4 entries x re/im
-    assert float(rows[1][0]) == 0.0
 
 
 def test_residual_csv(tmp_path):
@@ -217,16 +193,3 @@ def test_nahm_json_wrong_pair_count_raises(tmp_path):
             nahm_from_json(data)
 
 
-def test_group_path_json_reads_back_bit_for_bit(rng, tmp_path):
-    grid = Grid(0.0, 1.0, 4)
-    g = GroupPath(grid, _awkward_values(grid, 3, rng), "complex")
-    path = tmp_path / "g.json"
-    write_json(group_path_to_json(g), path)
-    data = json.loads(path.read_text())
-    assert group_path_from_json(data).values.tobytes() == g.values.tobytes()
-    data["values"][2] = data["values"][2][:-1]
-    with pytest.raises(ValueError):
-        group_path_from_json(data)
-    data["values"] = [node[:-1] for node in data["values"]]
-    with pytest.raises(ValueError):
-        group_path_from_json(data)

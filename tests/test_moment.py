@@ -282,6 +282,11 @@ def test_kahler_form_identity(rng):
     assert dev <= 1e-12
 
 
+def test_kahler_form_identity_nan_is_no_pass(rng, monkeypatch):
+    monkeypatch.setattr("nahmlab.moment.omega", lambda *args: np.nan)
+    assert np.isnan(kahler_form_identity_check(SU2, Grid(0.0, 1.0, 20), n_samples=3, rng=rng))
+
+
 def test_kahler_form_identity_diagonal(rng):
     # antisymmetry: both sides vanish on equal arguments
     g = Grid(0.0, 1.0, 100)

@@ -120,7 +120,7 @@ def test_integrate_nahm_fourth_order():
 def test_integrate_nahm_constant_gauge_covariance(rng):
     # integrating conjugated data equals conjugating the integrated solution
     # (exact for constant gauges: RK4 and the projection commute with them)
-    from nahmlab.algebra import expm
+    from scipy.linalg import expm
 
     g = Grid(0.0, 1.0, 300)
     init = tuple(SU2.random_element(rng, 0.3) for _ in range(3))

@@ -3,25 +3,55 @@ import pytest
 import sympy
 
 from nahmlab.algebra import AlgebraSpec, su2_basis, su2_embed
+from nahmlab.io import from_pairs
 from nahmlab.paths import Grid, NahmData, random_smooth_path
 from nahmlab.solver import BoundaryTarget, coth_solution, integrate_nahm, lax_extract, nil_solution
 from nahmlab.spectral import (
     SpectralData,
+    _coeff_drift,
     _curve_coeffs,
-    alpha_zeta,
     beta_zeta,
     char_coeffs,
     conservation_check,
-    curve_value,
     fixed_curve,
     reality_check,
-    reality_violation_substitution,
 )
 
 SU2 = AlgebraSpec("su", 2)
 SU3 = AlgebraSpec("su", 3)
 E1, E2, E3 = su2_basis()
 Z2 = np.zeros((2, 2), dtype=complex)
+
+
+def eta_poly(s: SpectralData, zeta: complex) -> np.ndarray:
+    """Coefficients [1, a_1(zeta), ..., a_k(zeta)] of the curve over zeta, descending in eta."""
+    return np.array([1.0 + 0j] + [np.polynomial.polynomial.polyval(zeta, c) for c in s.coeffs])
+
+
+def curve_value(s: SpectralData, eta: complex, zeta: complex) -> complex:
+    """Evaluate eta^k + a_1(zeta) eta^{k-1} + ... + a_k(zeta)."""
+    return complex(np.polyval(eta_poly(s, zeta), eta))
+
+
+def reality_violation_substitution(s: SpectralData, n_samples: int = 20, seed: int = 0) -> float:
+    """Brute-force involution check: map the eta-roots over sampled zeta and
+    compare with the roots over the image point -1/conj(zeta)."""
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        r = rng.uniform(0.4, 1.6)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        zeta = r * np.exp(1j * phi)
+        image = -np.conj(np.roots(eta_poly(s, zeta))) / np.conj(zeta) ** 2
+        target = np.roots(eta_poly(s, -1.0 / np.conj(zeta)))
+        # compare root multisets via optimal matching
+        cost = np.abs(image[:, None] - target[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        scale = max(1.0, float(np.max(np.abs(target))))
+        worst = max(worst, float(np.max(cost[rows, cols])) / scale)
+    return worst
 
 
 def worked_pair():
@@ -44,13 +74,6 @@ def test_beta_zeta_worked_example():
     zeta = 0.83
     want = np.array([[zeta, 1j], [1j * zeta**2, -zeta]])
     assert np.abs(beta_zeta(alpha, beta, zeta) - want).max() < 1e-14
-
-
-def test_alpha_zeta():
-    alpha, beta = worked_pair()
-    assert np.abs(alpha_zeta(alpha, beta, 0.0) - alpha).max() == 0.0
-    z = 1.3
-    assert np.abs(alpha_zeta(alpha, beta, z) - (alpha - beta.conj().T * z)).max() < 1e-15
 
 
 def test_char_coeffs_worked_example():
@@ -219,14 +242,32 @@ def test_reality_fixed_curve_exact():
     assert reality_check(fixed_curve(target)) < 1e-14
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reality_check_non_finite_coefficient_is_no_pass(bad):
+    target = BoundaryTarget(0.8 * E3, Z2, Z2, sigma=None, L=5.0)
+    for j, m in ((1, 0), (2, 2)):  # an outer and a middle coefficient
+        curve = fixed_curve(target)
+        curve.coeffs[j - 1][m] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert not reality_check(curve) <= 1e-9
+
+
+def test_coeff_drift_nan_is_no_pass():
+    flows = [np.zeros((3, 4), dtype=complex), np.zeros((5, 4), dtype=complex)]
+    flows[1][2, 3] = np.nan
+    assert np.isnan(_coeff_drift(flows))
+    flows[1][2, 0] = np.nan  # in the scale too
+    assert np.isnan(_coeff_drift(flows))
+
+
 def test_curve_value_and_json_roundtrip(rng):
     d = NahmData(SU2, *(random_smooth_path(SU2, Grid(0.0, 1.0, 10), rng) for _ in range(4)))
     lax = lax_extract(d)
     sd = char_coeffs(lax.alpha[0], lax.beta[0])
-    back = SpectralData.from_json(sd.to_json())
-    assert back.k == sd.k
+    data = sd.to_json()
+    assert data["k"] == sd.k
     for j in range(1, 3):
-        assert np.abs(back.a(j) - sd.a(j)).max() < 1e-15
+        assert np.abs(from_pairs(data["a"][j - 1]) - sd.a(j)).max() < 1e-15
     # curve vanishes on the spectrum of the pencil
     zeta = 0.3
     pencil = beta_zeta(lax.alpha[0], lax.beta[0], zeta)
