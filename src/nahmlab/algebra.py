@@ -106,7 +106,7 @@ class AlgebraSpec:
         if X.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {X.shape}")
         trace = float(np.max(np.abs(np.trace(X, axis1=-2, axis2=-1)))) / np.sqrt(self.dim)
-        return max(trace, float(np.max(np.linalg.norm(X + dagger(X), axis=(-2, -1)))))
+        return float(np.max([trace, np.max(np.linalg.norm(X + dagger(X), axis=(-2, -1)))]))  # NaN stays NaN
 
     def is_member(self, X: np.ndarray, tol: float = 1e-10) -> bool:
         X = np.asarray(X, dtype=complex)

@@ -20,15 +20,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io as nio
-from .algebra import AlgebraSpec, InputError, pairing, su2_basis, su2_embed, su2_embed_block
-from .gauge import GroupPath, act, exp_su_path, horizontal_project, monodromy, quotient_metric, trivialize, vertical_field
-from .moment import _omega_baby, hamiltonian_check, kahler_form_identity_check, lax_extract, mu_nahm, rho_star
-from .moment import s1_moment_identity_check
-from .paths import AlgebraPath, Grid, NahmData, pairing_nodes, quadrature, random_dirichlet_path, random_smooth_path
-from .paths import random_tangent, sup_norm
+from .algebra import AlgebraSpec, InputError, su2_basis, su2_embed, su2_embed_block
+from .checks import passes, run_check_suite
+from .moment import mu_nahm
+from .paths import Grid, NahmData
 from .solver import BoundaryTarget, NahmBlowUpError, asymptotic_model, coth_solution, halfline_solve, integrate_nahm
 from .solver import orbit_identify
-from .spectral import SpectralData, _coeff_drift, char_coeffs, conservation_check, fixed_curve, reality_check, spectral_flow
+from .spectral import SpectralData, _coeff_drift, fixed_curve, reality_check, spectral_flow
 from .sympair import classify_real_orbit, kc_orbit_form_check, vergne_map_j
 
 log = logging.getLogger("nahmlab")
@@ -187,7 +185,7 @@ def cmd_evolve(cfg: dict, out_dir: Path) -> int:
     nio.write_json(nio.nahm_to_json(d), out_dir / "solution.json")
     nio.residual_to_csv(d.grid, norms, out_dir / "residual.csv")
     bound = cfg["residual_bound"]
-    ok = res.sup <= bound
+    ok = passes(res.sup, bound)
     print(f"evolve: max residual {res.sup:.3e} (bound {bound:.1e}) -> {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -197,12 +195,13 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> int:
     if cfg["fixed_curve"] is not None:
         k, fc = AlgebraSpec(**cfg["algebra"]).dim, cfg["fixed_curve"]
         taus = [_matrix(fc[name], k) for name in ("tau1", "tau2", "tau3")]
-        curve = fixed_curve(BoundaryTarget(*taus, L=fc["L"]))
-        violation = reality_check(curve)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge tau overflows to a NaN violation
+            curve = fixed_curve(BoundaryTarget(*taus, L=fc["L"]))
+            violation = reality_check(curve)
         factors = None if curve.factors is None else [nio.to_pairs(q).tolist() for q in curve.factors]
         nio.write_json({"curve": curve.to_json(), "factors": factors, "reality_violation": violation},
                        out_dir / "spectral.json")
-        ok = violation <= reality_bound
+        ok = passes(violation, reality_bound)
         print(f"spectral: fixed curve reality violation {violation:.3e} -> {'pass' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -219,7 +218,7 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> int:
     nio.write_json({"drift": drift, "reality_violation": violation, "curve0": curve0.to_json()},
                    out_dir / "spectral.json")
     drift_bound = cfg["drift_bound"]
-    ok = drift <= drift_bound and violation <= reality_bound
+    ok = passes(drift, drift_bound) and passes(violation, reality_bound)
     print(f"spectral: drift {drift:.3e} (bound {drift_bound:.1e}), "
           f"reality {violation:.3e} (bound {reality_bound:.1e}) -> {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -283,9 +282,8 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_vergne(cfg: dict, out_dir: Path) -> int:
-    table = []
-    crossovers = 0
-    points = []
+    table, points = [], []
+    crossovers = nonfinite = 0
     for entry in cfg["points"]:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ConfigError(f"a point is [re u, im u, re v, im v], got {entry!r}")
@@ -300,110 +298,22 @@ def cmd_vergne(cfg: dict, out_dir: Path) -> int:
             points.append((complex(0.0, x[0]), complex(0.0, x[1])))
     if not points:
         raise ConfigError("no sample points configured")
-    for u, v in points:
-        orbit = classify_real_orbit(u, v)
-        M = vergne_map_j(u, v)
-        form, b = kc_orbit_form_check(M)
-        expected = {"O_plus": "plus_form", "O_minus": "minus_form"}.get(orbit)
-        if expected is not None and form != expected:
-            crossovers += 1
-        table.append({"u": [u.real, u.imag], "v": [v.real, v.imag], "orbit": orbit, "image": nio.matrix_to_json(M),
-                      "form": form, "b": None if b is None else [b.real, b.imag]})
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge point overflows; its image fails below
+        for u, v in points:
+            orbit = classify_real_orbit(u, v)
+            M = vergne_map_j(u, v)
+            form, b = kc_orbit_form_check(M)
+            if not np.isfinite(M).all():
+                nonfinite += 1
+                print(f"vergne: point {[u.real, u.imag, v.real, v.imag]} has a non-finite image -> FAIL")
+            expected = {"O_plus": "plus_form", "O_minus": "minus_form"}.get(orbit)
+            if expected is not None and form != expected:
+                crossovers += 1
+            table.append({"u": [u.real, u.imag], "v": [v.real, v.imag], "orbit": orbit,
+                          "image": nio.matrix_to_json(M), "form": form, "b": None if b is None else [b.real, b.imag]})
     nio.write_json({"samples": table, "crossovers": crossovers}, out_dir / "vergne.json")
     print(f"vergne: {len(points)} points, {crossovers} crossovers")
-    return EXIT_OK if crossovers == 0 else EXIT_CHECK_FAILED
-
-
-def run_check_suite(seed: int = 0, n: int = 300, samples: int = 10, inject_sign_flip: bool = False) -> list:
-    """The invariant suite behind ``nahmlab check``.
-
-    Returns a list of {name, error, threshold, order, pass} entries; ``order``
-    tags the expected refinement rate (0 = grid-independent).
-    """
-    if samples < 1:
-        raise InputError(f"the Hamiltonian checks need samples >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    su2 = AlgebraSpec("su", 2)
-    grid = Grid(0.0, 1.0, n)
-    checks = []
-
-    def add(name, error, threshold, order):
-        checks.append(
-            {
-                "name": name,
-                "error": float(error),
-                "threshold": float(threshold),
-                "order": int(order),
-                "pass": bool(error <= threshold),
-            }
-        )
-
-    # closed-form residual: differencing of exact data, second order
-    coth = coth_solution(1.0, 1.0, grid)
-    add("closed_form_residual", mu_nahm(coth).sup, 50.0 * grid.h**2, 2)
-
-    # spectral conservation along an integrated flow, fourth order (the coth
-    # curve has nonzero coefficients, so the drift is measurable)
-    d = integrate_nahm(su2, tuple(coth.values[1:, 0]), grid)
-    add("conservation_drift", conservation_check(d), 1e4 * grid.h**4, 4)
-
-    # Hamiltonian identities (exact on the discrete level)
-    errs = {"baby": [], 1: [], 2: [], 3: []}
-    for _ in range(samples):
-        data = NahmData(
-            su2,
-            *(random_smooth_path(su2, grid, rng) for _ in range(4)),
-        )
-        rho = random_dirichlet_path(su2, grid, rng)
-        v = random_tangent(su2, grid, rng)
-        for which, found in errs.items():
-            err = hamiltonian_check(data, rho, v, which)
-            if inject_sign_flip and which == "baby":
-                # deliberate harness control: a sign flip must be caught
-                err = abs(err + 2.0 * abs(_omega_baby(rho_star(data, rho), v)))
-            found.append(err)
-    # np.max, unlike max, keeps a NaN error, and a NaN is no pass
-    add("hamiltonian_baby", np.max(errs["baby"]), 1e-5, 0)
-    add("hamiltonian_I1", np.max(errs[1]), 1e-5, 0)
-    add("hamiltonian_I2", np.max(errs[2]), 1e-5, 0)
-    add("hamiltonian_I3", np.max(errs[3]), 1e-5, 0)
-
-    # Kahler potential identities (exact bilinear algebra)
-    add("kahler_form_identity", kahler_form_identity_check(su2, Grid(0.0, 1.0, min(n, 200)), 20, rng), 1e-12, 0)
-    dd = NahmData(su2, *(random_smooth_path(su2, grid, rng) for _ in range(4)))
-    add("s1_moment_identity", s1_moment_identity_check(dd, random_tangent(su2, grid, rng)), 1e-12, 0)
-
-    # gauge properties
-    T0 = random_smooth_path(su2, grid, rng, modes=2, scale=0.8)
-    base = monodromy(T0)
-    h_gauge = exp_su_path(random_dirichlet_path(su2, grid, rng, scale=0.5))
-    moved = act(h_gauge, NahmData(su2, T0, *(AlgebraPath(grid, np.zeros_like(T0.values)) for _ in range(3))))
-    add("monodromy_invariance", np.linalg.norm(monodromy(moved.T0) - base), 500.0 * grid.h**2, 2)
-
-    g1 = exp_su_path(random_smooth_path(su2, grid, rng, scale=0.5))
-    g2 = exp_su_path(random_smooth_path(su2, grid, rng, scale=0.5))
-    data = NahmData(su2, *(random_smooth_path(su2, grid, rng) for _ in range(4)))
-    g12 = GroupPath(grid, g1.values @ g2.values, "unitary")
-    lhs = act(g12, data)
-    rhs = act(g1, act(g2, data))
-    add("act_composition", sup_norm(lhs.values - rhs.values), 500.0 * grid.h**2, 2)
-
-    add("trivialize_unitarity", trivialize(T0).unitarity_defect, 1e-8, 0)
-
-    zero_T0 = AlgebraPath(grid, np.zeros_like(T0.values))
-    e1 = su2_basis().e1
-    const = AlgebraPath(grid, np.broadcast_to(e1, (n + 1, 2, 2)).copy())
-    qm = quotient_metric(zero_T0, const, const)
-    add("quotient_metric_constants", abs(qm - pairing(su2, e1, e1)), 1e-8, 0)
-    vert = vertical_field(T0, random_dirichlet_path(su2, grid, rng))
-    proj = horizontal_project(T0, vert)
-    add("vertical_projection", quadrature(pairing_nodes(proj.values, proj.values), grid), 1e-8, 0)
-
-    # reality of spectral curves from su(2) data
-    lax = lax_extract(data)
-    add("reality", reality_check(char_coeffs(lax.alpha[0], lax.beta[0])), 1e-9, 0)
-
-    return checks
+    return EXIT_OK if crossovers == nonfinite == 0 else EXIT_CHECK_FAILED
 
 
 def cmd_check(cfg: dict, out_dir: Path) -> int:
@@ -417,13 +327,8 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-_COMMANDS = {
-    "evolve": cmd_evolve,
-    "spectral": cmd_spectral,
-    "halfline": cmd_halfline,
-    "vergne": cmd_vergne,
-    "check": cmd_check,
-}
+_COMMANDS = {"evolve": cmd_evolve, "spectral": cmd_spectral, "halfline": cmd_halfline, "vergne": cmd_vergne,
+             "check": cmd_check}
 
 
 def main(argv=None) -> int:

@@ -265,8 +265,8 @@ def sup_norm(values: np.ndarray) -> float:
 def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
     """Tangent to the based-gauge orbit: [rho, T0] - rho' for Dirichlet rho."""
     _shared_grid(T0, rho)
-    end = max(np.linalg.norm(rho.values[0]), np.linalg.norm(rho.values[-1]))
-    if end > 1e-10 * max(1.0, sup_norm(rho.values)):
+    end = np.max(np.linalg.norm(rho.values[[0, -1]], axis=(-2, -1)))  # np.max keeps a NaN, which fails
+    if not end <= 1e-10 * max(1.0, sup_norm(rho.values)):
         raise ValueError("gauge parameter must vanish at both endpoints")
     v = bracket(rho.values, T0.values) - dirichlet_derivative(rho.values, rho.grid.h)
     return AlgebraPath(T0.grid, v)

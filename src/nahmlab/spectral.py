@@ -49,16 +49,20 @@ class SpectralData:
         return {"k": self.k, "a": [to_pairs(cs).tolist() for cs in self.coeffs]}
 
 
+def _pencil(alpha: np.ndarray, beta: np.ndarray, beta_dagger=None) -> tuple:
+    """The pencil's coefficient matrices (beta, alpha + alpha*, beta*), batched or not."""
+    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    return beta, alpha + dagger(alpha), dagger(beta) if beta_dagger is None else np.asarray(beta_dagger, dtype=complex)
+
+
 def beta_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex, beta_dagger=None) -> np.ndarray:
     """The pencil beta + (alpha + alpha*) zeta - beta* zeta^2 at one node.
 
     ``beta_dagger`` overrides the beta* slot (used by negative controls that
     deliberately break the reality of the pencil).
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    bd = dagger(beta) if beta_dagger is None else np.asarray(beta_dagger, dtype=complex)
-    return beta + (alpha + dagger(alpha)) * zeta - bd * zeta * zeta
+    beta, herm, bd = _pencil(alpha, beta, beta_dagger)
+    return beta + herm * zeta - bd * zeta * zeta
 
 
 def _curve_coeffs(beta: np.ndarray, herm: np.ndarray, quad: np.ndarray) -> list:
@@ -70,18 +74,14 @@ def _curve_coeffs(beta: np.ndarray, herm: np.ndarray, quad: np.ndarray) -> list:
 
 def char_coeffs(alpha: np.ndarray, beta: np.ndarray, beta_dagger=None) -> SpectralData:
     """Spectral-curve coefficients a_j(zeta) for a single Lax-pair node."""
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    bd = dagger(beta) if beta_dagger is None else np.asarray(beta_dagger, dtype=complex)
-    fits = _curve_coeffs(beta[None], (alpha + dagger(alpha))[None], bd[None])
-    return SpectralData(beta.shape[-1], [f[:, 0] for f in fits])
+    fits = _curve_coeffs(*(m[None] for m in _pencil(alpha, beta, beta_dagger)))
+    return SpectralData(np.shape(beta)[-1], [f[:, 0] for f in fits])
 
 
 def spectral_flow(d: NahmData, beta_dagger_zero: bool = False) -> list:
     """Coefficients a_j(zeta) at every node; list of (2j+1, n+1) arrays."""
     lax = lax_extract(d)
-    quad = np.zeros_like(lax.beta) if beta_dagger_zero else dagger(lax.beta)
-    return _curve_coeffs(lax.beta, lax.alpha + dagger(lax.alpha), quad)
+    return _curve_coeffs(*_pencil(lax.alpha, lax.beta, np.zeros_like(lax.beta) if beta_dagger_zero else None))
 
 
 def _coeff_drift(flows: list) -> float:

@@ -119,8 +119,6 @@ def vergne_map(u: complex, v: complex) -> np.ndarray:
 def vergne_map_j(u: complex, v: complex) -> np.ndarray:
     """The same map written for the complex structure j of the quaternionic
     coordinates u = x0 + i x1, v = x2 + i x3."""
-    if abs(u) == 0.0 and abs(v) == 0.0:
-        raise InputError("(u, v) must be nonzero")
     return vergne_map(u - 1j * np.conj(v), v + 1j * np.conj(u))
 
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from nahmlab.algebra import AlgebraSpec, pairing, su2_basis, su2_embed
+from nahmlab.checks import CHECKS, passes
 from nahmlab.gauge import (
     complex_trivialize,
     complex_trivialize_direct,
@@ -58,6 +59,11 @@ E1, E2, E3 = su2_basis()
 Z2 = np.zeros((2, 2), dtype=complex)
 
 
+def threshold(name, h):
+    """The threshold that ``nahmlab check`` states for one of its entries."""
+    return CHECKS[name][0](h)
+
+
 def report(criterion, ok, detail):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
@@ -76,7 +82,7 @@ def test_criterion_1_closed_form_residual_rate():
     elapsed = time.perf_counter() - start
     ratios = [a / b for a, b in zip(r1000, r4000)]
     ok = (
-        all(r <= 3.0 * 1e-6 for r in r1000)  # second-order floor at n = 1000
+        all(passes(r, 3.0 * 1e-6) for r in r1000)  # second-order floor at n = 1000
         and all(10.0 < r < 24.0 for r in ratios)  # ~16x over two doublings
         and elapsed < 1.0
     )
@@ -98,7 +104,7 @@ def test_criterion_1_closed_form_residual_rate():
 def test_criterion_1_tight_threshold():
     r1000 = closed_form_residuals(1000)
     print(f"\nACCEPTANCE 1 (threshold): residuals {r1000[0]:.2e}/{r1000[1]:.2e} vs 1e-8")
-    assert all(r <= 1e-8 for r in r1000)
+    assert all(passes(r, 1e-8) for r in r1000)
 
 
 def test_criterion_2_isospectral_conservation():
@@ -116,7 +122,7 @@ def test_criterion_2_isospectral_conservation():
         orders[n] = conservation_check(integrate_nahm(SU2, init, Grid(0.0, 5.0, n)))
     order = np.log2(orders[1250] / orders[2500])
     elapsed = time.perf_counter() - start
-    ok = all(v <= 1e-7 for v in drifts.values()) and order >= 3.5 and elapsed < 5.0
+    ok = all(passes(v, 1e-7) for v in drifts.values()) and order >= 3.5 and elapsed < 5.0
     report(
         "2",
         ok,
@@ -127,20 +133,22 @@ def test_criterion_2_isospectral_conservation():
 
 def test_criterion_3_hamiltonian_identity():
     start = time.perf_counter()
-    worst = 0.0
     rng = np.random.default_rng(314)
     grid = Grid(0.0, 1.0, 500)
+    maps = {"hamiltonian_baby": "baby", "hamiltonian_I1": 1, "hamiltonian_I2": 2, "hamiltonian_I3": 3}
+    gaps = {name: [] for name in maps}
     for i in range(100):
         spec = SU2 if i % 2 == 0 else SU3
         d = NahmData(spec, *(random_smooth_path(spec, grid, rng) for _ in range(4)))
         rho = random_dirichlet_path(spec, grid, rng)
         v = random_tangent(spec, grid, rng)
-        for which in ("baby", 1, 2, 3):
-            worst = max(worst, hamiltonian_check(d, rho, v, which))
+        for name, which in maps.items():
+            gaps[name].append(hamiltonian_check(d, rho, v, which))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-5 and elapsed < 10.0
-    report("3", ok, f"max relative gap {worst:.2e} over 100 su(2)/su(3) configs x 4 maps "
-                    f"(<=1e-5), runtime {elapsed:.2f}s")
+    tols = {name: threshold(name, grid.h) for name in maps}
+    ok = all(passes(np.max(gaps[name]), tols[name]) for name in maps) and elapsed < 10.0
+    report("3", ok, f"max relative gap {np.max(list(gaps.values())):.2e} over 100 su(2)/su(3) configs x 4 maps "
+                    f"(<={max(tols.values()):.0e}), runtime {elapsed:.2f}s")
 
 
 def test_criterion_4_kahler_potential_identity():
@@ -148,15 +156,17 @@ def test_criterion_4_kahler_potential_identity():
     rng = np.random.default_rng(42)
     grid = Grid(0.0, 1.0, 200)
     dev_form = kahler_form_identity_check(SU2, grid, n_samples=100, rng=rng)
-    dev_moment = 0.0
+    devs = []
     for _ in range(100):
         d = NahmData(SU2, *(random_smooth_path(SU2, grid, rng) for _ in range(4)))
         v = random_tangent(SU2, grid, rng)
-        dev_moment = max(dev_moment, s1_moment_identity_check(d, v))
+        devs.append(s1_moment_identity_check(d, v))
+    dev_moment = np.max(devs)
     elapsed = time.perf_counter() - start
-    ok = dev_form <= 1e-12 and dev_moment <= 1e-12 and elapsed < 1.0
-    report("4", ok, f"potential identity {dev_form:.2e}, circle moment identity "
-                    f"{dev_moment:.2e} (<=1e-12), runtime {elapsed:.2f}s")
+    tol_form, tol_moment = (threshold(name, grid.h) for name in ("kahler_form_identity", "s1_moment_identity"))
+    ok = passes(dev_form, tol_form) and passes(dev_moment, tol_moment) and elapsed < 1.0
+    report("4", ok, f"potential identity {dev_form:.2e} (<={tol_form:.0e}), circle moment identity "
+                    f"{dev_moment:.2e} (<={tol_moment:.0e}), runtime {elapsed:.2f}s")
 
 
 def test_criterion_5_quotient_metric():
@@ -168,18 +178,20 @@ def test_criterion_5_quotient_metric():
     def const(M):
         return AlgebraPath(grid, np.broadcast_to(M, (grid.n + 1, 2, 2)).copy())
 
-    dev_const = 0.0
+    devs = []
     for _ in range(5):
         X = SU2.random_element(rng)
         Y = SU2.random_element(rng)
         got = quotient_metric(zero, const(X), const(Y))
-        dev_const = max(dev_const, abs(got - pairing(SU2, X, Y)))
+        devs.append(abs(got - pairing(SU2, X, Y)))
+    dev_const = np.max(devs)
 
-    dev_vert = 0.0
+    devs = []
     T0 = random_smooth_path(SU2, grid, rng, scale=0.6)
     for _ in range(5):
         v = vertical_field(T0, random_dirichlet_path(SU2, grid, rng))
-        dev_vert = max(dev_vert, abs(quotient_metric(T0, v, v)))
+        devs.append(abs(quotient_metric(T0, v, v)))
+    dev_vert = np.max(devs)
 
     t = random_smooth_path(SU2, grid, rng)
     t2 = random_smooth_path(SU2, grid, rng)
@@ -191,14 +203,15 @@ def test_criterion_5_quotient_metric():
 
     dev_gauge = abs(quotient_metric(conj(T0), conj(t), conj(t2)) - base)
     elapsed = time.perf_counter() - start
-    ok = dev_const <= 1e-8 and dev_vert <= 1e-8 and dev_gauge <= 1e-8 and elapsed < 5.0
-    report("5", ok, f"constants {dev_const:.2e}, vertical {dev_vert:.2e}, "
+    tol_const = threshold("quotient_metric_constants", grid.h)
+    ok = passes(dev_const, tol_const) and passes(dev_vert, 1e-8) and passes(dev_gauge, 1e-8) and elapsed < 5.0
+    report("5", ok, f"constants {dev_const:.2e} (<={tol_const:.0e}), vertical {dev_vert:.2e}, "
                     f"gauge invariance {dev_gauge:.2e} (<=1e-8), runtime {elapsed:.2f}s")
 
 
 def test_criterion_6_complex_gauge_factorization():
     start = time.perf_counter()
-    worst = 0.0
+    gaps = []
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
         grid = Grid(0.0, 1.0, 1500)
@@ -206,9 +219,10 @@ def test_criterion_6_complex_gauge_factorization():
         _, T1 = integrate_baby(SU2.random_element(rng, 0.8), T0)
         _, gt_end, _ = complex_trivialize(T0, T1, level_tol=2e-5)
         direct = complex_trivialize_direct(T0, T1)
-        worst = max(worst, float(np.abs(gt_end - direct.values[-1]).max()))
+        gaps.append(np.abs(gt_end - direct.values[-1]).max())
+    worst = np.max(gaps)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 5.0
+    ok = passes(worst, 1e-6) and elapsed < 5.0
     report("6", ok, f"two-stage vs direct endpoint gap {worst:.2e} over 20 level-set "
                     f"solutions (<=1e-6), runtime {elapsed:.2f}s")
 
@@ -226,16 +240,16 @@ def test_criterion_7_halfline_orbit_identification():
     pseed = tuple(np.asarray(m) + 0.01 * scale * SU2.random_element(rng) for m in seed)
     res = halfline_solve(target, pseed)
     rep = orbit_identify(res.data, target)
-    results["coth"] = (res.converged and res.terminal_deviation <= 1e-6,
-                       rep.certified and rep.max_coeff_dev <= 1e-6)
+    results["coth"] = (res.converged and passes(res.terminal_deviation, 1e-6),
+                       rep.certified and passes(rep.max_coeff_dev, 1e-6))
 
     sigma = su2_embed(SU2)
     target_nil = BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=10.0)
     nseed = tuple(np.asarray(e) + 0.01 * SU2.random_element(rng) for e in sigma)
     res_nil = halfline_solve(target_nil, nseed)
     rep_nil = orbit_identify(res_nil.data, target_nil)
-    results["nil"] = (res_nil.converged and res_nil.terminal_deviation <= 1e-6,
-                      rep_nil.certified and rep_nil.max_coeff_dev <= 1e-6)
+    results["nil"] = (res_nil.converged and passes(res_nil.terminal_deviation, 1e-6),
+                      rep_nil.certified and passes(rep_nil.max_coeff_dev, 1e-6))
 
     elapsed = time.perf_counter() - start
     ok = all(c and o for c, o in results.values()) and elapsed < 30.0
@@ -246,21 +260,23 @@ def test_criterion_7_halfline_orbit_identification():
 def test_criterion_8_reality_involution():
     start = time.perf_counter()
     rng = np.random.default_rng(12)
-    worst = 0.0
+    violations = []
+    grid = Grid(0.0, 1.0, 20)
     for spec in (SU2, SU3):
         for _ in range(5):
-            grid = Grid(0.0, 1.0, 20)
             d = NahmData(spec, *(random_smooth_path(spec, grid, rng) for _ in range(4)))
             lax = lax_extract(d)
             for idx in (0, 10, 20):
-                worst = max(worst, reality_check(char_coeffs(lax.alpha[idx], lax.beta[idx])))
+                violations.append(reality_check(char_coeffs(lax.alpha[idx], lax.beta[idx])))
+    worst = np.max(violations)
     # negative control: drop the quadratic pencil term
     d = NahmData(SU2, *(random_smooth_path(SU2, Grid(0.0, 1.0, 20), rng) for _ in range(4)))
     lax = lax_extract(d)
     control = reality_check(char_coeffs(lax.alpha[0], lax.beta[0], beta_dagger=Z2))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and control >= 1e-2 and elapsed < 2.0
-    report("8", ok, f"max violation {worst:.2e} (<=1e-9), negative control {control:.2e} "
+    tol = threshold("reality", grid.h)
+    ok = passes(worst, tol) and control >= 1e-2 and elapsed < 2.0
+    report("8", ok, f"max violation {worst:.2e} (<={tol:.0e}), negative control {control:.2e} "
                     f"(>=1e-2), runtime {elapsed:.2f}s")
 
 
@@ -282,7 +298,7 @@ def test_criterion_9_vergne_witness():
     so2 = SymmetricPairSpec(SU2, "transpose_conjugate")
     dims = tangent_transitivity_check(so2, vergne_map(1.0, 0.0))
     elapsed = time.perf_counter() - start
-    ok = mis == 0 and dims[0] == dims[1] and elapsed < 2.0
+    ok = passes(mis, 0) and dims[0] == dims[1] and elapsed < 2.0
     report("9", ok, f"misclassifications {mis}/1000, tangent dims {dims}, "
                     f"runtime {elapsed:.2f}s")
 
@@ -299,6 +315,6 @@ def test_criterion_10_gk_flow_preservation():
         init = tuple(0.25 / nrm * m for m in mats)
         _, leaks[name] = flow_preserves_split(spec, init, Grid(0.0, 1.0, 1000))
     elapsed = time.perf_counter() - start
-    ok = all(v <= 1e-10 for v in leaks.values()) and elapsed < 5.0
+    ok = all(passes(v, 1e-10) for v in leaks.values()) and elapsed < 5.0
     report("10", ok, "leakage " + ", ".join(f"{k} {v:.2e}" for k, v in leaks.items())
                      + f" (<=1e-10), runtime {elapsed:.2f}s")

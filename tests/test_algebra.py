@@ -154,6 +154,14 @@ def test_membership():
         AlgebraSpec("sl_complex", 2)
 
 
+def test_member_defect_keeps_a_nan():
+    # inf + (-inf) in X + X^dag is NaN: no defect, so no member
+    X = np.array([[0.0, np.inf], [-np.inf, 0.0]], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(SU2.member_defect(X))
+        assert not SU2.is_member(X)
+
+
 def test_project_idempotent(rng):
     Z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     P = AlgebraSpec("su", 3).project(Z)

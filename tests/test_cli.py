@@ -135,6 +135,28 @@ def test_spectral_fixed_curve_overflow_fails(tmp_path):
     assert code == 1
 
 
+def test_vergne_non_finite_image_fails(tmp_path, capsys):
+    # 1e308 overflows the image to NaN/inf entries: a failed check that names
+    # the point, not a point without a crossover
+    code, out = run(tmp_path, "vergne", {"points": [[1e308, 1e308, 1e308, 1e308]]})
+    assert code == 1
+    assert "point [1e+308, 1e+308, 1e+308, 1e+308] has a non-finite image -> FAIL" in capsys.readouterr().out
+    assert (out / "vergne.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("spectral", {"algebra": {"family": "su", "dim": 2}, "fixed_curve": {"tau1": {"te3": 1e308}}}),
+    ("vergne", {"points": [[1e308, 1e308, 1e308, 1e308]]}),
+])
+def test_overflow_fails_without_a_numpy_warning(tmp_path, command, cfg):
+    # a fresh interpreter prints every numpy RuntimeWarning to stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "nahmlab.cli", command, "--config", write_config(tmp_path, "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stderr) == (1, "")
+
+
 def test_halfline_nil_converges(tmp_path):
     cfg = {
         "algebra": {"family": "su", "dim": 2},
@@ -339,7 +361,7 @@ def test_check_sign_flip_fails(tmp_path):
 
 
 def test_check_nan_hamiltonian_error_fails(monkeypatch):
-    monkeypatch.setattr("nahmlab.cli.hamiltonian_check", lambda *args: np.nan)
+    monkeypatch.setattr("nahmlab.checks.hamiltonian_check", lambda *args: np.nan)
     checks = {c["name"]: c for c in run_check_suite(n=100, samples=2)}
     for name in ("hamiltonian_baby", "hamiltonian_I1", "hamiltonian_I2", "hamiltonian_I3"):
         assert np.isnan(checks[name]["error"]) and not checks[name]["pass"]

@@ -432,6 +432,15 @@ def test_vertical_field_requires_dirichlet(rng):
         vertical_field(T0, random_smooth_path(SU2, g, rng))
 
 
+def test_vertical_field_rejects_nan_at_an_endpoint(rng):
+    g = Grid(0.0, 1.0, 100)
+    T0 = random_smooth_path(SU2, g, rng)
+    rho = random_dirichlet_path(SU2, g, rng).values.copy()
+    rho[0, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="vanish at both endpoints"):
+        vertical_field(T0, AlgebraPath(g, rho))
+
+
 def test_group_path_unitary_validation():
     g = Grid(0.0, 1.0, 10)
     vals = np.broadcast_to(2.0 * np.eye(2), (11, 2, 2)).copy().astype(complex)

@@ -83,6 +83,13 @@ def test_integrate_baby_rejects_a_start_outside_su_k(start):
         integrate_baby(start, const_path(g, Z2))
 
 
+def test_integrate_nahm_rejects_a_non_finite_init():
+    # a NaN membership defect is an input error, not a blow-up at the first step
+    X = np.array([[0.0, np.inf], [-np.inf, 0.0]], dtype=complex)
+    with np.errstate(invalid="ignore"), pytest.raises(InputError, match="three elements of su"):
+        integrate_nahm(SU2, (X, Z2, Z2), Grid(0.0, 1.0, 10))
+
+
 def test_integrate_nahm_commuting_constants(rng):
     g = Grid(0.0, 1.0, 200)
     X = SU2.random_element(rng)
