@@ -82,10 +82,11 @@ def exp_su_path(rho: AlgebraPath) -> GroupPath:
 
 
 def act(g: GroupPath, d: NahmData) -> NahmData:
-    """Gauge action: T0 conjugates with the connection term, Ti conjugate."""
+    """Gauge action: T0 conjugates with the connection term, Ti conjugate.
+    A unitary gauge is inverted as g^dag (to its unitarity defect, <= 1e-8)."""
     _shared_grid(g, d)
     gv = g.values
-    ginv = np.linalg.inv(gv)
+    ginv = dagger(gv) if g.flavor == "unitary" else np.linalg.inv(gv)
     out = gv @ d.values @ ginv
     out[0] -= path_derivative(gv, d.grid.h) @ ginv
     return NahmData._own(d.grid, out)

@@ -4,8 +4,9 @@ identification.  The Lax pair (``LaxPair``, ``lax_extract``) lives in
 ``moment``; the names here are the same objects.
 
 All initial-value work is done in the T0 = 0 gauge, where the system reads
-T1' = [T2, T3] (and cyclic), stepped by the RK4 formula of ``paths`` with a
-projection onto the algebra after every step; the baby flow is a conjugation
+T1' = [T2, T3] (and cyclic), stepped by the RK4 formula of ``paths`` from a
+start projected once onto the algebra: the field maps su(k)^3 into itself, and
+RK4 keeps that linear subspace to rounding; the baby flow is a conjugation
 by the trivializing gauge of ``gauge``, with no stepping of its own.
 The half-line problem fixes the whole state at a truncation length L to the
 first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
+from .algebra import AlgebraSpec, InputError, Su2Triple, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
 from .gauge import trivialize
 from .io import to_pairs
 from .moment import LaxPair, lax_extract, mu_nahm
@@ -60,14 +61,16 @@ def char_poly(M: np.ndarray) -> np.ndarray:
     return np.concatenate([[1.0], *char_poly_coeffs(np.asarray(M, dtype=complex)[None])])
 
 
-_LEFT, _RIGHT = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+_CYCLE = np.array([[1, 2, 0], [2, 0, 1]])
 
 
 def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:
-    """Right-hand side (T1', T2', T3') = ([T2,T3], [T3,T1], [T1,T2]), batched,
-    with the six products taken by one stacked matmul."""
-    P = Y.take(_LEFT, axis=-3) @ Y.take(_RIGHT, axis=-3)
-    return P[..., :3, :, :] - P[..., 3:, :, :]
+    """Right-hand side (T1', T2', T3') = ([T2,T3], [T3,T1], [T1,T2]) of a
+    component-major (3, B, k, k) batch: X = [A; C] = [(T2,T3,T1); (T3,T1,T2)],
+    and one stacked matmul X @ [C; A] gives the six products [AC; CA]."""
+    X = Y.take(_CYCLE, axis=0)
+    P = X @ X[::-1]
+    return P[0] - P[1]
 
 
 def _member_triple(algebra: AlgebraSpec, mats, what: str) -> np.ndarray:
@@ -79,7 +82,9 @@ def _member_triple(algebra: AlgebraSpec, mats, what: str) -> np.ndarray:
 
 
 def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
-    """Projected RK4 steps from states Y0 (B, 3, k, k): the (n+1, B, 3, k, k) path
+    """RK4 steps from states Y0 (B, 3, k, k), projected onto the algebra once on
+    entry (off it the flow is nonlinear and would carry a start's off-algebra
+    part along; on it RK4 stays there to rounding): the (n+1, B, 3, k, k) path
     and per member None or (s, max norm or inf) at the first node past the bound,
     where it is zeroed (a fixed point, so the cheap test holds for the rest)."""
     if not blowup_bound > 0:
@@ -89,19 +94,23 @@ def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: f
     bound = min(float(blowup_bound), 1e150)
     cheap_bound = bound * bound * (1.0 - 1e-12) if bound > 1e-150 else 0.0
 
-    scalars, blowups, traj = _rk4_scalars(grid.h), [None] * len(Y0), np.empty((grid.n + 1,) + Y0.shape, dtype=complex)
-    traj[0] = y = Y0
+    # the state is stepped component-major, (3, B, k, k): the right-hand side
+    # then takes its views on the leading axis, the cheapest numpy makes
+    scalars, blowups = _rk4_scalars(grid.h), [None] * len(Y0)
+    traj = np.empty((grid.n + 1, 3, len(Y0)) + Y0.shape[2:], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        traj[0] = algebra.project(Y0.swapaxes(0, 1))
+        y = traj[0]
         for m in range(grid.n):
-            y = traj[m + 1] = algebra.project(_rk4_step(_nahm_rhs, y, scalars, None, None, None))
+            y = traj[m + 1] = _rk4_step(_nahm_rhs, y, scalars, None, None, None)
             if not np.vdot(y, y).real <= cheap_bound:
                 norms = np.linalg.norm(y, axis=(-2, -1))
-                for b in np.flatnonzero(~np.all(norms <= blowup_bound, axis=-1)):
-                    norm = float(np.max(norms[b])) if np.all(np.isfinite(norms[b])) else np.inf
-                    blowups[b], y[b] = (grid.s0 + (m + 1) * grid.h, norm), 0.0
+                for b in np.flatnonzero(~np.all(norms <= blowup_bound, axis=0)):
+                    norm = float(np.max(norms[:, b])) if np.all(np.isfinite(norms[:, b])) else np.inf
+                    blowups[b], y[:, b] = (grid.s0 + (m + 1) * grid.h, norm), 0.0
                 if None not in blowups:
                     break
-    return traj, blowups
+    return traj.swapaxes(1, 2), blowups
 
 
 def integrate_nahm(
@@ -112,8 +121,8 @@ def integrate_nahm(
 ) -> NahmData:
     """Solve the Nahm equations in the T0 = 0 gauge from (T1, T2, T3)(s0).
 
-    The state is projected onto the algebra after every RK4 step; blow-up
-    past the norm bound raises NahmBlowUpError.
+    The start is projected onto the algebra once; RK4 then keeps the state
+    in it to rounding.  Blow-up past the norm bound raises NahmBlowUpError.
     """
     traj, (blowup,) = _nahm_flow(algebra, _member_triple(algebra, init, "init")[None], grid, blowup_bound)
     if blowup is not None:
@@ -160,7 +169,8 @@ def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
     if a <= 0 or s0_offset <= 0:
         raise InputError("need a > 0 and s0_offset > 0")
     xi = a * (grid.nodes + s0_offset)
-    return _separable(AlgebraSpec("su", 2), grid, (-a / np.tanh(xi), a / np.sinh(xi), -a / np.sinh(xi)), su2_basis())
+    with np.errstate(over="ignore"):  # past xi ~ 710, 1/sinh(xi) is its limit 0
+        return _separable(AlgebraSpec("su", 2), grid, (-a / np.tanh(xi), a / np.sinh(xi), -a / np.sinh(xi)), su2_basis())
 
 
 @dataclass(frozen=True)
@@ -184,19 +194,21 @@ class BoundaryTarget:
             object.__setattr__(self, "sigma", Su2Triple(*(_read_only(e) for e in self.sigma)))
         if not (np.isfinite(self.L) and self.L > 0):
             raise InputError(f"need a finite L > 0, got {self.L!r}")
-        taus = (self.tau1, self.tau2, self.tau3)
-        scale = max(max(np.linalg.norm(t) for t in taus), 1.0)
+        taus = np.stack((self.tau1, self.tau2, self.tau3))
+        if not AlgebraSpec("su", self.dim).is_member(taus):
+            raise InputError("boundary limits tau_i must lie in su(k)")
+        # the commutation tests are homogeneous, so they are taken on the
+        # rescaled limits, where no norm or product overflows
+        taus, scale = _unit_scaled(taus)
         for i in range(3):
             for j in range(i + 1, 3):
-                if np.linalg.norm(bracket(taus[i], taus[j])) > 1e-10 * scale**2:
+                if not np.linalg.norm(bracket(taus[i], taus[j])) <= 1e-10 * scale**2:
                     raise InputError("boundary limits tau_i must commute")
-        if not AlgebraSpec("su", self.dim).is_member(np.stack(taus)):
-            raise InputError("boundary limits tau_i must lie in su(k)")
         if self.sigma is not None:
-            sscale = max(max(np.linalg.norm(s) for s in self.sigma), 1.0)
-            for s in self.sigma:
+            sigma, sscale = _unit_scaled(np.stack(self.sigma))
+            for s in sigma:
                 for t in taus:
-                    if np.linalg.norm(bracket(s, t)) > 1e-8 * sscale * scale:
+                    if not np.linalg.norm(bracket(s, t)) <= 1e-8 * sscale * scale:
                         raise InputError("sigma images must commute with the tau_i")
 
     @property
@@ -245,7 +257,7 @@ def halfline_solve(
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
     algebra = AlgebraSpec("su", target.dim)
     model = _member_triple(algebra, asymptotic_model(target, L), "the model at L")
-    guess = algebra.project(_member_triple(algebra, init_guess, "init_guess"))
+    guess = _member_triple(algebra, init_guess, "init_guess")
 
     def gap(term):
         return float(np.max(np.linalg.norm(term - model, axis=(-2, -1))))

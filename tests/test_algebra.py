@@ -162,6 +162,21 @@ def test_member_defect_keeps_a_nan():
         assert not SU2.is_member(X)
 
 
+@pytest.mark.parametrize("big", [1e200, 1e300])
+def test_is_member_decides_large_finite_entries(big, rng):
+    # the norms of these entries overflow; the test is decided on an exact
+    # power-of-two rescale, so a Hermitian matrix is no member at any size
+    X = np.stack([SU2.random_element(rng) for _ in range(3)])
+    assert SU2.is_member(big * X)
+    assert not SU2.is_member(1j * big * X)
+    assert not SU2.is_member(big * X + big * np.eye(2))
+    assert SU2.is_member(big * X + 1e-12 * big * np.eye(2), tol=1e-8)
+
+
+def test_is_member_refuses_an_infinite_entry():
+    assert not SU2.is_member(np.array([[np.inf, 0.0], [0.0, 0.0]], dtype=complex))
+
+
 def test_project_idempotent(rng):
     Z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     P = AlgebraSpec("su", 3).project(Z)

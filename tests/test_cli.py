@@ -157,6 +157,27 @@ def test_overflow_fails_without_a_numpy_warning(tmp_path, command, cfg):
     assert (out.returncode, out.stderr) == (1, "")
 
 
+_BIG_DIAG = [[0.0, 1e200], [0.0, 0.0], [0.0, 0.0], [0.0, -1e200]]  # diag(i, -i) 1e200 in su(2)
+_ZERO = [[0.0, 0.0]] * 4
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("evolve", {"init": {"kind": "matrices", "T1": _BIG_DIAG, "T2": _ZERO, "T3": _ZERO}}),
+    ("spectral", {"init": {"kind": "coth", "a": 1e300}}),
+    ("halfline", {"target": {"kind": "explicit", "tau1": _BIG_DIAG, "tau2": _ZERO, "tau3": _ZERO}}),
+])
+def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, cfg):
+    # a state past the norm bound is a blow-up (exit 3); the norms that
+    # overflow on the way are taken under a local errstate or rescaled, so a
+    # fresh interpreter prints nothing to stderr (logging is set to errors
+    # only, as the blow-up is also logged as a warning)
+    env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]), NAHMLAB_LOG="ERROR")
+    argv = [sys.executable, "-m", "nahmlab.cli", command, "--config", write_config(tmp_path, "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stderr) == (3, "")
+
+
 def test_halfline_nil_converges(tmp_path):
     cfg = {
         "algebra": {"family": "su", "dim": 2},

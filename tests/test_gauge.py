@@ -26,6 +26,7 @@ from nahmlab.paths import (
     Grid,
     NahmData,
     pairing_nodes,
+    path_derivative,
     quadrature,
     random_dirichlet_path,
     random_smooth_path,
@@ -71,6 +72,29 @@ def test_act_constant_gauge(rng):
     out = act(gp, d)
     for a, b in zip(out.components, d.components):
         assert np.abs(a.values - U @ b.values @ U.conj().T).max() < 1e-12
+
+
+def act_by_inverse(g, d):
+    """The gauge action with g^-1 taken by np.linalg.inv for every flavor."""
+    gv = g.values
+    ginv = np.linalg.inv(gv)
+    out = gv @ d.values @ ginv
+    out[0] -= path_derivative(gv, d.grid.h) @ ginv
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_act_unitary_gauge_matches_the_inverse(k, rng):
+    # a unitary gauge is inverted as g^dag: the same action to rounding
+    spec = AlgebraSpec("su", k)
+    g = Grid(0.0, 1.0, 400)
+    d = NahmData(spec, *(random_smooth_path(spec, g, rng, scale=0.6) for _ in range(4)))
+    for gp in (exp_su_path(random_smooth_path(spec, g, rng, scale=0.8)),
+               trivialize(random_smooth_path(spec, g, rng, scale=0.8))):
+        assert gp.flavor == "unitary"
+        assert np.abs(act(gp, d).values - act_by_inverse(gp, d)).max() <= 1e-12
+    cplx = GroupPath(g, exp_su_path(random_smooth_path(spec, g, rng)).values * 1.5, "complex")
+    assert np.array_equal(act(cplx, d).values, act_by_inverse(cplx, d))
 
 
 def test_act_group_property(rng):

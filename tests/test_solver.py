@@ -312,6 +312,16 @@ def test_boundary_target_validation(rng):
     BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=5.0).__class__  # valid
 
 
+def test_boundary_target_commutation_at_large_finite_entries():
+    # the products of these entries overflow; the commutation tests are
+    # taken on an exact power-of-two rescale of the limits
+    BoundaryTarget(1e200 * E3, -3e199 * E3, Z2, L=5.0)
+    with pytest.raises(InputError, match="must commute"):
+        BoundaryTarget(1e200 * E1, 1e200 * E3, Z2, L=5.0)
+    with pytest.raises(InputError, match="sigma images must commute"):
+        BoundaryTarget(1e200 * E1, Z2, Z2, sigma=su2_embed(SU2), L=5.0)
+
+
 def test_boundary_target_holds_read_only_copies():
     tau1, tau2 = E3.copy(), 2.0 * E3
     target = BoundaryTarget(tau1, tau2, Z2, L=5.0)
@@ -545,19 +555,47 @@ def ref_rk4(rhs, y0, h, n, post):
     return np.array(ys)
 
 
+def ref_nahm(init, h, n, k):
+    """The Nahm flow as the package takes it: the start projected once, then
+    plain RK4 steps (RK4 keeps the linear subspace su(k)^3 to rounding)."""
+    return ref_rk4(ref_nahm_rhs, ref_skew_project(np.asarray(init, dtype=complex), k), h, n, lambda y: y)
+
+
+def ref_nahm_projected(init, h, n, k):
+    """The former construction: a projection onto su(k) after every step."""
+    return ref_rk4(ref_nahm_rhs, init, h, n, lambda y: ref_skew_project(y, k))
+
+
+def assert_near_per_step_projected(got, init, h, n, k):
+    # dropping the per-step projection moves the path by rounding only
+    ref = ref_nahm_projected(init, h, n, k)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _random_nahm_start(k):
+    spec = AlgebraSpec("su", k)
+    rng = np.random.default_rng(k)
+    return spec, np.stack([spec.random_element(rng, 1.0 / k) for _ in range(3)])
+
+
 @pytest.mark.parametrize("k", [2, 4])
 def test_integrate_nahm_bitwise_matches_reference(k):
     # a coarse step keeps the increment large enough that a reordered sum
     # changes the last bit of the state
-    spec = AlgebraSpec("su", k)
-    rng = np.random.default_rng(k)
-    init = np.stack([spec.random_element(rng, 1.0 / k) for _ in range(3)])
-    n = 500
-    g = Grid(0.0, 1.0, n)
+    spec, init = _random_nahm_start(k)
+    g = Grid(0.0, 1.0, 500)
     d = integrate_nahm(spec, tuple(init), g)
-    ref = ref_rk4(ref_nahm_rhs, init, g.h, n, lambda y: ref_skew_project(y, k))
+    ref = ref_nahm(init, g.h, g.n, k)
     for i, c in enumerate((d.T1, d.T2, d.T3)):
         assert np.array_equal(c.values, ref[:, i])
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_integrate_nahm_matches_per_step_projected_reference(k):
+    spec, init = _random_nahm_start(k)
+    g = Grid(0.0, 1.0, 500)
+    got = integrate_nahm(spec, tuple(init), g).values[1:].swapaxes(0, 1)
+    assert_near_per_step_projected(got, init, g.h, g.n, k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -568,9 +606,36 @@ def test_integrate_nahm_nil_start_bytes_match_reference(k):
     init = np.stack(su2_embed(spec))
     assert np.signbit(init.real[init.real == 0]).any()
     g = Grid(0.0, 1.0, 200)
-    d = integrate_nahm(spec, tuple(init), g)
-    ref = ref_rk4(ref_nahm_rhs, init, g.h, g.n, lambda y: ref_skew_project(y, k))
-    assert d.values[1:].swapaxes(0, 1).tobytes() == ref.tobytes()
+    got = integrate_nahm(spec, tuple(init), g).values[1:].swapaxes(0, 1)
+    assert got.tobytes() == ref_nahm(init, g.h, g.n, k).tobytes()
+    assert_near_per_step_projected(got, init, g.h, g.n, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_integrate_nahm_stays_in_su_k_without_per_step_projection(k):
+    # 5000 unprojected steps: the member defect stays at rounding
+    spec = AlgebraSpec("su", k)
+    rng = np.random.default_rng(20 + k)
+    init = tuple(spec.random_element(rng, 0.1 / k) for _ in range(3))
+    T = integrate_nahm(spec, init, Grid(0.0, 5.0, 5000)).values[1:]
+    scale = float(np.max(np.linalg.norm(T, axis=(-2, -1))))
+    assert spec.member_defect(T) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_integrate_nahm_projects_a_start_off_su_k(k):
+    # a start 1e-9 off su(k), within is_member's 1e-8, by a Hermitian part
+    # and a skew-Hermitian trace: off su(k) the flow would carry both along,
+    # so the start is projected before the first step
+    spec = AlgebraSpec("su", k)
+    rng = np.random.default_rng(30 + k)
+    init = np.stack([spec.random_element(rng, 0.3 / k) for _ in range(3)])
+    H = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
+    H = H + np.conj(H.swapaxes(-1, -2))
+    off = init + 1e-9 * (H / np.linalg.norm(H, axis=(-2, -1), keepdims=True) + 1j * np.eye(k) / np.sqrt(k))
+    assert spec.member_defect(off) > 1e-10
+    T = integrate_nahm(spec, tuple(off), Grid(0.0, 1.0, 500)).values[1:]
+    assert spec.member_defect(T) <= 1e-14 * float(np.max(np.linalg.norm(T, axis=(-2, -1))))
 
 
 def ref_propagators(C, h):
@@ -755,8 +820,10 @@ def test_nahm_batch_members_match_their_single_runs(k):
             assert b == 1
             assert blowups[b] == (exc.s, exc.norm)
             node = int(round(exc.s / g.h))
-            ref = ref_rk4(ref_nahm_rhs, start, g.h, node, lambda y: ref_skew_project(y, k))
-            assert traj[: node + 1, b].tobytes() == ref.tobytes()
+            assert traj[: node + 1, b].tobytes() == ref_nahm(start, g.h, node, k).tobytes()
+            # near the pole a rounding difference grows like |T|^2; compare
+            # up to s = 0.45, where |T| is 10 times its start
+            assert_near_per_step_projected(traj[:181, b], start, g.h, 180, k)
         else:
             assert blowups[b] is None
             assert traj[:, b].tobytes() == single.tobytes()
