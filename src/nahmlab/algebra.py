@@ -54,15 +54,15 @@ def dagger(A: np.ndarray) -> np.ndarray:
 
 
 def _unit_scaled(X: np.ndarray) -> tuple:
-    """(X 2^-e, max(|X|, 1) 2^-e), |X| the largest Frobenius norm in the stack,
-    for the least e >= 0 that takes every real and imaginary part of X below 1
-    (all NaN if one is not finite).  The rescale is exact, so a test homogeneous
-    in X decides the same on it, and there no norm or product overflows."""
+    """(X 2^-e, max(|X|, 1) 2^-e, 2^-e), |X| the largest Frobenius norm in the
+    stack, for the least e >= 0 that takes every real and imaginary part of X
+    below 1 (all NaN if one is not finite).  The rescale is exact, so a test
+    homogeneous in X decides the same on it, and there no norm or product overflows."""
     X = np.asarray(X, dtype=complex)
     big = max(float(np.max(np.abs(X.real), initial=0.0)), float(np.max(np.abs(X.imag), initial=0.0)))
     unit = 2.0 ** -max(int(np.frexp(big)[1]), 0) if np.isfinite(big) else np.nan
     X = X * unit
-    return X, max(float(np.max(np.linalg.norm(X, axis=(-2, -1)))), unit)
+    return X, max(float(np.max(np.linalg.norm(X, axis=(-2, -1)))), unit), unit
 
 
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -123,7 +123,7 @@ class AlgebraSpec:
     def is_member(self, X: np.ndarray, tol: float = 1e-10) -> bool:
         """defect <= tol max(|X|, 1), decided on X rescaled by ``_unit_scaled``,
         so an entry that is not finite is never a member."""
-        X, scale = _unit_scaled(X)
+        X, scale, _ = _unit_scaled(X)
         return self.member_defect(X) <= tol * scale
 
     def project(self, X: np.ndarray) -> np.ndarray:

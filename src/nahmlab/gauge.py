@@ -60,8 +60,8 @@ class GroupPath(AlgebraPath):
 
     flavor: str = "unitary"
 
-    def _hold(self, grid, values: np.ndarray, k: int | None = None):
-        super()._hold(grid, values, k)
+    def _hold(self, grid, values: np.ndarray, k: int | None = None, batch: bool = False):
+        super()._hold(grid, values, k, batch)
         if self.flavor not in ("unitary", "complex"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "unitary" and not self.unitarity_defect <= 1e-8:

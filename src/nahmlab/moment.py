@@ -12,11 +12,13 @@ import numpy as np
 
 from .algebra import AlgebraSpec, bracket
 from .paths import (
+    CHUNK,
     AlgebraPath,
     Grid,
     NahmData,
     TangentVector,
     _component,
+    _random_chunk,
     _shared_grid,
     complex_structure,
     l2_norm,
@@ -24,7 +26,6 @@ from .paths import (
     pairing_nodes,
     path_derivative,
     quadrature,
-    random_tangent,
     sup_norm,
     vertical_field,
 )
@@ -63,7 +64,7 @@ def mu_baby(T0: AlgebraPath, T1: AlgebraPath) -> AlgebraPath:
     """Baby moment map T1' + [T0, T1], node-wise."""
     _shared_grid(T0, T1)
     v = path_derivative(T1.values, T1.grid.h) + bracket(T0.values, T1.values)
-    return AlgebraPath(T0.grid, v)
+    return AlgebraPath._own(T0.grid, v)
 
 
 def _mu(T: np.ndarray, h: float, i: int) -> np.ndarray:
@@ -122,20 +123,27 @@ def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which, ep
 
     ``which`` is "baby" or a symplectic-structure index 1, 2, 3.
     """
-    if which not in ("baby", 1, 2, 3):
-        raise ValueError("which must be 'baby', 1, 2 or 3")
-    star = rho_star(d, rho)
-    lhs = _omega_baby(star, v) if which == "baby" else omega(which, star, v)
+    return _hamiltonian_gaps(d, rho, v, [which], eps)[0][0]
 
-    def paired(data):
+
+def _hamiltonian_gaps(d: NahmData, rho: AlgebraPath, v: TangentVector, maps, eps: float = 1e-5) -> list:
+    """``hamiltonian_check`` of each sample of a chunk (batch records) or of
+    one sample, one list per map of ``maps``; the maps share rho* and the norms."""
+    if any(which not in ("baby", 1, 2, 3) for which in maps):
+        raise ValueError("which must be 'baby', 1, 2 or 3")
+
+    def pair(data, which):  # <mu(data), rho>, integrated
         mu = mu_baby(data.T0, data.T1).values if which == "baby" else _mu(data.values, d.grid.h, which)
         return quadrature(pairing_nodes(mu, rho.values), d.grid)
 
-    rhs = (paired(_perturbed(d, v, eps)) - paired(_perturbed(d, v, -eps))) / (2.0 * eps)
-    scale = max(abs(lhs), abs(rhs), l2_norm(star) * l2_norm(v))
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / scale
+    star = rho_star(d, rho)
+    sides = []
+    for which in maps:
+        lhs = _omega_baby(star, v) if which == "baby" else omega(which, star, v)
+        sides.append((lhs, (pair(_perturbed(d, v, eps), which) - pair(_perturbed(d, v, -eps), which)) / (2.0 * eps)))
+    norms = l2_norm(star) * l2_norm(v)
+    return [[0.0 if (scale := max(abs(a), abs(b), n)) == 0.0 else float(abs(a - b) / scale)
+             for a, b, n in zip(*np.atleast_1d(lhs, rhs, norms))] for lhs, rhs in sides]
 
 
 def _s1_pairing(u, v) -> float:
@@ -160,13 +168,12 @@ def kahler_form_identity_check(
     """
     rng = np.random.default_rng(0) if rng is None else rng
     errs = []
-    for _ in range(n_samples):
-        u = random_tangent(spec, grid, rng)
-        v = random_tangent(spec, grid, rng)
+    for first in range(0, n_samples, CHUNK):
+        drawn = _random_chunk(spec, grid, rng, min(CHUNK, n_samples - first), ["tangent", "tangent"])
+        u, v = (TangentVector._own(grid, t) for t in drawn)
         B = _s1_pairing(v, complex_structure(2, u)) - _s1_pairing(u, complex_structure(2, v))
         w2 = omega(2, u, v)
-        scale = max(1.0, abs(w2), abs(B))
-        errs.append(abs(B - w2) / scale)
+        errs.extend(abs(B - w2) / np.maximum(np.maximum(1.0, abs(w2)), abs(B)))
     return float(np.max(errs, initial=0.0))  # NaN if any sample is NaN
 
 

@@ -109,10 +109,12 @@ class AlgebraPath:
     def __post_init__(self):
         self._hold(self.grid, np.array(self.values, dtype=complex))
 
-    def _hold(self, grid: Grid, values: np.ndarray, k: int | None = None):
+    def _hold(self, grid: Grid, values: np.ndarray, k: int | None = None, batch: bool = False):
         """Take ``values``, a fresh complex array of shape lead + (n+1, k, k),
-        without a copy and make it read-only; k is checked when given."""
-        want = self._lead + (grid.n + 1,) + (values.shape[-1:] * 2 if k is None else (k, k))
+        or with ``batch`` lead + (n+1, B, k, k) for B paths, without a copy and
+        make it read-only; k is checked when given."""
+        batch_axis = values.shape[len(self._lead) + 1:-2][:1] if batch else ()
+        want = self._lead + (grid.n + 1,) + batch_axis + (values.shape[-1:] * 2 if k is None else (k, k))
         if values.shape != want:
             raise ValueError(f"bad {type(self).__name__} shape {values.shape}, expected {want}")
         values.flags.writeable = False
@@ -121,11 +123,12 @@ class AlgebraPath:
         return self
 
     @classmethod
-    def _own(cls, grid: Grid, values: np.ndarray, k: int | None = None, **fields):
-        """The record of ``values``, a fresh array no one else holds, and of ``fields``."""
+    def _own(cls, grid: Grid, values: np.ndarray, k: int | None = None, batch: bool = True, **fields):
+        """The record of ``values``, a fresh array no one else holds, and of
+        ``fields``; unless ``batch`` is off, of a chunk of B paths as well."""
         rec = object.__new__(cls)
         rec.__dict__.update(fields)
-        return rec._hold(grid, values, k)
+        return rec._hold(grid, values, k, batch)
 
     @property
     def dim(self) -> int:
@@ -167,7 +170,7 @@ class NahmData(AlgebraPath):
 
     @classmethod
     def from_arrays(cls, algebra: AlgebraSpec, grid: Grid, T0, T1, T2, T3) -> "NahmData":
-        return cls._own(grid, np.array((T0, T1, T2, T3), dtype=complex), algebra.dim)
+        return cls._own(grid, np.array((T0, T1, T2, T3), dtype=complex), algebra.dim, batch=False)
 
 
 @dataclass(frozen=True, init=False)
@@ -183,14 +186,17 @@ class TangentVector(AlgebraPath):
 
     @classmethod
     def from_arrays(cls, grid: Grid, t0, t1, t2, t3) -> "TangentVector":
-        return cls._own(grid, np.array((t0, t1, t2, t3), dtype=complex))
+        return cls._own(grid, np.array((t0, t1, t2, t3), dtype=complex), batch=False)
 
 
-def quadrature(f: np.ndarray, grid: Grid) -> float:
-    """Trapezoid rule for node-sampled real values."""
+def quadrature(f: np.ndarray, grid: Grid):
+    """Trapezoid rule for node-sampled real values; for (n+1, B) values of a
+    batch, the array of the B integrals, each the same 1-D sum as a path's."""
     f = np.asarray(f)
     if f.shape[0] != grid.n + 1:
         raise ValueError(f"expected {grid.n + 1} samples, got {f.shape[0]}")
+    if f.ndim > 1:
+        return np.array([quadrature(member, grid) for member in np.ascontiguousarray(f.T)])
     return float(np.tensordot(grid.weights, f, axes=(0, 0)))
 
 
@@ -254,7 +260,7 @@ def l2_metric(u: TangentVector, v: TangentVector) -> float:
 
 
 def l2_norm(u: TangentVector) -> float:
-    return float(np.sqrt(max(l2_metric(u, u), 0.0)))
+    return np.sqrt(np.maximum(l2_metric(u, u), 0.0))
 
 
 def sup_norm(values: np.ndarray) -> float:
@@ -265,11 +271,12 @@ def sup_norm(values: np.ndarray) -> float:
 def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
     """Tangent to the based-gauge orbit: [rho, T0] - rho' for Dirichlet rho."""
     _shared_grid(T0, rho)
-    end = np.max(np.linalg.norm(rho.values[[0, -1]], axis=(-2, -1)))  # np.max keeps a NaN, which fails
-    if not end <= 1e-10 * max(1.0, sup_norm(rho.values)):
+    norms = np.linalg.norm(rho.values, axis=(-2, -1))  # per node and batch member
+    # np.max keeps a NaN, which fails; fmax, as max does, takes 1 over a NaN sup
+    if not np.all(np.max(norms[[0, -1]], axis=0) <= 1e-10 * np.fmax(1.0, np.max(norms, axis=0))):
         raise ValueError("gauge parameter must vanish at both endpoints")
     v = bracket(rho.values, T0.values) - dirichlet_derivative(rho.values, rho.grid.h)
-    return AlgebraPath(T0.grid, v)
+    return AlgebraPath._own(T0.grid, v)
 
 
 # Right multiplication by the quaternion units i, j, k acting on
@@ -288,7 +295,7 @@ def complex_structure(i: int, v: TangentVector) -> TangentVector:
     if i not in (1, 2, 3):
         raise ValueError("complex structure index must be 1, 2 or 3")
     signs, source = _STRUCTURE[i]
-    return TangentVector._own(v.grid, np.reshape(signs, (4, 1, 1, 1)) * v.values[list(source)])
+    return TangentVector._own(v.grid, np.reshape(signs, (4,) + (1,) * (v.values.ndim - 1)) * v.values[list(source)])
 
 
 def omega(i: int, u: TangentVector, v: TangentVector) -> float:
@@ -316,6 +323,37 @@ def s1_action(theta: float, d: NahmData) -> NahmData:
     return NahmData._own(d.grid, np.concatenate([v[:2], c * v[2:] + sv]))
 
 
+# samples per chunk of a batched sample loop: past about ten the time per
+# sample stops falling (measured in CHANGES.md), while a chunk's memory grows
+CHUNK = 10
+
+
+def _random_chunk(spec: AlgebraSpec, grid: Grid, rng: np.random.Generator, count: int, kinds, modes=3, scale=1.0):
+    """``count`` rounds of draws in one pass, a round one draw of each kind in
+    turn: "path" (a ``random_smooth_path``), "tangent" (four) or "dirichlet"
+    (a ``random_dirichlet_path``).  Each kind comes back as the samples
+    (..., n+1, count, k, k) of its draws, with the numbers, and the generator's
+    end state, of the rounds drawn one by one."""
+    d, x = spec.dim * spec.dim - 1, (grid.nodes - grid.s0) / (grid.s1 - grid.s0)
+    shapes = {"path": (modes + 1, 2, d), "tangent": (4, modes + 1, 2, d), "dirichlet": (modes, 1, d)}
+    sizes = [int(np.prod(shapes[kind])) for kind in kinds]
+    out = []
+    for kind, z in zip(kinds, np.split(rng.standard_normal((count, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)):
+        z = np.moveaxis(z.reshape((count,) + shapes[kind]), 0, -2)[..., None, :, :]  # (..., mode, term, 1, count, d)
+        coeff = np.zeros(z.shape[:-5] + (grid.n + 1, count, d))
+        for m in range(z.shape[-5]):
+            if kind == "dirichlet":  # the sine of mode j = m + 1, damped by scale / j^2
+                j = m + 1
+                coeff += np.sin(np.pi * j * x)[:, None, None] * (z[..., m, 0, :, :, :] * scale / (j * j))
+                continue
+            damp = scale / (1.0 + m * m)  # a cosine and a sine, the sine of mode 0 drawn but unused
+            coeff += np.cos(np.pi * m * x)[:, None, None] * (z[..., m, 0, :, :, :] * damp)
+            if m > 0:
+                coeff += np.sin(np.pi * m * x)[:, None, None] * (z[..., m, 1, :, :, :] * damp)
+        out.append(su_from_coords(coeff, spec.dim))
+    return out
+
+
 def random_smooth_path(
     spec: AlgebraSpec,
     grid: Grid,
@@ -324,17 +362,7 @@ def random_smooth_path(
     scale: float = 1.0,
 ) -> AlgebraPath:
     """Low-frequency Fourier path with exactly algebra-valued samples."""
-    d = spec.dim * spec.dim - 1
-    x = (grid.nodes - grid.s0) / (grid.s1 - grid.s0)
-    coeff = np.zeros((grid.n + 1, d))
-    for m in range(modes + 1):
-        damp = scale / (1.0 + m * m)
-        a = rng.standard_normal(d) * damp
-        b = rng.standard_normal(d) * damp
-        coeff += np.outer(np.cos(np.pi * m * x), a)
-        if m > 0:
-            coeff += np.outer(np.sin(np.pi * m * x), b)
-    return AlgebraPath(grid, su_from_coords(coeff, spec.dim))
+    return AlgebraPath._own(grid, _random_chunk(spec, grid, rng, 1, ["path"], modes, scale)[0][:, 0])
 
 
 def random_dirichlet_path(
@@ -345,13 +373,7 @@ def random_dirichlet_path(
     scale: float = 1.0,
 ) -> AlgebraPath:
     """Smooth path vanishing at both endpoints (sine series)."""
-    d = spec.dim * spec.dim - 1
-    x = (grid.nodes - grid.s0) / (grid.s1 - grid.s0)
-    coeff = np.zeros((grid.n + 1, d))
-    for m in range(1, modes + 1):
-        a = rng.standard_normal(d) * scale / (m * m)
-        coeff += np.outer(np.sin(np.pi * m * x), a)
-    return AlgebraPath(grid, su_from_coords(coeff, spec.dim))
+    return AlgebraPath._own(grid, _random_chunk(spec, grid, rng, 1, ["dirichlet"], modes, scale)[0][:, 0])
 
 
 def random_tangent(
@@ -361,4 +383,4 @@ def random_tangent(
     modes: int = 3,
     scale: float = 1.0,
 ) -> TangentVector:
-    return TangentVector(*(random_smooth_path(spec, grid, rng, modes, scale) for _ in range(4)))
+    return TangentVector._own(grid, _random_chunk(spec, grid, rng, 1, ["tangent"], modes, scale)[0][:, :, 0])

@@ -106,7 +106,9 @@ def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: f
             if not np.vdot(y, y).real <= cheap_bound:
                 norms = np.linalg.norm(y, axis=(-2, -1))
                 for b in np.flatnonzero(~np.all(norms <= blowup_bound, axis=0)):
-                    norm = float(np.max(norms[:, b])) if np.all(np.isfinite(norms[:, b])) else np.inf
+                    # taken on the rescaled member, where a finite state's squares do not overflow
+                    scaled, _, unit = _unit_scaled(y[:, b])
+                    norm = float(np.max(np.linalg.norm(scaled, axis=(-2, -1)))) / unit if np.isfinite(unit) else np.inf
                     blowups[b], y[:, b] = (grid.s0 + (m + 1) * grid.h, norm), 0.0
                 if None not in blowups:
                     break
@@ -199,13 +201,13 @@ class BoundaryTarget:
             raise InputError("boundary limits tau_i must lie in su(k)")
         # the commutation tests are homogeneous, so they are taken on the
         # rescaled limits, where no norm or product overflows
-        taus, scale = _unit_scaled(taus)
+        taus, scale, _ = _unit_scaled(taus)
         for i in range(3):
             for j in range(i + 1, 3):
                 if not np.linalg.norm(bracket(taus[i], taus[j])) <= 1e-10 * scale**2:
                     raise InputError("boundary limits tau_i must commute")
         if self.sigma is not None:
-            sigma, sscale = _unit_scaled(np.stack(self.sigma))
+            sigma, sscale, _ = _unit_scaled(np.stack(self.sigma))
             for s in sigma:
                 for t in taus:
                     if not np.linalg.norm(bracket(s, t)) <= 1e-8 * sscale * scale:

@@ -178,6 +178,20 @@ def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, 
     assert (out.returncode, out.stderr) == (3, "")
 
 
+def test_blowup_names_the_finite_norm_of_a_state_whose_squares_overflow(tmp_path):
+    # the coth start at a = 1e300 is a constant state of norm 1e300 / sqrt(2):
+    # finite, though its squared entries overflow
+    cfg = {"algebra": {"family": "su", "dim": 2}, "grid": {"s0": 0.0, "s1": 1.0, "n": 100},
+           "init": {"kind": "coth", "a": 1e300}}
+    env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "nahmlab.cli", "spectral", "--config", write_config(tmp_path, "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stderr) == (3, "")
+    norm = float(re.search(r"\(norm ([^)]*)\)", out.stdout).group(1))
+    assert norm == pytest.approx(1e300 / np.sqrt(2.0), rel=1e-3), out.stdout
+
+
 def test_halfline_nil_converges(tmp_path):
     cfg = {
         "algebra": {"family": "su", "dim": 2},
@@ -382,7 +396,7 @@ def test_check_sign_flip_fails(tmp_path):
 
 
 def test_check_nan_hamiltonian_error_fails(monkeypatch):
-    monkeypatch.setattr("nahmlab.checks.hamiltonian_check", lambda *args: np.nan)
+    monkeypatch.setattr("nahmlab.checks._hamiltonian_gaps", lambda d, rho, v, maps: [[np.nan] for _ in maps])
     checks = {c["name"]: c for c in run_check_suite(n=100, samples=2)}
     for name in ("hamiltonian_baby", "hamiltonian_I1", "hamiltonian_I2", "hamiltonian_I3"):
         assert np.isnan(checks[name]["error"]) and not checks[name]["pass"]

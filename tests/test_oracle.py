@@ -6,7 +6,8 @@ T0 is the Fourier series that ``random_smooth_path`` samples (modes 1, scale
 0.4, seed 100 + k), evaluated at any s; the T1 of a level-set pair is the
 oracle's own solution of the Lax equation, sampled at the nodes.  The oracle
 is good to about 2e-13, so the orders are measured from n = 375 to n = 750,
-where the RK4 error is still well above that floor.
+where the RK4 error is still well above that floor.  A DOP853 event where the
+norm reaches the bound locates the Nahm flow's blow-up.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.integrate import solve_ivp
 from nahmlab.algebra import AlgebraSpec, su_from_coords
 from nahmlab.gauge import complex_trivialize_direct, trivialize
 from nahmlab.paths import AlgebraPath, Grid, random_smooth_path
-from nahmlab.solver import integrate_baby, integrate_nahm
+from nahmlab.solver import NahmBlowUpError, integrate_baby, integrate_nahm
 
 COARSE, FINE = 375, 750
 
@@ -137,3 +138,32 @@ def test_integrate_nahm_is_fourth_order_against_the_oracle(k):
         d = integrate_nahm(spec, tuple(init), Grid(0.0, 1.0, n))
         errs.append(np.abs(d.values[1:].swapaxes(0, 1) - truth[:: 400 // n]).max())
     assert abs(measured_order(errs) - 4.0) <= 0.1, errs
+
+
+def oracle_event(rhs, y0, bound):
+    """The first s in [0, 1] where the largest Frobenius norm of the DOP853
+    solution (rtol = atol = 1e-13) reaches ``bound``."""
+    y0 = np.asarray(y0, dtype=complex)
+
+    def reached(s, y):
+        return np.linalg.norm(y.reshape(y0.shape), axis=(-2, -1)).max() - bound
+
+    reached.terminal = True
+    sol = solve_ivp(lambda s, y: rhs(s, y.reshape(y0.shape)).ravel(), (0.0, 1.0), y0.ravel(),
+                    method="DOP853", rtol=1e-13, atol=1e-13, events=reached)
+    assert sol.status == 1
+    return sol.t_events[0][0]
+
+
+# nodes past the event: below the pole RK4 crosses the bound where the oracle
+# does, so the blow-up is the first node past it; at the default bound, 1e6,
+# the crossing is at the pole itself, which fixed-step RK4 overshoots by up to
+# one more step (1.24, 1.49 and 1.45 steps at n = 100, 200 and 1000)
+@pytest.mark.parametrize("bound, steps", [(10.0, 1.0), (1e3, 1.0), (1e6, 2.0)])
+def test_nahm_blowup_is_located_against_the_oracle(bound, steps):
+    spec, init = AlgebraSpec("su", 4), nahm_start(4)
+    event = oracle_event(nahm_rhs, init, bound)
+    for n in (100, 200, 400, 1000):
+        with pytest.raises(NahmBlowUpError) as blowup:
+            integrate_nahm(spec, tuple(init), Grid(0.0, 1.0, n), blowup_bound=bound)
+        assert 0.0 < (blowup.value.s - event) * n <= steps, (n, blowup.value.s, event)
