@@ -81,18 +81,20 @@ def char_poly_coeffs(P: np.ndarray) -> list:
 
     Faddeev-LeVerrier: M_1 = P, a_j = -tr(M_j)/j, M_(j+1) = P (M_j + a_j I),
     each product a convolution in zeta: exact up to rounding, no eigenvalues.
+    M_k is only traced, never formed: tr(P[d] M[e]) is an entrywise product-sum.
     """
     P = np.asarray(P, dtype=complex)
     k, diag = P.shape[-1], np.arange(P.shape[-1])
-    M, coeffs = P.copy(), []
+    M, tr, coeffs = P.copy(), np.trace(P, axis1=-2, axis2=-1), []
     for j in range(1, k + 1):
-        coeffs.append(0.0 - np.trace(M, axis1=-2, axis2=-1) / j)  # 0.0 - x: never a negative zero
+        coeffs.append(0.0 - tr / j)  # 0.0 - x: never a negative zero
         if j < k:
             M[..., diag, diag] += coeffs[-1][..., None]
-            nxt = np.zeros((len(M) + len(P) - 1,) + P.shape[1:], dtype=complex)
-            for d, e in np.ndindex(len(P), len(M)):
-                nxt[d + e] += P[d] @ M[e]  # one degree slice at a time
-            M = nxt
+            last = j == k - 1
+            nxt = np.zeros((len(M) + len(P) - 1,) + P.shape[1 : -2 if last else None], dtype=complex)
+            for d, e in np.ndindex(len(P), len(M)):  # one degree slice at a time
+                nxt[d + e] += (P[d].swapaxes(-1, -2) * M[e]).sum(axis=(-2, -1)) if last else P[d] @ M[e]
+            M, tr = nxt, nxt if last else np.trace(nxt, axis1=-2, axis2=-1)
     return coeffs
 
 

@@ -62,6 +62,7 @@ def char_poly(M: np.ndarray) -> np.ndarray:
 
 
 _CYCLE = np.array([[1, 2, 0], [2, 0, 1]])
+BLOCK = 32  # nodes stepped between two blow-up tests (the width is measured in CHANGES.md)
 
 
 def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:
@@ -85,14 +86,17 @@ def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: f
     """RK4 steps from states Y0 (B, 3, k, k), projected onto the algebra once on
     entry (off it the flow is nonlinear and would carry a start's off-algebra
     part along; on it RK4 stays there to rounding): the (n+1, B, 3, k, k) path
-    and per member None or (s, max norm or inf) at the first node past the bound,
-    where it is zeroed (a fixed point, so the cheap test holds for the rest)."""
+    and per member None or (s, max norm or inf) at the first node past the
+    bound, zeroed from the next node on (a fixed point).  The bound is tested
+    once per ``BLOCK`` nodes, on their summed squared norms; a block past that
+    is searched node by node.  Nodes after the block in which the last member
+    blew up are left unset."""
     if not blowup_bound > 0:
         raise InputError(f"need a blow-up bound > 0, got {blowup_bound!r}")
-    # a sum of the squared norms below this keeps every norm within the
-    # bound, rounding allowed for; the clamp keeps the square normal and finite
+    # a block's summed squared norms below this keep every norm within the bound, their
+    # rounding (< 2 ulp a term) allowed for; the clamp keeps the square normal and finite
     bound = min(float(blowup_bound), 1e150)
-    cheap_bound = bound * bound * (1.0 - 1e-12) if bound > 1e-150 else 0.0
+    cheap_bound = bound * bound * (1.0 - 2.0 ** -50 * BLOCK * Y0.size) if bound > 1e-150 else 0.0
 
     # the state is stepped component-major, (3, B, k, k): the right-hand side
     # then takes its views on the leading axis, the cheapest numpy makes
@@ -101,15 +105,19 @@ def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: f
     with np.errstate(over="ignore", invalid="ignore"):
         traj[0] = algebra.project(Y0.swapaxes(0, 1))
         y = traj[0]
-        for m in range(grid.n):
-            y = traj[m + 1] = _rk4_step(_nahm_rhs, y, scalars, None, None, None)
-            if not np.vdot(y, y).real <= cheap_bound:
-                norms = np.linalg.norm(y, axis=(-2, -1))
-                for b in np.flatnonzero(~np.all(norms <= blowup_bound, axis=0)):
-                    # taken on the rescaled member, where a finite state's squares do not overflow
-                    scaled, _, unit = _unit_scaled(y[:, b])
+        for m0 in range(0, grid.n, BLOCK):
+            for m in range(m0, min(m0 + BLOCK, grid.n)):
+                y = traj[m + 1] = _rk4_step(_nahm_rhs, y, scalars, None, None, None)
+            block = traj[m0 + 1 : m + 2]
+            if not np.vdot(block, block).real <= cheap_bound:
+                # the (node, member) pairs that may be past the bound, in node order, each
+                # decided on the rescaled node, where a finite state's squares do not overflow
+                for i, b in zip(*np.nonzero(~(np.max(np.linalg.norm(block, axis=(-2, -1)), axis=1) <= blowup_bound))):
+                    scaled, _, unit = _unit_scaled(block[i, :, b])
                     norm = float(np.max(np.linalg.norm(scaled, axis=(-2, -1)))) / unit if np.isfinite(unit) else np.inf
-                    blowups[b], y[:, b] = (grid.s0 + (m + 1) * grid.h, norm), 0.0
+                    if blowups[b] is None and not (norm <= blowup_bound and np.isfinite(unit)):
+                        blowups[b] = (grid.s0 + (m0 + int(i) + 1) * grid.h, norm)
+                        block[i + 1 :, :, b] = y[:, b] = 0.0
                 if None not in blowups:
                     break
     return traj.swapaxes(1, 2), blowups

@@ -172,9 +172,9 @@ BLOWUPS = {
     "first_step": (POLE, Grid(0.0, 0.4, 100), 1.415, 0.004, 1.4256185104547554),
     "mid_flow": (POLE, Grid(0.0, 1.0, 1000), 1e6, 0.501, 71421404565696.95),
     "last_step": (POLE, Grid(0.0, 0.4, 100), 7.0, 0.4, 7.071067563081193),
-    # the squared norms overflow although the norms are below the bound: the
-    # flow stops there, and the norm reported is the finite one, not inf
-    "overflow_above_1e150": (POLE, Grid(0.0, 1.0, 1000), 1e200, 0.502, 3.376509351502385e+174),
+    # the squared norms overflow at s = 0.502 although the norm, 3.4e174, is
+    # below the bound: the flow goes on to the first node that is not finite
+    "overflow_above_1e150": (POLE, Grid(0.0, 1.0, 1000), 1e200, 0.503, np.inf),
     # no bound: only a non-finite state stops the flow
     "nonfinite_unbounded": (POLE, Grid(0.0, 1.0, 1000), np.inf, 0.503, np.inf),
     # a constant state, one component past the bound: the sum of all three
