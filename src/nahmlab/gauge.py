@@ -70,7 +70,7 @@ class GroupPath(AlgebraPath):
 
     @cached_property
     def unitarity_defect(self) -> float:
-        """max over the nodes of |g^dag g - 1|."""
+        """max over the nodes of |g^dag g - 1|, unless a producer handed it over."""
         return float(np.max(np.linalg.norm(dagger(self.values) @ self.values - np.eye(self.dim), axis=(-2, -1))))
 
 
@@ -99,7 +99,8 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:
     (b ~ sqrt(n), identities pad): inside all blocks at once, across the block
     ends, then into the next block.  A real gauge takes the polar factor by
     Newton-Schulz steps g + g (1 - g^dag g) / 2 (a defect e < 1/2 goes to about
-    3 e^2 / 4) until the defect is 4 k eps or stops falling, at most 8."""
+    3 e^2 / 4) until the defect is 4 k eps or stops falling, at most 8; then
+    that defect, of the g returned, is handed to the path's unitarity check."""
     c, k, eye = C.values, C.dim, np.eye(C.dim, dtype=complex)
     b = int(np.ceil(np.sqrt(len(c))))
     steps = _rk4_step(np.matmul, eye, _rk4_scalars(C.grid.h), c[:-1], _midpoints(c), c[1:])
@@ -110,7 +111,7 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:
         for i in range(1, b):
             g[i, -1] = g[i - 1, -1] @ g[i, -1]
         g[1:, :-1] = g[:-1, -1:] @ g[1:, :-1]
-        g, last = g.reshape(b * b, k, k)[: len(c)], np.inf
+        g, last, held = g.reshape(b * b, k, k)[: len(c)], np.inf, {}
         for _ in range(8 if unitary else 0):
             e = eye - dagger(g) @ g
             defect = np.linalg.norm(e, axis=(-2, -1))
@@ -119,9 +120,10 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:
                 raise np.linalg.LinAlgError(f"RK4 gauge off unitary by {defect[m]:.3e} at s = {C.grid.nodes[m]:.6g}: "
                                             "grid too coarse")
             if defect.max() <= 4 * k * np.finfo(float).eps or defect.max() >= last:
+                held["unitarity_defect"] = float(defect.max())
                 break
             g, last = g + 0.5 * (g @ e), defect.max()
-    return GroupPath._own(C.grid, g, flavor="unitary" if unitary else "complex")
+    return GroupPath._own(C.grid, g, flavor="unitary" if unitary else "complex", **held)
 
 
 def trivialize(T0: AlgebraPath) -> GroupPath:
@@ -194,25 +196,26 @@ def _horizontal_coords(T0: AlgebraPath, *ts: AlgebraPath) -> np.ndarray:
 
     The weighted normal equations (V^T W V) rho = V^T W t for the optimal
     Dirichlet gauge parameter are block-pentadiagonal and positive definite:
-    one banded Cholesky factorization serves every t.
+    one banded Cholesky factorization serves every t.  G is written straight
+    into lower band storage band[u, i d + q] = G[i d + q + u, i d + q], u < 3d,
+    held Fortran-ordered as bt[i, q, u] and factored in place: entry (p, q) of
+    block G[i+b, i] goes to bt[i, q, b d + p - q].
     """
     from scipy.linalg import cho_solve_banded, cholesky_banded  # loaded on first use, not at import
     _shared_grid(T0, *ts)
     n, d, w = T0.grid.n, T0.dim**2 - 1, T0.grid.weights[:, None, None]
     ad, below, above = _vertical_operator(T0)
     A, At, eye = ad[1:-1], np.swapaxes(ad[1:-1], -1, -2), np.eye(d)
-    # blocks G[i, i], G[i+1, i], G[i+2, i] for interior nodes i, zero-padded to 4
-    col = np.zeros((n - 1, 4, d, d))
-    col[:, 0] = w[1:-1] * (At @ A) + (w[:-2] * above[:-1] ** 2 + w[2:] * below[1:] ** 2) * eye
-    col[:-1, 1] = w[1:-2] * above[1:-1] * A[:-1] + w[2:-1] * below[1:-1] * At[1:]
-    col[:-2, 2] = w[2:-2] * above[2:-1] * below[1:-2] * eye
-    # lower band storage: band[u, i d + q] = G[i d + q + u, i d + q] for u < 3d
-    u, q = np.arange(3 * d)[:, None], np.arange(d)
-    band = col.reshape(n - 1, 4 * d, d)[:, u + q, q].transpose(1, 0, 2).reshape(3 * d, -1)
+    bt = np.zeros((n - 1, d, 3 * d))
+    p, q = np.tril_indices(d)
+    bt[:, q, p - q] = (w[1:-1] * (At @ A) + (w[:-2] * above[:-1] ** 2 + w[2:] * below[1:] ** 2) * eye)[:, p, q]
+    p, q = np.indices((d, d)).reshape(2, -1)
+    bt[:-1, q, d + p - q] = (w[1:-2] * above[1:-1] * A[:-1] + w[2:-1] * below[1:-1] * At[1:])[:, p, q]
+    bt[:-2, :, 2 * d] = (w[2:-2] * above[2:-1] * below[1:-2])[..., 0]
     tc = np.stack([su_coords(t.values) for t in ts], axis=-1)
     rhs = _block_tridiagonal(np.swapaxes(ad, -1, -2), above, below, w * tc)[1:-1]
     rho = np.zeros_like(tc)
-    factor = cholesky_banded(band, lower=True)
+    factor = cholesky_banded(bt.reshape(-1, 3 * d).T, overwrite_ab=True, lower=True)
     rho[1:-1] = cho_solve_banded((factor, True), rhs.reshape(-1, len(ts))).reshape(rhs.shape)
     return tc - _block_tridiagonal(ad, below, above, rho)
 

@@ -124,9 +124,11 @@ def vergne_map_j(u: complex, v: complex) -> np.ndarray:
 
 def classify_real_orbit(u: complex, v: complex, tol: float = 1e-10) -> str:
     """Classify (u, v): image in sl(2,R) iff u^2, v^2, uv are all real; then
-    O_plus for u^2 + v^2 > 0 and O_minus for u^2 + v^2 < 0."""
+    O_plus for u^2 + v^2 > 0 and O_minus for u^2 + v^2 < 0; a non-finite u or v raises."""
     u = complex(u)
     v = complex(v)
+    if not (np.isfinite(u) and np.isfinite(v)):
+        raise InputError(f"(u, v) must be finite, got ({u}, {v})")
     if u == 0 and v == 0:
         raise InputError("(u, v) must be nonzero")
     vals = (u * u, v * v, u * v)

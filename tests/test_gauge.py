@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import cho_solve_banded, cholesky_banded, expm
 
-from nahmlab.algebra import AlgebraSpec, InputError, polar_decompose, su2_basis, su_basis, su_coords
+from nahmlab.algebra import AlgebraSpec, InputError, dagger, polar_decompose, su2_basis, su_basis, su_coords
 from nahmlab.gauge import (
     GroupPath,
     LevelSetError,
     _block_tridiagonal,
+    _horizontal_coords,
     _vertical_operator,
     act,
     complex_trivialize,
@@ -163,6 +164,28 @@ def test_trivialize_polar_correction_on_a_coarse_grid():
     assert gp.unitarity_defect <= 1e-14
     w, _, vh = np.linalg.svd(raw)
     assert np.abs(gp.values - w @ vh).max() <= 1e-12
+
+
+def recomputed_defect(gp):
+    return float(np.max(np.linalg.norm(dagger(gp.values) @ gp.values - np.eye(gp.dim), axis=(-2, -1))))
+
+
+def test_trivialize_hands_over_the_defect_of_its_values(rng):
+    # Newton-Schulz hands its last defect to the path; it must be the defect
+    # of the values returned, byte for byte, on a smooth fine T0 and on a
+    # rough coarse one whose raw product needs more than one correction
+    fine = random_smooth_path(SU2, Grid(0.0, 1.0, 500), rng)
+    g = Grid(0.0, 1.0, 16)
+    coarse = random_smooth_path(AlgebraSpec("su", 3), g, np.random.default_rng(0), modes=2, scale=1.0)
+    raw = complex_trivialize_direct(coarse, const_path(g, np.zeros((3, 3), dtype=complex)))
+    assert 0.75 * raw.unitarity_defect**2 > 12 * np.finfo(float).eps  # one step leaves about 3 e^2 / 4
+    for T0 in (fine, coarse):
+        gp = trivialize(T0)
+        assert "unitarity_defect" in gp.__dict__  # handed over, not recomputed
+        assert np.float64(gp.unitarity_defect).tobytes() == np.float64(recomputed_defect(gp)).tobytes()
+    vals = np.broadcast_to(2.0 * np.eye(2), (17, 2, 2)).astype(complex)
+    with pytest.raises(ValueError, match="unitary flavor violated"):
+        GroupPath(g, vals, "unitary")  # a path built from values still forms its own defect
 
 
 @pytest.mark.parametrize("n", [10, 400])
@@ -437,6 +460,64 @@ def test_horizontal_project_matches_dense_lstsq(rng):
     rho = np.linalg.lstsq(sw[:, None] * V, sw * tc, rcond=None)[0]
     ref = (tc - V @ rho).reshape(g.n + 1, 8)
     assert np.abs(su_coords(horizontal_project(T0, t).values) - ref).max() <= 1e-10
+
+
+def gathered_band_coords(T0, *ts):
+    """The horizontal coordinates with the band gathered from zero-padded
+    block columns: blocks G[i, i], G[i+1, i], G[i+2, i] of the normal matrix
+    per interior node i, padded to four, gathered into lower band storage,
+    transposed and copied, then factored by ``cholesky_banded``."""
+    n, d, w = T0.grid.n, T0.dim**2 - 1, T0.grid.weights[:, None, None]
+    ad, below, above = _vertical_operator(T0)
+    A, At, eye = ad[1:-1], np.swapaxes(ad[1:-1], -1, -2), np.eye(d)
+    col = np.zeros((n - 1, 4, d, d))
+    col[:, 0] = w[1:-1] * (At @ A) + (w[:-2] * above[:-1] ** 2 + w[2:] * below[1:] ** 2) * eye
+    col[:-1, 1] = w[1:-2] * above[1:-1] * A[:-1] + w[2:-1] * below[1:-1] * At[1:]
+    col[:-2, 2] = w[2:-2] * above[2:-1] * below[1:-2] * eye
+    u, q = np.arange(3 * d)[:, None], np.arange(d)
+    band = col.reshape(n - 1, 4 * d, d)[:, u + q, q].transpose(1, 0, 2).reshape(3 * d, -1)
+    tc = np.stack([su_coords(t.values) for t in ts], axis=-1)
+    rhs = _block_tridiagonal(np.swapaxes(ad, -1, -2), above, below, w * tc)[1:-1]
+    rho = np.zeros_like(tc)
+    factor = cholesky_banded(band, lower=True)
+    rho[1:-1] = cho_solve_banded((factor, True), rhs.reshape(-1, len(ts))).reshape(rhs.shape)
+    return tc - _block_tridiagonal(ad, below, above, rho)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_horizontal_coords_match_the_gathered_band_bitwise(rng, k):
+    # the band written in place holds the gathered band's numbers, signed
+    # zeros included, so every coordinate keeps its bytes
+    spec = AlgebraSpec("su", k)
+    g = Grid(0.0, 1.0, 40)
+    T0, t, t2 = (random_smooth_path(spec, g, rng, scale=0.7) for _ in range(3))
+    assert _horizontal_coords(T0, t, t2).tobytes() == gathered_band_coords(T0, t, t2).tobytes()
+
+
+def test_horizontal_coords_factor_the_band_in_place(rng, monkeypatch):
+    import scipy.linalg
+
+    factored = []
+
+    def spy(ab, **kwargs):
+        factor = cholesky_banded(ab, **kwargs)
+        factored.append((ab.flags.f_contiguous, np.shares_memory(factor, ab)))
+        return factor
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy)
+    g = Grid(0.0, 1.0, 40)
+    T0, t = (random_smooth_path(AlgebraSpec("su", 3), g, rng) for _ in range(2))
+    quotient_metric(T0, t, t)
+    assert factored == [(True, True)]
+
+
+def test_horizontal_coords_reject_a_non_finite_connection(rng):
+    # the factorization still checks its input: a NaN in T0 gets no projection
+    g = Grid(0.0, 1.0, 40)
+    T0, t = (random_smooth_path(SU2, g, rng).values.copy() for _ in range(2))
+    T0[7, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        quotient_metric(AlgebraPath(g, T0), AlgebraPath(g, t), AlgebraPath(g, t))
 
 
 def test_quotient_metric_is_pairing_of_projections(rng):

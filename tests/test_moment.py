@@ -4,6 +4,7 @@ import pytest
 from nahmlab.algebra import AlgebraSpec, bracket, su2_basis
 from nahmlab.gauge import act, exp_su_path
 from nahmlab.moment import (
+    _hamiltonian_gaps,
     _omega_baby,
     hamiltonian_check,
     kahler_form_identity_check,
@@ -21,7 +22,10 @@ from nahmlab.paths import (
     Grid,
     NahmData,
     TangentVector,
+    _random_chunk,
+    complex_structure,
     dirichlet_derivative,
+    l2_metric,
     l2_norm,
     omega,
     pairing_nodes,
@@ -189,6 +193,41 @@ def test_mu_nahm_and_hamiltonian_check_match_the_written_out_maps_bitwise(spec, 
     v = random_tangent(spec, g, rng)
     for which in ("baby", 1, 2, 3):
         assert hamiltonian_check(d, rho, v, which) == ref_hamiltonian_check(d, rho, v, which)
+
+
+def two_perturbed_gaps(d, rho, v, which, eps=1e-5):
+    """The Hamiltonian gaps with d + eps v and d - eps v made as two separate
+    perturbations, each d + (+-eps) v, and I_i rho* formed before pairing."""
+    def perturbed(e):
+        return NahmData._own(d.grid, d.values + e * v.values)
+
+    def paired(data):
+        mu = mu_baby(data.T0, data.T1).values if which == "baby" else mu_nahm(data).values[which - 1]
+        return quadrature(pairing_nodes(mu, rho.values), d.grid)
+
+    star = rho_star(d, rho)
+    lhs = _omega_baby(star, v) if which == "baby" else l2_metric(complex_structure(which, star), v)
+    rhs = (paired(perturbed(eps)) - paired(perturbed(-eps))) / (2.0 * eps)
+    norms = l2_norm(star) * l2_norm(v)
+    return [0.0 if (scale := max(abs(a), abs(b), n)) == 0.0 else float(abs(a - b) / scale)
+            for a, b, n in zip(*np.atleast_1d(lhs, rhs, norms))]
+
+
+@pytest.mark.parametrize("spec", [SU2, SU3])
+def test_hamiltonian_check_matches_two_perturbations_bitwise(spec, rng):
+    # d + eps v and d - eps v share one eps v: the gaps keep their bytes, for
+    # one sample and for every member of a chunk record
+    g = Grid(0.0, 1.0, 120)
+    d = random_nahm(spec, g, rng)
+    rho = random_dirichlet_path(spec, g, rng)
+    v = random_tangent(spec, g, rng)
+    for which in ("baby", 1, 2, 3):
+        got = hamiltonian_check(d, rho, v, which)
+        assert np.float64(got).tobytes() == np.float64(two_perturbed_gaps(d, rho, v, which)[0]).tobytes()
+    drawn = _random_chunk(spec, g, rng, 10, ["path"] * 4 + ["dirichlet", "tangent"])
+    d, rho, v = NahmData._own(g, np.stack(drawn[:4])), AlgebraPath._own(g, drawn[4]), TangentVector._own(g, drawn[5])
+    gaps = _hamiltonian_gaps(d, rho, v, ["baby", 1, 2, 3])
+    assert np.array(gaps).tobytes() == np.array([two_perturbed_gaps(d, rho, v, w) for w in ("baby", 1, 2, 3)]).tobytes()
 
 
 def test_hamiltonian_integration_by_parts_chain(rng):

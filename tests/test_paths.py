@@ -6,10 +6,12 @@ import pytest
 from nahmlab.algebra import AlgebraSpec, InputError, su2_basis
 from nahmlab.moment import mu_nahm
 from nahmlab.paths import (
+    CHUNK,
     AlgebraPath,
     Grid,
     NahmData,
     TangentVector,
+    _random_chunk,
     complex_structure,
     l2_metric,
     omega,
@@ -197,6 +199,20 @@ def test_omega_explicit_formulas(rng):
     assert omega(1, u, v) == pytest.approx(w1, abs=1e-12)
     w2 = wedge(u.t1, v.t3) - wedge(u.t3, v.t1) + wedge(u.t0, v.t2) - wedge(u.t2, v.t0)
     assert omega(2, u, v) == pytest.approx(w2, abs=1e-12)
+
+
+def test_omega_is_the_metric_against_the_rotated_tangent_bitwise(rng):
+    # omega sums the signed pairings of u's component views; the bytes are
+    # those of pairing the formed I_i u with v, on one tangent and on a chunk
+    g = Grid(0.0, 1.0, 40)
+    one = (random_tangent(SU2, g, rng), random_tangent(SU2, g, rng))
+    chunk = tuple(TangentVector._own(g, t) for t in _random_chunk(SU2, g, rng, CHUNK, ["tangent", "tangent"]))
+    for u, v in (one, chunk):
+        for i in (1, 2, 3):
+            got, ref = np.asarray(omega(i, u, v)), np.asarray(l2_metric(complex_structure(i, u), v))
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="1, 2 or 3"):
+        omega(4, *one)
 
 
 def test_so3_rotate_identity(rng):

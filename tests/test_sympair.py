@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, bracket, su2_basis
+from nahmlab.algebra import AlgebraSpec, InputError, bracket, su2_basis
 from nahmlab.paths import Grid, NahmData, path_derivative, random_smooth_path, so3_rotate, sup_norm
 from nahmlab.solver import coth_solution, nil_solution
 from nahmlab.sympair import (
@@ -187,8 +187,16 @@ def test_classify_real_orbit():
     assert classify_real_orbit(1.0, 1j) == "not_real"
     assert classify_real_orbit(0.4, -2.0) == "O_plus"
     assert classify_real_orbit(0.4j, -2.0j) == "O_minus"
+    # large finite points keep their verdicts, though u^2 overflows
+    assert classify_real_orbit(1e200, 0.0) == "O_plus"
+    assert classify_real_orbit(1e200j, 0.0) == "O_minus"
+    assert classify_real_orbit(1e200, 1e200j) == "not_real"
     with pytest.raises(ValueError):
         classify_real_orbit(0.0, 0.0)
+    # a non-finite point gets no verdict
+    for u, v in ((np.nan, np.nan), (complex(np.nan, np.nan), 1j), (np.inf, 0.0)):
+        with pytest.raises(InputError, match="finite"):
+            classify_real_orbit(u, v)
 
 
 def test_kc_orbit_form_values():
