@@ -87,8 +87,10 @@ def act(g: GroupPath, d: NahmData) -> NahmData:
     _shared_grid(g, d)
     gv = g.values
     ginv = dagger(gv) if g.flavor == "unitary" else np.linalg.inv(gv)
-    out = gv @ d.values @ ginv
-    out[0] -= path_derivative(gv, d.grid.h) @ ginv
+    out, scratch = np.empty_like(d.values), np.empty_like(gv)
+    for x, o in zip(d.values, out):
+        np.matmul(np.matmul(gv, x, out=scratch), ginv, out=o)
+    out[0] -= np.matmul(path_derivative(gv, d.grid.h), ginv, out=scratch)
     return NahmData._own(d.grid, out)
 
 

@@ -86,12 +86,17 @@ class LaxPair:
     beta: np.ndarray
 
 
+def _lax(values: np.ndarray) -> np.ndarray:
+    """(alpha, beta) = (T0 - i T1, T2 + i T3) of a quadruple stack (4, ...), as one (2, ...) array."""
+    pair = 1j * values[1::2]  # i T1, i T3
+    np.negative(pair[0], out=pair[0])  # T0 - i T1 is -i T1 + T0 bit for bit
+    pair += values[::2]
+    return pair
+
+
 def lax_extract(d: NahmData) -> LaxPair:
     """alpha = T0 - i T1, beta = T2 + i T3; beta' = [beta, alpha] on solutions."""
-    pair = 1j * d.values[1::2]  # i T1, i T3
-    np.negative(pair[0], out=pair[0])  # T0 - i T1 is -i T1 + T0 bit for bit
-    pair += d.values[::2]
-    return LaxPair(d.grid, *pair)
+    return LaxPair(d.grid, *_lax(d.values))
 
 
 def mu_complex(d: NahmData) -> np.ndarray:

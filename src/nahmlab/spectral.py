@@ -8,6 +8,7 @@ Coefficients come from the Faddeev-LeVerrier recursion run on the pencil's
 three coefficient matrices (``algebra.char_poly_coeffs``): a_j has degree
 <= 2j because the pencil entries are quadratics in zeta, and the recursion
 gives its 2j+1 coefficients exactly, with no eigen-solve and no fit.
+A flow's curves are computed in node blocks, with a working set bounded in n.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .algebra import char_poly_coeffs, dagger
 from .io import to_pairs
-from .moment import lax_extract
+from .moment import _lax
 from .paths import NahmData
 from .solver import BoundaryTarget
 
@@ -32,6 +33,8 @@ __all__ = [
     "fixed_curve",
     "reality_check",
 ]
+
+_BLOCK_BYTES = 1 << 16  # one k x k slice of a node block: 4096 / k^2 nodes (the size is measured in CHANGES.md)
 
 
 @dataclass
@@ -79,9 +82,14 @@ def char_coeffs(alpha: np.ndarray, beta: np.ndarray, beta_dagger=None) -> Spectr
 
 
 def spectral_flow(d: NahmData, beta_dagger_zero: bool = False) -> list:
-    """Coefficients a_j(zeta) at every node; list of (2j+1, n+1) arrays."""
-    lax = lax_extract(d)
-    return _curve_coeffs(*_pencil(lax.alpha, lax.beta, np.zeros_like(lax.beta) if beta_dagger_zero else None))
+    """Coefficients a_j(zeta) at every node; list of (2j+1, n+1) arrays, filled block by block."""
+    nodes, step = d.grid.n + 1, max(1, _BLOCK_BYTES // (16 * d.dim**2))
+    out = [np.empty((2 * j + 1, nodes), dtype=complex) for j in range(1, d.dim + 1)]
+    for first in range(0, nodes, step):
+        alpha, beta = _lax(d.values[:, first : first + step])
+        for o, c in zip(out, _curve_coeffs(*_pencil(alpha, beta, np.zeros_like(beta) if beta_dagger_zero else None))):
+            o[:, first : first + step] = c
+    return out
 
 
 def _coeff_drift(flows: list) -> float:

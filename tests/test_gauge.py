@@ -98,6 +98,30 @@ def test_act_unitary_gauge_matches_the_inverse(k, rng):
     assert np.array_equal(act(cplx, d).values, act_by_inverse(cplx, d))
 
 
+def act_whole_chain(g, d):
+    """The reference: the gauge action as one stacked product chain per term."""
+    gv = g.values
+    ginv = dagger(gv) if g.flavor == "unitary" else np.linalg.inv(gv)
+    out = gv @ d.values @ ginv
+    out[0] -= path_derivative(gv, d.grid.h) @ ginv
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_act_keeps_the_chain_bytes_in_fresh_memory(k, rng):
+    # the component-wise products through one scratch give the chain's bytes,
+    # and the result is a new array, not a view of either input
+    spec = AlgebraSpec("su", k)
+    g = Grid(0.0, 1.0, 300)
+    d = NahmData(spec, *(random_smooth_path(spec, g, rng, scale=0.6) for _ in range(4)))
+    unitary = exp_su_path(random_smooth_path(spec, g, rng, scale=0.8))
+    for gp in (unitary, GroupPath(g, unitary.values * 1.5, "complex")):
+        out = act(gp, d)
+        assert out.values.tobytes() == act_whole_chain(gp, d).tobytes()
+        assert not np.shares_memory(out.values, d.values)
+        assert not np.shares_memory(out.values, gp.values)
+
+
 def test_act_group_property(rng):
     for n in (250, 500):
         g = Grid(0.0, 1.0, n)

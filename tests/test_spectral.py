@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -7,14 +9,17 @@ from nahmlab.io import from_pairs
 from nahmlab.paths import Grid, NahmData, random_smooth_path
 from nahmlab.solver import BoundaryTarget, coth_solution, integrate_nahm, lax_extract, nil_solution
 from nahmlab.spectral import (
+    _BLOCK_BYTES,
     SpectralData,
     _coeff_drift,
     _curve_coeffs,
+    _pencil,
     beta_zeta,
     char_coeffs,
     conservation_check,
     fixed_curve,
     reality_check,
+    spectral_flow,
 )
 
 SU2 = AlgebraSpec("su", 2)
@@ -315,3 +320,63 @@ def test_conservation_nil_su6_conjugated(rng):
     g = Grid(0.0, 1.0, 1000)
     d = integrate_nahm(spec, tuple(U @ e @ U.conj().T for e in su2_embed(spec)), g)
     assert conservation_check(d) <= 1e-10
+
+
+def whole_array_flow(d: NahmData, beta_dagger_zero: bool = False) -> list:
+    """The reference: the Lax pair, the pencil and the recursion of all nodes at once."""
+    lax = lax_extract(d)
+    return _curve_coeffs(*_pencil(lax.alpha, lax.beta, np.zeros_like(lax.beta) if beta_dagger_zero else None))
+
+
+def block_nodes(k: int) -> int:
+    return _BLOCK_BYTES // (16 * k * k)
+
+
+def random_nahm(spec: AlgebraSpec, nodes: int, rng) -> NahmData:
+    return NahmData(spec, *(random_smooth_path(spec, Grid(0.0, 1.0, nodes - 1), rng) for _ in range(4)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_spectral_flow_blocks_keep_every_byte(k, rng):
+    # each node's arithmetic is its own: the blocks reproduce the whole-array
+    # coefficients bit for bit, at a block edge and past a partial last block
+    b = block_nodes(k)
+    for nodes in (b - 1, b, b + 1, 3 * b + 5):
+        d = random_nahm(AlgebraSpec("su", k), nodes, rng)
+        for beta_dagger_zero in (False, True):
+            got, want = spectral_flow(d, beta_dagger_zero), whole_array_flow(d, beta_dagger_zero)
+            assert [g.shape for g in got] == [(2 * j + 1, nodes) for j in range(1, k + 1)]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_spectral_flow_nan_stays_in_its_column(rng):
+    # a NaN planted on one node's diagonal, inside the second block, reaches
+    # every a_j at that node and no other node
+    k, b = 3, block_nodes(3)
+    d = random_nahm(SU3, 3 * b + 5, rng)
+    clean, m = spectral_flow(d), b + 7
+    values = d.values.copy()
+    values[2, m, 0, 0] = np.nan
+    dirty = spectral_flow(NahmData._own(d.grid, values))
+    for c, f in zip(clean, dirty):
+        assert np.isnan(f[:, m]).any()
+        assert np.delete(f, m, axis=1).tobytes() == np.delete(c, m, axis=1).tobytes()
+
+
+def traced_peak(f, *args) -> int:
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_flow_working_set_is_bounded(rng):
+    # the output plus one block's temporaries: under twice the output's bytes
+    # plus a constant at su(6), n = 8000, where the whole-array body (the
+    # negative control) holds every node's Faddeev-LeVerrier products at once
+    d = random_nahm(AlgebraSpec("su", 6), 8001, rng)
+    bound = 2 * sum(f.nbytes for f in spectral_flow(d)) + (4 << 20)
+    assert traced_peak(spectral_flow, d) < bound
+    assert traced_peak(whole_array_flow, d) > bound
