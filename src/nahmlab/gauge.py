@@ -71,7 +71,7 @@ class GroupPath(AlgebraPath):
     @cached_property
     def unitarity_defect(self) -> float:
         """max over the nodes of |g^dag g - 1|, unless a producer handed it over."""
-        return float(np.max(np.linalg.norm(dagger(self.values) @ self.values - np.eye(self.dim), axis=(-2, -1))))
+        return sup_norm(dagger(self.values) @ self.values - np.eye(self.dim))
 
 
 def exp_su_path(rho: AlgebraPath) -> GroupPath:

@@ -5,7 +5,8 @@ Paths are sampled on uniform grids and stored as read-only (n+1, k, k)
 complex arrays; a point or tangent vector t0 + t1 i + t2 j + t3 k of the path
 space (``NahmData``, ``TangentVector``) is one (4, n+1, k, k) stack, the
 moment-map triple (``moment.MomentResidual``) one (3, n+1, k, k) stack, their
-components ``AlgebraPath`` views of it.  Two difference operators are used:
+components ``AlgebraPath`` views of it.  That is the one layout, C-ordered, with
+a chunk of B paths as lead + (n+1, B, k, k).  Two difference operators are used:
 
 * ``path_derivative``      - centered interior, second-order one-sided rows at
                              the endpoints; used for free paths (connections,
@@ -64,8 +65,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise InputError(f"grid needs an integer n >= 2 intervals, got {self.n!r}")
+        if not isinstance(self.n, (int, np.integer)) or not 2 <= self.n < np.iinfo(np.intp).max:
+            raise InputError(f"grid needs an integer n >= 2 intervals, n + 1 nodes an array can index, got {self.n!r}")
         if not (np.isfinite(self.s0) and np.isfinite(self.s1)):
             raise InputError(f"grid endpoints must be finite, got [{self.s0}, {self.s1}]")
         if not self.s1 > self.s0:
@@ -99,7 +100,9 @@ class AlgebraPath:
     """A discretized map [s0, s1] -> g: node-indexed (n+1, k, k) samples, a
     read-only copy of the input, so later writes to the caller's array do not
     show up in the path.  A subclass with a leading component axis ``_lead``
-    holds its component paths as one such stack."""
+    holds its component paths as one such stack, lead + (n+1, k, k), or lead +
+    (n+1, B, k, k) for a chunk of B paths: the one layout, component-major and
+    C-ordered in memory, as every producer returns it."""
 
     grid: Grid
     values: np.ndarray

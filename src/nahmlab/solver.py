@@ -27,7 +27,7 @@ from .algebra import AlgebraSpec, InputError, Su2Triple, _unit_scaled, bracket, 
 from .gauge import trivialize
 from .io import to_pairs
 from .moment import LaxPair, lax_extract, mu_nahm
-from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step
+from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step, sup_norm
 
 __all__ = [
     "NahmBlowUpError",
@@ -48,7 +48,7 @@ __all__ = [
 
 
 class NahmBlowUpError(RuntimeError):
-    """A Nahm flow exceeded the configured norm bound in finite time."""
+    """A Nahm flow passed the norm bound at s, the first RK4 node past it: at a pole, <= 2 steps past the crossing."""
 
     def __init__(self, s: float, norm: float):
         super().__init__(f"Nahm flow blow-up near s = {s:.6g} (norm {norm:.3e})")
@@ -85,12 +85,12 @@ def _member_triple(algebra: AlgebraSpec, mats, what: str) -> np.ndarray:
 def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
     """RK4 steps from states Y0 (B, 3, k, k), projected onto the algebra once on
     entry (off it the flow is nonlinear and would carry a start's off-algebra
-    part along; on it RK4 stays there to rounding): the (n+1, B, 3, k, k) path
-    and per member None or (s, max norm or inf) at the first node past the
-    bound, zeroed from the next node on (a fixed point).  The bound is tested
-    once per ``BLOCK`` nodes, on their summed squared norms; a block past that
-    is searched node by node.  Nodes after the block in which the last member
-    blew up are left unset."""
+    part along; on it RK4 stays there to rounding): the (3, n+1, B, k, k) path,
+    a view of the node-major buffer the loop writes, and per member None or (s,
+    max norm or inf) at the first node past the bound, zeroed from the next node
+    on (a fixed point).  The bound is tested once per ``BLOCK`` nodes, on their
+    summed squared norms; a block past that is searched node by node.  Nodes
+    after the block in which the last member blew up are left unset."""
     if not blowup_bound > 0:
         raise InputError(f"need a blow-up bound > 0, got {blowup_bound!r}")
     # a block's summed squared norms below this keep every norm within the bound, their
@@ -114,13 +114,13 @@ def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: f
                 # decided on the rescaled node, where a finite state's squares do not overflow
                 for i, b in zip(*np.nonzero(~(np.max(np.linalg.norm(block, axis=(-2, -1)), axis=1) <= blowup_bound))):
                     scaled, _, unit = _unit_scaled(block[i, :, b])
-                    norm = float(np.max(np.linalg.norm(scaled, axis=(-2, -1)))) / unit if np.isfinite(unit) else np.inf
+                    norm = sup_norm(scaled) / unit if np.isfinite(unit) else np.inf
                     if blowups[b] is None and not (norm <= blowup_bound and np.isfinite(unit)):
                         blowups[b] = (grid.s0 + (m0 + int(i) + 1) * grid.h, norm)
                         block[i + 1 :, :, b] = y[:, b] = 0.0
                 if None not in blowups:
                     break
-    return traj.swapaxes(1, 2), blowups
+    return traj.swapaxes(0, 1), blowups
 
 
 def integrate_nahm(
@@ -132,12 +132,13 @@ def integrate_nahm(
     """Solve the Nahm equations in the T0 = 0 gauge from (T1, T2, T3)(s0).
 
     The start is projected onto the algebra once; RK4 then keeps the state
-    in it to rounding.  Blow-up past the norm bound raises NahmBlowUpError.
+    in it to rounding.  Blow-up past the norm bound raises NahmBlowUpError at
+    the first node past it (at a pole, within two steps of the crossing).
     """
     traj, (blowup,) = _nahm_flow(algebra, _member_triple(algebra, init, "init")[None], grid, blowup_bound)
     if blowup is not None:
         raise NahmBlowUpError(*blowup)
-    return _gauge_zero(algebra, grid, traj[:, 0].swapaxes(0, 1))
+    return _gauge_zero(algebra, grid, traj[:, :, 0])
 
 
 def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
@@ -154,8 +155,8 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
 
 
 def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T: np.ndarray) -> NahmData:
-    """NahmData with T0 = 0 and (T1, T2, T3) = T, of shape (3, n+1, k, k)."""
-    return NahmData._own(grid, np.concatenate([np.zeros_like(T[:1]), T]), algebra.dim)
+    """NahmData with T0 = 0 and (T1, T2, T3) = T, of shape (3, n+1, k, k), in one C-ordered copy."""
+    return NahmData._own(grid, np.array([np.zeros_like(T[0]), *T]), algebra.dim)
 
 
 def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> NahmData:
@@ -259,28 +260,25 @@ def halfline_solve(
     ``converged`` means the reported trajectory ends within 10 tol of the
     model; a blow-up before L gives ``data=None``.
     """
-    if not (np.isfinite(step) and step > 0):
-        raise InputError(f"need a finite step > 0, got {step!r}")
+    L = float(target.L)
+    if not (np.isfinite(step) and step > 0 and L / float(step) < np.iinfo(np.intp).max):
+        raise InputError(f"need a finite step > 0 with L / step nodes an array can index, got {step!r} for L = {L!r}")
     if not tol > 0:
         raise InputError(f"need a tolerance > 0, got {tol!r}")
-    L = float(target.L)
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
     algebra = AlgebraSpec("su", target.dim)
     model = _member_triple(algebra, asymptotic_model(target, L), "the model at L")
     guess = _member_triple(algebra, init_guess, "init_guess")
 
-    def gap(term):
-        return float(np.max(np.linalg.norm(term - model, axis=(-2, -1))))
-
     # S(u) = -T(L - u) solves Nahm whenever T does, so the solution through
     # model(L) has T(0) = -S(L) for the S starting at -model(L)
     traj, (guess_blowup, back_blowup) = _nahm_flow(algebra, np.stack([guess, -model]), grid, blowup_bound)
-    kept = guess_blowup is None and gap(traj[-1, 0]) <= tol
-    iterations, data = int(not kept), _gauge_zero(algebra, grid, traj[:, 0].swapaxes(0, 1)) if kept else None
+    kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= tol
+    iterations, data = int(not kept), _gauge_zero(algebra, grid, traj[:, :, 0]) if kept else None
     if not kept and back_blowup is None:
         with suppress(NahmBlowUpError):
-            data = integrate_nahm(algebra, tuple(-traj[-1, 1]), grid, blowup_bound)
-    deviation = np.inf if data is None else gap(data.values[1:, -1])
+            data = integrate_nahm(algebra, tuple(-traj[:, -1, 1]), grid, blowup_bound)
+    deviation = np.inf if data is None else sup_norm(data.values[1:, -1] - model)
     converged = data is not None and deviation <= 10.0 * tol
     msg = "converged" if converged else "did not reach terminal tolerance"
     if data is None:

@@ -91,8 +91,7 @@ def gstar_defect(spec: SymmetricPairSpec, Z: np.ndarray) -> float:
     Zk, Zm = split(spec, Z)
     herm_part = 0.5 * (Zk + dagger(Zk))
     skew_part = 0.5 * (Zm - dagger(Zm))
-    return float(max(np.max(np.linalg.norm(herm_part, axis=(-2, -1))),
-                     np.max(np.linalg.norm(skew_part, axis=(-2, -1)))))
+    return max(sup_norm(herm_part), sup_norm(skew_part))
 
 
 def flow_preserves_split(spec: SymmetricPairSpec, init: tuple, grid) -> tuple:

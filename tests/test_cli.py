@@ -293,6 +293,12 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         # a nil target has a sigma to converge to
         ("halfline", {"target": {"kind": "nil", "L": 5.0, "sigma": "none"}}),
         ("halfline", {"target": {"kind": "nil", "L": 5.0, "sigma": None}}),
+        # a node count past what an array can index is rejected before any array is made
+        ("evolve", {"grid": {"s0": 0.0, "s1": 1.0, "n": 10**30}, "init": {"kind": "nil"}}),
+        ("halfline", {"target": {"kind": "coth", "L": 1e300}}),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "step": 1e-300}),
+        ("halfline", {"target": {"kind": "coth", "L": 1e300}, "step": 1e-300}),  # L / step overflows
+        ("check", {"n": 10**30, "samples": 1}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):

@@ -41,7 +41,7 @@ def ref_nahm_flow(algebra, Y0, grid, blowup_bound):
                     blowups[b], y[:, b] = (grid.s0 + (m + 1) * grid.h, norm), 0.0
                 if None not in blowups:
                     break
-    return traj.swapaxes(1, 2), blowups
+    return traj.swapaxes(0, 1), blowups
 
 
 def counted_flow(monkeypatch, Y0, grid, bound):
@@ -74,7 +74,7 @@ def bound_before(node):
     """A bound between the largest norms of the pole start at node - 1 and at
     node, so that ``node`` is the first node past it."""
     traj, _ = ref_nahm_flow(SU2, pole_start(2.0)[None], GRID, np.inf)
-    norms = np.max(np.linalg.norm(traj[:, 0], axis=(-2, -1)), axis=-1)
+    norms = np.max(np.linalg.norm(traj[:, :, 0], axis=(-2, -1)), axis=0)
     assert np.all(np.diff(norms) > 0)
     return 0.5 * (norms[node - 1] + norms[node])
 
@@ -89,12 +89,12 @@ def test_blowup_node_matches_the_per_step_loop(monkeypatch, node):
     ref, ref_blowups = ref_nahm_flow(SU2, Y0, GRID, bound)
     assert node_of(blowups[0], GRID) == node
     assert blowups == ref_blowups
-    assert traj[: node + 1].tobytes() == ref[: node + 1].tobytes()
+    assert traj[:, : node + 1].tobytes() == ref[:, : node + 1].tobytes()
     # the member is zero from the next node on, to the end of its block,
     # where the flow stops
     end = block_end(node, GRID)
     assert steps == end
-    assert not np.any(traj[node + 1 : end + 1])
+    assert not np.any(traj[:, node + 1 : end + 1])
 
 
 def test_batch_members_blow_up_in_different_blocks():
@@ -109,7 +109,7 @@ def test_batch_members_blow_up_in_different_blocks():
     assert [node_of(b, GRID) // B for b in blowups[:2]] == [1, 2]
     assert blowups[2:] == [None, None]
     assert traj.tobytes() == ref.tobytes()
-    assert not np.any(traj[node_of(blowups[0], GRID) + 1 :, 0])
+    assert not np.any(traj[:, node_of(blowups[0], GRID) + 1 :, 0])
 
 
 def test_nan_start_blows_up_on_the_first_node():
@@ -118,7 +118,7 @@ def test_nan_start_blows_up_on_the_first_node():
     traj, blowups = solver._nahm_flow(SU2, Y0[None], GRID, 1e6)
     ref, ref_blowups = ref_nahm_flow(SU2, Y0[None], GRID, 1e6)
     assert blowups == ref_blowups == [(GRID.h, np.inf)]
-    assert traj[:2].tobytes() == ref[:2].tobytes()
+    assert traj[:, :2].tobytes() == ref[:, :2].tobytes()
 
 
 def test_flow_stops_at_the_end_of_the_block_where_the_last_member_blew_up(monkeypatch):
@@ -128,9 +128,9 @@ def test_flow_stops_at_the_end_of_the_block_where_the_last_member_blew_up(monkey
     last = max(node_of(b, GRID) for b in blowups)
     assert blowups == ref_blowups
     assert steps == block_end(last, GRID) < GRID.n
-    assert traj[: last + 1].tobytes() == ref[: last + 1].tobytes()
+    assert traj[:, : last + 1].tobytes() == ref[:, : last + 1].tobytes()
     for b, blowup in enumerate(blowups):
-        assert not np.any(traj[node_of(blowup, GRID) + 1 : steps + 1, b])
+        assert not np.any(traj[:, node_of(blowup, GRID) + 1 : steps + 1, b])
 
 
 def test_a_block_past_the_cheap_test_with_no_node_past_the_bound():

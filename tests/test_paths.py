@@ -44,6 +44,11 @@ def test_grid_validation():
     for s0, s1 in [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (0.0, np.nan)]:
         with pytest.raises(InputError):
             Grid(s0, s1, 10)  # no infinite step h
+    top = np.iinfo(np.intp).max  # constructed, never sampled: n + 1 nodes must be indexable
+    assert Grid(0.0, 1.0, top - 1).n == top - 1
+    for n in (top, np.int64(top), 10**30):
+        with pytest.raises(InputError, match="nodes an array can index"):
+            Grid(0.0, 1.0, n)
     g = Grid(0.0, 2.0, 4)
     assert g.h == 0.5
     assert np.allclose(g.nodes, [0, 0.5, 1, 1.5, 2])

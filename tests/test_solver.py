@@ -397,7 +397,7 @@ def test_halfline_perturbed_coth_same_orbit(rng):
     assert np.abs(char_poly(b0) - char_poly(b1)).max() <= 1e-5
 
 
-@pytest.mark.parametrize("step", [-0.5, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("step", [-0.5, 0.0, np.nan, np.inf, 1e-300])  # 1e-300: more nodes than an array can index
 def test_halfline_rejects_bad_step(step):
     target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
     with pytest.raises(ValueError, match="finite step > 0"):
@@ -813,21 +813,21 @@ def test_nahm_batch_members_match_their_single_runs(k):
     starts = [np.stack([spec.random_element(rng, 0.5 / k) for _ in range(3)]), -2.0 * nil, nil]
     g = Grid(0.0, 1.0, 400)
     traj, blowups = solver._nahm_flow(spec, np.stack(starts), g, 1e6)
-    assert traj.shape == (g.n + 1, 3, 3, k, k)
+    assert traj.shape == (3, g.n + 1, 3, k, k)
     for b, start in enumerate(starts):
         try:
-            single = integrate_nahm(spec, tuple(start), g).values[1:].swapaxes(0, 1)
+            single = integrate_nahm(spec, tuple(start), g).values[1:]
         except NahmBlowUpError as exc:
             assert b == 1
             assert blowups[b] == (exc.s, exc.norm)
             node = int(round(exc.s / g.h))
-            assert traj[: node + 1, b].tobytes() == ref_nahm(start, g.h, node, k).tobytes()
+            assert traj[:, : node + 1, b].tobytes() == ref_nahm(start, g.h, node, k).swapaxes(0, 1).tobytes()
             # near the pole a rounding difference grows like |T|^2; compare
             # up to s = 0.45, where |T| is 10 times its start
-            assert_near_per_step_projected(traj[:181, b], start, g.h, 180, k)
+            assert_near_per_step_projected(traj[:, :181, b].swapaxes(0, 1), start, g.h, 180, k)
         else:
             assert blowups[b] is None
-            assert traj[:, b].tobytes() == single.tobytes()
+            assert traj[:, :, b].tobytes() == single.tobytes()
 
 
 def test_nahm_batch_stops_when_every_member_blew_up():
