@@ -11,13 +11,12 @@ by the trivializing gauge of ``gauge``, with no stepping of its own.
 The half-line problem fixes the whole state at a truncation length L to the
 first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
 solution: since S(u) = -T(L - u) solves Nahm whenever T does, one forward
-integration from -model(L), batched with the guess's, gives T(0); unless the
-guess ends at the model, a forward replay from T(0) gives the path on [0, L].
+integration from -model(L), batched with the guess's, gives the solution:
+unless the guess ends at the model, the path is S's, reversed and negated.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -256,34 +255,34 @@ def halfline_solve(
     Fixing the full state at L is a terminal-value problem with exactly one
     solution.  The guess (three elements of su(k)) and -model(L) flow as one
     batch; a guess ending within ``tol`` of the model is kept (``iterations``
-    0), else the backward solve's T(0) is replayed forward (``iterations`` 1).
+    0), else the backward solve's path S, reversed and negated, is the result
+    (``iterations`` 1): node j of T is node n - j of -S, on the same grid.
     ``converged`` means the reported trajectory ends within 10 tol of the
     model; a blow-up before L gives ``data=None``.
     """
     L = float(target.L)
     if not (np.isfinite(step) and step > 0 and L / float(step) < np.iinfo(np.intp).max):
         raise InputError(f"need a finite step > 0 with L / step nodes an array can index, got {step!r} for L = {L!r}")
-    if not tol > 0:
-        raise InputError(f"need a tolerance > 0, got {tol!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InputError(f"need a finite tolerance > 0, got {tol!r}")
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
     algebra = AlgebraSpec("su", target.dim)
     model = _member_triple(algebra, asymptotic_model(target, L), "the model at L")
     guess = _member_triple(algebra, init_guess, "init_guess")
 
     # S(u) = -T(L - u) solves Nahm whenever T does, so the solution through
-    # model(L) has T(0) = -S(L) for the S starting at -model(L)
+    # model(L) is T(s) = -S(L - s) for the S starting at -model(L)
     traj, (guess_blowup, back_blowup) = _nahm_flow(algebra, np.stack([guess, -model]), grid, blowup_bound)
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= tol
-    iterations, data = int(not kept), _gauge_zero(algebra, grid, traj[:, :, 0]) if kept else None
-    if not kept and back_blowup is None:
-        with suppress(NahmBlowUpError):
-            data = integrate_nahm(algebra, tuple(-traj[:, -1, 1]), grid, blowup_bound)
+    data = None
+    if kept or back_blowup is None:
+        data = _gauge_zero(algebra, grid, traj[:, :, 0] if kept else -traj[:, ::-1, 1])
     deviation = np.inf if data is None else sup_norm(data.values[1:, -1] - model)
     converged = data is not None and deviation <= 10.0 * tol
     msg = "converged" if converged else "did not reach terminal tolerance"
     if data is None:
         msg = "the solution through the model blows up on [0, L]"
-    return HalflineResult(data, converged, deviation, iterations, msg)
+    return HalflineResult(data, converged, deviation, int(not kept), msg)
 
 
 @dataclass

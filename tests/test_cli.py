@@ -207,8 +207,10 @@ def test_halfline_nil_converges(tmp_path):
     assert rep["orbit"]["certified"]
 
 
-def test_halfline_tolerance_below_roundoff_nonconvergence(tmp_path):
-    # a terminal tolerance below roundoff cannot be met
+def test_halfline_tolerance_below_roundoff_ends_on_the_model(tmp_path):
+    # the missed guess's path is the backward flow's, which starts on the
+    # model, so even a tolerance below roundoff is met: the deviation is the
+    # model's projection defect, 0 for this su(2) target
     cfg = {
         "algebra": {"family": "su", "dim": 2},
         "target": {"kind": "nil", "L": 10.0},
@@ -217,10 +219,25 @@ def test_halfline_tolerance_below_roundoff_nonconvergence(tmp_path):
         "tol": 1e-300,
     }
     code, out = run(tmp_path, "halfline", cfg)
-    assert code == 4
+    assert code == 0
     rep = json.loads((out / "halfline.json").read_text())
-    assert not rep["converged"]
+    assert (rep["converged"], rep["iterations"], rep["terminal_deviation"]) == (True, 1, 0.0)
     assert "fnorm_history" not in rep
+
+
+def test_halfline_off_algebra_model_does_not_converge(tmp_path, capsys):
+    # tau1 = diag(1e-12 + 0.5i, -1e-12 - 0.5i) passes the target's su(2) test,
+    # but the flow starts on its projection, 1.414e-12 away: above 10 tol
+    cfg = {
+        "algebra": {"family": "su", "dim": 2},
+        "target": {"kind": "explicit", "L": 10.0, "tau1": [[1e-12, 0.5], [0.0, 0.0], [0.0, 0.0], [-1e-12, -0.5]],
+                   "tau2": [[0.0, 0.0]] * 4, "tau3": [[0.0, 0.0]] * 4},
+        "tol": 1e-15,
+    }
+    code, out = run(tmp_path, "halfline", cfg)
+    assert code == 4
+    assert "did not reach terminal tolerance; terminal deviation 1.414e-12" in capsys.readouterr().out
+    assert not json.loads((out / "halfline.json").read_text())["converged"]
 
 
 @pytest.mark.parametrize(

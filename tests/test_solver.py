@@ -410,11 +410,38 @@ def test_integrate_nahm_rejects_bad_blowup_bound(bound):
         integrate_nahm(SU2, tuple(su2_embed(SU2)), Grid(0.0, 1.0, 10), blowup_bound=bound)
 
 
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6])
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6, np.inf])
 def test_halfline_rejects_bad_tol(tol):
     target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
-    with pytest.raises(InputError, match="tolerance > 0"):
+    with pytest.raises(InputError, match="finite tolerance > 0"):
         halfline_solve(target, tuple(su2_embed(SU2)), tol=tol)
+
+
+def halfline_replay_gap(target, guess):
+    """The solve's missed-guess path against a forward replay from its own T(0),
+    the largest entry relative to the path's."""
+    res = halfline_solve(target, guess)
+    assert (res.iterations, res.converged, res.terminal_deviation) == (1, True, 0.0)
+    d = res.data
+    replay = integrate_nahm(d.algebra, tuple(d.values[1:, 0]), d.grid).values
+    return np.max(np.abs(d.values - replay)) / np.max(np.abs(d.values))
+
+
+@pytest.mark.parametrize("L", [5.0, 10.0, 20.0])
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_halfline_reversed_path_matches_a_forward_replay(k, L):
+    # measured worst case 3.5e-12 (su(6), L = 10); su(2..4) <= 5.9e-13
+    spec = AlgebraSpec("su", k)
+    zero = np.zeros((k, k), dtype=complex)
+    rng = np.random.default_rng(70 + k)
+    guess = tuple(np.asarray(e) + 0.01 * spec.random_element(rng) for e in su2_embed(spec))
+    assert halfline_replay_gap(BoundaryTarget(zero, zero, zero, sigma=su2_embed(spec), L=L), guess) <= 1e-10
+
+
+def test_halfline_perturbed_coth_reversed_path_matches_a_forward_replay(rng):
+    # measured 0.0
+    guess = tuple(m + 0.01 * SU2.random_element(rng) for m in coth_seed())
+    assert halfline_replay_gap(BoundaryTarget(-1.5 * E1, Z2, Z2, sigma=None, L=10.0), guess) <= 1e-10
 
 
 def test_halfline_blowup_returns_no_data():
@@ -842,8 +869,8 @@ def test_nahm_batch_stops_when_every_member_blew_up():
 
 
 def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
-    """The half-line solve as three separate flows: the guess forward, the
-    model backward, and the replay of the backward T(0)."""
+    """The half-line solve as two separate flows: the guess forward, then the
+    model backward, reversed and negated."""
     L = float(target.L)
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
     spec = AlgebraSpec("su", target.dim)
@@ -864,9 +891,12 @@ def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
     if data is None or gap(term) > tol:
         iterations, data = 1, None
         try:
-            data, term = flow(-flow(-model)[1])
+            back, _ = flow(-model)
         except NahmBlowUpError:
             pass
+        else:
+            data = NahmData.from_arrays(spec, grid, back.values[0], *-back.values[1:, ::-1])
+            term = data.values[1:, -1]
     return data, iterations, np.inf if data is None else gap(term)
 
 
@@ -882,20 +912,20 @@ def halfline_cases():
     nil2 = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
     scaled = Su2Triple(*(3.0 * np.asarray(e) for e in su2_embed(SU2)))
     return {
-        # (target, guess, sequential flow loops): the kept guess makes one
-        "coth_exact_kept": (coth, coth_seed(), 1),
-        "coth_perturbed": (coth, tuple(m + 0.01 * SU2.random_element(rng) for m in coth_seed()), 2),
-        "nil_su3_perturbed": (nil3, tuple(e + 0.01 * spec3.random_element(rng) for e in su2_embed(spec3)), 2),
+        # (target, guess)
+        "coth_exact_kept": (coth, coth_seed()),
+        "coth_perturbed": (coth, tuple(m + 0.01 * SU2.random_element(rng) for m in coth_seed())),
+        "nil_su3_perturbed": (nil3, tuple(e + 0.01 * spec3.random_element(rng) for e in su2_embed(spec3))),
         # the guess -2 sigma blows up at s = 1/2, the backward solve does not
-        "guess_blows_up": (nil2, tuple(-2.0 * np.asarray(e) for e in su2_embed(SU2)), 2),
-        # the backward solve blows up, so there is nothing to replay
-        "backward_blows_up": (BoundaryTarget(Z2, Z2, Z2, sigma=scaled, L=10.0), tuple(scaled), 1),
+        "guess_blows_up": (nil2, tuple(-2.0 * np.asarray(e) for e in su2_embed(SU2))),
+        # the backward solve blows up, so there is no path to report
+        "backward_blows_up": (BoundaryTarget(Z2, Z2, Z2, sigma=scaled, L=10.0), tuple(scaled)),
     }
 
 
 @pytest.mark.parametrize("case", sorted(halfline_cases()))
 def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
-    target, guess, loops = halfline_cases()[case]
+    target, guess = halfline_cases()[case]
     flow, calls = solver._nahm_flow, []
 
     def counted(*args):
@@ -910,5 +940,5 @@ def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
     assert (res.data is None) == (data is None)
     if data is not None:
         assert res.data.values.tobytes() == data.values.tobytes()
-    # the guess and the backward solve share the first loop
-    assert calls == [2, 1][:loops]
+    # the guess and the backward solve share the one loop
+    assert calls == [2]
