@@ -1,7 +1,7 @@
 """nahmlab: a numerical laboratory for Nahm's equations on matrix Lie algebras.
 
 Integrates the baby and full Nahm flows, performs real/complex gauge fixing,
-evaluates hyperkahler moment maps and Kahler potentials, extracts spectral
+evaluates hyperkahler moment maps and their Kahler identities, extracts spectral
 curves, solves half-line boundary-value problems identifying adjoint orbits,
 and verifies the symmetric-pair / Kostant-Sekiguchi correspondence on
 explicit sl(2) examples.
@@ -13,7 +13,6 @@ from .algebra import (
     Su2Triple,
     bracket,
     pairing,
-    polar_decompose,
     su2_basis,
     su2_embed,
     su2_embed_block,
@@ -27,8 +26,6 @@ from .paths import (
     l2_metric,
     omega,
     quadrature,
-    s1_action,
-    so3_rotate,
 )
 from .gauge import (
     GroupPath,
@@ -43,11 +40,8 @@ from .moment import (
     LaxPair,
     MomentResidual,
     hamiltonian_check,
-    kahler_potential,
-    kks_form,
     lax_extract,
     mu_baby,
-    mu_complex,
     mu_nahm,
 )
 from .solver import (
@@ -62,7 +56,6 @@ from .solver import (
 )
 from .spectral import (
     SpectralData,
-    beta_zeta,
     char_coeffs,
     conservation_check,
     fixed_curve,
@@ -74,7 +67,6 @@ from .sympair import (
     flow_preserves_split,
     is_gk_valued,
     kc_orbit_form_check,
-    lax_pairs_13,
     split,
     tangent_transitivity_check,
     vergne_map,

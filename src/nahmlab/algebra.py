@@ -30,7 +30,6 @@ __all__ = [
     "char_poly_coeffs",
     "pairing",
     "pairing_nodes",
-    "polar_decompose",
     "su2_basis",
     "su2_embed",
     "su2_embed_block",
@@ -109,8 +108,8 @@ class AlgebraSpec:
     def __post_init__(self):
         if self.family != "su":
             raise InputError(f"unknown family {self.family!r}")
-        if self.dim < 2:
-            raise InputError("dim must be >= 2")
+        if not isinstance(self.dim, (int, np.integer)) or not 2 <= self.dim or 16 * int(self.dim) ** 2 > np.iinfo(np.intp).max:
+            raise InputError(f"dim must be an integer >= 2 whose k x k complex matrix numpy can size, got {self.dim!r}")
         for name, c in (("_half", 0.5), ("_dim", self.dim), ("_eye", np.eye(self.dim))):  # for project
             object.__setattr__(self, name, np.array(c, dtype=complex))
 
@@ -155,24 +154,6 @@ def pairing(spec: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> float:
     if X.shape != (spec.dim, spec.dim) or Y.shape != X.shape:
         raise ValueError("dimension mismatch in pairing")
     return float(pairing_nodes(X, Y))
-
-
-def polar_decompose(A: np.ndarray):
-    """Factor A = U . exp(iH) with U unitary and iH Hermitian.
-
-    exp(iH) is the positive-definite right polar factor; H itself is
-    anti-Hermitian (e.g. diag(e, e^2) -> (I, -i diag(1, 2))).  Raises on
-    singular input.
-    """
-    A = np.asarray(A, dtype=complex)
-    w, s, vh = np.linalg.svd(A)
-    if s[-1] <= 1e-13 * s[0]:
-        raise np.linalg.LinAlgError("polar_decompose: singular matrix")
-    U = w @ vh
-    V = vh.conj().T
-    # right factor P = V diag(s) V^dag, so iH = V diag(log s) V^dag
-    H = -1j * (V * np.log(s)) @ V.conj().T
-    return U, H
 
 
 class Su2Triple(NamedTuple):

@@ -1,7 +1,7 @@
 """Moment maps for the based gauge action: the baby map T1' + [T0, T1], the
 hyperkahler triple whose zero set is the Nahm equations, the Lax pair
-alpha = T0 - i T1, beta = T2 + i T3 and the complex map built from it, the
-Hamiltonian identity verifier, and the S^1 moment map / Kahler potential.
+alpha = T0 - i T1, beta = T2 + i T3, the Hamiltonian identity verifier, and
+the identities of the S^1 moment map (|T2|^2 + |T3|^2)/2, the Kahler potential.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ __all__ = [
     "lax_extract",
     "mu_baby",
     "mu_nahm",
-    "mu_complex",
     "rho_star",
     "hamiltonian_check",
-    "kahler_potential",
     "kahler_form_identity_check",
     "theta_star",
     "s1_moment_identity_check",
-    "kks_form",
 ]
 
 
@@ -99,12 +96,6 @@ def lax_extract(d: NahmData) -> LaxPair:
     return LaxPair(d.grid, *_lax(d.values))
 
 
-def mu_complex(d: NahmData) -> np.ndarray:
-    """Complex moment map (T2 + iT3)' + [T0 - iT1, T2 + iT3]; equals mu2 + i mu3."""
-    lax = lax_extract(d)
-    return path_derivative(lax.beta, d.grid.h) + bracket(lax.alpha, lax.beta)
-
-
 def rho_star(d: NahmData, rho: AlgebraPath) -> TangentVector:
     """Vector field induced by the gauge parameter rho, which must vanish at
     both endpoints: the vertical field in t0, [rho, Ti] in the others."""
@@ -154,11 +145,6 @@ def _s1_pairing(u, v) -> float:
     return quadrature(pairing_nodes(u.values[2:], v.values[2:]).sum(axis=0), _shared_grid(u, v))
 
 
-def kahler_potential(d: NahmData) -> float:
-    """S^1 moment map (|T2|^2 + |T3|^2)/2, integrated over the interval."""
-    return 0.5 * _s1_pairing(d, d)
-
-
 def kahler_form_identity_check(
     spec: AlgebraSpec,
     grid: Grid,
@@ -190,10 +176,3 @@ def s1_moment_identity_check(d: NahmData, v: TangentVector) -> float:
     w = omega(1, theta_star(d), v)
     scale = max(1.0, abs(dmu), abs(w))
     return abs(dmu - w) / scale
-
-
-def kks_form(x: np.ndarray, rho: np.ndarray, rho2: np.ndarray) -> complex:
-    """Kostant-Kirillov-Souriau pairing <[rho, rho'], x>, C-bilinear."""
-    br = bracket(np.asarray(rho, dtype=complex), np.asarray(rho2, dtype=complex))
-    val = -np.einsum("pq,qp->", br, np.asarray(x, dtype=complex))
-    return complex(val)

@@ -1,5 +1,5 @@
-"""Discretized path spaces: grids, quadrature, the L2 metric, the quaternionic
-complex structures and their symplectic forms, and the SO(3) / S^1 actions.
+"""Discretized path spaces: grids, quadrature, the L2 metric, and the
+quaternionic complex structures and their symplectic forms.
 
 Paths are sampled on uniform grids and stored as read-only (n+1, k, k)
 complex arrays; a point or tangent vector t0 + t1 i + t2 j + t3 k of the path
@@ -48,8 +48,6 @@ __all__ = [
     "sup_norm",
     "complex_structure",
     "omega",
-    "so3_rotate",
-    "s1_action",
     "random_smooth_path",
     "random_dirichlet_path",
     "random_tangent",
@@ -309,26 +307,6 @@ def omega(i: int, u: TangentVector, v: TangentVector) -> float:
     for sign, m, vm in zip(*_STRUCTURE[i], v.values):  # in component order, as l2_metric sums
         total = (np.add if sign > 0 else np.subtract)(total, pairing_nodes(u.values[m], vm))
     return quadrature(total, grid)
-
-
-def so3_rotate(A: np.ndarray, d: NahmData) -> NahmData:
-    """Rotate the triple (T1, T2, T3) by A in SO(3); T0 is unchanged."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3) or not np.linalg.norm(A.T @ A - np.eye(3)) <= 1e-10:
-        raise InputError("need an orthogonal 3x3 matrix")
-    if not np.linalg.det(A) > 0:
-        raise InputError("need det A = +1")
-    return NahmData._own(d.grid, np.concatenate([d.values[:1], np.einsum("ij,jnkl->inkl", A, d.values[1:])]))
-
-
-def s1_action(theta: float, d: NahmData) -> NahmData:
-    """(T2 + i T3) -> e^{i theta} (T2 + i T3); fixes T0, T1."""
-    if not np.isfinite(theta):
-        raise InputError(f"need a finite theta, got {theta!r}")
-    v, c, s = d.values, np.cos(theta), np.sin(theta)
-    sv = s * v[[3, 2]]
-    sv[0] = -sv[0]  # c T2 - s T3 is c T2 + (-s T3) bit for bit
-    return NahmData._own(d.grid, np.concatenate([v[:2], c * v[2:] + sv]))
 
 
 # samples per chunk of a batched sample loop: past about ten the time per

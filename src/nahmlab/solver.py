@@ -164,7 +164,10 @@ def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> Nah
 
 
 def nil_solution(algebra: AlgebraSpec, grid: Grid, sigma: Optional[Su2Triple] = None, offset: float = 1.0) -> NahmData:
-    """The pole solution T_i(s) = sigma(e_i)/(s + offset), T0 = 0."""
+    """The pole solution T_i(s) = sigma(e_i)/(s + offset), T0 = 0; the offset
+    must be finite and put the pole left of the grid."""
+    if not (np.isfinite(offset) and grid.s0 + offset > 0):
+        raise InputError(f"need a finite offset with s0 + offset > 0, got {offset!r}")
     if sigma is None:
         sigma = su2_embed(algebra)
     f = 1.0 / (grid.nodes + offset)
@@ -176,8 +179,8 @@ def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
 
     T1 = -a coth(a(s+c)) e1, T2 = a/sinh(a(s+c)) e2, T3 = -a/sinh(a(s+c)) e3.
     """
-    if a <= 0 or s0_offset <= 0:
-        raise InputError("need a > 0 and s0_offset > 0")
+    if not (0 < a < np.inf and 0 < s0_offset < np.inf):
+        raise InputError(f"need finite a > 0 and s0_offset > 0, got {a!r} and {s0_offset!r}")
     xi = a * (grid.nodes + s0_offset)
     with np.errstate(over="ignore"):  # past xi ~ 710, 1/sinh(xi) is its limit 0
         return _separable(AlgebraSpec("su", 2), grid, (-a / np.tanh(xi), a / np.sinh(xi), -a / np.sinh(xi)), su2_basis())

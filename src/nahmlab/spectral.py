@@ -26,7 +26,6 @@ from .solver import BoundaryTarget
 
 __all__ = [
     "SpectralData",
-    "beta_zeta",
     "char_coeffs",
     "spectral_flow",
     "conservation_check",
@@ -56,16 +55,6 @@ def _pencil(alpha: np.ndarray, beta: np.ndarray, beta_dagger=None) -> tuple:
     """The pencil's coefficient matrices (beta, alpha + alpha*, beta*), batched or not."""
     alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
     return beta, alpha + dagger(alpha), dagger(beta) if beta_dagger is None else np.asarray(beta_dagger, dtype=complex)
-
-
-def beta_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex, beta_dagger=None) -> np.ndarray:
-    """The pencil beta + (alpha + alpha*) zeta - beta* zeta^2 at one node.
-
-    ``beta_dagger`` overrides the beta* slot (used by negative controls that
-    deliberately break the reality of the pencil).
-    """
-    beta, herm, bd = _pencil(alpha, beta, beta_dagger)
-    return beta + herm * zeta - bd * zeta * zeta
 
 
 def _curve_coeffs(beta: np.ndarray, herm: np.ndarray, quad: np.ndarray) -> list:

@@ -1,6 +1,5 @@
-"""Symmetric pairs g = k (+) m, (g,k)-valued Nahm solutions, the I1/I3 Lax
-pairs, and the explicit sl(2) witness of the Kostant-Sekiguchi correspondence
-via the Vergne map.
+"""Symmetric pairs g = k (+) m, (g,k)-valued Nahm solutions, and the explicit
+sl(2) witness of the Kostant-Sekiguchi correspondence via the Vergne map.
 
 Two involution families are provided:
 
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, bracket, dagger, su_basis
-from .moment import lax_extract
+from .algebra import AlgebraSpec, InputError, bracket, su_basis
 from .paths import NahmData, sup_norm
 from .solver import integrate_nahm
 
@@ -26,9 +24,7 @@ __all__ = [
     "SymmetricPairSpec",
     "split",
     "is_gk_valued",
-    "gstar_defect",
     "flow_preserves_split",
-    "lax_pairs_13",
     "vergne_map",
     "vergne_map_j",
     "classify_real_orbit",
@@ -86,26 +82,10 @@ def is_gk_valued(spec: SymmetricPairSpec, d: NahmData) -> float:
     return sup_norm(np.concatenate([m_part[:2], k_part[2:]]))
 
 
-def gstar_defect(spec: SymmetricPairSpec, Z: np.ndarray) -> float:
-    """Distance of Z from the dual real form g* = k + i m inside g tensor C."""
-    Zk, Zm = split(spec, Z)
-    herm_part = 0.5 * (Zk + dagger(Zk))
-    skew_part = 0.5 * (Zm - dagger(Zm))
-    return max(sup_norm(herm_part), sup_norm(skew_part))
-
-
 def flow_preserves_split(spec: SymmetricPairSpec, init: tuple, grid) -> tuple:
     """Integrate from a (g,k)-valued initial triple and measure the leakage."""
     d = integrate_nahm(spec.base, init, grid)
     return d, is_gk_valued(spec, d)
-
-
-def lax_pairs_13(d: NahmData):
-    """Lax pairs for the structures I1 and I3:
-    (alpha1, beta1) = (T0 - iT1, T2 + iT3), (alpha3, beta3) = (T0 - iT3, T1 + iT2)."""
-    lax1 = lax_extract(d)
-    lax3 = lax_extract(NahmData._own(d.grid, d.values[[0, 3, 1, 2]]))  # (T1, T2, T3) -> (T3, T1, T2)
-    return (lax1.alpha, lax1.beta), (lax3.alpha, lax3.beta)
 
 
 def vergne_map(u: complex, v: complex) -> np.ndarray:
@@ -121,9 +101,10 @@ def vergne_map_j(u: complex, v: complex) -> np.ndarray:
     return vergne_map(u - 1j * np.conj(v), v + 1j * np.conj(u))
 
 
-def classify_real_orbit(u: complex, v: complex, tol: float = 1e-10) -> str:
+def classify_real_orbit(u: complex, v: complex) -> str:
     """Classify (u, v): image in sl(2,R) iff u^2, v^2, uv are all real; then
-    O_plus for u^2 + v^2 > 0 and O_minus for u^2 + v^2 < 0; a non-finite u or v raises."""
+    O_plus for u^2 + v^2 > 0 and O_minus for u^2 + v^2 < 0, each decided to
+    1e-10; a non-finite u or v raises."""
     u = complex(u)
     v = complex(v)
     if not (np.isfinite(u) and np.isfinite(v)):
@@ -131,10 +112,10 @@ def classify_real_orbit(u: complex, v: complex, tol: float = 1e-10) -> str:
     if u == 0 and v == 0:
         raise InputError("(u, v) must be nonzero")
     vals = (u * u, v * v, u * v)
-    if any(abs(z.imag) > tol for z in vals):
+    if any(abs(z.imag) > 1e-10 for z in vals):
         return "not_real"
     disc = (u * u + v * v).real
-    if abs(disc) <= tol:
+    if abs(disc) <= 1e-10:
         return "degenerate"
     if disc > 0:
         # cross-check the coordinate criterion x1 = x3 = 0

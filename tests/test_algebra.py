@@ -1,15 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from nahmlab.algebra import (
     AlgebraSpec,
     InputError,
     ad_matrix,
     bracket,
-    dagger,
     pairing,
-    polar_decompose,
     su2_basis,
     su2_embed,
     su2_embed_block,
@@ -81,36 +80,6 @@ def test_pairing_positive_definite(k, rng):
     assert np.linalg.eigvalsh(gram).min() > 0
 
 
-def test_polar_unitary_input(rng):
-    X = SU2.random_element(rng)
-    U0 = expm(X)
-    U, H = polar_decompose(U0)
-    assert np.abs(U - U0).max() < 1e-12
-    assert np.abs(H).max() < 1e-12
-
-
-def test_polar_positive_diagonal():
-    U, H = polar_decompose(np.diag([np.e, np.e**2]).astype(complex))
-    assert np.abs(U - np.eye(2)).max() < 1e-12
-    assert np.abs(H - (-1j) * np.diag([1.0, 2.0])).max() < 1e-12
-
-
-def test_polar_reconstruction(rng):
-    for k in (2, 4):
-        spec = AlgebraSpec("su", k)
-        A = spec.random_element(rng) + 0.3 * np.eye(k) + spec.random_element(rng) @ spec.random_element(rng)
-        U, H = polar_decompose(A)
-        assert np.abs(U @ expm(1j * H) - A).max() <= 1e-10 * max(1.0, np.linalg.norm(A))
-        assert np.abs(dagger(U) @ U - np.eye(k)).max() <= 1e-12
-        # iH must be Hermitian
-        assert np.abs(1j * H - dagger(1j * H)).max() < 1e-12
-
-
-def test_polar_singular_raises():
-    with pytest.raises(np.linalg.LinAlgError):
-        polar_decompose(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
 def test_su2_triple_invariants():
     for e in (E1, E2, E3):
         assert abs(np.trace(e)) < 1e-15
@@ -152,6 +121,14 @@ def test_membership():
     assert not SU2.is_member(np.diag([1.0, -1.0]))  # Hermitian, not skew
     with pytest.raises(InputError):
         AlgebraSpec("sl_complex", 2)
+
+
+@pytest.mark.parametrize("dim", [2.5, 10**30, math.isqrt(np.iinfo(np.intp).max // 16) + 1])
+def test_algebra_spec_rejects_a_dim_numpy_cannot_size(dim):
+    # the last is the least dim whose k x k complex identity overflows numpy's
+    # byte count: rejected before any array is made
+    with pytest.raises(InputError, match="integer >= 2"):
+        AlgebraSpec("su", dim)
 
 
 def test_member_defect_keeps_a_nan():

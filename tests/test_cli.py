@@ -316,6 +316,9 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         ("halfline", {"target": {"kind": "coth", "L": 5.0}, "step": 1e-300}),
         ("halfline", {"target": {"kind": "coth", "L": 1e300}, "step": 1e-300}),  # L / step overflows
         ("check", {"n": 10**30, "samples": 1}),
+        # so is a dim whose k x k identity numpy cannot size
+        ("evolve", {"algebra": {"family": "su", "dim": 10**10}, "grid": SMALL_GRID, "init": {"kind": "nil"}}),
+        ("evolve", {"algebra": {"family": "su", "dim": 10**30}, "grid": SMALL_GRID, "init": {"kind": "nil"}}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):

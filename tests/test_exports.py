@@ -1,5 +1,7 @@
 """The public surface: each library module's ``__all__`` names only what it
-defines or re-exports, and the package namespace imports only public names."""
+defines or re-exports, the package namespace imports only public names, and
+every public name is used by the package, the benchmark harness or the
+acceptance suite."""
 
 import ast
 import importlib
@@ -29,3 +31,18 @@ def test_package_imports_only_names_in_all():
         public = importlib.import_module(f"nahmlab.{node.module}").__all__
         stale += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in public]
     assert stale == []
+
+
+def test_every_public_name_is_reached_outside_its_unit_tests():
+    # a public name earns its place by a use in the package itself, in the
+    # benchmark harness or in the acceptance suite: read, not imported
+    root = Path(nahmlab.__file__).parents[2]
+    sources = [p for p in Path(nahmlab.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in sources:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        used |= {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    public = {n for name in LIBRARY for n in importlib.import_module(f"nahmlab.{name}").__all__}
+    unreached = sorted(public - used)
+    assert unreached == [], f"public names reached only by their unit tests: {unreached}"

@@ -2,9 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, cholesky_banded, expm
+from scipy.linalg import cho_solve_banded, cholesky_banded, expm, polar
 
-from nahmlab.algebra import AlgebraSpec, InputError, dagger, polar_decompose, su2_basis, su_basis, su_coords
+from nahmlab.algebra import AlgebraSpec, InputError, dagger, su2_basis, su_basis, su_coords
 from nahmlab.gauge import (
     GroupPath,
     LevelSetError,
@@ -313,12 +313,12 @@ def test_complex_trivialize_polar_cross_check(rng):
     T0 = random_smooth_path(SU2, g, rng, modes=1, scale=0.4)
     _, T1 = integrate_baby(SU2.random_element(rng, 0.8), T0)
     gp, gt_end, T1_0 = complex_trivialize(T0, T1, level_tol=2e-5)
-    U, H = polar_decompose(gt_end)
+    U, P = polar(gt_end, side="right")  # gt_end = U P, P positive definite
     # unitary factor is exactly the real gauge endpoint, and the positive
     # factor is the conjugated exponential
     assert np.abs(U - gp.values[-1]).max() < 1e-8
     g1 = gp.values[-1]
-    assert np.abs(g1 @ expm(1j * H) @ g1.conj().T - expm(1j * T1_0)).max() < 1e-8
+    assert np.abs(g1 @ P @ g1.conj().T - expm(1j * T1_0)).max() < 1e-8
 
 
 def test_complex_trivialize_two_stage_equals_direct(rng):

@@ -8,10 +8,7 @@ from nahmlab.moment import (
     _omega_baby,
     hamiltonian_check,
     kahler_form_identity_check,
-    kahler_potential,
-    kks_form,
     mu_baby,
-    mu_complex,
     mu_nahm,
     rho_star,
     s1_moment_identity_check,
@@ -24,7 +21,6 @@ from nahmlab.paths import (
     TangentVector,
     _random_chunk,
     complex_structure,
-    dirichlet_derivative,
     l2_metric,
     l2_norm,
     omega,
@@ -34,8 +30,6 @@ from nahmlab.paths import (
     random_dirichlet_path,
     random_smooth_path,
     random_tangent,
-    s1_action,
-    so3_rotate,
     sup_norm,
 )
 from nahmlab.solver import coth_solution, nil_solution
@@ -100,21 +94,6 @@ def test_mu_nahm_coth_solution_rate():
         errs[n] = mu_nahm(d).sup
         assert errs[n] <= 3.0 * d.grid.h**2
     assert 10.0 < errs[1000] / errs[4000] < 24.0
-
-
-def test_mu_complex_is_mu2_plus_i_mu3(rng):
-    g = Grid(0.0, 1.0, 120)
-    d = random_nahm(SU2, g, rng)
-    res = mu_nahm(d)
-    target = res.mu2.values + 1j * res.mu3.values
-    assert sup_norm(mu_complex(d) - target) < 1e-12
-
-
-def test_mu_complex_constant_beta():
-    g = Grid(0.0, 1.0, 100)
-    z = np.zeros((2, 2), dtype=complex)
-    d = NahmData.from_arrays(SU2, g, *(np.broadcast_to(m, (101, 2, 2)).copy() for m in (z, z, E2, E3)))
-    assert sup_norm(mu_complex(d)) < 1e-13
 
 
 def test_rho_star_matches_action_derivative(rng):
@@ -281,41 +260,6 @@ def test_moment_equivariance_rate(rng):
     assert errs[400] / errs[800] > 3.0
 
 
-def test_kahler_potential_zero():
-    g = Grid(0.0, 1.0, 100)
-    z = np.zeros((101, 2, 2), dtype=complex)
-    d = NahmData.from_arrays(SU2, g, z, z, z, z)
-    assert kahler_potential(d) == 0.0
-
-
-def test_kahler_potential_nil_value():
-    # |T2|^2 + |T3|^2 = 1/(s+1)^2 for the su(2) pole solution; the integral
-    # over [0,1] is 1/2, so the potential is 1/4
-    d = nil_solution(SU2, Grid(0.0, 1.0, 1000))
-    assert kahler_potential(d) == pytest.approx(0.25, abs=1e-6)
-
-
-def test_kahler_potential_s1_invariance(rng):
-    g = Grid(0.0, 1.0, 200)
-    d = random_nahm(SU2, g, rng)
-    base = kahler_potential(d)
-    for th in (0.3, 1.2, np.pi):
-        assert kahler_potential(s1_action(th, d)) == pytest.approx(base, rel=1e-12)
-
-
-def test_kahler_potential_so3_covariance(rng):
-    # a cyclic axis permutation exchanges the potential with the analogous
-    # quantity built from the other component pair
-    g = Grid(0.0, 1.0, 200)
-    d = random_nahm(SU2, g, rng)
-    A = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # (T1,T2,T3)->(T3,T1,T2)
-    rotated = so3_rotate(A, d)
-    sibling = 0.5 * quadrature(
-        pairing_nodes(d.T1.values, d.T1.values) + pairing_nodes(d.T2.values, d.T2.values), g
-    )
-    assert kahler_potential(rotated) == pytest.approx(sibling, rel=1e-12)
-
-
 def test_kahler_form_identity(rng):
     dev = kahler_form_identity_check(SU2, Grid(0.0, 1.0, 200), n_samples=20, rng=rng)
     assert dev <= 1e-12
@@ -342,11 +286,3 @@ def test_s1_moment_identity(rng):
     th = theta_star(d)
     assert sup_norm(th.t2.values + d.T3.values) == 0.0
     assert sup_norm(th.t3.values - d.T2.values) == 0.0
-
-
-def test_kks_form_values(rng):
-    assert kks_form(E3, E1, E1) == 0.0
-    assert kks_form(E3, E1, E2) == pytest.approx(-0.5, abs=1e-14)
-    for _ in range(5):
-        x, r1, r2 = (SU3.random_element(rng) for _ in range(3))
-        assert kks_form(x, r1, r2) == pytest.approx(-kks_form(x, r2, r1), abs=1e-12)

@@ -19,8 +19,6 @@ from nahmlab.paths import (
     quadrature,
     random_smooth_path,
     random_tangent,
-    s1_action,
-    so3_rotate,
 )
 from nahmlab.solver import coth_solution
 
@@ -220,74 +218,6 @@ def test_omega_is_the_metric_against_the_rotated_tangent_bitwise(rng):
         omega(4, *one)
 
 
-def test_so3_rotate_identity(rng):
-    g = Grid(0.0, 1.0, 20)
-    d = NahmData(SU2, *(random_smooth_path(SU2, g, rng) for _ in range(4)))
-    r = so3_rotate(np.eye(3), d)
-    for a, b in zip(r.components, d.components):
-        assert np.abs(a.values - b.values).max() == 0.0
-
-
-def test_so3_rotate_quarter_turn(rng):
-    g = Grid(0.0, 1.0, 20)
-    d = NahmData(SU2, *(random_smooth_path(SU2, g, rng) for _ in range(4)))
-    A = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    r = so3_rotate(A, d)
-    assert np.abs(r.T1.values - d.T1.values).max() == 0.0
-    assert np.abs(r.T2.values + d.T3.values).max() == 0.0
-    assert np.abs(r.T3.values - d.T2.values).max() == 0.0
-
-
-def test_so3_rotate_preserves_residual(rng):
-    # the residual triple rotates as a 3-vector, so the combined node-wise
-    # norm is the invariant quantity
-    grid = Grid(0.0, 1.0, 400)
-    d = coth_solution(1.0, 1.0, grid)
-
-    def combined(data):
-        r = mu_nahm(data)
-        return np.sqrt(
-            sum(np.linalg.norm(m.values, axis=(-2, -1)) ** 2 for m in (r.mu1, r.mu2, r.mu3))
-        )
-
-    base = combined(d)
-    # random special-orthogonal matrix via QR
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] *= -1.0
-    rot = combined(so3_rotate(Q, d))
-    # roundoff-level agreement on the (order-one) data scale
-    assert np.abs(rot - base).max() <= 1e-12
-
-
-def test_so3_rotate_rejects_non_orthogonal(rng):
-    g = Grid(0.0, 1.0, 10)
-    d = NahmData(SU2, *(random_smooth_path(SU2, g, rng) for _ in range(4)))
-    with pytest.raises(ValueError):
-        so3_rotate(np.diag([2.0, 1.0, 1.0]), d)
-    refl = np.diag([-1.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        so3_rotate(refl, d)
-
-
-def test_s1_action(rng):
-    g = Grid(0.0, 1.0, 20)
-    d = NahmData(SU2, *(random_smooth_path(SU2, g, rng) for _ in range(4)))
-    r0 = s1_action(0.0, d)
-    for a, b in zip(r0.components, d.components):
-        assert np.abs(a.values - b.values).max() == 0.0
-    rpi = s1_action(np.pi, d)
-    assert np.abs(rpi.T2.values + d.T2.values).max() < 1e-12
-    assert np.abs(rpi.T3.values + d.T3.values).max() < 1e-12
-    # agrees with the rotation about the first axis
-    th = 0.7
-    A = np.array([[1, 0, 0], [0, np.cos(th), -np.sin(th)], [0, np.sin(th), np.cos(th)]])
-    ra = so3_rotate(A, d)
-    rs = s1_action(th, d)
-    for a, b in zip(ra.components, rs.components):
-        assert np.abs(a.values - b.values).max() < 1e-14
-
-
 def test_metric_invariance_under_s1_block_rotation(rng):
     # rotating the (t1, t2, t3) blocks of both tangents is an isometry and
     # preserves omega_1 (the circle fixing I1)
@@ -385,15 +315,3 @@ def test_read_only_input_made_writable_again_does_not_alias():
     a[0] = E1
     for r in records:
         assert not np.shares_memory(r.values, a) and not r.values.any()
-
-
-def test_so3_rotate_and_s1_action_reject_nan(rng):
-    g = Grid(0.0, 1.0, 10)
-    d = NahmData(SU2, *(random_smooth_path(SU2, g, rng) for _ in range(4)))
-    with pytest.raises(InputError):
-        so3_rotate(np.full((3, 3), np.nan), d)
-    with pytest.raises(InputError):
-        so3_rotate(np.diag([1.0, 1.0, np.nan]), d)
-    for theta in (np.nan, np.inf):
-        with pytest.raises(InputError):
-            s1_action(theta, d)

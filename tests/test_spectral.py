@@ -14,7 +14,6 @@ from nahmlab.spectral import (
     _coeff_drift,
     _curve_coeffs,
     _pencil,
-    beta_zeta,
     char_coeffs,
     conservation_check,
     fixed_curve,
@@ -36,6 +35,12 @@ def eta_poly(s: SpectralData, zeta: complex) -> np.ndarray:
 def curve_value(s: SpectralData, eta: complex, zeta: complex) -> complex:
     """Evaluate eta^k + a_1(zeta) eta^{k-1} + ... + a_k(zeta)."""
     return complex(np.polyval(eta_poly(s, zeta), eta))
+
+
+def beta_zeta(alpha: np.ndarray, beta: np.ndarray, zeta: complex) -> np.ndarray:
+    """The pencil beta + (alpha + alpha*) zeta - beta* zeta^2 at one node."""
+    beta, herm, bd = _pencil(alpha, beta)
+    return beta + herm * zeta - bd * zeta * zeta
 
 
 def reality_violation_substitution(s: SpectralData, n_samples: int = 20, seed: int = 0) -> float:

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from nahmlab.algebra import AlgebraSpec, InputError, bracket, su2_basis
-from nahmlab.paths import Grid, NahmData, path_derivative, random_smooth_path, so3_rotate, sup_norm
-from nahmlab.solver import coth_solution, nil_solution
+from nahmlab.moment import lax_extract
+from nahmlab.paths import Grid, NahmData, random_smooth_path, sup_norm
+from nahmlab.solver import coth_solution
 from nahmlab.sympair import (
     SymmetricPairSpec,
     classify_real_orbit,
     flow_preserves_split,
-    gstar_defect,
     is_gk_valued,
     kc_orbit_form_check,
-    lax_pairs_13,
     split,
     tangent_transitivity_check,
     vergne_map,
@@ -98,8 +97,7 @@ def test_is_gk_valued_coth_after_axis_relabeling():
     # (T1,T2,T3) -> (T2,T1,-T3) is in SO(3) and puts the coth solution into
     # (g,k)-valued form for su(2)/so(2)
     d = coth_solution(1.0, 1.0, Grid(0.0, 1.0, 100))
-    A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    perm = so3_rotate(A, d)
+    perm = NahmData.from_arrays(SU2, d.grid, d.T0.values, d.T2.values, d.T1.values, -d.T3.values)
     assert is_gk_valued(SO2, perm) < 1e-14
 
 
@@ -117,44 +115,11 @@ def test_flow_broken_init_leaks(rng):
 
 def test_lax_containment_along_flow(rng):
     d, _ = flow_preserves_split(SO2, km_init(SO2, rng), Grid(0.0, 1.0, 500))
-    (a1, b1), _ = lax_pairs_13(d)
-    a1k, a1m = split(SO2, a1)
-    b1k, b1m = split(SO2, b1)
+    lax = lax_extract(d)  # the I1 pair alpha1 = T0 - iT1, beta1 = T2 + iT3
+    a1k, a1m = split(SO2, lax.alpha)
+    b1k, b1m = split(SO2, lax.beta)
     assert sup_norm(a1m) < 1e-12  # alpha1 in k tensor C
     assert sup_norm(b1k) < 1e-12  # beta1 in m tensor C
-
-
-def test_lax_pairs_13_residuals_second_order():
-    errs = {}
-    for n in (500, 1000):
-        d = nil_solution(SU2, Grid(0.0, 1.0, n))
-        h = d.grid.h
-        (a1, b1), (a3, b3) = lax_pairs_13(d)
-        r1 = sup_norm(path_derivative(b1, h) - (b1 @ a1 - a1 @ b1))
-        r3 = sup_norm(path_derivative(b3, h) - (b3 @ a3 - a3 @ b3))
-        errs[n] = max(r1, r3)
-        assert errs[n] <= 3.0 * h**2
-    assert errs[500] / errs[1000] > 3.0
-
-
-def test_lax_pairs_trivial_beta1():
-    g = Grid(0.0, 1.0, 50)
-    z = np.zeros((51, 2, 2), dtype=complex)
-    f = np.cos(g.nodes)[:, None, None]
-    d = NahmData.from_arrays(SU2, g, z, f * E2[None], z, z)
-    (a1, b1), _ = lax_pairs_13(d)
-    assert sup_norm(b1) == 0.0
-
-
-def test_lax_pairs_13_gstar_valued(rng):
-    # for (g,k)-valued data the I3 pair lands in the dual real form
-    d, _ = flow_preserves_split(SO2, km_init(SO2, rng), Grid(0.0, 1.0, 300))
-    _, (a3, b3) = lax_pairs_13(d)
-    assert gstar_defect(SO2, a3) < 1e-12
-    assert gstar_defect(SO2, b3) < 1e-12
-    # su(2)/so(2): g* = sl(2,R), so both must be real matrices
-    assert np.abs(a3.imag).max() < 1e-12
-    assert np.abs(b3.imag).max() < 1e-12
 
 
 def test_vergne_map_values():
