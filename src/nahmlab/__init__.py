@@ -55,7 +55,6 @@ from .solver import (
     orbit_identify,
 )
 from .spectral import (
-    SpectralData,
     char_coeffs,
     conservation_check,
     fixed_curve,

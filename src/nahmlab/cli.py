@@ -26,7 +26,7 @@ from .moment import mu_nahm
 from .paths import Grid, NahmData
 from .solver import BoundaryTarget, NahmBlowUpError, asymptotic_model, coth_solution, halfline_solve, integrate_nahm
 from .solver import orbit_identify
-from .spectral import SpectralData, _coeff_drift, fixed_curve, reality_check, spectral_flow
+from .spectral import _coeff_drift, fixed_curve, reality_check, spectral_flow
 from .sympair import classify_real_orbit, kc_orbit_form_check, vergne_map_j
 
 log = logging.getLogger("nahmlab")
@@ -190,16 +190,21 @@ def cmd_evolve(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _curve_json(coeffs: list) -> dict:
+    """A curve's coefficient list [a_1, ..., a_k] as {"k": k, "a": [re, im] pairs per a_j}."""
+    return {"k": len(coeffs), "a": [nio.to_pairs(c) for c in coeffs]}
+
+
 def cmd_spectral(cfg: dict, out_dir: Path) -> int:
     reality_bound = cfg["reality_bound"]
     if cfg["fixed_curve"] is not None:
         k, fc = AlgebraSpec(**cfg["algebra"]).dim, cfg["fixed_curve"]
         taus = [_matrix(fc[name], k) for name in ("tau1", "tau2", "tau3")]
         with np.errstate(over="ignore", invalid="ignore"):  # a huge tau overflows to a NaN violation
-            curve = fixed_curve(BoundaryTarget(*taus, L=fc["L"]))
-            violation = reality_check(curve)
-        factors = None if curve.factors is None else [nio.to_pairs(q).tolist() for q in curve.factors]
-        nio.write_json({"curve": curve.to_json(), "factors": factors, "reality_violation": violation},
+            coeffs, factors = fixed_curve(BoundaryTarget(*taus, L=fc["L"]))
+            violation = reality_check(coeffs)
+        factors = None if factors is None else [nio.to_pairs(q) for q in factors]
+        nio.write_json({"curve": _curve_json(coeffs), "factors": factors, "reality_violation": violation},
                        out_dir / "spectral.json")
         ok = passes(violation, reality_bound)
         print(f"spectral: fixed curve reality violation {violation:.3e} -> {'pass' if ok else 'FAIL'}")
@@ -210,12 +215,12 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> int:
     except NahmBlowUpError as exc:
         print(f"spectral: blow-up ({exc})")
         return EXIT_BLOWUP
-    flows = spectral_flow(d, beta_dagger_zero=cfg["nonreal_control"])
+    flows = spectral_flow(d, nonreal=cfg["nonreal_control"])
     drift = _coeff_drift(flows)
-    curve0 = SpectralData(d.algebra.dim, [f[:, 0] for f in flows])
+    curve0 = [f[:, 0] for f in flows]
     violation = reality_check(curve0)
     nio.coeffs_to_csv(d.grid, flows, out_dir / "coeffs.csv")
-    nio.write_json({"drift": drift, "reality_violation": violation, "curve0": curve0.to_json()},
+    nio.write_json({"drift": drift, "reality_violation": violation, "curve0": _curve_json(curve0)},
                    out_dir / "spectral.json")
     drift_bound = cfg["drift_bound"]
     ok = passes(drift, drift_bound) and passes(violation, reality_bound)
@@ -265,7 +270,8 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> int:
     report = None
     if result.data is not None:
         report = orbit_identify(result.data, target, coeff_tol=cfg["coeff_tol"], residual_gate=cfg["residual_gate"])
-    orbit = None if report is None else report.to_json()
+    orbit = None if report is None else {**vars(report), "charpoly_beta0": nio.to_pairs(report.charpoly_beta0),
+                                         "charpoly_target": nio.to_pairs(report.charpoly_target)}
     nio.write_json({"converged": result.converged, "terminal_deviation": result.terminal_deviation,
                     "iterations": result.iterations, "message": result.message, "orbit": orbit},
                    out_dir / "halfline.json")

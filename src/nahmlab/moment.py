@@ -43,6 +43,8 @@ __all__ = [
     "s1_moment_identity_check",
 ]
 
+_EPS = 1e-5  # the central-difference step of the Hamiltonian check
+
 
 @dataclass(frozen=True)
 class MomentResidual(AlgebraPath):
@@ -108,16 +110,16 @@ def _omega_baby(u: TangentVector, v: TangentVector) -> float:
     return quadrature(vals, u.grid)
 
 
-def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which, eps: float = 1e-5) -> float:
+def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which) -> float:
     """Relative gap between omega(rho*, v) and the paired directional derivative
     of the moment map, d/de <mu(d + e v), rho> by central differences.
 
     ``which`` is "baby" or a symplectic-structure index 1, 2, 3.
     """
-    return _hamiltonian_gaps(d, rho, v, [which], eps)[0][0]
+    return _hamiltonian_gaps(d, rho, v, [which])[0][0]
 
 
-def _hamiltonian_gaps(d: NahmData, rho: AlgebraPath, v: TangentVector, maps, eps: float = 1e-5) -> list:
+def _hamiltonian_gaps(d: NahmData, rho: AlgebraPath, v: TangentVector, maps) -> list:
     """``hamiltonian_check`` of each sample of a chunk (batch records) or of
     one sample, one list per map of ``maps``; the maps share rho* and the norms."""
     if any(which not in ("baby", 1, 2, 3) for which in maps):
@@ -127,13 +129,13 @@ def _hamiltonian_gaps(d: NahmData, rho: AlgebraPath, v: TangentVector, maps, eps
         mu = mu_baby(data.T0, data.T1).values if which == "baby" else _mu(data.values, d.grid.h, which)
         return quadrature(pairing_nodes(mu, rho.values), d.grid)
 
-    star, step = rho_star(d, rho), eps * v.values
+    star, step = rho_star(d, rho), _EPS * v.values
     minus = NahmData._own(_shared_grid(d, v), d.values - step)
     plus = NahmData._own(d.grid, np.add(d.values, step, out=step))  # d + eps v in eps v's buffer
     sides = []
     for which in maps:
         lhs = _omega_baby(star, v) if which == "baby" else omega(which, star, v)
-        sides.append((lhs, (pair(plus, which) - pair(minus, which)) / (2.0 * eps)))
+        sides.append((lhs, (pair(plus, which) - pair(minus, which)) / (2.0 * _EPS)))
     norms = l2_norm(star) * l2_norm(v)
     return [[0.0 if (scale := max(abs(a), abs(b), n)) == 0.0 else float(abs(a - b) / scale)
              for a, b, n in zip(*np.atleast_1d(lhs, rhs, norms))] for lhs, rhs in sides]

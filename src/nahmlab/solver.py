@@ -13,6 +13,7 @@ first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
 solution: since S(u) = -T(L - u) solves Nahm whenever T does, one forward
 integration from -model(L), batched with the guess's, gives the solution:
 unless the guess ends at the model, the path is S's, reversed and negated.
+Result records are plain dataclasses; the CLI renders them as artifacts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .algebra import AlgebraSpec, InputError, Su2Triple, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
 from .gauge import trivialize
-from .io import to_pairs
 from .moment import LaxPair, lax_extract, mu_nahm
 from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step, sup_norm
 
@@ -163,15 +163,13 @@ def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> Nah
     return _gauge_zero(algebra, grid, np.asarray(profiles)[:, :, None, None] * np.asarray(triple)[:, None])
 
 
-def nil_solution(algebra: AlgebraSpec, grid: Grid, sigma: Optional[Su2Triple] = None, offset: float = 1.0) -> NahmData:
-    """The pole solution T_i(s) = sigma(e_i)/(s + offset), T0 = 0; the offset
-    must be finite and put the pole left of the grid."""
-    if not (np.isfinite(offset) and grid.s0 + offset > 0):
-        raise InputError(f"need a finite offset with s0 + offset > 0, got {offset!r}")
-    if sigma is None:
-        sigma = su2_embed(algebra)
-    f = 1.0 / (grid.nodes + offset)
-    return _separable(algebra, grid, (f, f, f), sigma)
+def nil_solution(algebra: AlgebraSpec, grid: Grid) -> NahmData:
+    """The pole solution T_i(s) = sigma(e_i)/(s + 1), T0 = 0, for the irreducible
+    sigma = ``su2_embed``; the pole at s = -1 must lie left of the grid."""
+    if not grid.s0 + 1 > 0:
+        raise InputError(f"need s0 > -1, the pole left of the grid, got s0 = {grid.s0!r}")
+    f = 1.0 / (grid.nodes + 1.0)
+    return _separable(algebra, grid, (f, f, f), su2_embed(algebra))
 
 
 def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
@@ -260,8 +258,9 @@ def halfline_solve(
     batch; a guess ending within ``tol`` of the model is kept (``iterations``
     0), else the backward solve's path S, reversed and negated, is the result
     (``iterations`` 1): node j of T is node n - j of -S, on the same grid.
-    ``converged`` means the reported trajectory ends within 10 tol of the
-    model; a blow-up before L gives ``data=None``.
+    The model is compared in its projection onto su(k), which the backward
+    path ends at exactly (deviation 0).  ``converged`` means the reported
+    trajectory ends within 10 tol of it; a blow-up before L gives ``data=None``.
     """
     L = float(target.L)
     if not (np.isfinite(step) and step > 0 and L / float(step) < np.iinfo(np.intp).max):
@@ -276,6 +275,7 @@ def halfline_solve(
     # S(u) = -T(L - u) solves Nahm whenever T does, so the solution through
     # model(L) is T(s) = -S(L - s) for the S starting at -model(L)
     traj, (guess_blowup, back_blowup) = _nahm_flow(algebra, np.stack([guess, -model]), grid, blowup_bound)
+    model = algebra.project(model)  # the state the backward path ends at: -project(-model)
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= tol
     data = None
     if kept or back_blowup is None:
@@ -296,16 +296,6 @@ class OrbitReport:
     certified: bool
     residual_sup: float
     beta0_rank: int
-
-    def to_json(self) -> dict:
-        return {
-            "charpoly_beta0": to_pairs(self.charpoly_beta0).tolist(),
-            "charpoly_target": to_pairs(self.charpoly_target).tolist(),
-            "max_coeff_dev": float(self.max_coeff_dev),
-            "certified": bool(self.certified),
-            "residual_sup": float(self.residual_sup),
-            "beta0_rank": int(self.beta0_rank),
-        }
 
 
 def orbit_identify(

@@ -127,8 +127,8 @@ def classify_real_orbit(u: complex, v: complex) -> str:
     return "O_minus"
 
 
-def kc_orbit_form_check(M: np.ndarray, tol: float = 1e-10):
-    """Test M = b [[i,1],[1,-i]] or b [[-i,1],[1,i]] for some b != 0.
+def kc_orbit_form_check(M: np.ndarray):
+    """Test M = b [[i,1],[1,-i]] or b [[-i,1],[1,i]] for some b != 0, to 1e-10 max(1, |b|).
 
     Returns ("plus_form", b), ("minus_form", b) or ("neither", None).
     """
@@ -136,7 +136,7 @@ def kc_orbit_form_check(M: np.ndarray, tol: float = 1e-10):
     b = 0.5 * (M[0, 1] + M[1, 0])
     if abs(b) > 0:
         for name, form in (("plus_form", PLUS_FORM), ("minus_form", MINUS_FORM)):
-            if np.max(np.abs(M - b * form)) <= tol * max(1.0, abs(b)):
+            if np.max(np.abs(M - b * form)) <= 1e-10 * max(1.0, abs(b)):
                 return name, b
     return "neither", None
 

@@ -15,7 +15,6 @@ from nahmlab.checks import CHECKS, passes
 from nahmlab.gauge import (
     complex_trivialize,
     complex_trivialize_direct,
-    horizontal_project,
     quotient_metric,
     vertical_field,
 )
@@ -24,16 +23,12 @@ from nahmlab.paths import (
     AlgebraPath,
     Grid,
     NahmData,
-    pairing_nodes,
-    quadrature,
     random_dirichlet_path,
     random_smooth_path,
     random_tangent,
-    sup_norm,
 )
 from nahmlab.solver import (
     BoundaryTarget,
-    char_poly,
     coth_solution,
     halfline_solve,
     integrate_baby,
@@ -272,7 +267,7 @@ def test_criterion_8_reality_involution():
     # negative control: drop the quadratic pencil term
     d = NahmData(SU2, *(random_smooth_path(SU2, Grid(0.0, 1.0, 20), rng) for _ in range(4)))
     lax = lax_extract(d)
-    control = reality_check(char_coeffs(lax.alpha[0], lax.beta[0], beta_dagger=Z2))
+    control = reality_check(char_coeffs(lax.alpha[0], lax.beta[0], nonreal=True))
     elapsed = time.perf_counter() - start
     tol = threshold("reality", grid.h)
     ok = passes(worst, tol) and control >= 1e-2 and elapsed < 2.0
@@ -292,7 +287,7 @@ def test_criterion_9_vergne_witness():
         else:
             u, v = 1j * x[0], 1j * x[1]
             want_orbit, want_form = "O_minus", "minus_form"
-        form, b = kc_orbit_form_check(vergne_map_j(u, v), tol=1e-10)
+        form, b = kc_orbit_form_check(vergne_map_j(u, v))
         if classify_real_orbit(u, v) != want_orbit or form != want_form:
             mis += 1
     so2 = SymmetricPairSpec(SU2, "transpose_conjugate")

@@ -100,8 +100,7 @@ def random_pencils(k, n, seed):
 def spectral_pencils(k, n, seed):
     """The shape of the spectral pencil: (beta, alpha + alpha*, -beta*)."""
     alpha, beta = random_pencils(k, n, seed)[:2]
-    b, h, q = _pencil(alpha, beta)
-    return np.stack([b, h, -q])
+    return _pencil(alpha, beta)
 
 
 def flow_pencils(k):
@@ -119,8 +118,7 @@ def flow_pencils(k):
         U = U * (np.diagonal(R) / np.abs(np.diagonal(R)))
         init = tuple(U @ e @ U.conj().T for e in su2_embed(spec))
     lax = lax_extract(integrate_nahm(spec, init, grid))
-    b, h, q = _pencil(lax.alpha, lax.beta)
-    return np.stack([b, h, -q])
+    return _pencil(lax.alpha, lax.beta)
 
 
 def cases(k):

@@ -1,7 +1,7 @@
 """The public surface: each library module's ``__all__`` names only what it
-defines or re-exports, the package namespace imports only public names, and
+defines or re-exports, the package namespace imports only public names,
 every public name is used by the package, the benchmark harness or the
-acceptance suite."""
+acceptance suite, and only the command-line front end renders artifacts."""
 
 import ast
 import importlib
@@ -46,3 +46,25 @@ def test_every_public_name_is_reached_outside_its_unit_tests():
     public = {n for name in LIBRARY for n in importlib.import_module(f"nahmlab.{name}").__all__}
     unreached = sorted(public - used)
     assert unreached == [], f"public names reached only by their unit tests: {unreached}"
+
+
+def imports_io(tree: ast.Module) -> bool:
+    """Whether a module of the package imports ``nahmlab.io``, in any spelling."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level == 1 and node.module is None or node.level == 0 and node.module == "nahmlab"
+            if node.level == 1 and node.module == "io" or node.module == "nahmlab.io":
+                return True
+            if package and any(alias.name == "io" for alias in node.names):
+                return True
+        if isinstance(node, ast.Import) and any(alias.name == "nahmlab.io" for alias in node.names):
+            return True
+    return False
+
+
+def test_only_the_cli_imports_io():
+    # serialization is the front end's: a library module hands out its values
+    # and the CLI renders them with ``io``'s helpers (read, not imported)
+    sources = sorted(Path(nahmlab.__file__).parent.glob("*.py"))
+    importers = [p.stem for p in sources if imports_io(ast.parse(p.read_text()))]
+    assert importers == ["cli"]

@@ -276,11 +276,9 @@ def test_coth_solution_validation():
         lambda g: coth_solution(np.inf, 1.0, g),
         lambda g: coth_solution(1.0, np.nan, g),
         lambda g: coth_solution(1.0, np.inf, g),
-        lambda g: nil_solution(SU2, g, offset=np.nan),
-        lambda g: nil_solution(SU2, g, offset=np.inf),
-        lambda g: nil_solution(SU2, g, offset=-1.0),  # the pole at s0
+        lambda g: nil_solution(SU2, Grid(-1.0, 0.0, 10)),  # the pole at s0
     ],
-    ids=["coth-a-nan", "coth-a-inf", "coth-offset-nan", "coth-offset-inf", "nil-nan", "nil-inf", "nil-pole-on-grid"],
+    ids=["coth-a-nan", "coth-a-inf", "coth-offset-nan", "coth-offset-inf", "nil-pole-on-grid"],
 )
 def test_closed_forms_reject_a_non_finite_parameter(make):
     with pytest.raises(InputError):
