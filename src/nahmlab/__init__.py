@@ -37,7 +37,6 @@ from .gauge import (
     trivialize,
 )
 from .moment import (
-    LaxPair,
     MomentResidual,
     hamiltonian_check,
     lax_extract,

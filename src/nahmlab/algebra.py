@@ -110,8 +110,6 @@ class AlgebraSpec:
             raise InputError(f"unknown family {self.family!r}")
         if not isinstance(self.dim, (int, np.integer)) or not 2 <= self.dim or 16 * int(self.dim) ** 2 > np.iinfo(np.intp).max:
             raise InputError(f"dim must be an integer >= 2 whose k x k complex matrix numpy can size, got {self.dim!r}")
-        for name, c in (("_half", 0.5), ("_dim", self.dim), ("_eye", np.eye(self.dim))):  # for project
-            object.__setattr__(self, name, np.array(c, dtype=complex))
 
     def member_defect(self, X: np.ndarray) -> float:
         """Distance-like defect of X from the algebra (0 for members)."""
@@ -130,12 +128,11 @@ class AlgebraSpec:
     def project(self, X: np.ndarray) -> np.ndarray:
         """Nearest traceless skew-Hermitian matrix, batched."""
         X = np.asarray(X, dtype=complex)
-        X = self._half * (X - X.conj().swapaxes(-1, -2))
+        X = 0.5 * (X - X.conj().swapaxes(-1, -2))
         tr = X.trace(axis1=-2, axis2=-1)
-        # the constants are complex, as numpy would convert them per call; the
-        # scaled identity comes off every entry: a diagonal-only update would
+        # the scaled identity comes off every entry: a diagonal-only update would
         # sign some off-diagonal zeros differently, changing every trajectory
-        return X - (tr / self._dim)[..., None, None] * self._eye
+        return X - (tr / self.dim)[..., None, None] * np.eye(self.dim)
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         Z = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))

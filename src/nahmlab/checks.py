@@ -94,8 +94,7 @@ def run_check_suite(seed: int = 0, n: int = 300, samples: int = 10, inject_sign_
     proj = horizontal_project(T0, vertical_field(T0, random_dirichlet_path(su2, grid, rng)))
     errors["vertical_projection"] = quadrature(pairing_nodes(proj.values, proj.values), grid)
 
-    lax = lax_extract(data)
-    errors["reality"] = reality_check(char_coeffs(lax.alpha[0], lax.beta[0]))
+    errors["reality"] = reality_check(char_coeffs(*lax_extract(data)[:, 0]))
 
     return [{"name": name, "error": float(errors[name]), "threshold": float(threshold(grid.h)), "order": order,
              "pass": passes(errors[name], threshold(grid.h))} for name, (threshold, order) in CHECKS.items()]

@@ -1,10 +1,11 @@
 """Command-line front end: run solvers, spectral checks, half-line orbit
 identification, the Vergne demo, and the invariant suite from JSON configs.
 
-Exit codes: 0 pass, 1 check failure, 2 config error (a bad config value, or
-the library's ``InputError`` for one), 3 blow-up, 4 non-convergence (or the
-library's ``numpy.linalg.LinAlgError``).  All randomness is seeded; identical
-config + seed gives byte-identical artifacts.
+Exit codes: 0 pass, 1 check failure, 2 config error (a bad config value,
+the library's ``InputError`` for one, or a config or artifact file that
+cannot be read or written), 3 blow-up, 4 non-convergence (the library's
+``numpy.linalg.LinAlgError``).  All randomness is seeded; identical config +
+seed gives byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-class ConfigError(InputError):
-    pass
 
 
 REQUIRED = object()  # the default of a key that has none
@@ -82,7 +79,7 @@ SCHEMAS = {
         "grid": Key(_GRID, {"s1": 5.0, "n": 5000}),  # a grid given takes the other keys from _GRID
         "drift_bound": Key(float, 1e-7, "> 0"), "reality_bound": Key(float, 1e-9, "> 0"),
         "nonreal_control": Key(bool, False),
-        "fixed_curve": Key({"tau1": _TAU, "tau2": _TAU, "tau3": _TAU, "L": _L}, None),
+        "fixed_curve": Key({"tau1": _TAU, "tau2": _TAU, "tau3": _TAU}, None),
     },
     "halfline": {
         **_SOLVE,
@@ -105,9 +102,9 @@ def _typed(val, typ, what: str):
     if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if not isinstance(val, typ) or (isinstance(val, bool) and typ in (int, float)):
-        raise ConfigError(f"{what} must be {typ.__name__}, got {type(val).__name__}")
+        raise InputError(f"{what} must be {typ.__name__}, got {type(val).__name__}")
     if typ is float and not np.isfinite(val):
-        raise ConfigError(f"{what} must be finite, got {val}")
+        raise InputError(f"{what} must be finite, got {val}")
     return val
 
 
@@ -115,27 +112,27 @@ def _value(val, spec: Key, name: str = ""):
     """val checked against spec: typed and bounded, a block read against its
     table with the defaults filled in and any key the table lacks refused."""
     if val is REQUIRED:
-        raise ConfigError(f"missing config key {name!r}")
+        raise InputError(f"missing config key {name!r}")
     if val is None and spec.default is None:
         return None
     typ, where = spec.typ, name + "." if name else ""
     if isinstance(typ, Kinds) and isinstance(val, dict):
         kind = _value(val.get("kind", REQUIRED), Key(str), where + "kind")
         if kind not in typ:
-            raise ConfigError(f"unknown {name} kind {kind!r}")
+            raise InputError(f"unknown {name} kind {kind!r}")
         typ = {"kind": Key(str), **typ[kind]}
     if isinstance(typ, tuple):
         typ = typ[isinstance(val, dict)]
     if isinstance(typ, dict):
         if not isinstance(val, dict):
-            raise ConfigError(f"{name or 'the config'} must be an object, got {type(val).__name__}")
+            raise InputError(f"{name or 'the config'} must be an object, got {type(val).__name__}")
         for key in val:
             if key not in typ:
-                raise ConfigError(f"unknown config key {where + key!r}")
+                raise InputError(f"unknown config key {where + key!r}")
         return {key: _value(val.get(key, sub.default), sub, where + key) for key, sub in typ.items()}
     val = _typed(val, typ, f"config key {name!r}")
     if spec.bound == "> 0" and not val > 0 or spec.bound == ">= 0" and not val >= 0:
-        raise ConfigError(f"config key {name!r} must be {spec.bound}, got {val}")
+        raise InputError(f"config key {name!r} must be {spec.bound}, got {val}")
     return val
 
 
@@ -146,26 +143,26 @@ def _matrix(entry, k: int) -> np.ndarray:
         return np.zeros((k, k), dtype=complex)
     if isinstance(entry, dict):
         if k != 2:
-            raise ConfigError("te3 preset needs su(2)")
+            raise InputError("te3 preset needs su(2)")
         return entry["te3"] * su2_basis().e3
     try:
         return nio.matrix_from_json(entry, k)
     except Exception as exc:
-        raise ConfigError(f"bad matrix entry: {exc}") from exc
+        raise InputError(f"bad matrix entry: {exc}") from exc
 
 
 def _flow(cfg: dict) -> NahmData:
     """The Nahm flow of an evolve or spectral config, from its initial triple."""
     algebra, grid, init = AlgebraSpec(**cfg["algebra"]), Grid(**cfg["grid"]), cfg["init"]
     if init is None:
-        raise ConfigError("missing config key 'init'")
+        raise InputError("missing config key 'init'")
     if init["kind"] == "nil":
         if abs(grid.s0 + init["offset"]) < 1e-12:
-            raise ConfigError("nil init has a pole at the left endpoint")
+            raise InputError("nil init has a pole at the left endpoint")
         triple = tuple(np.asarray(e) / (grid.s0 + init["offset"]) for e in su2_embed(algebra))
     elif init["kind"] == "coth":
         if algebra.dim != 2:
-            raise ConfigError("coth init is an su(2) solution")
+            raise InputError("coth init is an su(2) solution")
         triple = tuple(coth_solution(init["a"], init["s0_offset"], Grid(grid.s0, grid.s1, 2)).values[1:, 0])
     else:
         triple = tuple(_matrix(init[name], algebra.dim) for name in ("T1", "T2", "T3"))
@@ -201,7 +198,7 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> int:
         k, fc = AlgebraSpec(**cfg["algebra"]).dim, cfg["fixed_curve"]
         taus = [_matrix(fc[name], k) for name in ("tau1", "tau2", "tau3")]
         with np.errstate(over="ignore", invalid="ignore"):  # a huge tau overflows to a NaN violation
-            coeffs, factors = fixed_curve(BoundaryTarget(*taus, L=fc["L"]))
+            coeffs, factors = fixed_curve(BoundaryTarget(*taus))
             violation = reality_check(coeffs)
         factors = None if factors is None else [nio.to_pairs(q) for q in factors]
         nio.write_json({"curve": _curve_json(coeffs), "factors": factors, "reality_violation": violation},
@@ -236,7 +233,7 @@ def _sigma(entry, algebra: AlgebraSpec):
         return None
     if entry == "irreducible":
         return su2_embed(algebra)
-    raise ConfigError(f"unknown sigma spec {entry!r}")
+    raise InputError(f"unknown sigma spec {entry!r}")
 
 
 def cmd_halfline(cfg: dict, out_dir: Path) -> int:
@@ -245,13 +242,13 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> int:
     zero = np.zeros((k, k), dtype=complex)
     if t["kind"] == "coth":
         if k != 2:
-            raise ConfigError("coth target needs su(2)")
+            raise InputError("coth target needs su(2)")
         target = BoundaryTarget(-t["a"] * su2_basis().e1, zero, zero, L=t["L"])
         guess = list(coth_solution(t["a"], 1.0, Grid(0.0, t["L"], 2)).values[1:, 0])
     elif t["kind"] == "nil":
         sigma = _sigma(t["sigma"], algebra)
         if sigma is None:
-            raise ConfigError("a nil target needs a sigma")
+            raise InputError("a nil target needs a sigma")
         target = BoundaryTarget(zero, zero, zero, sigma=sigma, L=t["L"])
         guess = [np.asarray(e, dtype=complex) for e in sigma]
     else:
@@ -282,8 +279,6 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> int:
           f"orbit certified: {certified}")
     if result.data is None:
         return EXIT_BLOWUP
-    if not result.converged:
-        return EXIT_NO_CONVERGENCE
     return EXIT_OK if certified else EXIT_CHECK_FAILED
 
 
@@ -292,7 +287,7 @@ def cmd_vergne(cfg: dict, out_dir: Path) -> int:
     crossovers = nonfinite = 0
     for entry in cfg["points"]:
         if not (isinstance(entry, list) and len(entry) == 4):
-            raise ConfigError(f"a point is [re u, im u, re v, im v], got {entry!r}")
+            raise InputError(f"a point is [re u, im u, re v, im v], got {entry!r}")
         ur, ui, vr, vi = (_typed(x, float, "a point coordinate") for x in entry)
         points.append((complex(ur, ui), complex(vr, vi)))
     rng = np.random.default_rng(cfg["seed"])
@@ -303,7 +298,7 @@ def cmd_vergne(cfg: dict, out_dir: Path) -> int:
         else:
             points.append((complex(0.0, x[0]), complex(0.0, x[1])))
     if not points:
-        raise ConfigError("no sample points configured")
+        raise InputError("no sample points configured")
     with np.errstate(over="ignore", invalid="ignore"):  # a huge point overflows; its image fails below
         for u, v in points:
             orbit = classify_real_orbit(u, v)
@@ -355,13 +350,8 @@ def main(argv=None) -> int:
         cfg = _value(raw, Key(SCHEMAS[args.command]))
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         return _COMMANDS[args.command](cfg, out_dir)
-    except InputError as exc:
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NahmBlowUpError as exc:

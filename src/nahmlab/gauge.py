@@ -33,7 +33,6 @@ from .paths import (
 
 __all__ = [
     "GroupPath",
-    "LevelSetError",
     "act",
     "trivialize",
     "monodromy",
@@ -44,10 +43,6 @@ __all__ = [
     "horizontal_project",
     "quotient_metric",
 ]
-
-
-class LevelSetError(ValueError):
-    """Input does not satisfy the level-set equation to tolerance."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,7 @@ class GroupPath(AlgebraPath):
     def _hold(self, grid, values: np.ndarray, k: int | None = None, batch: bool = False):
         super()._hold(grid, values, k, batch)
         if self.flavor not in ("unitary", "complex"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+            raise InputError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "unitary" and not self.unitarity_defect <= 1e-8:
             raise ValueError(f"unitary flavor violated, max |g^dag g - 1| = {self.unitarity_defect:.3e}")
         return self
@@ -160,12 +155,12 @@ def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6
         raise InputError("T1(s0) is not in su(k)")
     res = sup_norm(mu_baby(T0, T1).values)
     if not res <= level_tol:
-        raise LevelSetError(f"level-set residual {res:.3e} exceeds {level_tol:.1e}")
+        raise InputError(f"level-set residual {res:.3e} exceeds {level_tol:.1e}")
     g = trivialize(T0)
     conj = g.values @ T1.values @ dagger(g.values)
     drift = sup_norm(conj - conj[0])
     if not drift <= max(10.0 * level_tol, 1e-8):
-        raise LevelSetError(f"gauged T1 drifts by {drift:.3e}, not constant")
+        raise InputError(f"gauged T1 drifts by {drift:.3e}, not constant")
     w, V = np.linalg.eigh(1j * (grid.s1 - grid.s0) * T1_0)
     g_tilde_end = (V * np.exp(w)) @ dagger(V) @ g.values[-1]
     return g, g_tilde_end, T1_0

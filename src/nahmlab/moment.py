@@ -1,7 +1,7 @@
 """Moment maps for the based gauge action: the baby map T1' + [T0, T1], the
 hyperkahler triple whose zero set is the Nahm equations, the Lax pair
-alpha = T0 - i T1, beta = T2 + i T3, the Hamiltonian identity verifier, and
-the identities of the S^1 moment map (|T2|^2 + |T3|^2)/2, the Kahler potential.
+(alpha, beta) = (T0 - i T1, T2 + i T3) as one array, the Hamiltonian identity
+verifier, and the identities of the S^1 moment map (|T2|^2 + |T3|^2)/2, the Kahler potential.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, bracket
+from .algebra import AlgebraSpec, InputError, bracket
 from .paths import (
     CHUNK,
     AlgebraPath,
@@ -31,7 +31,6 @@ from .paths import (
 )
 
 __all__ = [
-    "LaxPair",
     "MomentResidual",
     "lax_extract",
     "mu_baby",
@@ -76,15 +75,6 @@ def mu_nahm(d: NahmData) -> MomentResidual:
     return MomentResidual._own(d.grid, np.stack([_mu(d.values, d.grid.h, i) for i in (1, 2, 3)]))
 
 
-@dataclass
-class LaxPair:
-    """alpha = T0 - i T1 and beta = T2 + i T3, node-indexed."""
-
-    grid: Grid
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
 def _lax(values: np.ndarray) -> np.ndarray:
     """(alpha, beta) = (T0 - i T1, T2 + i T3) of a quadruple stack (4, ...), as one (2, ...) array."""
     pair = 1j * values[1::2]  # i T1, i T3
@@ -93,9 +83,10 @@ def _lax(values: np.ndarray) -> np.ndarray:
     return pair
 
 
-def lax_extract(d: NahmData) -> LaxPair:
-    """alpha = T0 - i T1, beta = T2 + i T3; beta' = [beta, alpha] on solutions."""
-    return LaxPair(d.grid, *_lax(d.values))
+def lax_extract(d: NahmData) -> np.ndarray:
+    """(alpha, beta) = (T0 - i T1, T2 + i T3) as one (2, n+1, k, k) array;
+    beta' = [beta, alpha] on solutions."""
+    return _lax(d.values)
 
 
 def rho_star(d: NahmData, rho: AlgebraPath) -> TangentVector:
@@ -123,7 +114,7 @@ def _hamiltonian_gaps(d: NahmData, rho: AlgebraPath, v: TangentVector, maps) -> 
     """``hamiltonian_check`` of each sample of a chunk (batch records) or of
     one sample, one list per map of ``maps``; the maps share rho* and the norms."""
     if any(which not in ("baby", 1, 2, 3) for which in maps):
-        raise ValueError("which must be 'baby', 1, 2 or 3")
+        raise InputError("which must be 'baby', 1, 2 or 3")
 
     def pair(data, which):  # <mu(data), rho>, integrated
         mu = mu_baby(data.T0, data.T1).values if which == "baby" else _mu(data.values, d.grid.h, which)

@@ -294,7 +294,7 @@ _STRUCTURE = {  # i: (signs, source)
 def complex_structure(i: int, v: TangentVector) -> TangentVector:
     """Apply the complex structure I_i (right quaternion multiplication)."""
     if i not in (1, 2, 3):
-        raise ValueError("complex structure index must be 1, 2 or 3")
+        raise InputError("complex structure index must be 1, 2 or 3")
     signs, source = _STRUCTURE[i]
     return TangentVector._own(v.grid, np.reshape(signs, (4,) + (1,) * (v.values.ndim - 1)) * v.values[list(source)])
 
@@ -302,7 +302,7 @@ def complex_structure(i: int, v: TangentVector) -> TangentVector:
 def omega(i: int, u: TangentVector, v: TangentVector) -> float:
     """Symplectic form omega_i(u, v) = g(I_i u, v), paired from u's component views."""
     if i not in (1, 2, 3):
-        raise ValueError("complex structure index must be 1, 2 or 3")
+        raise InputError("complex structure index must be 1, 2 or 3")
     grid, total = _shared_grid(u, v), 0.0
     for sign, m, vm in zip(*_STRUCTURE[i], v.values):  # in component order, as l2_metric sums
         total = (np.add if sign > 0 else np.subtract)(total, pairing_nodes(u.values[m], vm))

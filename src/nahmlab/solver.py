@@ -1,7 +1,7 @@
 """Initial-value and terminal-value solvers for the baby and full Nahm
 equations, closed-form reference solutions, and half-line adjoint-orbit
-identification.  The Lax pair (``LaxPair``, ``lax_extract``) lives in
-``moment``; the names here are the same objects.
+identification.  ``orbit_identify`` reads beta(0) off the Lax pair of
+``moment.lax_extract``.
 
 All initial-value work is done in the T0 = 0 gauge, where the system reads
 T1' = [T2, T3] (and cyclic), stepped by the RK4 formula of ``paths`` from a
@@ -25,12 +25,11 @@ import numpy as np
 
 from .algebra import AlgebraSpec, InputError, Su2Triple, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
 from .gauge import trivialize
-from .moment import LaxPair, lax_extract, mu_nahm
+from .moment import lax_extract, mu_nahm
 from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step, sup_norm
 
 __all__ = [
     "NahmBlowUpError",
-    "LaxPair",
     "BoundaryTarget",
     "HalflineResult",
     "OrbitReport",
@@ -39,7 +38,6 @@ __all__ = [
     "integrate_nahm",
     "nil_solution",
     "coth_solution",
-    "lax_extract",
     "asymptotic_model",
     "halfline_solve",
     "orbit_identify",
@@ -259,8 +257,8 @@ def halfline_solve(
     0), else the backward solve's path S, reversed and negated, is the result
     (``iterations`` 1): node j of T is node n - j of -S, on the same grid.
     The model is compared in its projection onto su(k), which the backward
-    path ends at exactly (deviation 0).  ``converged`` means the reported
-    trajectory ends within 10 tol of it; a blow-up before L gives ``data=None``.
+    path ends at exactly (deviation 0).  So every result with data is
+    ``converged``; a blow-up before L gives ``data=None``, not converged.
     """
     L = float(target.L)
     if not (np.isfinite(step) and step > 0 and L / float(step) < np.iinfo(np.intp).max):
@@ -277,15 +275,10 @@ def halfline_solve(
     traj, (guess_blowup, back_blowup) = _nahm_flow(algebra, np.stack([guess, -model]), grid, blowup_bound)
     model = algebra.project(model)  # the state the backward path ends at: -project(-model)
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= tol
-    data = None
-    if kept or back_blowup is None:
-        data = _gauge_zero(algebra, grid, traj[:, :, 0] if kept else -traj[:, ::-1, 1])
-    deviation = np.inf if data is None else sup_norm(data.values[1:, -1] - model)
-    converged = data is not None and deviation <= 10.0 * tol
-    msg = "converged" if converged else "did not reach terminal tolerance"
-    if data is None:
-        msg = "the solution through the model blows up on [0, L]"
-    return HalflineResult(data, converged, deviation, int(not kept), msg)
+    if not kept and back_blowup is not None:
+        return HalflineResult(None, False, np.inf, 1, "the solution through the model blows up on [0, L]")
+    data = _gauge_zero(algebra, grid, traj[:, :, 0] if kept else -traj[:, ::-1, 1])
+    return HalflineResult(data, True, sup_norm(data.values[1:, -1] - model), int(not kept), "converged")
 
 
 @dataclass
@@ -310,7 +303,7 @@ def orbit_identify(
     Certification requires both coefficient agreement and a small Nahm
     residual on the supplied data.
     """
-    beta0 = lax_extract(d).beta[0]
+    beta0 = lax_extract(d)[1, 0]
     rep = target.tau2 + 1j * target.tau3
     if target.sigma is not None:
         rep = rep + target.sigma.e2 + 1j * target.sigma.e3

@@ -47,9 +47,9 @@ class SymmetricPairSpec:
 
     def __post_init__(self):
         if self.kind not in ("transpose_conjugate", "block"):
-            raise ValueError(f"unknown involution {self.kind!r}")
-        if self.kind == "block" and self.p + self.q != self.base.dim:
-            raise ValueError("block sizes must sum to the matrix dimension")
+            raise InputError(f"unknown involution {self.kind!r}")
+        if self.kind == "block" and not (self.p >= 1 and self.q >= 1 and self.p + self.q == self.base.dim):
+            raise InputError(f"block sizes must be >= 1 and sum to the matrix dimension, got ({self.p}, {self.q})")
 
     def theta(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
@@ -151,13 +151,9 @@ def tangent_transitivity_check(spec: SymmetricPairSpec, x: np.ndarray):
     k = x.shape[0]
 
     def col_space(basis):
-        if len(basis) == 0:
-            return np.zeros((k * k, 0), dtype=complex)
         return np.stack([bracket(b, x).reshape(-1) for b in basis], axis=1)
 
     def rank(A):
-        if A.shape[1] == 0:
-            return 0
         return int(np.linalg.matrix_rank(A, tol=1e-10 * max(1.0, float(np.abs(A).max()))))
 
     kc = col_space(spec.k_basis())

@@ -18,7 +18,7 @@ from nahmlab.gauge import (
     quotient_metric,
     vertical_field,
 )
-from nahmlab.moment import hamiltonian_check, kahler_form_identity_check, mu_nahm, s1_moment_identity_check
+from nahmlab.moment import hamiltonian_check, kahler_form_identity_check, lax_extract, mu_nahm, s1_moment_identity_check
 from nahmlab.paths import (
     AlgebraPath,
     Grid,
@@ -33,7 +33,6 @@ from nahmlab.solver import (
     halfline_solve,
     integrate_baby,
     integrate_nahm,
-    lax_extract,
     nil_solution,
     orbit_identify,
 )
@@ -260,14 +259,14 @@ def test_criterion_8_reality_involution():
     for spec in (SU2, SU3):
         for _ in range(5):
             d = NahmData(spec, *(random_smooth_path(spec, grid, rng) for _ in range(4)))
-            lax = lax_extract(d)
+            alpha, beta = lax_extract(d)
             for idx in (0, 10, 20):
-                violations.append(reality_check(char_coeffs(lax.alpha[idx], lax.beta[idx])))
+                violations.append(reality_check(char_coeffs(alpha[idx], beta[idx])))
     worst = np.max(violations)
     # negative control: drop the quadratic pencil term
     d = NahmData(SU2, *(random_smooth_path(SU2, Grid(0.0, 1.0, 20), rng) for _ in range(4)))
-    lax = lax_extract(d)
-    control = reality_check(char_coeffs(lax.alpha[0], lax.beta[0], nonreal=True))
+    alpha, beta = lax_extract(d)
+    control = reality_check(char_coeffs(alpha[0], beta[0], nonreal=True))
     elapsed = time.perf_counter() - start
     tol = threshold("reality", grid.h)
     ok = passes(worst, tol) and control >= 1e-2 and elapsed < 2.0

@@ -117,8 +117,8 @@ def flow_pencils(k):
         U, R = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
         U = U * (np.diagonal(R) / np.abs(np.diagonal(R)))
         init = tuple(U @ e @ U.conj().T for e in su2_embed(spec))
-    lax = lax_extract(integrate_nahm(spec, init, grid))
-    return _pencil(lax.alpha, lax.beta)
+    alpha, beta = lax_extract(integrate_nahm(spec, init, grid))
+    return _pencil(alpha, beta)
 
 
 def cases(k):

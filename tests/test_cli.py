@@ -19,7 +19,8 @@ from nahmlab.algebra import AlgebraSpec
 from nahmlab.cli import REQUIRED, SCHEMAS, Key, Kinds, main, run_check_suite
 from nahmlab.io import from_pairs
 from nahmlab.paths import Grid
-from nahmlab.solver import coth_solution, integrate_nahm, lax_extract
+from nahmlab.moment import lax_extract
+from nahmlab.solver import coth_solution, integrate_nahm
 from nahmlab.spectral import char_coeffs
 
 
@@ -101,8 +102,8 @@ def test_spectral_flow_coth(tmp_path):
     # curve0 reads back, bit for bit, as the curve of the flow's first node
     start = integrate_nahm(AlgebraSpec("su", 2), tuple(coth_solution(1.0, 1.0, Grid(0.0, 5.0, 2)).values[1:, 0]),
                            Grid(0.0, 0.01, 2))
-    lax = lax_extract(start)
-    want = char_coeffs(lax.alpha[0], lax.beta[0])
+    alpha, beta = lax_extract(start)
+    want = char_coeffs(alpha[0], beta[0])
     assert summary["curve0"]["k"] == 2
     assert [from_pairs(a).tobytes() for a in summary["curve0"]["a"]] == [w.tobytes() for w in want]
 
@@ -362,6 +363,16 @@ def test_bad_flag_exits_2(tmp_path, capsys, flags):
     assert "Traceback" not in err
 
 
+def test_unwritable_artifact_exits_2(tmp_path, capsys):
+    # a directory where evolve writes solution.json: the OSError is a config error, not a traceback
+    (tmp_path / "out" / "solution.json").mkdir(parents=True)
+    code, _ = run(tmp_path, "evolve", {"grid": SMALL_GRID, "init": {"kind": "nil"}})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, cfg, key",
     [
@@ -375,6 +386,7 @@ def test_bad_flag_exits_2(tmp_path, capsys, flags):
         ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8}, "tau4": {"te3": 0.5}}}, "fixed_curve.tau4"),
         ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8, "scale": 2}}}, "fixed_curve.tau1.scale"),
         ("halfline", {"target": {"kind": "nil", "L": 6.0}, "newton": {"tol": 1e-8}}, "newton"),
+        ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8}, "L": 5.0}}, "fixed_curve.L"),  # a fixed curve has no L
     ],
 )
 def test_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, cfg, key):

@@ -7,7 +7,6 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, expm, polar
 from nahmlab.algebra import AlgebraSpec, InputError, dagger, su2_basis, su_basis, su_coords
 from nahmlab.gauge import (
     GroupPath,
-    LevelSetError,
     _block_tridiagonal,
     _horizontal_coords,
     _vertical_operator,
@@ -339,7 +338,7 @@ def test_complex_trivialize_level_gate_is_baby_map():
     r = sup_norm(mu_baby(T0, T1).values)
     assert 0.0 < r < 2e-5
     complex_trivialize(T0, T1, level_tol=r)
-    with pytest.raises(LevelSetError):
+    with pytest.raises(InputError, match="level-set residual"):
         complex_trivialize(T0, T1, level_tol=np.nextafter(r, 0))
 
 
@@ -355,7 +354,7 @@ def test_complex_trivialize_rejects_off_level_set(rng):
     g = Grid(0.0, 1.0, 200)
     T0 = random_smooth_path(SU2, g, rng)
     T1 = random_smooth_path(SU2, g, rng)  # generic: far from the level set
-    with pytest.raises(LevelSetError):
+    with pytest.raises(InputError, match="level-set residual"):
         complex_trivialize(T0, T1)
 
 
@@ -364,7 +363,7 @@ def test_complex_trivialize_rejects_nan_level_set_residual(rng):
     g = Grid(0.0, 1.0, 200)
     T1 = np.broadcast_to(SU2.random_element(rng), (g.n + 1, 2, 2)).copy()
     T1[100, 0, 1] = np.nan
-    with pytest.raises(LevelSetError):
+    with pytest.raises(InputError, match="level-set residual"):
         complex_trivialize(const_path(g, np.zeros((2, 2), dtype=complex)), AlgebraPath(g, T1))
 
 
@@ -601,7 +600,7 @@ def test_group_path_own_takes_the_array_and_still_checks():
     vals = np.broadcast_to(2.0 * np.eye(2), (11, 2, 2)).astype(complex)
     with pytest.raises(ValueError, match="unitary flavor violated"):
         GroupPath._own(g, vals.copy())
-    with pytest.raises(ValueError, match="unknown flavor"):
+    with pytest.raises(InputError, match="unknown flavor"):
         GroupPath._own(g, vals.copy(), flavor="real")
     path = GroupPath._own(g, vals, flavor="complex")
     assert path.values is vals and not vals.flags.writeable and path.flavor == "complex"

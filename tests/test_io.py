@@ -113,11 +113,23 @@ EDGE_TREE = {
 }
 
 
+# one directory per property test, which every example overwrites: a fresh
+# directory per example leaves hundreds for pytest's temp cleanup to delete
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.dictionaries(STRINGS, TREES, max_size=5) | st.lists(TREES, max_size=5))
 @example(data=EDGE_TREE)
-def test_write_json_matches_stdlib_encoder(data, tmp_path_factory):
-    path = tmp_path_factory.mktemp("json") / "out.json"
+def test_write_json_matches_stdlib_encoder(data, json_dir):
+    path = json_dir / "out.json"
     write_json(data, path)
     assert path.read_text() == json.dumps(_pyify(data), indent=2, sort_keys=True) + "\n"
 
@@ -136,23 +148,22 @@ def test_write_json_rejects_unknown_types(tmp_path):
     is_complex=st.booleans(),
     draw=st.data(),
 )
-def test_write_csv_matches_csv_writer(n, ends, ncols, is_complex, draw, tmp_path_factory):
+def test_write_csv_matches_csv_writer(n, ends, ncols, is_complex, draw, csv_dir):
     grid = Grid(ends[0], ends[0] + ends[1], n)
     table = draw.draw(hnp.arrays(np.float64, (n + 1, ncols * (2 if is_complex else 1)), elements=FLOATS))
     if is_complex:
         table = table.view(complex)  # bit-exact, unlike re + 1j * im
     names = [f"c{i}" for i in range(ncols)]
-    out = tmp_path_factory.mktemp("csv")
-    write_csv(grid, names, table, out / "new.csv")
+    write_csv(grid, names, table, csv_dir / "new.csv")
     if is_complex:
         names = [f"{name}_{part}" for name in names for part in ("re", "im")]
         table = to_pairs(table).reshape(n + 1, -1)
-    with open(out / "ref.csv", "w", newline="") as fh:
+    with open(csv_dir / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + names)
         for s, row in zip(grid.nodes.tolist(), table.tolist()):
             writer.writerow([_fmt(s)] + [_fmt(x) for x in row])
-    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    assert (csv_dir / "new.csv").read_bytes() == (csv_dir / "ref.csv").read_bytes()
 
 
 # --------------------------------------------------------------------------

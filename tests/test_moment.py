@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, bracket, su2_basis
+from nahmlab.algebra import AlgebraSpec, InputError, bracket, su2_basis
 from nahmlab.gauge import act, exp_su_path
 from nahmlab.moment import (
     _hamiltonian_gaps,
@@ -235,6 +235,14 @@ def test_hamiltonian_rejects_non_dirichlet(rng):
     v = random_tangent(SU2, g, rng)
     with pytest.raises(ValueError):
         hamiltonian_check(d, random_smooth_path(SU2, g, rng), v, "baby")
+
+
+@pytest.mark.parametrize("which", [0, 4, "I1"])
+def test_hamiltonian_rejects_an_unknown_map(rng, which):
+    g = Grid(0.0, 1.0, 20)
+    d, rho, v = random_nahm(SU2, g, rng), random_dirichlet_path(SU2, g, rng), random_tangent(SU2, g, rng)
+    with pytest.raises(InputError, match="which must be"):
+        hamiltonian_check(d, rho, v, which)
 
 
 def test_rho_star_rejects_non_dirichlet(rng):

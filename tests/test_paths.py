@@ -214,8 +214,10 @@ def test_omega_is_the_metric_against_the_rotated_tangent_bitwise(rng):
         for i in (1, 2, 3):
             got, ref = np.asarray(omega(i, u, v)), np.asarray(l2_metric(complex_structure(i, u), v))
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-    with pytest.raises(ValueError, match="1, 2 or 3"):
+    with pytest.raises(InputError, match="1, 2 or 3"):
         omega(4, *one)
+    with pytest.raises(InputError, match="1, 2 or 3"):
+        complex_structure(0, one[0])
 
 
 def test_metric_invariance_under_s1_block_rotation(rng):

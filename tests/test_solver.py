@@ -5,7 +5,7 @@ import pytest
 
 from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, su2_basis, su2_embed
 from nahmlab import solver
-from nahmlab.moment import mu_nahm
+from nahmlab.moment import lax_extract, mu_nahm
 from nahmlab.gauge import complex_trivialize_direct, trivialize
 from nahmlab.paths import AlgebraPath, Grid, NahmData, _rk4_scalars, _rk4_step, random_smooth_path, sup_norm
 from nahmlab.solver import (
@@ -17,7 +17,6 @@ from nahmlab.solver import (
     halfline_solve,
     integrate_baby,
     integrate_nahm,
-    lax_extract,
     nil_solution,
     orbit_identify,
 )
@@ -291,13 +290,12 @@ def test_lax_extract_zero():
     from nahmlab.paths import NahmData
 
     d = NahmData.from_arrays(SU2, g, z, z, z, z)
-    lax = lax_extract(d)
-    assert np.abs(lax.alpha).max() == 0.0
+    assert np.abs(lax_extract(d)[0]).max() == 0.0
 
 
 def test_lax_extract_nil_nilpotent():
     d = nil_solution(SU2, Grid(0.0, 1.0, 100))
-    beta = lax_extract(d).beta
+    beta = lax_extract(d)[1]
     assert np.abs(beta @ beta).max() < 1e-13
     assert np.abs(beta[0] - (E2 + 1j * E3)).max() < 1e-14
 
@@ -306,7 +304,7 @@ def test_lax_eigenvalue_conservation():
     g = Grid(0.0, 1.0, 1000)
     coth = coth_solution(1.0, 1.0, g)
     d = integrate_nahm(SU2, tuple(c.values[0] for c in (coth.T1, coth.T2, coth.T3)), g)
-    beta = lax_extract(d).beta
+    beta = lax_extract(d)[1]
     assert eig_distance(beta[-1], beta[0]) <= 1e-8
 
 
@@ -472,6 +470,26 @@ def test_halfline_blowup_returns_no_data():
     assert res.terminal_deviation == np.inf
 
 
+@pytest.mark.parametrize("tol", [1e-15, 1e-6])
+@pytest.mark.parametrize("L", [3.0, 10.0])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_halfline_every_result_with_data_meets_tol(k, L, tol):
+    # a kept guess met tol, and a missed one returns the backward path, which
+    # ends on the projected model: no result with data can miss the model
+    spec = AlgebraSpec("su", k)
+    sigma, zero, a = su2_embed(spec), np.zeros((k, k), dtype=complex), 1.5
+    coth = (-a / np.tanh(a), a / np.sinh(a), -a / np.sinh(a))  # coth x sigma at s = 0, its pole at s = -1
+    targets = [  # each with its exact T(0): the sweep keeps 12 guesses and misses 68
+        (BoundaryTarget(zero, zero, zero, sigma=sigma, L=L), tuple(np.asarray(e) for e in sigma)),
+        (BoundaryTarget(-a * sigma.e1, zero, zero, L=L), tuple(f * np.asarray(e) for f, e in zip(coth, sigma))),
+    ]
+    for target, exact in targets:
+        rng = np.random.default_rng(k)
+        for guess in (exact, tuple(m + 0.01 * spec.random_element(rng) for m in exact)):
+            res = halfline_solve(target, guess, step=0.05, tol=tol)
+            assert res.data is not None and res.converged and res.terminal_deviation <= tol
+
+
 def test_orbit_identify_coth():
     a = 1.0
     g = Grid(0.0, 10.0, 2000)
@@ -540,7 +558,7 @@ def test_orbit_identify_rank_at_threshold():
     Z3 = np.zeros((3, 3), dtype=complex)
     d = NahmData.from_arrays(su3, g, *(const_path(g, M).values for M in (Z3, Z3, T2, T3)))
     rep = orbit_identify(d, BoundaryTarget(Z3, Z3, Z3, sigma=None, L=1.0))
-    assert np.allclose(lax_extract(d).beta[0], B, rtol=0, atol=1e-16)
+    assert np.allclose(lax_extract(d)[1, 0], B, rtol=0, atol=1e-16)
     assert rep.beta0_rank == 2
 
 

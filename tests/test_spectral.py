@@ -6,7 +6,8 @@ import sympy
 
 from nahmlab.algebra import AlgebraSpec, char_poly_coeffs, su2_basis, su2_embed
 from nahmlab.paths import Grid, NahmData, random_smooth_path
-from nahmlab.solver import BoundaryTarget, coth_solution, integrate_nahm, lax_extract, nil_solution
+from nahmlab.moment import lax_extract
+from nahmlab.solver import BoundaryTarget, coth_solution, integrate_nahm, nil_solution
 from nahmlab.spectral import (
     _BLOCK_BYTES,
     _coeff_drift,
@@ -95,10 +96,10 @@ def test_char_coeffs_heldout_interpolation(rng):
     # interpolation residual at held-out zeta against the direct determinant
     for spec in (SU2, SU3):
         d = NahmData(spec, *(random_smooth_path(spec, Grid(0.0, 1.0, 20), rng) for _ in range(4)))
-        lax = lax_extract(d)
-        sd = char_coeffs(lax.alpha[0], lax.beta[0])
+        alpha, beta = lax_extract(d)
+        sd = char_coeffs(alpha[0], beta[0])
         for zeta in (0.37, -0.91, 1.42):
-            pencil = beta_zeta(lax.alpha[0], lax.beta[0], zeta)
+            pencil = beta_zeta(alpha[0], beta[0], zeta)
             oracle = np.poly(np.linalg.eigvals(pencil))  # monic, descending
             for j in range(1, spec.dim + 1):
                 got = np.polynomial.polynomial.polyval(zeta, sd[j - 1])
@@ -110,13 +111,13 @@ def test_char_coeffs_degree_bound(rng):
     # points with its stated degree still reproduces the determinant
     spec = SU3
     d = NahmData(spec, *(random_smooth_path(spec, Grid(0.0, 1.0, 10), rng) for _ in range(4)))
-    lax = lax_extract(d)
-    sd = char_coeffs(lax.alpha[0], lax.beta[0])
+    alpha, beta = lax_extract(d)
+    sd = char_coeffs(alpha[0], beta[0])
     zetas = np.linspace(-2.0, 2.0, 31)
     for j in range(1, spec.dim + 1):
         vals = []
         for z in zetas:
-            pencil = beta_zeta(lax.alpha[0], lax.beta[0], z)
+            pencil = beta_zeta(alpha[0], beta[0], z)
             vals.append(np.poly(np.linalg.eigvals(pencil))[j])
         fit = np.polynomial.polynomial.polyfit(zetas, np.array(vals), 2 * j)
         resid = np.abs(np.polynomial.polynomial.polyval(zetas, fit) - np.array(vals)).max()
@@ -126,9 +127,9 @@ def test_char_coeffs_degree_bound(rng):
 
 def test_nil_curve_is_nilpotent_cone():
     d = nil_solution(SU2, Grid(0.0, 1.0, 50))
-    lax = lax_extract(d)
+    alpha, beta = lax_extract(d)
     for idx in (0, 25, 50):
-        sd = char_coeffs(lax.alpha[idx], lax.beta[idx])
+        sd = char_coeffs(alpha[idx], beta[idx])
         assert np.abs(sd[0]).max() < 1e-12
         assert np.abs(sd[1]).max() < 1e-12
 
@@ -216,8 +217,8 @@ def test_fixed_curve_matches_flow_pencil_up_to_zeta_sign():
     const = NahmData.from_arrays(
         SU2, g, np.zeros((21, 2, 2)), *(np.broadcast_to(m, (21, 2, 2)).copy() for m in (t * E3, tau2, tau3))
     )
-    lax = lax_extract(const)
-    flow = char_coeffs(lax.alpha[0], lax.beta[0])
+    alpha, beta = lax_extract(const)
+    flow = char_coeffs(alpha[0], beta[0])
     for j in (1, 2):
         signs = np.array([(-1.0) ** m for m in range(2 * j + 1)])
         assert np.abs(fc[j - 1] - signs * flow[j - 1]).max() < 1e-12
@@ -226,8 +227,8 @@ def test_fixed_curve_matches_flow_pencil_up_to_zeta_sign():
 def test_reality_su2_su3(rng):
     for spec in (SU2, SU3):
         d = NahmData(spec, *(random_smooth_path(spec, Grid(0.0, 1.0, 30), rng) for _ in range(4)))
-        lax = lax_extract(d)
-        sd = char_coeffs(lax.alpha[0], lax.beta[0])
+        alpha, beta = lax_extract(d)
+        sd = char_coeffs(alpha[0], beta[0])
         assert reality_check(sd) <= 1e-9
 
 
@@ -235,11 +236,11 @@ def test_reality_closed_form_vs_substitution_oracle(rng):
     # the coefficient condition and the brute-force root-mapping oracle must
     # agree: both near zero for honest pencils, both large for the control
     d = NahmData(SU2, *(random_smooth_path(SU2, Grid(0.0, 1.0, 30), rng) for _ in range(4)))
-    lax = lax_extract(d)
-    good = char_coeffs(lax.alpha[0], lax.beta[0])
+    alpha, beta = lax_extract(d)
+    good = char_coeffs(alpha[0], beta[0])
     assert reality_check(good) <= 1e-12
     assert reality_violation_substitution(good) <= 1e-8
-    bad = char_coeffs(lax.alpha[0], lax.beta[0], nonreal=True)
+    bad = char_coeffs(alpha[0], beta[0], nonreal=True)
     assert reality_check(bad) >= 1e-2
     assert reality_violation_substitution(bad) >= 1e-2
 
@@ -269,11 +270,11 @@ def test_coeff_drift_nan_is_no_pass():
 
 def test_curve_vanishes_on_the_pencil_spectrum(rng):
     d = NahmData(SU2, *(random_smooth_path(SU2, Grid(0.0, 1.0, 10), rng) for _ in range(4)))
-    lax = lax_extract(d)
-    sd = char_coeffs(lax.alpha[0], lax.beta[0])
+    alpha, beta = lax_extract(d)
+    sd = char_coeffs(alpha[0], beta[0])
     assert [c.shape for c in sd] == [(3,), (5,)]
     zeta = 0.3
-    pencil = beta_zeta(lax.alpha[0], lax.beta[0], zeta)
+    pencil = beta_zeta(alpha[0], beta[0], zeta)
     for eta in np.linalg.eigvals(pencil):
         assert abs(curve_value(sd, eta, zeta)) < 1e-10
 
@@ -299,8 +300,7 @@ def test_curve_coeffs_match_exact_determinant(rng, case):
     # the recursion is exact in zeta: compare with the symbolic expansion
     if case == "su3_lax":
         d = NahmData(SU3, *(random_smooth_path(SU3, Grid(0.0, 1.0, 10), rng) for _ in range(4)))
-        lax = lax_extract(d)
-        beta, alpha = lax.beta[0], lax.alpha[0]
+        alpha, beta = lax_extract(d)[:, 0]
         P = np.stack([beta, alpha + alpha.conj().T, -beta.conj().T])
     else:
         P = np.stack([rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)])
@@ -323,8 +323,8 @@ def test_conservation_nil_su6_conjugated(rng):
 
 def whole_array_flow(d: NahmData, nonreal: bool = False) -> list:
     """The reference: the Lax pair, the pencil and the recursion of all nodes at once."""
-    lax = lax_extract(d)
-    return char_poly_coeffs(_pencil(lax.alpha, lax.beta, nonreal))
+    alpha, beta = lax_extract(d)
+    return char_poly_coeffs(_pencil(alpha, beta, nonreal))
 
 
 def block_nodes(k: int) -> int:

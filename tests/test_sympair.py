@@ -59,6 +59,13 @@ def test_involution_is_automorphism(spec, rng):
     assert validate(spec, rng) <= 1e-12
 
 
+@pytest.mark.parametrize("p, q", [(2, 0), (0, 2), (1, 2)])
+def test_block_sizes_are_at_least_one_and_sum_to_the_dimension(p, q):
+    # an empty block leaves k or m without a basis to take ranks over
+    with pytest.raises(InputError, match="block sizes"):
+        SymmetricPairSpec(SU2, "block", p, q)
+
+
 def test_split_examples():
     # su(2)/so(2): e2 is real antisymmetric (fixed), e3 imaginary diagonal
     Xk, Xm = split(SO2, E2)
@@ -115,9 +122,9 @@ def test_flow_broken_init_leaks(rng):
 
 def test_lax_containment_along_flow(rng):
     d, _ = flow_preserves_split(SO2, km_init(SO2, rng), Grid(0.0, 1.0, 500))
-    lax = lax_extract(d)  # the I1 pair alpha1 = T0 - iT1, beta1 = T2 + iT3
-    a1k, a1m = split(SO2, lax.alpha)
-    b1k, b1m = split(SO2, lax.beta)
+    alpha, beta = lax_extract(d)  # the I1 pair alpha1 = T0 - iT1, beta1 = T2 + iT3
+    a1k, a1m = split(SO2, alpha)
+    b1k, b1m = split(SO2, beta)
     assert sup_norm(a1m) < 1e-12  # alpha1 in k tensor C
     assert sup_norm(b1k) < 1e-12  # beta1 in m tensor C
 
