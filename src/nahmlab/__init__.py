@@ -21,7 +21,6 @@ from .paths import (
     AlgebraPath,
     Grid,
     NahmData,
-    TangentVector,
     complex_structure,
     l2_metric,
     omega,

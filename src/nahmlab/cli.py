@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -29,8 +27,6 @@ from .solver import BoundaryTarget, NahmBlowUpError, asymptotic_model, coth_solu
 from .solver import orbit_identify
 from .spectral import _coeff_drift, fixed_curve, reality_check, spectral_flow
 from .sympair import classify_real_orbit, kc_orbit_form_check, vergne_map_j
-
-log = logging.getLogger("nahmlab")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -173,7 +169,6 @@ def cmd_evolve(cfg: dict, out_dir: Path) -> int:
     try:
         d = _flow(cfg)
     except NahmBlowUpError as exc:
-        log.warning("%s", exc)
         nio.write_json({"blow_up": True, "message": str(exc)}, out_dir / "solution.json")
         print(f"evolve: blow-up ({exc})")
         return EXIT_BLOWUP
@@ -339,9 +334,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=".", help="artifact output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
-
-    level = os.environ.get("NAHMLAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
 
     try:
         raw = json.loads(Path(args.config).read_text())

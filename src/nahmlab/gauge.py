@@ -1,10 +1,13 @@
 """Gauge-group action on path space, real and complex gauge fixing, monodromy,
 and the horizontal projection behind the quotient metric.
 
-The action is g.(T0, Ti) = (g T0 g^-1 - g' g^-1, g Ti g^-1).  Trivializing
-T0 means solving g' = g T0 with g(s0) = 1; the endpoint value g(s1) is the
-monodromy realizing the identification of the path-space quotient with the
-group itself.  The ODE is linear: one batched step of the RK4 formula of
+The compact group acts on quadruples, a unitary path g (``GroupPath``) by
+g.(T0, Ti) = (g T0 g^dag - g' g^dag, g Ti g^dag).  Trivializing T0 means
+solving g' = g T0 with g(s0) = 1; the endpoint value g(s1) is the monodromy
+realizing the identification of the path-space quotient with the group
+itself.  The complex trivialization of T0 + i T1 is a GL(k, C) path, handed
+out as a plain ``AlgebraPath``: the complex group acts on the Lax pair, not on
+the quadruple.  The ODE is linear: one batched step of the RK4 formula of
 ``paths`` gives every propagator, a blocked prefix product multiplies them
 out, and a real gauge takes their unitary polar factor by Newton-Schulz steps.
 """
@@ -47,20 +50,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupPath(AlgebraPath):
-    """Node-indexed invertible matrices; flavor 'unitary' or 'complex'.
+    """Node-indexed unitary matrices, the path of a gauge transformation in G.
 
     The samples are a read-only copy of the input, as in ``AlgebraPath``;
-    ``_own`` takes a fresh array instead, and both check the flavor.
+    ``_own`` takes a fresh array instead, and both check unitarity.
     """
-
-    flavor: str = "unitary"
 
     def _hold(self, grid, values: np.ndarray, k: int | None = None, batch: bool = False):
         super()._hold(grid, values, k, batch)
-        if self.flavor not in ("unitary", "complex"):
-            raise InputError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "unitary" and not self.unitarity_defect <= 1e-8:
-            raise ValueError(f"unitary flavor violated, max |g^dag g - 1| = {self.unitarity_defect:.3e}")
+        if not self.unitarity_defect <= 1e-8:
+            raise ValueError(f"GroupPath not unitary, max |g^dag g - 1| = {self.unitarity_defect:.3e}")
         return self
 
     @cached_property
@@ -78,10 +77,9 @@ def exp_su_path(rho: AlgebraPath) -> GroupPath:
 
 def act(g: GroupPath, d: NahmData) -> NahmData:
     """Gauge action: T0 conjugates with the connection term, Ti conjugate.
-    A unitary gauge is inverted as g^dag (to its unitarity defect, <= 1e-8)."""
+    The gauge is inverted as g^dag (to its unitarity defect, <= 1e-8)."""
     _shared_grid(g, d)
-    gv = g.values
-    ginv = dagger(gv) if g.flavor == "unitary" else np.linalg.inv(gv)
+    gv, ginv = g.values, dagger(g.values)
     out, scratch = np.empty_like(d.values), np.empty_like(gv)
     for x, o in zip(d.values, out):
         np.matmul(np.matmul(gv, x, out=scratch), ginv, out=o)
@@ -89,7 +87,7 @@ def act(g: GroupPath, d: NahmData) -> NahmData:
     return NahmData._own(d.grid, out)
 
 
-def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:
+def _right_trivialize(C: AlgebraPath, unitary: bool) -> AlgebraPath:
     """g' = g C, g(s0) = 1.  The flow is linear, so the RK4 step from node m
     is g_m P_m with P_m the step from the identity: one step batched over the
     intervals gives every P_m.  g is their running product in b x b blocks
@@ -120,7 +118,7 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> GroupPath:
                 held["unitarity_defect"] = float(defect.max())
                 break
             g, last = g + 0.5 * (g @ e), defect.max()
-    return GroupPath._own(C.grid, g, flavor="unitary" if unitary else "complex", **held)
+    return GroupPath._own(C.grid, g, **held) if unitary else AlgebraPath._own(C.grid, g)
 
 
 def trivialize(T0: AlgebraPath) -> GroupPath:
@@ -133,13 +131,14 @@ def monodromy(T0: AlgebraPath) -> np.ndarray:
     return trivialize(T0).values[-1]
 
 
-def complex_trivialize_direct(T0: AlgebraPath, T1: AlgebraPath) -> GroupPath:
-    """One-stage complex trivialization: solve g' = g (T0 + i T1), g(s0) = 1."""
+def complex_trivialize_direct(T0: AlgebraPath, T1: AlgebraPath) -> AlgebraPath:
+    """One-stage complex trivialization: solve g' = g (T0 + i T1), g(s0) = 1,
+    for the GL(k, C) path g."""
     _shared_grid(T0, T1)
     return _right_trivialize(AlgebraPath(T0.grid, T0.values + 1j * T1.values), unitary=False)
 
 
-def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float = 1e-6):
+def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float):
     """Two-stage complex gauge fixing of a level-set pair (T0, T1).
 
     Requires T1(s0) in su(k) and T1' = [T1, T0] to tolerance.  Returns the

@@ -16,8 +16,6 @@ from .paths import (
     AlgebraPath,
     Grid,
     NahmData,
-    TangentVector,
-    _component,
     _random_chunk,
     _shared_grid,
     complex_structure,
@@ -47,11 +45,9 @@ _EPS = 1e-5  # the central-difference step of the Hamiltonian check
 
 @dataclass(frozen=True)
 class MomentResidual(AlgebraPath):
-    """The moment maps (mu1, mu2, mu3) as one read-only (3, n+1, k, k) stack,
-    the components views of it."""
+    """The moment maps (mu1, mu2, mu3) as one read-only (3, n+1, k, k) stack."""
 
     _lead = (3,)
-    mu1, mu2, mu3 = map(_component, range(3))
 
     @property
     def sup(self) -> float:
@@ -89,19 +85,19 @@ def lax_extract(d: NahmData) -> np.ndarray:
     return _lax(d.values)
 
 
-def rho_star(d: NahmData, rho: AlgebraPath) -> TangentVector:
+def rho_star(d: NahmData, rho: AlgebraPath) -> NahmData:
     """Vector field induced by the gauge parameter rho, which must vanish at
-    both endpoints: the vertical field in t0, [rho, Ti] in the others."""
+    both endpoints: the vertical field in T0, [rho, Ti] in the others."""
     t0 = vertical_field(d.T0, rho).values
-    return TangentVector._own(d.grid, np.concatenate([t0[None], bracket(rho.values, d.values[1:])]))
+    return NahmData._own(d.grid, np.concatenate([t0[None], bracket(rho.values, d.values[1:])]))
 
 
-def _omega_baby(u: TangentVector, v: TangentVector) -> float:
-    vals = pairing_nodes(u.t0.values, v.t1.values) - pairing_nodes(u.t1.values, v.t0.values)
+def _omega_baby(u: NahmData, v: NahmData) -> float:
+    vals = pairing_nodes(u.T0.values, v.T1.values) - pairing_nodes(u.T1.values, v.T0.values)
     return quadrature(vals, u.grid)
 
 
-def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which) -> float:
+def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: NahmData, which) -> float:
     """Relative gap between omega(rho*, v) and the paired directional derivative
     of the moment map, d/de <mu(d + e v), rho> by central differences.
 
@@ -110,7 +106,7 @@ def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: TangentVector, which) ->
     return _hamiltonian_gaps(d, rho, v, [which])[0][0]
 
 
-def _hamiltonian_gaps(d: NahmData, rho: AlgebraPath, v: TangentVector, maps) -> list:
+def _hamiltonian_gaps(d: NahmData, rho: AlgebraPath, v: NahmData, maps) -> list:
     """``hamiltonian_check`` of each sample of a chunk (batch records) or of
     one sample, one list per map of ``maps``; the maps share rho* and the norms."""
     if any(which not in ("baby", 1, 2, 3) for which in maps):
@@ -138,32 +134,26 @@ def _s1_pairing(u, v) -> float:
     return quadrature(pairing_nodes(u.values[2:], v.values[2:]).sum(axis=0), _shared_grid(u, v))
 
 
-def kahler_form_identity_check(
-    spec: AlgebraSpec,
-    grid: Grid,
-    n_samples: int = 100,
-    rng: np.random.Generator | None = None,
-) -> float:
+def kahler_form_identity_check(spec: AlgebraSpec, grid: Grid, n_samples: int, rng: np.random.Generator) -> float:
     """Max deviation of the potential identity: the I2-twisted Hessian of the
     S^1 moment map reproduces omega_2 as a bilinear form on random tangents.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     errs = []
     for first in range(0, n_samples, CHUNK):
         drawn = _random_chunk(spec, grid, rng, min(CHUNK, n_samples - first), ["tangent", "tangent"])
-        u, v = (TangentVector._own(grid, t) for t in drawn)
+        u, v = (NahmData._own(grid, t) for t in drawn)
         B = _s1_pairing(v, complex_structure(2, u)) - _s1_pairing(u, complex_structure(2, v))
         w2 = omega(2, u, v)
         errs.extend(abs(B - w2) / np.maximum(np.maximum(1.0, abs(w2)), abs(B)))
     return float(np.max(errs, initial=0.0))  # NaN if any sample is NaN
 
 
-def theta_star(d: NahmData) -> TangentVector:
+def theta_star(d: NahmData) -> NahmData:
     """Vector field of the S^1 action fixing I_1: (0, 0, -T3, T2)."""
-    return TangentVector._own(d.grid, np.concatenate([np.zeros_like(d.values[:2]), -d.values[3:], d.values[2:3]]))
+    return NahmData._own(d.grid, np.concatenate([np.zeros_like(d.values[:2]), -d.values[3:], d.values[2:3]]))
 
 
-def s1_moment_identity_check(d: NahmData, v: TangentVector) -> float:
+def s1_moment_identity_check(d: NahmData, v: NahmData) -> float:
     """Deviation of d mu_{S^1}(v) from omega_1(theta*, v)."""
     dmu = _s1_pairing(d, v)
     w = omega(1, theta_star(d), v)

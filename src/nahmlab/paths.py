@@ -2,8 +2,8 @@
 quaternionic complex structures and their symplectic forms.
 
 Paths are sampled on uniform grids and stored as read-only (n+1, k, k)
-complex arrays; a point or tangent vector t0 + t1 i + t2 j + t3 k of the path
-space (``NahmData``, ``TangentVector``) is one (4, n+1, k, k) stack, the
+complex arrays; a quadruple T0 + T1 i + T2 j + T3 k (``NahmData``), a point of
+the flat path space or a tangent vector to it, is one (4, n+1, k, k) stack, the
 moment-map triple (``moment.MomentResidual``) one (3, n+1, k, k) stack, their
 components ``AlgebraPath`` views of it.  That is the one layout, C-ordered, with
 a chunk of B paths as lead + (n+1, B, k, k).  Two difference operators are used:
@@ -37,7 +37,6 @@ __all__ = [
     "Grid",
     "AlgebraPath",
     "NahmData",
-    "TangentVector",
     "quadrature",
     "path_derivative",
     "dirichlet_derivative",
@@ -157,7 +156,8 @@ def _shared_grid(*paths) -> Grid:
 @dataclass(frozen=True, init=False)
 class NahmData(AlgebraPath):
     """The quadruple (T0, T1, T2, T3) of su(k) paths on one grid, held as one
-    read-only stack of shape (4, n+1, k, k); the components are views of it."""
+    read-only stack of shape (4, n+1, k, k); the components are views of it.
+    The path space is flat, so a tangent vector to it is such a quadruple too."""
 
     _lead = (4,)
     T0, T1, T2, T3 = map(_component, range(4))
@@ -172,22 +172,6 @@ class NahmData(AlgebraPath):
     @classmethod
     def from_arrays(cls, algebra: AlgebraSpec, grid: Grid, T0, T1, T2, T3) -> "NahmData":
         return cls._own(grid, np.array((T0, T1, T2, T3), dtype=complex), algebra.dim, batch=False)
-
-
-@dataclass(frozen=True, init=False)
-class TangentVector(AlgebraPath):
-    """A free tangent vector (t0, t1, t2, t3) to the discretized path space:
-    one read-only stack of shape (4, n+1, k, k), the components views of it."""
-
-    _lead = (4,)
-    t0, t1, t2, t3 = map(_component, range(4))
-
-    def __init__(self, t0: AlgebraPath, t1: AlgebraPath, t2: AlgebraPath, t3: AlgebraPath):
-        self._hold(_shared_grid(t0, t1, t2, t3), np.array([t.values for t in (t0, t1, t2, t3)]))
-
-    @classmethod
-    def from_arrays(cls, grid: Grid, t0, t1, t2, t3) -> "TangentVector":
-        return cls._own(grid, np.array((t0, t1, t2, t3), dtype=complex), batch=False)
 
 
 def quadrature(f: np.ndarray, grid: Grid):
@@ -255,12 +239,12 @@ def _rk4_step(rhs, y: np.ndarray, scalars: tuple, c0, cm, c1) -> np.ndarray:
     return y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
-def l2_metric(u: TangentVector, v: TangentVector) -> float:
+def l2_metric(u: NahmData, v: NahmData) -> float:
     """L2 metric: integral of the summed component pairings."""
     return quadrature(pairing_nodes(u.values, v.values).sum(axis=0, initial=0.0), _shared_grid(u, v))
 
 
-def l2_norm(u: TangentVector) -> float:
+def l2_norm(u: NahmData) -> float:
     return np.sqrt(np.maximum(l2_metric(u, u), 0.0))
 
 
@@ -291,15 +275,15 @@ _STRUCTURE = {  # i: (signs, source)
 }
 
 
-def complex_structure(i: int, v: TangentVector) -> TangentVector:
+def complex_structure(i: int, v: NahmData) -> NahmData:
     """Apply the complex structure I_i (right quaternion multiplication)."""
     if i not in (1, 2, 3):
         raise InputError("complex structure index must be 1, 2 or 3")
     signs, source = _STRUCTURE[i]
-    return TangentVector._own(v.grid, np.reshape(signs, (4,) + (1,) * (v.values.ndim - 1)) * v.values[list(source)])
+    return NahmData._own(v.grid, np.reshape(signs, (4,) + (1,) * (v.values.ndim - 1)) * v.values[list(source)])
 
 
-def omega(i: int, u: TangentVector, v: TangentVector) -> float:
+def omega(i: int, u: NahmData, v: NahmData) -> float:
     """Symplectic form omega_i(u, v) = g(I_i u, v), paired from u's component views."""
     if i not in (1, 2, 3):
         raise InputError("complex structure index must be 1, 2 or 3")
@@ -351,22 +335,10 @@ def random_smooth_path(
     return AlgebraPath._own(grid, _random_chunk(spec, grid, rng, 1, ["path"], modes, scale)[0][:, 0])
 
 
-def random_dirichlet_path(
-    spec: AlgebraSpec,
-    grid: Grid,
-    rng: np.random.Generator,
-    modes: int = 3,
-    scale: float = 1.0,
-) -> AlgebraPath:
+def random_dirichlet_path(spec: AlgebraSpec, grid: Grid, rng: np.random.Generator, scale: float = 1.0) -> AlgebraPath:
     """Smooth path vanishing at both endpoints (sine series)."""
-    return AlgebraPath._own(grid, _random_chunk(spec, grid, rng, 1, ["dirichlet"], modes, scale)[0][:, 0])
+    return AlgebraPath._own(grid, _random_chunk(spec, grid, rng, 1, ["dirichlet"], scale=scale)[0][:, 0])
 
 
-def random_tangent(
-    spec: AlgebraSpec,
-    grid: Grid,
-    rng: np.random.Generator,
-    modes: int = 3,
-    scale: float = 1.0,
-) -> TangentVector:
-    return TangentVector._own(grid, _random_chunk(spec, grid, rng, 1, ["tangent"], modes, scale)[0][:, :, 0])
+def random_tangent(spec: AlgebraSpec, grid: Grid, rng: np.random.Generator) -> NahmData:
+    return NahmData._own(grid, _random_chunk(spec, grid, rng, 1, ["tangent"])[0][:, :, 0])

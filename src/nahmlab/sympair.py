@@ -48,6 +48,8 @@ class SymmetricPairSpec:
     def __post_init__(self):
         if self.kind not in ("transpose_conjugate", "block"):
             raise InputError(f"unknown involution {self.kind!r}")
+        if self.kind == "transpose_conjugate" and (self.p, self.q) != (0, 0):
+            raise InputError(f"transpose_conjugate takes no block sizes, got ({self.p}, {self.q})")
         if self.kind == "block" and not (self.p >= 1 and self.q >= 1 and self.p + self.q == self.base.dim):
             raise InputError(f"block sizes must be >= 1 and sum to the matrix dimension, got ({self.p}, {self.q})")
 

@@ -39,7 +39,7 @@ def test_a_non_finite_error_never_passes():
 
 
 def test_the_suite_reports_the_registry_in_order():
-    checks = run_check_suite(n=60, samples=1)
+    checks = run_check_suite(0, 60, 1, False)
     assert [c["name"] for c in checks] == list(CHECKS)
     assert [(c["threshold"], c["order"]) for c in checks] == [(t(1 / 60), o) for t, o in CHECKS.values()]
     assert all(c["pass"] == passes(c["error"], c["threshold"]) for c in checks)

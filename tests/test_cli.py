@@ -182,9 +182,9 @@ _ZERO = [[0.0, 0.0]] * 4
 def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, cfg):
     # a state past the norm bound is a blow-up (exit 3); the norms that
     # overflow on the way are taken under a local errstate or rescaled, so a
-    # fresh interpreter prints nothing to stderr (logging is set to errors
-    # only, as the blow-up is also logged as a warning)
-    env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]), NAHMLAB_LOG="ERROR")
+    # fresh interpreter prints nothing to stderr: the blow-up is reported on
+    # stdout and in the artifact, and nothing is suppressed
+    env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
     argv = [sys.executable, "-m", "nahmlab.cli", command, "--config", write_config(tmp_path, "cfg.json", cfg),
             "--out-dir", str(tmp_path / "out")]
     out = subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -454,7 +454,7 @@ def test_check_sign_flip_fails(tmp_path):
 
 def test_check_nan_hamiltonian_error_fails(monkeypatch):
     monkeypatch.setattr("nahmlab.checks._hamiltonian_gaps", lambda d, rho, v, maps: [[np.nan] for _ in maps])
-    checks = {c["name"]: c for c in run_check_suite(n=100, samples=2)}
+    checks = {c["name"]: c for c in run_check_suite(0, 100, 2, False)}
     for name in ("hamiltonian_baby", "hamiltonian_I1", "hamiltonian_I2", "hamiltonian_I3"):
         assert np.isnan(checks[name]["error"]) and not checks[name]["pass"]
 
@@ -483,8 +483,8 @@ def test_vergne_deterministic(tmp_path):
 def test_check_refinement_orders():
     # order-tagged checks shrink by the expected factor (within 2x) when the
     # grid is doubled
-    coarse = {c["name"]: c for c in run_check_suite(seed=0, n=200, samples=2)}
-    fine = {c["name"]: c for c in run_check_suite(seed=0, n=400, samples=2)}
+    coarse = {c["name"]: c for c in run_check_suite(0, 200, 2, False)}
+    fine = {c["name"]: c for c in run_check_suite(0, 400, 2, False)}
     for name, entry in coarse.items():
         order = entry["order"]
         if order == 0:
@@ -557,7 +557,7 @@ def test_import_loads_no_sparse_or_optimize():
         "grid = nahmlab.Grid(0.0, 1.0, 20)",
         "T0 = nahmlab.AlgebraPath(grid, np.zeros((21, 2, 2), dtype=complex))",
         "T1 = nahmlab.AlgebraPath(grid, np.broadcast_to(nahmlab.su2_basis().e3, (21, 2, 2)))",
-        "nahmlab.complex_trivialize(T0, T1)",
+        "nahmlab.complex_trivialize(T0, T1, level_tol=1e-6)",
         "print('scipy.linalg' in sys.modules)",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))

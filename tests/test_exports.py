@@ -5,8 +5,11 @@ acceptance suite, and only the command-line front end renders artifacts."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -33,19 +36,39 @@ def test_package_imports_only_names_in_all():
     assert stale == []
 
 
-def test_every_public_name_is_reached_outside_its_unit_tests():
-    # a public name earns its place by a use in the package itself, in the
-    # benchmark harness or in the acceptance suite: read, not imported
+def reached() -> tuple:
+    """The names and the attribute names read in the package itself (outside
+    ``__init__``), the benchmark harness and the acceptance suite."""
     root = Path(nahmlab.__file__).parents[2]
     sources = [p for p in Path(nahmlab.__file__).parent.glob("*.py") if p.name != "__init__.py"]
     sources += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
-    used = set()
+    names, attrs = set(), set()
     for path in sources:
         nodes = list(ast.walk(ast.parse(path.read_text())))
-        used |= {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in nodes if isinstance(n, ast.Name)}
+        attrs |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    return names, attrs
+
+
+def test_every_public_name_is_reached_outside_its_unit_tests():
+    # a public name earns its place by a use in the package itself, in the
+    # benchmark harness or in the acceptance suite: read, not imported
+    names, attrs = reached()
     public = {n for name in LIBRARY for n in importlib.import_module(f"nahmlab.{name}").__all__}
-    unreached = sorted(public - used)
+    unreached = sorted(public - names - attrs)
     assert unreached == [], f"public names reached only by their unit tests: {unreached}"
+
+
+def test_every_public_member_of_a_public_class_is_reached_outside_its_unit_tests():
+    # the same rule for the methods, properties and component views of each
+    # public class: every one is read as an attribute in those places
+    _, attrs = reached()
+    modules = [importlib.import_module(f"nahmlab.{name}") for name in LIBRARY]
+    classes = {obj for m in modules for obj in (getattr(m, n) for n in m.__all__) if inspect.isclass(obj)}
+    kinds = (property, cached_property, classmethod, staticmethod, FunctionType)
+    unreached = sorted(f"{cls.__name__}.{member}" for cls in classes for member, value in vars(cls).items()
+                       if not member.startswith("_") and isinstance(value, kinds) and member not in attrs)
+    assert unreached == [], f"public class members reached only by their unit tests: {unreached}"
 
 
 def imports_io(tree: ast.Module) -> bool:

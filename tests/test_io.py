@@ -55,7 +55,7 @@ def test_nahm_json_is_serializable(rng, tmp_path):
 def test_residual_csv(tmp_path):
     d = nil_solution(SU2, Grid(0.0, 1.0, 10))
     res = mu_nahm(d)
-    norms = np.stack([np.linalg.norm(m.values, axis=(-2, -1)) for m in (res.mu1, res.mu2, res.mu3)])
+    norms = np.stack([np.linalg.norm(res.values[i], axis=(-2, -1)) for i in range(3)])
     path = tmp_path / "res.csv"
     residual_to_csv(d.grid, norms, path)
     with open(path) as fh:

@@ -10,7 +10,6 @@ from nahmlab.paths import (
     AlgebraPath,
     Grid,
     NahmData,
-    TangentVector,
     _random_chunk,
     complex_structure,
     l2_metric,
@@ -31,7 +30,7 @@ def const_path(grid, M):
 
 
 def tangent(grid, *mats):
-    return TangentVector(*(const_path(grid, M) for M in mats))
+    return NahmData(SU2, *(const_path(grid, M) for M in mats))
 
 
 def test_grid_validation():
@@ -159,8 +158,8 @@ def test_complex_structure_component_shuffle():
     z = np.zeros((2, 2), dtype=complex)
     v = tangent(g, E1, z, z, z)
     w = complex_structure(1, v)
-    assert np.abs(w.t0.values).max() == 0.0
-    assert np.abs(w.t1.values - v.t0.values).max() == 0.0
+    assert np.abs(w.T0.values).max() == 0.0
+    assert np.abs(w.T1.values - v.T0.values).max() == 0.0
 
 
 def test_complex_structures_are_isometries(rng):
@@ -198,9 +197,9 @@ def test_omega_explicit_formulas(rng):
     def wedge(a, b):
         return quadrature(pairing_nodes(a.values, b.values), g)
 
-    w1 = wedge(u.t0, v.t1) - wedge(u.t1, v.t0) - wedge(u.t2, v.t3) + wedge(u.t3, v.t2)
+    w1 = wedge(u.T0, v.T1) - wedge(u.T1, v.T0) - wedge(u.T2, v.T3) + wedge(u.T3, v.T2)
     assert omega(1, u, v) == pytest.approx(w1, abs=1e-12)
-    w2 = wedge(u.t1, v.t3) - wedge(u.t3, v.t1) + wedge(u.t0, v.t2) - wedge(u.t2, v.t0)
+    w2 = wedge(u.T1, v.T3) - wedge(u.T3, v.T1) + wedge(u.T0, v.T2) - wedge(u.T2, v.T0)
     assert omega(2, u, v) == pytest.approx(w2, abs=1e-12)
 
 
@@ -209,7 +208,7 @@ def test_omega_is_the_metric_against_the_rotated_tangent_bitwise(rng):
     # those of pairing the formed I_i u with v, on one tangent and on a chunk
     g = Grid(0.0, 1.0, 40)
     one = (random_tangent(SU2, g, rng), random_tangent(SU2, g, rng))
-    chunk = tuple(TangentVector._own(g, t) for t in _random_chunk(SU2, g, rng, CHUNK, ["tangent", "tangent"]))
+    chunk = tuple(NahmData._own(g, t) for t in _random_chunk(SU2, g, rng, CHUNK, ["tangent", "tangent"]))
     for u, v in (one, chunk):
         for i in (1, 2, 3):
             got, ref = np.asarray(omega(i, u, v)), np.asarray(l2_metric(complex_structure(i, u), v))
@@ -230,9 +229,9 @@ def test_metric_invariance_under_s1_block_rotation(rng):
     c, s = np.cos(th), np.sin(th)
 
     def rot(t):
-        t2 = c * t.t2.values - s * t.t3.values
-        t3 = s * t.t2.values + c * t.t3.values
-        return TangentVector.from_arrays(g, t.t0.values, t.t1.values, t2, t3)
+        t2 = c * t.T2.values - s * t.T3.values
+        t3 = s * t.T2.values + c * t.T3.values
+        return NahmData.from_arrays(SU2, g, t.T0.values, t.T1.values, t2, t3)
 
     assert l2_metric(rot(u), rot(v)) == pytest.approx(l2_metric(u, v), abs=1e-12)
     assert omega(1, rot(u), rot(v)) == pytest.approx(omega(1, u, v), abs=1e-12)
@@ -247,7 +246,7 @@ def test_nahm_data_and_tangent_fields_cannot_be_reassigned(rng):
     with pytest.raises(FrozenInstanceError):
         d.algebra = AlgebraSpec("su", 3)
     with pytest.raises(FrozenInstanceError):
-        v.t0 = v.t1
+        v.T0 = v.T1
 
 
 def test_grid_rejects_non_integer_n():
@@ -269,9 +268,9 @@ def test_paths_reject_non_square_and_mixed_matrix_sizes():
     with pytest.raises(ValueError):
         NahmData(SU2, p3, p3, p3, p3)  # su(2) data must be 2 x 2
     with pytest.raises(ValueError):
-        TangentVector(p2, p2, p3, p2)
+        NahmData(SU2, p2, p2, p3, p2)
     with pytest.raises(ValueError):
-        TangentVector.from_arrays(g, p3.values, p2.values, p2.values, p2.values)
+        NahmData.from_arrays(SU2, g, p3.values, p2.values, p2.values, p2.values)
 
 
 def test_quadruples_copy_their_input():
@@ -279,8 +278,7 @@ def test_quadruples_copy_their_input():
     arrays = [np.zeros((5, 2, 2), dtype=complex) for _ in range(4)]
     records = (
         NahmData.from_arrays(SU2, g, *arrays),
-        TangentVector.from_arrays(g, *arrays),
-        TangentVector(*(AlgebraPath(g, a) for a in arrays)),
+        NahmData(SU2, *(AlgebraPath(g, a) for a in arrays)),
     )
     for a in arrays:
         a[0] = E1
@@ -295,15 +293,15 @@ def test_quadruples_are_read_only_stacks_with_component_views(rng):
     r = mu_nahm(d)
     assert (d.values.shape, v.values.shape, r.values.shape) == ((4, 11, 2, 2), (4, 11, 2, 2), (3, 11, 2, 2))
     assert d.algebra == SU2
-    for values in (d.values, d.T1.values, v.values, v.t0.values, r.values, r.mu1.values):
+    for values in (d.values, d.T1.values, v.values, v.T0.values, r.values, r.components[0].values):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0] = E1
-    for whole, part in ((d, d.T1), (d, d.T3), (v, v.t0), (r, r.mu1), (r, r.mu3)):
+    for whole, part in ((d, d.T1), (d, d.T3), (v, v.T0), (r, r.components[0]), (r, r.components[2])):
         assert np.shares_memory(whole.values, part.values)
-    assert np.array_equal(d.T2.values, d.values[2]) and np.array_equal(r.mu2.values, r.values[1])
+    assert np.array_equal(d.T2.values, d.values[2]) and np.array_equal(r.components[1].values, r.values[1])
     with pytest.raises(FrozenInstanceError):
-        r.mu1 = r.mu2
+        r.values = d.values[1:]
     with pytest.raises(FrozenInstanceError):
         d.values = v.values
 
@@ -312,7 +310,7 @@ def test_read_only_input_made_writable_again_does_not_alias():
     g = Grid(0.0, 1.0, 4)
     a = np.zeros((5, 2, 2), dtype=complex)
     a.flags.writeable = False
-    records = (AlgebraPath(g, a), NahmData.from_arrays(SU2, g, a, a, a, a), TangentVector.from_arrays(g, a, a, a, a))
+    records = (AlgebraPath(g, a), NahmData.from_arrays(SU2, g, a, a, a, a))
     a.flags.writeable = True
     a[0] = E1
     for r in records:

@@ -66,6 +66,14 @@ def test_block_sizes_are_at_least_one_and_sum_to_the_dimension(p, q):
         SymmetricPairSpec(SU2, "block", p, q)
 
 
+@pytest.mark.parametrize("p, q", [(5, -7), (1, 1), (0, 2), (1, 0)])
+def test_transpose_conjugate_refuses_block_sizes(p, q):
+    # the involution -Z^T has no blocks: sizes given to it would be ignored
+    with pytest.raises(InputError, match="no block sizes"):
+        SymmetricPairSpec(SU2, "transpose_conjugate", p, q)
+    assert SymmetricPairSpec(SU2, "transpose_conjugate", 0, 0) == SO2
+
+
 def test_split_examples():
     # su(2)/so(2): e2 is real antisymmetric (fixed), e3 imaginary diagonal
     Xk, Xm = split(SO2, E2)
