@@ -60,7 +60,8 @@ def _unit_scaled(X: np.ndarray) -> tuple:
     X = np.asarray(X, dtype=complex)
     big = max(float(np.max(np.abs(X.real), initial=0.0)), float(np.max(np.abs(X.imag), initial=0.0)))
     unit = 2.0 ** -max(int(np.frexp(big)[1]), 0) if np.isfinite(big) else np.nan
-    X = X * unit
+    with np.errstate(invalid="ignore"):  # an inf entry times the NaN unit is NaN, as the docstring says
+        X = X * unit
     return X, max(float(np.max(np.linalg.norm(X, axis=(-2, -1)))), unit), unit
 
 

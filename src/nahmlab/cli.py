@@ -28,13 +28,6 @@ from .solver import orbit_identify
 from .spectral import _coeff_drift, fixed_curve, reality_check, spectral_flow
 from .sympair import classify_real_orbit, kc_orbit_form_check, vergne_map_j
 
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
-EXIT_CONFIG = 2
-EXIT_BLOWUP = 3
-EXIT_NO_CONVERGENCE = 4
-
-
 REQUIRED = object()  # the default of a key that has none
 
 
@@ -165,21 +158,17 @@ def _flow(cfg: dict) -> NahmData:
     return integrate_nahm(algebra, triple, grid, blowup_bound=cfg["blowup_bound"])
 
 
-def cmd_evolve(cfg: dict, out_dir: Path) -> int:
-    try:
-        d = _flow(cfg)
-    except NahmBlowUpError as exc:
-        nio.write_json({"blow_up": True, "message": str(exc)}, out_dir / "solution.json")
-        print(f"evolve: blow-up ({exc})")
-        return EXIT_BLOWUP
-    res = mu_nahm(d)
-    norms = np.linalg.norm(res.values, axis=(-2, -1))
+def cmd_evolve(cfg: dict, out_dir: Path) -> bool:
+    d = _flow(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a state near overflow has an inf or NaN residual: a FAIL
+        norms = np.linalg.norm(mu_nahm(d).values, axis=(-2, -1))
+        sup = float(norms.max())
     nio.write_json(nio.nahm_to_json(d), out_dir / "solution.json")
     nio.residual_to_csv(d.grid, norms, out_dir / "residual.csv")
     bound = cfg["residual_bound"]
-    ok = passes(res.sup, bound)
-    print(f"evolve: max residual {res.sup:.3e} (bound {bound:.1e}) -> {'pass' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    ok = passes(sup, bound)
+    print(f"evolve: max residual {sup:.3e} (bound {bound:.1e}) -> {'pass' if ok else 'FAIL'}")
+    return ok
 
 
 def _curve_json(coeffs: list) -> dict:
@@ -187,7 +176,7 @@ def _curve_json(coeffs: list) -> dict:
     return {"k": len(coeffs), "a": [nio.to_pairs(c) for c in coeffs]}
 
 
-def cmd_spectral(cfg: dict, out_dir: Path) -> int:
+def cmd_spectral(cfg: dict, out_dir: Path) -> bool:
     reality_bound = cfg["reality_bound"]
     if cfg["fixed_curve"] is not None:
         k, fc = AlgebraSpec(**cfg["algebra"]).dim, cfg["fixed_curve"]
@@ -200,17 +189,14 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> int:
                        out_dir / "spectral.json")
         ok = passes(violation, reality_bound)
         print(f"spectral: fixed curve reality violation {violation:.3e} -> {'pass' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return ok
 
-    try:
-        d = _flow(cfg)
-    except NahmBlowUpError as exc:
-        print(f"spectral: blow-up ({exc})")
-        return EXIT_BLOWUP
-    flows = spectral_flow(d, nonreal=cfg["nonreal_control"])
-    drift = _coeff_drift(flows)
-    curve0 = [f[:, 0] for f in flows]
-    violation = reality_check(curve0)
+    d = _flow(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a state near overflow has an inf or NaN drift: a FAIL
+        flows = spectral_flow(d, nonreal=cfg["nonreal_control"])
+        drift = _coeff_drift(flows)
+        curve0 = [f[:, 0] for f in flows]
+        violation = reality_check(curve0)
     nio.coeffs_to_csv(d.grid, flows, out_dir / "coeffs.csv")
     nio.write_json({"drift": drift, "reality_violation": violation, "curve0": _curve_json(curve0)},
                    out_dir / "spectral.json")
@@ -218,7 +204,7 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> int:
     ok = passes(drift, drift_bound) and passes(violation, reality_bound)
     print(f"spectral: drift {drift:.3e} (bound {drift_bound:.1e}), "
           f"reality {violation:.3e} (bound {reality_bound:.1e}) -> {'pass' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return ok
 
 
 def _sigma(entry, algebra: AlgebraSpec):
@@ -231,7 +217,7 @@ def _sigma(entry, algebra: AlgebraSpec):
     raise InputError(f"unknown sigma spec {entry!r}")
 
 
-def cmd_halfline(cfg: dict, out_dir: Path) -> int:
+def cmd_halfline(cfg: dict, out_dir: Path) -> bool:
     algebra, t = AlgebraSpec(**cfg["algebra"]), cfg["target"]
     k = algebra.dim
     zero = np.zeros((k, k), dtype=complex)
@@ -254,30 +240,24 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> int:
     pert = cfg["perturbation"]
     if pert > 0:
         rng = np.random.default_rng(cfg["seed"])
-        scale = max(max(np.linalg.norm(m) for m in guess), 1.0)
-        guess = [m + pert * scale * algebra.random_element(rng, 1.0) for m in guess]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed guess is not in su(k): a config error
+            scale = max(max(np.linalg.norm(m) for m in guess), 1.0)
+            guess = [m + pert * scale * algebra.random_element(rng, 1.0) for m in guess]
 
     result = halfline_solve(target, tuple(guess), step=cfg["step"], tol=cfg["tol"],
                             blowup_bound=cfg["blowup_bound"])
-    report = None
-    if result.data is not None:
+    with np.errstate(over="ignore", invalid="ignore"):  # a solution near overflow has inf or NaN gaps: not certified
         report = orbit_identify(result.data, target, coeff_tol=cfg["coeff_tol"], residual_gate=cfg["residual_gate"])
-    orbit = None if report is None else {**vars(report), "charpoly_beta0": nio.to_pairs(report.charpoly_beta0),
-                                         "charpoly_target": nio.to_pairs(report.charpoly_target)}
-    nio.write_json({"converged": result.converged, "terminal_deviation": result.terminal_deviation,
-                    "iterations": result.iterations, "message": result.message, "orbit": orbit},
+    orbit = {**vars(report), "charpoly_beta0": nio.to_pairs(report.charpoly_beta0),
+             "charpoly_target": nio.to_pairs(report.charpoly_target)}
+    nio.write_json({"terminal_deviation": result.terminal_deviation, "iterations": result.iterations, "orbit": orbit},
                    out_dir / "halfline.json")
-    if result.data is not None:
-        nio.write_json(nio.nahm_to_json(result.data), out_dir / "solution.json")
-    certified = report is not None and report.certified
-    print(f"halfline: {result.message}; terminal deviation {result.terminal_deviation:.3e}; "
-          f"orbit certified: {certified}")
-    if result.data is None:
-        return EXIT_BLOWUP
-    return EXIT_OK if certified else EXIT_CHECK_FAILED
+    nio.write_json(nio.nahm_to_json(result.data), out_dir / "solution.json")
+    print(f"halfline: terminal deviation {result.terminal_deviation:.3e}; orbit certified: {report.certified}")
+    return report.certified
 
 
-def cmd_vergne(cfg: dict, out_dir: Path) -> int:
+def cmd_vergne(cfg: dict, out_dir: Path) -> bool:
     table, points = [], []
     crossovers = nonfinite = 0
     for entry in cfg["points"]:
@@ -309,10 +289,10 @@ def cmd_vergne(cfg: dict, out_dir: Path) -> int:
                           "image": nio.matrix_to_json(M), "form": form, "b": None if b is None else [b.real, b.imag]})
     nio.write_json({"samples": table, "crossovers": crossovers}, out_dir / "vergne.json")
     print(f"vergne: {len(points)} points, {crossovers} crossovers")
-    return EXIT_OK if crossovers == nonfinite == 0 else EXIT_CHECK_FAILED
+    return crossovers == nonfinite == 0
 
 
-def cmd_check(cfg: dict, out_dir: Path) -> int:
+def cmd_check(cfg: dict, out_dir: Path) -> bool:
     seed, n = cfg["seed"], cfg["n"]
     checks = run_check_suite(seed=seed, n=n, samples=cfg["samples"], inject_sign_flip=cfg["inject_sign_flip"])
     all_pass = all(c["pass"] for c in checks)
@@ -320,7 +300,7 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
     for c in checks:
         print(f"check {c['name']}: error {c['error']:.3e} (threshold {c['threshold']:.1e}) "
               f"-> {'pass' if c['pass'] else 'FAIL'}")
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return all_pass
 
 
 _COMMANDS = {"evolve": cmd_evolve, "spectral": cmd_spectral, "halfline": cmd_halfline, "vergne": cmd_vergne,
@@ -342,16 +322,16 @@ def main(argv=None) -> int:
         cfg = _value(raw, Key(SCHEMAS[args.command]))
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir)
+        return 0 if _COMMANDS[args.command](cfg, out_dir) else 1
     except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return 2
     except NahmBlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+        print(f"{args.command}: blow-up ({exc})")
+        return 3
     except np.linalg.LinAlgError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return 4
 
 
 if __name__ == "__main__":

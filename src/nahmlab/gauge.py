@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, ad_matrix, dagger, su_coords, su_from_coords
+from .algebra import AlgebraSpec, InputError, _unit_scaled, ad_matrix, dagger, su_coords, su_from_coords
 from .moment import mu_baby
 from .paths import (
     AlgebraPath,
@@ -98,9 +98,9 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> AlgebraPath:
     that defect, of the g returned, is handed to the path's unitarity check."""
     c, k, eye = C.values, C.dim, np.eye(C.dim, dtype=complex)
     b = int(np.ceil(np.sqrt(len(c))))
-    steps = _rk4_step(np.matmul, eye, _rk4_scalars(C.grid.h), c[:-1], _midpoints(c), c[1:])
-    g = np.concatenate([eye[None], steps, np.broadcast_to(eye, (b * b - len(c), k, k))]).reshape(b, b, k, k)
     with np.errstate(over="ignore", invalid="ignore"):  # past RK4 stability: the defect test reports it
+        steps = _rk4_step(np.matmul, eye, _rk4_scalars(C.grid.h), c[:-1], _midpoints(c), c[1:])
+        g = np.concatenate([eye[None], steps, np.broadcast_to(eye, (b * b - len(c), k, k))]).reshape(b, b, k, k)
         for j in range(1, b):
             g[:, j] = g[:, j - 1] @ g[:, j]
         for i in range(1, b):
@@ -111,8 +111,12 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> AlgebraPath:
             e = eye - dagger(g) @ g
             defect = np.linalg.norm(e, axis=(-2, -1))
             if not defect.max() < 0.5:
-                m = np.argmin(defect < 0.5)  # the first node off: finite, unlike a later overflow
-                raise np.linalg.LinAlgError(f"RK4 gauge off unitary by {defect[m]:.3e} at s = {C.grid.nodes[m]:.6g}: "
+                m = np.argmin(defect < 0.5)  # the first node off
+                off = f"{defect[m]:.3e}"
+                if not np.isfinite(defect[m]):  # an overflowed step: name h |C| there, its norm taken on the rescale
+                    scaled, _, unit = _unit_scaled(c[m])
+                    off = f"an overflow, h |C| = {C.grid.h * np.linalg.norm(scaled) / unit:.3e},"
+                raise np.linalg.LinAlgError(f"RK4 gauge off unitary by {off} at s = {C.grid.nodes[m]:.6g}: "
                                             "grid too coarse")
             if defect.max() <= 4 * k * np.finfo(float).eps or defect.max() >= last:
                 held["unitarity_defect"] = float(defect.max())

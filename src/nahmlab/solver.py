@@ -177,8 +177,8 @@ def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
     """
     if not (0 < a < np.inf and 0 < s0_offset < np.inf):
         raise InputError(f"need finite a > 0 and s0_offset > 0, got {a!r} and {s0_offset!r}")
-    xi = a * (grid.nodes + s0_offset)
-    with np.errstate(over="ignore"):  # past xi ~ 710, 1/sinh(xi) is its limit 0
+    with np.errstate(over="ignore"):  # past xi ~ 710, 1/sinh(xi) is its limit 0; an overflowed xi is inf, the limit too
+        xi = a * (grid.nodes + s0_offset)
         return _separable(AlgebraSpec("su", 2), grid, (-a / np.tanh(xi), a / np.sinh(xi), -a / np.sinh(xi)), su2_basis())
 
 
@@ -235,7 +235,7 @@ def asymptotic_model(target: BoundaryTarget, s: float) -> np.ndarray:
 
 @dataclass
 class HalflineResult:
-    data: Optional[NahmData]
+    data: NahmData
     converged: bool
     terminal_deviation: float
     iterations: int
@@ -257,8 +257,9 @@ def halfline_solve(
     0), else the backward solve's path S, reversed and negated, is the result
     (``iterations`` 1): node j of T is node n - j of -S, on the same grid.
     The model is compared in its projection onto su(k), which the backward
-    path ends at exactly (deviation 0).  So every result with data is
-    ``converged``; a blow-up before L gives ``data=None``, not converged.
+    path ends at exactly (deviation 0).  So every result is ``converged``; a
+    blow-up of the backward solve raises NahmBlowUpError at the solution's
+    node past the bound, as ``integrate_nahm`` does.
     """
     L = float(target.L)
     if not (np.isfinite(step) and step > 0 and L / float(step) < np.iinfo(np.intp).max):
@@ -273,10 +274,10 @@ def halfline_solve(
     # S(u) = -T(L - u) solves Nahm whenever T does, so the solution through
     # model(L) is T(s) = -S(L - s) for the S starting at -model(L)
     traj, (guess_blowup, back_blowup) = _nahm_flow(algebra, np.stack([guess, -model]), grid, blowup_bound)
-    model = algebra.project(model)  # the state the backward path ends at: -project(-model)
+    model = -traj[:, 0, 1]  # project(model), where the backward path ends, as projected under the flow's errstate
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= tol
     if not kept and back_blowup is not None:
-        return HalflineResult(None, False, np.inf, 1, "the solution through the model blows up on [0, L]")
+        raise NahmBlowUpError(L - back_blowup[0], back_blowup[1])
     data = _gauge_zero(algebra, grid, traj[:, :, 0] if kept else -traj[:, ::-1, 1])
     return HalflineResult(data, True, sup_norm(data.values[1:, -1] - model), int(not kept), "converged")
 

@@ -22,6 +22,7 @@ from nahmlab.paths import Grid
 from nahmlab.moment import lax_extract
 from nahmlab.solver import coth_solution, integrate_nahm
 from nahmlab.spectral import char_coeffs
+from nahmlab.sympair import vergne_map
 
 
 def write_config(tmp_path, name, cfg):
@@ -77,6 +78,15 @@ def test_evolve_blowup_exit_code(tmp_path):
     }
     code, _ = run(tmp_path, "evolve", cfg)
     assert code == 3
+
+
+def test_vergne_map_in_the_wrong_complex_structure_fails(tmp_path, monkeypatch):
+    # negative control: the map of the other complex structure sends every
+    # sample to the other form, and the verdict must count each crossover
+    monkeypatch.setattr("nahmlab.cli.vergne_map_j", vergne_map)
+    code, out = run(tmp_path, "vergne", {"samples": 20, "seed": 3})
+    assert code == 1
+    assert json.loads((out / "vergne.json").read_text())["crossovers"] == 20
 
 
 def test_evolve_bad_config(tmp_path):
@@ -171,24 +181,48 @@ def test_overflow_fails_without_a_numpy_warning(tmp_path, command, cfg):
 
 
 _BIG_DIAG = [[0.0, 1e200], [0.0, 0.0], [0.0, 0.0], [0.0, -1e200]]  # diag(i, -i) 1e200 in su(2)
+_MAX_DIAG = [[0.0, 1e308], [0.0, 0.0], [0.0, 0.0], [0.0, -1e308]]
+_HALF_DIAG = [[0.0, 0.5], [0.0, 0.0], [0.0, 0.0], [0.0, -0.5]]
 _ZERO = [[0.0, 0.0]] * 4
+_HUGE_COTH = {"blowup_bound": 1e308, "grid": {"n": 2}, "init": {"kind": "coth", "a": 1e308, "s0_offset": 0.5}}
+_TINY_HALFLINE = {"blowup_bound": 0.5, "step": 0.5}
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("evolve", {"init": {"kind": "matrices", "T1": _BIG_DIAG, "T2": _ZERO, "T3": _ZERO}}),
-    ("spectral", {"init": {"kind": "coth", "a": 1e300}}),
-    ("halfline", {"target": {"kind": "explicit", "tau1": _BIG_DIAG, "tau2": _ZERO, "tau3": _ZERO}}),
-])
-def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, cfg):
-    # a state past the norm bound is a blow-up (exit 3); the norms that
-    # overflow on the way are taken under a local errstate or rescaled, so a
-    # fresh interpreter prints nothing to stderr: the blow-up is reported on
-    # stdout and in the artifact, and nothing is suppressed
+LARGE_INPUTS = [
+    ("evolve", {"init": {"kind": "matrices", "T1": _BIG_DIAG, "T2": _ZERO, "T3": _ZERO}}, 3),
+    ("spectral", {"init": {"kind": "coth", "a": 1e300}}, 3),
+    ("halfline", {"target": {"kind": "explicit", "tau1": _BIG_DIAG, "tau2": _ZERO, "tau3": _ZERO}}, 3),
+    ("evolve", {"init": {"kind": "coth", "a": 1e308, "s0_offset": 2.0}}, 3),  # a * (s + c) overflows
+    ("evolve", _HUGE_COTH, 1),  # the residual of a state near overflow is not finite
+    ("evolve", {"blowup_bound": 1e308, "grid": {"s1": 3.0, "n": 2},  # a step past the pole, short of the bound
+                "init": {"kind": "nil", "offset": -0.5}}, 1),
+    ("spectral", _HUGE_COTH, 1),  # so are its spectral coefficients
+    ("halfline", {"seed": 3, **_TINY_HALFLINE, "perturbation": 1e308,  # the perturbed guess overflows
+                  "target": {"kind": "coth", "L": 0.5, "a": 2.0}}, 2),
+    ("halfline", {**_TINY_HALFLINE, "target": {"kind": "explicit", "L": 0.5, "tau1": _HALF_DIAG, "tau2": _HALF_DIAG,
+                                               "tau3": _MAX_DIAG}}, 3),  # the model's projection overflows
+    ("halfline", {**_TINY_HALFLINE, "perturbation": 0.5, "target": {"kind": "coth", "L": 0.5, "a": 1e308}}, 2),
+    ("halfline", {"blowup_bound": 1e308, "step": 0.5, "target": {"kind": "coth", "L": 0.5, "a": 1e308}}, 1),
+]
+
+
+@pytest.mark.parametrize("command, cfg, code", LARGE_INPUTS,
+                         ids=[f"{command}-cfg{i}" for i, (command, _, _) in enumerate(LARGE_INPUTS)])
+def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, cfg, code):
+    # a state past the norm bound is a blow-up (exit 3), and one short of it
+    # may still overflow the checks (exit 1) or the guess (exit 2); the values
+    # that overflow on the way are taken under a local errstate or rescaled,
+    # so a fresh interpreter prints nothing to stderr but a config error: a
+    # blow-up is one line on stdout with no artifact, and nothing is suppressed
     env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
     argv = [sys.executable, "-m", "nahmlab.cli", command, "--config", write_config(tmp_path, "cfg.json", cfg),
             "--out-dir", str(tmp_path / "out")]
     out = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert (out.returncode, out.stderr) == (3, "")
+    assert out.returncode == code
+    assert out.stderr == ("config error: init_guess must be three elements of su(2)\n" if code == 2 else "")
+    if code == 3:
+        assert re.fullmatch(rf"{command}: blow-up \(Nahm flow blow-up near s = \S+ \(norm \S+\)\)\n", out.stdout)
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_blowup_names_the_finite_norm_of_a_state_whose_squares_overflow(tmp_path):
@@ -216,7 +250,7 @@ def test_halfline_nil_converges(tmp_path):
     code, out = run(tmp_path, "halfline", cfg)
     assert code == 0
     rep = json.loads((out / "halfline.json").read_text())
-    assert rep["converged"]
+    assert sorted(rep) == ["iterations", "orbit", "terminal_deviation"]
     orbit = rep["orbit"]
     assert sorted(orbit) == ["beta0_rank", "certified", "charpoly_beta0", "charpoly_target", "max_coeff_dev",
                              "residual_sup"]
@@ -240,8 +274,8 @@ def test_halfline_tolerance_below_roundoff_ends_on_the_model(tmp_path):
     code, out = run(tmp_path, "halfline", cfg)
     assert code == 0
     rep = json.loads((out / "halfline.json").read_text())
-    assert (rep["converged"], rep["iterations"], rep["terminal_deviation"]) == (True, 1, 0.0)
-    assert "fnorm_history" not in rep
+    assert rep.keys() == {"iterations", "orbit", "terminal_deviation"}
+    assert (rep["iterations"], rep["terminal_deviation"]) == (1, 0.0)
 
 
 def test_halfline_off_algebra_model_converges_on_its_projection(tmp_path, capsys):
@@ -256,8 +290,9 @@ def test_halfline_off_algebra_model_converges_on_its_projection(tmp_path, capsys
     }
     code, out = run(tmp_path, "halfline", cfg)
     assert code == 0
-    assert "converged; terminal deviation 0.000e+00" in capsys.readouterr().out
-    assert json.loads((out / "halfline.json").read_text())["converged"]
+    assert capsys.readouterr().out == "halfline: terminal deviation 0.000e+00; orbit certified: True\n"
+    rep = json.loads((out / "halfline.json").read_text())
+    assert (sorted(rep), rep["terminal_deviation"]) == (["iterations", "orbit", "terminal_deviation"], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -339,6 +374,8 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         # so is a dim whose k x k identity numpy cannot size
         ("evolve", {"algebra": {"family": "su", "dim": 10**10}, "grid": SMALL_GRID, "init": {"kind": "nil"}}),
         ("evolve", {"algebra": {"family": "su", "dim": 10**30}, "grid": SMALL_GRID, "init": {"kind": "nil"}}),
+        # a kind is a string
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": True}}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
@@ -567,7 +604,7 @@ def test_import_loads_no_sparse_or_optimize():
 
 # values of the right type for a key, (in range, out of range); sizes stay
 # small (n <= 60, L <= 4, samples <= 3), so a key whose default is larger is
-# always given
+# always given, while other floats and matrix entries reach 1e308
 SMALL_VALUES = {
     "n": ([2, 10, 60], [1, 0]), "L": ([0.5, 4.0], [0.0, -1.0]), "samples": ([1, 3], [0, -1]),
     "dim": ([2, 3], [1]), "family": (["su"], ["sl_complex"]), "block": ([1, 2], [5]),
@@ -575,9 +612,10 @@ SMALL_VALUES = {
     "s0": ([0.0], [2.0]), "s1": ([1.0, 3.0], [-1.0]),
 }
 BY_TYPE = {
-    (float, "> 0"): ([0.5, 2.0], [0.0, -1.0]), (float, ">= 0"): ([0.0, 0.5], [-1.0]), (float, None): ([-0.5, 0.5], [0.0]),
-    (int, ">= 0"): ([0, 3], [-1]), (bool, None): ([True, False], []), (str, None): (["x"], []),
-    (list, None): ([[[0.0, 0.5], [0.0, 0.0], [0.0, 0.0], [0.0, -0.5]]], [[[1.0, 0.0]]]),
+    (float, "> 0"): ([0.5, 2.0, 1e308], [0.0, -1.0, -1e308]), (float, ">= 0"): ([0.0, 0.5, 1e308], [-1.0, -1e308]),
+    (float, None): ([-1e308, -0.5, 0.5, 1e308], [0.0]),
+    (int, ">= 0"): ([0, 3], [-1]), (bool, None): ([True, False], []),
+    (list, None): ([_HALF_DIAG, _MAX_DIAG], [[[1.0, 0.0]]]),
 }
 WRONG = {float: ["x", True, None], int: [2.5, "5", True], bool: [1, "yes"], str: [3, True], list: [2.5, True],
          dict: ["x", [1.0]]}
@@ -600,11 +638,10 @@ def block(draw, table, mode):
         if mode == "bad" and draw(st.integers(0, 4)) == 4:
             wrong = [2.5, True] if isinstance(spec.typ, tuple) else WRONG[dict if isinstance(typ, dict) else typ]
             out[key], bad = draw(st.sampled_from(wrong)), True
-        elif isinstance(typ, Kinds):
+        elif isinstance(typ, Kinds):  # the kind is drawn from its own list, never of the wrong type
             kind = draw(st.sampled_from(sorted(typ)))
-            out[key], sub_bad = draw(block({"kind": Key(str), **typ[kind]}, mode))
-            out[key]["kind"] = kind
-            bad |= sub_bad
+            sub, sub_bad = draw(block(typ[kind], mode))
+            out[key], bad = {"kind": kind, **sub}, bad | sub_bad
         elif isinstance(typ, dict):
             out[key], sub_bad = draw(block(typ, mode))
             bad |= sub_bad
@@ -629,5 +666,7 @@ def test_every_config_keeps_the_exit_code_contract(data):
             code = main([command, "--config", path, "--out-dir", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if code not in (2, 4):
+        assert err.getvalue() == ""
     if bad:
         assert code == 2

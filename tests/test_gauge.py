@@ -217,8 +217,7 @@ def test_trivialize_past_rk4_stability_raises(n):
     T0 = const_path(g, 8.0 * n * E3)
     assert g.h * np.abs(np.linalg.eigvals(T0.values[0])).max() == pytest.approx(4.0)
     with pytest.raises(np.linalg.LinAlgError) as info:
-        with np.errstate(over="ignore", invalid="ignore"):
-            trivialize(T0)
+        trivialize(T0)
     assert not isinstance(info.value, InputError)
     msg = str(info.value)
     assert "nan" not in msg.lower() and "inf" not in msg.lower()
@@ -234,6 +233,21 @@ def test_trivialize_past_rk4_stability_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError, match=r"off unitary by 8\.045e\+01 "):
             trivialize(const_path(g, 3200.0 * E1))
+
+
+def test_trivialize_of_an_overflowing_step_names_a_finite_number():
+    # 1e200 e1 overflows the first RK4 step itself, so the defect there is
+    # NaN: the message names h |T0| at that node instead, taken on the exact
+    # rescale, and no numpy warning is raised
+    g = Grid(0.0, 1.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            trivialize(const_path(g, 1e200 * E1))
+    msg = str(info.value)
+    assert "nan" not in msg.lower() and "inf" not in msg.lower() and "grid too coarse" in msg
+    step = float(msg.split("h |C| = ")[1].split(",")[0])
+    assert step == pytest.approx(g.h * 1e200 * np.linalg.norm(E1), rel=1e-3)
 
 
 def test_trivialize_residual_second_order(rng):

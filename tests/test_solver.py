@@ -460,14 +460,18 @@ def test_halfline_perturbed_coth_reversed_path_matches_a_forward_replay(rng):
 
 def test_halfline_blowup_returns_no_data():
     # with sigma scaled by 3, the solution through model(L) is
-    # T = sigma / (s - c) with its pole at c = L - (L + 1) / 3, inside [0, L]
+    # T = sigma / (s - c) with its pole at c = L - (L + 1) / 3, inside [0, L]:
+    # the solve raises, as integrate_nahm does, at the node where the
+    # backward flow from -model(L) blew up, read on the solution's own axis
     sigma = Su2Triple(*(3.0 * np.asarray(e) for e in su2_embed(SU2)))
     target = BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=10.0)
-    res = halfline_solve(target, tuple(sigma))
-    assert res.data is None
-    assert not res.converged
-    assert res.iterations == 1
-    assert res.terminal_deviation == np.inf
+    grid = Grid(0.0, 10.0, 2000)  # the solve's grid at its default step
+    with pytest.raises(NahmBlowUpError) as back:
+        integrate_nahm(SU2, tuple(-asymptotic_model(target, 10.0)), grid)
+    with pytest.raises(NahmBlowUpError) as info:
+        halfline_solve(target, tuple(sigma))
+    assert (info.value.s, info.value.norm) == (10.0 - back.value.s, back.value.norm)
+    assert abs(info.value.s - (10.0 - 11.0 / 3.0)) <= 2 * grid.h and info.value.norm > 1e6  # at the pole
 
 
 @pytest.mark.parametrize("tol", [1e-15, 1e-6])
@@ -923,15 +927,13 @@ def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
     except NahmBlowUpError:
         pass
     if data is None or gap(term) > tol:
-        iterations, data = 1, None
         try:
             back, _ = flow(-model)
-        except NahmBlowUpError:
-            pass
-        else:
-            data = NahmData.from_arrays(spec, grid, back.values[0], *-back.values[1:, ::-1])
-            term = data.values[1:, -1]
-    return data, iterations, np.inf if data is None else gap(term)
+        except NahmBlowUpError as exc:  # raised at the solution's node: s = L - u
+            raise NahmBlowUpError(L - exc.s, exc.norm) from None
+        iterations, data = 1, NahmData.from_arrays(spec, grid, back.values[0], *-back.values[1:, ::-1])
+        term = data.values[1:, -1]
+    return data, iterations, gap(term)
 
 
 def coth_seed(a=1.5):
@@ -952,7 +954,7 @@ def halfline_cases():
         "nil_su3_perturbed": (nil3, tuple(e + 0.01 * spec3.random_element(rng) for e in su2_embed(spec3))),
         # the guess -2 sigma blows up at s = 1/2, the backward solve does not
         "guess_blows_up": (nil2, tuple(-2.0 * np.asarray(e) for e in su2_embed(SU2))),
-        # the backward solve blows up, so there is no path to report
+        # the backward solve blows up, so the solve raises
         "backward_blows_up": (BoundaryTarget(Z2, Z2, Z2, sigma=scaled, L=10.0), tuple(scaled)),
     }
 
@@ -960,6 +962,10 @@ def halfline_cases():
 @pytest.mark.parametrize("case", sorted(halfline_cases()))
 def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
     target, guess = halfline_cases()[case]
+    try:
+        expected = ref_halfline(target, guess)
+    except NahmBlowUpError as exc:
+        expected = exc
     flow, calls = solver._nahm_flow, []
 
     def counted(*args):
@@ -967,12 +973,14 @@ def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
         return flow(*args)
 
     monkeypatch.setattr(solver, "_nahm_flow", counted)
-    res = halfline_solve(target, guess)
-    monkeypatch.undo()
-    data, iterations, deviation = ref_halfline(target, guess)
-    assert (res.iterations, res.terminal_deviation) == (iterations, deviation)
-    assert (res.data is None) == (data is None)
-    if data is not None:
+    if isinstance(expected, NahmBlowUpError):
+        with pytest.raises(NahmBlowUpError) as info:
+            halfline_solve(target, guess)
+        assert (info.value.s, info.value.norm) == (expected.s, expected.norm)
+    else:
+        data, iterations, deviation = expected
+        res = halfline_solve(target, guess)
+        assert (res.iterations, res.terminal_deviation) == (iterations, deviation)
         assert res.data.values.tobytes() == data.values.tobytes()
     # the guess and the backward solve share the one loop
     assert calls == [2]
