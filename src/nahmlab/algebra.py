@@ -65,13 +65,27 @@ def _unit_scaled(X: np.ndarray) -> tuple:
     return X, max(float(np.max(np.linalg.norm(X, axis=(-2, -1)))), unit), unit
 
 
+def _real_form(T: np.ndarray) -> np.ndarray:
+    """phi(T), the real 2k x 2k form of complex k x k matrices (batched): entry a + ib
+    becomes the block [[a, b], [-b, a]], so phi(A) phi(C) = phi(AC) and the even rows
+    of phi(T) are T.view(float).  Built by copies and a product with -1, exact on
+    signed zeros, which unlike np.negative keeps a NaN's sign as complex products do."""
+    T = np.ascontiguousarray(T, dtype=complex)
+    out = np.empty(T.shape[:-2] + (2 * T.shape[-2], 2 * T.shape[-1]))
+    out[..., ::2, :] = T.view(float)
+    out[..., 1::2, 1::2] = T.real
+    np.multiply(T.imag, -1.0, out=out[..., 1::2, ::2])
+    return out
+
+
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix commutator [X, Y] = XY - YX, batched over leading axes."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
+    """Matrix commutator [X, Y] = XY - YX, batched over leading axes; the rows
+    X.view(float) times the real form of Y are (XY).view(float), one real product."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    Y = np.ascontiguousarray(Y, dtype=complex)
     if X.shape[-1] != X.shape[-2] or X.shape[-2:] != Y.shape[-2:]:
         raise ValueError(f"dimension mismatch: {X.shape} vs {Y.shape}")
-    return X @ Y - Y @ X
+    return (X.view(float) @ _real_form(Y)).view(complex) - (Y.view(float) @ _real_form(X)).view(complex)
 
 
 def char_poly_coeffs(P: np.ndarray) -> list:
@@ -128,8 +142,10 @@ class AlgebraSpec:
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Nearest traceless skew-Hermitian matrix, batched."""
-        X = np.asarray(X, dtype=complex)
-        X = 0.5 * (X - X.conj().swapaxes(-1, -2))
+        # exact halves first, so no element of su(k) overflows; the complex product
+        # with 1 then signs each zero as the complex product 0.5 * (X - X^dag) did
+        X = (0.5 * np.ascontiguousarray(X, dtype=complex).view(float)).view(complex)
+        X = 1.0 * (X - X.conj().swapaxes(-1, -2))
         tr = X.trace(axis1=-2, axis2=-1)
         # the scaled identity comes off every entry: a diagonal-only update would
         # sign some off-diagonal zeros differently, changing every trajectory

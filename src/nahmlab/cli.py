@@ -243,6 +243,10 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> bool:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed guess is not in su(k): a config error
             scale = max(max(np.linalg.norm(m) for m in guess), 1.0)
             guess = [m + pert * scale * algebra.random_element(rng, 1.0) for m in guess]
+        if not np.all(np.isfinite(guess)):  # the target's own guess, or its perturbation, overflowed
+            key = "perturbation" if np.isfinite(scale) else "target.a" if t["kind"] == "coth" else "target"
+            raise InputError(f"config key {key!r} overflows the perturbed guess "
+                             f"(perturbation {pert:.3e} times the guess norm {scale:.3e})")
 
     result = halfline_solve(target, tuple(guess), step=cfg["step"], tol=cfg["tol"],
                             blowup_bound=cfg["blowup_bound"])

@@ -99,7 +99,8 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> AlgebraPath:
     c, k, eye = C.values, C.dim, np.eye(C.dim, dtype=complex)
     b = int(np.ceil(np.sqrt(len(c))))
     with np.errstate(over="ignore", invalid="ignore"):  # past RK4 stability: the defect test reports it
-        steps = _rk4_step(np.matmul, eye, _rk4_scalars(C.grid.h), c[:-1], _midpoints(c), c[1:])
+        scalars = tuple(x.astype(complex) for x in _rk4_scalars(C.grid.h))
+        steps = _rk4_step(np.matmul, eye, scalars, c[:-1], _midpoints(c), c[1:])
         g = np.concatenate([eye[None], steps, np.broadcast_to(eye, (b * b - len(c), k, k))]).reshape(b, b, k, k)
         for j in range(1, b):
             g[:, j] = g[:, j - 1] @ g[:, j]

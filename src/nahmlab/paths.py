@@ -222,8 +222,9 @@ def _midpoints(v: np.ndarray) -> np.ndarray:
 
 
 def _rk4_scalars(h: float) -> tuple:
-    """h/2, h, h/6, 2 as 0-d complex arrays (as numpy converts them per product)."""
-    return tuple(np.array(c, dtype=complex) for c in (0.5 * h, h, h / 6.0, 2.0))
+    """h/2, h, h/6, 2 as 0-d real arrays, made once per flow; a complex flow
+    converts them to complex once, as numpy would per product."""
+    return tuple(np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0))
 
 
 def _rk4_step(rhs, y: np.ndarray, scalars: tuple, c0, cm, c1) -> np.ndarray:

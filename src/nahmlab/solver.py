@@ -6,7 +6,9 @@ identification.  ``orbit_identify`` reads beta(0) off the Lax pair of
 All initial-value work is done in the T0 = 0 gauge, where the system reads
 T1' = [T2, T3] (and cyclic), stepped by the RK4 formula of ``paths`` from a
 start projected once onto the algebra: the field maps su(k)^3 into itself, and
-RK4 keeps that linear subspace to rounding; the baby flow is a conjugation
+RK4 keeps that linear subspace to rounding; the state is stepped in its real
+form (``algebra._real_form``), each product one real BLAS call, and the complex
+path is its even rows.  The baby flow is a conjugation
 by the trivializing gauge of ``gauge``, with no stepping of its own.
 The half-line problem fixes the whole state at a truncation length L to the
 first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, Su2Triple, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
+from .algebra import AlgebraSpec, InputError, Su2Triple, _real_form, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
 from .gauge import trivialize
 from .moment import lax_extract, mu_nahm
 from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step, sup_norm
@@ -64,8 +66,8 @@ BLOCK = 32  # nodes stepped between two blow-up tests (the width is measured in 
 
 def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:
     """Right-hand side (T1', T2', T3') = ([T2,T3], [T3,T1], [T1,T2]) of a
-    component-major (3, B, k, k) batch: X = [A; C] = [(T2,T3,T1); (T3,T1,T2)],
-    and one stacked matmul X @ [C; A] gives the six products [AC; CA]."""
+    component-major (3, B, m, m) batch (real forms in the loop, m = 2k): X =
+    [A; C] = [(T2,T3,T1); (T3,T1,T2)], and X @ [C; A] gives [AC; CA] at once."""
     X = Y.take(_CYCLE, axis=0)
     P = X @ X[::-1]
     return P[0] - P[1]
@@ -82,7 +84,8 @@ def _member_triple(algebra: AlgebraSpec, mats, what: str) -> np.ndarray:
 def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
     """RK4 steps from states Y0 (B, 3, k, k), projected onto the algebra once on
     entry (off it the flow is nonlinear and would carry a start's off-algebra
-    part along; on it RK4 stays there to rounding): the (3, n+1, B, k, k) path,
+    part along; on it RK4 stays there to rounding), taken on the real form phi
+    of the state and copied out as its even rows: the (3, n+1, B, k, k) path,
     a view of the node-major buffer the loop writes, and per member None or (s,
     max norm or inf) at the first node past the bound, zeroed from the next node
     on (a fixed point).  The bound is tested once per ``BLOCK`` nodes, on their
@@ -95,16 +98,17 @@ def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: f
     bound = min(float(blowup_bound), 1e150)
     cheap_bound = bound * bound * (1.0 - 2.0 ** -50 * BLOCK * Y0.size) if bound > 1e-150 else 0.0
 
-    # the state is stepped component-major, (3, B, k, k): the right-hand side
-    # then takes its views on the leading axis, the cheapest numpy makes
+    # the state is stepped component-major in real form, (3, B, 2k, 2k): the right-
+    # hand side then takes its views on the leading axis, the cheapest numpy makes
     scalars, blowups = _rk4_scalars(grid.h), [None] * len(Y0)
     traj = np.empty((grid.n + 1, 3, len(Y0)) + Y0.shape[2:], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         traj[0] = algebra.project(Y0.swapaxes(0, 1))
-        y = traj[0]
+        y = _real_form(traj[0])
         for m0 in range(0, grid.n, BLOCK):
             for m in range(m0, min(m0 + BLOCK, grid.n)):
-                y = traj[m + 1] = _rk4_step(_nahm_rhs, y, scalars, None, None, None)
+                y = _rk4_step(_nahm_rhs, y, scalars, None, None, None)
+                traj[m + 1].view(float)[...] = y[..., ::2, :]
             block = traj[m0 + 1 : m + 2]
             if not np.vdot(block, block).real <= cheap_bound:
                 # the (node, member) pairs that may be past the bound, in node order, each

@@ -161,6 +161,17 @@ def test_project_idempotent(rng):
     assert np.abs(AlgebraSpec("su", 3).project(P) - P).max() < 1e-15
 
 
+def test_project_does_not_overflow_near_the_largest_float(rng):
+    # X - X^dag of an element with entries past 9e307 overflows; the halves do not
+    assert np.array_equal(SU2.project(np.diag([1e308j, -1e308j])), np.diag([1e308j, -1e308j]))
+    spec = AlgebraSpec("su", 3)
+    X = spec.random_element(rng)
+    big = X * (0.9 * np.finfo(float).max / np.abs(X).max())
+    P = spec.project(big)
+    assert np.all(np.isfinite(P))
+    assert np.abs(P - big).max() <= 1e-15 * np.abs(big).max()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_su_basis_orthonormal(k):
     B = su_basis(k)

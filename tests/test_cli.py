@@ -219,10 +219,41 @@ def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, 
             "--out-dir", str(tmp_path / "out")]
     out = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert out.returncode == code
-    assert out.stderr == ("config error: init_guess must be three elements of su(2)\n" if code == 2 else "")
+    if code == 2:  # the overflowed guess: the message names the config key at fault
+        assert re.fullmatch(r"config error: config key '(perturbation|target\.a)' overflows the perturbed guess "
+                            r"\(perturbation \S+ times the guess norm \S+\)\n", out.stderr)
+    else:
+        assert out.stderr == ""
     if code == 3:
         assert re.fullmatch(rf"{command}: blow-up \(Nahm flow blow-up near s = \S+ \(norm \S+\)\)\n", out.stdout)
         assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"seed": 3, "perturbation": 1e308, "target": {"kind": "coth", "L": 0.5, "a": 2.0}}, "perturbation"),
+    ({"perturbation": 0.5, "target": {"kind": "coth", "L": 0.5, "a": 1e308}}, "target.a"),
+    ({"perturbation": 0.5, "target": {"kind": "explicit", "L": 0.5, "tau1": [[0.0, 1.7e308], [0.0, 0.0], [0.0, 0.0],
+                                                                            [0.0, -1.7e308]],
+                                      "tau2": _ZERO, "tau3": _ZERO}}, "target"),
+], ids=["perturbation", "coth_a", "explicit_tau"])
+def test_halfline_overflowed_guess_names_the_key_at_fault(tmp_path, capsys, cfg, key):
+    # the guess is made from the target and the perturbation; init_guess is no config key
+    code, out = run(tmp_path, "halfline", {**_TINY_HALFLINE, **cfg})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: config key {key!r} overflows the perturbed guess"), err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_halfline_blowup_of_a_maximal_su_k_target_names_a_finite_norm(tmp_path, capsys):
+    # diag(1e308 i, -1e308 i) is an element of su(2) of norm 1.41e308: projecting it
+    # must not overflow, so the blow-up names that norm, not inf
+    cfg = {**_TINY_HALFLINE, "target": {"kind": "explicit", "L": 0.5, "tau1": _ZERO, "tau2": _ZERO, "tau3": _MAX_DIAG}}
+    code, _ = run(tmp_path, "halfline", cfg)
+    stdout = capsys.readouterr().out
+    assert code == 3
+    norm = float(re.search(r"\(norm ([^)]*)\)", stdout).group(1))
+    assert norm == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-3), stdout
 
 
 def test_blowup_names_the_finite_norm_of_a_state_whose_squares_overflow(tmp_path):
