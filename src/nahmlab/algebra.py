@@ -78,14 +78,21 @@ def _real_form(T: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cmatmul(X: np.ndarray, phi_Y: np.ndarray) -> np.ndarray:
+    """The complex product XY, batched and broadcast, for Y given as its real form
+    phi_Y = ``_real_form(Y)``: the rows X.view(float) times phi_Y are (XY).view(float),
+    one real product.  A caller multiplying by one Y several times builds phi_Y once."""
+    return (np.ascontiguousarray(X, dtype=complex).view(float) @ phi_Y).view(complex)
+
+
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix commutator [X, Y] = XY - YX, batched over leading axes; the rows
-    X.view(float) times the real form of Y are (XY).view(float), one real product."""
+    """Matrix commutator [X, Y] = XY - YX, batched over leading axes, each
+    product one real product (``_cmatmul``)."""
     X = np.ascontiguousarray(X, dtype=complex)
     Y = np.ascontiguousarray(Y, dtype=complex)
     if X.shape[-1] != X.shape[-2] or X.shape[-2:] != Y.shape[-2:]:
         raise ValueError(f"dimension mismatch: {X.shape} vs {Y.shape}")
-    return (X.view(float) @ _real_form(Y)).view(complex) - (Y.view(float) @ _real_form(X)).view(complex)
+    return _cmatmul(X, _real_form(Y)) - _cmatmul(Y, _real_form(X))
 
 
 def char_poly_coeffs(P: np.ndarray) -> list:

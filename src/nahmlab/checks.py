@@ -4,7 +4,7 @@ su(2) data.  ``check.json`` lists the entries in table order."""
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, pairing, su2_basis
+from .algebra import AlgebraSpec, InputError, _cmatmul, _real_form, pairing, su2_basis
 from .gauge import GroupPath, act, exp_su_path, horizontal_project, monodromy, quotient_metric, trivialize
 from .moment import _hamiltonian_gaps, _omega_baby, kahler_form_identity_check, lax_extract, mu_nahm, rho_star
 from .moment import s1_moment_identity_check
@@ -82,7 +82,7 @@ def run_check_suite(seed: int, n: int, samples: int, inject_sign_flip: bool) -> 
     g1 = exp_su_path(random_smooth_path(su2, grid, rng, scale=0.5))
     g2 = exp_su_path(random_smooth_path(su2, grid, rng, scale=0.5))
     data = NahmData(su2, *(random_smooth_path(su2, grid, rng) for _ in range(4)))
-    g12 = GroupPath(grid, g1.values @ g2.values)
+    g12 = GroupPath(grid, _cmatmul(g1.values, _real_form(g2.values)))
     errors["act_composition"] = sup_norm(act(g12, data).values - act(g1, act(g2, data)).values)
 
     errors["trivialize_unitarity"] = g0.unitarity_defect

@@ -10,6 +10,8 @@ out as a plain ``AlgebraPath``: the complex group acts on the Lax pair, not on
 the quadruple.  The ODE is linear: one batched step of the RK4 formula of
 ``paths`` gives every propagator, a blocked prefix product multiplies them
 out, and a real gauge takes their unitary polar factor by Newton-Schulz steps.
+Each product is one real product, X.view(float) times the real form phi(Y)
+(``algebra._cmatmul``), phi built once for all the products that share it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, _unit_scaled, ad_matrix, dagger, su_coords, su_from_coords
+from .algebra import AlgebraSpec, InputError, _cmatmul, _real_form, _unit_scaled, ad_matrix, dagger, su_coords, su_from_coords
 from .moment import mu_baby
 from .paths import (
     AlgebraPath,
@@ -59,31 +61,33 @@ class GroupPath(AlgebraPath):
     def _hold(self, grid, values: np.ndarray, k: int | None = None, batch: bool = False):
         super()._hold(grid, values, k, batch)
         if not self.unitarity_defect <= 1e-8:
-            raise ValueError(f"GroupPath not unitary, max |g^dag g - 1| = {self.unitarity_defect:.3e}")
+            raise ValueError(f"GroupPath not unitary, max |g g^dag - 1| = {self.unitarity_defect:.3e}")
         return self
 
     @cached_property
     def unitarity_defect(self) -> float:
-        """max over the nodes of |g^dag g - 1|, unless a producer handed it over."""
-        return sup_norm(dagger(self.values) @ self.values - np.eye(self.dim))
+        """max over the nodes of |g g^dag - 1| (= |g^dag g - 1| for square g),
+        unless a producer handed it over; phi(g^dag) is phi(g) transposed."""
+        return sup_norm(_cmatmul(self.values, _real_form(self.values).swapaxes(-1, -2)) - np.eye(self.dim))
 
 
 def exp_su_path(rho: AlgebraPath) -> GroupPath:
     """Node-wise exponential of a skew-Hermitian path (batched via eigh)."""
     w, V = np.linalg.eigh(-1j * rho.values)
-    vals = (V * np.exp(1j * w)[..., None, :]) @ dagger(V)
+    vals = _cmatmul(V * np.exp(1j * w)[..., None, :], _real_form(dagger(V)))
     return GroupPath._own(rho.grid, vals)
 
 
 def act(g: GroupPath, d: NahmData) -> NahmData:
     """Gauge action: T0 conjugates with the connection term, Ti conjugate.
-    The gauge is inverted as g^dag (to its unitarity defect, <= 1e-8)."""
+    The gauge is inverted as g^dag (to its unitarity defect, <= 1e-8), its
+    real form built once for all five products (``algebra._cmatmul``)."""
     _shared_grid(g, d)
-    gv, ginv = g.values, dagger(g.values)
-    out, scratch = np.empty_like(d.values), np.empty_like(gv)
+    gv, ginv = g.values, _real_form(dagger(g.values))
+    out = np.empty_like(d.values)
     for x, o in zip(d.values, out):
-        np.matmul(np.matmul(gv, x, out=scratch), ginv, out=o)
-    out[0] -= np.matmul(path_derivative(gv, d.grid.h), ginv, out=scratch)
+        o[...] = _cmatmul(_cmatmul(gv, _real_form(x)), ginv)
+    out[0] -= _cmatmul(path_derivative(gv, d.grid.h), ginv)
     return NahmData._own(d.grid, out)
 
 
@@ -93,23 +97,38 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> AlgebraPath:
     intervals gives every P_m.  g is their running product in b x b blocks
     (b ~ sqrt(n), identities pad): inside all blocks at once, across the block
     ends, then into the next block.  A real gauge takes the polar factor by
-    Newton-Schulz steps g + g (1 - g^dag g) / 2 (a defect e < 1/2 goes to about
+    Newton-Schulz steps g + (1 - g g^dag) g / 2 (a defect e < 1/2 goes to about
     3 e^2 / 4) until the defect is 4 k eps or stops falling, at most 8; then
-    that defect, of the g returned, is handed to the path's unitarity check."""
+    that defect, of the g returned, is handed to the path's unitarity check.
+    A complex flow, with no such test, first refuses h |C| past 2 sqrt 2, RK4's
+    limit on the imaginary axis (|C| Frobenius bounds every eigenvalue).  Each
+    product is ``_cmatmul``'s: phi of C and of its midpoints serves all four
+    stages, and phi(g), transposed for g^dag, both products of a polar step."""
     c, k, eye = C.values, C.dim, np.eye(C.dim, dtype=complex)
     b = int(np.ceil(np.sqrt(len(c))))
-    with np.errstate(over="ignore", invalid="ignore"):  # past RK4 stability: the defect test reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # past RK4 stability: the tests below report it
+        if not unitary:  # decided on the exact rescale, where no norm overflows
+            scaled, _, unit = _unit_scaled(c)
+            hc = C.grid.h * np.linalg.norm(scaled, axis=(-2, -1))
+            if np.any(past := hc > 2.0 * np.sqrt(2.0) * unit):
+                m = np.argmax(past)  # the first node past the limit
+                raise np.linalg.LinAlgError(f"RK4 complex gauge step h |C| = {hc[m] / unit:.3e} past 2 sqrt(2) "
+                                            f"at s = {C.grid.nodes[m]:.6g}: grid too coarse")
         scalars = tuple(x.astype(complex) for x in _rk4_scalars(C.grid.h))
-        steps = _rk4_step(np.matmul, eye, scalars, c[:-1], _midpoints(c), c[1:])
+        phi = _real_form(c)
+        steps = _rk4_step(_cmatmul, eye, scalars, phi[:-1], _real_form(_midpoints(c)), phi[1:])
         g = np.concatenate([eye[None], steps, np.broadcast_to(eye, (b * b - len(c), k, k))]).reshape(b, b, k, k)
+        phi = _real_form(g)  # the right factors are the propagators as stepped
         for j in range(1, b):
-            g[:, j] = g[:, j - 1] @ g[:, j]
+            g[:, j] = _cmatmul(g[:, j - 1], phi[:, j])
+        phi = _real_form(g[:, -1])
         for i in range(1, b):
-            g[i, -1] = g[i - 1, -1] @ g[i, -1]
-        g[1:, :-1] = g[:-1, -1:] @ g[1:, :-1]
+            g[i, -1] = _cmatmul(g[i - 1, -1], phi[i])
+        g[1:, :-1] = _cmatmul(g[:-1, -1:], _real_form(g[1:, :-1]))
         g, last, held = g.reshape(b * b, k, k)[: len(c)], np.inf, {}
         for _ in range(8 if unitary else 0):
-            e = eye - dagger(g) @ g
+            phi = _real_form(g)
+            e = eye - _cmatmul(g, phi.swapaxes(-1, -2))
             defect = np.linalg.norm(e, axis=(-2, -1))
             if not defect.max() < 0.5:
                 m = np.argmin(defect < 0.5)  # the first node off
@@ -122,7 +141,7 @@ def _right_trivialize(C: AlgebraPath, unitary: bool) -> AlgebraPath:
             if defect.max() <= 4 * k * np.finfo(float).eps or defect.max() >= last:
                 held["unitarity_defect"] = float(defect.max())
                 break
-            g, last = g + 0.5 * (g @ e), defect.max()
+            g, last = g + 0.5 * _cmatmul(e, phi), defect.max()
     return GroupPath._own(C.grid, g, **held) if unitary else AlgebraPath._own(C.grid, g)
 
 
@@ -161,7 +180,7 @@ def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float):
     if not res <= level_tol:
         raise InputError(f"level-set residual {res:.3e} exceeds {level_tol:.1e}")
     g = trivialize(T0)
-    conj = g.values @ T1.values @ dagger(g.values)
+    conj = _cmatmul(_cmatmul(g.values, _real_form(T1.values)), _real_form(dagger(g.values)))
     drift = sup_norm(conj - conj[0])
     if not drift <= max(10.0 * level_tol, 1e-8):
         raise InputError(f"gauged T1 drifts by {drift:.3e}, not constant")

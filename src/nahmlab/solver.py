@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, Su2Triple, _real_form, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
+from .algebra import AlgebraSpec, InputError, Su2Triple, _cmatmul, _real_form, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
 from .gauge import trivialize
 from .moment import lax_extract, mu_nahm
 from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step, sup_norm
@@ -152,7 +152,7 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
     if X.shape != (T0.dim, T0.dim) or not su.is_member(X, tol=1e-8):
         raise InputError(f"initial T1 is not an element of su({T0.dim})")
     g = trivialize(T0).values
-    return T0, AlgebraPath(T0.grid, su.project(dagger(g) @ X @ g))
+    return T0, AlgebraPath(T0.grid, su.project(_cmatmul(_cmatmul(dagger(g), _real_form(X)), _real_form(g))))
 
 
 def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T: np.ndarray) -> NahmData:

@@ -95,25 +95,37 @@ def test_act_unitary_gauge_matches_the_inverse(k, rng):
         assert np.abs(act(gp, d).values - act_by_inverse(gp, d)).max() <= 1e-12
 
 
-def act_whole_chain(g, d):
+def real_form_product(X, Y):
+    """XY as the package takes complex products: the rows X.view(float) times
+    the real form of Y, each entry a + ib the block [[a, b], [-b, a]]."""
+    k = Y.shape[-1]
+    phi = np.empty(Y.shape[:-2] + (2 * k, 2 * k))
+    phi[..., ::2, ::2] = phi[..., 1::2, 1::2] = Y.real
+    phi[..., ::2, 1::2], phi[..., 1::2, ::2] = Y.imag, -1.0 * Y.imag
+    return (np.ascontiguousarray(X).view(float) @ phi).view(complex)
+
+
+def act_whole_chain(g, d, product):
     """The reference: the gauge action as one stacked product chain per term."""
     gv = g.values
     ginv = dagger(gv)
-    out = gv @ d.values @ ginv
-    out[0] -= path_derivative(gv, d.grid.h) @ ginv
+    out = product(product(gv, d.values), ginv)
+    out[0] -= product(path_derivative(gv, d.grid.h), ginv)
     return out
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_act_keeps_the_chain_bytes_in_fresh_memory(k, rng):
-    # the component-wise products through one scratch give the chain's bytes,
-    # and the result is a new array, not a view of either input
+    # the component-wise real-form products give the bytes of the chain taken
+    # in real form, its complex-product chain within 1e-14, and the result is
+    # a new array, not a view of either input
     spec = AlgebraSpec("su", k)
     g = Grid(0.0, 1.0, 300)
     d = NahmData(spec, *(random_smooth_path(spec, g, rng, scale=0.6) for _ in range(4)))
     gp = exp_su_path(random_smooth_path(spec, g, rng, scale=0.8))
     out = act(gp, d)
-    assert out.values.tobytes() == act_whole_chain(gp, d).tobytes()
+    assert out.values.tobytes() == act_whole_chain(gp, d, real_form_product).tobytes()
+    assert np.abs(out.values - act_whole_chain(gp, d, np.matmul)).max() <= 1e-14
     assert not np.shares_memory(out.values, d.values)
     assert not np.shares_memory(out.values, gp.values)
 
@@ -192,8 +204,10 @@ def recomputed_defect(gp):
 
 def test_trivialize_hands_over_the_defect_of_its_values(rng):
     # Newton-Schulz hands its last defect to the path; it must be the defect
-    # of the values returned, byte for byte, on a smooth fine T0 and on a
-    # rough coarse one whose raw product needs more than one correction
+    # of the values returned, byte for byte as a path built from them forms
+    # it, on a smooth fine T0 and on a rough coarse one whose raw product
+    # needs more than one correction; the complex-product |g^dag g - 1| is
+    # the same norm to within 4 k eps
     fine = random_smooth_path(SU2, Grid(0.0, 1.0, 500), rng)
     g = Grid(0.0, 1.0, 16)
     coarse = random_smooth_path(AlgebraSpec("su", 3), g, np.random.default_rng(0), modes=2, scale=1.0)
@@ -202,7 +216,9 @@ def test_trivialize_hands_over_the_defect_of_its_values(rng):
     for T0 in (fine, coarse):
         gp = trivialize(T0)
         assert "unitarity_defect" in gp.__dict__  # handed over, not recomputed
-        assert np.float64(gp.unitarity_defect).tobytes() == np.float64(recomputed_defect(gp)).tobytes()
+        fresh = GroupPath(gp.grid, gp.values)  # forms its own defect from the values
+        assert np.float64(gp.unitarity_defect).tobytes() == np.float64(fresh.unitarity_defect).tobytes()
+        assert abs(gp.unitarity_defect - recomputed_defect(gp)) <= 4 * T0.dim * np.finfo(float).eps
     vals = np.broadcast_to(2.0 * np.eye(2), (17, 2, 2)).astype(complex)
     with pytest.raises(ValueError, match="not unitary"):
         GroupPath(g, vals)  # a path built from values still forms its own defect
@@ -248,6 +264,32 @@ def test_trivialize_of_an_overflowing_step_names_a_finite_number():
     assert "nan" not in msg.lower() and "inf" not in msg.lower() and "grid too coarse" in msg
     step = float(msg.split("h |C| = ")[1].split(",")[0])
     assert step == pytest.approx(g.h * 1e200 * np.linalg.norm(E1), rel=1e-3)
+
+
+def test_complex_trivialize_direct_past_rk4_stability_raises():
+    # T0 = T1 = 1e3 e1 on 10 steps: h |T0 + i T1| = 100, far past RK4's limit
+    # 2 sqrt 2, and a complex flow has no unitarity defect to show it; the
+    # step bound refuses the grid before stepping, naming a finite h |C| and
+    # the first node past it, with no numpy warning.  Just inside the bound
+    # the flow runs.
+    g = Grid(0.0, 1.0, 10)
+    T = const_path(g, 1e3 * E1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            complex_trivialize_direct(T, T)
+    msg = str(info.value)
+    assert not isinstance(info.value, InputError) and "grid too coarse" in msg and "at s = 0:" in msg
+    assert float(msg.split("h |C| = ")[1].split()[0]) == pytest.approx(g.h * np.linalg.norm((1 + 1j) * 1e3 * E1))
+    zero = const_path(g, np.zeros((2, 2), dtype=complex))
+    for scale, past in ((39.0, False), (41.0, True)):  # h |scale e1| = 2.76 and 2.90
+        late = np.zeros((11, 2, 2), dtype=complex)
+        late[7:] = scale * E1
+        if past:
+            with pytest.raises(np.linalg.LinAlgError, match=r"h \|C\| = 2\.899e\+00 past 2 sqrt\(2\) at s = 0\.7:"):
+                complex_trivialize_direct(AlgebraPath(g, late), zero)
+        else:
+            assert np.isfinite(complex_trivialize_direct(AlgebraPath(g, late), zero).values).all()
 
 
 def test_trivialize_residual_second_order(rng):

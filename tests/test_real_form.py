@@ -1,14 +1,15 @@
 """The real form phi of complex k x k matrices (``algebra._real_form``), by
-which the Nahm flow steps and ``bracket`` takes its products: phi copies each
-entry a + ib into the block [[a, b], [-b, a]], so phi(A) phi(C) = phi(AC) and
-the even rows of phi(T) are T.view(float)."""
+which the Nahm flow steps and every other complex product is taken
+(``algebra._cmatmul``, ``bracket``): phi copies each entry a + ib into the
+block [[a, b], [-b, a]], so phi(A) phi(C) = phi(AC) and the even rows of
+phi(T) are T.view(float)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nahmlab.algebra import _real_form, bracket
+from nahmlab.algebra import _cmatmul, _real_form, bracket, dagger
 
 EPS = np.finfo(float).eps
 SIZES = st.integers(2, 6)
@@ -87,3 +88,27 @@ def test_bracket_takes_strided_views():
     Xt, Ys = X.swapaxes(-1, -2), Y[::-1]
     assert np.array_equal(bracket(Xt, Ys), bracket(Xt.copy(), Ys.copy()))
     assert np.abs(bracket(Xt, Ys) - (Xt @ Ys - Ys @ Xt)).max() <= 8 * 4 * EPS * frobenius(X) * frobenius(Y)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data(), k=SIZES, nodes=st.integers(1, 9))
+def test_cmatmul_is_the_complex_product(data, k, nodes):
+    # on node stacks and on broadcast (k, k) x (n+1, k, k) pairs, both ways round
+    X, Y = (data.draw(complex_stacks((nodes,), k, MODERATE)) for _ in range(2))
+    single = data.draw(complex_stacks((), k, MODERATE))
+    for A, C in ((X, Y), (single, Y), (X, single)):
+        got, want = _cmatmul(A, _real_form(C)), A @ C
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 8 * k * EPS * frobenius(A) * frobenius(C)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data(), k=SIZES)
+def test_cmatmul_reads_strided_and_dagger_views_as_their_values(data, k):
+    # a sliced, transposed or conjugated operand is read as its values, not its
+    # memory; and phi(Y) transposed, a view, is phi(Y^dag), so it gives the
+    # bytes of the product with Y^dag
+    X, Y = (data.draw(complex_stacks((6,), k, MODERATE)) for _ in range(2))
+    for A, C in ((X[::2], Y[1::2]), (X.swapaxes(-1, -2), Y[::-1]), (dagger(X), dagger(Y))):
+        assert _cmatmul(A, _real_form(C)).tobytes() == _cmatmul(A.copy(), _real_form(C.copy())).tobytes()
+    assert _cmatmul(X, _real_form(Y).swapaxes(-1, -2)).tobytes() == _cmatmul(X, _real_form(dagger(Y))).tobytes()

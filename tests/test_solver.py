@@ -730,49 +730,59 @@ def test_integrate_nahm_projects_a_start_off_su_k(k):
     assert spec.member_defect(T) <= 1e-14 * float(np.max(np.linalg.norm(T, axis=(-2, -1))))
 
 
-def ref_propagators(C, h):
+def ref_cmatmul(x, y):
+    """xy in real form, as the package takes complex products: the rows
+    x.view(float) times phi(y), each entry a + ib of y the block [[a, b], [-b, a]]."""
+    k = y.shape[-1]
+    phi = np.empty((2 * k, 2 * k))
+    phi[::2, ::2] = phi[1::2, 1::2] = y.real
+    phi[::2, 1::2], phi[1::2, ::2] = y.imag, -1.0 * y.imag
+    return (np.ascontiguousarray(x).view(float) @ phi).view(complex)
+
+
+def ref_propagators(C, h, mm=np.matmul):
     """1 and the RK4 steps P_m from the identity of g' = g C, interval by
-    interval."""
+    interval, each product taken by ``mm``."""
     eye = np.eye(C.shape[-1], dtype=complex)
     mid = ref_midpoints(C)
     p = [eye]
     for m in range(len(C) - 1):
-        k1 = eye @ C[m]
-        k2 = (eye + 0.5 * h * k1) @ mid[m]
-        k3 = (eye + 0.5 * h * k2) @ mid[m]
-        k4 = (eye + h * k3) @ C[m + 1]
+        k1 = mm(eye, C[m])
+        k2 = mm(eye + 0.5 * h * k1, mid[m])
+        k3 = mm(eye + 0.5 * h * k2, mid[m])
+        k4 = mm(eye + h * k3, C[m + 1])
         p.append(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return p
 
 
-def ref_right_trivialize(C, h, unitary):
+def ref_right_trivialize(C, h, unitary, mm=ref_cmatmul):
     """g' = g C in plain loops of the blocked construction: the running
     product of 1, P_0, ..., P_(n-1), padded with identities to b * b matrices
     (b = ceil(sqrt(n + 1))), is taken inside each block of b, then across the
     block ends, then carried into the next block; a real gauge then takes
-    Newton-Schulz steps g + g (1 - g^dag g) / 2 until the max defect is
-    4 k eps or stops falling, at most 8."""
+    Newton-Schulz steps g + (1 - g g^dag) g / 2 until the max defect is
+    4 k eps or stops falling, at most 8.  Each product is taken by ``mm``."""
     k, n1 = C.shape[-1], len(C)
     eye = np.eye(k, dtype=complex)
     b = int(np.ceil(np.sqrt(n1)))
-    g = ref_propagators(C, h) + [eye] * (b * b - n1)
+    g = ref_propagators(C, h, mm) + [eye] * (b * b - n1)
     for i in range(b):
         for j in range(1, b):
-            g[i * b + j] = g[i * b + j - 1] @ g[i * b + j]
+            g[i * b + j] = mm(g[i * b + j - 1], g[i * b + j])
     for i in range(1, b):
-        g[i * b + b - 1] = g[i * b - 1] @ g[i * b + b - 1]
+        g[i * b + b - 1] = mm(g[i * b - 1], g[i * b + b - 1])
     for i in range(1, b):
         for j in range(b - 1):
-            g[i * b + j] = g[i * b - 1] @ g[i * b + j]
+            g[i * b + j] = mm(g[i * b - 1], g[i * b + j])
     g = g[:n1]
     if unitary:
         last = np.inf
         for _ in range(8):
-            e = [np.eye(k) - np.conj(x.T) @ x for x in g]
+            e = [np.eye(k) - mm(x, np.conj(x.T)) for x in g]
             defect = max(np.linalg.norm(x) for x in e)
             if defect <= 4 * k * np.finfo(float).eps or defect >= last:
                 break
-            g, last = [x + 0.5 * (x @ y) for x, y in zip(g, e)], defect
+            g, last = [x + 0.5 * mm(y, x) for x, y in zip(g, e)], defect
     return np.array(g)
 
 
@@ -802,15 +812,25 @@ def _right_and_baby_flows(k):
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_right_and_baby_flows_bitwise_match_reference(k):
     # the linear flows are the batched construction of ref_right_trivialize,
-    # and the baby flow is the conjugation T1(s) = g(s)^-1 T1(s0) g(s)
+    # and the baby flow is the conjugation T1(s) = g(s)^-1 T1(s0) g(s), every
+    # product taken in real form (ref_cmatmul) as the package takes it, so
+    # the bytes match; the same construction with complex products is their
+    # rounding neighbour, within 1e-14 absolute for the unitary gauge and the
+    # baby flow and 1e-14 relative for the complex gauge
     g, T0, X, T1 = _right_and_baby_flows(k)
-    ref_g = ref_right_trivialize(T0.values, g.h, unitary=True)
-    assert np.array_equal(trivialize(T0).values, ref_g)
-    ref = ref_skew_project(np.conj(np.swapaxes(ref_g, -1, -2)) @ X @ ref_g, k)
-    assert np.array_equal(T1.values, ref)
     Tc = T0.values + 1j * T1.values
-    ref = ref_right_trivialize(Tc, g.h, unitary=False)
-    assert np.array_equal(complex_trivialize_direct(T0, T1).values, ref)
+    got = trivialize(T0).values, T1.values, complex_trivialize_direct(T0, T1).values
+    for mm, exact in ((ref_cmatmul, True), (np.matmul, False)):
+        ref_g = ref_right_trivialize(T0.values, g.h, True, mm)
+        ref_baby = ref_skew_project(np.array([mm(mm(np.conj(x.T), X), x) for x in ref_g]), k)
+        ref_c = ref_right_trivialize(Tc, g.h, False, mm)
+        if exact:
+            for a, b in zip(got, (ref_g, ref_baby, ref_c)):
+                assert a.tobytes() == b.tobytes()
+        else:
+            assert np.abs(got[0] - ref_g).max() <= 1e-14
+            assert np.abs(got[1] - ref_baby).max() <= 1e-14
+            assert np.abs(got[2] - ref_c).max() <= 1e-14 * np.abs(ref_c).max()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
