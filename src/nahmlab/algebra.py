@@ -100,12 +100,16 @@ def char_poly_coeffs(P: np.ndarray) -> list:
     for P(zeta) = sum_d P[d] zeta^d, given as (deg+1, ..., k, k) and batched
     over the middle axes; a_j has shape (j deg + 1, ...), ascending in zeta.
 
-    Faddeev-LeVerrier: M_1 = P, a_j = -tr(M_j)/j, M_(j+1) = P (M_j + a_j I),
+    Faddeev-LeVerrier: M_1 = P, a_j = -tr(M_j)/j, M_(j+1) = (M_j + a_j I) P,
     each product a convolution in zeta: exact up to rounding, no eigenvalues.
-    M_k is only traced, never formed: tr(P[d] M[e]) is an entrywise product-sum.
+    Each product is a real product, M[e] times phi(P[d]) (``_cmatmul``), with
+    phi(P) built once; M_j is a polynomial in P, so it is P (M_j + a_j I) as
+    well.  M_k is only traced, never formed: tr(P[d] M[e]) is an entrywise
+    product-sum, so at k = 2 no product is taken and no phi is built.
     """
     P = np.asarray(P, dtype=complex)
     k, diag = P.shape[-1], np.arange(P.shape[-1])
+    phi = _real_form(P) if k > 2 else None
     M, tr, coeffs = P.copy(), np.trace(P, axis1=-2, axis2=-1), []
     for j in range(1, k + 1):
         coeffs.append(0.0 - tr / j)  # 0.0 - x: never a negative zero
@@ -114,7 +118,7 @@ def char_poly_coeffs(P: np.ndarray) -> list:
             last = j == k - 1
             nxt = np.zeros((len(M) + len(P) - 1,) + P.shape[1 : -2 if last else None], dtype=complex)
             for d, e in np.ndindex(len(P), len(M)):  # one degree slice at a time
-                nxt[d + e] += (P[d].swapaxes(-1, -2) * M[e]).sum(axis=(-2, -1)) if last else P[d] @ M[e]
+                nxt[d + e] += (P[d].swapaxes(-1, -2) * M[e]).sum(axis=(-2, -1)) if last else _cmatmul(M[e], phi[d])
             M, tr = nxt, nxt if last else np.trace(nxt, axis1=-2, axis2=-1)
     return coeffs
 

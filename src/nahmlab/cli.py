@@ -194,7 +194,7 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> bool:
     d = _flow(cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # a state near overflow has an inf or NaN drift: a FAIL
         flows = spectral_flow(d, nonreal=cfg["nonreal_control"])
-        drift = _coeff_drift(flows)
+        drift = _coeff_drift([flows])
         curve0 = [f[:, 0] for f in flows]
         violation = reality_check(curve0)
     nio.coeffs_to_csv(d.grid, flows, out_dir / "coeffs.csv")

@@ -5,11 +5,12 @@ fixed singular curve of an orbit target, and the antiholomorphic reality
 involution (zeta, eta) -> (-1/conj(zeta), -conj(eta)/conj(zeta)^2).
 
 Coefficients come from the Faddeev-LeVerrier recursion run on the pencil's
-three coefficient matrices (``algebra.char_poly_coeffs``): a_j has degree
-<= 2j because the pencil entries are quadratics in zeta, and the recursion
-gives its 2j+1 coefficients exactly, with no eigen-solve and no fit.
-A curve is the list [a_1, ..., a_k], each ascending in zeta; a flow's curves
-are computed in node blocks, with a working set bounded in n.
+three coefficient matrices (``algebra.char_poly_coeffs``), its products
+real products: a_j has degree <= 2j because the pencil entries are
+quadratics in zeta, and the recursion gives its 2j+1 coefficients exactly,
+with no eigen-solve and no fit.  A curve is the list [a_1, ..., a_k], each
+ascending in zeta; a flow's curves are computed in node blocks, with a
+working set bounded in n, and its drift is reduced block by block.
 """
 
 from __future__ import annotations
@@ -44,28 +45,41 @@ def char_coeffs(alpha: np.ndarray, beta: np.ndarray, nonreal: bool = False) -> l
     return [f[:, 0] for f in char_poly_coeffs(_pencil(alpha, beta, nonreal)[:, None])]
 
 
+def _node_blocks(d: NahmData, nonreal: bool = False):
+    """(first node, [a_1, ..., a_k] of the nodes from there) for each node block in turn."""
+    step = max(1, _BLOCK_BYTES // (16 * d.dim**2))
+    for first in range(0, d.grid.n + 1, step):
+        alpha, beta = _lax(d.values[:, first : first + step])
+        yield first, char_poly_coeffs(_pencil(alpha, beta, nonreal))
+
+
 def spectral_flow(d: NahmData, nonreal: bool = False) -> list:
     """Coefficients a_j(zeta) at every node; list of (2j+1, n+1) arrays, filled block by block."""
-    nodes, step = d.grid.n + 1, max(1, _BLOCK_BYTES // (16 * d.dim**2))
-    out = [np.empty((2 * j + 1, nodes), dtype=complex) for j in range(1, d.dim + 1)]
-    for first in range(0, nodes, step):
-        alpha, beta = _lax(d.values[:, first : first + step])
-        for o, c in zip(out, char_poly_coeffs(_pencil(alpha, beta, nonreal))):
-            o[:, first : first + step] = c
+    out = [np.empty((2 * j + 1, d.grid.n + 1), dtype=complex) for j in range(1, d.dim + 1)]
+    for first, coeffs in _node_blocks(d, nonreal):
+        for o, c in zip(out, coeffs):
+            o[:, first : first + c.shape[1]] = c
     return out
 
 
-def _coeff_drift(flows: list) -> float:
+def _coeff_drift(blocks) -> float:
     """Max drift of any coefficient from its value at the first node, relative
-    to the largest first-node coefficient (at least 1); NaN if any is NaN."""
-    scale = np.max([1.0] + [np.max(np.abs(f[:, 0])) for f in flows])
-    drift = np.max([np.max(np.abs(f - f[:, :1])) for f in flows])
+    to the largest first-node coefficient (at least 1); NaN if any is NaN.
+    ``blocks`` are the coefficient lists of consecutive node blocks, first to
+    last: ``spectral_flow``'s whole list is one block."""
+    first, drift = None, 0.0
+    for coeffs in blocks:
+        first = first or [c[:, :1].copy() for c in coeffs]
+        for c, f in zip(coeffs, first):
+            drift = np.maximum(drift, np.max(np.abs(c - f)))
+    scale = np.max([1.0] + [np.max(np.abs(f)) for f in first])
     return float(drift) / float(scale)
 
 
 def conservation_check(d: NahmData) -> float:
-    """Max relative drift of any curve coefficient along the flow."""
-    return _coeff_drift(spectral_flow(d))
+    """Max relative drift of any curve coefficient along the flow, reduced
+    block by block, so no output-sized array is held."""
+    return _coeff_drift(coeffs for _, coeffs in _node_blocks(d))
 
 
 def fixed_curve(target: BoundaryTarget) -> tuple:

@@ -1,13 +1,19 @@
-"""``algebra.char_poly_coeffs`` takes the trace of its last Faddeev-LeVerrier
-product, tr(M_k) = sum over d + e of tr(P[d] M[e]), from entrywise
-product-sums and never forms M_k.  ``ref_char_poly_coeffs`` is the recursion
-that formed every product, kept as the oracle:
+"""``algebra.char_poly_coeffs`` takes each Faddeev-LeVerrier product as the
+real product M[e].view(float) @ phi(P[d]), and the trace of its last one,
+tr(M_k) = sum over d + e of tr(P[d] M[e]), from entrywise product-sums,
+never forming M_k.  ``ref_char_poly_coeffs`` is the recursion that formed
+every product, kept as the oracle, with complex products P[d] @ M[e] or,
+with ``real_form``, the products as the package takes them:
 
-* a_1 .. a_(k-1) come from the same products and must equal it bit for bit;
-* a_k sums the same terms in another order and must stay within 1e-12 of it,
-  relative to |P|^k = (sum_d |P[d]|)^k, the size a_k has before cancellation
-  (a nilpotent pencil's a_k is rounding noise, so its own size is no scale);
-* against the exact a_k, its error must be as small as the oracle's.
+* a_1 .. a_(k-1) come from the same products as the real-form oracle's and
+  must equal it bit for bit, and the complex oracle's within 1e-16 relative
+  to |P|^j = (sum_d |P[d]|)^j, the size a_j has before cancellation (a
+  nilpotent pencil's a_j is rounding noise, so its own size is no scale);
+* a_k sums the complex oracle's terms in another order and must stay within
+  1e-12 of it, relative to |P|^k;
+* against the exact a_k, its error must be as small as the complex oracle's;
+* at k = 2 the only product is the traced one: no real form is built and
+  every coefficient keeps the bytes of the recursion with complex products.
 
 The exact a_k comes from the recursion in Gaussian integers, rounded once;
 ``test_exact_reference_agrees_with_50_digit_mpmath`` checks it against a
@@ -20,6 +26,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nahmlab import algebra
 from nahmlab.algebra import AlgebraSpec, char_poly_coeffs, su2_embed
 from nahmlab.moment import lax_extract
 from nahmlab.paths import Grid
@@ -29,18 +36,34 @@ from nahmlab.spectral import _pencil
 KS = [2, 3, 4, 5, 6]
 
 
-def ref_char_poly_coeffs(P):
-    """Faddeev-LeVerrier with every product formed, M_k included."""
+def real_form_product(X, Y):
+    """XY as the package takes complex products: the rows X.view(float) times
+    the real form of Y, each entry a + ib the block [[a, b], [-b, a]]."""
+    k = Y.shape[-1]
+    phi = np.empty(Y.shape[:-2] + (2 * k, 2 * k))
+    phi[..., ::2, ::2] = phi[..., 1::2, 1::2] = Y.real
+    phi[..., ::2, 1::2], phi[..., 1::2, ::2] = Y.imag, -1.0 * Y.imag
+    return (np.ascontiguousarray(X).view(float) @ phi).view(complex)
+
+
+def ref_char_poly_coeffs(P, real_form=False, traced=False):
+    """Faddeev-LeVerrier with every product formed, M_k included: P[d] @ M[e],
+    or with ``real_form`` M[e] times phi(P[d]); with ``traced``, M_k is traced
+    from the entrywise pairings instead, as the package takes it."""
     P = np.asarray(P, dtype=complex)
     k, diag = P.shape[-1], np.arange(P.shape[-1])
     M, coeffs = P.copy(), []
     for j in range(1, k + 1):
-        coeffs.append(0.0 - np.trace(M, axis1=-2, axis2=-1) / j)
+        coeffs.append(0.0 - (M if traced and j == k else np.trace(M, axis1=-2, axis2=-1)) / j)
         if j < k:
             M[..., diag, diag] += coeffs[-1][..., None]
-            nxt = np.zeros((len(M) + len(P) - 1,) + P.shape[1:], dtype=complex)
+            pair = traced and j == k - 1
+            nxt = np.zeros((len(M) + len(P) - 1,) + P.shape[1 : -2 if pair else None], dtype=complex)
             for d, e in np.ndindex(len(P), len(M)):
-                nxt[d + e] += P[d] @ M[e]
+                if pair:
+                    nxt[d + e] += (P[d].swapaxes(-1, -2) * M[e]).sum(axis=(-2, -1))
+                else:
+                    nxt[d + e] += real_form_product(M[e], P[d]) if real_form else P[d] @ M[e]
             M = nxt
     return coeffs
 
@@ -87,9 +110,9 @@ def mp_last_coeff(P):
         return [complex(-sum(m[i, i] for i in range(k)) / k) for m in M]
 
 
-def scale(P):
-    """|P|^k node by node: the size of a_k before cancellation."""
-    return np.linalg.norm(P, axis=(-2, -1)).sum(axis=0) ** P.shape[-1]
+def scale(P, j=None):
+    """|P|^j node by node (j = k if not given): the size of a_j before cancellation."""
+    return np.linalg.norm(P, axis=(-2, -1)).sum(axis=0) ** (P.shape[-1] if j is None else j)
 
 
 def random_pencils(k, n, seed):
@@ -126,12 +149,23 @@ def cases(k):
             "flow": flow_pencils(k)}
 
 
+# a_j against the complex oracle, relative to |P|^j: the largest measured on
+# the pencils of ``cases`` at k = 3..6 is 2.6e-17
+COMPLEX_ORACLE_REL = 1e-16
+
+
+def assert_keeps_the_real_form_bits(P, name=None):
+    got, want = char_poly_coeffs(P), ref_char_poly_coeffs(P, real_form=True)
+    assert [c.shape for c in got] == [c.shape for c in want], name
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got[:-1], want[:-1])), name
+    for j, (g, w) in enumerate(zip(got[:-1], ref_char_poly_coeffs(P)), start=1):
+        assert np.max(np.abs(g - w) / scale(P, j)) <= COMPLEX_ORACLE_REL, (name, j)
+
+
 @pytest.mark.parametrize("k", KS)
 def test_all_but_the_last_coefficient_keep_their_bits(k):
     for name, P in cases(k).items():
-        got, want = char_poly_coeffs(P), ref_char_poly_coeffs(P)
-        assert [c.shape for c in got] == [c.shape for c in want], name
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got[:-1], want[:-1])), name
+        assert_keeps_the_real_form_bits(P, name)
 
 
 @pytest.mark.parametrize("k", KS)
@@ -145,10 +179,24 @@ def test_unbatched_and_constant_pencils():
     # no node axis, and a degree-0 pencil (``solver.char_poly``)
     P = random_pencils(4, 1, 3)[:, 0]
     for Q in (P, P[:1]):
-        got, want = char_poly_coeffs(Q), ref_char_poly_coeffs(Q)
-        assert [c.shape for c in got] == [c.shape for c in want]
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got[:-1], want[:-1]))
-        assert np.max(np.abs(got[-1] - want[-1])) <= 1e-12 * scale(Q)
+        assert_keeps_the_real_form_bits(Q)
+        got, want = char_poly_coeffs(Q)[-1], ref_char_poly_coeffs(Q)[-1]
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale(Q)
+
+
+def test_su2_takes_no_product(monkeypatch):
+    # at k = 2 the one product is traced, so every coefficient keeps the bytes
+    # of the recursion with complex products: batched, unbatched and degree 0
+    def refuse(*args):
+        raise AssertionError("a real form at k = 2")
+
+    P = random_pencils(2, 1, 4)[:, 0]
+    pencils = [*cases(2).items(), ("unbatched", P), ("degree 0", P[:1])]
+    monkeypatch.setattr(algebra, "_real_form", refuse)
+    monkeypatch.setattr(algebra, "_cmatmul", refuse)
+    for name, Q in pencils:
+        got, want = char_poly_coeffs(Q), ref_char_poly_coeffs(Q, traced=True)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], name
 
 
 def test_exact_reference_agrees_with_50_digit_mpmath():

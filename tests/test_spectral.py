@@ -263,9 +263,9 @@ def test_reality_check_non_finite_coefficient_is_no_pass(bad):
 def test_coeff_drift_nan_is_no_pass():
     flows = [np.zeros((3, 4), dtype=complex), np.zeros((5, 4), dtype=complex)]
     flows[1][2, 3] = np.nan
-    assert np.isnan(_coeff_drift(flows))
+    assert np.isnan(_coeff_drift([flows]))
     flows[1][2, 0] = np.nan  # in the scale too
-    assert np.isnan(_coeff_drift(flows))
+    assert np.isnan(_coeff_drift([flows]))
 
 
 def test_curve_vanishes_on_the_pencil_spectrum(rng):
@@ -379,3 +379,45 @@ def test_spectral_flow_working_set_is_bounded(rng):
     bound = 2 * sum(f.nbytes for f in spectral_flow(d)) + (4 << 20)
     assert traced_peak(spectral_flow, d) < bound
     assert traced_peak(whole_array_flow, d) > bound
+
+
+def whole_array_drift(flows: list) -> float:
+    """The reference: the drift reduced over the whole (2j+1, n+1) outputs at once."""
+    scale = np.max([1.0] + [np.max(np.abs(f[:, 0])) for f in flows])
+    return float(np.max([np.max(np.abs(f - f[:, :1])) for f in flows])) / float(scale)
+
+
+def assert_same_drift(d: NahmData) -> None:
+    flows = spectral_flow(d)
+    drifts = [conservation_check(d), _coeff_drift([flows]), whole_array_drift(flows)]
+    assert len({np.float64(x).tobytes() for x in drifts}) == 1, drifts
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_conservation_check_reduces_block_by_block_to_the_same_bits(k, rng):
+    # the first-node coefficients and the running max carried from block to
+    # block give the whole-array drift bit for bit, at and past a block edge
+    b = block_nodes(k)
+    for nodes in (b - 1, b, b + 1, 3 * b + 5):
+        assert_same_drift(random_nahm(AlgebraSpec("su", k), nodes, rng))
+
+
+def test_conservation_check_keeps_a_nan(rng):
+    # a NaN in a later block, then one at the first node (in the scale too)
+    d = random_nahm(SU3, 3 * block_nodes(3) + 5, rng)
+    for m in (block_nodes(3) + 7, 0):
+        values = d.values.copy()
+        values[2, m, 0, 0] = np.nan
+        d = NahmData._own(d.grid, values)
+        assert np.isnan(conservation_check(d))
+        assert_same_drift(d)
+
+
+def test_conservation_check_holds_no_output_sized_array(rng):
+    # at su(6), n = 10^4 the outputs of ``spectral_flow`` are 7.7 MB, and the
+    # reduction over them peaked at 10.8 MB; block by block the peak is one
+    # block's temporaries, 2.3 MB.  The working set does not depend on the
+    # values, so a short random path repeated along the grid serves.
+    short = random_nahm(AlgebraSpec("su", 6), 101, rng).values
+    d = NahmData._own(Grid(0.0, 1.0, 10000), short[:, np.arange(10001) % 101])
+    assert traced_peak(conservation_check, d) < (4 << 20)
