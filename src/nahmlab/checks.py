@@ -6,7 +6,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, InputError, _cmatmul, _real_form, pairing, su2_basis
 from .gauge import GroupPath, act, exp_su_path, horizontal_project, monodromy, quotient_metric, trivialize
-from .moment import _hamiltonian_gaps, _omega_baby, kahler_form_identity_check, lax_extract, mu_nahm, rho_star
+from .moment import _hamiltonian_gaps, _lax, _omega_baby, kahler_form_identity_check, mu_nahm, rho_star
 from .moment import s1_moment_identity_check
 from .paths import CHUNK, AlgebraPath, Grid, NahmData, _random_chunk, pairing_nodes, quadrature, random_dirichlet_path
 from .paths import random_smooth_path, random_tangent, sup_norm, vertical_field
@@ -94,7 +94,7 @@ def run_check_suite(seed: int, n: int, samples: int, inject_sign_flip: bool) -> 
     proj = horizontal_project(T0, vertical_field(T0, random_dirichlet_path(su2, grid, rng)))
     errors["vertical_projection"] = quadrature(pairing_nodes(proj.values, proj.values), grid)
 
-    errors["reality"] = reality_check(char_coeffs(*lax_extract(data)[:, 0]))
+    errors["reality"] = reality_check(char_coeffs(*_lax(data.values[:, :1])[:, 0]))
 
     return [{"name": name, "error": float(errors[name]), "threshold": float(threshold(grid.h)), "order": order,
              "pass": passes(errors[name], threshold(grid.h))} for name, (threshold, order) in CHECKS.items()]

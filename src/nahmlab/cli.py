@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io as nio
-from .algebra import AlgebraSpec, InputError, su2_basis, su2_embed, su2_embed_block
+from .algebra import AlgebraSpec, InputError, _unit_scaled, su2_basis, su2_embed, su2_embed_block
 from .checks import passes, run_check_suite
 from .moment import mu_nahm
 from .paths import Grid, NahmData
@@ -241,10 +241,12 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> bool:
     if pert > 0:
         rng = np.random.default_rng(cfg["seed"])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed guess is not in su(k): a config error
-            scale = max(max(np.linalg.norm(m) for m in guess), 1.0)
+            # the norms are taken on the exact power-of-two rescale, where no square overflows
+            scaled, _, unit = _unit_scaled(np.stack(guess))
+            scale = max(max(np.linalg.norm(m) for m in scaled) / unit, 1.0)
             guess = [m + pert * scale * algebra.random_element(rng, 1.0) for m in guess]
         if not np.all(np.isfinite(guess)):  # the target's own guess, or its perturbation, overflowed
-            key = "perturbation" if np.isfinite(scale) else "target.a" if t["kind"] == "coth" else "target"
+            key = "perturbation" if np.isfinite(scale) else "target"  # a coth guess's norm is always finite
             raise InputError(f"config key {key!r} overflows the perturbed guess "
                              f"(perturbation {pert:.3e} times the guess norm {scale:.3e})")
 

@@ -16,6 +16,8 @@ from .paths import (
     AlgebraPath,
     Grid,
     NahmData,
+    _derivative,
+    _node_slices,
     _random_chunk,
     _shared_grid,
     complex_structure,
@@ -61,14 +63,26 @@ def mu_baby(T0: AlgebraPath, T1: AlgebraPath) -> AlgebraPath:
     return AlgebraPath._own(T0.grid, v)
 
 
-def _mu(T: np.ndarray, h: float, i: int) -> np.ndarray:
-    """mu_i = T_i' + [T0, T_i] - [T_(i+1), T_(i+2)] of a quadruple's stack, indices 1, 2, 3 cyclic."""
-    return path_derivative(T[i], h) + bracket(T[0], T[i]) - bracket(T[i % 3 + 1], T[(i + 1) % 3 + 1])
+def _mu(T: np.ndarray, h: float, i: int, out: np.ndarray | None = None) -> np.ndarray:
+    """mu_i = T_i' + [T0, T_i] - [T_(i+1), T_(i+2)] of a quadruple's stack, indices 1, 2, 3
+    cyclic, written into ``out`` (a fresh array if None): T_i' first, then the brackets added
+    and subtracted node block by node block, so no path-sized real form is held; each
+    element is (T_i' + [T0, T_i]) - [T_j, T_k], as on the whole array."""
+    j, k = i % 3 + 1, (i + 1) % 3 + 1
+    out = _derivative(T[i], h, np.empty_like(T[i]) if out is None else out)
+    for nodes in _node_slices(T[i]):
+        out[nodes] += bracket(T[0, nodes], T[i, nodes])
+        out[nodes] -= bracket(T[j, nodes], T[k, nodes])
+    return out
 
 
 def mu_nahm(d: NahmData) -> MomentResidual:
-    """The three moment maps whose common zero set is the Nahm equations."""
-    return MomentResidual._own(d.grid, np.stack([_mu(d.values, d.grid.h, i) for i in (1, 2, 3)]))
+    """The three moment maps whose common zero set is the Nahm equations, each
+    written into its row of the output."""
+    out = np.empty((3,) + d.values.shape[1:], dtype=complex)
+    for i in (1, 2, 3):
+        _mu(d.values, d.grid.h, i, out[i - 1])
+    return MomentResidual._own(d.grid, out)
 
 
 def _lax(values: np.ndarray) -> np.ndarray:

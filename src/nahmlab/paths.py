@@ -188,8 +188,12 @@ def quadrature(f: np.ndarray, grid: Grid):
 def path_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order derivative of a free path along axis 0."""
     v = np.asarray(values)
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    return _derivative(v, h, np.empty_like(v))
+
+
+def _derivative(v: np.ndarray, h: float, d: np.ndarray) -> np.ndarray:
+    """``path_derivative`` of v written into d, with no path-sized temporary."""
+    np.divide(np.subtract(v[2:], v[:-2], out=d[1:-1]), 2.0 * h, out=d[1:-1])
     d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return d
@@ -207,6 +211,16 @@ def dirichlet_derivative(values: np.ndarray, h: float) -> np.ndarray:
     d[0] = (v[1] - v[0]) / h
     d[-1] = (v[-1] - v[-2]) / h
     return d
+
+
+_BLOCK_BYTES = 1 << 16  # one k x k slice of a node block: 4096 / k^2 nodes (the size is measured in CHANGES.md)
+
+
+def _node_slices(values: np.ndarray) -> list:
+    """The node slices of consecutive blocks of a path's samples (n+1, ...),
+    each block's samples about ``_BLOCK_BYTES``, first to last."""
+    step = max(1, _BLOCK_BYTES // values[0].nbytes)
+    return [slice(first, first + step) for first in range(0, len(values), step)]
 
 
 def _midpoints(v: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Initial-value and terminal-value solvers for the baby and full Nahm
 equations, closed-form reference solutions, and half-line adjoint-orbit
-identification.  ``orbit_identify`` reads beta(0) off the Lax pair of
-``moment.lax_extract``.
+identification.  ``orbit_identify`` reads beta(0) off the Lax pair
+(``moment._lax``) of node 0 alone.
 
 All initial-value work is done in the T0 = 0 gauge, where the system reads
 T1' = [T2, T3] (and cyclic), stepped by the RK4 formula of ``paths`` from a
@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, InputError, Su2Triple, _cmatmul, _real_form, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
 from .gauge import trivialize
-from .moment import lax_extract, mu_nahm
+from .moment import _lax, lax_extract, mu_nahm  # noqa: F401 (perfbench traces solver.lax_extract)
 from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step, sup_norm
 
 __all__ = [
@@ -155,9 +155,15 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
     return T0, AlgebraPath(T0.grid, su.project(_cmatmul(_cmatmul(dagger(g), _real_form(X)), _real_form(g))))
 
 
-def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T: np.ndarray) -> NahmData:
-    """NahmData with T0 = 0 and (T1, T2, T3) = T, of shape (3, n+1, k, k), in one C-ordered copy."""
-    return NahmData._own(grid, np.array([np.zeros_like(T[0]), *T]), algebra.dim)
+def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T: np.ndarray, negate: bool = False) -> NahmData:
+    """NahmData with T0 = 0 and (T1, T2, T3) = T, or -T with ``negate``, for T of
+    shape (3, n+1, k, k): copied once into a zeroed C-ordered stack and negated
+    there (a ufunc on a strided T would take an iteration buffer)."""
+    values = np.zeros((4,) + T.shape[1:], dtype=complex)
+    values[1:] = T
+    if negate:
+        np.negative(values[1:], out=values[1:])
+    return NahmData._own(grid, values, algebra.dim)
 
 
 def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> NahmData:
@@ -282,7 +288,7 @@ def halfline_solve(
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= tol
     if not kept and back_blowup is not None:
         raise NahmBlowUpError(L - back_blowup[0], back_blowup[1])
-    data = _gauge_zero(algebra, grid, traj[:, :, 0] if kept else -traj[:, ::-1, 1])
+    data = _gauge_zero(algebra, grid, traj[:, :, 0] if kept else traj[:, ::-1, 1], negate=not kept)
     return HalflineResult(data, True, sup_norm(data.values[1:, -1] - model), int(not kept), "converged")
 
 
@@ -308,7 +314,7 @@ def orbit_identify(
     Certification requires both coefficient agreement and a small Nahm
     residual on the supplied data.
     """
-    beta0 = lax_extract(d)[1, 0]
+    beta0 = _lax(d.values[:, :1])[1, 0]
     rep = target.tau2 + 1j * target.tau3
     if target.sigma is not None:
         rep = rep + target.sigma.e2 + 1j * target.sigma.e3

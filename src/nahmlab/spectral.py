@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import char_poly_coeffs, dagger
 from .moment import _lax
-from .paths import NahmData
+from .paths import NahmData, _node_slices
 from .solver import BoundaryTarget
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "fixed_curve",
     "reality_check",
 ]
-
-_BLOCK_BYTES = 1 << 16  # one k x k slice of a node block: 4096 / k^2 nodes (the size is measured in CHANGES.md)
 
 
 def _pencil(alpha: np.ndarray, beta: np.ndarray, nonreal: bool = False) -> np.ndarray:
@@ -47,10 +45,9 @@ def char_coeffs(alpha: np.ndarray, beta: np.ndarray, nonreal: bool = False) -> l
 
 def _node_blocks(d: NahmData, nonreal: bool = False):
     """(first node, [a_1, ..., a_k] of the nodes from there) for each node block in turn."""
-    step = max(1, _BLOCK_BYTES // (16 * d.dim**2))
-    for first in range(0, d.grid.n + 1, step):
-        alpha, beta = _lax(d.values[:, first : first + step])
-        yield first, char_poly_coeffs(_pencil(alpha, beta, nonreal))
+    for nodes in _node_slices(d.values[0]):
+        alpha, beta = _lax(d.values[:, nodes])
+        yield nodes.start, char_poly_coeffs(_pencil(alpha, beta, nonreal))
 
 
 def spectral_flow(d: NahmData, nonreal: bool = False) -> list:

@@ -201,8 +201,10 @@ LARGE_INPUTS = [
                   "target": {"kind": "coth", "L": 0.5, "a": 2.0}}, 2),
     ("halfline", {**_TINY_HALFLINE, "target": {"kind": "explicit", "L": 0.5, "tau1": _HALF_DIAG, "tau2": _HALF_DIAG,
                                                "tau3": _MAX_DIAG}}, 3),  # the model's projection overflows
-    ("halfline", {**_TINY_HALFLINE, "perturbation": 0.5, "target": {"kind": "coth", "L": 0.5, "a": 1e308}}, 2),
+    ("halfline", {**_TINY_HALFLINE, "perturbation": 0.5, "target": {"kind": "coth", "L": 0.5, "a": 1e308}}, 3),
     ("halfline", {"blowup_bound": 1e308, "step": 0.5, "target": {"kind": "coth", "L": 0.5, "a": 1e308}}, 1),
+    # the guess norm 7.1e199 is finite, though its squares overflow: the perturbed guess runs
+    ("halfline", {"perturbation": 0.01, "target": {"kind": "coth", "a": 1e200}}, 3),
 ]
 
 
@@ -220,7 +222,7 @@ def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, 
     out = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert out.returncode == code
     if code == 2:  # the overflowed guess: the message names the config key at fault
-        assert re.fullmatch(r"config error: config key '(perturbation|target\.a)' overflows the perturbed guess "
+        assert re.fullmatch(r"config error: config key '(perturbation|target)' overflows the perturbed guess "
                             r"\(perturbation \S+ times the guess norm \S+\)\n", out.stderr)
     else:
         assert out.stderr == ""
@@ -231,7 +233,7 @@ def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, 
 
 @pytest.mark.parametrize("cfg, key", [
     ({"seed": 3, "perturbation": 1e308, "target": {"kind": "coth", "L": 0.5, "a": 2.0}}, "perturbation"),
-    ({"perturbation": 0.5, "target": {"kind": "coth", "L": 0.5, "a": 1e308}}, "target.a"),
+    ({"perturbation": 10.0, "target": {"kind": "coth", "L": 0.5, "a": 1e308}}, "perturbation"),
     ({"perturbation": 0.5, "target": {"kind": "explicit", "L": 0.5, "tau1": [[0.0, 1.7e308], [0.0, 0.0], [0.0, 0.0],
                                                                             [0.0, -1.7e308]],
                                       "tau2": _ZERO, "tau3": _ZERO}}, "target"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nahmlab.moment import (
     theta_star,
 )
 from nahmlab.paths import (
+    _BLOCK_BYTES,
     AlgebraPath,
     Grid,
     NahmData,
@@ -293,3 +296,47 @@ def test_s1_moment_identity(rng):
     th = theta_star(d)
     assert sup_norm(th.T2.values + d.T3.values) == 0.0
     assert sup_norm(th.T3.values - d.T2.values) == 0.0
+
+
+def random_nodes(spec, nodes, rng):
+    return random_nahm(spec, Grid(0.0, 1.0, nodes - 1), rng)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_mu_nahm_node_blocks_keep_every_byte(k, rng):
+    # the brackets are taken node block by node block into the output's rows:
+    # each node's arithmetic is its own, at a block edge and past a partial last block
+    spec, b = AlgebraSpec("su", k), _BLOCK_BYTES // (16 * k * k)
+    for nodes in (b - 1, b, b + 1, 3 * b + 5):
+        d = random_nodes(spec, nodes, rng)
+        got = mu_nahm(d).values
+        assert got.shape == (3, nodes, k, k)
+        assert got.tobytes() == ref_mu_nahm(d).tobytes()
+
+
+def test_mu_nahm_nan_in_the_second_block_stays_a_nan(rng):
+    b = _BLOCK_BYTES // (16 * 9)
+    d = random_nodes(SU3, 3 * b + 5, rng)
+    values, m = d.values.copy(), b + 7
+    values[2, m, 0, 0] = np.nan
+    dirty = NahmData._own(d.grid, values)
+    got = mu_nahm(dirty).values
+    assert np.isnan(got[:, m]).any()
+    assert got.tobytes() == ref_mu_nahm(dirty).tobytes()
+
+
+def test_mu_nahm_holds_no_path_sized_real_form(rng):
+    # at su(6), n = 10^4 the output is 16.5 MiB and one component 5.5 MiB; whole-array
+    # brackets and the stacked rows peaked at 38.5 MiB, while the blocks hold the
+    # output and one block's temporaries.  The working set does not depend on the
+    # values, so a short random path repeated along the grid serves.
+    short = random_nodes(AlgebraSpec("su", 6), 101, rng).values
+    d = NahmData._own(Grid(0.0, 1.0, 10000), short[:, np.arange(10001) % 101])
+    component = d.values[0].nbytes
+    tracemalloc.start()
+    try:
+        mu_nahm(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * component + component + (2 << 20)

@@ -15,6 +15,7 @@ from nahmlab.paths import (
     l2_metric,
     omega,
     pairing_nodes,
+    path_derivative,
     quadrature,
     random_smooth_path,
     random_tangent,
@@ -315,3 +316,16 @@ def test_read_only_input_made_writable_again_does_not_alias():
     a[0] = E1
     for r in records:
         assert not np.shares_memory(r.values, a) and not r.values.any()
+
+
+def test_path_derivative_keeps_the_bytes_of_the_expression(rng):
+    # the interior rows are differenced and divided in place, the two operations
+    # of (v[2:] - v[:-2]) / (2h), so every byte is that expression's, NaN included
+    v = rng.standard_normal((301, 3, 4, 4)) + 1j * rng.standard_normal((301, 3, 4, 4))
+    v[150, 1, 2, 3] = np.nan
+    h = 0.37
+    want = np.empty_like(v)
+    want[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    want[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    want[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    assert path_derivative(v, h).tobytes() == want.tobytes()

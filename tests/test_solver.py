@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -456,6 +457,26 @@ def test_halfline_perturbed_coth_reversed_path_matches_a_forward_replay(rng):
     # measured 0.0
     guess = tuple(m + 0.01 * SU2.random_element(rng) for m in coth_seed())
     assert halfline_replay_gap(BoundaryTarget(-1.5 * E1, Z2, Z2, sigma=None, L=10.0), guess) <= 1e-10
+
+
+def test_halfline_solution_is_written_once():
+    # nil su(4) at the default step: the B = 2 batch path is 2.93 MiB and the
+    # solution's (4, n+1, k, k) stack 1.95 MiB; negating the reversed backward
+    # member into a temporary and stacking it again peaked at 6.84 MiB
+    k = 4
+    spec, zero = AlgebraSpec("su", k), np.zeros((k, k), dtype=complex)
+    sigma = su2_embed(spec)
+    rng = np.random.default_rng(0)
+    guess = tuple(np.asarray(e) + 0.05 * spec.random_element(rng) for e in sigma)
+    tracemalloc.start()
+    try:
+        res = halfline_solve(BoundaryTarget(zero, zero, zero, sigma=sigma, L=10.0), guess)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 1  # the backward member is the solution
+    nodes = res.data.grid.n + 1
+    assert peak < nodes * 3 * 2 * k * k * 16 + res.data.values.nbytes + (64 << 10)
 
 
 def test_halfline_blowup_returns_no_data():

@@ -5,11 +5,10 @@ import pytest
 import sympy
 
 from nahmlab.algebra import AlgebraSpec, char_poly_coeffs, su2_basis, su2_embed
-from nahmlab.paths import Grid, NahmData, random_smooth_path
+from nahmlab.paths import _BLOCK_BYTES, Grid, NahmData, random_smooth_path
 from nahmlab.moment import lax_extract
 from nahmlab.solver import BoundaryTarget, coth_solution, integrate_nahm, nil_solution
 from nahmlab.spectral import (
-    _BLOCK_BYTES,
     _coeff_drift,
     _pencil,
     char_coeffs,
