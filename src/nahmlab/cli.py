@@ -263,38 +263,53 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> bool:
     return report.certified
 
 
-def cmd_vergne(cfg: dict, out_dir: Path) -> bool:
-    table, points = [], []
-    crossovers = nonfinite = 0
+def _vergne_points(cfg: dict) -> np.ndarray:
+    """The (u, v) rows of a vergne config: its points, then its samples, the
+    even ones real and the odd ones imaginary."""
+    points = []
     for entry in cfg["points"]:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(f"a point is [re u, im u, re v, im v], got {entry!r}")
-        ur, ui, vr, vi = (_typed(x, float, "a point coordinate") for x in entry)
-        points.append((complex(ur, ui), complex(vr, vi)))
-    rng = np.random.default_rng(cfg["seed"])
-    for i in range(cfg["samples"]):
-        x = rng.standard_normal(2)
-        if i % 2 == 0:
-            points.append((complex(x[0], 0.0), complex(x[1], 0.0)))
-        else:
-            points.append((complex(0.0, x[0]), complex(0.0, x[1])))
-    if not points:
-        raise InputError("no sample points configured")
+        points.append([_typed(x, float, "a point coordinate") for x in entry])
+    x = np.random.default_rng(cfg["seed"]).standard_normal((cfg["samples"], 2))
+    drawn = np.zeros((len(x), 2, 2))  # (sample, u or v, re or im)
+    drawn[0::2, :, 0], drawn[1::2, :, 1] = x[0::2], x[1::2]
+    return nio.from_pairs(np.concatenate([np.reshape(points, (-1, 2, 2)), drawn]))
+
+
+def _vergne_table(uv: np.ndarray) -> tuple:
+    """The vergne.json rows of the points, with their counts of crossovers and
+    of non-finite images, each of which is named on stdout.  Each of the three
+    witness functions takes all the points at once; the column arrays and
+    lists die on return, before the table is written."""
+    u, v = uv.T
     with np.errstate(over="ignore", invalid="ignore"):  # a huge point overflows; its image fails below
-        for u, v in points:
-            orbit = classify_real_orbit(u, v)
-            M = vergne_map_j(u, v)
-            form, b = kc_orbit_form_check(M)
-            if not np.isfinite(M).all():
-                nonfinite += 1
-                print(f"vergne: point {[u.real, u.imag, v.real, v.imag]} has a non-finite image -> FAIL")
-            expected = {"O_plus": "plus_form", "O_minus": "minus_form"}.get(orbit)
-            if expected is not None and form != expected:
-                crossovers += 1
-            table.append({"u": [u.real, u.imag], "v": [v.real, v.imag], "orbit": orbit,
-                          "image": nio.matrix_to_json(M), "form": form, "b": None if b is None else [b.real, b.imag]})
+        orbit = classify_real_orbit(u, v)
+        M = vergne_map_j(u, v)
+        form, b = kc_orbit_form_check(M)
+    pairs = nio.to_pairs(uv).tolist()
+    nonfinite = np.flatnonzero(~np.isfinite(M).all(axis=(-2, -1)))
+    for i in nonfinite:
+        print(f"vergne: point {pairs[i][0] + pairs[i][1]} has a non-finite image -> FAIL")
+    crossovers = np.count_nonzero((orbit == "O_plus") & (form != "plus_form")
+                                  | (orbit == "O_minus") & (form != "minus_form"))
+    table = [{"u": p[0], "v": p[1], "orbit": o, "image": m, "form": f, "b": None if f == "neither" else c}
+             for p, o, m, f, c in zip(pairs, orbit.tolist(), nio.to_pairs(M.reshape(-1, 4)).tolist(), form.tolist(),
+                                      nio.to_pairs(b).tolist())]
+    return table, int(crossovers), len(nonfinite)
+
+
+def cmd_vergne(cfg: dict, out_dir: Path) -> bool:
+    uv = _vergne_points(cfg)
+    if not len(uv):
+        raise InputError("no sample points configured")
+    # the points are taken in order: a zero point is refused once those before it are done
+    zero = np.flatnonzero((uv == 0).all(axis=1))
+    table, crossovers, nonfinite = _vergne_table(uv[:zero[0]] if zero.size else uv)
+    if zero.size:
+        raise InputError("(u, v) must be nonzero")
     nio.write_json({"samples": table, "crossovers": crossovers}, out_dir / "vergne.json")
-    print(f"vergne: {len(points)} points, {crossovers} crossovers")
+    print(f"vergne: {len(uv)} points, {crossovers} crossovers")
     return crossovers == nonfinite == 0
 
 

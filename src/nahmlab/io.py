@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .paths import Grid, NahmData
+from .paths import Grid, NahmData, _node_slices
 
 __all__ = [
     "to_pairs",
     "from_pairs",
-    "matrix_to_json",
     "matrix_from_json",
     "nahm_to_json",
     "nahm_from_json",
@@ -45,10 +44,6 @@ def from_pairs(data) -> np.ndarray:
     if pairs.shape[-1:] != (2,):
         raise ValueError(f"expected [re, im] pairs, got shape {pairs.shape}")
     return pairs.view(complex)[..., 0]
-
-
-def matrix_to_json(M: np.ndarray) -> list:
-    return to_pairs(np.ravel(M)).tolist()
 
 
 def matrix_from_json(data: list, k: int) -> np.ndarray:
@@ -82,14 +77,18 @@ def nahm_from_json(data: dict) -> NahmData:
 def write_csv(grid: Grid, names: list, table: np.ndarray, path) -> None:
     """One row per grid node: s, then the node's row of ``table`` (shape
     (n+1, len(names))).  A complex table gives each name an ``_re`` and an
-    ``_im`` column."""
+    ``_im`` column.  The rows are formatted and written a node block at a
+    time, so the file's text is never held whole."""
     table = np.asarray(table)
     if np.iscomplexobj(table):
         names = [f"{name}_{part}" for name in names for part in ("re", "im")]
         table = to_pairs(table).reshape(len(table), -1)
-    rows = np.column_stack([grid.nodes, table])
-    text = ((",".join(["%.17g"] * rows.shape[1]) + "\r\n") * len(rows)) % tuple(rows.ravel().tolist())
-    Path(path).write_text(",".join(["s"] + names) + "\r\n" + text, newline="")
+    s, row = grid.nodes, ",".join(["%.17g"] * (1 + len(names))) + "\r\n"
+    with Path(path).open("w", newline="") as out:
+        out.write(",".join(["s"] + names) + "\r\n")
+        for nodes in _node_slices(table):
+            block = np.column_stack([s[nodes], table[nodes]])
+            out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def residual_to_csv(grid: Grid, norms: np.ndarray, path) -> None:

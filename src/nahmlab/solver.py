@@ -167,8 +167,11 @@ def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T: np.ndarray, negate: bool = 
 
 
 def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> NahmData:
-    """T0 = 0 and T_i(s) = f_i(s) triple_i, for node-sampled profiles f_i."""
-    return _gauge_zero(algebra, grid, np.asarray(profiles)[:, :, None, None] * np.asarray(triple)[:, None])
+    """T0 = 0 and T_i(s) = f_i(s) triple_i, for node-sampled profiles f_i,
+    written straight into rows 1..3 of the zeroed stack."""
+    values = np.zeros((4, grid.n + 1, algebra.dim, algebra.dim), dtype=complex)
+    np.multiply(np.asarray(profiles)[:, :, None, None], np.asarray(triple)[:, None], out=values[1:])
+    return NahmData._own(grid, values, algebra.dim)
 
 
 def nil_solution(algebra: AlgebraSpec, grid: Grid) -> NahmData:

@@ -34,6 +34,8 @@ __all__ = [
 
 PLUS_FORM = np.array([[1j, 1.0], [1.0, -1j]], dtype=complex)
 MINUS_FORM = np.array([[-1j, 1.0], [1.0, 1j]], dtype=complex)
+_ORBITS = np.array(["not_real", "degenerate", "O_plus", "O_minus"])
+_FORMS = np.array(["plus_form", "minus_form", "neither"])
 
 
 @dataclass(frozen=True)
@@ -90,57 +92,71 @@ def flow_preserves_split(spec: SymmetricPairSpec, init: tuple, grid) -> tuple:
     return d, is_gk_valued(spec, d)
 
 
-def vergne_map(u: complex, v: complex) -> np.ndarray:
-    """Identification of (C^2 - 0)/Z2 with the nonzero nilpotent orbit in sl(2,C)."""
-    if abs(u) == 0.0 and abs(v) == 0.0:
+def _cmul(a, b) -> np.ndarray:
+    """a * b entrywise as (ar br - ai bi) + i (ar bi + ai br), the rounding of a
+    scalar complex product; numpy's array product may fuse a multiply-add and
+    round the last bit differently."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def vergne_map(u: complex | np.ndarray, v: complex | np.ndarray) -> np.ndarray:
+    """Identification of (C^2 - 0)/Z2 with the nonzero nilpotent orbit in sl(2,C):
+    the (..., 2, 2) images of the points (u, v) over the leading axes."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    if ((u == 0) & (v == 0)).any():
         raise InputError("(u, v) must be nonzero")
-    return np.array([[u * v, u * u], [-v * v, -u * v]], dtype=complex)
+    return np.stack([_cmul(u, v), _cmul(u, u), _cmul(-v, v), _cmul(-u, v)], axis=-1).reshape(u.shape + (2, 2))
 
 
-def vergne_map_j(u: complex, v: complex) -> np.ndarray:
+def vergne_map_j(u: complex | np.ndarray, v: complex | np.ndarray) -> np.ndarray:
     """The same map written for the complex structure j of the quaternionic
     coordinates u = x0 + i x1, v = x2 + i x3."""
-    return vergne_map(u - 1j * np.conj(v), v + 1j * np.conj(u))
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    return vergne_map(u - _cmul(1j, v.conj()), v + _cmul(1j, u.conj()))
 
 
-def classify_real_orbit(u: complex, v: complex) -> str:
+def classify_real_orbit(u: complex | np.ndarray, v: complex | np.ndarray) -> str | np.ndarray:
     """Classify (u, v): image in sl(2,R) iff u^2, v^2, uv are all real; then
     O_plus for u^2 + v^2 > 0 and O_minus for u^2 + v^2 < 0, each decided to
-    1e-10; a non-finite u or v raises."""
-    u = complex(u)
-    v = complex(v)
-    if not (np.isfinite(u) and np.isfinite(v)):
-        raise InputError(f"(u, v) must be finite, got ({u}, {v})")
-    if u == 0 and v == 0:
+    1e-10; a non-finite or zero point raises.  A label per point over the
+    leading axes; a scalar point gets a str."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    refused = ~(np.isfinite(u) & np.isfinite(v)) | (u == 0) & (v == 0)
+    if refused.any():  # the first refused point's error, as a loop over the points raises it
+        bad_u, bad_v = u[refused][0].item(), v[refused][0].item()
+        if not (np.isfinite(bad_u) and np.isfinite(bad_v)):
+            raise InputError(f"(u, v) must be finite, got ({bad_u}, {bad_v})")
         raise InputError("(u, v) must be nonzero")
-    vals = (u * u, v * v, u * v)
-    if any(abs(z.imag) > 1e-10 for z in vals):
-        return "not_real"
-    disc = (u * u + v * v).real
-    if abs(disc) <= 1e-10:
-        return "degenerate"
-    if disc > 0:
-        # cross-check the coordinate criterion x1 = x3 = 0
-        if abs(u.imag) > 1e-6 or abs(v.imag) > 1e-6:
-            return "degenerate"
-        return "O_plus"
-    if abs(u.real) > 1e-6 or abs(v.real) > 1e-6:
-        return "degenerate"
-    return "O_minus"
+    with np.errstate(over="ignore", invalid="ignore"):  # a large finite point keeps its verdict, though u^2 overflows
+        uu, vv, uv = _cmul(u, u), _cmul(v, v), _cmul(u, v)
+        disc = uu.real + vv.real
+    not_real = (abs(uu.imag) > 1e-10) | (abs(vv.imag) > 1e-10) | (abs(uv.imag) > 1e-10)
+    # cross-check the coordinate criterion: x1 = x3 = 0 on O_plus, x0 = x2 = 0 on O_minus
+    off = np.where(disc > 0, (abs(u.imag) > 1e-6) | (abs(v.imag) > 1e-6), (abs(u.real) > 1e-6) | (abs(v.real) > 1e-6))
+    orbit = _ORBITS[np.select([not_real, (abs(disc) <= 1e-10) | off, disc > 0], [0, 1, 2], 3)]
+    return orbit.item() if orbit.ndim == 0 else orbit
 
 
-def kc_orbit_form_check(M: np.ndarray):
+def kc_orbit_form_check(M: np.ndarray) -> tuple:
     """Test M = b [[i,1],[1,-i]] or b [[-i,1],[1,i]] for some b != 0, to 1e-10 max(1, |b|).
 
-    Returns ("plus_form", b), ("minus_form", b) or ("neither", None).
+    Returns ("plus_form", b), ("minus_form", b) or ("neither", None); for a
+    stack of matrices (..., 2, 2), the labels and b = (M_01 + M_10) / 2 over
+    the leading axes, a "neither" point's b fitting neither form.
     """
     M = np.asarray(M, dtype=complex)
-    b = 0.5 * (M[0, 1] + M[1, 0])
-    if abs(b) > 0:
-        for name, form in (("plus_form", PLUS_FORM), ("minus_form", MINUS_FORM)):
-            if np.max(np.abs(M - b * form)) <= 1e-10 * max(1.0, abs(b)):
-                return name, b
-    return "neither", None
+    b = _cmul(0.5, M[..., 0, 1] + M[..., 1, 0])
+    size = abs(b)
+    tol = 1e-10 * np.maximum(1.0, size)
+    fits = [(size > 0) & (np.max(abs(M - _cmul(b[..., None, None], form)), axis=(-2, -1)) <= tol)
+            for form in (PLUS_FORM, MINUS_FORM)]
+    form = _FORMS[np.select(fits, [0, 1], 2)]
+    if form.ndim:
+        return form, b
+    return ("neither", None) if form == "neither" else (form.item(), b[()])
 
 
 def tangent_transitivity_check(spec: SymmetricPairSpec, x: np.ndarray):

@@ -276,19 +276,14 @@ def test_criterion_8_reality_involution():
 
 def test_criterion_9_vergne_witness():
     start = time.perf_counter()
-    rng = np.random.default_rng(5)
-    mis = 0
-    for i in range(1000):
-        x = rng.standard_normal(2)
-        if i % 2 == 0:
-            u, v = complex(x[0]), complex(x[1])
-            want_orbit, want_form = "O_plus", "plus_form"
-        else:
-            u, v = 1j * x[0], 1j * x[1]
-            want_orbit, want_form = "O_minus", "minus_form"
-        form, b = kc_orbit_form_check(vergne_map_j(u, v))
-        if classify_real_orbit(u, v) != want_orbit or form != want_form:
-            mis += 1
+    # even samples real (O_plus, plus form), odd ones imaginary (O_minus, minus form), in one batch
+    even = np.arange(1000) % 2 == 0
+    x = np.random.default_rng(5).standard_normal((1000, 2))
+    u, v = np.where(even[:, None], x, 1j * x).T
+    form, b = kc_orbit_form_check(vergne_map_j(u, v))
+    wrong = (classify_real_orbit(u, v) != np.where(even, "O_plus", "O_minus")) | (
+        form != np.where(even, "plus_form", "minus_form"))
+    mis = int(np.count_nonzero(wrong))
     so2 = SymmetricPairSpec(SU2, "transpose_conjugate")
     dims = tangent_transitivity_check(so2, vergne_map(1.0, 0.0))
     elapsed = time.perf_counter() - start

@@ -167,6 +167,16 @@ def test_vergne_non_finite_image_fails(tmp_path, capsys):
     assert (out / "vergne.json").exists()
 
 
+def test_vergne_zero_point_is_refused_after_the_points_before_it(tmp_path, capsys):
+    # the points are taken in order: the first one's failure is printed before the second is refused
+    code, out = run(tmp_path, "vergne", {"points": [[1e308, 1e308, 1e308, 1e308], [0, 0, 0, 0]]})
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "vergne: point [1e+308, 1e+308, 1e+308, 1e+308] has a non-finite image -> FAIL\n"
+    assert captured.err == "config error: (u, v) must be nonzero\n"
+    assert not (out / "vergne.json").exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("spectral", {"algebra": {"family": "su", "dim": 2}, "fixed_curve": {"tau1": {"te3": 1e308}}}),
     ("vergne", {"points": [[1e308, 1e308, 1e308, 1e308]]}),

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from nahmlab.algebra import AlgebraSpec
 from nahmlab.io import (
+    from_pairs,
     matrix_from_json,
-    matrix_to_json,
     nahm_from_json,
     nahm_to_json,
     residual_to_csv,
@@ -19,7 +20,7 @@ from nahmlab.io import (
     write_json,
 )
 from nahmlab.moment import mu_nahm
-from nahmlab.paths import Grid, NahmData, random_smooth_path
+from nahmlab.paths import _BLOCK_BYTES, Grid, NahmData, random_smooth_path
 from nahmlab.solver import nil_solution
 
 SU2 = AlgebraSpec("su", 2)
@@ -27,10 +28,10 @@ SU2 = AlgebraSpec("su", 2)
 
 def test_matrix_roundtrip(rng):
     M = SU2.random_element(rng) + 1j * SU2.random_element(rng)
-    data = matrix_to_json(M)
+    data = to_pairs(M.ravel()).tolist()
     assert len(data) == 4 and all(len(e) == 2 for e in data)
-    back = matrix_from_json(data, 2)
-    assert np.abs(back - M).max() == 0.0
+    assert from_pairs(data).reshape(2, 2).tobytes() == M.tobytes()
+    assert matrix_from_json(data, 2).tobytes() == M.tobytes()
 
 
 def test_nahm_roundtrip(rng):
@@ -155,15 +156,52 @@ def test_write_csv_matches_csv_writer(n, ends, ncols, is_complex, draw, csv_dir)
         table = table.view(complex)  # bit-exact, unlike re + 1j * im
     names = [f"c{i}" for i in range(ncols)]
     write_csv(grid, names, table, csv_dir / "new.csv")
-    if is_complex:
+    _reference_csv(grid, names, table, csv_dir / "ref.csv")
+    assert (csv_dir / "new.csv").read_bytes() == (csv_dir / "ref.csv").read_bytes()
+
+
+def _reference_csv(grid: Grid, names: list, table: np.ndarray, path) -> None:
+    """The stdlib writer that ``write_csv`` replaced, a row at a time."""
+    if np.iscomplexobj(table):
         names = [f"{name}_{part}" for name in names for part in ("re", "im")]
-        table = to_pairs(table).reshape(n + 1, -1)
-    with open(csv_dir / "ref.csv", "w", newline="") as fh:
+        table = to_pairs(table).reshape(len(table), -1)
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + names)
         for s, row in zip(grid.nodes.tolist(), table.tolist()):
             writer.writerow([_fmt(s)] + [_fmt(x) for x in row])
-    assert (csv_dir / "new.csv").read_bytes() == (csv_dir / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("ncols, is_complex", [(12, False), (8, True)])
+def test_write_csv_node_blocks_keep_the_rows(ncols, is_complex, rng, csv_dir):
+    # a block of _BLOCK_BYTES of table rows at a time: exactly one block, and two and a row
+    width = ncols * (2 if is_complex else 1)
+    b = _BLOCK_BYTES // (8 * width)
+    names = [f"c{i}" for i in range(ncols)]
+    for rows in (b, 2 * b + 1):
+        table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+        table = table.view(complex) if is_complex else table
+        grid = Grid(-1.0, 3.0, rows - 1)
+        write_csv(grid, names, table, csv_dir / "new.csv")
+        _reference_csv(grid, names, table, csv_dir / "ref.csv")
+        assert (csv_dir / "new.csv").read_bytes() == (csv_dir / "ref.csv").read_bytes()
+
+
+def test_write_csv_memory_does_not_grow_with_the_text(rng, tmp_path):
+    # four times the rows: the file grows by 9000 rows of text, the traced peak by
+    # the node array only, not by the text, its floats or their tuple
+    sizes, peaks = [], []
+    for n in (3000, 12000):
+        grid = Grid(0.0, 1.0, n)
+        table = rng.standard_normal((n + 1, 3))
+        tracemalloc.start()
+        try:
+            write_csv(grid, ["mu1", "mu2", "mu3"], table, tmp_path / "res.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append((tmp_path / "res.csv").stat().st_size)
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
 
 
 # --------------------------------------------------------------------------

@@ -479,6 +479,18 @@ def test_halfline_solution_is_written_once():
     assert peak < nodes * 3 * 2 * k * k * 16 + res.data.values.nbytes + (64 << 10)
 
 
+def test_separable_solution_holds_only_its_result():
+    # the profiles times the triple are written into the solution's rows, not copied there
+    grid = Grid(0.0, 1.0, 10**4)
+    tracemalloc.start()
+    try:
+        d = nil_solution(AlgebraSpec("su", 6), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d.values.nbytes + (1 << 20)
+
+
 def test_halfline_blowup_returns_no_data():
     # with sigma scaled by 3, the solution through model(L) is
     # T = sigma / (s - c) with its pole at c = L - (L + 1) / 3, inside [0, L]:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from nahmlab.algebra import AlgebraSpec, InputError, bracket, su2_basis
+from nahmlab.cli import main
 from nahmlab.moment import lax_extract
 from nahmlab.paths import Grid, NahmData, random_smooth_path, sup_norm
 from nahmlab.solver import coth_solution
@@ -194,21 +197,171 @@ def test_kc_orbit_form_values():
 
 
 def test_vergne_witness_end_to_end(rng):
-    crossovers = 0
-    for i in range(1000):
+    # even samples real (O_plus, plus form), odd ones imaginary (O_minus, minus form), in one batch
+    even = np.arange(1000) % 2 == 0
+    x = rng.standard_normal((1000, 2))
+    u, v = np.where(even[:, None], x, 1j * x).T
+    assert (classify_real_orbit(u, v) == np.where(even, "O_plus", "O_minus")).all()
+    form, b = kc_orbit_form_check(vergne_map_j(u, v))
+    crossovers = (form != np.where(even, "plus_form", "minus_form")) | (abs(b) == 0.0)
+    assert np.count_nonzero(crossovers) == 0
+
+
+# --------------------------------------------------------------------------
+# the batched witness against the per-point loop it replaced
+
+PLUS_FORM = np.array([[1j, 1.0], [1.0, -1j]], dtype=complex)
+MINUS_FORM = np.array([[-1j, 1.0], [1.0, 1j]], dtype=complex)
+
+
+def loop_map(u, v):
+    if abs(u) == 0.0 and abs(v) == 0.0:
+        raise InputError("(u, v) must be nonzero")
+    return np.array([[u * v, u * u], [-v * v, -u * v]], dtype=complex)
+
+
+def loop_map_j(u, v):
+    return loop_map(u - 1j * np.conj(v), v + 1j * np.conj(u))
+
+
+def loop_classify(u, v):
+    u = complex(u)
+    v = complex(v)
+    if not (np.isfinite(u) and np.isfinite(v)):
+        raise InputError(f"(u, v) must be finite, got ({u}, {v})")
+    if u == 0 and v == 0:
+        raise InputError("(u, v) must be nonzero")
+    vals = (u * u, v * v, u * v)
+    if any(abs(z.imag) > 1e-10 for z in vals):
+        return "not_real"
+    disc = (u * u + v * v).real
+    if abs(disc) <= 1e-10:
+        return "degenerate"
+    if disc > 0:
+        if abs(u.imag) > 1e-6 or abs(v.imag) > 1e-6:
+            return "degenerate"
+        return "O_plus"
+    if abs(u.real) > 1e-6 or abs(v.real) > 1e-6:
+        return "degenerate"
+    return "O_minus"
+
+
+def loop_form(M):
+    M = np.asarray(M, dtype=complex)
+    b = 0.5 * (M[0, 1] + M[1, 0])
+    if abs(b) > 0:
+        for name, form in (("plus_form", PLUS_FORM), ("minus_form", MINUS_FORM)):
+            if np.max(np.abs(M - b * form)) <= 1e-10 * max(1.0, abs(b)):
+                return name, b
+    return "neither", None
+
+
+def loop_vergne(cfg: dict):
+    """The per-point ``cmd_vergne``: vergne.json's text, stdout and the exit code."""
+    points = [(complex(p[0], p[1]), complex(p[2], p[3])) for p in cfg.get("points", [])]
+    rng = np.random.default_rng(cfg.get("seed", 0))
+    for i in range(cfg.get("samples", 0)):
         x = rng.standard_normal(2)
         if i % 2 == 0:
-            u, v = complex(x[0]), complex(x[1])
-            expected = "plus_form"
-            assert classify_real_orbit(u, v) == "O_plus"
+            points.append((complex(x[0], 0.0), complex(x[1], 0.0)))
         else:
-            u, v = 1j * x[0], 1j * x[1]
-            expected = "minus_form"
-            assert classify_real_orbit(u, v) == "O_minus"
-        form, b = kc_orbit_form_check(vergne_map_j(u, v))
-        if form != expected or b is None or abs(b) == 0.0:
-            crossovers += 1
-    assert crossovers == 0
+            points.append((complex(0.0, x[0]), complex(0.0, x[1])))
+    table, out = [], ""
+    crossovers = nonfinite = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, v in points:
+            orbit = loop_classify(u, v)
+            M = loop_map_j(u, v)
+            form, b = loop_form(M)
+            if not np.isfinite(M).all():
+                nonfinite += 1
+                out += f"vergne: point {[u.real, u.imag, v.real, v.imag]} has a non-finite image -> FAIL\n"
+            expected = {"O_plus": "plus_form", "O_minus": "minus_form"}.get(orbit)
+            if expected is not None and form != expected:
+                crossovers += 1
+            table.append({"u": [u.real, u.imag], "v": [v.real, v.imag], "orbit": orbit,
+                          "image": [[z.real, z.imag] for z in M.ravel().tolist()], "form": form,
+                          "b": None if b is None else [b.real, b.imag]})
+    out += f"vergne: {len(points)} points, {crossovers} crossovers\n"
+    text = json.dumps({"samples": table, "crossovers": crossovers}, indent=2, sort_keys=True) + "\n"
+    return text, out, 0 if crossovers == nonfinite == 0 else 1
+
+
+WITNESS_POINTS = [
+    # on the axes
+    (1, 0), (0, 1), (1j, 0), (0, 1j), (-1, 0), (0, -1j), (-0.0 + 0j, 2), (complex(0.0, -0.0), -3j),
+    # imaginary parts at the two tolerances: 1e-11 against the squares' 1e-10, 1e-6 at the coordinate cross-check
+    (1 + 1e-11j, 0.5), (1e-11 + 1j, 0.5j), (1 + 1e-6j, 0.5), (1 + 1.0000001e-6j, 0.5), (1e-6 + 1j, 0.5j),
+    (1.0000001e-6 + 1j, 0.5j), (2 + 1e-6j, 1e-6j), (1e-6j, 1e-6), (1e-11 + 0j, 1e-11 + 0j),
+    # u^2 + v^2 within 1e-10 of 0
+    (1, 1j), (1, 1j * (1 + 2e-11)), (1, 1j * (1 + 1e-10)), (1 + 1e-12j, 1j), (1e-5, 1e-5j), (3e-6, 0),
+    # images whose b is zero: "neither"
+    (1 + 1j, 0), (1 + 1j, 2 - 2j),
+    # large and tiny
+    (1e200, 0), (1e200j, 0), (1e200, 1e200j), (1e308 + 1e308j, 1e308 + 1e308j), (5e-324, 0), (1e-160, 1e-160j),
+]
+ODD_MATRICES = np.array([np.zeros((2, 2)), [[1, 1], [-1, 0]], [[1, 2], [3, 4]], [[np.nan, 1], [1, 0]],
+                         [[0, np.inf], [1, 0]], [[1j, 1 + 1e-9], [1, -1j]]], dtype=complex)
+
+
+def witness_points() -> list:
+    """The edge points and random ones, as the Python complex pairs ``cmd_vergne`` once passed."""
+    x = np.random.default_rng(7).standard_normal((20, 4))
+    drawn = [(x0, 1j * x1) for x0, x1, _, _ in x] + [(x0 + 1j * x1, x2 + 1j * x3) for x0, x1, x2, x3 in x]
+    return [(complex(a), complex(b)) for a, b in WITNESS_POINTS + drawn]
+
+
+def test_batched_witness_matches_the_per_point_loop():
+    # label for label and byte for byte, in one batch and point by point
+    points = witness_points()
+    u, v = np.array(points).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        orbit = classify_real_orbit(u, v)
+        images = vergne_map_j(u, v)
+        plain = vergne_map(u, v)
+        matrices = np.concatenate([images, plain, ODD_MATRICES])
+        form, b = kc_orbit_form_check(matrices)
+        for i, (x, y) in enumerate(points):
+            label = classify_real_orbit(x, y)
+            assert type(label) is str and label == orbit[i] == loop_classify(x, y), (x, y)
+            assert vergne_map_j(x, y).tobytes() == images[i].tobytes() == loop_map_j(x, y).tobytes(), (x, y)
+            assert vergne_map(x, y).tobytes() == plain[i].tobytes() == loop_map(x, y).tobytes(), (x, y)
+        for i, M in enumerate(matrices):
+            name, c = loop_form(M)
+            assert kc_orbit_form_check(M) == (name, c) and form[i] == name, M
+            if c is not None:
+                assert type(kc_orbit_form_check(M)[1]) is np.complex128
+                assert b[i].tobytes() == c.tobytes(), M
+    assert {"not_real", "degenerate", "O_plus", "O_minus"} == set(orbit)
+    assert {"plus_form", "minus_form", "neither"} == set(form[:len(points)])
+
+
+def test_classify_real_orbit_refuses_the_first_refused_point():
+    # a batch raises what a loop over its points raises first
+    with pytest.raises(InputError, match="nonzero"):
+        classify_real_orbit([1.0, 0.0, np.nan], [1j, 0.0, 0.0])
+    with pytest.raises(InputError, match=r"finite, got \(\(inf\+0j\), 0j\)"):
+        classify_real_orbit([1.0, np.inf, 0.0], [1j, 0.0, 0.0])
+    with pytest.raises(InputError, match="nonzero"):
+        vergne_map([[1.0, 2.0], [3.0, 0.0]], 0.0)
+    assert classify_real_orbit(np.zeros((0,)), np.zeros((0,))).shape == (0,)
+
+
+@pytest.mark.parametrize("cfg, seed", [
+    ({"samples": 1000, "seed": 3}, None),  # the README's
+    ({"samples": 1000, "seed": 3}, 1097657232),  # the benchmark cli workload's, at its seed 0
+    ({"samples": 1001, "seed": 11,
+      "points": [[1, 0, 0, 0], [0, 1, 0, 1], [1, 1, 1, 1], [0.5, 0, -0.5, 0], [1e-11, 0, 1e-11, 0]]}, None),
+    ({"points": [[1e308, 1e308, 1e308, 1e308], [1, 1, 0, 0], [2, 0, 1e-6, 0]], "samples": 3}, None),  # exit 1
+])
+def test_vergne_json_matches_the_per_point_loop(tmp_path, capsys, cfg, seed):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["vergne", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    code = main(argv + ([] if seed is None else ["--seed", str(seed)]))
+    text, out, want = loop_vergne(cfg if seed is None else {**cfg, "seed": seed})
+    assert (code, capsys.readouterr().out) == (want, out)
+    assert (tmp_path / "out" / "vergne.json").read_text() == text
 
 
 def test_tangent_transitivity_nilpotent():
