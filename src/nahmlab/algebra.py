@@ -95,6 +95,16 @@ def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _cmatmul(X, _real_form(Y)) - _cmatmul(Y, _real_form(X))
 
 
+def _su_bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[X, Y] for X, Y in su(k) (batched and broadcast) as P - P^dag, P = XY: on
+    skew-Hermitian matrices YX = (XY)^dag, so one real form and one real product
+    (``_cmatmul``) serve, and the result is exactly skew-Hermitian.  Off su(k) it
+    differs from XY - YX by about |X + X^dag| |Y| + |X| |Y + Y^dag|: for such
+    arguments use ``bracket``."""
+    P = _cmatmul(X, _real_form(Y))
+    return P - dagger(P)
+
+
 def char_poly_coeffs(P: np.ndarray) -> list:
     """[a_1, ..., a_k] with det(eta - P(zeta)) = eta^k + a_1 eta^(k-1) + ... + a_k
     for P(zeta) = sum_d P[d] zeta^d, given as (deg+1, ..., k, k) and batched
@@ -262,14 +272,23 @@ def su_basis(k: int) -> np.ndarray:
 
 
 def su_coords(X: np.ndarray) -> np.ndarray:
-    """Real coordinates <X, e_i> of su(k) matrices in the orthonormal basis, batched."""
-    X = np.asarray(X, dtype=complex)
-    return pairing_nodes(X[..., None, :, :], su_basis(X.shape[-1]))
+    """Real coordinates <X, e_i> of su(k) matrices in the orthonormal basis, batched.
+    As e_i^dag = -e_i, <X, e_i> = Re tr(X e_i^dag) is the dot product of the float
+    views of X and e_i: one real product with the basis's float table, transposed."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    B = su_basis(X.shape[-1])
+    out = X.view(float).reshape(-1, 2 * X.shape[-2] * X.shape[-1]) @ B.view(float).reshape(len(B), -1).T
+    return out.reshape(X.shape[:-2] + (len(B),))
 
 
 def su_from_coords(c: np.ndarray, k: int) -> np.ndarray:
+    """sum_i c_i e_i of real coordinates c (..., k^2 - 1), batched: one real product
+    of c and the basis's float table (d, 2k^2), written into the output's float view."""
+    B = su_basis(k)
     c = np.asarray(c, dtype=float)
-    return np.einsum("...i,ipq->...pq", c, su_basis(k))
+    out = np.empty(c.shape[:-1] + (k, k), dtype=complex)
+    np.matmul(c.reshape(-1, c.shape[-1]), B.view(float).reshape(len(B), -1), out=out.view(float).reshape(-1, 2 * k * k))
+    return out
 
 
 def ad_matrix(X: np.ndarray) -> np.ndarray:

@@ -217,7 +217,7 @@ def _horizontal_coords(T0: AlgebraPath, *ts: AlgebraPath) -> np.ndarray:
     The weighted normal equations (V^T W V) rho = V^T W t for the optimal
     Dirichlet gauge parameter are block-pentadiagonal and positive definite:
     one banded Cholesky factorization serves every t.  G is written straight
-    into lower band storage band[u, i d + q] = G[i d + q + u, i d + q], u < 3d,
+    into lower band storage band[u, i d + q] = G[i d + q + u, i d + q], u <= 2d,
     held Fortran-ordered as bt[i, q, u] and factored in place: entry (p, q) of
     block G[i+b, i] goes to bt[i, q, b d + p - q].
     """
@@ -226,7 +226,7 @@ def _horizontal_coords(T0: AlgebraPath, *ts: AlgebraPath) -> np.ndarray:
     n, d, w = T0.grid.n, T0.dim**2 - 1, T0.grid.weights[:, None, None]
     ad, below, above = _vertical_operator(T0)
     A, At, eye = ad[1:-1], np.swapaxes(ad[1:-1], -1, -2), np.eye(d)
-    bt = np.zeros((n - 1, d, 3 * d))
+    bt = np.zeros((n - 1, d, 2 * d + 1))
     p, q = np.tril_indices(d)
     bt[:, q, p - q] = (w[1:-1] * (At @ A) + (w[:-2] * above[:-1] ** 2 + w[2:] * below[1:] ** 2) * eye)[:, p, q]
     p, q = np.indices((d, d)).reshape(2, -1)
@@ -235,7 +235,7 @@ def _horizontal_coords(T0: AlgebraPath, *ts: AlgebraPath) -> np.ndarray:
     tc = np.stack([su_coords(t.values) for t in ts], axis=-1)
     rhs = _block_tridiagonal(np.swapaxes(ad, -1, -2), above, below, w * tc)[1:-1]
     rho = np.zeros_like(tc)
-    factor = cholesky_banded(bt.reshape(-1, 3 * d).T, overwrite_ab=True, lower=True)
+    factor = cholesky_banded(bt.reshape(-1, 2 * d + 1).T, overwrite_ab=True, lower=True)
     rho[1:-1] = cho_solve_banded((factor, True), rhs.reshape(-1, len(ts))).reshape(rhs.shape)
     return tc - _block_tridiagonal(ad, below, above, rho)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, bracket
+from .algebra import AlgebraSpec, InputError, _su_bracket
 from .paths import (
     CHUNK,
     AlgebraPath,
@@ -59,7 +59,7 @@ class MomentResidual(AlgebraPath):
 def mu_baby(T0: AlgebraPath, T1: AlgebraPath) -> AlgebraPath:
     """Baby moment map T1' + [T0, T1], node-wise."""
     _shared_grid(T0, T1)
-    v = path_derivative(T1.values, T1.grid.h) + bracket(T0.values, T1.values)
+    v = path_derivative(T1.values, T1.grid.h) + _su_bracket(T0.values, T1.values)
     return AlgebraPath._own(T0.grid, v)
 
 
@@ -71,8 +71,8 @@ def _mu(T: np.ndarray, h: float, i: int, out: np.ndarray | None = None) -> np.nd
     j, k = i % 3 + 1, (i + 1) % 3 + 1
     out = _derivative(T[i], h, np.empty_like(T[i]) if out is None else out)
     for nodes in _node_slices(T[i]):
-        out[nodes] += bracket(T[0, nodes], T[i, nodes])
-        out[nodes] -= bracket(T[j, nodes], T[k, nodes])
+        out[nodes] += _su_bracket(T[0, nodes], T[i, nodes])
+        out[nodes] -= _su_bracket(T[j, nodes], T[k, nodes])
     return out
 
 
@@ -103,7 +103,7 @@ def rho_star(d: NahmData, rho: AlgebraPath) -> NahmData:
     """Vector field induced by the gauge parameter rho, which must vanish at
     both endpoints: the vertical field in T0, [rho, Ti] in the others."""
     t0 = vertical_field(d.T0, rho).values
-    return NahmData._own(d.grid, np.concatenate([t0[None], bracket(rho.values, d.values[1:])]))
+    return NahmData._own(d.grid, np.concatenate([t0[None], _su_bracket(rho.values, d.values[1:])]))
 
 
 def _omega_baby(u: NahmData, v: NahmData) -> float:

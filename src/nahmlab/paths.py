@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, bracket, pairing_nodes, su_from_coords
+from .algebra import AlgebraSpec, InputError, _su_bracket, pairing_nodes, su_from_coords
 
 __all__ = [
     "Grid",
@@ -73,15 +73,19 @@ class Grid:
     def h(self) -> float:
         return (self.s1 - self.s0) / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.s0, self.s1, self.n + 1)
+        """The n + 1 nodes, made on first use and read-only."""
+        x = np.linspace(self.s0, self.s1, self.n + 1)
+        x.flags.writeable = False
+        return x
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights."""
+        """Trapezoid quadrature weights, made on first use and read-only."""
         w = np.full(self.n + 1, self.h)
         w[0] = w[-1] = 0.5 * self.h
+        w.flags.writeable = False
         return w
 
 
@@ -182,7 +186,7 @@ def quadrature(f: np.ndarray, grid: Grid):
         raise ValueError(f"expected {grid.n + 1} samples, got {f.shape[0]}")
     if f.ndim > 1:
         return np.array([quadrature(member, grid) for member in np.ascontiguousarray(f.T)])
-    return float(np.tensordot(grid.weights, f, axes=(0, 0)))
+    return float(np.dot(grid.weights, f))
 
 
 def path_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -275,7 +279,7 @@ def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
     # np.max keeps a NaN, which fails; fmax, as max does, takes 1 over a NaN sup
     if not np.all(np.max(norms[[0, -1]], axis=0) <= 1e-10 * np.fmax(1.0, np.max(norms, axis=0))):
         raise ValueError("gauge parameter must vanish at both endpoints")
-    v = bracket(rho.values, T0.values) - dirichlet_derivative(rho.values, rho.grid.h)
+    v = _su_bracket(rho.values, T0.values) - dirichlet_derivative(rho.values, rho.grid.h)
     return AlgebraPath._own(T0.grid, v)
 
 

@@ -18,6 +18,7 @@ from nahmlab.algebra import (
 )
 
 SU2 = AlgebraSpec("su", 2)
+EPS = np.finfo(float).eps
 E1, E2, E3 = su2_basis()
 
 
@@ -193,3 +194,33 @@ def test_ad_matrix_consistency(rng):
     lhs = ad_matrix(X) @ su_coords(R)
     rhs = su_coords(bracket(R, X))
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def einsum_from_coords(c, k):
+    """sum_i c_i e_i, one complex multiply-add per term: the independent oracle."""
+    return np.einsum("...i,ipq->...pq", np.asarray(c, dtype=float), su_basis(k))
+
+
+def test_su_from_coords_keeps_the_einsum_bytes_at_su2():
+    # every entry of su(2) is a single term or a sum with exact zeros, signed zeros included
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal((301, 3))
+    c[::4, 0], c[1::4, 1], c[2::4, 2], c[3::4] = 0.0, -0.0, 0.0, -0.0
+    assert su_from_coords(c, 2).tobytes() == einsum_from_coords(c, 2).tobytes()
+    assert su_from_coords(c[5], 2).tobytes() == einsum_from_coords(c[5], 2).tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_coordinate_maps_meet_the_einsum_oracle(k):
+    # off the diagonal both maps take the one nonzero term; a diagonal entry sums
+    # at most k - 1 terms, within gamma_(k-1) |c| each way (Higham 2002, sec. 3.1),
+    # so sqrt(k) such entries part by 2 (k - 1) sqrt(k) eps |c| at most
+    rng = np.random.default_rng(k)
+    c = rng.standard_normal((4, 101, 2, k * k - 1)) * np.exp(rng.uniform(-5.0, 5.0, (4, 101, 2, 1)))
+    X, norm_c = su_from_coords(c, k), np.linalg.norm(c, axis=-1)
+    assert X.shape == (4, 101, 2, k, k)
+    assert np.all(np.linalg.norm(X - einsum_from_coords(c, k), axis=(-2, -1)) <= 2 * (k - 1) * math.sqrt(k) * EPS * norm_c)
+    # each coordinate sums at most 2k nonzero products of X's parts
+    want = -np.einsum("...pq,iqp->...i", X, su_basis(k)).real
+    assert np.all(np.linalg.norm(su_coords(X) - want, axis=-1) <= 4 * k * EPS * np.linalg.norm(X, axis=(-2, -1)))
+    assert np.all(np.linalg.norm(su_coords(X) - c, axis=-1) <= 8 * k * EPS * norm_c)

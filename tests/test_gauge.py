@@ -539,19 +539,19 @@ def test_horizontal_project_matches_dense_lstsq(rng):
 
 
 def gathered_band_coords(T0, *ts):
-    """The horizontal coordinates with the band gathered from zero-padded
-    block columns: blocks G[i, i], G[i+1, i], G[i+2, i] of the normal matrix
-    per interior node i, padded to four, gathered into lower band storage,
-    transposed and copied, then factored by ``cholesky_banded``."""
+    """The horizontal coordinates with the band gathered from block columns:
+    blocks G[i, i], G[i+1, i], G[i+2, i] of the normal matrix per interior
+    node i (zero past the last node), gathered into the 2d + 1 rows of lower
+    band storage, transposed and copied, then factored by ``cholesky_banded``."""
     n, d, w = T0.grid.n, T0.dim**2 - 1, T0.grid.weights[:, None, None]
     ad, below, above = _vertical_operator(T0)
     A, At, eye = ad[1:-1], np.swapaxes(ad[1:-1], -1, -2), np.eye(d)
-    col = np.zeros((n - 1, 4, d, d))
+    col = np.zeros((n - 1, 3, d, d))
     col[:, 0] = w[1:-1] * (At @ A) + (w[:-2] * above[:-1] ** 2 + w[2:] * below[1:] ** 2) * eye
     col[:-1, 1] = w[1:-2] * above[1:-1] * A[:-1] + w[2:-1] * below[1:-1] * At[1:]
     col[:-2, 2] = w[2:-2] * above[2:-1] * below[1:-2] * eye
-    u, q = np.arange(3 * d)[:, None], np.arange(d)
-    band = col.reshape(n - 1, 4 * d, d)[:, u + q, q].transpose(1, 0, 2).reshape(3 * d, -1)
+    u, q = np.arange(2 * d + 1)[:, None], np.arange(d)
+    band = col.reshape(n - 1, 3 * d, d)[:, u + q, q].transpose(1, 0, 2).reshape(2 * d + 1, -1)
     tc = np.stack([su_coords(t.values) for t in ts], axis=-1)
     rhs = _block_tridiagonal(np.swapaxes(ad, -1, -2), above, below, w * tc)[1:-1]
     rho = np.zeros_like(tc)
@@ -577,14 +577,14 @@ def test_horizontal_coords_factor_the_band_in_place(rng, monkeypatch):
 
     def spy(ab, **kwargs):
         factor = cholesky_banded(ab, **kwargs)
-        factored.append((ab.flags.f_contiguous, np.shares_memory(factor, ab)))
+        factored.append((ab.shape[0], ab.flags.f_contiguous, np.shares_memory(factor, ab)))
         return factor
 
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy)
     g = Grid(0.0, 1.0, 40)
     T0, t = (random_smooth_path(AlgebraSpec("su", 3), g, rng) for _ in range(2))
     quotient_metric(T0, t, t)
-    assert factored == [(True, True)]
+    assert factored == [(2 * 8 + 1, True, True)]  # the band's 2d + 1 rows, d = 8: the widest offset is 2d
 
 
 def test_horizontal_coords_reject_a_non_finite_connection(rng):

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, InputError, bracket, su2_basis
+from nahmlab.algebra import AlgebraSpec, InputError, _su_bracket, bracket, su2_basis
 from nahmlab.gauge import act, exp_su_path
 from nahmlab.moment import (
+    _EPS,
     _hamiltonian_gaps,
     _omega_baby,
     hamiltonian_check,
@@ -139,23 +140,44 @@ def test_hamiltonian_identity_random(spec, rng):
             assert hamiltonian_check(d, rho, v, which) <= 1e-5
 
 
-def ref_mu_nahm(d):
-    """The three moment maps written out one by one."""
+def ref_mu_nahm(d, br=bracket):
+    """The three moment maps written out one by one on the whole arrays, each
+    bracket ``br``: the commutator XY - YX by default, the independent oracle."""
     T0, T1, T2, T3 = d.values
     h = d.grid.h
-    m1 = path_derivative(T1, h) + bracket(T0, T1) - bracket(T2, T3)
-    m2 = path_derivative(T2, h) + bracket(T0, T2) - bracket(T3, T1)
-    m3 = path_derivative(T3, h) + bracket(T0, T3) - bracket(T1, T2)
+    m1 = path_derivative(T1, h) + br(T0, T1) - br(T2, T3)
+    m2 = path_derivative(T2, h) + br(T0, T2) - br(T3, T1)
+    m3 = path_derivative(T3, h) + br(T0, T3) - br(T1, T2)
     return np.stack([m1, m2, m3])
 
 
-def ref_hamiltonian_check(d, rho, v, which, eps=1e-5):
-    """hamiltonian_check pairing one map of the full triple with rho."""
+EPS = np.finfo(float).eps
+
+
+def assert_near_the_commutator_maps(got, d):
+    """``got`` within 16 k eps s of ``ref_mu_nahm(d)``, node by node, where
+    s = |T_i'| + |T0| |T_i| + |T_j| |T_k| (Frobenius norms).  Higham's model
+    (2002, sec. 3.5) puts each real product of inner dimension 2k within
+    gamma_2k |X| |Y| of the exact one, so P - P^dag and XY - YX each lie within
+    about 4 k eps |X| |Y| of the exact bracket.  NaNs must sit at the same entries."""
+    want, T = ref_mu_nahm(d), d.values
+    norm = np.linalg.norm(T, axis=(-2, -1))
+    k = d.dim
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    for i in (1, 2, 3):
+        j, l = i % 3 + 1, (i + 1) % 3 + 1
+        s = np.linalg.norm(path_derivative(T[i], d.grid.h), axis=(-2, -1)) + norm[0] * norm[i] + norm[j] * norm[l]
+        gap = np.nan_to_num(np.abs(got[i - 1] - want[i - 1])).max(axis=(-2, -1))
+        assert np.all((gap <= 16 * k * EPS * s) | np.isnan(s))  # a NaN node: only its NaNs are compared
+
+
+def ref_hamiltonian_check(d, rho, v, which, eps=1e-5, br=bracket):
+    """hamiltonian_check pairing one map of the full triple, brackets ``br``, with rho."""
     star = rho_star(d, rho)
     lhs = _omega_baby(star, v) if which == "baby" else omega(which, star, v)
 
     def paired(data):
-        mu = mu_baby(data.T0, data.T1).values if which == "baby" else ref_mu_nahm(data)[which - 1]
+        mu = mu_baby(data.T0, data.T1).values if which == "baby" else ref_mu_nahm(data, br)[which - 1]
         return quadrature(pairing_nodes(mu, rho.values), d.grid)
 
     plus = NahmData.from_arrays(d.algebra, d.grid, *(d.values + eps * v.values))
@@ -166,14 +188,21 @@ def ref_hamiltonian_check(d, rho, v, which, eps=1e-5):
 
 @pytest.mark.parametrize("spec", [SU2, SU3])
 def test_mu_nahm_and_hamiltonian_check_match_the_written_out_maps_bitwise(spec, rng):
-    # each map is written once, with cyclic indices; the bits must not move
+    # each map is written once, with cyclic indices: the bits of the maps written
+    # out on whole arrays with the same brackets, and near the commutator's maps
     g = Grid(0.0, 1.0, 120)
     d = random_nahm(spec, g, rng)
-    assert mu_nahm(d).values.tobytes() == ref_mu_nahm(d).tobytes()
+    got = mu_nahm(d).values
+    assert got.tobytes() == ref_mu_nahm(d, _su_bracket).tobytes()
+    assert_near_the_commutator_maps(got, d)
     rho = random_dirichlet_path(spec, g, rng)
     v = random_tangent(spec, g, rng)
     for which in ("baby", 1, 2, 3):
-        assert hamiltonian_check(d, rho, v, which) == ref_hamiltonian_check(d, rho, v, which)
+        gap = hamiltonian_check(d, rho, v, which)
+        assert gap == ref_hamiltonian_check(d, rho, v, which, br=_su_bracket)
+        # a gap is relative: the maps' rounding, within 1e3 eps of their scale,
+        # is divided by the central difference's 2 _EPS
+        assert abs(gap - ref_hamiltonian_check(d, rho, v, which)) <= 1e3 * EPS / (2.0 * _EPS)
 
 
 def two_perturbed_gaps(d, rho, v, which, eps=1e-5):
@@ -311,7 +340,8 @@ def test_mu_nahm_node_blocks_keep_every_byte(k, rng):
         d = random_nodes(spec, nodes, rng)
         got = mu_nahm(d).values
         assert got.shape == (3, nodes, k, k)
-        assert got.tobytes() == ref_mu_nahm(d).tobytes()
+        assert got.tobytes() == ref_mu_nahm(d, _su_bracket).tobytes()
+        assert_near_the_commutator_maps(got, d)
 
 
 def test_mu_nahm_nan_in_the_second_block_stays_a_nan(rng):
@@ -322,7 +352,8 @@ def test_mu_nahm_nan_in_the_second_block_stays_a_nan(rng):
     dirty = NahmData._own(d.grid, values)
     got = mu_nahm(dirty).values
     assert np.isnan(got[:, m]).any()
-    assert got.tobytes() == ref_mu_nahm(dirty).tobytes()
+    assert got.tobytes() == ref_mu_nahm(dirty, _su_bracket).tobytes()
+    assert_near_the_commutator_maps(got, dirty)
 
 
 def test_mu_nahm_holds_no_path_sized_real_form(rng):

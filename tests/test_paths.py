@@ -52,6 +52,16 @@ def test_grid_validation():
     assert np.allclose(g.nodes, [0, 0.5, 1, 1.5, 2])
 
 
+def test_grid_nodes_and_weights_are_made_once_and_read_only():
+    g = Grid(0.0, 2.0, 4)
+    assert g.nodes is g.nodes and g.weights is g.weights
+    assert g.weights.tolist() == [0.25, 0.5, 0.5, 0.5, 0.25]
+    for cached in (g.nodes, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[1] = 7.0
+    assert g == Grid(0.0, 2.0, 4) and hash(g) == hash(Grid(0.0, 2.0, 4))  # equal by their fields alone
+
+
 def test_algebra_path_is_immutable():
     grid = Grid(0.0, 1.0, 4)
     samples = np.zeros((5, 2, 2), dtype=complex)
