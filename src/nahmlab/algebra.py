@@ -86,13 +86,8 @@ def _cmatmul(X: np.ndarray, phi_Y: np.ndarray) -> np.ndarray:
 
 
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix commutator [X, Y] = XY - YX, batched over leading axes, each
-    product one real product (``_cmatmul``)."""
-    X = np.ascontiguousarray(X, dtype=complex)
-    Y = np.ascontiguousarray(Y, dtype=complex)
-    if X.shape[-1] != X.shape[-2] or X.shape[-2:] != Y.shape[-2:]:
-        raise ValueError(f"dimension mismatch: {X.shape} vs {Y.shape}")
-    return _cmatmul(X, _real_form(Y)) - _cmatmul(Y, _real_form(X))
+    """Matrix commutator [X, Y] = XY - YX, the general one of sl(k, C)."""
+    return X @ Y - Y @ X
 
 
 def _su_bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

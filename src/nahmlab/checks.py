@@ -4,11 +4,11 @@ su(2) data.  ``check.json`` lists the entries in table order."""
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, _cmatmul, _real_form, pairing, su2_basis
+from .algebra import AlgebraSpec, InputError, _cmatmul, _real_form, pairing, pairing_nodes, su2_basis
 from .gauge import GroupPath, act, exp_su_path, horizontal_project, monodromy, quotient_metric, trivialize
 from .moment import _hamiltonian_gaps, _lax, _omega_baby, kahler_form_identity_check, mu_nahm, rho_star
 from .moment import s1_moment_identity_check
-from .paths import CHUNK, AlgebraPath, Grid, NahmData, _random_chunk, pairing_nodes, quadrature, random_dirichlet_path
+from .paths import CHUNK, AlgebraPath, Grid, NahmData, _random_chunk, quadrature, random_dirichlet_path
 from .paths import random_smooth_path, random_tangent, sup_norm, vertical_field
 from .solver import coth_solution, integrate_nahm
 from .spectral import char_coeffs, conservation_check, reality_check

@@ -46,18 +46,13 @@ def from_pairs(data) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
-def matrix_from_json(data: list, k: int) -> np.ndarray:
-    flat = from_pairs(data)
-    if flat.shape != (k * k,):
-        raise ValueError(f"expected {k * k} entries, got shape {flat.shape}")
-    return flat.reshape(k, k)
-
-
-def _nodes_from_json(data, grid: Grid, k: int) -> np.ndarray:
+def matrix_from_json(data, k: int, *lead: int) -> np.ndarray:
+    """The lead + (k, k) stack of k x k matrices, each a flat row-major list of
+    [re, im] pairs: one matrix with no ``lead``, a path's nodes with (n + 1,)."""
     z = from_pairs(data)
-    if z.shape != (grid.n + 1, k * k):
-        raise ValueError(f"expected {grid.n + 1} nodes of {k * k} [re, im] pairs, got shape {z.shape}")
-    return z.reshape(grid.n + 1, k, k)
+    if z.shape != (*lead, k * k):
+        raise ValueError(f"expected [re, im] pairs of shape {(*lead, k * k, 2)}, got shape {z.shape + (2,)}")
+    return z.reshape(*lead, k, k)
 
 
 def nahm_to_json(d: NahmData) -> dict:
@@ -70,7 +65,7 @@ def nahm_to_json(d: NahmData) -> dict:
 def nahm_from_json(data: dict) -> NahmData:
     spec = AlgebraSpec(data["algebra"]["family"], int(data["algebra"]["dim"]))
     grid = Grid(float(data["grid"]["s0"]), float(data["grid"]["s1"]), int(data["grid"]["n"]))
-    comps = [_nodes_from_json(data[name], grid, spec.dim) for name in ("T0", "T1", "T2", "T3")]
+    comps = [matrix_from_json(data[name], spec.dim, grid.n + 1) for name in ("T0", "T1", "T2", "T3")]
     return NahmData.from_arrays(spec, grid, *comps)
 
 

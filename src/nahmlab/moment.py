@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, _su_bracket
+from .algebra import AlgebraSpec, InputError, _su_bracket, pairing_nodes
 from .paths import (
     CHUNK,
     AlgebraPath,
@@ -23,7 +23,6 @@ from .paths import (
     complex_structure,
     l2_norm,
     omega,
-    pairing_nodes,
     path_derivative,
     quadrature,
     sup_norm,

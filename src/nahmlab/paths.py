@@ -40,7 +40,6 @@ __all__ = [
     "quadrature",
     "path_derivative",
     "dirichlet_derivative",
-    "pairing_nodes",
     "vertical_field",
     "l2_metric",
     "l2_norm",
@@ -64,10 +63,10 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or not 2 <= self.n < np.iinfo(np.intp).max:
             raise InputError(f"grid needs an integer n >= 2 intervals, n + 1 nodes an array can index, got {self.n!r}")
-        if not (np.isfinite(self.s0) and np.isfinite(self.s1)):
-            raise InputError(f"grid endpoints must be finite, got [{self.s0}, {self.s1}]")
-        if not self.s1 > self.s0:
-            raise InputError("need s1 > s0")
+        # NaN, an infinite endpoint, s1 <= s0 and a step that overflows or underflows all fail this
+        if not 0 < (float(self.s1) - float(self.s0)) / self.n < np.inf:
+            raise InputError(f"grid needs s0 < s1 with a finite nonzero step (s1 - s0) / n, "
+                             f"got [{self.s0}, {self.s1}] and n = {self.n}")
 
     @property
     def h(self) -> float:

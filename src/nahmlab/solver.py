@@ -35,7 +35,6 @@ __all__ = [
     "BoundaryTarget",
     "HalflineResult",
     "OrbitReport",
-    "char_poly",
     "integrate_baby",
     "integrate_nahm",
     "nil_solution",
@@ -53,11 +52,6 @@ class NahmBlowUpError(RuntimeError):
         super().__init__(f"Nahm flow blow-up near s = {s:.6g} (norm {norm:.3e})")
         self.s = s
         self.norm = norm
-
-
-def char_poly(M: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients of det(eta - M), descending."""
-    return np.concatenate([[1.0], *char_poly_coeffs(np.asarray(M, dtype=complex)[None])])
 
 
 _CYCLE = np.array([[1, 2, 0], [2, 0, 1]])
@@ -321,8 +315,8 @@ def orbit_identify(
     rep = target.tau2 + 1j * target.tau3
     if target.sigma is not None:
         rep = rep + target.sigma.e2 + 1j * target.sigma.e3
-    p_beta = char_poly(beta0)
-    p_rep = char_poly(rep)
+    # the monic coefficients of det(eta - M), descending, for M = beta(0) and the representative
+    p_beta, p_rep = np.concatenate([np.ones((1, 2)), *char_poly_coeffs(np.stack([beta0, rep])[None])]).T
     scale = max(1.0, float(np.max(np.abs(p_rep))))
     dev = float(np.max(np.abs(p_beta - p_rep))) / scale
     residual = mu_nahm(d).sup

@@ -38,9 +38,9 @@ def _pencil(alpha: np.ndarray, beta: np.ndarray, nonreal: bool = False) -> np.nd
     return np.stack([beta, alpha + dagger(alpha), np.zeros_like(beta) if nonreal else -dagger(beta)])
 
 
-def char_coeffs(alpha: np.ndarray, beta: np.ndarray, nonreal: bool = False) -> list:
+def char_coeffs(alpha: np.ndarray, beta: np.ndarray) -> list:
     """Spectral-curve coefficients [a_1, ..., a_k] for a single Lax-pair node, each ascending in zeta."""
-    return [f[:, 0] for f in char_poly_coeffs(_pencil(alpha, beta, nonreal)[:, None])]
+    return [f[:, 0] for f in char_poly_coeffs(_pencil(alpha, beta)[:, None])]
 
 
 def _node_blocks(d: NahmData, nonreal: bool = False):

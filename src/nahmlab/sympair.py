@@ -118,11 +118,11 @@ def vergne_map_j(u: complex | np.ndarray, v: complex | np.ndarray) -> np.ndarray
     return vergne_map(u - _cmul(1j, v.conj()), v + _cmul(1j, u.conj()))
 
 
-def classify_real_orbit(u: complex | np.ndarray, v: complex | np.ndarray) -> str | np.ndarray:
+def classify_real_orbit(u: complex | np.ndarray, v: complex | np.ndarray) -> np.ndarray:
     """Classify (u, v): image in sl(2,R) iff u^2, v^2, uv are all real; then
     O_plus for u^2 + v^2 > 0 and O_minus for u^2 + v^2 < 0, each decided to
     1e-10; a non-finite or zero point raises.  A label per point over the
-    leading axes; a scalar point gets a str."""
+    leading axes, a 0-d array for a single point."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
     refused = ~(np.isfinite(u) & np.isfinite(v)) | (u == 0) & (v == 0)
     if refused.any():  # the first refused point's error, as a loop over the points raises it
@@ -136,16 +136,15 @@ def classify_real_orbit(u: complex | np.ndarray, v: complex | np.ndarray) -> str
     not_real = (abs(uu.imag) > 1e-10) | (abs(vv.imag) > 1e-10) | (abs(uv.imag) > 1e-10)
     # cross-check the coordinate criterion: x1 = x3 = 0 on O_plus, x0 = x2 = 0 on O_minus
     off = np.where(disc > 0, (abs(u.imag) > 1e-6) | (abs(v.imag) > 1e-6), (abs(u.real) > 1e-6) | (abs(v.real) > 1e-6))
-    orbit = _ORBITS[np.select([not_real, (abs(disc) <= 1e-10) | off, disc > 0], [0, 1, 2], 3)]
-    return orbit.item() if orbit.ndim == 0 else orbit
+    return _ORBITS[np.select([not_real, (abs(disc) <= 1e-10) | off, disc > 0], [0, 1, 2], 3)]
 
 
 def kc_orbit_form_check(M: np.ndarray) -> tuple:
     """Test M = b [[i,1],[1,-i]] or b [[-i,1],[1,i]] for some b != 0, to 1e-10 max(1, |b|).
 
-    Returns ("plus_form", b), ("minus_form", b) or ("neither", None); for a
-    stack of matrices (..., 2, 2), the labels and b = (M_01 + M_10) / 2 over
-    the leading axes, a "neither" point's b fitting neither form.
+    Returns the labels "plus_form", "minus_form" or "neither" and b = (M_01 +
+    M_10) / 2 over the leading axes of a stack (..., 2, 2), 0-d arrays for a
+    single matrix; a "neither" matrix's b fits neither form.
     """
     M = np.asarray(M, dtype=complex)
     b = _cmul(0.5, M[..., 0, 1] + M[..., 1, 0])
@@ -153,10 +152,7 @@ def kc_orbit_form_check(M: np.ndarray) -> tuple:
     tol = 1e-10 * np.maximum(1.0, size)
     fits = [(size > 0) & (np.max(abs(M - _cmul(b[..., None, None], form)), axis=(-2, -1)) <= tol)
             for form in (PLUS_FORM, MINUS_FORM)]
-    form = _FORMS[np.select(fits, [0, 1], 2)]
-    if form.ndim:
-        return form, b
-    return ("neither", None) if form == "neither" else (form.item(), b[()])
+    return _FORMS[np.select(fits, [0, 1], 2)], b
 
 
 def tangent_transitivity_check(spec: SymmetricPairSpec, x: np.ndarray):

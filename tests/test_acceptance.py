@@ -251,7 +251,7 @@ def test_criterion_7_halfline_orbit_identification():
                     f"nil converged/certified {results['nil']}, runtime {elapsed:.2f}s")
 
 
-def test_criterion_8_reality_involution():
+def test_criterion_8_reality_involution(nonreal_curve):
     start = time.perf_counter()
     rng = np.random.default_rng(12)
     violations = []
@@ -266,7 +266,7 @@ def test_criterion_8_reality_involution():
     # negative control: drop the quadratic pencil term
     d = NahmData(SU2, *(random_smooth_path(SU2, Grid(0.0, 1.0, 20), rng) for _ in range(4)))
     alpha, beta = lax_extract(d)
-    control = reality_check(char_coeffs(alpha[0], beta[0], nonreal=True))
+    control = reality_check(nonreal_curve(alpha[0], beta[0]))
     elapsed = time.perf_counter() - start
     tol = threshold("reality", grid.h)
     ok = passes(worst, tol) and control >= 1e-2 and elapsed < 2.0

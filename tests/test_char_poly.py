@@ -176,12 +176,19 @@ def test_last_coefficient_matches_the_oracle(k):
 
 
 def test_unbatched_and_constant_pencils():
-    # no node axis, and a degree-0 pencil (``solver.char_poly``)
+    # no node axis, and a degree-0 pencil: the characteristic polynomial of one
+    # matrix, as ``solver.orbit_identify`` takes it
     P = random_pencils(4, 1, 3)[:, 0]
     for Q in (P, P[:1]):
         assert_keeps_the_real_form_bits(Q)
         got, want = char_poly_coeffs(Q)[-1], ref_char_poly_coeffs(Q)[-1]
         assert np.max(np.abs(got - want)) <= 1e-12 * scale(Q)
+    # exact oracles: a nilpotent Jordan block, det(eta - J) = eta^k, and the
+    # diagonals (eta - 1)(eta - 2)(eta - 3) and (eta - i)(eta + 2)
+    exact = [(np.diag(np.ones(k - 1), 1), np.zeros(k)) for k in (2, 4, 6)]
+    exact += [(np.diag([1.0, 2.0, 3.0]), [-6.0, 11.0, -6.0]), (np.diag([1j, -2.0]), [2.0 - 1j, -2j])]
+    for M, want in exact:
+        assert np.array_equal(np.concatenate(char_poly_coeffs(np.asarray(M, dtype=complex)[None])), want)
 
 
 def test_su2_takes_no_product(monkeypatch):

@@ -151,10 +151,10 @@ def test_spectral_fixed_curve(tmp_path):
 
 
 def test_spectral_fixed_curve_overflow_fails(tmp_path):
-    # 1e308 overflows a_2 to NaN: a reality violation of NaN is no pass
+    # 1e308 overflows a_2 to NaN: a reality violation of NaN is no pass, and
+    # main's own errstate keeps the overflow from raising under pytest's filter
     cfg = {"algebra": {"family": "su", "dim": 2}, "fixed_curve": {"tau1": {"te3": 1e308}}}
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run(tmp_path, "spectral", cfg)
+    code, out = run(tmp_path, "spectral", cfg)
     assert code == 1
 
 
@@ -223,7 +223,7 @@ LARGE_INPUTS = [
 def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, cfg, code):
     # a state past the norm bound is a blow-up (exit 3), and one short of it
     # may still overflow the checks (exit 1) or the guess (exit 2); the values
-    # that overflow on the way are taken under a local errstate or rescaled,
+    # that overflow on the way are taken under main's errstate or rescaled,
     # so a fresh interpreter prints nothing to stderr but a config error: a
     # blow-up is one line on stdout with no artifact, and nothing is suppressed
     env = dict(os.environ, PYTHONPATH=str(Path(nahmlab.__file__).resolve().parents[1]))
@@ -239,6 +239,35 @@ def test_large_finite_input_blows_up_without_a_numpy_warning(tmp_path, command, 
     if code == 3:
         assert re.fullmatch(rf"{command}: blow-up \(Nahm flow blow-up near s = \S+ \(norm \S+\)\)\n", out.stdout)
         assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evolve", "spectral"])
+@pytest.mark.parametrize("grid, init", [
+    # finite endpoints whose step overflows, and the all-zero init, a fixed point
+    ({"s0": -1e308, "s1": 1e308, "n": 4}, {"kind": "matrices", "T1": _ZERO, "T2": _ZERO, "T3": _ZERO}),
+    ({"s0": 0, "s1": 5e-324, "n": 10}, {"kind": "nil"}),  # a step that underflows to 0: a flow that never moves
+], ids=["infinite_step", "zero_step"])
+def test_grid_step_that_is_zero_or_not_finite_is_a_config_error(tmp_path, capsys, command, grid, init):
+    code, out = run(tmp_path, command, {"grid": grid, "init": init})
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("config error: grid needs s0 < s1 with a finite nonzero step"), captured.err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    ("spectral", {"algebra": {"family": "su", "dim": 2}, "fixed_curve": {"tau1": {"te3": 1e308}}}, 1),
+    ("halfline", {"seed": 3, **_TINY_HALFLINE, "perturbation": 1e308, "target": {"kind": "coth", "L": 0.5, "a": 2.0}}, 2),
+    ("evolve", {"init": {"kind": "matrices", "T1": _BIG_DIAG, "T2": _ZERO, "T3": _ZERO}}, 3),
+])
+def test_main_leaves_the_callers_numpy_error_state_as_it_found_it(tmp_path, command, cfg, code):
+    # the one np.errstate is main's own: an overflowed verdict, an overflowed
+    # guess and a blow-up each hand back the caller's settings, here unusual ones
+    with np.errstate(over="raise", invalid="print", divide="ignore"):
+        before = np.geterr()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(tmp_path, command, cfg)[0] == code
+        assert np.geterr() == before
 
 
 @pytest.mark.parametrize("cfg, key", [

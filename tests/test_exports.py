@@ -91,3 +91,13 @@ def test_only_the_cli_imports_io():
     sources = sorted(Path(nahmlab.__file__).parent.glob("*.py"))
     importers = [p.stem for p in sources if imports_io(ast.parse(p.read_text()))]
     assert importers == ["cli"]
+
+
+def test_the_cli_overflow_policy_has_one_home_in_main():
+    # one np.errstate in cli.py, main's own, around every command: an
+    # overflow reaches a verdict as inf or NaN, so no command needs its own
+    tree = ast.parse((Path(nahmlab.__file__).parent / "cli.py").read_text())
+    errstates = {id(n) for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.errstate"}
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    assert len(errstates) == 1
+    assert errstates <= {id(n) for n in ast.walk(main)}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, expm, polar
 
-from nahmlab.algebra import AlgebraSpec, InputError, dagger, su2_basis, su_basis, su_coords
+from nahmlab.algebra import AlgebraSpec, InputError, dagger, pairing_nodes, su2_basis, su_basis, su_coords
 from nahmlab.gauge import (
     GroupPath,
     _block_tridiagonal,
@@ -25,7 +25,6 @@ from nahmlab.paths import (
     AlgebraPath,
     Grid,
     NahmData,
-    pairing_nodes,
     path_derivative,
     quadrature,
     random_dirichlet_path,

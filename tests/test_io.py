@@ -34,6 +34,21 @@ def test_matrix_roundtrip(rng):
     assert matrix_from_json(data, 2).tobytes() == M.tobytes()
 
 
+@pytest.mark.parametrize("k, lead, want", [
+    (3, (), r"\(9, 2\)"),  # a 2 x 2 matrix read as an su(3) one
+    (2, (10,), r"\(10, 4, 2\)"),  # 11 nodes where the grid has 10
+    (3, (11,), r"\(11, 9, 2\)"),  # 11 nodes of 2 x 2 matrices read as su(3) ones
+])
+def test_matrix_decoder_names_the_expected_shape(rng, k, lead, want):
+    # one decoder reads a single matrix and a path's nodes alike
+    nodes = to_pairs(rng.standard_normal((11, 4)) + 1j * rng.standard_normal((11, 4))).tolist()
+    data = nodes if lead else nodes[0]
+    with pytest.raises(ValueError, match=r"expected \[re, im\] pairs of shape " + want):
+        matrix_from_json(data, k, *lead)
+    assert matrix_from_json(nodes, 2, 11).tobytes() == from_pairs(nodes).tobytes()
+    assert matrix_from_json(nodes, 2, 11).shape == (11, 2, 2)
+
+
 def test_nahm_roundtrip(rng):
     g = Grid(0.0, 1.0, 20)
     d = NahmData(SU2, *(random_smooth_path(SU2, g, rng) for _ in range(4)))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, InputError, _su_bracket, bracket, su2_basis
+from nahmlab.algebra import AlgebraSpec, InputError, _su_bracket, bracket, pairing_nodes, su2_basis
 from nahmlab.gauge import act, exp_su_path
 from nahmlab.moment import (
     _EPS,
@@ -27,7 +27,6 @@ from nahmlab.paths import (
     l2_metric,
     l2_norm,
     omega,
-    pairing_nodes,
     path_derivative,
     quadrature,
     random_dirichlet_path,

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, InputError, su2_basis
+from nahmlab.algebra import AlgebraSpec, InputError, pairing_nodes, su2_basis
 from nahmlab.moment import mu_nahm
 from nahmlab.paths import (
     CHUNK,
@@ -14,7 +14,6 @@ from nahmlab.paths import (
     complex_structure,
     l2_metric,
     omega,
-    pairing_nodes,
     path_derivative,
     quadrature,
     random_smooth_path,
@@ -50,6 +49,13 @@ def test_grid_validation():
     g = Grid(0.0, 2.0, 4)
     assert g.h == 0.5
     assert np.allclose(g.nodes, [0, 0.5, 1, 1.5, 2])
+
+
+def test_grid_refuses_a_step_that_is_zero_or_not_finite():
+    # finite endpoints whose difference overflows, and a step that underflows to 0
+    for s0, s1, n in [(-1e308, 1e308, 4), (0.0, 5e-324, 10)]:
+        with pytest.raises(InputError, match="finite nonzero step"):
+            Grid(s0, s1, n)
 
 
 def test_grid_nodes_and_weights_are_made_once_and_read_only():

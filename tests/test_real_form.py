@@ -1,8 +1,8 @@
 """The real form phi of complex k x k matrices (``algebra._real_form``), by
-which the Nahm flow steps and every other complex product is taken
-(``algebra._cmatmul``, ``bracket``, ``_su_bracket``): phi copies each entry
-a + ib into the block [[a, b], [-b, a]], so phi(A) phi(C) = phi(AC) and the
-even rows of phi(T) are T.view(float)."""
+which the Nahm flow steps and every other batched complex product is taken
+(``algebra._cmatmul``, ``_su_bracket``): phi copies each entry a + ib into
+the block [[a, b], [-b, a]], so phi(A) phi(C) = phi(AC) and the even rows of
+phi(T) are T.view(float).  ``bracket``, the plain XY - YX, is the oracle."""
 
 import numpy as np
 import pytest
@@ -57,40 +57,6 @@ def test_real_form_product_is_the_complex_product(data, k):
     # the odd rows repeat the even ones, negated and swapped, to rounding
     assert np.abs(P[..., 1::2, 1::2] - P[..., ::2, ::2]).max() <= 2 * bound
     assert np.abs(P[..., 1::2, ::2] + P[..., ::2, 1::2]).max() <= 2 * bound
-
-
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(data=st.data(), k=SIZES)
-def test_bracket_is_exactly_antisymmetric(data, k):
-    # both orders take the same two products, so each entry of [Y, X] is the
-    # exact negative of [X, Y]; only an exact cancellation, +0 both ways,
-    # differs in the sign bit, so the bytes are compared off the zeros
-    X, Y = (data.draw(complex_stacks((4,), k, MODERATE)) for _ in range(2))
-    B, minus = bracket(X, Y).view(float), (-bracket(Y, X)).view(float)
-    assert np.array_equal(B, minus)
-    assert B[B != 0].tobytes() == minus[B != 0].tobytes()
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=st.data(), k=SIZES, nodes=st.integers(1, 9))
-def test_bracket_matches_the_complex_commutator(data, k, nodes):
-    # on node stacks and on broadcast (k, k) x (n+1, k, k) pairs, both ways round
-    X, Y = (data.draw(complex_stacks((nodes,), k, MODERATE)) for _ in range(2))
-    single = data.draw(complex_stacks((), k, MODERATE))
-    for A, C in ((X, Y), (single, Y), (X, single)):
-        got, want = bracket(A, C), A @ C - C @ A
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 8 * k * EPS * frobenius(A) * frobenius(C)
-
-
-def test_bracket_takes_strided_views():
-    # a transposed or sliced operand is read as its values, not its memory
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-    Y = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-    Xt, Ys = X.swapaxes(-1, -2), Y[::-1]
-    assert np.array_equal(bracket(Xt, Ys), bracket(Xt.copy(), Ys.copy()))
-    assert np.abs(bracket(Xt, Ys) - (Xt @ Ys - Ys @ Xt)).max() <= 8 * 4 * EPS * frobenius(X) * frobenius(Y)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -149,6 +115,15 @@ def test_su_bracket_matches_the_complex_commutator_on_su(data, k, nodes):
         got, want = _su_bracket(A, C), A @ C - C @ A
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 8 * k * EPS * frobenius(A) * frobenius(C)
+
+
+def test_bracket_takes_strided_views():
+    # a transposed or sliced su(k) operand is read as its values, not its memory
+    rng = np.random.default_rng(3)
+    X, Y = (su_from_coords(rng.standard_normal((5, 15)), 4) for _ in range(2))
+    Xt, Ys = X.swapaxes(-1, -2), Y[::-1]
+    assert np.array_equal(_su_bracket(Xt, Ys), _su_bracket(Xt.copy(), Ys.copy()))
+    assert np.abs(_su_bracket(Xt, Ys) - (Xt @ Ys - Ys @ Xt)).max() <= 8 * 4 * EPS * frobenius(X) * frobenius(Y)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])

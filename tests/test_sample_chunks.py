@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nahmlab import checks
-from nahmlab.algebra import AlgebraSpec, su_from_coords
+from nahmlab.algebra import AlgebraSpec, pairing_nodes, su_from_coords
 from nahmlab.checks import run_check_suite
 from nahmlab.moment import (
     _mu,
@@ -28,7 +28,6 @@ from nahmlab.paths import (
     _random_chunk,
     complex_structure,
     l2_metric,
-    pairing_nodes,
     quadrature,
     random_dirichlet_path,
     random_smooth_path,

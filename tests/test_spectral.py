@@ -231,7 +231,7 @@ def test_reality_su2_su3(rng):
         assert reality_check(sd) <= 1e-9
 
 
-def test_reality_closed_form_vs_substitution_oracle(rng):
+def test_reality_closed_form_vs_substitution_oracle(rng, nonreal_curve):
     # the coefficient condition and the brute-force root-mapping oracle must
     # agree: both near zero for honest pencils, both large for the control
     d = NahmData(SU2, *(random_smooth_path(SU2, Grid(0.0, 1.0, 30), rng) for _ in range(4)))
@@ -239,7 +239,7 @@ def test_reality_closed_form_vs_substitution_oracle(rng):
     good = char_coeffs(alpha[0], beta[0])
     assert reality_check(good) <= 1e-12
     assert reality_violation_substitution(good) <= 1e-8
-    bad = char_coeffs(alpha[0], beta[0], nonreal=True)
+    bad = nonreal_curve(alpha[0], beta[0])
     assert reality_check(bad) >= 1e-2
     assert reality_violation_substitution(bad) >= 1e-2
 

@@ -323,14 +323,15 @@ def test_batched_witness_matches_the_per_point_loop():
         form, b = kc_orbit_form_check(matrices)
         for i, (x, y) in enumerate(points):
             label = classify_real_orbit(x, y)
-            assert type(label) is str and label == orbit[i] == loop_classify(x, y), (x, y)
+            assert label.shape == () and label == orbit[i] == loop_classify(x, y), (x, y)
             assert vergne_map_j(x, y).tobytes() == images[i].tobytes() == loop_map_j(x, y).tobytes(), (x, y)
             assert vergne_map(x, y).tobytes() == plain[i].tobytes() == loop_map(x, y).tobytes(), (x, y)
         for i, M in enumerate(matrices):
             name, c = loop_form(M)
-            assert kc_orbit_form_check(M) == (name, c) and form[i] == name, M
+            one, one_b = kc_orbit_form_check(M)
+            assert one.shape == one_b.shape == () and one == form[i] == name, M
+            assert one_b.tobytes() == b[i].tobytes(), M
             if c is not None:
-                assert type(kc_orbit_form_check(M)[1]) is np.complex128
                 assert b[i].tobytes() == c.tobytes(), M
     assert {"not_real", "degenerate", "O_plus", "O_minus"} == set(orbit)
     assert {"plus_form", "minus_form", "neither"} == set(form[:len(points)])
