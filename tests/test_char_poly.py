@@ -183,12 +183,6 @@ def test_unbatched_and_constant_pencils():
         assert_keeps_the_real_form_bits(Q)
         got, want = char_poly_coeffs(Q)[-1], ref_char_poly_coeffs(Q)[-1]
         assert np.max(np.abs(got - want)) <= 1e-12 * scale(Q)
-    # exact oracles: a nilpotent Jordan block, det(eta - J) = eta^k, and the
-    # diagonals (eta - 1)(eta - 2)(eta - 3) and (eta - i)(eta + 2)
-    exact = [(np.diag(np.ones(k - 1), 1), np.zeros(k)) for k in (2, 4, 6)]
-    exact += [(np.diag([1.0, 2.0, 3.0]), [-6.0, 11.0, -6.0]), (np.diag([1j, -2.0]), [2.0 - 1j, -2j])]
-    for M, want in exact:
-        assert np.array_equal(np.concatenate(char_poly_coeffs(np.asarray(M, dtype=complex)[None])), want)
 
 
 def test_su2_takes_no_product(monkeypatch):

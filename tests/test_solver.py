@@ -881,6 +881,19 @@ def test_right_and_baby_flows_match_sequential_svd_reference(k):
     assert np.abs(complex_trivialize_direct(T0, T1).values - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def test_char_poly_exact_oracles():
+    # orbit_identify reads det(eta - M) from a degree-0 pencil of char_poly_coeffs
+    def char_poly(M):
+        return np.concatenate(char_poly_coeffs(np.asarray(M, dtype=complex)[None]))
+
+    # nilpotent Jordan block: det(eta - J) = eta^k
+    for k in (2, 4, 6):
+        assert np.array_equal(char_poly(np.diag(np.ones(k - 1), 1)), np.zeros(k))
+    # diagonal: (eta - 1)(eta - 2)(eta - 3) and (eta - i)(eta + 2)
+    assert np.array_equal(char_poly(np.diag([1.0, 2.0, 3.0])), [-6.0, 11.0, -6.0])
+    assert np.array_equal(char_poly(np.diag([1j, -2.0])), [2.0 - 1j, -2j])
+
+
 # Malformed triples: not three k x k matrices, or not in su(k).  Both entry
 # points must refuse them; a (1, 3, k, k) batch is never read as one state.
 MALFORMED = {
