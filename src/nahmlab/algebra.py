@@ -38,6 +38,8 @@ __all__ = [
     "su_from_coords",
     "ad_matrix",
     "dagger",
+    "is_member",
+    "project",
 ]
 
 
@@ -128,10 +130,34 @@ def char_poly_coeffs(P: np.ndarray) -> list:
     return coeffs
 
 
+def is_member(X: np.ndarray, tol: float = 1e-10) -> bool:
+    """Whether k x k matrices X (batched) lie in su(k): their defect max(|tr X| /
+    sqrt(k), |X + X^dag|) <= tol max(|X|, 1), decided on X rescaled by
+    ``_unit_scaled``, so an entry that is not finite is never a member."""
+    X = np.asarray(X, dtype=complex)
+    if X.ndim < 2 or X.shape[-2] != X.shape[-1]:
+        return False
+    X, scale, _ = _unit_scaled(X)
+    trace = float(np.max(np.abs(np.trace(X, axis1=-2, axis2=-1)))) / np.sqrt(X.shape[-1])
+    return bool(np.max([trace, np.max(np.linalg.norm(X + dagger(X), axis=(-2, -1)))]) <= tol * scale)  # NaN fails
+
+
+def project(X: np.ndarray) -> np.ndarray:
+    """Nearest traceless skew-Hermitian matrix, batched."""
+    # exact halves first, so no element of su(k) overflows; the complex product
+    # with 1 then signs each zero as the complex product 0.5 * (X - X^dag) did
+    X = (0.5 * np.ascontiguousarray(X, dtype=complex).view(float)).view(complex)
+    X = 1.0 * (X - X.conj().swapaxes(-1, -2))
+    k = X.shape[-1]
+    # the scaled identity comes off every entry: a diagonal-only update would
+    # sign some off-diagonal zeros differently, changing every trajectory
+    return X - (X.trace(axis1=-2, axis2=-1) / k)[..., None, None] * np.eye(k)
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """The algebra su(k) of traceless skew-Hermitian k x k matrices, with its
-    membership test; ``family`` must be 'su'."""
+    """The algebra su(k) of traceless skew-Hermitian k x k matrices, for the
+    makers of matrices that must be told k; ``family`` must be 'su'."""
 
     family: str
     dim: int
@@ -142,34 +168,9 @@ class AlgebraSpec:
         if not isinstance(self.dim, (int, np.integer)) or not 2 <= self.dim or 16 * int(self.dim) ** 2 > np.iinfo(np.intp).max:
             raise InputError(f"dim must be an integer >= 2 whose k x k complex matrix numpy can size, got {self.dim!r}")
 
-    def member_defect(self, X: np.ndarray) -> float:
-        """Distance-like defect of X from the algebra (0 for members)."""
-        X = np.asarray(X, dtype=complex)
-        if X.shape[-2:] != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {X.shape}")
-        trace = float(np.max(np.abs(np.trace(X, axis1=-2, axis2=-1)))) / np.sqrt(self.dim)
-        return float(np.max([trace, np.max(np.linalg.norm(X + dagger(X), axis=(-2, -1)))]))  # NaN stays NaN
-
-    def is_member(self, X: np.ndarray, tol: float = 1e-10) -> bool:
-        """defect <= tol max(|X|, 1), decided on X rescaled by ``_unit_scaled``,
-        so an entry that is not finite is never a member."""
-        X, scale, _ = _unit_scaled(X)
-        return self.member_defect(X) <= tol * scale
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        """Nearest traceless skew-Hermitian matrix, batched."""
-        # exact halves first, so no element of su(k) overflows; the complex product
-        # with 1 then signs each zero as the complex product 0.5 * (X - X^dag) did
-        X = (0.5 * np.ascontiguousarray(X, dtype=complex).view(float)).view(complex)
-        X = 1.0 * (X - X.conj().swapaxes(-1, -2))
-        tr = X.trace(axis1=-2, axis2=-1)
-        # the scaled identity comes off every entry: a diagonal-only update would
-        # sign some off-diagonal zeros differently, changing every trajectory
-        return X - (tr / self.dim)[..., None, None] * np.eye(self.dim)
-
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         Z = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))
-        return scale * self.project(Z)
+        return scale * project(Z)
 
 
 def pairing_nodes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -177,11 +178,11 @@ def pairing_nodes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return -np.einsum("...pq,...qp->...", X, Y).real
 
 
-def pairing(spec: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> float:
+def pairing(X: np.ndarray, Y: np.ndarray) -> float:
     """Invariant scalar product of two k x k matrices."""
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
-    if X.shape != (spec.dim, spec.dim) or Y.shape != X.shape:
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or Y.shape != X.shape:
         raise ValueError("dimension mismatch in pairing")
     return float(pairing_nodes(X, Y))
 
@@ -227,14 +228,10 @@ def su2_embed(spec: AlgebraSpec) -> Su2Triple:
 
 def su2_embed_block(spec: AlgebraSpec, m: int) -> Su2Triple:
     """Irreducible m-dimensional embedding padded with a trivial summand."""
-    if not 2 <= m <= spec.dim:
-        raise InputError("block size out of range")
-    small = su2_embed(AlgebraSpec("su", m))
-    out = []
-    for s in small:
-        M = np.zeros((spec.dim, spec.dim), dtype=complex)
-        M[:m, :m] = s
-        out.append(M)
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 2 <= m <= spec.dim:
+        raise InputError(f"block size must be an integer in [2, {spec.dim}], got {m!r}")
+    out = np.zeros((3, spec.dim, spec.dim), dtype=complex)
+    out[:, :m, :m] = 1j * np.stack(_spin_matrices(m))
     return Su2Triple(*out)
 
 

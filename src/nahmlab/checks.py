@@ -90,7 +90,7 @@ def run_check_suite(seed: int, n: int, samples: int, inject_sign_flip: bool) -> 
     e1 = su2_basis().e1
     const = AlgebraPath(grid, np.broadcast_to(e1, (n + 1, 2, 2)).copy())
     qm = quotient_metric(AlgebraPath(grid, np.zeros_like(T0.values)), const, const)
-    errors["quotient_metric_constants"] = abs(qm - pairing(su2, e1, e1))
+    errors["quotient_metric_constants"] = abs(qm - pairing(e1, e1))
     proj = horizontal_project(T0, vertical_field(T0, random_dirichlet_path(su2, grid, rng)))
     errors["vertical_projection"] = quadrature(pairing_nodes(proj.values, proj.values), grid)
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, _cmatmul, _real_form, _unit_scaled, ad_matrix, dagger, su_coords, su_from_coords
+from .algebra import InputError, _cmatmul, _real_form, _unit_scaled, ad_matrix, dagger, is_member, su_coords, su_from_coords
 from .moment import mu_baby
 from .paths import (
     AlgebraPath,
@@ -174,7 +174,7 @@ def complex_trivialize(T0: AlgebraPath, T1: AlgebraPath, level_tol: float):
     if not level_tol > 0:
         raise InputError(f"need a level-set tolerance > 0, got {level_tol!r}")
     T1_0 = T1.values[0]
-    if not AlgebraSpec("su", T1.dim).is_member(T1_0, tol=1e-8):
+    if not is_member(T1_0, tol=1e-8):
         raise InputError("T1(s0) is not in su(k)")
     res = sup_norm(mu_baby(T0, T1).values)
     if not res <= level_tol:

@@ -59,7 +59,7 @@ def nahm_to_json(d: NahmData) -> dict:
     """Each component as one flat row-major matrix per node, a float array of [re, im] pairs."""
     nodes = dict(zip(("T0", "T1", "T2", "T3"), to_pairs(d.values.reshape(4, d.grid.n + 1, -1))))
     grid = {"s0": float(d.grid.s0), "s1": float(d.grid.s1), "n": int(d.grid.n)}
-    return {"algebra": {"family": d.algebra.family, "dim": d.algebra.dim}, "grid": grid, **nodes}
+    return {"algebra": {"family": "su", "dim": d.dim}, "grid": grid, **nodes}
 
 
 def nahm_from_json(data: dict) -> NahmData:

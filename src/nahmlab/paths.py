@@ -277,7 +277,7 @@ def vertical_field(T0: AlgebraPath, rho: AlgebraPath) -> AlgebraPath:
     norms = np.linalg.norm(rho.values, axis=(-2, -1))  # per node and batch member
     # np.max keeps a NaN, which fails; fmax, as max does, takes 1 over a NaN sup
     if not np.all(np.max(norms[[0, -1]], axis=0) <= 1e-10 * np.fmax(1.0, np.max(norms, axis=0))):
-        raise ValueError("gauge parameter must vanish at both endpoints")
+        raise InputError("gauge parameter must vanish at both endpoints")
     v = _su_bracket(rho.values, T0.values) - dirichlet_derivative(rho.values, rho.grid.h)
     return AlgebraPath._own(T0.grid, v)
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, Su2Triple, _cmatmul, _real_form, _unit_scaled, bracket, char_poly_coeffs, dagger, su2_basis, su2_embed
+from .algebra import AlgebraSpec, InputError, Su2Triple, _cmatmul, _real_form, _unit_scaled, bracket, char_poly_coeffs, dagger, is_member, project, su2_basis, su2_embed
 from .gauge import trivialize
 from .moment import _lax, lax_extract, mu_nahm  # noqa: F401 (perfbench traces solver.lax_extract)
 from .paths import AlgebraPath, Grid, NahmData, _read_only, _rk4_scalars, _rk4_step, sup_norm
@@ -67,16 +67,16 @@ def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:
     return P[0] - P[1]
 
 
-def _member_triple(algebra: AlgebraSpec, mats, what: str) -> np.ndarray:
-    """mats as a (3, k, k) stack; InputError unless three elements of the algebra."""
+def _member_triple(mats, k: int, what: str) -> np.ndarray:
+    """mats as a (3, k, k) stack; InputError unless three elements of su(k)."""
     Y = [np.asarray(M, dtype=complex) for M in mats]
-    if len(Y) != 3 or any(M.shape != (algebra.dim, algebra.dim) for M in Y) or not algebra.is_member(Y, tol=1e-8):
-        raise InputError(f"{what} must be three elements of su({algebra.dim})")
+    if len(Y) != 3 or any(M.shape != (k, k) for M in Y) or not is_member(Y, tol=1e-8):
+        raise InputError(f"{what} must be three elements of su({k})")
     return np.stack(Y)
 
 
-def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
-    """RK4 steps from states Y0 (B, 3, k, k), projected onto the algebra once on
+def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
+    """RK4 steps from states Y0 (B, 3, k, k), projected onto su(k) once on
     entry (off it the flow is nonlinear and would carry a start's off-algebra
     part along; on it RK4 stays there to rounding), taken on the real form phi
     of the state and copied out as its even rows: the (3, n+1, B, k, k) path,
@@ -97,7 +97,7 @@ def _nahm_flow(algebra: AlgebraSpec, Y0: np.ndarray, grid: Grid, blowup_bound: f
     scalars, blowups = _rk4_scalars(grid.h), [None] * len(Y0)
     traj = np.empty((grid.n + 1, 3, len(Y0)) + Y0.shape[2:], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        traj[0] = algebra.project(Y0.swapaxes(0, 1))
+        traj[0] = project(Y0.swapaxes(0, 1))
         y = _real_form(traj[0])
         for m0 in range(0, grid.n, BLOCK):
             for m in range(m0, min(m0 + BLOCK, grid.n)):
@@ -130,10 +130,10 @@ def integrate_nahm(
     in it to rounding.  Blow-up past the norm bound raises NahmBlowUpError at
     the first node past it (at a pole, within two steps of the crossing).
     """
-    traj, (blowup,) = _nahm_flow(algebra, _member_triple(algebra, init, "init")[None], grid, blowup_bound)
+    traj, (blowup,) = _nahm_flow(_member_triple(init, algebra.dim, "init")[None], grid, blowup_bound)
     if blowup is not None:
         raise NahmBlowUpError(*blowup)
-    return _gauge_zero(algebra, grid, traj[:, :, 0])
+    return _gauge_zero(grid, traj[:, :, 0])
 
 
 def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
@@ -141,15 +141,14 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
 
     T1 is covariantly constant, T1(s) = g(s)^-1 T1(s0) g(s) for g' = g T0
     (``gauge.trivialize``): isospectral to rounding, fourth order as g is."""
-    su = AlgebraSpec("su", T0.dim)
     X = np.asarray(T1_init, dtype=complex)
-    if X.shape != (T0.dim, T0.dim) or not su.is_member(X, tol=1e-8):
+    if X.shape != (T0.dim, T0.dim) or not is_member(X, tol=1e-8):
         raise InputError(f"initial T1 is not an element of su({T0.dim})")
     g = trivialize(T0).values
-    return T0, AlgebraPath(T0.grid, su.project(_cmatmul(_cmatmul(dagger(g), _real_form(X)), _real_form(g))))
+    return T0, AlgebraPath(T0.grid, project(_cmatmul(_cmatmul(dagger(g), _real_form(X)), _real_form(g))))
 
 
-def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T: np.ndarray, negate: bool = False) -> NahmData:
+def _gauge_zero(grid: Grid, T: np.ndarray, negate: bool = False) -> NahmData:
     """NahmData with T0 = 0 and (T1, T2, T3) = T, or -T with ``negate``, for T of
     shape (3, n+1, k, k): copied once into a zeroed C-ordered stack and negated
     there (a ufunc on a strided T would take an iteration buffer)."""
@@ -157,15 +156,16 @@ def _gauge_zero(algebra: AlgebraSpec, grid: Grid, T: np.ndarray, negate: bool = 
     values[1:] = T
     if negate:
         np.negative(values[1:], out=values[1:])
-    return NahmData._own(grid, values, algebra.dim)
+    return NahmData._own(grid, values)
 
 
-def _separable(algebra: AlgebraSpec, grid: Grid, profiles: tuple, triple) -> NahmData:
+def _separable(grid: Grid, profiles: tuple, triple) -> NahmData:
     """T0 = 0 and T_i(s) = f_i(s) triple_i, for node-sampled profiles f_i,
     written straight into rows 1..3 of the zeroed stack."""
-    values = np.zeros((4, grid.n + 1, algebra.dim, algebra.dim), dtype=complex)
-    np.multiply(np.asarray(profiles)[:, :, None, None], np.asarray(triple)[:, None], out=values[1:])
-    return NahmData._own(grid, values, algebra.dim)
+    triple = np.asarray(triple)
+    values = np.zeros((4, grid.n + 1) + triple.shape[1:], dtype=complex)
+    np.multiply(np.asarray(profiles)[:, :, None, None], triple[:, None], out=values[1:])
+    return NahmData._own(grid, values)
 
 
 def nil_solution(algebra: AlgebraSpec, grid: Grid) -> NahmData:
@@ -174,7 +174,7 @@ def nil_solution(algebra: AlgebraSpec, grid: Grid) -> NahmData:
     if not grid.s0 + 1 > 0:
         raise InputError(f"need s0 > -1, the pole left of the grid, got s0 = {grid.s0!r}")
     f = 1.0 / (grid.nodes + 1.0)
-    return _separable(algebra, grid, (f, f, f), su2_embed(algebra))
+    return _separable(grid, (f, f, f), su2_embed(algebra))
 
 
 def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
@@ -186,7 +186,7 @@ def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
         raise InputError(f"need finite a > 0 and s0_offset > 0, got {a!r} and {s0_offset!r}")
     with np.errstate(over="ignore"):  # past xi ~ 710, 1/sinh(xi) is its limit 0; an overflowed xi is inf, the limit too
         xi = a * (grid.nodes + s0_offset)
-        return _separable(AlgebraSpec("su", 2), grid, (-a / np.tanh(xi), a / np.sinh(xi), -a / np.sinh(xi)), su2_basis())
+        return _separable(grid, (-a / np.tanh(xi), a / np.sinh(xi), -a / np.sinh(xi)), su2_basis())
 
 
 @dataclass(frozen=True)
@@ -211,21 +211,17 @@ class BoundaryTarget:
         if not (np.isfinite(self.L) and self.L > 0):
             raise InputError(f"need a finite L > 0, got {self.L!r}")
         taus = np.stack((self.tau1, self.tau2, self.tau3))
-        if not AlgebraSpec("su", self.dim).is_member(taus):
+        if not is_member(taus):
             raise InputError("boundary limits tau_i must lie in su(k)")
         # the commutation tests are homogeneous, so they are taken on the
         # rescaled limits, where no norm or product overflows
         taus, scale, _ = _unit_scaled(taus)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not np.linalg.norm(bracket(taus[i], taus[j])) <= 1e-10 * scale**2:
-                    raise InputError("boundary limits tau_i must commute")
+        if not np.max(np.linalg.norm(bracket(taus[:, None], taus), axis=(-2, -1))) <= 1e-10 * scale**2:
+            raise InputError("boundary limits tau_i must commute")
         if self.sigma is not None:
             sigma, sscale, _ = _unit_scaled(np.stack(self.sigma))
-            for s in sigma:
-                for t in taus:
-                    if not np.linalg.norm(bracket(s, t)) <= 1e-8 * sscale * scale:
-                        raise InputError("sigma images must commute with the tau_i")
+            if not np.max(np.linalg.norm(bracket(sigma[:, None], taus), axis=(-2, -1))) <= 1e-8 * sscale * scale:
+                raise InputError("sigma images must commute with the tau_i")
 
     @property
     def dim(self) -> int:
@@ -274,18 +270,17 @@ def halfline_solve(
     if not (np.isfinite(tol) and tol > 0):
         raise InputError(f"need a finite tolerance > 0, got {tol!r}")
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
-    algebra = AlgebraSpec("su", target.dim)
-    model = _member_triple(algebra, asymptotic_model(target, L), "the model at L")
-    guess = _member_triple(algebra, init_guess, "init_guess")
+    model = _member_triple(asymptotic_model(target, L), target.dim, "the model at L")
+    guess = _member_triple(init_guess, target.dim, "init_guess")
 
     # S(u) = -T(L - u) solves Nahm whenever T does, so the solution through
     # model(L) is T(s) = -S(L - s) for the S starting at -model(L)
-    traj, (guess_blowup, back_blowup) = _nahm_flow(algebra, np.stack([guess, -model]), grid, blowup_bound)
+    traj, (guess_blowup, back_blowup) = _nahm_flow(np.stack([guess, -model]), grid, blowup_bound)
     model = -traj[:, 0, 1]  # project(model), where the backward path ends, as projected under the flow's errstate
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= tol
     if not kept and back_blowup is not None:
         raise NahmBlowUpError(L - back_blowup[0], back_blowup[1])
-    data = _gauge_zero(algebra, grid, traj[:, :, 0] if kept else traj[:, ::-1, 1], negate=not kept)
+    data = _gauge_zero(grid, traj[:, :, 0] if kept else traj[:, ::-1, 1], negate=not kept)
     return HalflineResult(data, True, sup_norm(data.values[1:, -1] - model), int(not kept), "converged")
 
 

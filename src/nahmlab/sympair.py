@@ -50,6 +50,8 @@ class SymmetricPairSpec:
     def __post_init__(self):
         if self.kind not in ("transpose_conjugate", "block"):
             raise InputError(f"unknown involution {self.kind!r}")
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in (self.p, self.q)):
+            raise InputError(f"block sizes must be integers, got ({self.p!r}, {self.q!r})")
         if self.kind == "transpose_conjugate" and (self.p, self.q) != (0, 0):
             raise InputError(f"transpose_conjugate takes no block sizes, got ({self.p}, {self.q})")
         if self.kind == "block" and not (self.p >= 1 and self.q >= 1 and self.p + self.q == self.base.dim):

@@ -177,7 +177,7 @@ def test_criterion_5_quotient_metric():
         X = SU2.random_element(rng)
         Y = SU2.random_element(rng)
         got = quotient_metric(zero, const(X), const(Y))
-        devs.append(abs(got - pairing(SU2, X, Y)))
+        devs.append(abs(got - pairing(X, Y)))
     dev_const = np.max(devs)
 
     devs = []

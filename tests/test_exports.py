@@ -101,3 +101,14 @@ def test_the_cli_overflow_policy_has_one_home_in_main():
     (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
     assert len(errstates) == 1
     assert errstates <= {id(n) for n in ast.walk(main)}
+
+
+def test_only_the_edges_build_an_algebra_spec():
+    # a function that receives matrices reads k from them: a spec is built
+    # only where k comes from outside the arrays, at the input edges (the
+    # CLI's config, a JSON record), for the su(2) the check suite hands to the
+    # matrix makers, and by NahmData.algebra for its callers
+    sources = sorted(Path(nahmlab.__file__).parent.glob("*.py"))
+    builders = {p.stem for p in sources for n in ast.walk(ast.parse(p.read_text()))
+                if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "AlgebraSpec"}
+    assert builders <= {"cli", "io", "checks", "paths"}, sorted(builders)

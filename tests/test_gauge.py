@@ -612,6 +612,13 @@ def test_vertical_field_requires_dirichlet(rng):
         vertical_field(T0, random_smooth_path(SU2, g, rng))
 
 
+def test_vertical_field_refuses_a_gauge_parameter_off_zero_at_an_end_as_input_error(rng):
+    # an argument outside the function's domain: InputError, which is still a ValueError
+    g = Grid(0.0, 1.0, 100)
+    with pytest.raises(InputError, match="vanish at both endpoints"):
+        vertical_field(random_smooth_path(SU2, g, rng), random_smooth_path(SU2, g, rng))
+
+
 def test_vertical_field_rejects_nan_at_an_endpoint(rng):
     g = Grid(0.0, 1.0, 100)
     T0 = random_smooth_path(SU2, g, rng)

@@ -277,7 +277,7 @@ def test_hamiltonian_rejects_an_unknown_map(rng, which):
 
 def test_rho_star_rejects_non_dirichlet(rng):
     g = Grid(0.0, 1.0, 100)
-    with pytest.raises(ValueError, match="vanish at both endpoints"):
+    with pytest.raises(InputError, match="vanish at both endpoints"):
         rho_star(random_nahm(SU2, g, rng), random_smooth_path(SU2, g, rng))
 
 

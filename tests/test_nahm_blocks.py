@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nahmlab import solver
-from nahmlab.algebra import AlgebraSpec, _unit_scaled, su2_embed
+from nahmlab.algebra import AlgebraSpec, _unit_scaled, project, su2_embed
 from nahmlab.paths import Grid, _rk4_scalars, _rk4_step
 
 SU2 = AlgebraSpec("su", 2)
@@ -21,7 +21,7 @@ B = solver.BLOCK
 GRID = Grid(0.0, 0.45, 3 * B + 10)  # three whole blocks and a partial one
 
 
-def ref_nahm_flow(algebra, Y0, grid, blowup_bound):
+def ref_nahm_flow(Y0, grid, blowup_bound):
     """The per-step loop: the cheap test after every step, the exact one on
     the unscaled norms of each member when it fails."""
     bound = min(float(blowup_bound), 1e150)
@@ -29,7 +29,7 @@ def ref_nahm_flow(algebra, Y0, grid, blowup_bound):
     scalars, blowups = _rk4_scalars(grid.h), [None] * len(Y0)
     traj = np.empty((grid.n + 1, 3, len(Y0)) + Y0.shape[2:], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        traj[0] = algebra.project(Y0.swapaxes(0, 1))
+        traj[0] = project(Y0.swapaxes(0, 1))
         y = traj[0]
         for m in range(grid.n):
             y = traj[m + 1] = _rk4_step(solver._nahm_rhs, y, scalars, None, None, None)
@@ -53,7 +53,7 @@ def counted_flow(monkeypatch, Y0, grid, bound):
         return _rk4_step(*args)
 
     monkeypatch.setattr(solver, "_rk4_step", step)
-    traj, blowups = solver._nahm_flow(SU2, Y0, grid, bound)
+    traj, blowups = solver._nahm_flow(Y0, grid, bound)
     return traj, blowups, len(steps)
 
 
@@ -73,7 +73,7 @@ def pole_start(c):
 def bound_before(node):
     """A bound between the largest norms of the pole start at node - 1 and at
     node, so that ``node`` is the first node past it."""
-    traj, _ = ref_nahm_flow(SU2, pole_start(2.0)[None], GRID, np.inf)
+    traj, _ = ref_nahm_flow(pole_start(2.0)[None], GRID, np.inf)
     norms = np.max(np.linalg.norm(traj[:, :, 0], axis=(-2, -1)), axis=0)
     assert np.all(np.diff(norms) > 0)
     return 0.5 * (norms[node - 1] + norms[node])
@@ -86,7 +86,7 @@ def test_blowup_node_matches_the_per_step_loop(monkeypatch, node):
     bound = bound_before(node)
     Y0 = pole_start(2.0)[None]
     traj, blowups, steps = counted_flow(monkeypatch, Y0, GRID, bound)
-    ref, ref_blowups = ref_nahm_flow(SU2, Y0, GRID, bound)
+    ref, ref_blowups = ref_nahm_flow(Y0, GRID, bound)
     assert node_of(blowups[0], GRID) == node
     assert blowups == ref_blowups
     assert traj[:, : node + 1].tobytes() == ref[:, : node + 1].tobytes()
@@ -103,8 +103,8 @@ def test_batch_members_blow_up_in_different_blocks():
     rng = np.random.default_rng(7)
     small = np.stack([SU2.random_element(rng, 0.3) for _ in range(3)])
     Y0, bound = np.stack([pole_start(5.0), pole_start(3.0), pole_start(2.0), small]), 50.0
-    traj, blowups = solver._nahm_flow(SU2, Y0, GRID, bound)
-    ref, ref_blowups = ref_nahm_flow(SU2, Y0, GRID, bound)
+    traj, blowups = solver._nahm_flow(Y0, GRID, bound)
+    ref, ref_blowups = ref_nahm_flow(Y0, GRID, bound)
     assert blowups == ref_blowups
     assert [node_of(b, GRID) // B for b in blowups[:2]] == [1, 2]
     assert blowups[2:] == [None, None]
@@ -115,8 +115,8 @@ def test_batch_members_blow_up_in_different_blocks():
 def test_nan_start_blows_up_on_the_first_node():
     Y0 = NIL.copy()
     Y0[1, 0, 1] = np.nan
-    traj, blowups = solver._nahm_flow(SU2, Y0[None], GRID, 1e6)
-    ref, ref_blowups = ref_nahm_flow(SU2, Y0[None], GRID, 1e6)
+    traj, blowups = solver._nahm_flow(Y0[None], GRID, 1e6)
+    ref, ref_blowups = ref_nahm_flow(Y0[None], GRID, 1e6)
     assert blowups == ref_blowups == [(GRID.h, np.inf)]
     assert traj[:, :2].tobytes() == ref[:, :2].tobytes()
 
@@ -124,7 +124,7 @@ def test_nan_start_blows_up_on_the_first_node():
 def test_flow_stops_at_the_end_of_the_block_where_the_last_member_blew_up(monkeypatch):
     Y0, bound = np.stack([pole_start(5.0), pole_start(3.0)]), 50.0
     traj, blowups, steps = counted_flow(monkeypatch, Y0, GRID, bound)
-    ref, ref_blowups = ref_nahm_flow(SU2, Y0, GRID, bound)
+    ref, ref_blowups = ref_nahm_flow(Y0, GRID, bound)
     last = max(node_of(b, GRID) for b in blowups)
     assert blowups == ref_blowups
     assert steps == block_end(last, GRID) < GRID.n
@@ -137,7 +137,7 @@ def test_a_block_past_the_cheap_test_with_no_node_past_the_bound():
     # a state whose summed squared norms fail the block test on every block
     # while no single norm passes the bound: nothing may be reported
     Y0 = np.stack([pole_start(2.0), pole_start(2.0)])
-    traj, blowups = solver._nahm_flow(SU2, Y0, GRID, 36.0)
-    ref, ref_blowups = ref_nahm_flow(SU2, Y0, GRID, 36.0)
+    traj, blowups = solver._nahm_flow(Y0, GRID, 36.0)
+    ref, ref_blowups = ref_nahm_flow(Y0, GRID, 36.0)
     assert blowups == ref_blowups == [None, None]
     assert traj.tobytes() == ref.tobytes()

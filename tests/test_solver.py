@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coeffs, su2_basis, su2_embed
+from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coeffs, project, su2_basis, su2_embed
 from nahmlab import solver
 from nahmlab.moment import lax_extract, mu_nahm
 from nahmlab.gauge import complex_trivialize_direct, trivialize
@@ -137,11 +137,17 @@ def test_integrate_nahm_constant_gauge_covariance(rng):
         assert sup_norm(b.values - U @ a.values @ U.conj().T) < 1e-12
 
 
+def member_defect(X):
+    """max(|tr X| / sqrt(k), |X + X^dag|) over a stack of k x k matrices: 0 on su(k)."""
+    trace = np.max(np.abs(np.trace(X, axis1=-2, axis2=-1))) / np.sqrt(X.shape[-1])
+    return max(trace, np.max(np.linalg.norm(X + X.conj().swapaxes(-1, -2), axis=(-2, -1))))
+
+
 def test_integrate_nahm_preserves_skewness(rng):
     g = Grid(0.0, 1.0, 500)
     d = integrate_nahm(SU2, tuple(SU2.random_element(rng, 0.4) for _ in range(3)), g)
     for c in (d.T1, d.T2, d.T3):
-        assert SU2.member_defect(c.values) <= 1e-10
+        assert member_defect(c.values) <= 1e-10
 
 
 def test_integrate_nahm_blowup():
@@ -325,6 +331,13 @@ def test_boundary_target_validation(rng):
     with pytest.raises(ValueError):
         BoundaryTarget(1j * X, Z2, Z2, L=5.0)  # Hermitian, not in su(2)
     BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=5.0).__class__  # valid
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 3), (2,)])
+def test_boundary_target_refuses_limits_that_are_not_square(shape):
+    # the membership test reads k off the matrices: a non-square stack is no member
+    with pytest.raises(InputError, match="must lie in su"):
+        BoundaryTarget(*(np.zeros(shape),) * 3, L=5.0)
 
 
 def test_boundary_target_commutation_at_large_finite_entries():
@@ -744,7 +757,7 @@ def test_integrate_nahm_stays_in_su_k_without_per_step_projection(k):
     init = tuple(spec.random_element(rng, 0.1 / k) for _ in range(3))
     T = integrate_nahm(spec, init, Grid(0.0, 5.0, 5000)).values[1:]
     scale = float(np.max(np.linalg.norm(T, axis=(-2, -1))))
-    assert spec.member_defect(T) <= 1e-13 * scale
+    assert member_defect(T) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -758,9 +771,9 @@ def test_integrate_nahm_projects_a_start_off_su_k(k):
     H = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
     H = H + np.conj(H.swapaxes(-1, -2))
     off = init + 1e-9 * (H / np.linalg.norm(H, axis=(-2, -1), keepdims=True) + 1j * np.eye(k) / np.sqrt(k))
-    assert spec.member_defect(off) > 1e-10
+    assert member_defect(off) > 1e-10
     T = integrate_nahm(spec, tuple(off), Grid(0.0, 1.0, 500)).values[1:]
-    assert spec.member_defect(T) <= 1e-14 * float(np.max(np.linalg.norm(T, axis=(-2, -1))))
+    assert member_defect(T) <= 1e-14 * float(np.max(np.linalg.norm(T, axis=(-2, -1))))
 
 
 def ref_cmatmul(x, y):
@@ -937,9 +950,9 @@ def test_prepared_constants_are_bitwise_safe(k):
         part[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
     nil = np.stack(su2_embed(spec))
     X = np.concatenate([X, nil[None], -nil[None], 0.0 * X[:1], -0.0 * X[:1]])
-    assert spec.project(X).tobytes() == ref_skew_project(X, k).tobytes()
+    assert project(X).tobytes() == ref_skew_project(X, k).tobytes()
     h = 0.037
-    for Y in (X, spec.project(X)):
+    for Y in (X, project(X)):
         k1 = ref_nahm_rhs(Y, None)
         k2 = ref_nahm_rhs(Y + 0.5 * h * k1, None)
         k3 = ref_nahm_rhs(Y + 0.5 * h * k2, None)
@@ -957,7 +970,7 @@ def test_nahm_batch_members_match_their_single_runs(k):
     nil = np.stack(su2_embed(spec))
     starts = [np.stack([spec.random_element(rng, 0.5 / k) for _ in range(3)]), -2.0 * nil, nil]
     g = Grid(0.0, 1.0, 400)
-    traj, blowups = solver._nahm_flow(spec, np.stack(starts), g, 1e6)
+    traj, blowups = solver._nahm_flow(np.stack(starts), g, 1e6)
     assert traj.shape == (3, g.n + 1, 3, k, k)
     for b, start in enumerate(starts):
         try:
@@ -979,7 +992,7 @@ def test_nahm_batch_stops_when_every_member_blew_up():
     # poles at s = 1/2 and s = 1/4: each member's record is its single run's
     g = Grid(0.0, 1.0, 1000)
     starts = [-2.0 * np.stack(su2_embed(SU2)), -4.0 * np.stack(su2_embed(SU2))]
-    _, blowups = solver._nahm_flow(SU2, np.stack(starts), g, 1e6)
+    _, blowups = solver._nahm_flow(np.stack(starts), g, 1e6)
     for start, blowup in zip(starts, blowups):
         with pytest.raises(NahmBlowUpError) as info:
             integrate_nahm(SU2, tuple(start), g)
@@ -1003,7 +1016,7 @@ def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
 
     iterations, data = 0, None
     try:
-        data, term = flow(spec.project(np.stack(guess)))
+        data, term = flow(project(np.stack(guess)))
     except NahmBlowUpError:
         pass
     if data is None or gap(term) > tol:
@@ -1049,7 +1062,7 @@ def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
     flow, calls = solver._nahm_flow, []
 
     def counted(*args):
-        calls.append(len(args[1]))  # the batch size of each loop
+        calls.append(len(args[0]))  # the batch size of each loop
         return flow(*args)
 
     monkeypatch.setattr(solver, "_nahm_flow", counted)

@@ -69,6 +69,19 @@ def test_block_sizes_are_at_least_one_and_sum_to_the_dimension(p, q):
         SymmetricPairSpec(SU2, "block", p, q)
 
 
+@pytest.mark.parametrize("p, q", [(1.5, 1.5), (1.0, 2.0), (True, 2)])
+def test_block_sizes_must_be_integers(p, q):
+    # a float or bool size would construct, and k_basis would then fail inside numpy
+    with pytest.raises(InputError, match="block sizes must be integers"):
+        SymmetricPairSpec(SU3, "block", p, q)
+
+
+def test_numpy_integer_block_sizes_are_accepted():
+    spec = SymmetricPairSpec(SU3, "block", np.int64(1), np.int64(2))
+    plain = SymmetricPairSpec(SU3, "block", 1, 2)
+    assert np.array_equal(spec.k_basis(), plain.k_basis()) and np.array_equal(spec.m_basis(), plain.m_basis())
+
+
 @pytest.mark.parametrize("p, q", [(5, -7), (1, 1), (0, 2), (1, 0)])
 def test_transpose_conjugate_refuses_block_sizes(p, q):
     # the involution -Z^T has no blocks: sizes given to it would be ignored
@@ -93,7 +106,7 @@ def test_split_orthogonal_and_idempotent(spec, rng):
         X = spec.base.random_element(rng)
         Xk, Xm = split(spec, X)
         assert np.abs(Xk + Xm - X).max() < 1e-13
-        assert abs(pairing(spec.base, Xk, Xm)) < 1e-12
+        assert abs(pairing(Xk, Xm)) < 1e-12
         assert np.abs(split(spec, Xk)[0] - Xk).max() < 1e-13
         assert np.abs(split(spec, Xm)[1] - Xm).max() < 1e-13
 
