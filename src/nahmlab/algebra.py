@@ -183,7 +183,7 @@ def pairing(X: np.ndarray, Y: np.ndarray) -> float:
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1] or Y.shape != X.shape:
-        raise ValueError("dimension mismatch in pairing")
+        raise InputError("dimension mismatch in pairing")
     return float(pairing_nodes(X, Y))
 
 

@@ -178,6 +178,9 @@ def _curve_json(coeffs: list) -> dict:
 def cmd_spectral(cfg: dict, out_dir: Path) -> bool:
     reality_bound = cfg["reality_bound"]
     if cfg["fixed_curve"] is not None:
+        for key in ("init", "nonreal_control"):  # a fixed curve has no flow for them to act on
+            if cfg[key]:
+                raise InputError(f"config key {key!r} is refused beside 'fixed_curve'")
         k, fc = AlgebraSpec(**cfg["algebra"]).dim, cfg["fixed_curve"]
         taus = [_matrix(fc[name], k) for name in ("tau1", "tau2", "tau3")]
         coeffs, factors = fixed_curve(BoundaryTarget(*taus))
@@ -297,11 +300,7 @@ def cmd_vergne(cfg: dict, out_dir: Path) -> bool:
     uv = _vergne_points(cfg)
     if not len(uv):
         raise InputError("no sample points configured")
-    # the points are taken in order: a zero point is refused once those before it are done
-    zero = np.flatnonzero((uv == 0).all(axis=1))
-    table, crossovers, nonfinite = _vergne_table(uv[:zero[0]] if zero.size else uv)
-    if zero.size:
-        raise InputError("(u, v) must be nonzero")
+    table, crossovers, nonfinite = _vergne_table(uv)
     nio.write_json({"samples": table, "crossovers": crossovers}, out_dir / "vergne.json")
     print(f"vergne: {len(uv)} points, {crossovers} crossovers")
     return crossovers == nonfinite == 0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, InputError, _su_bracket, pairing_nodes
+from .algebra import AlgebraSpec, _su_bracket, pairing_nodes
 from .paths import (
     CHUNK,
     AlgebraPath,
@@ -20,6 +20,7 @@ from .paths import (
     _node_slices,
     _random_chunk,
     _shared_grid,
+    _structure,
     complex_structure,
     l2_norm,
     omega,
@@ -122,8 +123,9 @@ def hamiltonian_check(d: NahmData, rho: AlgebraPath, v: NahmData, which) -> floa
 def _hamiltonian_gaps(d: NahmData, rho: AlgebraPath, v: NahmData, maps) -> list:
     """``hamiltonian_check`` of each sample of a chunk (batch records) or of
     one sample, one list per map of ``maps``; the maps share rho* and the norms."""
-    if any(which not in ("baby", 1, 2, 3) for which in maps):
-        raise InputError("which must be 'baby', 1, 2 or 3")
+    for which in maps:
+        if which != "baby":
+            _structure(which, "which must be 'baby', 1, 2 or 3")
 
     def pair(data, which):  # <mu(data), rho>, integrated
         mu = mu_baby(data.T0, data.T1).values if which == "baby" else _mu(data.values, d.grid.h, which)

@@ -152,7 +152,7 @@ def _shared_grid(*paths) -> Grid:
     g = paths[0].grid
     for p in paths[1:]:
         if p.grid != g:
-            raise ValueError("paths live on different grids")
+            raise InputError("paths live on different grids")
     return g
 
 
@@ -209,8 +209,7 @@ def dirichlet_derivative(values: np.ndarray, h: float) -> np.ndarray:
     of ``path_derivative`` under trapezoid weights.
     """
     v = np.asarray(values)
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    d = _derivative(v, h, np.empty_like(v))  # its central interior; the end rows are replaced
     d[0] = (v[1] - v[0]) / h
     d[-1] = (v[-1] - v[-2]) / h
     return d
@@ -293,20 +292,23 @@ _STRUCTURE = {  # i: (signs, source)
 }
 
 
+def _structure(i, refusal: str = "complex structure index must be the int 1, 2 or 3") -> tuple:
+    """The (signs, source) of I_i; InputError(refusal) unless i is the int 1, 2 or 3 (a bool is no index)."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i not in _STRUCTURE:
+        raise InputError(refusal)
+    return _STRUCTURE[i]
+
+
 def complex_structure(i: int, v: NahmData) -> NahmData:
     """Apply the complex structure I_i (right quaternion multiplication)."""
-    if i not in (1, 2, 3):
-        raise InputError("complex structure index must be 1, 2 or 3")
-    signs, source = _STRUCTURE[i]
+    signs, source = _structure(i)
     return NahmData._own(v.grid, np.reshape(signs, (4,) + (1,) * (v.values.ndim - 1)) * v.values[list(source)])
 
 
 def omega(i: int, u: NahmData, v: NahmData) -> float:
     """Symplectic form omega_i(u, v) = g(I_i u, v), paired from u's component views."""
-    if i not in (1, 2, 3):
-        raise InputError("complex structure index must be 1, 2 or 3")
     grid, total = _shared_grid(u, v), 0.0
-    for sign, m, vm in zip(*_STRUCTURE[i], v.values):  # in component order, as l2_metric sums
+    for sign, m, vm in zip(*_structure(i), v.values):  # in component order, as l2_metric sums
         total = (np.add if sign > 0 else np.subtract)(total, pairing_nodes(u.values[m], vm))
     return quadrature(total, grid)
 

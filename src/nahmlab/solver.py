@@ -21,7 +21,6 @@ Result records are plain dataclasses; the CLI renders them as artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -191,8 +190,8 @@ def coth_solution(a: float, s0_offset: float, grid: Grid) -> NahmData:
 
 @dataclass(frozen=True)
 class BoundaryTarget:
-    """Commuting limits (tau1, tau2, tau3), optional su(2) embedding images,
-    and the truncation length L of the half-line.
+    """Commuting limits (tau1, tau2, tau3), the su(2) representation's images
+    sigma (the zero triple, the trivial one, when none is given) and length L.
 
     The matrices are read-only copies of the input, as in ``AlgebraPath``.
     """
@@ -200,14 +199,14 @@ class BoundaryTarget:
     tau1: np.ndarray
     tau2: np.ndarray
     tau3: np.ndarray
-    sigma: Optional[Su2Triple] = None
+    sigma: Su2Triple | None = None
     L: float = 10.0
 
     def __post_init__(self):
         for name in ("tau1", "tau2", "tau3"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-        if self.sigma is not None:
-            object.__setattr__(self, "sigma", Su2Triple(*(_read_only(e) for e in self.sigma)))
+        sigma = (np.zeros_like(self.tau1),) * 3 if self.sigma is None else self.sigma
+        object.__setattr__(self, "sigma", Su2Triple(*(_read_only(e) for e in sigma)))
         if not (np.isfinite(self.L) and self.L > 0):
             raise InputError(f"need a finite L > 0, got {self.L!r}")
         taus = np.stack((self.tau1, self.tau2, self.tau3))
@@ -218,10 +217,9 @@ class BoundaryTarget:
         taus, scale, _ = _unit_scaled(taus)
         if not np.max(np.linalg.norm(bracket(taus[:, None], taus), axis=(-2, -1))) <= 1e-10 * scale**2:
             raise InputError("boundary limits tau_i must commute")
-        if self.sigma is not None:
-            sigma, sscale, _ = _unit_scaled(np.stack(self.sigma))
-            if not np.max(np.linalg.norm(bracket(sigma[:, None], taus), axis=(-2, -1))) <= 1e-8 * sscale * scale:
-                raise InputError("sigma images must commute with the tau_i")
+        sigma, sscale, _ = _unit_scaled(np.stack(self.sigma))
+        if not np.max(np.linalg.norm(bracket(sigma[:, None], taus), axis=(-2, -1))) <= 1e-8 * sscale * scale:
+            raise InputError("sigma images must commute with the tau_i")
 
     @property
     def dim(self) -> int:
@@ -230,10 +228,7 @@ class BoundaryTarget:
 
 def asymptotic_model(target: BoundaryTarget, s: float) -> np.ndarray:
     """First-order asymptotic values (tau_i + sigma(e_i)/(s+1)) as (3,k,k)."""
-    taus = np.stack([target.tau1, target.tau2, target.tau3])
-    if target.sigma is not None:
-        taus = taus + np.stack(target.sigma) / (s + 1.0)
-    return taus
+    return np.stack([target.tau1, target.tau2, target.tau3]) + np.stack(target.sigma) / (s + 1.0)
 
 
 @dataclass
@@ -301,15 +296,15 @@ def orbit_identify(
     residual_gate: float = 1e-3,
 ) -> OrbitReport:
     """Compare the characteristic polynomial of beta(0) with that of the orbit
-    representative tau2 + i tau3 (+ sigma(e2) + i sigma(e3) when present).
+    representative tau2 + i tau3 + sigma(e2) + i sigma(e3).
 
     Certification requires both coefficient agreement and a small Nahm
     residual on the supplied data.
     """
+    if not all(np.isfinite(b) and b > 0 for b in (coeff_tol, residual_gate)):
+        raise InputError(f"need a finite coeff_tol and residual_gate > 0, got {coeff_tol!r} and {residual_gate!r}")
     beta0 = _lax(d.values[:, :1])[1, 0]
-    rep = target.tau2 + 1j * target.tau3
-    if target.sigma is not None:
-        rep = rep + target.sigma.e2 + 1j * target.sigma.e3
+    rep = target.tau2 + 1j * target.tau3 + target.sigma.e2 + 1j * target.sigma.e3
     # the monic coefficients of det(eta - M), descending, for M = beta(0) and the representative
     p_beta, p_rep = np.concatenate([np.ones((1, 2)), *char_poly_coeffs(np.stack([beta0, rep])[None])]).T
     scale = max(1.0, float(np.max(np.abs(p_rep))))

@@ -65,6 +65,12 @@ def test_pairing_values():
     assert abs(pairing(E1, E2)) < 1e-15
 
 
+@pytest.mark.parametrize("X, Y", [(E1, np.zeros((3, 3))), (E1, np.zeros(2)), (np.zeros((2, 3)), np.zeros((2, 3)))])
+def test_pairing_refuses_mismatched_shapes(X, Y):
+    with pytest.raises(InputError, match="dimension mismatch"):
+        pairing(X, Y)
+
+
 def test_pairing_ad_invariance(rng):
     assert abs(pairing(bracket(E3, E1), E2) + pairing(E1, bracket(E3, E2))) < 1e-15
     spec = AlgebraSpec("su", 3)

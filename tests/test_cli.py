@@ -167,12 +167,12 @@ def test_vergne_non_finite_image_fails(tmp_path, capsys):
     assert (out / "vergne.json").exists()
 
 
-def test_vergne_zero_point_is_refused_after_the_points_before_it(tmp_path, capsys):
-    # the points are taken in order: the first one's failure is printed before the second is refused
+def test_vergne_zero_point_is_refused_before_anything_is_written(tmp_path, capsys):
+    # the zero point is refused as a config error: the failing point before it is not reported
     code, out = run(tmp_path, "vergne", {"points": [[1e308, 1e308, 1e308, 1e308], [0, 0, 0, 0]]})
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == "vergne: point [1e+308, 1e+308, 1e+308, 1e+308] has a non-finite image -> FAIL\n"
+    assert captured.out == ""
     assert captured.err == "config error: (u, v) must be nonzero\n"
     assert not (out / "vergne.json").exists()
 
@@ -448,6 +448,15 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         ("evolve", {"algebra": {"family": "su", "dim": 10**30}, "grid": SMALL_GRID, "init": {"kind": "nil"}}),
         # a kind is a string
         ("evolve", {"grid": SMALL_GRID, "init": {"kind": True}}),
+        # a fixed curve has no flow: the flow's start and its negative control are refused beside it
+        ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8}}, "nonreal_control": True}),
+        ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8}}, "init": {"kind": "nil"}}),
+        # the su(2) presets, a start at the nil pole, and a sigma spec the target does not know
+        ("spectral", {"algebra": {"family": "su", "dim": 3}, "fixed_curve": {"tau1": {"te3": 0.8}}}),
+        ("evolve", {"grid": {"s0": 0.5, "s1": 1.0, "n": 50}, "init": {"kind": "nil", "offset": -0.5}}),
+        ("evolve", {"algebra": {"family": "su", "dim": 3}, "grid": SMALL_GRID, "init": {"kind": "coth"}}),
+        ("halfline", {"target": {"kind": "nil", "L": 5.0, "sigma": "bogus"}}),
+        ("halfline", {"algebra": {"family": "su", "dim": 3}, "target": {"kind": "coth", "L": 5.0}}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
@@ -456,6 +465,16 @@ def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("nonreal_control", True), ("init", {"kind": "nil"})])
+def test_fixed_curve_refuses_a_flow_key_by_name(tmp_path, capsys, key, value):
+    # the negative control, and a start, would otherwise be ignored and the fixed curve pass
+    code, out = run(tmp_path, "spectral", {"fixed_curve": {"tau1": {"te3": 0.8}}, key: value})
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"config error: config key {key!r} is refused beside 'fixed_curve'\n"
+    assert captured.out == "" and not (out / "spectral.json").exists()
 
 
 @pytest.mark.parametrize(

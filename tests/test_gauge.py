@@ -394,6 +394,16 @@ def test_complex_trivialize_level_gate_is_baby_map():
         complex_trivialize(T0, T1, level_tol=np.nextafter(r, 0))
 
 
+def test_complex_trivialize_refuses_a_drifting_t1():
+    # T0 = 0 and T1(s) = s e1: the baby residual |e1| = 0.707 passes level_tol 1, but the
+    # gauged T1 (T1 itself, the gauge being 1) moves by 100 |e1| = 70.71 over [0, 100]
+    g = Grid(0.0, 100.0, 200)
+    T0, T1 = const_path(g, np.zeros((2, 2), dtype=complex)), AlgebraPath(g, g.nodes[:, None, None] * E1)
+    assert sup_norm(mu_baby(T0, T1).values) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    with pytest.raises(InputError, match=r"gauged T1 drifts by 7\.071e\+01"):
+        complex_trivialize(T0, T1, level_tol=1.0)
+
+
 @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6])
 def test_complex_trivialize_rejects_bad_level_tol(tol):
     # a NaN tolerance would otherwise pass any pair: every comparison with it is false

@@ -267,7 +267,7 @@ def test_hamiltonian_rejects_non_dirichlet(rng):
         hamiltonian_check(d, random_smooth_path(SU2, g, rng), v, "baby")
 
 
-@pytest.mark.parametrize("which", [0, 4, "I1"])
+@pytest.mark.parametrize("which", [0, 4, "I1", True, 1.0])  # a bool or a float equal to 1 is no index
 def test_hamiltonian_rejects_an_unknown_map(rng, which):
     g = Grid(0.0, 1.0, 20)
     d, rho, v = random_nahm(SU2, g, rng), random_dirichlet_path(SU2, g, rng), random_tangent(SU2, g, rng)

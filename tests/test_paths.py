@@ -236,6 +236,25 @@ def test_omega_is_the_metric_against_the_rotated_tangent_bitwise(rng):
         complex_structure(0, one[0])
 
 
+@pytest.mark.parametrize("i", [True, 1.0, np.float64(2.0), "1"])
+def test_complex_structure_index_is_an_int(rng, i):
+    # a bool or a float equal to 1 was taken as I1
+    u = random_tangent(SU2, Grid(0.0, 1.0, 10), rng)
+    with pytest.raises(InputError, match="complex structure index"):
+        complex_structure(i, u)
+    with pytest.raises(InputError, match="complex structure index"):
+        omega(i, u, u)
+    assert complex_structure(np.int64(2), u).values.tobytes() == complex_structure(2, u).values.tobytes()
+
+
+def test_paths_on_different_grids_are_refused(rng):
+    # same node count, different interval: the node-wise sums would pair unrelated samples
+    u, v = (random_tangent(SU2, Grid(0.0, s1, 10), rng) for s1 in (1.0, 2.0))
+    for pair in (l2_metric, lambda a, b: omega(1, a, b)):
+        with pytest.raises(InputError, match="different grids"):
+            pair(u, v)
+
+
 def test_metric_invariance_under_s1_block_rotation(rng):
     # rotating the (t1, t2, t3) blocks of both tangents is an isometry and
     # preserves omega_1 (the circle fixing I1)

@@ -612,6 +612,25 @@ def test_orbit_identify_rank_at_threshold():
     assert rep.beta0_rank == 2
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["coeff_tol", "residual_gate"])
+def test_orbit_identify_refuses_a_bad_tolerance(name, bad):
+    # at coeff_tol -1 the rank was read at a NaN cut: the nil solution's rank-1 beta(0) reported rank 0
+    d = nil_solution(SU2, Grid(0.0, 1.0, 50))
+    target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=1.0)
+    assert orbit_identify(d, target).beta0_rank == 1
+    with pytest.raises(InputError, match="finite coeff_tol and residual_gate > 0"):
+        orbit_identify(d, target, **{name: bad})
+
+
+def test_target_without_sigma_holds_the_zero_triple():
+    # the trivial su(2) representation: the model is the limits, and the sigma images are read-only zeros
+    target = BoundaryTarget(-1.5 * E1, Z2, Z2, L=5.0)
+    assert isinstance(target.sigma, Su2Triple)
+    assert all(np.array_equal(e, Z2) and not e.flags.writeable for e in target.sigma)
+    assert np.array_equal(asymptotic_model(target, 5.0), np.stack([-1.5 * E1, Z2, Z2]))
+
+
 def test_orbit_identify_residual_gate(rng):
     # garbage data cannot be certified even if beta(0) happens to match
     g = Grid(0.0, 1.0, 100)

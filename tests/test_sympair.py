@@ -62,6 +62,11 @@ def test_involution_is_automorphism(spec, rng):
     assert validate(spec, rng) <= 1e-12
 
 
+def test_unknown_involution_is_refused():
+    with pytest.raises(InputError, match="unknown involution 'bogus'"):
+        SymmetricPairSpec(SU2, "bogus")
+
+
 @pytest.mark.parametrize("p, q", [(2, 0), (0, 2), (1, 2)])
 def test_block_sizes_are_at_least_one_and_sum_to_the_dimension(p, q):
     # an empty block leaves k or m without a basis to take ranks over
