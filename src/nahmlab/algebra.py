@@ -222,8 +222,7 @@ def su2_embed(spec: AlgebraSpec) -> Su2Triple:
     The images satisfy the same bracket relations as (e1, e2, e3); for k = 2
     this is the identity embedding.
     """
-    J1, J2, J3 = _spin_matrices(spec.dim)
-    return Su2Triple(1j * J1, 1j * J2, 1j * J3)
+    return su2_embed_block(spec, spec.dim)
 
 
 def su2_embed_block(spec: AlgebraSpec, m: int) -> Su2Triple:

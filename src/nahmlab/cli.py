@@ -134,10 +134,7 @@ def _matrix(entry, k: int) -> np.ndarray:
         if k != 2:
             raise InputError("te3 preset needs su(2)")
         return entry["te3"] * su2_basis().e3
-    try:
-        return nio.matrix_from_json(entry, k)
-    except Exception as exc:
-        raise InputError(f"bad matrix entry: {exc}") from exc
+    return nio.matrix_from_json(entry, k)
 
 
 def _flow(cfg: dict) -> NahmData:
@@ -170,11 +167,6 @@ def cmd_evolve(cfg: dict, out_dir: Path) -> bool:
     return ok
 
 
-def _curve_json(coeffs: list) -> dict:
-    """A curve's coefficient list [a_1, ..., a_k] as {"k": k, "a": [re, im] pairs per a_j}."""
-    return {"k": len(coeffs), "a": [nio.to_pairs(c) for c in coeffs]}
-
-
 def cmd_spectral(cfg: dict, out_dir: Path) -> bool:
     reality_bound = cfg["reality_bound"]
     if cfg["fixed_curve"] is not None:
@@ -185,8 +177,7 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> bool:
         taus = [_matrix(fc[name], k) for name in ("tau1", "tau2", "tau3")]
         coeffs, factors = fixed_curve(BoundaryTarget(*taus))
         violation = reality_check(coeffs)
-        factors = None if factors is None else [nio.to_pairs(q) for q in factors]
-        nio.write_json({"curve": _curve_json(coeffs), "factors": factors, "reality_violation": violation},
+        nio.write_json({"curve": {"k": len(coeffs), "a": coeffs}, "factors": factors, "reality_violation": violation},
                        out_dir / "spectral.json")
         ok = passes(violation, reality_bound)
         print(f"spectral: fixed curve reality violation {violation:.3e} -> {'pass' if ok else 'FAIL'}")
@@ -198,7 +189,7 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> bool:
     curve0 = [f[:, 0] for f in flows]
     violation = reality_check(curve0)
     nio.coeffs_to_csv(d.grid, flows, out_dir / "coeffs.csv")
-    nio.write_json({"drift": drift, "reality_violation": violation, "curve0": _curve_json(curve0)},
+    nio.write_json({"drift": drift, "reality_violation": violation, "curve0": {"k": len(curve0), "a": curve0}},
                    out_dir / "spectral.json")
     drift_bound = cfg["drift_bound"]
     ok = passes(drift, drift_bound) and passes(violation, reality_bound)
@@ -252,10 +243,8 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> bool:
     result = halfline_solve(target, tuple(guess), step=cfg["step"], tol=cfg["tol"],
                             blowup_bound=cfg["blowup_bound"])
     report = orbit_identify(result.data, target, coeff_tol=cfg["coeff_tol"], residual_gate=cfg["residual_gate"])
-    orbit = {**vars(report), "charpoly_beta0": nio.to_pairs(report.charpoly_beta0),
-             "charpoly_target": nio.to_pairs(report.charpoly_target)}
-    nio.write_json({"terminal_deviation": result.terminal_deviation, "iterations": result.iterations, "orbit": orbit},
-                   out_dir / "halfline.json")
+    nio.write_json({"terminal_deviation": result.terminal_deviation, "iterations": result.iterations,
+                    "orbit": vars(report)}, out_dir / "halfline.json")
     nio.write_json(nio.nahm_to_json(result.data), out_dir / "solution.json")
     print(f"halfline: terminal deviation {result.terminal_deviation:.3e}; orbit certified: {report.certified}")
     return report.certified
@@ -284,15 +273,13 @@ def _vergne_table(uv: np.ndarray) -> tuple:
     orbit = classify_real_orbit(u, v)
     M = vergne_map_j(u, v)
     form, b = kc_orbit_form_check(M)
-    pairs = nio.to_pairs(uv).tolist()
     nonfinite = np.flatnonzero(~np.isfinite(M).all(axis=(-2, -1)))
     for i in nonfinite:
-        print(f"vergne: point {pairs[i][0] + pairs[i][1]} has a non-finite image -> FAIL")
+        print(f"vergne: point {uv[i].view(float).tolist()} has a non-finite image -> FAIL")
     crossovers = np.count_nonzero((orbit == "O_plus") & (form != "plus_form")
                                   | (orbit == "O_minus") & (form != "minus_form"))
     table = [{"u": p[0], "v": p[1], "orbit": o, "image": m, "form": f, "b": None if f == "neither" else c}
-             for p, o, m, f, c in zip(pairs, orbit.tolist(), nio.to_pairs(M.reshape(-1, 4)).tolist(), form.tolist(),
-                                      nio.to_pairs(b).tolist())]
+             for p, o, m, f, c in zip(uv.tolist(), orbit.tolist(), M.reshape(-1, 4).tolist(), form.tolist(), b.tolist())]
     return table, int(crossovers), len(nonfinite)
 
 
@@ -317,6 +304,15 @@ def cmd_check(cfg: dict, out_dir: Path) -> bool:
     return all_pass
 
 
+def _read_config(path: str):
+    """The config file's JSON value; one nested past the parser's recursion limit is an InputError."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("the config is nested too deeply to parse") from None
+
+
 _COMMANDS = {"evolve": cmd_evolve, "spectral": cmd_spectral, "halfline": cmd_halfline, "vergne": cmd_vergne,
              "check": cmd_check}
 
@@ -330,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = json.loads(Path(args.config).read_text())
+        raw = _read_config(args.config)
         if args.seed is not None and isinstance(raw, dict):
             raw = {**raw, "seed": args.seed}
         cfg = _value(raw, Key(SCHEMAS[args.command]))

@@ -1,10 +1,10 @@
 """JSON / CSV serialization.
 
-Matrices serialize as flat row-major JSON arrays of [re, im] pairs, in the
-stdlib's ``json.dumps(obj, indent=2, sort_keys=True)`` layout, and a float
-array is written whole.  CSV files have one row per grid node, a complex value
-takes an _re and an _im column, and floats have 17 significant digits, so
-identical runs produce byte-identical artifacts.
+A complex number is written as its [re, im] pair and a matrix as a flat
+row-major JSON array of pairs, in the stdlib's ``json.dumps(obj, indent=2,
+sort_keys=True)`` layout; a float array is written whole.  CSV files have one
+row per grid node, a complex value takes an _re and an _im column, and floats
+have 17 significant digits, so identical runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, InputError
 from .paths import Grid, NahmData, _node_slices
 
 __all__ = [
@@ -39,10 +39,13 @@ def to_pairs(z) -> np.ndarray:
 
 def from_pairs(data) -> np.ndarray:
     """Complex array from (nested lists of) [re, im] pairs, the JSON form of
-    ``to_pairs``: bit for bit, as the pairs are reinterpreted, not recombined."""
-    pairs = np.ascontiguousarray(data, dtype=float)
+    ``to_pairs``, bit for bit (reinterpreted, not recombined); else InputError."""
+    try:
+        pairs = np.ascontiguousarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"expected [re, im] pairs of numbers: {exc}") from None
     if pairs.shape[-1:] != (2,):
-        raise ValueError(f"expected [re, im] pairs, got shape {pairs.shape}")
+        raise InputError(f"expected [re, im] pairs, got shape {pairs.shape}")
     return pairs.view(complex)[..., 0]
 
 
@@ -51,7 +54,7 @@ def matrix_from_json(data, k: int, *lead: int) -> np.ndarray:
     [re, im] pairs: one matrix with no ``lead``, a path's nodes with (n + 1,)."""
     z = from_pairs(data)
     if z.shape != (*lead, k * k):
-        raise ValueError(f"expected [re, im] pairs of shape {(*lead, k * k, 2)}, got shape {z.shape + (2,)}")
+        raise InputError(f"expected [re, im] pairs of shape {(*lead, k * k, 2)}, got shape {z.shape + (2,)}")
     return z.reshape(*lead, k, k)
 
 
@@ -112,7 +115,7 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _encode(obj, depth: int) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` at nesting ``depth``; dict keys must be str."""
+    """``json.dumps(obj, indent=2, sort_keys=True)`` at nesting ``depth``, a complex as [re, im]; keys must be str."""
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return _NON_FINITE.get(text, text)
@@ -122,9 +125,13 @@ def _encode(obj, depth: int) -> str:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if isinstance(obj, complex):
+        return _encode([obj.real, obj.imag], depth)
     if isinstance(obj, np.generic) and not isinstance(item := obj.item(), np.generic):
         return _encode(item, depth)
     if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return _encode(to_pairs(obj), depth)
         if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
             return _float_array(obj, depth)
         return _encode(obj.tolist(), depth)
@@ -143,5 +150,5 @@ def _encode(obj, depth: int) -> str:
 
 
 def write_json(data: dict, path) -> None:
-    """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline."""
+    """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, complex values as [re, im] pairs."""
     Path(path).write_text(_encode(data, 0) + "\n")

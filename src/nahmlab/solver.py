@@ -205,16 +205,16 @@ class BoundaryTarget:
     def __post_init__(self):
         for name in ("tau1", "tau2", "tau3"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-        sigma = (np.zeros_like(self.tau1),) * 3 if self.sigma is None else self.sigma
-        object.__setattr__(self, "sigma", Su2Triple(*(_read_only(e) for e in sigma)))
         if not (np.isfinite(self.L) and self.L > 0):
             raise InputError(f"need a finite L > 0, got {self.L!r}")
-        taus = np.stack((self.tau1, self.tau2, self.tau3))
-        if not is_member(taus):
+        taus = (self.tau1, self.tau2, self.tau3)
+        if len({tau.shape for tau in taus}) > 1 or not is_member(np.stack(taus)):
             raise InputError("boundary limits tau_i must lie in su(k)")
+        sigma = _member_triple((np.zeros_like(self.tau1),) * 3 if self.sigma is None else self.sigma, self.dim, "sigma")
+        object.__setattr__(self, "sigma", Su2Triple(*(_read_only(e) for e in sigma)))
         # the commutation tests are homogeneous, so they are taken on the
         # rescaled limits, where no norm or product overflows
-        taus, scale, _ = _unit_scaled(taus)
+        taus, scale, _ = _unit_scaled(np.stack(taus))
         if not np.max(np.linalg.norm(bracket(taus[:, None], taus), axis=(-2, -1))) <= 1e-10 * scale**2:
             raise InputError("boundary limits tau_i must commute")
         sigma, sscale, _ = _unit_scaled(np.stack(self.sigma))
@@ -303,6 +303,8 @@ def orbit_identify(
     """
     if not all(np.isfinite(b) and b > 0 for b in (coeff_tol, residual_gate)):
         raise InputError(f"need a finite coeff_tol and residual_gate > 0, got {coeff_tol!r} and {residual_gate!r}")
+    if d.dim != target.dim:
+        raise InputError(f"the data are in su({d.dim}), the target in su({target.dim})")
     beta0 = _lax(d.values[:, :1])[1, 0]
     rep = target.tau2 + 1j * target.tau3 + target.sigma.e2 + 1j * target.sigma.e3
     # the monic coefficients of det(eta - M), descending, for M = beta(0) and the representative

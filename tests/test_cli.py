@@ -26,8 +26,9 @@ from nahmlab.sympair import vergne_map
 
 
 def write_config(tmp_path, name, cfg):
+    """The config written as JSON, or verbatim when it is already a JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(path)
 
 
@@ -457,6 +458,8 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         ("evolve", {"algebra": {"family": "su", "dim": 3}, "grid": SMALL_GRID, "init": {"kind": "coth"}}),
         ("halfline", {"target": {"kind": "nil", "L": 5.0, "sigma": "bogus"}}),
         ("halfline", {"algebra": {"family": "su", "dim": 3}, "target": {"kind": "coth", "L": 5.0}}),
+        # a config nested past the JSON parser's recursion limit
+        pytest.param("vergne", '{"points": ' + "[" * 2000 + "]" * 2000 + "}", id="vergne-nested-2000-deep"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):

@@ -112,3 +112,23 @@ def test_only_the_edges_build_an_algebra_spec():
     builders = {p.stem for p in sources for n in ast.walk(ast.parse(p.read_text()))
                 if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "AlgebraSpec"}
     assert builders <= {"cli", "io", "checks", "paths"}, sorted(builders)
+
+
+def test_only_io_writes_the_pair_encoding():
+    # io knows how a complex number is written to JSON; the CLI hands its
+    # records to write_json as the library returns them
+    sources = sorted(Path(nahmlab.__file__).parent.glob("*.py"))
+    users = {p.stem for p in sources for n in ast.walk(ast.parse(p.read_text()))
+             if isinstance(n, ast.Name) and n.id == "to_pairs" or isinstance(n, ast.Attribute) and n.attr == "to_pairs"
+             or isinstance(n, ast.alias) and n.name == "to_pairs"}
+    assert users == {"io"}, sorted(users)
+
+
+def test_no_handler_catches_everything():
+    # a bug inside a decoder or a command must not pass as a config error
+    sources = sorted(Path(nahmlab.__file__).parent.glob("*.py"))
+    broad = [f"{p.name}:{n.lineno}" for p in sources for n in ast.walk(ast.parse(p.read_text()))
+             if isinstance(n, ast.ExceptHandler) and (n.type is None or any(
+                 ast.unparse(t).split(".")[-1] in ("Exception", "BaseException")
+                 for t in (n.type.elts if isinstance(n.type, ast.Tuple) else [n.type])))]
+    assert broad == []

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nahmlab.algebra import AlgebraSpec
+from nahmlab.algebra import AlgebraSpec, InputError
 from nahmlab.io import (
     from_pairs,
     matrix_from_json,
@@ -47,6 +47,22 @@ def test_matrix_decoder_names_the_expected_shape(rng, k, lead, want):
         matrix_from_json(data, k, *lead)
     assert matrix_from_json(nodes, 2, 11).tobytes() == from_pairs(nodes).tobytes()
     assert matrix_from_json(nodes, 2, 11).shape == (11, 2, 2)
+
+
+@pytest.mark.parametrize("data", [[["a", 0]], [[{}, 0]], [[10**400, 0]], [[1, 0], [1]]],
+                         ids=["string", "object", "huge-int", "ragged"])
+def test_pair_decoders_refuse_what_is_not_pairs_of_numbers(data):
+    # numpy's TypeError, ValueError or OverflowError is one InputError, still a ValueError
+    for decode in (from_pairs, lambda d: matrix_from_json(d, 1)):
+        with pytest.raises(InputError, match=r"expected \[re, im\] pairs of numbers"):
+            decode(data)
+
+
+def test_pair_decoder_shape_errors_are_input_errors():
+    with pytest.raises(InputError, match=r"expected \[re, im\] pairs, got shape \(1, 3\)"):
+        from_pairs([[1, 0, 0]])
+    with pytest.raises(InputError, match=r"expected \[re, im\] pairs of shape \(4, 2\)"):
+        matrix_from_json([[1, 0]] * 3, 2)
 
 
 def test_nahm_roundtrip(rng):
@@ -91,10 +107,12 @@ def _pyify(obj):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
+    if isinstance(obj, complex):  # a Python complex or an np.complex128
+        return [obj.real, obj.imag]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return _pyify(obj.tolist())
+        return _pyify(obj.tolist())  # a complex array's entries become pairs above
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
@@ -111,8 +129,11 @@ STRINGS = st.text(max_size=8) | st.sampled_from(['"', 'a "quoted" key', "back\\s
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
 ARRAYS = hnp.arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False)) | hnp.arrays(
     np.float64, SHAPES, elements=FLOATS)
+COMPLEX = st.builds(complex, FLOATS, FLOATS)
+COMPLEX_ARRAYS = hnp.arrays(np.complex128, SHAPES, elements=COMPLEX)  # non-finite parts too
 LEAVES = (st.none() | st.booleans() | st.integers() | FLOATS | STRINGS | ARRAYS
-          | FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_))
+          | FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+          | COMPLEX | COMPLEX.map(np.complex128) | COMPLEX_ARRAYS)
 TREES = st.recursive(
     LEAVES,
     lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
@@ -126,6 +147,8 @@ EDGE_TREE = {
     "empty": [{}, [], ()],
     "arrays": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.arange(6.0).reshape(1, 2, 3),
                np.array([[1.5, np.nan], [-np.inf, -0.0]])],
+    "complex": [1j, complex(-0.0, np.nan), np.complex128(complex(np.inf, -0.0)), np.zeros((2, 0), complex),
+                np.array([[1 + 2j, complex(np.nan, -np.inf)]]), np.arange(4.0).view(complex)],
 }
 
 
@@ -151,7 +174,7 @@ def test_write_json_matches_stdlib_encoder(data, json_dir):
 
 
 def test_write_json_rejects_unknown_types(tmp_path):
-    for bad in ({"x": {1, 2}}, {"x": 1j}, {"x": np.array([1j])}, {1: "non-string key"}):
+    for bad in ({"x": {1, 2}}, {1: "non-string key"}):
         with pytest.raises(TypeError):
             write_json(bad, tmp_path / "bad.json")
 

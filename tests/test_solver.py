@@ -340,6 +340,30 @@ def test_boundary_target_refuses_limits_that_are_not_square(shape):
         BoundaryTarget(*(np.zeros(shape),) * 3, L=5.0)
 
 
+Z3 = np.zeros((3, 3), dtype=complex)
+TARGET_REFUSALS = {
+    "taus_of_different_sizes": (lambda: BoundaryTarget(Z2, Z3, Z2, L=5.0), "tau_i must lie in su"),
+    "sigma_of_two_matrices": (lambda: BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2)[:2], L=5.0),
+                              r"sigma must be three elements of su\(2\)"),
+    "su3_sigma_on_su2_taus": (lambda: BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(AlgebraSpec("su", 3)), L=5.0),
+                              r"sigma must be three elements of su\(2\)"),
+    "hermitian_sigma": (lambda: BoundaryTarget(Z2, Z2, Z2, sigma=tuple(1j * e for e in su2_embed(SU2)), L=5.0),
+                        r"sigma must be three elements of su\(2\)"),
+    "su2_data_against_su3_target": (
+        lambda: orbit_identify(nil_solution(SU2, Grid(0.0, 1.0, 10)), BoundaryTarget(Z3, Z3, Z3, L=1.0)),
+        r"the data are in su\(2\), the target in su\(3\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGET_REFUSALS))
+def test_halfline_targets_and_data_are_checked_once(case):
+    # each of these died in numpy (np.stack, a matmul, Su2Triple) or, for the
+    # Hermitian sigma, passed until halfline_solve refused the model at L
+    make, message = TARGET_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        make()
+
+
 def test_boundary_target_commutation_at_large_finite_entries():
     # the products of these entries overflow; the commutation tests are
     # taken on an exact power-of-two rescale of the limits
@@ -949,10 +973,10 @@ def test_integrate_nahm_and_halfline_reject_malformed_triples(case):
 
 
 def test_halfline_rejects_a_model_outside_su_k():
-    # sigma is only checked to commute with the tau_i; a Hermitian sigma puts
-    # the model at L outside su(2)
-    sigma = Su2Triple(*(1j * np.asarray(e) for e in su2_embed(SU2)))
-    target = BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=2.0)
+    # the limits and sigma each lie in su(2) within their tolerances (a Hermitian
+    # sigma is refused by BoundaryTarget itself), but at L = 1 they cancel to
+    # the limits' small trace part, which is all that is left of the model
+    target = BoundaryTarget(1e6 * E3 + 1e-5 * np.eye(2), Z2, Z2, sigma=(-2e6 * E3, Z2, Z2), L=1.0)
     with pytest.raises(InputError, match="model at L must be"):
         halfline_solve(target, tuple(su2_embed(SU2)))
 
