@@ -77,24 +77,11 @@ SCHEMAS = {
             nil={"L": _L, "sigma": Key(_SIGMA, "irreducible")},
             explicit={"L": _L, "tau1": _MATRIX, "tau2": _MATRIX, "tau3": _MATRIX, "sigma": Key(_SIGMA, None)},
         )),
-        "perturbation": Key(float, 0.0, ">= 0"), "step": Key(float, 5e-3, "> 0"), "tol": Key(float, 1e-6, "> 0"),
-        "coeff_tol": Key(float, 1e-6, "> 0"), "residual_gate": Key(float, 1e-3, "> 0"),
+        "perturbation": Key(float, 0.0, ">= 0"), "step": Key(float, 5e-3, "> 0"),
     },
     "vergne": {**_COMMON, "points": Key(list, []), "samples": Key(int, 0, ">= 0")},
     "check": {**_COMMON, "n": Key(int, 300), "samples": Key(int, 10), "inject_sign_flip": Key(bool, False)},
 }
-
-
-def _typed(val, typ, what: str):
-    """val checked against typ; an int is taken as a float, a bool is never
-    taken as a number, and a float must be finite."""
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, typ) or (isinstance(val, bool) and typ in (int, float)):
-        raise InputError(f"{what} must be {typ.__name__}, got {type(val).__name__}")
-    if typ is float and not np.isfinite(val):
-        raise InputError(f"{what} must be finite, got {val}")
-    return val
 
 
 def _value(val, spec: Key, name: str = ""):
@@ -119,21 +106,24 @@ def _value(val, spec: Key, name: str = ""):
             if key not in typ:
                 raise InputError(f"unknown config key {where + key!r}")
         return {key: _value(val.get(key, sub.default), sub, where + key) for key, sub in typ.items()}
-    val = _typed(val, typ, f"config key {name!r}")
+    val = nio._typed(val, typ, f"config key {name!r}")
     if spec.bound == "> 0" and not val > 0 or spec.bound == ">= 0" and not val >= 0:
         raise InputError(f"config key {name!r} must be {spec.bound}, got {val}")
     return val
 
 
-def _matrix(entry, k: int) -> np.ndarray:
-    """A matrix entry: [re, im] pairs, row-major; a fixed-curve tau may also be
-    null (zero) or the su(2) preset {"te3": x}, x e3."""
+def _matrix(entry, k: int, name: str) -> np.ndarray:
+    """Config key ``name``'s matrix: [re, im] pairs of JSON numbers, row-major; a
+    fixed-curve tau may also be null (zero) or the su(2) preset {"te3": x}, x e3."""
     if entry is None:
         return np.zeros((k, k), dtype=complex)
     if isinstance(entry, dict):
         if k != 2:
             raise InputError("te3 preset needs su(2)")
         return entry["te3"] * su2_basis().e3
+    for pair in entry:
+        for x in pair if isinstance(pair, list) else [pair]:
+            nio._typed(x, float, f"an entry of config key {name!r}")
     return nio.matrix_from_json(entry, k)
 
 
@@ -151,7 +141,7 @@ def _flow(cfg: dict) -> NahmData:
             raise InputError("coth init is an su(2) solution")
         triple = tuple(coth_solution(init["a"], init["s0_offset"], Grid(grid.s0, grid.s1, 2)).values[1:, 0])
     else:
-        triple = tuple(_matrix(init[name], algebra.dim) for name in ("T1", "T2", "T3"))
+        triple = tuple(_matrix(init[name], algebra.dim, f"init.{name}") for name in ("T1", "T2", "T3"))
     return integrate_nahm(algebra, triple, grid, blowup_bound=cfg["blowup_bound"])
 
 
@@ -174,7 +164,7 @@ def cmd_spectral(cfg: dict, out_dir: Path) -> bool:
             if cfg[key]:
                 raise InputError(f"config key {key!r} is refused beside 'fixed_curve'")
         k, fc = AlgebraSpec(**cfg["algebra"]).dim, cfg["fixed_curve"]
-        taus = [_matrix(fc[name], k) for name in ("tau1", "tau2", "tau3")]
+        taus = [_matrix(fc[name], k, f"fixed_curve.{name}") for name in ("tau1", "tau2", "tau3")]
         coeffs, factors = fixed_curve(BoundaryTarget(*taus))
         violation = reality_check(coeffs)
         nio.write_json({"curve": {"k": len(coeffs), "a": coeffs}, "factors": factors, "reality_violation": violation},
@@ -224,7 +214,7 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> bool:
         target = BoundaryTarget(zero, zero, zero, sigma=sigma, L=t["L"])
         guess = [np.asarray(e, dtype=complex) for e in sigma]
     else:
-        taus = [_matrix(t[name], k) for name in ("tau1", "tau2", "tau3")]
+        taus = [_matrix(t[name], k, f"target.{name}") for name in ("tau1", "tau2", "tau3")]
         target = BoundaryTarget(*taus, sigma=_sigma(t["sigma"], algebra), L=t["L"])
         guess = list(asymptotic_model(target, 0.0))
 
@@ -240,9 +230,8 @@ def cmd_halfline(cfg: dict, out_dir: Path) -> bool:
             raise InputError(f"config key {key!r} overflows the perturbed guess "
                              f"(perturbation {pert:.3e} times the guess norm {scale:.3e})")
 
-    result = halfline_solve(target, tuple(guess), step=cfg["step"], tol=cfg["tol"],
-                            blowup_bound=cfg["blowup_bound"])
-    report = orbit_identify(result.data, target, coeff_tol=cfg["coeff_tol"], residual_gate=cfg["residual_gate"])
+    result = halfline_solve(target, tuple(guess), step=cfg["step"], blowup_bound=cfg["blowup_bound"])
+    report = orbit_identify(result.data, target)
     nio.write_json({"terminal_deviation": result.terminal_deviation, "iterations": result.iterations,
                     "orbit": vars(report)}, out_dir / "halfline.json")
     nio.write_json(nio.nahm_to_json(result.data), out_dir / "solution.json")
@@ -257,7 +246,7 @@ def _vergne_points(cfg: dict) -> np.ndarray:
     for entry in cfg["points"]:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(f"a point is [re u, im u, re v, im v], got {entry!r}")
-        points.append([_typed(x, float, "a point coordinate") for x in entry])
+        points.append([nio._typed(x, float, "a point coordinate") for x in entry])
     x = np.random.default_rng(cfg["seed"]).standard_normal((cfg["samples"], 2))
     drawn = np.zeros((len(x), 2, 2))  # (sample, u or v, re or im)
     drawn[0::2, :, 0], drawn[1::2, :, 1] = x[0::2], x[1::2]

@@ -65,11 +65,29 @@ def nahm_to_json(d: NahmData) -> dict:
     return {"algebra": {"family": "su", "dim": d.dim}, "grid": grid, **nodes}
 
 
+def _typed(val, typ, what: str):
+    """val checked against typ, as every JSON value is read: an int is taken as
+    a float, a bool is never taken as a number, and a float must be finite."""
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
+        val = float(val)
+    if not isinstance(val, typ) or (isinstance(val, bool) and typ in (int, float)):
+        raise InputError(f"{what} must be {typ.__name__}, got {type(val).__name__}")
+    if typ is float and not np.isfinite(val):
+        raise InputError(f"{what} must be finite, got {val}")
+    return val
+
+
 def nahm_from_json(data: dict) -> NahmData:
-    spec = AlgebraSpec(data["algebra"]["family"], int(data["algebra"]["dim"]))
-    grid = Grid(float(data["grid"]["s0"]), float(data["grid"]["s1"]), int(data["grid"]["n"]))
-    comps = [matrix_from_json(data[name], spec.dim, grid.n + 1) for name in ("T0", "T1", "T2", "T3")]
-    return NahmData.from_arrays(spec, grid, *comps)
+    """The NahmData of a ``nahm_to_json`` record; InputError for a missing key or a mistyped number."""
+    try:
+        family, dim, nodes = data["algebra"]["family"], data["algebra"]["dim"], [data[f"T{i}"] for i in range(4)]
+        s0, s1, n = data["grid"]["s0"], data["grid"]["s1"], data["grid"]["n"]
+    except KeyError as exc:
+        raise InputError(f"a Nahm record needs the key {exc}") from None
+    spec = AlgebraSpec(family, _typed(dim, int, "the record's algebra.dim"))
+    grid = Grid(_typed(s0, float, "the record's grid.s0"), _typed(s1, float, "the record's grid.s1"),
+                _typed(n, int, "the record's grid.n"))
+    return NahmData.from_arrays(spec, grid, *(matrix_from_json(node, spec.dim, grid.n + 1) for node in nodes))
 
 
 def write_csv(grid: Grid, names: list, table: np.ndarray, path) -> None:

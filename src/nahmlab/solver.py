@@ -55,6 +55,8 @@ class NahmBlowUpError(RuntimeError):
 
 _CYCLE = np.array([[1, 2, 0], [2, 0, 1]])
 BLOCK = 32  # nodes stepped between two blow-up tests (the width is measured in CHANGES.md)
+_KEEP_TOL = 1e-6  # a half-line guess is kept when its flow ends this close to the model
+_COEFF_TOL, _RESIDUAL_GATE = 1e-6, 1e-3  # an orbit is certified within these (char poly, Nahm residual)
 
 
 def _nahm_rhs(Y: np.ndarray, _) -> np.ndarray:
@@ -244,14 +246,13 @@ def halfline_solve(
     target: BoundaryTarget,
     init_guess: tuple,
     step: float = 5e-3,
-    tol: float = 1e-6,
     blowup_bound: float = 1e6,
 ) -> HalflineResult:
     """The Nahm solution on [0, L] whose state at s = L is the asymptotic model.
 
     Fixing the full state at L is a terminal-value problem with exactly one
     solution.  The guess (three elements of su(k)) and -model(L) flow as one
-    batch; a guess ending within ``tol`` of the model is kept (``iterations``
+    batch; a guess ending within ``_KEEP_TOL`` of the model is kept (``iterations``
     0), else the backward solve's path S, reversed and negated, is the result
     (``iterations`` 1): node j of T is node n - j of -S, on the same grid.
     The model is compared in its projection onto su(k), which the backward
@@ -262,8 +263,6 @@ def halfline_solve(
     L = float(target.L)
     if not (np.isfinite(step) and step > 0 and L / float(step) < np.iinfo(np.intp).max):
         raise InputError(f"need a finite step > 0 with L / step nodes an array can index, got {step!r} for L = {L!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise InputError(f"need a finite tolerance > 0, got {tol!r}")
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
     model = _member_triple(asymptotic_model(target, L), target.dim, "the model at L")
     guess = _member_triple(init_guess, target.dim, "init_guess")
@@ -272,7 +271,7 @@ def halfline_solve(
     # model(L) is T(s) = -S(L - s) for the S starting at -model(L)
     traj, (guess_blowup, back_blowup) = _nahm_flow(np.stack([guess, -model]), grid, blowup_bound)
     model = -traj[:, 0, 1]  # project(model), where the backward path ends, as projected under the flow's errstate
-    kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= tol
+    kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= _KEEP_TOL
     if not kept and back_blowup is not None:
         raise NahmBlowUpError(L - back_blowup[0], back_blowup[1])
     data = _gauge_zero(grid, traj[:, :, 0] if kept else traj[:, ::-1, 1], negate=not kept)
@@ -289,20 +288,13 @@ class OrbitReport:
     beta0_rank: int
 
 
-def orbit_identify(
-    d: NahmData,
-    target: BoundaryTarget,
-    coeff_tol: float = 1e-6,
-    residual_gate: float = 1e-3,
-) -> OrbitReport:
+def orbit_identify(d: NahmData, target: BoundaryTarget) -> OrbitReport:
     """Compare the characteristic polynomial of beta(0) with that of the orbit
     representative tau2 + i tau3 + sigma(e2) + i sigma(e3).
 
-    Certification requires both coefficient agreement and a small Nahm
-    residual on the supplied data.
+    Certification requires both coefficient agreement (``_COEFF_TOL``) and a
+    small Nahm residual (``_RESIDUAL_GATE``) on the supplied data.
     """
-    if not all(np.isfinite(b) and b > 0 for b in (coeff_tol, residual_gate)):
-        raise InputError(f"need a finite coeff_tol and residual_gate > 0, got {coeff_tol!r} and {residual_gate!r}")
     if d.dim != target.dim:
         raise InputError(f"the data are in su({d.dim}), the target in su({target.dim})")
     beta0 = _lax(d.values[:, :1])[1, 0]
@@ -312,9 +304,9 @@ def orbit_identify(
     scale = max(1.0, float(np.max(np.abs(p_rep))))
     dev = float(np.max(np.abs(p_beta - p_rep))) / scale
     residual = mu_nahm(d).sup
-    certified = dev <= coeff_tol and residual <= residual_gate
+    certified = dev <= _COEFF_TOL and residual <= _RESIDUAL_GATE
     # rank read at the certification scale: singular values below
-    # sqrt(coeff_tol) * |beta(0)| are treated as zero
-    rank_tol = np.sqrt(coeff_tol) * max(1.0, float(np.linalg.norm(beta0)))
+    # sqrt(_COEFF_TOL) * |beta(0)| are treated as zero
+    rank_tol = np.sqrt(_COEFF_TOL) * max(1.0, float(np.linalg.norm(beta0)))
     rank = int(np.linalg.matrix_rank(beta0, tol=rank_tol))
     return OrbitReport(p_beta, p_rep, dev, certified, residual, rank)

@@ -33,17 +33,9 @@ from nahmlab.paths import Grid
 from nahmlab.solver import coth_solution, integrate_nahm
 from nahmlab.spectral import _pencil
 
+from helpers import real_form_product
+
 KS = [2, 3, 4, 5, 6]
-
-
-def real_form_product(X, Y):
-    """XY as the package takes complex products: the rows X.view(float) times
-    the real form of Y, each entry a + ib the block [[a, b], [-b, a]]."""
-    k = Y.shape[-1]
-    phi = np.empty(Y.shape[:-2] + (2 * k, 2 * k))
-    phi[..., ::2, ::2] = phi[..., 1::2, 1::2] = Y.real
-    phi[..., ::2, 1::2], phi[..., 1::2, ::2] = Y.imag, -1.0 * Y.imag
-    return (np.ascontiguousarray(X).view(float) @ phi).view(complex)
 
 
 def ref_char_poly_coeffs(P, real_form=False, traced=False):

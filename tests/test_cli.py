@@ -333,16 +333,15 @@ def test_halfline_nil_converges(tmp_path):
     assert from_pairs(orbit["charpoly_beta0"]).shape == (3,)
 
 
-def test_halfline_tolerance_below_roundoff_ends_on_the_model(tmp_path):
+def test_halfline_missed_guess_ends_on_the_model(tmp_path):
     # the missed guess's path is the backward flow's, which starts on the
-    # model, so even a tolerance below roundoff is met: the deviation is the
-    # model's projection defect, 0 for this su(2) target
+    # model, so it ends there exactly: the deviation is the model's projection
+    # defect, 0 for this su(2) target, far below the kept-guess tolerance
     cfg = {
         "algebra": {"family": "su", "dim": 2},
         "target": {"kind": "nil", "L": 10.0},
         "perturbation": 0.001,
         "seed": 7,
-        "tol": 1e-300,
     }
     code, out = run(tmp_path, "halfline", cfg)
     assert code == 0
@@ -354,12 +353,11 @@ def test_halfline_tolerance_below_roundoff_ends_on_the_model(tmp_path):
 def test_halfline_off_algebra_model_converges_on_its_projection(tmp_path, capsys):
     # tau1 = diag(1e-12 + 0.5i, -1e-12 - 0.5i) passes the target's su(2) test;
     # the flow starts on its projection, 1.414e-12 away, and the deviation is
-    # measured against that projection: 0 even at a tolerance below it
+    # measured against that projection: 0, not the 1.414e-12 offset
     cfg = {
         "algebra": {"family": "su", "dim": 2},
         "target": {"kind": "explicit", "L": 10.0, "tau1": [[1e-12, 0.5], [0.0, 0.0], [0.0, 0.0], [-1e-12, -0.5]],
                    "tau2": [[0.0, 0.0]] * 4, "tau3": [[0.0, 0.0]] * 4},
-        "tol": 1e-15,
     }
     code, out = run(tmp_path, "halfline", cfg)
     assert code == 0
@@ -389,6 +387,7 @@ def test_halfline_bad_config(tmp_path, change):
 SL2 = {"family": "sl_complex", "dim": 2}
 SMALL_GRID = {"s0": 0.0, "s1": 1.0, "n": 50}
 HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
+ZERO_PAIRS = [[0.0, 0.0]] * 4
 
 
 @pytest.mark.parametrize(
@@ -416,10 +415,14 @@ HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
         ("spectral", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "drift_bound": float("nan")}),
         ("spectral", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "reality_bound": 0.0}),
         ("spectral", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "blowup_bound": float("-inf")}),
-        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "tol": float("nan")}),
-        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "tol": -1e-6}),
-        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "coeff_tol": 0.0}),
-        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "residual_gate": float("inf")}),
+        # a matrix entry is a JSON number too, and the half-line tolerances are fixed, no config keys
+        ("halfline", {"target": {"kind": "explicit", "tau1": [["0", "0.5"], ["0", "0"], ["0", "0"], ["0", "-0.5"]],
+                                 "tau2": ZERO_PAIRS, "tau3": ZERO_PAIRS}}),
+        ("halfline", {"target": {"kind": "explicit", "tau1": [[0, 0.5], [0, 0], [0, 0], [True, -0.5]],
+                                 "tau2": ZERO_PAIRS, "tau3": ZERO_PAIRS}}),
+        ("halfline", {"target": {"kind": "explicit", "tau1": [[0, 0.5], [0, 0], [0, 0], [None, -0.5]],
+                                 "tau2": ZERO_PAIRS, "tau3": ZERO_PAIRS}}),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "tol": 1e-6}),
         ("halfline", {"target": {"kind": "coth", "L": 5.0}, "perturbation": float("nan")}),
         ("vergne", {"points": [[float("nan"), 0.0, 1.0, 0.0]]}),
         # the half-line solver works in su(k) only
@@ -470,6 +473,25 @@ def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("spectral", {"fixed_curve": {"tau1": [["0", "0"], ["0", "0.5"], ["0", "0.5"], ["0", "0"]]}}, "fixed_curve.tau1"),
+        ("spectral", {"fixed_curve": {"tau2": [[0, 0], [0, 0.5], [0, 0.5], [True, 0]]}}, "fixed_curve.tau2"),
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "matrices", "T1": ZERO_PAIRS, "T2": ZERO_PAIRS,
+                                                 "T3": [[None, 0.0]] + ZERO_PAIRS[1:]}}, "init.T3"),
+        ("halfline", {"target": {"kind": "explicit", "tau1": ZERO_PAIRS, "tau2": [[0, 0], [0, False], [0, 0], [0, 0]],
+                                 "tau3": ZERO_PAIRS}}, "target.tau2"),
+    ],
+)
+def test_matrix_entries_must_be_json_numbers(tmp_path, capsys, command, cfg, key):
+    # the pair decoder would read "0.5" as 0.5, true as 1 and null as NaN: a
+    # matrix entry follows the rule of every other config number, by name
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: an entry of config key {key!r} must be float, got ")
+
+
 @pytest.mark.parametrize("key, value", [("nonreal_control", True), ("init", {"kind": "nil"})])
 def test_fixed_curve_refuses_a_flow_key_by_name(tmp_path, capsys, key, value):
     # the negative control, and a start, would otherwise be ignored and the fixed curve pass
@@ -518,6 +540,10 @@ def test_unwritable_artifact_exits_2(tmp_path, capsys):
         ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8, "scale": 2}}}, "fixed_curve.tau1.scale"),
         ("halfline", {"target": {"kind": "nil", "L": 6.0}, "newton": {"tol": 1e-8}}, "newton"),
         ("spectral", {"fixed_curve": {"tau1": {"te3": 0.8}, "L": 5.0}}, "fixed_curve.L"),  # a fixed curve has no L
+        # the half-line tolerances are fixed in the solver
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "tol": 1e-6}, "tol"),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "coeff_tol": 1e-6}, "coeff_tol"),
+        ("halfline", {"target": {"kind": "coth", "L": 5.0}, "residual_gate": 1e-3}, "residual_gate"),
     ],
 )
 def test_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, cfg, key):

@@ -33,12 +33,10 @@ from nahmlab.paths import (
 )
 from nahmlab.solver import integrate_baby
 
+from helpers import const_path, real_form_product
+
 SU2 = AlgebraSpec("su", 2)
 E1, E2, E3 = su2_basis()
-
-
-def const_path(grid, M):
-    return AlgebraPath(grid, np.broadcast_to(M, (grid.n + 1,) + M.shape).copy())
 
 
 def zero_nahm(grid, T0=None):
@@ -92,16 +90,6 @@ def test_act_unitary_gauge_matches_the_inverse(k, rng):
                trivialize(random_smooth_path(spec, g, rng, scale=0.8))):
         assert isinstance(gp, GroupPath)
         assert np.abs(act(gp, d).values - act_by_inverse(gp, d)).max() <= 1e-12
-
-
-def real_form_product(X, Y):
-    """XY as the package takes complex products: the rows X.view(float) times
-    the real form of Y, each entry a + ib the block [[a, b], [-b, a]]."""
-    k = Y.shape[-1]
-    phi = np.empty(Y.shape[:-2] + (2 * k, 2 * k))
-    phi[..., ::2, ::2] = phi[..., 1::2, 1::2] = Y.real
-    phi[..., ::2, 1::2], phi[..., 1::2, ::2] = Y.imag, -1.0 * Y.imag
-    return (np.ascontiguousarray(X).view(float) @ phi).view(complex)
 
 
 def act_whole_chain(g, d, product):

@@ -280,3 +280,31 @@ def test_nahm_json_wrong_pair_count_raises(tmp_path):
             nahm_from_json(data)
 
 
+
+
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [
+        ("grid", "n", 5.0, "grid.n must be int, got float"),
+        ("grid", "n", 4.7, "grid.n must be int, got float"),
+        ("algebra", "dim", "2", "algebra.dim must be int, got str"),
+        ("grid", "s0", "0.0", "grid.s0 must be float, got str"),
+        ("grid", "s1", True, "grid.s1 must be float, got bool"),
+    ],
+)
+def test_nahm_json_refuses_values_it_would_have_to_coerce(block, key, value, message):
+    # each value but n = 4.7 used to read back as the record's own number through int() or float()
+    data = json.loads(json.dumps(nahm_to_json(nil_solution(SU2, Grid(0.0, 1.0, 5))), default=np.ndarray.tolist))
+    assert nahm_from_json(data).grid == Grid(0.0, 1.0, 5)
+    data[block][key] = value
+    with pytest.raises(InputError, match=f"the record's {message}"):
+        nahm_from_json(data)
+
+
+@pytest.mark.parametrize("drop", [("T2",), ("grid",), ("grid", "s1"), ("algebra", "dim")])
+def test_nahm_json_missing_key_is_an_input_error(drop):
+    data = nahm_to_json(nil_solution(SU2, Grid(0.0, 1.0, 5)))
+    record = data[drop[0]] if len(drop) == 2 else data
+    del record[drop[-1]]
+    with pytest.raises(InputError, match=f"a Nahm record needs the key '{drop[-1]}'"):
+        nahm_from_json(data)

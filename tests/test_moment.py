@@ -36,13 +36,11 @@ from nahmlab.paths import (
 )
 from nahmlab.solver import coth_solution, nil_solution
 
+from helpers import const_path
+
 SU2 = AlgebraSpec("su", 2)
 SU3 = AlgebraSpec("su", 3)
 E1, E2, E3 = su2_basis()
-
-
-def const_path(grid, M):
-    return AlgebraPath(grid, np.broadcast_to(M, (grid.n + 1,) + M.shape).copy())
 
 
 def random_nahm(spec, grid, rng, scale=1.0):

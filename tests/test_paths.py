@@ -21,12 +21,10 @@ from nahmlab.paths import (
 )
 from nahmlab.solver import coth_solution
 
+from helpers import const_path
+
 SU2 = AlgebraSpec("su", 2)
 E1, E2, E3 = su2_basis()
-
-
-def const_path(grid, M):
-    return AlgebraPath(grid, np.broadcast_to(M, (grid.n + 1,) + M.shape).copy())
 
 
 def tangent(grid, *mats):

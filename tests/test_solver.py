@@ -8,7 +8,7 @@ from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_po
 from nahmlab import solver
 from nahmlab.moment import lax_extract, mu_nahm
 from nahmlab.gauge import complex_trivialize_direct, trivialize
-from nahmlab.paths import AlgebraPath, Grid, NahmData, _rk4_scalars, _rk4_step, random_smooth_path, sup_norm
+from nahmlab.paths import Grid, NahmData, _rk4_scalars, _rk4_step, random_smooth_path, sup_norm
 from nahmlab.solver import (
     BoundaryTarget,
     NahmBlowUpError,
@@ -21,13 +21,11 @@ from nahmlab.solver import (
     orbit_identify,
 )
 
+from helpers import const_path
+
 SU2 = AlgebraSpec("su", 2)
 E1, E2, E3 = su2_basis()
 Z2 = np.zeros((2, 2), dtype=complex)
-
-
-def const_path(grid, M):
-    return AlgebraPath(grid, np.broadcast_to(M, (grid.n + 1,) + M.shape).copy())
 
 
 def test_integrate_baby_zero_connection(rng):
@@ -462,13 +460,6 @@ def test_integrate_nahm_rejects_bad_blowup_bound(bound):
         integrate_nahm(SU2, tuple(su2_embed(SU2)), Grid(0.0, 1.0, 10), blowup_bound=bound)
 
 
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6, np.inf])
-def test_halfline_rejects_bad_tol(tol):
-    target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
-    with pytest.raises(InputError, match="finite tolerance > 0"):
-        halfline_solve(target, tuple(su2_embed(SU2)), tol=tol)
-
-
 def halfline_replay_gap(target, guess):
     """The solve's missed-guess path against a forward replay from its own T(0),
     the largest entry relative to the path's."""
@@ -544,24 +535,27 @@ def test_halfline_blowup_returns_no_data():
     assert abs(info.value.s - (10.0 - 11.0 / 3.0)) <= 2 * grid.h and info.value.norm > 1e6  # at the pole
 
 
-@pytest.mark.parametrize("tol", [1e-15, 1e-6])
+@pytest.mark.parametrize("eps", [1e-15, 1e-6])
 @pytest.mark.parametrize("L", [3.0, 10.0])
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_halfline_every_result_with_data_meets_tol(k, L, tol):
-    # a kept guess met tol, and a missed one returns the backward path, which
-    # ends on the projected model: no result with data can miss the model
+def test_halfline_every_result_with_data_meets_tol(k, L, eps):
+    # a kept guess met the fixed tolerance, and a missed one returns the backward
+    # path, which ends on the projected model exactly: no result with data can
+    # miss the model.  Each exact T(0) is also moved by 0.01 and by eps: at
+    # roundoff most such guesses are kept, at the tolerance's own size none is
     spec = AlgebraSpec("su", k)
     sigma, zero, a = su2_embed(spec), np.zeros((k, k), dtype=complex), 1.5
     coth = (-a / np.tanh(a), a / np.sinh(a), -a / np.sinh(a))  # coth x sigma at s = 0, its pole at s = -1
-    targets = [  # each with its exact T(0): the sweep keeps 12 guesses and misses 68
+    targets = [  # each with its exact T(0): the sweep keeps 35 guesses and misses 85
         (BoundaryTarget(zero, zero, zero, sigma=sigma, L=L), tuple(np.asarray(e) for e in sigma)),
         (BoundaryTarget(-a * sigma.e1, zero, zero, L=L), tuple(f * np.asarray(e) for f, e in zip(coth, sigma))),
     ]
     for target, exact in targets:
         rng = np.random.default_rng(k)
-        for guess in (exact, tuple(m + 0.01 * spec.random_element(rng) for m in exact)):
-            res = halfline_solve(target, guess, step=0.05, tol=tol)
-            assert res.data is not None and res.converged and res.terminal_deviation <= tol
+        for guess in (exact, *(tuple(m + size * spec.random_element(rng) for m in exact) for size in (0.01, eps))):
+            res = halfline_solve(target, guess, step=0.05)
+            assert res.data is not None and res.converged
+            assert res.terminal_deviation <= (solver._KEEP_TOL if res.iterations == 0 else 0.0)
 
 
 def test_orbit_identify_coth():
@@ -622,8 +616,8 @@ def test_orbit_identify_matching_beta0_with_large_residual_is_not_certified():
 
 def test_orbit_identify_rank_at_threshold():
     # beta(0) = [[0, 1, 0], [0, 0, x], [y, 0, 0]] has singular values 1, x, y
-    # and |beta(0)| = sqrt(1 + x^2 + y^2); at coeff_tol 1e-6 the rank cut is
-    # 1e-3 |beta(0)| = 1.000001e-3, between x (2% above) and y (2% below)
+    # and |beta(0)| = sqrt(1 + x^2 + y^2); at the fixed coefficient tolerance 1e-6
+    # the rank cut is 1e-3 |beta(0)| = 1.000001e-3, between x (2% above) and y (2% below)
     su3 = AlgebraSpec("su", 3)
     x, y = 1.02e-3, 0.98e-3
     B = np.array([[0, 1, 0], [0, 0, x], [y, 0, 0]], dtype=complex)
@@ -634,17 +628,6 @@ def test_orbit_identify_rank_at_threshold():
     rep = orbit_identify(d, BoundaryTarget(Z3, Z3, Z3, sigma=None, L=1.0))
     assert np.allclose(lax_extract(d)[1, 0], B, rtol=0, atol=1e-16)
     assert rep.beta0_rank == 2
-
-
-@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
-@pytest.mark.parametrize("name", ["coeff_tol", "residual_gate"])
-def test_orbit_identify_refuses_a_bad_tolerance(name, bad):
-    # at coeff_tol -1 the rank was read at a NaN cut: the nil solution's rank-1 beta(0) reported rank 0
-    d = nil_solution(SU2, Grid(0.0, 1.0, 50))
-    target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=1.0)
-    assert orbit_identify(d, target).beta0_rank == 1
-    with pytest.raises(InputError, match="finite coeff_tol and residual_gate > 0"):
-        orbit_identify(d, target, **{name: bad})
 
 
 def test_target_without_sigma_holds_the_zero_triple():
