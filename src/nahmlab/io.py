@@ -78,10 +78,11 @@ def _typed(val, typ, what: str):
 
 
 def nahm_from_json(data: dict) -> NahmData:
-    """The NahmData of a ``nahm_to_json`` record; InputError for a missing key or a mistyped number."""
+    """The NahmData of a ``nahm_to_json`` record; InputError for a missing key or a mistyped value."""
     try:
-        family, dim, nodes = data["algebra"]["family"], data["algebra"]["dim"], [data[f"T{i}"] for i in range(4)]
-        s0, s1, n = data["grid"]["s0"], data["grid"]["s1"], data["grid"]["n"]
+        alg, box = (_typed(data[key], dict, f"the record's {key}") for key in ("algebra", "grid"))
+        family, dim, nodes = alg["family"], alg["dim"], [data[f"T{i}"] for i in range(4)]
+        s0, s1, n = box["s0"], box["s1"], box["n"]
     except KeyError as exc:
         raise InputError(f"a Nahm record needs the key {exc}") from None
     spec = AlgebraSpec(family, _typed(dim, int, "the record's algebra.dim"))

@@ -18,10 +18,10 @@ a chunk of B paths as lead + (n+1, B, k, k).  Two difference operators are used:
                              which the moment-map and quotient-metric checks
                              rely on.
 
-``_rk4_step`` is the package's one RK4 formula.  The Nahm flow calls it once
-per step in its own loop over a batch of states (``solver._nahm_flow``); the
-linear flows of ``gauge`` call it once in all, batched over the intervals,
-to get every step's propagator.
+``_rk4_step`` is the package's one RK4 formula.  The Nahm loop calls it once
+per step over a batch of states (``solver._nahm_flow``), the Parareal coarse
+sweep a few times a segment (``solver._parareal``), and the linear flows of
+``gauge`` once in all, batched over the intervals, for every step's propagator.
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ identification.  ``orbit_identify`` reads beta(0) off the Lax pair
 
 All initial-value work is done in the T0 = 0 gauge, where the system reads
 T1' = [T2, T3] (and cyclic), stepped by the RK4 formula of ``paths`` from a
-start projected once onto the algebra: the field maps su(k)^3 into itself, and
-RK4 keeps that linear subspace to rounding; the state is stepped in its real
-form (``algebra._real_form``), each product one real BLAS call, and the complex
-path is its even rows.  The baby flow is a conjugation
-by the trivializing gauge of ``gauge``, with no stepping of its own.
+start projected once onto su(k)^3, which the field maps into itself and RK4
+keeps to rounding, in real form (``algebra._real_form``: one real BLAS call a
+product, the complex path its even rows).  A path of >= ``_PARAREAL_MIN`` steps
+is a batch of Parareal segments (``_parareal``), within 1e-13 of the loop's.
+The baby flow is a conjugation by the trivializing gauge of ``gauge``.
 The half-line problem fixes the whole state at a truncation length L to the
 first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
 solution: since S(u) = -T(L - u) solves Nahm whenever T does, one forward
@@ -55,6 +55,8 @@ class NahmBlowUpError(RuntimeError):
 
 _CYCLE = np.array([[1, 2, 0], [2, 0, 1]])
 BLOCK = 32  # nodes stepped between two blow-up tests (the width is measured in CHANGES.md)
+# one path of n >= _PARAREAL_MIN steps runs as Parareal segments (the values are measured in CHANGES.md)
+_PARAREAL_MIN, _SEGMENT, _COARSE, _CORRECTIONS, _JUMP_TOL = 1000, 96, 2, 2, 64 * np.finfo(float).eps
 _KEEP_TOL = 1e-6  # a half-line guess is kept when its flow ends this close to the model
 _COEFF_TOL, _RESIDUAL_GATE = 1e-6, 1e-3  # an orbit is certified within these (char poly, Nahm residual)
 
@@ -119,6 +121,36 @@ def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
     return traj.swapaxes(0, 1), blowups
 
 
+def _parareal(Y0: np.ndarray, grid: Grid, bound: float) -> list | None:
+    """One start Y0 (1, 3, k, k)'s path as ``_gauge_zero`` pieces, or None for the
+    sequential loop.  Sweep i sets the starts of M segments of <= ``_SEGMENT`` steps,
+    U[j+1] = F[j] + G(U[j]) - G_old[j] (G ``_COARSE`` RK4 steps, F the last batch's
+    ends, none at first), and flows them as one batch, whose largest jump |F[j] -
+    U[j+1]| / max|U| must be within ``_JUMP_TOL`` ** (i / (``_CORRECTIONS`` + 1)),
+    as the coarse error's powers fall; within ``_JUMP_TOL`` the batch is the path."""
+    M = -(-grid.n // _SEGMENT)
+    steps = np.diff(np.arange(M + 1) * grid.n // M)  # the longest last, so no member steps past s1
+    fine, coarse = Grid(0.0, steps[-1] * grid.h, int(steps[-1])), {m: _rk4_scalars(m * grid.h / _COARSE) for m in set(steps)}
+    U, (F, G) = Y0.repeat(M, axis=0), np.zeros((2, M - 1) + Y0.shape[1:], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, _CORRECTIONS + 2):
+            for j in range(M - 1):
+                y = _real_form(project(U[j]))  # the start the fine flow takes
+                for _ in range(_COARSE):
+                    y = _rk4_step(_nahm_rhs, y, coarse[steps[j]], None, None, None)
+                g = y[..., ::2, :].copy().view(complex)
+                U[j + 1], G[j] = F[j] + (g - G[j]), g
+            if not sup_norm(G) <= bound:
+                return None
+            traj, blowups = _nahm_flow(U, fine, bound)
+            F = traj[:, steps[:-1], np.arange(M - 1)].swapaxes(0, 1)
+            jump = np.max(np.abs(F - U[1:])) / np.max(np.abs(U))
+            if blowups != [None] * M or not jump <= _JUMP_TOL ** (i / (_CORRECTIONS + 1)):
+                return None
+            if jump <= _JUMP_TOL:
+                return [traj[:, : m + (j == M - 1), j] for j, m in enumerate(steps)]
+
+
 def integrate_nahm(
     algebra: AlgebraSpec,
     init: tuple,
@@ -130,11 +162,15 @@ def integrate_nahm(
     The start is projected onto the algebra once; RK4 then keeps the state
     in it to rounding.  Blow-up past the norm bound raises NahmBlowUpError at
     the first node past it (at a pole, within two steps of the crossing).
+    A path of >= ``_PARAREAL_MIN`` steps is ``_parareal``'s, within 1e-13 relative of the loop's.
     """
-    traj, (blowup,) = _nahm_flow(_member_triple(init, algebra.dim, "init")[None], grid, blowup_bound)
+    Y0 = _member_triple(init, algebra.dim, "init")[None]
+    if grid.n >= _PARAREAL_MIN and (pieces := _parareal(Y0, grid, blowup_bound)):
+        return _gauge_zero(grid, pieces)
+    traj, (blowup,) = _nahm_flow(Y0, grid, blowup_bound)
     if blowup is not None:
         raise NahmBlowUpError(*blowup)
-    return _gauge_zero(grid, traj[:, :, 0])
+    return _gauge_zero(grid, [traj[:, :, 0]])
 
 
 def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
@@ -149,12 +185,12 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
     return T0, AlgebraPath(T0.grid, project(_cmatmul(_cmatmul(dagger(g), _real_form(X)), _real_form(g))))
 
 
-def _gauge_zero(grid: Grid, T: np.ndarray, negate: bool = False) -> NahmData:
-    """NahmData with T0 = 0 and (T1, T2, T3) = T, or -T with ``negate``, for T of
-    shape (3, n+1, k, k): copied once into a zeroed C-ordered stack and negated
-    there (a ufunc on a strided T would take an iteration buffer)."""
-    values = np.zeros((4,) + T.shape[1:], dtype=complex)
-    values[1:] = T
+def _gauge_zero(grid: Grid, pieces: list, negate: bool = False) -> NahmData:
+    """NahmData with T0 = 0 and (T1, T2, T3) = T, or -T with ``negate``, for T the
+    (3, n+1, k, k) node-wise join of ``pieces``: copied once into a zeroed C-ordered
+    stack and negated there (a ufunc on a strided T would take an iteration buffer)."""
+    values = np.zeros((4, grid.n + 1) + pieces[0].shape[2:], dtype=complex)
+    np.concatenate(pieces, axis=1, out=values[1:])
     if negate:
         np.negative(values[1:], out=values[1:])
     return NahmData._own(grid, values)
@@ -219,9 +255,12 @@ class BoundaryTarget:
         taus, scale, _ = _unit_scaled(np.stack(taus))
         if not np.max(np.linalg.norm(bracket(taus[:, None], taus), axis=(-2, -1))) <= 1e-10 * scale**2:
             raise InputError("boundary limits tau_i must commute")
-        sigma, sscale, _ = _unit_scaled(np.stack(self.sigma))
+        sigma, sscale, unit = _unit_scaled(np.stack(self.sigma))
         if not np.max(np.linalg.norm(bracket(sigma[:, None], taus), axis=(-2, -1))) <= 1e-8 * sscale * scale:
             raise InputError("sigma images must commute with the tau_i")
+        # su(2)'s relations, quadratic against linear: on the rescale the linear side takes the unit once more
+        if not np.max(np.linalg.norm(_nahm_rhs(sigma, None) + unit * sigma, axis=(-2, -1))) <= 1e-8 * sscale**2:
+            raise InputError("sigma images must represent su(2): [sigma(e1), sigma(e2)] = -sigma(e3), cyclically")
 
     @property
     def dim(self) -> int:
@@ -274,7 +313,7 @@ def halfline_solve(
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= _KEEP_TOL
     if not kept and back_blowup is not None:
         raise NahmBlowUpError(L - back_blowup[0], back_blowup[1])
-    data = _gauge_zero(grid, traj[:, :, 0] if kept else traj[:, ::-1, 1], negate=not kept)
+    data = _gauge_zero(grid, [traj[:, :, 0] if kept else traj[:, ::-1, 1]], negate=not kept)
     return HalflineResult(data, True, sup_norm(data.values[1:, -1] - model), int(not kept), "converged")
 
 

@@ -308,3 +308,12 @@ def test_nahm_json_missing_key_is_an_input_error(drop):
     del record[drop[-1]]
     with pytest.raises(InputError, match=f"a Nahm record needs the key '{drop[-1]}'"):
         nahm_from_json(data)
+
+
+@pytest.mark.parametrize("block, value", [("algebra", [2]), ("grid", "x")])
+def test_nahm_json_refuses_a_block_that_is_no_object(block, value):
+    # both escaped as TypeError ("list indices must be integers ...", "string indices ...")
+    data = nahm_to_json(nil_solution(SU2, Grid(0.0, 1.0, 5)))
+    data[block] = value
+    with pytest.raises(InputError, match=f"the record's {block} must be dict, got {type(value).__name__}"):
+        nahm_from_json(data)

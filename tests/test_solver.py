@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coeffs, project, su2_basis, su2_embed
+from nahmlab.algebra import AlgebraSpec, InputError, Su2Triple, bracket, char_poly_coeffs, project, su2_basis, su2_embed, su2_embed_block
 from nahmlab import solver
 from nahmlab.moment import lax_extract, mu_nahm
 from nahmlab.gauge import complex_trivialize_direct, trivialize
@@ -372,6 +372,22 @@ def test_boundary_target_commutation_at_large_finite_entries():
         BoundaryTarget(1e200 * E1, Z2, Z2, sigma=su2_embed(SU2), L=5.0)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_boundary_target_sigma_must_represent_su2(k):
+    # [sigma(e1), sigma(e2)] = -sigma(e3), cyclically, as for e_j = (i/2) sigma_j: the
+    # zero triple, the irreducible embedding, every block one and a conjugate pass
+    spec, Zk = AlgebraSpec("su", k), np.zeros((k, k), dtype=complex)
+    U = np.linalg.qr(np.random.default_rng(k).standard_normal((k, k)) + 0j)[0]
+    sigmas = [None, (Zk,) * 3, su2_embed(spec), [U.conj().T @ e @ U for e in su2_embed(spec)]]
+    for sigma in sigmas + [su2_embed_block(spec, m) for m in range(2, k + 1)]:
+        BoundaryTarget(Zk, Zk, Zk, sigma=sigma, L=5.0)
+    # the relation is quadratic against linear, so no multiple of a representation
+    # but 1 passes; the test is taken on the rescale, where no product overflows
+    for c in (5.0, 0.5, -1.0, 1.0 + 1e-6, 1e200):
+        with pytest.raises(InputError, match=r"sigma images must represent su\(2\)"):
+            BoundaryTarget(Zk, Zk, Zk, sigma=[c * e for e in su2_embed(spec)], L=5.0)
+
+
 def test_boundary_target_holds_read_only_copies():
     tau1, tau2 = E3.copy(), 2.0 * E3
     target = BoundaryTarget(tau1, tau2, Z2, L=5.0)
@@ -523,9 +539,12 @@ def test_halfline_blowup_returns_no_data():
     # with sigma scaled by 3, the solution through model(L) is
     # T = sigma / (s - c) with its pole at c = L - (L + 1) / 3, inside [0, L]:
     # the solve raises, as integrate_nahm does, at the node where the
-    # backward flow from -model(L) blew up, read on the solution's own axis
+    # backward flow from -model(L) blew up, read on the solution's own axis.
+    # 3 sigma is no representation, which BoundaryTarget refuses, so it is set
+    # past the target's checks
     sigma = Su2Triple(*(3.0 * np.asarray(e) for e in su2_embed(SU2)))
-    target = BoundaryTarget(Z2, Z2, Z2, sigma=sigma, L=10.0)
+    target = BoundaryTarget(Z2, Z2, Z2, L=10.0)
+    object.__setattr__(target, "sigma", sigma)
     grid = Grid(0.0, 10.0, 2000)  # the solve's grid at its default step
     with pytest.raises(NahmBlowUpError) as back:
         integrate_nahm(SU2, tuple(-asymptotic_model(target, 10.0)), grid)
@@ -958,8 +977,11 @@ def test_integrate_nahm_and_halfline_reject_malformed_triples(case):
 def test_halfline_rejects_a_model_outside_su_k():
     # the limits and sigma each lie in su(2) within their tolerances (a Hermitian
     # sigma is refused by BoundaryTarget itself), but at L = 1 they cancel to
-    # the limits' small trace part, which is all that is left of the model
-    target = BoundaryTarget(1e6 * E3 + 1e-5 * np.eye(2), Z2, Z2, sigma=(-2e6 * E3, Z2, Z2), L=1.0)
+    # the limits' small trace part, which is all that is left of the model; such
+    # a sigma is no representation, which BoundaryTarget refuses, so it is set
+    # past the target's checks, and the solver's own check must catch it
+    target = BoundaryTarget(1e6 * E3 + 1e-5 * np.eye(2), Z2, Z2, L=1.0)
+    object.__setattr__(target, "sigma", Su2Triple(-2e6 * E3, Z2, Z2))
     with pytest.raises(InputError, match="model at L must be"):
         halfline_solve(target, tuple(su2_embed(SU2)))
 
@@ -1033,8 +1055,11 @@ def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
     spec = AlgebraSpec("su", target.dim)
     model = asymptotic_model(target, L)
 
-    def flow(init):
-        d = integrate_nahm(spec, tuple(init), grid, bound)
+    def flow(init):  # the sequential loop on one start: integrate_nahm agrees with it only within a tolerance
+        traj, (blowup,) = solver._nahm_flow(np.asarray(init)[None], grid, bound)
+        if blowup is not None:
+            raise NahmBlowUpError(*blowup)
+        d = solver._gauge_zero(grid, [traj[:, :, 0]])
         return d, d.values[1:, -1]
 
     def gap(term):
@@ -1065,7 +1090,6 @@ def halfline_cases():
     spec3 = AlgebraSpec("su", 3)
     nil3 = BoundaryTarget(*(np.zeros((3, 3), dtype=complex),) * 3, sigma=su2_embed(spec3), L=10.0)
     nil2 = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=6.0)
-    scaled = Su2Triple(*(3.0 * np.asarray(e) for e in su2_embed(SU2)))
     return {
         # (target, guess)
         "coth_exact_kept": (coth, coth_seed()),
@@ -1073,16 +1097,20 @@ def halfline_cases():
         "nil_su3_perturbed": (nil3, tuple(e + 0.01 * spec3.random_element(rng) for e in su2_embed(spec3))),
         # the guess -2 sigma blows up at s = 1/2, the backward solve does not
         "guess_blows_up": (nil2, tuple(-2.0 * np.asarray(e) for e in su2_embed(SU2))),
-        # the backward solve blows up, so the solve raises
-        "backward_blows_up": (BoundaryTarget(Z2, Z2, Z2, sigma=scaled, L=10.0), tuple(scaled)),
+        # the backward solve passes the bound HALFLINE_BOUNDS gives it, so the solve raises
+        "backward_blows_up": (nil2, tuple(-2.0 * np.asarray(e) for e in su2_embed(SU2))),
     }
+
+
+HALFLINE_BOUNDS = {"backward_blows_up": 0.5}  # blow-up bounds other than the default 1e6
 
 
 @pytest.mark.parametrize("case", sorted(halfline_cases()))
 def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
     target, guess = halfline_cases()[case]
+    bound = HALFLINE_BOUNDS.get(case, 1e6)
     try:
-        expected = ref_halfline(target, guess)
+        expected = ref_halfline(target, guess, bound=bound)
     except NahmBlowUpError as exc:
         expected = exc
     flow, calls = solver._nahm_flow, []
@@ -1094,11 +1122,11 @@ def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
     monkeypatch.setattr(solver, "_nahm_flow", counted)
     if isinstance(expected, NahmBlowUpError):
         with pytest.raises(NahmBlowUpError) as info:
-            halfline_solve(target, guess)
+            halfline_solve(target, guess, blowup_bound=bound)
         assert (info.value.s, info.value.norm) == (expected.s, expected.norm)
     else:
         data, iterations, deviation = expected
-        res = halfline_solve(target, guess)
+        res = halfline_solve(target, guess, blowup_bound=bound)
         assert (res.iterations, res.terminal_deviation) == (iterations, deviation)
         assert res.data.values.tobytes() == data.values.tobytes()
     # the guess and the backward solve share the one loop
