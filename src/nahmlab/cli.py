@@ -50,9 +50,8 @@ _MATRIX = Key(list)
 _L = Key(float, 10.0, "> 0")
 _TAU = Key((list, {"te3": Key(float)}), None)
 _SIGMA = (str, {"block": Key(int)})  # "irreducible", "none" or {"block": b}
-_COMMON = {"seed": Key(int, 0, ">= 0")}
-_SOLVE = {**_COMMON, "algebra": Key({"family": Key(str, "su"), "dim": Key(int, 2)}, {}),
-          "blowup_bound": Key(float, 1e6, "> 0")}
+_SEED = {"seed": Key(int, 0, ">= 0")}  # the commands that draw: halfline, vergne and check
+_SOLVE = {"algebra": Key({"family": Key(str, "su"), "dim": Key(int, 2)}, {}), "blowup_bound": Key(float, 1e6, "> 0")}
 _GRID = {"s0": Key(float, 0.0), "s1": Key(float, 1.0), "n": Key(int, 1000)}
 _INIT = Kinds(
     nil={"offset": Key(float, 1.0)},
@@ -71,7 +70,7 @@ SCHEMAS = {
         "fixed_curve": Key({"tau1": _TAU, "tau2": _TAU, "tau3": _TAU}, None),
     },
     "halfline": {
-        **_SOLVE,
+        **_SEED, **_SOLVE,
         "target": Key(Kinds(
             coth={"L": _L, "a": Key(float, 1.5, "> 0")},
             nil={"L": _L, "sigma": Key(_SIGMA, "irreducible")},
@@ -79,8 +78,8 @@ SCHEMAS = {
         )),
         "perturbation": Key(float, 0.0, ">= 0"), "step": Key(float, 5e-3, "> 0"),
     },
-    "vergne": {**_COMMON, "points": Key(list, []), "samples": Key(int, 0, ">= 0")},
-    "check": {**_COMMON, "n": Key(int, 300), "samples": Key(int, 10), "inject_sign_flip": Key(bool, False)},
+    "vergne": {**_SEED, "points": Key(list, []), "samples": Key(int, 0, ">= 0")},
+    "check": {**_SEED, "n": Key(int, 300), "samples": Key(int, 10), "inject_sign_flip": Key(bool, False)},
 }
 
 
@@ -311,7 +310,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out-dir", default=".", help="artifact output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed (halfline, vergne, check)")
     args = parser.parse_args(argv)
 
     try:

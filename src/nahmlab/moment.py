@@ -149,6 +149,11 @@ def _s1_pairing(u, v) -> float:
     return quadrature(pairing_nodes(u.values[2:], v.values[2:]).sum(axis=0), _shared_grid(u, v))
 
 
+def _rel_gap(a, b):
+    """|a - b| / max(1, |a|, |b|), elementwise; NaN where a or b is."""
+    return abs(a - b) / np.maximum(np.maximum(1.0, abs(a)), abs(b))
+
+
 def kahler_form_identity_check(spec: AlgebraSpec, grid: Grid, n_samples: int, rng: np.random.Generator) -> float:
     """Max deviation of the potential identity: the I2-twisted Hessian of the
     S^1 moment map reproduces omega_2 as a bilinear form on random tangents.
@@ -159,7 +164,7 @@ def kahler_form_identity_check(spec: AlgebraSpec, grid: Grid, n_samples: int, rn
         u, v = (NahmData._own(grid, t) for t in drawn)
         B = _s1_pairing(v, complex_structure(2, u)) - _s1_pairing(u, complex_structure(2, v))
         w2 = omega(2, u, v)
-        errs.extend(abs(B - w2) / np.maximum(np.maximum(1.0, abs(w2)), abs(B)))
+        errs.extend(_rel_gap(B, w2))
     return float(np.max(errs, initial=0.0))  # NaN if any sample is NaN
 
 
@@ -170,7 +175,4 @@ def theta_star(d: NahmData) -> NahmData:
 
 def s1_moment_identity_check(d: NahmData, v: NahmData) -> float:
     """Deviation of d mu_{S^1}(v) from omega_1(theta*, v)."""
-    dmu = _s1_pairing(d, v)
-    w = omega(1, theta_star(d), v)
-    scale = max(1.0, abs(dmu), abs(w))
-    return abs(dmu - w) / scale
+    return float(_rel_gap(_s1_pairing(d, v), omega(1, theta_star(d), v)))

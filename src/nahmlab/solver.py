@@ -303,7 +303,7 @@ def halfline_solve(
     if not (np.isfinite(step) and step > 0 and L / float(step) < np.iinfo(np.intp).max):
         raise InputError(f"need a finite step > 0 with L / step nodes an array can index, got {step!r} for L = {L!r}")
     grid = Grid(0.0, L, max(int(np.ceil(L / step)), 8))
-    model = _member_triple(asymptotic_model(target, L), target.dim, "the model at L")
+    model = asymptotic_model(target, L)
     guess = _member_triple(init_guess, target.dim, "init_guess")
 
     # S(u) = -T(L - u) solves Nahm whenever T does, so the solution through

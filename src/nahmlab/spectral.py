@@ -81,18 +81,17 @@ def conservation_check(d: NahmData) -> float:
 
 def fixed_curve(target: BoundaryTarget) -> tuple:
     """The fixed singular curve (coeffs, factors) of an orbit target:
-    det(eta - (tau2 + i tau3) - 2i tau1 zeta - (tau2 - i tau3) zeta^2) = 0.
-
-    Note the zeta-linear term carries the opposite sign from the pencil of an
-    actual solution flow; the two conventions are exchanged by zeta -> -zeta.
-    For simultaneously diagonal tau_i the curve splits into k quadratic
-    components eta = q_i(zeta), returned in ``factors`` (else None).
+    det(eta - (tau2 + i tau3) - 2i tau1 zeta - (tau2 - i tau3) zeta^2) = 0, the
+    pencil of alpha = i tau1, beta = tau2 + i tau3: a flow's at zeta -> -zeta.
+    For tau_i whose off-diagonal entries are within 1e-12 of their largest
+    entry, the curve splits into k quadratic components eta = q_i(zeta),
+    returned in ``factors`` (else None).
     """
-    t1, t2, t3 = target.tau1, target.tau2, target.tau3
-    pencil = np.stack([t2 + 1j * t3, 2j * t1, t2 - 1j * t3])
+    taus = np.stack([target.tau1, target.tau2, target.tau3])
+    pencil = _pencil(1j * taus[0], taus[1] + 1j * taus[2])
     coeffs = [f[:, 0] for f in char_poly_coeffs(pencil[:, None])]
-    diagonal = all(np.allclose(t, np.diag(np.diagonal(t)), atol=1e-12) for t in (t1, t2, t3))
-    return coeffs, [pencil[:, i, i] for i in range(target.dim)] if diagonal else None
+    diagonal = np.max(np.abs(taus[:, ~np.eye(target.dim, dtype=bool)])) <= 1e-12 * np.max(np.abs(taus))
+    return coeffs, [pencil[:, i, i] + 0.0 for i in range(target.dim)] if diagonal else None  # 0, not -beta*'s -0
 
 
 def reality_check(coeffs: list) -> float:

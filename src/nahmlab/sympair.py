@@ -164,6 +164,7 @@ def tangent_transitivity_check(spec: SymmetricPairSpec, x: np.ndarray):
     dim(A) + dim(B) - dim(A + B).
     """
     x = np.asarray(x, dtype=complex)
+    x = x / (np.max(np.abs(x)) or 1.0)  # the ranks are of x scaled to a largest entry of 1
     k = x.shape[0]
 
     def col_space(basis):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from nahmlab import solver
 from nahmlab.paths import AlgebraPath
 
 
@@ -17,3 +18,9 @@ def real_form_product(X, Y):
     phi[..., ::2, ::2] = phi[..., 1::2, 1::2] = Y.real
     phi[..., ::2, 1::2], phi[..., 1::2, ::2] = Y.imag, -1.0 * Y.imag
     return (np.ascontiguousarray(X).view(float) @ phi).view(complex)
+
+
+def sequential(Y0, grid, bound=1e6):
+    """The sequential Nahm loop's (3, n+1, k, k) path of one start, and its blow-up."""
+    traj, (blowup,) = solver._nahm_flow(np.asarray(Y0)[None], grid, bound)
+    return traj[:, :, 0], blowup

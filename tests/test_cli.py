@@ -463,6 +463,8 @@ ZERO_PAIRS = [[0.0, 0.0]] * 4
         ("halfline", {"algebra": {"family": "su", "dim": 3}, "target": {"kind": "coth", "L": 5.0}}),
         # a config nested past the JSON parser's recursion limit
         pytest.param("vergne", '{"points": ' + "[" * 2000 + "]" * 2000 + "}", id="vergne-nested-2000-deep"),
+        # a required key left out
+        ("evolve", {"init": {"kind": "matrices"}}),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
@@ -544,6 +546,9 @@ def test_unwritable_artifact_exits_2(tmp_path, capsys):
         ("halfline", {"target": {"kind": "coth", "L": 5.0}, "tol": 1e-6}, "tol"),
         ("halfline", {"target": {"kind": "coth", "L": 5.0}, "coeff_tol": 1e-6}, "coeff_tol"),
         ("halfline", {"target": {"kind": "coth", "L": 5.0}, "residual_gate": 1e-3}, "residual_gate"),
+        # evolve and spectral draw nothing, so they take no seed
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "seed": 5}, "seed"),
+        ("spectral", {"grid": SMALL_GRID, "init": {"kind": "nil"}, "seed": 5}, "seed"),
     ],
 )
 def test_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, cfg, key):
@@ -552,6 +557,21 @@ def test_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, cfg, key):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"config error: unknown config key {key!r}")
+
+
+@pytest.mark.parametrize(
+    "cfg, seed, message",
+    [
+        ({"init": {"kind": "matrices"}}, None, "missing config key 'init.T1'"),
+        # --seed sets the config's seed, which evolve, drawing nothing, does not take
+        ({"grid": SMALL_GRID, "init": {"kind": "nil"}}, 9, "unknown config key 'seed'"),
+    ],
+)
+def test_evolve_refusal_names_the_key(tmp_path, capsys, cfg, seed, message):
+    code, out = run(tmp_path, "evolve", cfg, seed=seed)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_vergne_default(tmp_path):

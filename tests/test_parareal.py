@@ -18,13 +18,9 @@ from nahmlab.cli import main
 from nahmlab.paths import Grid
 from nahmlab.solver import NahmBlowUpError, coth_solution, integrate_nahm, nil_solution
 
+from helpers import sequential
+
 CONTRACT = 1e-13  # max |parareal - sequential| / scale, 1e3 eps rounded down
-
-
-def sequential(Y0, grid, bound=1e6):
-    """The sequential loop's (3, n+1, k, k) path of one start, and its blow-up."""
-    traj, (blowup,) = solver._nahm_flow(np.asarray(Y0)[None], grid, bound)
-    return traj[:, :, 0], blowup
 
 
 def flows(monkeypatch):

@@ -21,7 +21,7 @@ from nahmlab.solver import (
     orbit_identify,
 )
 
-from helpers import const_path
+from helpers import const_path, real_form_product, sequential
 
 SU2 = AlgebraSpec("su", 2)
 E1, E2, E3 = su2_basis()
@@ -821,16 +821,6 @@ def test_integrate_nahm_projects_a_start_off_su_k(k):
     assert member_defect(T) <= 1e-14 * float(np.max(np.linalg.norm(T, axis=(-2, -1))))
 
 
-def ref_cmatmul(x, y):
-    """xy in real form, as the package takes complex products: the rows
-    x.view(float) times phi(y), each entry a + ib of y the block [[a, b], [-b, a]]."""
-    k = y.shape[-1]
-    phi = np.empty((2 * k, 2 * k))
-    phi[::2, ::2] = phi[1::2, 1::2] = y.real
-    phi[::2, 1::2], phi[1::2, ::2] = y.imag, -1.0 * y.imag
-    return (np.ascontiguousarray(x).view(float) @ phi).view(complex)
-
-
 def ref_propagators(C, h, mm=np.matmul):
     """1 and the RK4 steps P_m from the identity of g' = g C, interval by
     interval, each product taken by ``mm``."""
@@ -846,7 +836,7 @@ def ref_propagators(C, h, mm=np.matmul):
     return p
 
 
-def ref_right_trivialize(C, h, unitary, mm=ref_cmatmul):
+def ref_right_trivialize(C, h, unitary, mm=real_form_product):
     """g' = g C in plain loops of the blocked construction: the running
     product of 1, P_0, ..., P_(n-1), padded with identities to b * b matrices
     (b = ceil(sqrt(n + 1))), is taken inside each block of b, then across the
@@ -904,14 +894,14 @@ def _right_and_baby_flows(k):
 def test_right_and_baby_flows_bitwise_match_reference(k):
     # the linear flows are the batched construction of ref_right_trivialize,
     # and the baby flow is the conjugation T1(s) = g(s)^-1 T1(s0) g(s), every
-    # product taken in real form (ref_cmatmul) as the package takes it, so
+    # product taken in real form (real_form_product) as the package takes it, so
     # the bytes match; the same construction with complex products is their
     # rounding neighbour, within 1e-14 absolute for the unitary gauge and the
     # baby flow and 1e-14 relative for the complex gauge
     g, T0, X, T1 = _right_and_baby_flows(k)
     Tc = T0.values + 1j * T1.values
     got = trivialize(T0).values, T1.values, complex_trivialize_direct(T0, T1).values
-    for mm, exact in ((ref_cmatmul, True), (np.matmul, False)):
+    for mm, exact in ((real_form_product, True), (np.matmul, False)):
         ref_g = ref_right_trivialize(T0.values, g.h, True, mm)
         ref_baby = ref_skew_project(np.array([mm(mm(np.conj(x.T), X), x) for x in ref_g]), k)
         ref_c = ref_right_trivialize(Tc, g.h, False, mm)
@@ -972,18 +962,6 @@ def test_integrate_nahm_and_halfline_reject_malformed_triples(case):
     target = BoundaryTarget(Z2, Z2, Z2, sigma=su2_embed(SU2), L=2.0)
     with pytest.raises(InputError, match="init_guess must be three elements of su"):
         halfline_solve(target, bad)
-
-
-def test_halfline_rejects_a_model_outside_su_k():
-    # the limits and sigma each lie in su(2) within their tolerances (a Hermitian
-    # sigma is refused by BoundaryTarget itself), but at L = 1 they cancel to
-    # the limits' small trace part, which is all that is left of the model; such
-    # a sigma is no representation, which BoundaryTarget refuses, so it is set
-    # past the target's checks, and the solver's own check must catch it
-    target = BoundaryTarget(1e6 * E3 + 1e-5 * np.eye(2), Z2, Z2, L=1.0)
-    object.__setattr__(target, "sigma", Su2Triple(-2e6 * E3, Z2, Z2))
-    with pytest.raises(InputError, match="model at L must be"):
-        halfline_solve(target, tuple(su2_embed(SU2)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
@@ -1056,10 +1034,10 @@ def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
     model = asymptotic_model(target, L)
 
     def flow(init):  # the sequential loop on one start: integrate_nahm agrees with it only within a tolerance
-        traj, (blowup,) = solver._nahm_flow(np.asarray(init)[None], grid, bound)
+        path, blowup = sequential(init, grid, bound)
         if blowup is not None:
             raise NahmBlowUpError(*blowup)
-        d = solver._gauge_zero(grid, [traj[:, :, 0]])
+        d = solver._gauge_zero(grid, [path])
         return d, d.values[1:, -1]
 
     def gap(term):

@@ -194,6 +194,13 @@ def test_fixed_curve_te3():
     assert q[0][2] == q[1][2] == 0.0  # common point over zeta = infinity
 
 
+@pytest.mark.parametrize("c", [2.0**-45, 1.0, 2.0**45])
+def test_fixed_curve_factors_do_not_depend_on_scale(c):
+    # diagonal is decided against the taus' largest entry: c e1 never is, c e3 always
+    assert fixed_curve(BoundaryTarget(c * E1, Z2, Z2))[1] is None
+    assert fixed_curve(BoundaryTarget(c * E3, Z2, Z2))[1] is not None
+
+
 def test_fixed_curve_zero_target():
     for spec in (SU2, SU3):
         k = spec.dim

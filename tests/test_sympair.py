@@ -398,6 +398,13 @@ def test_tangent_transitivity_zero():
     assert tangent_transitivity_check(SO2, np.zeros((2, 2))) == (0, 0)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_tangent_transitivity_does_not_depend_on_scale(c):
+    mb = B21.m_basis()
+    assert tangent_transitivity_check(SO2, c * vergne_map(1.0, 0.0)) == (1, 1)
+    assert tangent_transitivity_check(B21, c * (mb[0] + 1j * mb[1])) == (2, 2)
+
+
 def test_tangent_transitivity_su3(rng):
     # generic nilpotent in m^C for su(3)/s(u(2)+u(1))
     mb = B21.m_basis()
