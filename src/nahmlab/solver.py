@@ -7,8 +7,9 @@ All initial-value work is done in the T0 = 0 gauge, where the system reads
 T1' = [T2, T3] (and cyclic), stepped by the RK4 formula of ``paths`` from a
 start projected once onto su(k)^3, which the field maps into itself and RK4
 keeps to rounding, in real form (``algebra._real_form``: one real BLAS call a
-product, the complex path its even rows).  A path of >= ``_PARAREAL_MIN`` steps
-is a batch of Parareal segments (``_parareal``), within 1e-13 of the loop's.
+product, the complex path its even rows).  A flow's last live member with >=
+``_PARAREAL_MIN`` steps to go finishes as Parareal segments (``_parareal``),
+within 1e-13 of the loop's: one long path, or a half-line backward solve.
 The baby flow is a conjugation by the trivializing gauge of ``gauge``.
 The half-line problem fixes the whole state at a truncation length L to the
 first-order asymptotic model tau_i + sigma(e_i)/(L+1), which determines the
@@ -55,7 +56,7 @@ class NahmBlowUpError(RuntimeError):
 
 _CYCLE = np.array([[1, 2, 0], [2, 0, 1]])
 BLOCK = 32  # nodes stepped between two blow-up tests (the width is measured in CHANGES.md)
-# one path of n >= _PARAREAL_MIN steps runs as Parareal segments (the values are measured in CHANGES.md)
+# a last live member with >= _PARAREAL_MIN steps to go runs as Parareal segments (the values are measured in CHANGES.md)
 _PARAREAL_MIN, _SEGMENT, _COARSE, _CORRECTIONS, _JUMP_TOL = 1000, 96, 2, 2, 64 * np.finfo(float).eps
 _KEEP_TOL = 1e-6  # a half-line guess is kept when its flow ends this close to the model
 _COEFF_TOL, _RESIDUAL_GATE = 1e-6, 1e-3  # an orbit is certified within these (char poly, Nahm residual)
@@ -87,7 +88,10 @@ def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
     max norm or inf) at the first node past the bound, zeroed from the next node
     on (a fixed point).  The bound is tested once per ``BLOCK`` nodes, on their
     summed squared norms; a block past that is searched node by node.  Nodes
-    after the block in which the last member blew up are left unset."""
+    after the block in which the last member blew up are left unset.  At node 0
+    and after each blow-up block, a lone live member with >= ``_PARAREAL_MIN``
+    steps to go is tried once in ``_parareal``; its pieces, if taken, fill its
+    rows past that node, and the blown-up members' rows are zeroed."""
     if not blowup_bound > 0:
         raise InputError(f"need a blow-up bound > 0, got {blowup_bound!r}")
     # a block's summed squared norms below this keep every norm within the bound, their
@@ -101,8 +105,16 @@ def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
     traj = np.empty((grid.n + 1, 3, len(Y0)) + Y0.shape[2:], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         traj[0] = project(Y0.swapaxes(0, 1))
-        y = _real_form(traj[0])
+        y, start = _real_form(traj[0]), Y0
         for m0 in range(0, grid.n, BLOCK):
+            if start is not None and blowups.count(None) == 1 and grid.n - m0 >= _PARAREAL_MIN:
+                b = blowups.index(None)
+                if pieces := _parareal(start[b : b + 1], Grid(grid.s0 + m0 * grid.h, grid.s1, grid.n - m0), blowup_bound):
+                    pieces[0] = pieces[0][:, 1:]  # node m0 stays the loop's
+                    np.concatenate(pieces, axis=1, out=traj[m0 + 1 :, :, b].swapaxes(0, 1))
+                    traj[m0 + 1 :, :, np.arange(len(Y0)) != b] = 0.0
+                    break
+            start = None
             for m in range(m0, min(m0 + BLOCK, grid.n)):
                 y = _rk4_step(_nahm_rhs, y, scalars, None, None, None)
                 traj[m + 1].view(float)[...] = y[..., ::2, :]
@@ -116,18 +128,19 @@ def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
                     if blowups[b] is None and not (norm <= blowup_bound and np.isfinite(unit)):
                         blowups[b] = (grid.s0 + (m0 + int(i) + 1) * grid.h, norm)
                         block[i + 1 :, :, b] = y[:, b] = 0.0
+                        start = traj[m + 1].swapaxes(0, 1)
                 if None not in blowups:
                     break
     return traj.swapaxes(0, 1), blowups
 
 
 def _parareal(Y0: np.ndarray, grid: Grid, bound: float) -> list | None:
-    """One start Y0 (1, 3, k, k)'s path as ``_gauge_zero`` pieces, or None for the
-    sequential loop.  Sweep i sets the starts of M segments of <= ``_SEGMENT`` steps,
+    """One start Y0 (1, 3, k, k)'s path as (3, m, k, k) pieces joined node-wise,
+    or None for the sequential loop.  Sweep i sets the starts of M segments of <= ``_SEGMENT`` steps,
     U[j+1] = F[j] + G(U[j]) - G_old[j] (G ``_COARSE`` RK4 steps, F the last batch's
     ends, none at first), and flows them as one batch, whose largest jump |F[j] -
-    U[j+1]| / max|U| must be within ``_JUMP_TOL`` ** (i / (``_CORRECTIONS`` + 1)),
-    as the coarse error's powers fall; within ``_JUMP_TOL`` the batch is the path."""
+    U[j+1]| must be within max|U| ``_JUMP_TOL`` ** (i / (``_CORRECTIONS`` + 1)),
+    as the coarse error's powers fall; within max|U| ``_JUMP_TOL`` the batch is the path."""
     M = -(-grid.n // _SEGMENT)
     steps = np.diff(np.arange(M + 1) * grid.n // M)  # the longest last, so no member steps past s1
     fine, coarse = Grid(0.0, steps[-1] * grid.h, int(steps[-1])), {m: _rk4_scalars(m * grid.h / _COARSE) for m in set(steps)}
@@ -144,11 +157,12 @@ def _parareal(Y0: np.ndarray, grid: Grid, bound: float) -> list | None:
                 return None
             traj, blowups = _nahm_flow(U, fine, bound)
             F = traj[:, steps[:-1], np.arange(M - 1)].swapaxes(0, 1)
-            jump = np.max(np.abs(F - U[1:])) / np.max(np.abs(U))
-            if blowups != [None] * M or not jump <= _JUMP_TOL ** (i / (_CORRECTIONS + 1)):
+            jump, scale = np.max(np.abs(F - U[1:])), np.max(np.abs(U))  # a product, as a zero path's quotient is 0 / 0
+            if blowups != [None] * M or not jump <= _JUMP_TOL ** (i / (_CORRECTIONS + 1)) * scale:
                 return None
-            if jump <= _JUMP_TOL:
+            if jump <= _JUMP_TOL * scale:
                 return [traj[:, : m + (j == M - 1), j] for j, m in enumerate(steps)]
+            del traj  # freed before the next batch's buffer is taken
 
 
 def integrate_nahm(
@@ -162,15 +176,13 @@ def integrate_nahm(
     The start is projected onto the algebra once; RK4 then keeps the state
     in it to rounding.  Blow-up past the norm bound raises NahmBlowUpError at
     the first node past it (at a pole, within two steps of the crossing).
-    A path of >= ``_PARAREAL_MIN`` steps is ``_parareal``'s, within 1e-13 relative of the loop's.
+    The start is ``_nahm_flow``'s one live member at node 0, so a path of >=
+    ``_PARAREAL_MIN`` steps is ``_parareal``'s, within 1e-13 relative of the loop's.
     """
-    Y0 = _member_triple(init, algebra.dim, "init")[None]
-    if grid.n >= _PARAREAL_MIN and (pieces := _parareal(Y0, grid, blowup_bound)):
-        return _gauge_zero(grid, pieces)
-    traj, (blowup,) = _nahm_flow(Y0, grid, blowup_bound)
+    traj, (blowup,) = _nahm_flow(_member_triple(init, algebra.dim, "init")[None], grid, blowup_bound)
     if blowup is not None:
         raise NahmBlowUpError(*blowup)
-    return _gauge_zero(grid, [traj[:, :, 0]])
+    return _gauge_zero(grid, traj[:, :, 0])
 
 
 def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
@@ -185,12 +197,12 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
     return T0, AlgebraPath(T0.grid, project(_cmatmul(_cmatmul(dagger(g), _real_form(X)), _real_form(g))))
 
 
-def _gauge_zero(grid: Grid, pieces: list, negate: bool = False) -> NahmData:
-    """NahmData with T0 = 0 and (T1, T2, T3) = T, or -T with ``negate``, for T the
-    (3, n+1, k, k) node-wise join of ``pieces``: copied once into a zeroed C-ordered
-    stack and negated there (a ufunc on a strided T would take an iteration buffer)."""
-    values = np.zeros((4, grid.n + 1) + pieces[0].shape[2:], dtype=complex)
-    np.concatenate(pieces, axis=1, out=values[1:])
+def _gauge_zero(grid: Grid, T: np.ndarray, negate: bool = False) -> NahmData:
+    """NahmData with T0 = 0 and (T1, T2, T3) = T, or -T with ``negate``, for T a
+    (3, n+1, k, k) path: copied once into a zeroed C-ordered stack and negated
+    there (a ufunc on a strided T would take an iteration buffer)."""
+    values = np.zeros((4, grid.n + 1) + T.shape[2:], dtype=complex)
+    values[1:] = T
     if negate:
         np.negative(values[1:], out=values[1:])
     return NahmData._own(grid, values)
@@ -297,7 +309,10 @@ def halfline_solve(
     The model is compared in its projection onto su(k), which the backward
     path ends at exactly (deviation 0).  So every result is ``converged``; a
     blow-up of the backward solve raises NahmBlowUpError at the solution's
-    node past the bound, as ``integrate_nahm`` does.
+    node past the bound, as ``integrate_nahm`` does.  Once the guess has blown
+    up with >= ``_PARAREAL_MIN`` steps to go, the backward member finishes as
+    Parareal segments (``_nahm_flow``); a kept or finite guess shares the loop
+    to the end.
     """
     L = float(target.L)
     if not (np.isfinite(step) and step > 0 and L / float(step) < np.iinfo(np.intp).max):
@@ -313,7 +328,7 @@ def halfline_solve(
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= _KEEP_TOL
     if not kept and back_blowup is not None:
         raise NahmBlowUpError(L - back_blowup[0], back_blowup[1])
-    data = _gauge_zero(grid, [traj[:, :, 0] if kept else traj[:, ::-1, 1]], negate=not kept)
+    data = _gauge_zero(grid, traj[:, :, 0] if kept else traj[:, ::-1, 1], negate=not kept)
     return HalflineResult(data, True, sup_norm(data.values[1:, -1] - model), int(not kept), "converged")
 
 

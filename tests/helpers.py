@@ -21,6 +21,11 @@ def real_form_product(X, Y):
 
 
 def sequential(Y0, grid, bound=1e6):
-    """The sequential Nahm loop's (3, n+1, k, k) path of one start, and its blow-up."""
-    traj, (blowup,) = solver._nahm_flow(np.asarray(Y0)[None], grid, bound)
+    """The sequential Nahm loop's (3, n+1, k, k) path of one start, and its blow-up:
+    ``solver._nahm_flow`` with the segment engine's step floor raised past n."""
+    floor, solver._PARAREAL_MIN = solver._PARAREAL_MIN, grid.n + 1
+    try:
+        traj, (blowup,) = solver._nahm_flow(np.asarray(Y0)[None], grid, bound)
+    finally:
+        solver._PARAREAL_MIN = floor
     return traj[:, :, 0], blowup

@@ -1,10 +1,13 @@
-"""``integrate_nahm`` runs one path of n >= ``solver._PARAREAL_MIN`` steps as
-Parareal segments (``solver._parareal``): one coarse sweep, then a batched fine
-flow of every segment start per correction.  Its path must agree with the
-sequential loop's (``solver._nahm_flow`` on the one start) within 1e-13 of the
-path's scale, stay as close to the closed forms, and, wherever the engine
-declines (an unstable coarse sweep, a member past the bound, corrections off
-track), be the sequential loop's bytes, blow-up node and norm."""
+"""``solver._nahm_flow`` hands the last live member of its batch, at node 0 or
+after a blow-up block, to the Parareal segment engine (``solver._parareal``)
+when >= ``solver._PARAREAL_MIN`` steps remain: one coarse sweep, then a batched
+fine flow of every segment start per correction.  So ``integrate_nahm`` runs one
+long path as segments, and ``halfline_solve`` its backward member once the guess
+has blown up.  The path must agree with the sequential loop's (``_nahm_flow``
+with the engine's floor past n) within 1e-13 of the path's scale, stay as close
+to the closed forms, and, wherever the engine declines (an unstable coarse
+sweep, a member past the bound, corrections off track), be the sequential
+loop's bytes, blow-up node and norm."""
 
 import json
 
@@ -13,10 +16,10 @@ import pytest
 from scipy.stats import unitary_group
 
 from nahmlab import solver
-from nahmlab.algebra import AlgebraSpec, su2_embed
+from nahmlab.algebra import AlgebraSpec, Su2Triple, su2_embed
 from nahmlab.cli import main
 from nahmlab.paths import Grid
-from nahmlab.solver import NahmBlowUpError, coth_solution, integrate_nahm, nil_solution
+from nahmlab.solver import BoundaryTarget, NahmBlowUpError, coth_solution, halfline_solve, integrate_nahm, nil_solution, orbit_identify
 
 from helpers import sequential
 
@@ -24,7 +27,8 @@ CONTRACT = 1e-13  # max |parareal - sequential| / scale, 1e3 eps rounded down
 
 
 def flows(monkeypatch):
-    """The batch size of each ``_nahm_flow`` call integrate_nahm makes from here on."""
+    """The batch size of each ``_nahm_flow`` call from here on, in the order they
+    start: a one-member loop before the engine batches it hands its path to."""
     flow, calls = solver._nahm_flow, []
 
     def counted(*args):
@@ -60,7 +64,7 @@ def test_parareal_agrees_with_the_sequential_loop(k, start, monkeypatch):
     calls = flows(monkeypatch)
     d = integrate_nahm(AlgebraSpec("su", k), tuple(Y0), grid)
     M = -(-grid.n // solver._SEGMENT)
-    assert calls in ([M] * 2, [M] * 3)  # the engine gave the path, after one or two corrections
+    assert calls in ([1] + [M] * 2, [1] + [M] * 3)  # the engine gave the path, after one or two corrections
     assert relative_gap(d.values[1:], ref) <= CONTRACT
     assert d.values[1:, 0].tobytes() == ref[:, 0].tobytes()  # node 0 is the projected start
     assert not np.any(d.values[0])
@@ -74,7 +78,7 @@ def test_one_correction_brings_long_smooth_paths_to_rounding(k, n, monkeypatch):
     Y0 = haar_nil(k, grid, 60 + k)[:, 0]
     calls = flows(monkeypatch)
     integrate_nahm(AlgebraSpec("su", k), tuple(Y0), grid)
-    assert calls == [-(-n // solver._SEGMENT)] * 2
+    assert calls == [1] + [-(-n // solver._SEGMENT)] * 2
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
@@ -102,7 +106,7 @@ def test_parareal_takes_a_node_count_no_segment_length_divides(n, monkeypatch):
     ref, _ = sequential(exact[:, 0], grid)
     calls = flows(monkeypatch)
     d = integrate_nahm(AlgebraSpec("su", 3), tuple(exact[:, 0]), grid)
-    assert calls[0] == -(-n // solver._SEGMENT) and len(calls) in (2, 3)
+    assert calls[:2] == [1, -(-n // solver._SEGMENT)] and len(calls) in (3, 4)
     assert d.values.shape == (4, n + 1, 3, 3)
     assert relative_gap(d.values[1:], ref) <= CONTRACT
 
@@ -154,7 +158,7 @@ def test_a_member_past_the_bound_declines(k, monkeypatch):
     with pytest.raises(NahmBlowUpError) as info:
         integrate_nahm(AlgebraSpec("su", k), tuple(-2.0 * sigma), grid, blowup_bound=bound)
     assert (info.value.s, info.value.norm) == blowup
-    assert calls == [-(-grid.n // solver._SEGMENT), 1]
+    assert calls == [1, -(-grid.n // solver._SEGMENT)]
 
 
 def test_blow_up_config_at_n_2000_exits_3(tmp_path):
@@ -175,10 +179,138 @@ def test_a_declined_path_is_the_sequential_one(case, monkeypatch):
         Y0 = coth_solution(150.0, 0.01, grid).values[1:, 0]
     else:  # a coarse sweep too rough for two corrections to bring the jumps to rounding
         grid = Grid(0.0, 5.0, 1000)
-        Y0, want = coth_solution(3.0, 0.5, grid).values[1:, 0], [-(-grid.n // solver._SEGMENT), 1]
+        Y0, want = coth_solution(3.0, 0.5, grid).values[1:, 0], [1, -(-grid.n // solver._SEGMENT)]
     ref, blowup = sequential(Y0, grid)
     assert blowup is None
     calls = flows(monkeypatch)
     d = integrate_nahm(AlgebraSpec("su", 2), tuple(Y0), grid)
     assert calls == want
     assert d.values[1:].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_a_zero_start_is_the_zero_path_from_one_batch(k, monkeypatch):
+    # the jump max|F - U[1:]| is taken against the tolerance times max|U|: as a
+    # quotient it is 0 / 0 on T = 0, which declined every zero path
+    grid = Grid(0.0, 1.0, 2000)
+    calls, counts = flows(monkeypatch), tries(monkeypatch)
+    d = integrate_nahm(AlgebraSpec("su", k), (np.zeros((k, k)),) * 3, grid)
+    assert calls == [1, -(-grid.n // solver._SEGMENT)] and counts == [(grid.n, True)]
+    assert not np.any(d.values)
+
+
+def tries(monkeypatch):
+    """(steps, taken) for each path ``_nahm_flow`` hands to ``_parareal`` from here on."""
+    engine, counts = solver._parareal, []
+
+    def counted(Y0, grid, bound):
+        pieces = engine(Y0, grid, bound)
+        counts.append((grid.n, pieces is not None))
+        return pieces
+
+    monkeypatch.setattr(solver, "_parareal", counted)
+    return counts
+
+
+def test_the_last_live_member_is_handed_over_once(monkeypatch):
+    # poles at s = 1/4 and 1/2 leave the nil solution the one live member with 4,500
+    # steps to go: the block after the second blow-up hands it to the engine, and the
+    # blown-up members keep their zero rows from the node after their own on
+    grid, sigma = Grid(0.0, 5.0, 5000), np.stack(su2_embed(AlgebraSpec("su", 2)))
+    starts = [-4.0 * sigma, -2.0 * sigma, sigma]
+    refs = [sequential(Y0, grid) for Y0 in starts]
+    counts = tries(monkeypatch)
+    traj, blowups = solver._nahm_flow(np.stack(starts), grid, 1e6)
+    assert blowups == [blowup for _, blowup in refs]
+    last = int(round((blowups[1][0] - grid.s0) / grid.h))
+    m0 = ((last - 1) // solver.BLOCK + 1) * solver.BLOCK  # the first node of the next block
+    assert counts == [(grid.n - m0, True)]
+    for b in (0, 1):
+        node = int(round((blowups[b][0] - grid.s0) / grid.h))
+        assert not np.any(traj[:, node + 1 :, b])
+    ref = refs[2][0]
+    assert traj[:, : m0 + 1, 2].tobytes() == ref[:, : m0 + 1].tobytes()  # the loop's up to the handover
+    assert relative_gap(traj[:, :, 2], ref) <= CONTRACT
+
+
+def test_a_declined_start_is_not_handed_over_again(monkeypatch):
+    # the coarse-unstable coth start of a = 150 with a bound 1% above its largest
+    # norm: every block's summed norms pass the cheap test and are searched, yet no
+    # node is past the bound, so no block after node 0 is a blow-up block
+    grid = Grid(0.0, 3.0, 3000)
+    Y0 = coth_solution(150.0, 0.01, grid).values[1:, 0]
+    bound = 1.01 * float(np.max(np.linalg.norm(sequential(Y0, grid)[0], axis=(-2, -1))))
+    ref, blowup = sequential(Y0, grid, bound)
+    assert blowup is None
+    counts = tries(monkeypatch)
+    d = integrate_nahm(AlgebraSpec("su", 2), tuple(Y0), grid, blowup_bound=bound)
+    assert counts == [(grid.n, False)]
+    assert d.values[1:].tobytes() == ref.tobytes()
+
+
+def nil_halfline(k, seed, eps=0.05):
+    """A nil su(k) target (tau = 0, L = 10) in a seeded Haar frame U, the frame,
+    and a guess eps off its sigma, which blows up before L."""
+    spec, U = AlgebraSpec("su", k), unitary_group.rvs(k, random_state=seed)
+    sigma = tuple(U.conj().T @ np.asarray(e) @ U for e in su2_embed(spec))
+    rng = np.random.default_rng(seed)
+    guess = tuple(e + eps * spec.random_element(rng) for e in sigma)
+    zero = np.zeros((k, k), dtype=complex)
+    return BoundaryTarget(zero, zero, zero, sigma=sigma, L=10.0), U, guess
+
+
+def loop_solve(target, guess, monkeypatch, **kw):
+    """``halfline_solve`` with the engine's step floor past every n: the B = 2 loop to the end."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_PARAREAL_MIN", np.iinfo(np.intp).max)
+        return halfline_solve(target, guess, **kw)
+
+
+HANDOVER_TOL = {5: 1e-12, 6: 1e-11}  # measured up to 4.6e-13 (k = 5) and 4.9e-12 (k = 6); CONTRACT below
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_halfline_backward_member_finishes_as_segments(k, monkeypatch):
+    target, U, guess = nil_halfline(k, 100 * k)
+    want = loop_solve(target, guess, monkeypatch)
+    calls = flows(monkeypatch)
+    got = halfline_solve(target, guess)
+    # the B = 2 loop, then the backward member's tail after one or two corrections
+    assert calls[0] == 2 and len(calls) in (3, 4) and len(set(calls[1:])) == 1
+    assert got.iterations == want.iterations == 1 and got.terminal_deviation == want.terminal_deviation == 0.0
+    assert relative_gap(got.data.values, want.data.values) <= HANDOVER_TOL.get(k, CONTRACT)
+    exact = U.conj().T @ nil_solution(AlgebraSpec("su", k), got.data.grid).values[1:] @ U
+    assert relative_gap(got.data.values[1:], exact) <= 1.25 * relative_gap(want.data.values[1:], exact)  # measured <= 1.14
+    a, b = orbit_identify(got.data, target), orbit_identify(want.data, target)
+    assert (a.beta0_rank, a.certified) == (b.beta0_rank, b.certified) == (k - 1, True)
+
+
+@pytest.mark.parametrize("case", ["kept", "both_live"])
+def test_halfline_kept_and_both_live_solves_keep_the_loop_bytes(case, monkeypatch):
+    # sigma at s = 0 is the exact solution's start, kept; 0.5 sigma flows to
+    # sigma / (s + 2), which neither blows up nor ends at the model
+    target, _, _ = nil_halfline(3, 7)
+    guess = tuple((1.0 if case == "kept" else 0.5) * e for e in target.sigma)
+    want = loop_solve(target, guess, monkeypatch)
+    calls = flows(monkeypatch)
+    got = halfline_solve(target, guess)
+    assert calls == [2]
+    assert got.iterations == want.iterations == (case == "both_live")
+    assert got.data.values.tobytes() == want.data.values.tobytes()
+
+
+def test_halfline_declined_tail_raises_the_loop_blow_up(monkeypatch):
+    # sigma scaled by 3, set past the target's checks, puts the solution's pole at
+    # s = L - (L + 1) / 3; the guess -2 sigma blows up at s = 1/2, and the engine,
+    # handed the backward member's tail, meets that pole in its coarse sweep and declines
+    sigma = su2_embed(AlgebraSpec("su", 2))
+    target = BoundaryTarget(*(np.zeros((2, 2), dtype=complex),) * 3, L=10.0)
+    object.__setattr__(target, "sigma", Su2Triple(*(3.0 * np.asarray(e) for e in sigma)))
+    guess = tuple(-2.0 * np.asarray(e) for e in sigma)
+    with pytest.raises(NahmBlowUpError) as want:
+        loop_solve(target, guess, monkeypatch)
+    calls, counts = flows(monkeypatch), tries(monkeypatch)
+    with pytest.raises(NahmBlowUpError) as got:
+        halfline_solve(target, guess)
+    assert calls == [2] and len(counts) == 1 and not counts[0][1]
+    assert (got.value.s, got.value.norm) == (want.value.s, want.value.norm)

@@ -1037,7 +1037,7 @@ def ref_halfline(target, guess, step=5e-3, tol=1e-6, bound=1e6):
         path, blowup = sequential(init, grid, bound)
         if blowup is not None:
             raise NahmBlowUpError(*blowup)
-        d = solver._gauge_zero(grid, [path])
+        d = solver._gauge_zero(grid, path)
         return d, d.values[1:, -1]
 
     def gap(term):
@@ -1081,6 +1081,14 @@ def halfline_cases():
 
 
 HALFLINE_BOUNDS = {"backward_blows_up": 0.5}  # blow-up bounds other than the default 1e6
+# the batch size of each _nahm_flow call: the B = 2 loop, then, once the guess has blown up
+# with >= 1000 steps to go, the engine's batches of the backward member's tail, a member per
+# 96 steps left (1168 and 1200 steps: 13, 1072 and 1136: 12).  The engine takes the constant
+# coth path from one batch and declines the backward_blows_up tail after its first, whose
+# members pass the bound
+HALFLINE_CALLS = {"coth_exact_kept": [2], "coth_perturbed": [2, 13], "backward_blows_up": [2, 13],
+                  "guess_blows_up": [2, 12, 12, 12], "nil_su3_perturbed": [2, 12, 12, 12]}
+HALFLINE_SEGMENTED = {"guess_blows_up", "nil_su3_perturbed"}  # the cases whose result is the engine's
 
 
 @pytest.mark.parametrize("case", sorted(halfline_cases()))
@@ -1106,6 +1114,13 @@ def test_halfline_matches_three_flow_reference_in_two_loops(case, monkeypatch):
         data, iterations, deviation = expected
         res = halfline_solve(target, guess, blowup_bound=bound)
         assert (res.iterations, res.terminal_deviation) == (iterations, deviation)
-        assert res.data.values.tobytes() == data.values.tobytes()
-    # the guess and the backward solve share the one loop
-    assert calls == [2]
+        if case in HALFLINE_SEGMENTED:
+            # within the engine's 1e-13 of the path's scale, as near the nil closed form
+            gap = np.max(np.abs(res.data.values - data.values)) / np.max(np.abs(data.values))
+            exact = nil_solution(AlgebraSpec("su", target.dim), res.data.grid).values
+            got_gap, ref_gap = (float(np.max(np.abs(d.values - exact))) for d in (res.data, data))
+            assert gap <= 1e-13 and abs(got_gap - ref_gap) <= 0.01 * ref_gap
+        else:
+            assert res.data.values.tobytes() == data.values.tobytes()
+    # the guess and the backward solve share the one loop, until the guess blows up
+    assert calls == HALFLINE_CALLS[case]
