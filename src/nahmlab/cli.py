@@ -112,7 +112,7 @@ def _value(val, spec: Key, name: str = ""):
 
 
 def _matrix(entry, k: int, name: str) -> np.ndarray:
-    """Config key ``name``'s matrix: [re, im] pairs of JSON numbers, row-major; a
+    """Config key ``name``'s matrix: [re, im] pairs of finite JSON numbers, row-major; a
     fixed-curve tau may also be null (zero) or the su(2) preset {"te3": x}, x e3."""
     if entry is None:
         return np.zeros((k, k), dtype=complex)
@@ -120,10 +120,13 @@ def _matrix(entry, k: int, name: str) -> np.ndarray:
         if k != 2:
             raise InputError("te3 preset needs su(2)")
         return entry["te3"] * su2_basis().e3
-    for pair in entry:
-        for x in pair if isinstance(pair, list) else [pair]:
-            nio._typed(x, float, f"an entry of config key {name!r}")
-    return nio.matrix_from_json(entry, k)
+    try:
+        M = nio.matrix_from_json(entry, k)
+        if not np.isfinite(M).all():
+            raise InputError("an entry must be finite")
+    except InputError as exc:
+        raise InputError(f"config key {name!r}: {exc}") from None
+    return M
 
 
 def _flow(cfg: dict) -> NahmData:
@@ -246,6 +249,8 @@ def _vergne_points(cfg: dict) -> np.ndarray:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(f"a point is [re u, im u, re v, im v], got {entry!r}")
         points.append([nio._typed(x, float, "a point coordinate") for x in entry])
+    if 32 * cfg["samples"] > np.iinfo(np.intp).max:  # the bytes of its (samples, 2, 2) float table
+        raise InputError(f"config key 'samples' must be a count whose sample table numpy can size, got {cfg['samples']}")
     x = np.random.default_rng(cfg["seed"]).standard_normal((cfg["samples"], 2))
     drawn = np.zeros((len(x), 2, 2))  # (sample, u or v, re or im)
     drawn[0::2, :, 0], drawn[1::2, :, 1] = x[0::2], x[1::2]

@@ -9,6 +9,8 @@ have 17 significant digits, so identical runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -39,11 +41,19 @@ def to_pairs(z) -> np.ndarray:
 
 def from_pairs(data) -> np.ndarray:
     """Complex array from (nested lists of) [re, im] pairs, the JSON form of
-    ``to_pairs``, bit for bit (reinterpreted, not recombined); else InputError."""
+    ``to_pairs``, bit for bit (reinterpreted, not recombined); else InputError.
+    A list's entries must be JSON numbers: no bool, string or null, and no
+    integer past the largest float; NaN and Infinity read as ``write_json`` writes them."""
     try:
         pairs = np.ascontiguousarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"expected [re, im] pairs of numbers: {exc}") from None
+        entries = data if isinstance(data, list) else []  # an array's entries are numbers already
+        for _ in range(pairs.ndim - 1):
+            entries = chain.from_iterable(entries)
+        if kinds := set(map(type, entries)) - {int, float}:
+            raise TypeError(f"an entry must be float, got {', '.join(sorted(kind.__name__ for kind in kinds))}")
+    except (TypeError, ValueError, OverflowError) as exc:  # numpy's OverflowError is an integer past the largest float
+        why = "an entry must be finite, got an integer past the largest float" if isinstance(exc, OverflowError) else exc
+        raise InputError(f"expected [re, im] pairs of numbers: {why}") from None
     if pairs.shape[-1:] != (2,):
         raise InputError(f"expected [re, im] pairs, got shape {pairs.shape}")
     return pairs.view(complex)[..., 0]
@@ -69,7 +79,8 @@ def _typed(val, typ, what: str):
     """val checked against typ, as every JSON value is read: an int is taken as
     a float, a bool is never taken as a number, and a float must be finite."""
     if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+        # an integer past the largest float is read as the infinity of its sign, which is refused below
+        val = float(val) if abs(val) <= sys.float_info.max else np.inf if val > 0 else -np.inf
     if not isinstance(val, typ) or (isinstance(val, bool) and typ in (int, float)):
         raise InputError(f"{what} must be {typ.__name__}, got {type(val).__name__}")
     if typ is float and not np.isfinite(val):
@@ -88,7 +99,12 @@ def nahm_from_json(data: dict) -> NahmData:
     spec = AlgebraSpec(family, _typed(dim, int, "the record's algebra.dim"))
     grid = Grid(_typed(s0, float, "the record's grid.s0"), _typed(s1, float, "the record's grid.s1"),
                 _typed(n, int, "the record's grid.n"))
-    return NahmData.from_arrays(spec, grid, *(matrix_from_json(node, spec.dim, grid.n + 1) for node in nodes))
+    for i, node in enumerate(nodes):
+        try:
+            nodes[i] = matrix_from_json(node, spec.dim, grid.n + 1)
+        except InputError as exc:
+            raise InputError(f"the record's T{i}: {exc}") from None
+    return NahmData.from_arrays(spec, grid, *nodes)
 
 
 def write_csv(grid: Grid, names: list, table: np.ndarray, path) -> None:

@@ -90,8 +90,8 @@ def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
     summed squared norms; a block past that is searched node by node.  Nodes
     after the block in which the last member blew up are left unset.  At node 0
     and after each blow-up block, a lone live member with >= ``_PARAREAL_MIN``
-    steps to go is tried once in ``_parareal``; its pieces, if taken, fill its
-    rows past that node, and the blown-up members' rows are zeroed."""
+    steps to go is tried once in ``_parareal``, which writes its rows past that
+    node if it takes the path; the blown-up members' rows are then zeroed."""
     if not blowup_bound > 0:
         raise InputError(f"need a blow-up bound > 0, got {blowup_bound!r}")
     # a block's summed squared norms below this keep every norm within the bound, their
@@ -109,9 +109,7 @@ def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
         for m0 in range(0, grid.n, BLOCK):
             if start is not None and blowups.count(None) == 1 and grid.n - m0 >= _PARAREAL_MIN:
                 b = blowups.index(None)
-                if pieces := _parareal(start[b : b + 1], Grid(grid.s0 + m0 * grid.h, grid.s1, grid.n - m0), blowup_bound):
-                    pieces[0] = pieces[0][:, 1:]  # node m0 stays the loop's
-                    np.concatenate(pieces, axis=1, out=traj[m0 + 1 :, :, b].swapaxes(0, 1))
+                if _parareal(start[b : b + 1], Grid(grid.s0 + m0 * grid.h, grid.s1, grid.n - m0), blowup_bound, traj[m0 + 1 :, :, b]):
                     traj[m0 + 1 :, :, np.arange(len(Y0)) != b] = 0.0
                     break
             start = None
@@ -134,13 +132,13 @@ def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
     return traj.swapaxes(0, 1), blowups
 
 
-def _parareal(Y0: np.ndarray, grid: Grid, bound: float) -> list | None:
-    """One start Y0 (1, 3, k, k)'s path as (3, m, k, k) pieces joined node-wise,
-    or None for the sequential loop.  Sweep i sets the starts of M segments of <= ``_SEGMENT`` steps,
-    U[j+1] = F[j] + G(U[j]) - G_old[j] (G ``_COARSE`` RK4 steps, F the last batch's
-    ends, none at first), and flows them as one batch, whose largest jump |F[j] -
-    U[j+1]| must be within max|U| ``_JUMP_TOL`` ** (i / (``_CORRECTIONS`` + 1)),
-    as the coarse error's powers fall; within max|U| ``_JUMP_TOL`` the batch is the path."""
+def _parareal(Y0: np.ndarray, grid: Grid, bound: float, out: np.ndarray) -> bool:
+    """One start Y0 (1, 3, k, k)'s path past node 0 written into out (n, 3, k, k), True, or False for the
+    sequential loop.  Sweep i sets the starts of M segments of <= ``_SEGMENT`` steps, U[j+1] = F[j] +
+    G(U[j]) - G_old[j] (G ``_COARSE`` RK4 steps, F the last batch's ends, none at first), and flows them
+    as one batch, whose largest jump |F[j] - U[j+1]| must be within max|U| ``_JUMP_TOL`` ** (i /
+    (``_CORRECTIONS`` + 1)), as the coarse error's powers fall; within max|U| ``_JUMP_TOL`` the batch is
+    the path, each segment giving its start and interior nodes, the last its end too."""
     M = -(-grid.n // _SEGMENT)
     steps = np.diff(np.arange(M + 1) * grid.n // M)  # the longest last, so no member steps past s1
     fine, coarse = Grid(0.0, steps[-1] * grid.h, int(steps[-1])), {m: _rk4_scalars(m * grid.h / _COARSE) for m in set(steps)}
@@ -154,14 +152,15 @@ def _parareal(Y0: np.ndarray, grid: Grid, bound: float) -> list | None:
                 g = y[..., ::2, :].copy().view(complex)
                 U[j + 1], G[j] = F[j] + (g - G[j]), g
             if not sup_norm(G) <= bound:
-                return None
+                return False
             traj, blowups = _nahm_flow(U, fine, bound)
             F = traj[:, steps[:-1], np.arange(M - 1)].swapaxes(0, 1)
             jump, scale = np.max(np.abs(F - U[1:])), np.max(np.abs(U))  # a product, as a zero path's quotient is 0 / 0
             if blowups != [None] * M or not jump <= _JUMP_TOL ** (i / (_CORRECTIONS + 1)) * scale:
-                return None
+                return False
             if jump <= _JUMP_TOL * scale:
-                return [traj[:, : m + (j == M - 1), j] for j, m in enumerate(steps)]
+                np.concatenate([traj[:, int(j == 0) : m + (j == M - 1), j] for j, m in enumerate(steps)], axis=1, out=out.swapaxes(0, 1))
+                return True
             del traj  # freed before the next batch's buffer is taken
 
 
@@ -265,13 +264,13 @@ class BoundaryTarget:
         # the commutation tests are homogeneous, so they are taken on the
         # rescaled limits, where no norm or product overflows
         taus, scale, _ = _unit_scaled(np.stack(taus))
-        if not np.max(np.linalg.norm(bracket(taus[:, None], taus), axis=(-2, -1))) <= 1e-10 * scale**2:
+        if not sup_norm(bracket(taus[:, None], taus)) <= 1e-10 * scale**2:
             raise InputError("boundary limits tau_i must commute")
         sigma, sscale, unit = _unit_scaled(np.stack(self.sigma))
-        if not np.max(np.linalg.norm(bracket(sigma[:, None], taus), axis=(-2, -1))) <= 1e-8 * sscale * scale:
+        if not sup_norm(bracket(sigma[:, None], taus)) <= 1e-8 * sscale * scale:
             raise InputError("sigma images must commute with the tau_i")
         # su(2)'s relations, quadratic against linear: on the rescale the linear side takes the unit once more
-        if not np.max(np.linalg.norm(_nahm_rhs(sigma, None) + unit * sigma, axis=(-2, -1))) <= 1e-8 * sscale**2:
+        if not sup_norm(_nahm_rhs(sigma, None) + unit * sigma) <= 1e-8 * sscale**2:
             raise InputError("sigma images must represent su(2): [sigma(e1), sigma(e2)] = -sigma(e3), cyclically")
 
     @property

@@ -34,7 +34,7 @@ __all__ = [
 
 PLUS_FORM = np.array([[1j, 1.0], [1.0, -1j]], dtype=complex)
 MINUS_FORM = np.array([[-1j, 1.0], [1.0, 1j]], dtype=complex)
-_ORBITS = np.array(["not_real", "degenerate", "O_plus", "O_minus"])
+_ORBITS = np.array(["not_real", "O_plus", "O_minus"])
 _FORMS = np.array(["plus_form", "minus_form", "neither"])
 
 
@@ -122,9 +122,10 @@ def vergne_map_j(u: complex | np.ndarray, v: complex | np.ndarray) -> np.ndarray
 
 def classify_real_orbit(u: complex | np.ndarray, v: complex | np.ndarray) -> np.ndarray:
     """Classify (u, v): image in sl(2,R) iff u^2, v^2, uv are all real; then
-    O_plus for u^2 + v^2 > 0 and O_minus for u^2 + v^2 < 0, each decided to
-    1e-10; a non-finite or zero point raises.  A label per point over the
-    leading axes, a 0-d array for a single point."""
+    O_plus for u^2 + v^2 > 0 and O_minus for u^2 + v^2 < 0; a non-finite or
+    zero point raises.  The orbits are cones: a point is decided scaled by a power
+    of two to a largest part in [0.5, 1), "real" within 1e-10, where |u^2 + v^2|
+    >= 0.12.  A label per point over the leading axes, a 0-d array for one point."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
     refused = ~(np.isfinite(u) & np.isfinite(v)) | (u == 0) & (v == 0)
     if refused.any():  # the first refused point's error, as a loop over the points raises it
@@ -132,17 +133,16 @@ def classify_real_orbit(u: complex | np.ndarray, v: complex | np.ndarray) -> np.
         if not (np.isfinite(bad_u) and np.isfinite(bad_v)):
             raise InputError(f"(u, v) must be finite, got ({bad_u}, {bad_v})")
         raise InputError("(u, v) must be nonzero")
-    with np.errstate(over="ignore", invalid="ignore"):  # a large finite point keeps its verdict, though u^2 overflows
-        uu, vv, uv = _cmul(u, u), _cmul(v, v), _cmul(u, v)
-        disc = uu.real + vv.real
+    parts = np.stack([u, v], axis=-1).view(float)  # (..., 4): re u, im u, re v, im v
+    e = np.frexp(np.max(abs(parts), axis=-1, keepdims=True))[1]
+    u, v = np.moveaxis(np.ldexp(parts, -e).view(complex), -1, 0)
+    uu, vv, uv = _cmul(u, u), _cmul(v, v), _cmul(u, v)
     not_real = (abs(uu.imag) > 1e-10) | (abs(vv.imag) > 1e-10) | (abs(uv.imag) > 1e-10)
-    # cross-check the coordinate criterion: x1 = x3 = 0 on O_plus, x0 = x2 = 0 on O_minus
-    off = np.where(disc > 0, (abs(u.imag) > 1e-6) | (abs(v.imag) > 1e-6), (abs(u.real) > 1e-6) | (abs(v.real) > 1e-6))
-    return _ORBITS[np.select([not_real, (abs(disc) <= 1e-10) | off, disc > 0], [0, 1, 2], 3)]
+    return _ORBITS[np.select([not_real, uu.real + vv.real > 0], [0, 1], 2)]
 
 
 def kc_orbit_form_check(M: np.ndarray) -> tuple:
-    """Test M = b [[i,1],[1,-i]] or b [[-i,1],[1,i]] for some b != 0, to 1e-10 max(1, |b|).
+    """Test M = b [[i,1],[1,-i]] or b [[-i,1],[1,i]] for some b != 0, to 1e-10 |b|.
 
     Returns the labels "plus_form", "minus_form" or "neither" and b = (M_01 +
     M_10) / 2 over the leading axes of a stack (..., 2, 2), 0-d arrays for a
@@ -151,8 +151,7 @@ def kc_orbit_form_check(M: np.ndarray) -> tuple:
     M = np.asarray(M, dtype=complex)
     b = _cmul(0.5, M[..., 0, 1] + M[..., 1, 0])
     size = abs(b)
-    tol = 1e-10 * np.maximum(1.0, size)
-    fits = [(size > 0) & (np.max(abs(M - _cmul(b[..., None, None], form)), axis=(-2, -1)) <= tol)
+    fits = [(size > 0) & (np.max(abs(M - _cmul(b[..., None, None], form)), axis=(-2, -1)) <= 1e-10 * size)
             for form in (PLUS_FORM, MINUS_FORM)]
     return _FORMS[np.select(fits, [0, 1], 2)], b
 

@@ -484,14 +484,52 @@ def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
                                                  "T3": [[None, 0.0]] + ZERO_PAIRS[1:]}}, "init.T3"),
         ("halfline", {"target": {"kind": "explicit", "tau1": ZERO_PAIRS, "tau2": [[0, 0], [0, False], [0, 0], [0, 0]],
                                  "tau3": ZERO_PAIRS}}, "target.tau2"),
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "matrices", "T1": [[0.0, "nan"]] + ZERO_PAIRS[1:],
+                                                 "T2": ZERO_PAIRS, "T3": ZERO_PAIRS}}, "init.T1"),
+        ("evolve", {"grid": SMALL_GRID, "init": {"kind": "matrices", "T1": ZERO_PAIRS,
+                                                 "T2": [["1e400", 0.0]] + ZERO_PAIRS[1:], "T3": ZERO_PAIRS}}, "init.T2"),
     ],
 )
 def test_matrix_entries_must_be_json_numbers(tmp_path, capsys, command, cfg, key):
-    # the pair decoder would read "0.5" as 0.5, true as 1 and null as NaN: a
-    # matrix entry follows the rule of every other config number, by name
+    # numpy would read "0.5" as 0.5, true as 1 and null as NaN: the pair decoder
+    # refuses them, as every other config number, and the error names the key
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"config error: an entry of config key {key!r} must be float, got ")
+    assert capsys.readouterr().err.startswith(
+        f"config error: config key {key!r}: expected [re, im] pairs of numbers: an entry must be float, got ")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, -10**400],
+                         ids=["NaN", "Infinity", "huge", "-huge"])
+def test_matrix_entry_that_is_not_finite_is_refused_by_name(tmp_path, capsys, value):
+    # JSON's NaN and Infinity, and integers past the largest float
+    cfg = {"fixed_curve": {"tau2": [[0.0, 0.0], [value, 0.0], [0.0, 0.0], [0.0, 0.0]]}}
+    code, _ = run(tmp_path, "spectral", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config key 'fixed_curve.tau2': ") and "an entry must be finite" in err
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("halfline", {"target": {"kind": "coth", "L": 10**400}}, "config key 'target.L' must be finite, got inf"),
+    ("evolve", {"grid": {"s0": 0.0, "s1": -10**400, "n": 50}, "init": {"kind": "nil"}},
+     "config key 'grid.s1' must be finite, got -inf"),
+    ("spectral", {"fixed_curve": {"tau1": {"te3": 10**400}}},
+     "config key 'fixed_curve.tau1.te3' must be finite, got inf"),
+    ("vergne", {"points": [[1.0, 0.0, 10**400, 0.0]]}, "a point coordinate must be finite, got inf"),
+], ids=["float-key", "grid", "te3", "point"])
+def test_an_integer_past_the_largest_float_is_not_finite(tmp_path, capsys, command, cfg, message):
+    # float(10**400) raised OverflowError, a traceback and exit 1
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_sample_count_numpy_cannot_size_is_refused(tmp_path, capsys):
+    # numpy refused the (10**30, 2) draw with "Maximum allowed dimension exceeded", a traceback and exit 1
+    code, _ = run(tmp_path, "vergne", {"samples": 10**30})
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: config key 'samples' must be a count whose ")
 
 
 @pytest.mark.parametrize("key, value", [("nonreal_control", True), ("init", {"kind": "nil"})])

@@ -301,6 +301,37 @@ def test_nahm_json_refuses_values_it_would_have_to_coerce(block, key, value, mes
         nahm_from_json(data)
 
 
+@pytest.mark.parametrize("value, kind", [("0.5", "str"), (True, "bool"), (None, "NoneType"), ("nan", "str"),
+                                         ("1e400", "str")])
+def test_nahm_json_refuses_an_entry_that_is_no_json_number(value, kind):
+    # numpy read "0.5" as 0.5, true as 1, null and "nan" as NaN and "1e400" as inf
+    data = json.loads(json.dumps(nahm_to_json(nil_solution(SU2, Grid(0.0, 1.0, 5))), default=np.ndarray.tolist))
+    data["T1"][2][1][0] = value
+    want = rf"^the record's T1: expected \[re, im\] pairs of numbers: an entry must be float, got {kind}$"
+    with pytest.raises(InputError, match=want):
+        nahm_from_json(data)
+
+
+@pytest.mark.parametrize("key, value, got", [("s0", -10**400, "-inf"), ("s1", 10**400, "inf")], ids=["s0", "s1"])
+def test_nahm_json_refuses_an_integer_past_the_largest_float(key, value, got):
+    # float(10**400) raised OverflowError
+    data = json.loads(json.dumps(nahm_to_json(nil_solution(SU2, Grid(0.0, 1.0, 5))), default=np.ndarray.tolist))
+    data["grid"][key] = value
+    with pytest.raises(InputError, match=f"^the record's grid.{key} must be finite, got {got}$"):
+        nahm_from_json(data)
+    data["grid"][key] = float(key == "s1")
+    data["T3"][0][0][1] = value
+    with pytest.raises(InputError, match="^the record's T3: .* must be finite, got an integer past the largest float$"):
+        nahm_from_json(data)
+
+
+def test_nahm_json_names_the_component_of_a_shape_error():
+    data = nahm_to_json(nil_solution(SU2, Grid(0.0, 1.0, 5)))
+    data["T2"] = data["T2"][:-1]
+    with pytest.raises(InputError, match=r"^the record's T2: expected \[re, im\] pairs of shape \(6, 4, 2\)"):
+        nahm_from_json(data)
+
+
 @pytest.mark.parametrize("drop", [("T2",), ("grid",), ("grid", "s1"), ("algebra", "dim")])
 def test_nahm_json_missing_key_is_an_input_error(drop):
     data = nahm_to_json(nil_solution(SU2, Grid(0.0, 1.0, 5)))

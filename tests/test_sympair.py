@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -249,19 +250,14 @@ def loop_classify(u, v):
         raise InputError(f"(u, v) must be finite, got ({u}, {v})")
     if u == 0 and v == 0:
         raise InputError("(u, v) must be nonzero")
+    # the orbits are cones: the point scaled exactly to a largest part in [0.5, 1)
+    e = math.frexp(max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag)))[1]
+    u = complex(math.ldexp(u.real, -e), math.ldexp(u.imag, -e))
+    v = complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))
     vals = (u * u, v * v, u * v)
     if any(abs(z.imag) > 1e-10 for z in vals):
         return "not_real"
-    disc = (u * u + v * v).real
-    if abs(disc) <= 1e-10:
-        return "degenerate"
-    if disc > 0:
-        if abs(u.imag) > 1e-6 or abs(v.imag) > 1e-6:
-            return "degenerate"
-        return "O_plus"
-    if abs(u.real) > 1e-6 or abs(v.real) > 1e-6:
-        return "degenerate"
-    return "O_minus"
+    return "O_plus" if (u * u + v * v).real > 0 else "O_minus"
 
 
 def loop_form(M):
@@ -269,7 +265,7 @@ def loop_form(M):
     b = 0.5 * (M[0, 1] + M[1, 0])
     if abs(b) > 0:
         for name, form in (("plus_form", PLUS_FORM), ("minus_form", MINUS_FORM)):
-            if np.max(np.abs(M - b * form)) <= 1e-10 * max(1.0, abs(b)):
+            if np.max(np.abs(M - b * form)) <= 1e-10 * abs(b):
                 return name, b
     return "neither", None
 
@@ -308,11 +304,12 @@ def loop_vergne(cfg: dict):
 WITNESS_POINTS = [
     # on the axes
     (1, 0), (0, 1), (1j, 0), (0, 1j), (-1, 0), (0, -1j), (-0.0 + 0j, 2), (complex(0.0, -0.0), -3j),
-    # imaginary parts at the two tolerances: 1e-11 against the squares' 1e-10, 1e-6 at the coordinate cross-check
+    # imaginary parts near the squares' tolerance (1e-11 against 1e-10), and at 1e-6
     (1 + 1e-11j, 0.5), (1e-11 + 1j, 0.5j), (1 + 1e-6j, 0.5), (1 + 1.0000001e-6j, 0.5), (1e-6 + 1j, 0.5j),
     (1.0000001e-6 + 1j, 0.5j), (2 + 1e-6j, 1e-6j), (1e-6j, 1e-6), (1e-11 + 0j, 1e-11 + 0j),
-    # u^2 + v^2 within 1e-10 of 0
+    # u^2 + v^2 within 1e-10 of 0, and small points, which an absolute tolerance would misread
     (1, 1j), (1, 1j * (1 + 2e-11)), (1, 1j * (1 + 1e-10)), (1 + 1e-12j, 1j), (1e-5, 1e-5j), (3e-6, 0),
+    (1e-6, 2e-6), (1e-6j, 2e-6j), (1e-5 * (0.3 + 0.4j), 1e-5 * (1 - 0.2j)),
     # images whose b is zero: "neither"
     (1 + 1j, 0), (1 + 1j, 2 - 2j),
     # large and tiny
@@ -351,8 +348,34 @@ def test_batched_witness_matches_the_per_point_loop():
             assert one_b.tobytes() == b[i].tobytes(), M
             if c is not None:
                 assert b[i].tobytes() == c.tobytes(), M
-    assert {"not_real", "degenerate", "O_plus", "O_minus"} == set(orbit)
+    assert {"not_real", "O_plus", "O_minus"} == set(orbit)
     assert {"plus_form", "minus_form", "neither"} == set(form[:len(points)])
+
+
+CONE_POINTS = [(1, 2), (1j, 2j), (0.3 + 0.4j, 1 - 0.2j), (1 + 1e-11j, 0.5), (1, 1j), (1e-11 + 0j, 1e-11 + 0j)]
+
+
+@pytest.mark.parametrize("j", [-900, -450, -60, -20, -1, 1, 20, 60, 450, 900])
+def test_orbit_labels_do_not_depend_on_scale(j):
+    # the real nilpotent orbits are cones: (1, 2) and (i, 2i) read "degenerate" at
+    # scale 1e-6 under absolute tolerances, (0.3 + 0.4i, 1 - 0.2i) at 1e-5
+    x = np.random.default_rng(5).standard_normal((30, 4))
+    u, v = np.concatenate([np.array(CONE_POINTS).T, [x[:, 0], 1j * x[:, 1]], [1j * x[:, 2], 1j * x[:, 3]],
+                           [x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]]], axis=1)
+    c = 2.0 ** j
+    assert classify_real_orbit(c * u, c * v).tolist() == classify_real_orbit(u, v).tolist()
+
+
+@pytest.mark.parametrize("j", [-450, -60, -20, -1, 1, 20, 60, 450])
+def test_form_labels_do_not_depend_on_scale(j):
+    # an image is quadratic in its point, so the image of c (u, v) is c^2 times its image
+    x = np.random.default_rng(6).standard_normal((30, 2))
+    u, v = np.concatenate([np.array(CONE_POINTS).T, x.T, 1j * x.T], axis=1)
+    c = 2.0 ** j
+    form, b = kc_orbit_form_check(vergne_map_j(c * u, c * v))
+    want, want_b = kc_orbit_form_check(vergne_map_j(u, v))
+    assert form.tolist() == want.tolist() and np.array_equal(b, c * c * want_b)
+    assert {"plus_form", "minus_form", "neither"} == set(form)
 
 
 def test_classify_real_orbit_refuses_the_first_refused_point():
