@@ -298,12 +298,14 @@ def cmd_check(cfg: dict, out_dir: Path) -> bool:
 
 
 def _read_config(path: str):
-    """The config file's JSON value; one nested past the parser's recursion limit is an InputError."""
-    text = Path(path).read_text()
+    """The config file's JSON value; a file that is not UTF-8 JSON, or whose value is nested past the
+    parser's recursion limit or holds an integer past Python's digit limit, is an InputError."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise InputError("the config is nested too deeply to parse") from None
+    except ValueError as exc:  # a UnicodeDecodeError, a JSONDecodeError, or int() past the digit limit
+        raise InputError(str(exc)) from None
 
 
 _COMMANDS = {"evolve": cmd_evolve, "spectral": cmd_spectral, "halfline": cmd_halfline, "vergne": cmd_vergne,
@@ -329,7 +331,7 @@ def main(argv=None) -> int:
         # (or, for a half-line guess, its su(k) test), so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
             return 0 if _COMMANDS[args.command](cfg, out_dir) else 1
-    except (OSError, json.JSONDecodeError, InputError) as exc:
+    except (OSError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NahmBlowUpError as exc:

@@ -102,7 +102,7 @@ class AlgebraPath:
     show up in the path.  A subclass with a leading component axis ``_lead``
     holds its component paths as one such stack, lead + (n+1, k, k), or lead +
     (n+1, B, k, k) for a chunk of B paths: the one layout, component-major and
-    C-ordered in memory, as every producer returns it."""
+    C-ordered in memory, as every producer returns it and the Nahm loop steps it."""
 
     grid: Grid
     values: np.ndarray

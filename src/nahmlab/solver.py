@@ -79,19 +79,19 @@ def _member_triple(mats, k: int, what: str) -> np.ndarray:
     return np.stack(Y)
 
 
-def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
+def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float, out: np.ndarray | None = None) -> tuple:
     """RK4 steps from states Y0 (B, 3, k, k), projected onto su(k) once on
     entry (off it the flow is nonlinear and would carry a start's off-algebra
     part along; on it RK4 stays there to rounding), taken on the real form phi
-    of the state and copied out as its even rows: the (3, n+1, B, k, k) path,
-    a view of the node-major buffer the loop writes, and per member None or (s,
-    max norm or inf) at the first node past the bound, zeroed from the next node
-    on (a fixed point).  The bound is tested once per ``BLOCK`` nodes, on their
-    summed squared norms; a block past that is searched node by node.  Nodes
-    after the block in which the last member blew up are left unset.  At node 0
-    and after each blow-up block, a lone live member with >= ``_PARAREAL_MIN``
-    steps to go is tried once in ``_parareal``, which writes its rows past that
-    node if it takes the path; the blown-up members' rows are then zeroed."""
+    of the state and copied out as its even rows: the C-ordered (3, n+1, B, k, k)
+    path, a fresh array or ``out``, and per member None or (s, max norm or inf)
+    at the first node past the bound, zeroed from the next node on (a fixed
+    point).  The bound is tested once per ``BLOCK`` nodes, on their summed
+    squared norms; a block past that is searched node by node.  Nodes after the
+    block in which the last member blew up are left unset.  At node 0 and after
+    each blow-up block, a lone live member with >= ``_PARAREAL_MIN`` steps to go
+    is tried once in ``_parareal``, which writes its rows past that node if it
+    takes the path; the blown-up members' rows are then zeroed."""
     if not blowup_bound > 0:
         raise InputError(f"need a blow-up bound > 0, got {blowup_bound!r}")
     # a block's summed squared norms below this keep every norm within the bound, their
@@ -102,38 +102,39 @@ def _nahm_flow(Y0: np.ndarray, grid: Grid, blowup_bound: float) -> tuple:
     # the state is stepped component-major in real form, (3, B, 2k, 2k): the right-
     # hand side then takes its views on the leading axis, the cheapest numpy makes
     scalars, blowups = _rk4_scalars(grid.h), [None] * len(Y0)
-    traj = np.empty((grid.n + 1, 3, len(Y0)) + Y0.shape[2:], dtype=complex)
+    traj = np.empty((3, grid.n + 1, len(Y0)) + Y0.shape[2:], dtype=complex) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):
-        traj[0] = project(Y0.swapaxes(0, 1))
-        y, start = _real_form(traj[0]), Y0
+        traj[:, 0] = project(Y0.swapaxes(0, 1))
+        y, start = _real_form(traj[:, 0]), Y0
         for m0 in range(0, grid.n, BLOCK):
             if start is not None and blowups.count(None) == 1 and grid.n - m0 >= _PARAREAL_MIN:
                 b = blowups.index(None)
-                if _parareal(start[b : b + 1], Grid(grid.s0 + m0 * grid.h, grid.s1, grid.n - m0), blowup_bound, traj[m0 + 1 :, :, b]):
-                    traj[m0 + 1 :, :, np.arange(len(Y0)) != b] = 0.0
+                if _parareal(start[b : b + 1], Grid(grid.s0 + m0 * grid.h, grid.s1, grid.n - m0), blowup_bound, traj[:, m0 + 1 :, b]):
+                    traj[:, m0 + 1 :, np.arange(len(Y0)) != b] = 0.0
                     break
             start = None
             for m in range(m0, min(m0 + BLOCK, grid.n)):
                 y = _rk4_step(_nahm_rhs, y, scalars, None, None, None)
-                traj[m + 1].view(float)[...] = y[..., ::2, :]
-            block = traj[m0 + 1 : m + 2]
-            if not np.vdot(block, block).real <= cheap_bound:
+                traj[:, m + 1].view(float)[...] = y[..., ::2, :]
+            block = traj[:, m0 + 1 : m + 2]
+            # one vdot per component's contiguous block: one over the strided block would copy it
+            if not sum(np.vdot(c, c).real for c in block) <= cheap_bound:
                 # the (node, member) pairs that may be past the bound, in node order, each
                 # decided on the rescaled node, where a finite state's squares do not overflow
-                for i, b in zip(*np.nonzero(~(np.max(np.linalg.norm(block, axis=(-2, -1)), axis=1) <= blowup_bound))):
-                    scaled, _, unit = _unit_scaled(block[i, :, b])
+                for i, b in zip(*np.nonzero(~(np.max(np.linalg.norm(block, axis=(-2, -1)), axis=0) <= blowup_bound))):
+                    scaled, _, unit = _unit_scaled(block[:, i, b])
                     norm = sup_norm(scaled) / unit if np.isfinite(unit) else np.inf
                     if blowups[b] is None and not (norm <= blowup_bound and np.isfinite(unit)):
                         blowups[b] = (grid.s0 + (m0 + int(i) + 1) * grid.h, norm)
-                        block[i + 1 :, :, b] = y[:, b] = 0.0
-                        start = traj[m + 1].swapaxes(0, 1)
+                        block[:, i + 1 :, b] = y[:, b] = 0.0
+                        start = traj[:, m + 1].swapaxes(0, 1)
                 if None not in blowups:
                     break
-    return traj.swapaxes(0, 1), blowups
+    return traj, blowups
 
 
 def _parareal(Y0: np.ndarray, grid: Grid, bound: float, out: np.ndarray) -> bool:
-    """One start Y0 (1, 3, k, k)'s path past node 0 written into out (n, 3, k, k), True, or False for the
+    """One start Y0 (1, 3, k, k)'s path past node 0 written into out (3, n, k, k), True, or False for the
     sequential loop.  Sweep i sets the starts of M segments of <= ``_SEGMENT`` steps, U[j+1] = F[j] +
     G(U[j]) - G_old[j] (G ``_COARSE`` RK4 steps, F the last batch's ends, none at first), and flows them
     as one batch, whose largest jump |F[j] - U[j+1]| must be within max|U| ``_JUMP_TOL`` ** (i /
@@ -159,7 +160,7 @@ def _parareal(Y0: np.ndarray, grid: Grid, bound: float, out: np.ndarray) -> bool
             if blowups != [None] * M or not jump <= _JUMP_TOL ** (i / (_CORRECTIONS + 1)) * scale:
                 return False
             if jump <= _JUMP_TOL * scale:
-                np.concatenate([traj[:, int(j == 0) : m + (j == M - 1), j] for j, m in enumerate(steps)], axis=1, out=out.swapaxes(0, 1))
+                np.concatenate([traj[:, int(j == 0) : m + (j == M - 1), j] for j, m in enumerate(steps)], axis=1, out=out)
                 return True
             del traj  # freed before the next batch's buffer is taken
 
@@ -178,10 +179,11 @@ def integrate_nahm(
     The start is ``_nahm_flow``'s one live member at node 0, so a path of >=
     ``_PARAREAL_MIN`` steps is ``_parareal``'s, within 1e-13 relative of the loop's.
     """
-    traj, (blowup,) = _nahm_flow(_member_triple(init, algebra.dim, "init")[None], grid, blowup_bound)
+    values = np.zeros((4, grid.n + 1, 1, algebra.dim, algebra.dim), dtype=complex)  # T0 = 0; the flow writes the rest
+    _, (blowup,) = _nahm_flow(_member_triple(init, algebra.dim, "init")[None], grid, blowup_bound, values[1:])
     if blowup is not None:
         raise NahmBlowUpError(*blowup)
-    return _gauge_zero(grid, traj[:, :, 0])
+    return NahmData._own(grid, values[:, :, 0])
 
 
 def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
@@ -194,17 +196,6 @@ def integrate_baby(T1_init: np.ndarray, T0: AlgebraPath):
         raise InputError(f"initial T1 is not an element of su({T0.dim})")
     g = trivialize(T0).values
     return T0, AlgebraPath(T0.grid, project(_cmatmul(_cmatmul(dagger(g), _real_form(X)), _real_form(g))))
-
-
-def _gauge_zero(grid: Grid, T: np.ndarray, negate: bool = False) -> NahmData:
-    """NahmData with T0 = 0 and (T1, T2, T3) = T, or -T with ``negate``, for T a
-    (3, n+1, k, k) path: copied once into a zeroed C-ordered stack and negated
-    there (a ufunc on a strided T would take an iteration buffer)."""
-    values = np.zeros((4, grid.n + 1) + T.shape[2:], dtype=complex)
-    values[1:] = T
-    if negate:
-        np.negative(values[1:], out=values[1:])
-    return NahmData._own(grid, values)
 
 
 def _separable(grid: Grid, profiles: tuple, triple) -> NahmData:
@@ -327,7 +318,11 @@ def halfline_solve(
     kept = guess_blowup is None and sup_norm(traj[:, -1, 0] - model) <= _KEEP_TOL
     if not kept and back_blowup is not None:
         raise NahmBlowUpError(L - back_blowup[0], back_blowup[1])
-    data = _gauge_zero(grid, traj[:, :, 0] if kept else traj[:, ::-1, 1], negate=not kept)
+    values = np.zeros((4, grid.n + 1) + model.shape[1:], dtype=complex)
+    values[1:] = traj[:, :, 0] if kept else traj[:, ::-1, 1]
+    if not kept:  # negated in place: a ufunc on the strided reversed path would take an iteration buffer
+        np.negative(values[1:], out=values[1:])
+    data = NahmData._own(grid, values)
     return HalflineResult(data, True, sup_norm(data.values[1:, -1] - model), int(not kept), "converged")
 
 

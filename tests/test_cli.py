@@ -26,9 +26,12 @@ from nahmlab.sympair import vergne_map
 
 
 def write_config(tmp_path, name, cfg):
-    """The config written as JSON, or verbatim when it is already a JSON text."""
+    """The config written as JSON, or verbatim when it is already a text or bytes."""
     path = tmp_path / name
-    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    if isinstance(cfg, bytes):
+        path.write_bytes(cfg)
+    else:
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(path)
 
 
@@ -465,6 +468,9 @@ ZERO_PAIRS = [[0.0, 0.0]] * 4
         pytest.param("vergne", '{"points": ' + "[" * 2000 + "]" * 2000 + "}", id="vergne-nested-2000-deep"),
         # a required key left out
         ("evolve", {"init": {"kind": "matrices"}}),
+        # a file that is not UTF-8, and an integer past Python's digit limit for int(str)
+        pytest.param("vergne", b"\xff\xfe{}", id="vergne-not-utf-8"),
+        pytest.param("vergne", '{"samples": ' + "1" * 5000 + "}", id="vergne-integer-of-5000-digits"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg):

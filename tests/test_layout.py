@@ -1,10 +1,12 @@
 """One path layout: every stack a producer returns is lead-first, lead +
 (n+1, k, k), C-contiguous and read-only, so each component view is one
-contiguous block of the stack."""
+contiguous block of the stack; the Nahm loop steps its batch into that
+layout, (3, n+1, B, k, k)."""
 
 import numpy as np
 import pytest
 
+from nahmlab import solver
 from nahmlab.algebra import AlgebraSpec, su2_embed
 from nahmlab.gauge import act, exp_su_path
 from nahmlab.io import nahm_from_json, nahm_to_json
@@ -13,17 +15,19 @@ from nahmlab.paths import Grid, random_dirichlet_path
 from nahmlab.solver import BoundaryTarget, coth_solution, halfline_solve, integrate_nahm, nil_solution
 
 GRID = Grid(0.0, 0.5, 60)
+ENGINE_GRID = Grid(0.0, 0.5, 1000)  # n >= 1000: a single path is the segment engine's
 
 
-def integrated(k):
+def integrated(k, grid=GRID):
     spec = AlgebraSpec("su", k)
     rng = np.random.default_rng(k)
-    return integrate_nahm(spec, tuple(spec.random_element(rng, 0.3) for _ in range(3)), GRID)
+    return integrate_nahm(spec, tuple(spec.random_element(rng, 0.3) for _ in range(3)), grid)
 
 
 def halfline(k, factor):
     # the nil target's pole solution sigma / (s + 1) ends at the model, so the
-    # exact guess is kept; a scaled guess misses it, and T(0) is replayed
+    # exact guess is kept; a scaled guess misses it, and the backward path,
+    # reversed and negated, is the solution
     sigma = su2_embed(AlgebraSpec("su", k))
     zero = np.zeros((k, k), complex)
     res = halfline_solve(BoundaryTarget(zero, zero, zero, sigma, L=2.0), tuple(factor * np.asarray(e) for e in sigma))
@@ -43,8 +47,9 @@ def act_of(k):
 
 PRODUCERS = {
     "integrate_nahm": (4, integrated),
+    "integrate_nahm_segments": (4, lambda k: integrated(k, ENGINE_GRID)),
     "halfline_kept_guess": (4, lambda k: halfline(k, 1.0)),
-    "halfline_replay": (4, lambda k: halfline(k, 0.9)),
+    "halfline_backward": (4, lambda k: halfline(k, 0.9)),
     "nil_solution": (4, lambda k: nil_solution(AlgebraSpec("su", k), GRID)),
     "coth_solution": (4, lambda k: coth_solution(1.0, 0.5, GRID)),
     "act": (4, act_of),
@@ -65,3 +70,13 @@ def test_every_stack_is_lead_first_c_ordered_and_read_only(name):
     for component in rec.components:
         assert component.values.flags.c_contiguous
         assert not component.values.flags.writeable
+
+
+def test_the_nahm_loop_returns_its_own_c_ordered_path():
+    spec = AlgebraSpec("su", 3)
+    rng = np.random.default_rng(3)
+    starts = np.stack([[spec.random_element(rng, 0.3) for _ in range(3)] for _ in range(2)])
+    traj, blowups = solver._nahm_flow(starts, GRID, 1e6)
+    assert blowups == [None, None]
+    assert traj.shape == (3, GRID.n + 1, 2, 3, 3)
+    assert traj.flags.c_contiguous and traj.base is None
