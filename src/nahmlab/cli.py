@@ -258,32 +258,34 @@ def _vergne_points(cfg: dict) -> np.ndarray:
 
 
 def _vergne_table(uv: np.ndarray) -> tuple:
-    """The vergne.json rows of the points, with their counts of crossovers and
-    of non-finite images, each of which is named on stdout.  Each of the three
-    witness functions takes all the points at once; the column arrays and
-    lists die on return, before the table is written."""
+    """The vergne.json samples of the points, an ``io.Table`` of their columns,
+    with the counts of crossovers and of failed points.  A point whose image is
+    non-finite (an overflow) or all zero (an underflow) has no verdict: it is
+    named on stdout and counted as failed, not as a crossover.  Each of the
+    three witness functions takes all the points at once, and no row is built."""
     u, v = uv.T
     orbit = classify_real_orbit(u, v)
     M = vergne_map_j(u, v)
     form, b = kc_orbit_form_check(M)
-    nonfinite = np.flatnonzero(~np.isfinite(M).all(axis=(-2, -1)))
-    for i in nonfinite:
-        print(f"vergne: point {uv[i].view(float).tolist()} has a non-finite image -> FAIL")
-    crossovers = np.count_nonzero((orbit == "O_plus") & (form != "plus_form")
-                                  | (orbit == "O_minus") & (form != "minus_form"))
-    table = [{"u": p[0], "v": p[1], "orbit": o, "image": m, "form": f, "b": None if f == "neither" else c}
-             for p, o, m, f, c in zip(uv.tolist(), orbit.tolist(), M.reshape(-1, 4).tolist(), form.tolist(), b.tolist())]
-    return table, int(crossovers), len(nonfinite)
+    nonfinite, zero = ~np.isfinite(M).all(axis=(-2, -1)), ~M.any(axis=(-2, -1))
+    for i in np.flatnonzero(nonfinite | zero):
+        print(f"vergne: point {uv[i].view(float).tolist()} has {'a non-finite' if nonfinite[i] else 'an all-zero'} "
+              "image -> FAIL")
+    crossovers = np.count_nonzero(~(nonfinite | zero) & ((orbit == "O_plus") & (form != "plus_form")
+                                                         | (orbit == "O_minus") & (form != "minus_form")))
+    table = nio.Table({"u": u, "v": v, "orbit": orbit, "image": M.reshape(-1, 4), "form": form, "b": b},
+                      null={"b": form == "neither"})
+    return table, int(crossovers), np.count_nonzero(nonfinite | zero)
 
 
 def cmd_vergne(cfg: dict, out_dir: Path) -> bool:
     uv = _vergne_points(cfg)
     if not len(uv):
         raise InputError("no sample points configured")
-    table, crossovers, nonfinite = _vergne_table(uv)
+    table, crossovers, failed = _vergne_table(uv)
     nio.write_json({"samples": table, "crossovers": crossovers}, out_dir / "vergne.json")
     print(f"vergne: {len(uv)} points, {crossovers} crossovers")
-    return crossovers == nonfinite == 0
+    return crossovers == failed == 0
 
 
 def cmd_check(cfg: dict, out_dir: Path) -> bool:

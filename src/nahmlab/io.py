@@ -2,7 +2,10 @@
 
 A complex number is written as its [re, im] pair and a matrix as a flat
 row-major JSON array of pairs, in the stdlib's ``json.dumps(obj, indent=2,
-sort_keys=True)`` layout; a float array is written whole.  CSV files have one
+sort_keys=True)`` layout.  A finite float array is written a node block at a
+time, each block one ``%r`` template filled by one C-level ``%``, and a
+``Table`` (records given as columns) the same way through one row template,
+so neither the text nor a row object is ever held whole.  CSV files have one
 row per grid node, a complex value takes an _re and an _im column, and floats
 have 17 significant digits, so identical runs produce byte-identical artifacts.
 """
@@ -10,6 +13,7 @@ have 17 significant digits, so identical runs produce byte-identical artifacts.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -29,6 +33,7 @@ __all__ = [
     "residual_to_csv",
     "coeffs_to_csv",
     "write_json",
+    "Table",
 ]
 
 
@@ -136,21 +141,93 @@ def coeffs_to_csv(grid: Grid, flows: list, path) -> None:
     write_csv(grid, names, np.concatenate(flows).T, path)
 
 
-def _float_array(a: np.ndarray, depth: int) -> str:
-    """A finite float array at nesting ``depth``: one join per axis lays out
-    ``%r`` slots, and one C-level ``%`` fills them all."""
+def _template(shape: tuple, depth: int) -> str:
+    """The layout of a float array of ``shape`` at nesting ``depth``: one join
+    per axis lays out ``%r`` slots, and an empty axis is ``[]``."""
     text = "%r"
-    for axis in range(a.ndim - 1, -1, -1):
+    for axis in range(len(shape) - 1, -1, -1):
         inner = "\n" + "  " * (depth + axis + 1)
-        text = "[" + inner + ("," + inner).join([text] * a.shape[axis]) + "\n" + "  " * (depth + axis) + "]"
-    return text % tuple(a.ravel().tolist())
+        text = "[" + inner + ("," + inner).join([text] * shape[axis]) + "\n" + "  " * (depth + axis) + "]" \
+            if shape[axis] else "[]"
+    return text
+
+
+def _blocks(rows, values: np.ndarray, depth: int, write, keep=None) -> None:
+    """The list of ``values``' rows at nesting ``depth``, each laid out by
+    ``rows`` (one template for all, or an array of one per row) and filled
+    with its entries (those of ``keep`` when given) a node block at a time,
+    each block by one C-level ``%``."""
+    inner = "\n" + "  " * (depth + 1)
+    sep, lead = "," + inner, "[" + inner
+    for nodes in _node_slices(values):
+        block = values[nodes]
+        layout = sep.join([rows] * len(block) if isinstance(rows, str) else rows[nodes])
+        write(lead + layout % tuple((block if keep is None else block[keep[nodes]]).ravel().tolist()))
+        lead = sep
+    write("\n" + "  " * depth + "]")
+
+
+def _float_array(a: np.ndarray, depth: int, write) -> None:
+    """A finite float array at nesting ``depth``, a node block at a time."""
+    if not a.size:
+        return write(_template(a.shape, depth))
+    _blocks(_template(a.shape[1:], depth + 1), a, depth, write)
+
+
+@dataclass(frozen=True)
+class Table:
+    """Records given as columns, which ``write_json`` writes as the list of
+    ``rows()`` without building them.  ``columns`` maps each key to an array
+    over the rows: float or complex with any trailing shape (a row's entry is
+    its nested list, a complex number as [re, im]), or str labels; ``null``
+    maps a key to the boolean rows whose entry is null."""
+
+    columns: dict
+    null: dict = field(default_factory=dict)
+
+    def rows(self) -> list:
+        """The row objects the table stands for."""
+        lists = {key: col.tolist() for key, col in self.columns.items()}
+        for key, null in self.null.items():
+            lists[key] = [None if no else x for x, no in zip(lists[key], null.tolist())]
+        return [dict(zip(lists, row)) for row in zip(*lists.values())]
+
+
+def _table(table: Table, depth: int, write) -> None:
+    """A table's rows at nesting ``depth``: a row template for each pattern of
+    nulls, laid out once, filled a block of rows at a time.  A table holding a
+    non-finite number (so NaN and Infinity keep their spelling), a column of
+    another dtype or of empty entries, or no rows takes the generic path."""
+    keys = sorted(table.columns)
+    cols = [table.columns[key] for key in keys]
+    if not (cols and len(cols[0]) and all(col.dtype.kind == "U" or col.dtype.kind in "fc" and col[0].size
+                                          and np.isfinite(col).all() for col in cols)):
+        return _write(table.rows(), depth, write)
+    n, slots, flats = len(cols[0]), {}, []
+    for key, col in zip(keys, cols):
+        if col.dtype.kind == "U":  # a label's encoded text fills a %s slot
+            slots[key] = "%s"
+            flats.append(np.array([encode_basestring_ascii(s) for s in col.tolist()], dtype=object)[:, None])
+            continue
+        data = to_pairs(col) if col.dtype.kind == "c" else col
+        slots[key] = _template(data.shape[1:], depth + 2)
+        flats.append(data.reshape(n, data[0].size))
+    null = [table.null.get(key, np.zeros(n, bool)) for key in keys]
+    keep = np.concatenate([np.repeat(~no[:, None], flat.shape[1], axis=1) for no, flat in zip(null, flats)], axis=1)
+    inner = "\n" + "  " * (depth + 2)
+    pattern = [tuple(row) for row in np.stack(null, axis=1).tolist()]
+    templates = {nulls: "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": " + ("null" if no else slots[key])
+        for key, no in zip(keys, nulls)) + "\n" + "  " * (depth + 1) + "}" for nulls in set(pattern)}
+    _blocks(np.array([templates[nulls] for nulls in pattern], dtype=object), np.concatenate(flats, axis=1), depth,
+            write, keep)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _encode(obj, depth: int) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` at nesting ``depth``, a complex as [re, im]; keys must be str."""
+def _scalar(obj) -> str:
+    """A JSON scalar's text, as ``json.dumps`` writes it."""
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return _NON_FINITE.get(text, text)
@@ -160,30 +237,48 @@ def _encode(obj, depth: int) -> str:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, complex):
-        return _encode([obj.real, obj.imag], depth)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write(obj, depth: int, write) -> None:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` at nesting ``depth``, passed
+    to ``write`` piece by piece; a complex as [re, im], a Table as its rows;
+    keys must be str."""
     if isinstance(obj, np.generic) and not isinstance(item := obj.item(), np.generic):
-        return _encode(item, depth)
-    if isinstance(obj, np.ndarray):
+        obj = item
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
+    elif isinstance(obj, Table):
+        return _table(obj, depth, write)
+    elif isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return _encode(to_pairs(obj), depth)
-        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
-            return _float_array(obj, depth)
-        return _encode(obj.tolist(), depth)
+            obj = to_pairs(obj)
+        if obj.dtype == np.float64 and obj.ndim and np.isfinite(obj).all():
+            return _float_array(obj, depth, write)
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        items = [encode_basestring_ascii(key) + ": " + _encode(obj[key], depth + 1) for key in sorted(obj)]
-        brackets = "{}"
+        keys, brackets = sorted(obj), "{}"
+        items = [(encode_basestring_ascii(key) + ": ", obj[key]) for key in keys]
     elif isinstance(obj, (list, tuple)):
-        items = [_encode(v, depth + 1) for v in obj]
-        brackets = "[]"
+        items, brackets = [("", v) for v in obj], "[]"
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return write(_scalar(obj))
     if not items:
-        return brackets
+        return write(brackets)
     inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+    lead = brackets[0] + inner
+    for prefix, value in items:
+        write(lead + prefix)
+        _write(value, depth + 1, write)
+        lead = "," + inner
+    write("\n" + "  " * depth + brackets[1])
 
 
-def write_json(data: dict, path) -> None:
-    """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, complex values as [re, im] pairs."""
-    Path(path).write_text(_encode(data, 0) + "\n")
+def write_json(data, path) -> None:
+    """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline,
+    complex values as [re, im] pairs and a ``Table`` as its list of rows.  The
+    text is written as it is made, a float array or a table a block of rows at
+    a time, so it is never held whole."""
+    with Path(path).open("w") as out:
+        _write(data, 0, out.write)
+        out.write("\n")

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 import nahmlab
 from nahmlab.algebra import AlgebraSpec
-from nahmlab.cli import REQUIRED, SCHEMAS, Key, Kinds, main, run_check_suite
+from nahmlab.cli import REQUIRED, SCHEMAS, Key, Kinds, _value, _vergne_points, main, run_check_suite
 from nahmlab.io import from_pairs
 from nahmlab.paths import Grid
 from nahmlab.moment import lax_extract
 from nahmlab.solver import coth_solution, integrate_nahm
 from nahmlab.spectral import char_coeffs
-from nahmlab.sympair import vergne_map
+from nahmlab.sympair import classify_real_orbit, kc_orbit_form_check, vergne_map, vergne_map_j
 
 
 def write_config(tmp_path, name, cfg):
@@ -169,6 +169,26 @@ def test_vergne_non_finite_image_fails(tmp_path, capsys):
     assert code == 1
     assert "point [1e+308, 1e+308, 1e+308, 1e+308] has a non-finite image -> FAIL" in capsys.readouterr().out
     assert (out / "vergne.json").exists()
+
+
+@pytest.mark.parametrize("point, line", [
+    ([0, 1e-170, 0, 0], "point [0.0, 1e-170, 0.0, 0.0] has an all-zero image -> FAIL"),  # every entry underflows
+    ([1e200, 0, 0, 0], "point [1e+200, 0.0, 0.0, 0.0] has a non-finite image -> FAIL"),  # a real point, O_plus
+])
+def test_vergne_image_without_a_verdict_fails_and_is_no_crossover(tmp_path, capsys, point, line):
+    code, out = run(tmp_path, "vergne", {"points": [point, [1.0, 0.0, 0.0, 0.0]]})
+    assert code == 1
+    assert capsys.readouterr().out == f"vergne: {line}\nvergne: 2 points, 0 crossovers\n"
+    assert json.loads((out / "vergne.json").read_text())["crossovers"] == 0
+
+
+def test_vergne_subnormal_image_passes(tmp_path, capsys):
+    # 1e-160 squared is the subnormal 1e-320: an image that is not zero keeps its verdict
+    code, out = run(tmp_path, "vergne", {"points": [[1e-160, 0, 0, 0]]})
+    assert code == 0
+    assert capsys.readouterr().out == "vergne: 1 points, 0 crossovers\n"
+    entry = json.loads((out / "vergne.json").read_text())["samples"][0]
+    assert (entry["orbit"], entry["form"], entry["b"]) == ("O_plus", "plus_form", [1e-320, 0.0])
 
 
 def test_vergne_zero_point_is_refused_before_anything_is_written(tmp_path, capsys):
@@ -741,6 +761,36 @@ def test_artifacts_keep_the_stdlib_layout(tmp_path, command, cfg):
         writer.writerow(header)
         writer.writerows([f"{float(x):.17g}" for x in row] for row in rows)
         assert again.getvalue() == text, path.name
+
+
+def _pair(z: complex) -> list:
+    return [z.real, z.imag]
+
+
+@pytest.mark.parametrize("cfg", [
+    README_CONFIGS[4][1],
+    {"samples": 1000, "seed": 1097657232},  # the cli benchmark workload's vergne run at benchmark seed 0
+    {"samples": 1000, "seed": 1469265226},  # and at benchmark seed 7
+    {"points": [[1.0, 0.0, 0.0, 0.0], [0.3, 0.7, 0.2, -0.5], [-0.0, 2.0, 0.0, -0.0]], "samples": 4},
+    {"points": [[0.3, 0.7, 0.2, -0.5], [1e308, 1e308, 1e308, 1e308]]},
+], ids=["readme", "workload-seed0", "workload-seed7", "neither-row", "non-finite-image"])
+def test_vergne_json_is_the_row_dict_encoding(tmp_path, cfg):
+    # the table of columns is written byte for byte as the per-point row dicts
+    # were, through the stdlib encoder
+    run(tmp_path, "vergne", cfg)
+    text = (tmp_path / "out" / "vergne.json").read_text()
+    u, v = _vergne_points(_value(cfg, Key(SCHEMAS["vergne"]))).T
+    with np.errstate(over="ignore", invalid="ignore"):  # as main runs the witness
+        orbit, M = classify_real_orbit(u, v), vergne_map_j(u, v)
+        form, b = kc_orbit_form_check(M)
+    rows = [{"u": _pair(p), "v": _pair(q), "orbit": o, "image": [_pair(z) for z in m], "form": f,
+             "b": None if f == "neither" else _pair(c)}
+            for p, q, o, m, f, c in zip(u.tolist(), v.tolist(), orbit.tolist(), M.reshape(-1, 4).tolist(),
+                                        form.tolist(), b.tolist())]
+    if "points" in cfg:
+        assert None in [row["b"] for row in rows]
+    want = {"samples": rows, "crossovers": json.loads(text)["crossovers"]}
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_missing_config_file(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from nahmlab.algebra import AlgebraSpec, InputError
 from nahmlab.io import (
+    Table,
     from_pairs,
     matrix_from_json,
     nahm_from_json,
@@ -125,7 +126,8 @@ def _fmt(x) -> str:
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]
 FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
-STRINGS = st.text(max_size=8) | st.sampled_from(['"', 'a "quoted" key', "back\\slash", "\u00e9t\u00e9", "\u2603", "\n\t"])
+STRINGS = st.text(max_size=8) | st.sampled_from(['"', 'a "quoted" key', "back\\slash", "\u00e9t\u00e9", "\u2603",
+                                                 "\n\t", "100%", "%s %r"])
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
 ARRAYS = hnp.arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False)) | hnp.arrays(
     np.float64, SHAPES, elements=FLOATS)
@@ -177,6 +179,96 @@ def test_write_json_rejects_unknown_types(tmp_path):
     for bad in ({"x": {1, 2}}, {1: "non-string key"}):
         with pytest.raises(TypeError):
             write_json(bad, tmp_path / "bad.json")
+
+
+def test_write_json_memory_does_not_grow_with_the_text(rng, tmp_path):
+    # four times the nodes: the file grows by 9000 nodes of pairs, the traced
+    # peak by the array's finiteness mask only, not by the text, its floats or
+    # their tuple
+    sizes, peaks = [], []
+    for n in (3000, 12000):
+        data = {"T1": rng.standard_normal((n + 1, 4, 2)), "n": n}
+        tracemalloc.start()
+        try:
+            write_json(data, tmp_path / "sol.json")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append((tmp_path / "sol.json").stat().st_size)
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
+
+
+def _table_rows(columns: dict, null: dict) -> list:
+    """The row dicts a table stands for, built a row at a time."""
+    n = len(next(iter(columns.values())))
+    return [{key: None if key in null and null[key][i] else col[i].tolist() for key, col in columns.items()}
+            for i in range(n)]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -1e308])
+ENTRY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3)  # shape () is a scalar entry
+
+
+@st.composite
+def tables(draw):
+    """Float, complex and label columns over 0-5 rows, some with null rows, and
+    now and then one non-finite entry; with the row dicts they stand for."""
+    n = draw(st.integers(0, 5))
+    columns, null = {}, {}
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    for key in draw(st.lists(STRINGS, min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from("fcU"))
+        if kind == "U":
+            columns[key] = np.array(draw(st.lists(STRINGS, min_size=n, max_size=n)), dtype=str)
+        else:
+            shape = (n, *draw(ENTRY_SHAPES), *((2,) if kind == "c" else ()))
+            col = draw(hnp.arrays(np.float64, shape, elements=FINITE))
+            if bad is not None and col.size:
+                col.flat[draw(st.integers(0, col.size - 1))], bad = bad, None
+            columns[key] = col.view(complex)[..., 0] if kind == "c" else col
+        if draw(st.booleans()):
+            null[key] = draw(hnp.arrays(np.bool_, n))
+    return Table(columns, null), _table_rows(columns, null)
+
+
+def _edge_table(columns: dict, null: dict) -> tuple:
+    return Table(columns, null), _table_rows(columns, null)
+
+
+EDGE_TABLES = [
+    _edge_table({"x": np.zeros(0), "label": np.array([], dtype=str)}, {}),  # no rows
+    _edge_table({"100%": np.array([-0.0, 1.5]), "b": np.array([complex(-0.0, -0.0), 2j]),
+                 "%s key": np.array(["%r", 'say "hi"'])}, {"b": np.array([True, False])}),
+    _edge_table({"x": np.array([[np.nan, 1.0], [np.inf, -0.0]]), "b": np.array([complex(-np.inf, 0), 1j])},
+                {"b": np.array([False, True])}),  # non-finite: the generic path
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tables())
+@example(case=EDGE_TABLES[0])
+@example(case=EDGE_TABLES[1])
+@example(case=EDGE_TABLES[2])
+def test_write_json_table_matches_its_row_dicts(case, json_dir):
+    # at the top level, in an object and in a list: each depth's indentation
+    table, rows = case
+    for data, reference in ((table, rows), ({"samples": table, "more": [table]}, {"samples": rows, "more": [rows]})):
+        write_json(data, json_dir / "out.json")
+        assert (json_dir / "out.json").read_text() == json.dumps(_pyify(reference), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("entry", [(), (3, 2)])
+def test_write_json_node_blocks_keep_the_layout(entry, rng, json_dir):
+    # a node block of _BLOCK_BYTES at a time: exactly one block, and two and a node
+    b = _BLOCK_BYTES // (8 * int(np.prod(entry)))
+    for rows in (b, 2 * b + 1):
+        a = rng.standard_normal((rows, *entry)) * 10.0 ** rng.integers(-300, 300, (rows, *entry))
+        a.reshape(-1)[::7] = -0.0
+        labels = np.array(["O_plus", "O_minus"])[rng.integers(0, 2, rows)]
+        table = Table({"a": a, "z": a.view(complex) if entry else a + 1j, "label": labels}, {"z": labels == "O_plus"})
+        write_json({"a": a, "t": table}, json_dir / "out.json")
+        reference = {"a": a.tolist(), "t": _table_rows(table.columns, table.null)}
+        assert (json_dir / "out.json").read_text() == json.dumps(_pyify(reference), indent=2, sort_keys=True) + "\n"
 
 
 @settings(max_examples=60, deadline=None)
