@@ -267,15 +267,16 @@ def _vergne_table(uv: np.ndarray) -> tuple:
     orbit = classify_real_orbit(u, v)
     M = vergne_map_j(u, v)
     form, b = kc_orbit_form_check(M)
-    nonfinite, zero = ~np.isfinite(M).all(axis=(-2, -1)), ~M.any(axis=(-2, -1))
-    for i in np.flatnonzero(nonfinite | zero):
+    nonfinite = ~np.isfinite(M).all(axis=(-2, -1))
+    failed = nonfinite | ~M.any(axis=(-2, -1))
+    for i in np.flatnonzero(failed):
         print(f"vergne: point {uv[i].view(float).tolist()} has {'a non-finite' if nonfinite[i] else 'an all-zero'} "
               "image -> FAIL")
-    crossovers = np.count_nonzero(~(nonfinite | zero) & ((orbit == "O_plus") & (form != "plus_form")
-                                                         | (orbit == "O_minus") & (form != "minus_form")))
+    crossovers = np.count_nonzero(~failed & ((orbit == "O_plus") & (form != "plus_form")
+                                             | (orbit == "O_minus") & (form != "minus_form")))
     table = nio.Table({"u": u, "v": v, "orbit": orbit, "image": M.reshape(-1, 4), "form": form, "b": b},
                       null={"b": form == "neither"})
-    return table, int(crossovers), np.count_nonzero(nonfinite | zero)
+    return table, int(crossovers), int(np.count_nonzero(failed))
 
 
 def cmd_vergne(cfg: dict, out_dir: Path) -> bool:
