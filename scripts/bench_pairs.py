@@ -1,4 +1,4 @@
-"""Paired benchmark record: a parent commit against a change, in one session.
+"""Paired benchmark record: a parent commit against a change, run back to back on one host.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --workload cli --seeds 0 7 \
         --pairs 10 4 --aa-pairs 5 --out BENCH.json
