@@ -1,13 +1,15 @@
 """Paired benchmark record: a parent commit against a change, run back to back on one host.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --workload cli --seeds 0 7 \
-        --pairs 10 4 --aa-pairs 5 --out BENCH.json
+        --pairs 10 4 --out BENCH.json
 
 Each commit is exported with ``git archive`` into a fresh directory, and
-``perfbench/run.py`` runs there unchanged (``--trace 0``), one process per run.
-Pair i runs the parent first when i is even and the change first when it is
-odd. A/A pairs run the parent against a second export of the parent, in the
-same alternation: the noise the pair rule must beat.
+``perfbench/run.py`` runs there unchanged (``--trace 0``, for BENCHMARK.json's
+``run_seconds``), one process per run. Pair i runs the parent first when i is
+even and the change first when it is odd. Every workload also gets as many A/A
+pairs on the first seed as that seed's pairs: the parent against a second
+export of the parent, in the same alternation, the noise the pair rule must
+beat.
 
 For each workload, seed and end-to-end metric of BENCHMARK.json the record
 holds each side's median and quartiles, the change's wins (ties count for
@@ -111,8 +113,6 @@ def main() -> None:
     parser.add_argument("--workload", required=True, action="append", help="repeat for several workloads")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--pairs", type=int, nargs="+", required=True, help="pairs per seed (one count, or one each)")
-    parser.add_argument("--aa-pairs", type=int, default=0, help="parent-against-parent pairs on the first seed")
-    parser.add_argument("--seconds", type=float, default=18)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
     counts = args.pairs * len(args.seeds) if len(args.pairs) == 1 else args.pairs
@@ -121,6 +121,7 @@ def main() -> None:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     commits = {side: git("rev-parse", rev) for side, rev in (("parent", args.parent), ("change", args.change))}
     workloads, host = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,22 +130,20 @@ def main() -> None:
         for workload in args.workload:
             entry = workloads[workload] = {}
             for seed, count in zip(args.seeds, counts):
-                done = pairs(parent, change, count, workload, seed, args.seconds)
+                done = pairs(parent, change, count, workload, seed, seconds)
                 host = {k: v for k, v in done[0]["runs"][0]["provenance"].items()
                         if k not in ("seed", "git_commit", "source_sha256")}
                 entry[str(seed)] = {"metrics": {name: compare(done, name, lower[name]) for name in lower},
                                     "runs": [kept(pair) for pair in done]}
-            if args.aa_pairs:  # the parent against a second export of itself
-                copy = export(commits["parent"], Path(tmp) / f"parent-again-{workload}")
-                done = pairs(parent, copy, args.aa_pairs, workload, args.seeds[0], args.seconds)
-                entry["aa"] = {"seed": args.seeds[0], "metrics": {name: compare(done, name, lower[name])
-                                                                  for name in lower}}
-                for name, ab in entry[str(args.seeds[0])]["metrics"].items():
-                    ab["aa_gap"] = entry["aa"]["metrics"][name]["gap"]
-                    ab["beyond_aa"] = abs(ab["gap"]) > abs(ab["aa_gap"])
+            copy = export(commits["parent"], Path(tmp) / f"parent-again-{workload}")
+            done = pairs(parent, copy, counts[0], workload, args.seeds[0], seconds)
+            entry["aa"] = {"seed": args.seeds[0], "metrics": {name: compare(done, name, lower[name]) for name in lower}}
+            for name, ab in entry[str(args.seeds[0])]["metrics"].items():
+                ab["aa_gap"] = entry["aa"]["metrics"][name]["gap"]
+                ab["beyond_aa"] = abs(ab["gap"]) > abs(ab["aa_gap"])
     record = {"parent": commits["parent"], "change": commits["change"],
               "change_src_tree": git("rev-parse", f"{commits['change']}:src"), "host": host,
-              "openblas_kernel": kernel or None, "seconds": args.seconds,
+              "openblas_kernel": kernel or None, "seconds": seconds,
               "pair_rule": "the change wins at least 9 of 10 pairs and its median gap exceeds the parent's IQR",
               "workloads": workloads}
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -278,7 +278,9 @@ def write_json(data, path) -> None:
     """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline,
     complex values as [re, im] pairs and a ``Table`` as its list of rows.  The
     text is written as it is made, a float array or a table a block of rows at
-    a time, so it is never held whole."""
+    a time, so it is never held whole.  A value that is not JSON (a set, a
+    non-str key) raises TypeError partway and leaves at ``path`` the text
+    written before it."""
     with Path(path).open("w") as out:
         _write(data, 0, out.write)
         out.write("\n")

@@ -176,9 +176,11 @@ def test_write_json_matches_stdlib_encoder(data, json_dir):
 
 
 def test_write_json_rejects_unknown_types(tmp_path):
-    for bad in ({"x": {1, 2}}, {1: "non-string key"}):
+    # the text is written as it is made: a refusal leaves what came before it
+    for bad, left in (({"x": {1, 2}}, '{\n  "x": '), ({1: "non-string key"}, "")):
         with pytest.raises(TypeError):
             write_json(bad, tmp_path / "bad.json")
+        assert (tmp_path / "bad.json").read_text() == left
 
 
 def test_write_json_memory_does_not_grow_with_the_text(rng, tmp_path):
