@@ -2,12 +2,15 @@
 
 A complex number is written as its [re, im] pair and a matrix as a flat
 row-major JSON array of pairs, in the stdlib's ``json.dumps(obj, indent=2,
-sort_keys=True)`` layout.  A finite float array is written a node block at a
-time, each block one ``%r`` template filled by one C-level ``%``, and a
-``Table`` (records given as columns) the same way through one row template,
-so neither the text nor a row object is ever held whole.  CSV files have one
-row per grid node, a complex value takes an _re and an _im column, and floats
-have 17 significant digits, so identical runs produce byte-identical artifacts.
+sort_keys=True)`` layout.  An array is written a node block at a time, each
+block one ``%s`` template filled by one C-level ``%``, and a ``Table`` (records
+given as columns) the same way through one row template, so no row object is
+built and a finite float array's text is never held whole.  A finite float
+fills its slot as itself; any other entry (NaN, Infinity, an int, a bool, a
+label) as the text ``json.dumps`` gives it, made for its whole array at once.
+CSV files have one row per grid node, a complex value takes an _re and an _im
+column, and floats have 17 significant digits, so identical runs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -142,9 +145,9 @@ def coeffs_to_csv(grid: Grid, flows: list, path) -> None:
 
 
 def _template(shape: tuple, depth: int) -> str:
-    """The layout of a float array of ``shape`` at nesting ``depth``: one join
-    per axis lays out ``%r`` slots, and an empty axis is ``[]``."""
-    text = "%r"
+    """The layout of an array of slot values of ``shape`` at nesting ``depth``:
+    one join per axis lays out ``%s`` slots, and an empty axis is ``[]``."""
+    text = "%s"
     for axis in range(len(shape) - 1, -1, -1):
         inner = "\n" + "  " * (depth + axis + 1)
         text = "[" + inner + ("," + inner).join([text] * shape[axis]) + "\n" + "  " * (depth + axis) + "]" \
@@ -157,6 +160,8 @@ def _blocks(rows, values: np.ndarray, depth: int, write, keep=None) -> None:
     ``rows`` (one template for all, or an array of one per row) and filled
     with its entries (those of ``keep`` when given) a node block at a time,
     each block by one C-level ``%``."""
+    if not len(values):
+        return write("[]")
     inner = "\n" + "  " * (depth + 1)
     sep, lead = "," + inner, "[" + inner
     for nodes in _node_slices(values):
@@ -165,62 +170,6 @@ def _blocks(rows, values: np.ndarray, depth: int, write, keep=None) -> None:
         write(lead + layout % tuple((block if keep is None else block[keep[nodes]]).ravel().tolist()))
         lead = sep
     write("\n" + "  " * depth + "]")
-
-
-def _float_array(a: np.ndarray, depth: int, write) -> None:
-    """A finite float array at nesting ``depth``, a node block at a time."""
-    if not a.size:
-        return write(_template(a.shape, depth))
-    _blocks(_template(a.shape[1:], depth + 1), a, depth, write)
-
-
-@dataclass(frozen=True)
-class Table:
-    """Records given as columns, which ``write_json`` writes as the list of
-    ``rows()`` without building them.  ``columns`` maps each key to an array
-    over the rows: float or complex with any trailing shape (a row's entry is
-    its nested list, a complex number as [re, im]), or str labels; ``null``
-    maps a key to the boolean rows whose entry is null."""
-
-    columns: dict
-    null: dict = field(default_factory=dict)
-
-    def rows(self) -> list:
-        """The row objects the table stands for."""
-        lists = {key: col.tolist() for key, col in self.columns.items()}
-        for key, null in self.null.items():
-            lists[key] = [None if no else x for x, no in zip(lists[key], null.tolist())]
-        return [dict(zip(lists, row)) for row in zip(*lists.values())]
-
-
-def _table(table: Table, depth: int, write) -> None:
-    """A table's rows at nesting ``depth``: a row template for each pattern of
-    nulls, laid out once, filled a block of rows at a time.  A table holding a
-    non-finite number (so NaN and Infinity keep their spelling), a column of
-    another dtype or of empty entries, or no rows takes the generic path."""
-    keys = sorted(table.columns)
-    cols = [table.columns[key] for key in keys]
-    if not (cols and len(cols[0]) and all(col.dtype.kind == "U" or col.dtype.kind in "fc" and col[0].size
-                                          and np.isfinite(col).all() for col in cols)):
-        return _write(table.rows(), depth, write)
-    n, slots, flats = len(cols[0]), {}, []
-    for key, col in zip(keys, cols):
-        if col.dtype.kind == "U":  # a label's encoded text fills a %s slot
-            slots[key] = "%s"
-            flats.append(np.array([encode_basestring_ascii(s) for s in col.tolist()], dtype=object)[:, None])
-            continue
-        data = to_pairs(col) if col.dtype.kind == "c" else col
-        slots[key] = _template(data.shape[1:], depth + 2)
-        flats.append(data.reshape(n, data[0].size))
-    null = [table.null.get(key, np.zeros(n, bool)) for key in keys]
-    keep = np.concatenate([np.repeat(~no[:, None], flat.shape[1], axis=1) for no, flat in zip(null, flats)], axis=1)
-    inner = "\n" + "  " * (depth + 2)
-    pattern = [tuple(row) for row in np.stack(null, axis=1).tolist()]
-    templates = {nulls: "{" + inner + ("," + inner).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": " + ("null" if no else slots[key])
-        for key, no in zip(keys, nulls)) + "\n" + "  " * (depth + 1) + "}" for nulls in set(pattern)}
-    _blocks(np.array([templates[nulls] for nulls in pattern], dtype=object), np.concatenate(flats, axis=1), depth,
-            write, keep)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -240,22 +189,57 @@ def _scalar(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _fill(a: np.ndarray) -> np.ndarray:
+    """The slot values of an array's entries: a complex entry as its [re, im]
+    pair, a finite float as itself (its ``str`` is its ``repr``), and any other
+    entry (NaN, Infinity, an int, a bool, a label) as ``_scalar``'s text."""
+    a = to_pairs(a) if a.dtype.kind == "c" else a
+    return a if a.dtype == float and np.isfinite(a).all() else np.frompyfunc(_scalar, 1, 1)(a)
+
+
+@dataclass(frozen=True)
+class Table:
+    """Records given as columns, which ``write_json`` writes as the list of
+    their row objects without building them.  ``columns`` maps each key (one
+    at least) to an array over the rows, of any dtype ``write_json`` writes
+    and any trailing shape (a row's entry is its nested list, a complex number
+    as [re, im]); ``null`` maps a key to the boolean rows whose entry is null."""
+
+    columns: dict
+    null: dict = field(default_factory=dict)
+
+
+def _table(table: Table, depth: int, write) -> None:
+    """A table's rows at nesting ``depth``: a row template for each pattern of
+    nulls, laid out once, filled a block of rows at a time."""
+    keys = sorted(table.columns)
+    cols = [_fill(table.columns[key]) for key in keys]
+    n = len(cols[0])
+    flats = [col.reshape(n, col[:1].size) for col in cols]
+    null = [table.null.get(key, np.zeros(n, bool)) for key in keys]
+    keep = np.concatenate([np.repeat(~no[:, None], flat.shape[1], axis=1) for no, flat in zip(null, flats)], axis=1)
+    inner = "\n" + "  " * (depth + 2)
+    pattern = [tuple(row) for row in np.stack(null, axis=1).tolist()]
+    templates = {nulls: "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": " + ("null" if no else _template(col.shape[1:], depth + 2))
+        for key, col, no in zip(keys, cols, nulls)) + "\n" + "  " * (depth + 1) + "}" for nulls in set(pattern)}
+    _blocks(np.array([templates[nulls] for nulls in pattern], dtype=object), np.concatenate(flats, axis=1), depth,
+            write, keep)
+
+
 def _write(obj, depth: int, write) -> None:
     """``json.dumps(obj, indent=2, sort_keys=True)`` at nesting ``depth``, passed
-    to ``write`` piece by piece; a complex as [re, im], a Table as its rows;
-    keys must be str."""
-    if isinstance(obj, np.generic) and not isinstance(item := obj.item(), np.generic):
-        obj = item
+    to ``write`` piece by piece; a complex as [re, im], an array or a Table a
+    node block at a time; keys must be str."""
+    if isinstance(obj, np.generic) or isinstance(obj, np.ndarray) and not obj.ndim:
+        obj = obj.item()
     if isinstance(obj, complex):
         obj = [obj.real, obj.imag]
     elif isinstance(obj, Table):
         return _table(obj, depth, write)
     elif isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            obj = to_pairs(obj)
-        if obj.dtype == np.float64 and obj.ndim and np.isfinite(obj).all():
-            return _float_array(obj, depth, write)
-        obj = obj.tolist()
+        obj = _fill(obj)
+        return _blocks(_template(obj.shape[1:], depth + 1), obj, depth, write)
     if isinstance(obj, dict):
         keys, brackets = sorted(obj), "{}"
         items = [(encode_basestring_ascii(key) + ": ", obj[key]) for key in keys]
@@ -277,10 +261,10 @@ def _write(obj, depth: int, write) -> None:
 def write_json(data, path) -> None:
     """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline,
     complex values as [re, im] pairs and a ``Table`` as its list of rows.  The
-    text is written as it is made, a float array or a table a block of rows at
-    a time, so it is never held whole.  A value that is not JSON (a set, a
-    non-str key) raises TypeError partway and leaves at ``path`` the text
-    written before it."""
+    text is written as it is made, an array or a table a block of rows at a
+    time, so a finite float array's text is never held whole.  A value that is not JSON (a set, a
+    non-str key, an array entry that is no JSON scalar) raises TypeError partway
+    and leaves at ``path`` the text written before it."""
     with Path(path).open("w") as out:
         _write(data, 0, out.write)
         out.write("\n")

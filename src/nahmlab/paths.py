@@ -221,7 +221,7 @@ _BLOCK_BYTES = 1 << 16  # one k x k slice of a node block: 4096 / k^2 nodes (the
 def _node_slices(values: np.ndarray) -> list:
     """The node slices of consecutive blocks of a path's samples (n+1, ...),
     each block's samples about ``_BLOCK_BYTES``, first to last."""
-    step = max(1, _BLOCK_BYTES // values[0].nbytes)
+    step = max(1, _BLOCK_BYTES // (values[:1].nbytes or 1))
     return [slice(first, first + step) for first in range(0, len(values), step)]
 
 

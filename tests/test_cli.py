@@ -411,6 +411,8 @@ SL2 = {"family": "sl_complex", "dim": 2}
 SMALL_GRID = {"s0": 0.0, "s1": 1.0, "n": 50}
 HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
 ZERO_PAIRS = [[0.0, 0.0]] * 4
+NOT_AN_OBJECT = {"evolve-grid-int": "grid must be an object, got int",  # the refusals' messages, by case id
+                 "evolve-config-list": "the config must be an object, got list"}
 
 
 @pytest.mark.parametrize(
@@ -491,14 +493,19 @@ ZERO_PAIRS = [[0.0, 0.0]] * 4
         # a file that is not UTF-8, and an integer past Python's digit limit for int(str)
         pytest.param("vergne", b"\xff\xfe{}", id="vergne-not-utf-8"),
         pytest.param("vergne", '{"samples": ' + "1" * 5000 + "}", id="vergne-integer-of-5000-digits"),
+        # a block, or the config itself, that is no JSON object
+        pytest.param("evolve", {"grid": 5, "init": {"kind": "nil"}}, id="evolve-grid-int"),
+        pytest.param("evolve", [1, 2], id="evolve-config-list"),
     ],
 )
-def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
+def test_bad_config_exits_2(tmp_path, capsys, request, command, cfg):
     code, _ = run(tmp_path, command, cfg)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    if request.node.callspec.id in NOT_AN_OBJECT:
+        assert err == f"config error: {NOT_AN_OBJECT[request.node.callspec.id]}\n"
 
 
 @pytest.mark.parametrize(

@@ -133,7 +133,8 @@ ARRAYS = hnp.arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False, allo
     np.float64, SHAPES, elements=FLOATS)
 COMPLEX = st.builds(complex, FLOATS, FLOATS)
 COMPLEX_ARRAYS = hnp.arrays(np.complex128, SHAPES, elements=COMPLEX)  # non-finite parts too
-LEAVES = (st.none() | st.booleans() | st.integers() | FLOATS | STRINGS | ARRAYS
+INT_ARRAYS = hnp.arrays(np.int64, SHAPES) | hnp.arrays(np.bool_, SHAPES)
+LEAVES = (st.none() | st.booleans() | st.integers() | FLOATS | STRINGS | ARRAYS | INT_ARRAYS
           | FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
           | COMPLEX | COMPLEX.map(np.complex128) | COMPLEX_ARRAYS)
 TREES = st.recursive(
@@ -213,15 +214,18 @@ ENTRY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3) 
 
 @st.composite
 def tables(draw):
-    """Float, complex and label columns over 0-5 rows, some with null rows, and
-    now and then one non-finite entry; with the row dicts they stand for."""
+    """Float, complex, int, bool and label columns over 0-5 rows, some with
+    null rows, and now and then one non-finite entry; with the row dicts they
+    stand for."""
     n = draw(st.integers(0, 5))
     columns, null = {}, {}
     bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
     for key in draw(st.lists(STRINGS, min_size=1, max_size=4, unique=True)):
-        kind = draw(st.sampled_from("fcU"))
+        kind = draw(st.sampled_from("fcUib"))
         if kind == "U":
             columns[key] = np.array(draw(st.lists(STRINGS, min_size=n, max_size=n)), dtype=str)
+        elif kind in "ib":
+            columns[key] = draw(hnp.arrays(np.int64 if kind == "i" else np.bool_, (n, *draw(ENTRY_SHAPES))))
         else:
             shape = (n, *draw(ENTRY_SHAPES), *((2,) if kind == "c" else ()))
             col = draw(hnp.arrays(np.float64, shape, elements=FINITE))
@@ -242,7 +246,7 @@ EDGE_TABLES = [
     _edge_table({"100%": np.array([-0.0, 1.5]), "b": np.array([complex(-0.0, -0.0), 2j]),
                  "%s key": np.array(["%r", 'say "hi"'])}, {"b": np.array([True, False])}),
     _edge_table({"x": np.array([[np.nan, 1.0], [np.inf, -0.0]]), "b": np.array([complex(-np.inf, 0), 1j])},
-                {"b": np.array([False, True])}),  # non-finite: the generic path
+                {"b": np.array([False, True])}),  # non-finite: NaN and Infinity fill their slots as text
 ]
 
 
@@ -261,16 +265,24 @@ def test_write_json_table_matches_its_row_dicts(case, json_dir):
 
 @pytest.mark.parametrize("entry", [(), (3, 2)])
 def test_write_json_node_blocks_keep_the_layout(entry, rng, json_dir):
-    # a node block of _BLOCK_BYTES at a time: exactly one block, and two and a node
+    # a node block of _BLOCK_BYTES at a time: exactly one block, and two and a
+    # node; then a NaN in the array's second block and an Infinity in the
+    # table's, whose row is a label's slot and a's and z's
     b = _BLOCK_BYTES // (8 * int(np.prod(entry)))
+    t = _BLOCK_BYTES // (8 * (1 + 2 * int(np.prod(entry)) if entry else 4))
     for rows in (b, 2 * b + 1):
         a = rng.standard_normal((rows, *entry)) * 10.0 ** rng.integers(-300, 300, (rows, *entry))
         a.reshape(-1)[::7] = -0.0
         labels = np.array(["O_plus", "O_minus"])[rng.integers(0, 2, rows)]
-        table = Table({"a": a, "z": a.view(complex) if entry else a + 1j, "label": labels}, {"z": labels == "O_plus"})
-        write_json({"a": a, "t": table}, json_dir / "out.json")
-        reference = {"a": a.tolist(), "t": _table_rows(table.columns, table.null)}
-        assert (json_dir / "out.json").read_text() == json.dumps(_pyify(reference), indent=2, sort_keys=True) + "\n"
+        c = a.copy()  # the table's column
+        for bad in (False, True):
+            if bad:
+                a.reshape(rows, -1)[min(b, rows - 1), 0], c.reshape(rows, -1)[t, 0] = np.nan, np.inf
+            table = Table({"a": c, "z": c.view(complex) if entry else c + 1j, "label": labels},
+                          {"z": labels == "O_plus"})
+            write_json({"a": a, "t": table}, json_dir / "out.json")
+            reference = {"a": a.tolist(), "t": _table_rows(table.columns, table.null)}
+            assert (json_dir / "out.json").read_text() == json.dumps(_pyify(reference), indent=2, sort_keys=True) + "\n"
 
 
 @settings(max_examples=60, deadline=None)

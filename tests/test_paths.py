@@ -10,6 +10,7 @@ from nahmlab.paths import (
     AlgebraPath,
     Grid,
     NahmData,
+    _node_slices,
     _random_chunk,
     complex_structure,
     l2_metric,
@@ -362,3 +363,12 @@ def test_path_derivative_keeps_the_bytes_of_the_expression(rng):
     want[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     want[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     assert path_derivative(v, h).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("values", [np.array(["O_plus", "O_minus", "x"] * 30000, dtype=object), np.zeros((3, 0)),
+                                    np.zeros((0, 4))], ids=["object-rows", "zero-width-rows", "no-rows"])
+def test_node_slices_cover_object_and_zero_width_rows(values):
+    # a row's size is that of values[:1], floored at one byte: a str row has no
+    # nbytes and a zero-width row has none to divide by
+    covered = np.concatenate([np.arange(len(values))[nodes] for nodes in _node_slices(values)] or [[]])
+    assert covered.tolist() == list(range(len(values)))
