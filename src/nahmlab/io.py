@@ -172,23 +172,6 @@ def _blocks(rows, values: np.ndarray, depth: int, write, keep=None) -> None:
     write("\n" + "  " * depth + "]")
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _scalar(obj) -> str:
-    """A JSON scalar's text, as ``json.dumps`` writes it."""
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NON_FINITE.get(text, text)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _fill(a: np.ndarray) -> np.ndarray:
     """The slot values of an array's entries: a complex entry as its [re, im]
     pair, a finite float as itself (its ``str`` is its ``repr``), and any other
@@ -227,6 +210,23 @@ def _table(table: Table, depth: int, write) -> None:
             write, keep)
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(obj) -> str:
+    """A JSON scalar's text, as ``json.dumps`` writes it."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write(obj, depth: int, write) -> None:
     """``json.dumps(obj, indent=2, sort_keys=True)`` at nesting ``depth``, passed
     to ``write`` piece by piece; a complex as [re, im], an array or a Table a
@@ -262,9 +262,9 @@ def write_json(data, path) -> None:
     """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline,
     complex values as [re, im] pairs and a ``Table`` as its list of rows.  The
     text is written as it is made, an array or a table a block of rows at a
-    time, so a finite float array's text is never held whole.  A value that is not JSON (a set, a
-    non-str key, an array entry that is no JSON scalar) raises TypeError partway
-    and leaves at ``path`` the text written before it."""
+    time, so a finite float array's text is never held whole.  A value that is
+    not JSON (a set, a non-str key, an array entry that is no JSON scalar)
+    raises TypeError partway and leaves at ``path`` the text written before it."""
     with Path(path).open("w") as out:
         _write(data, 0, out.write)
         out.write("\n")
