@@ -301,10 +301,15 @@ def cmd_check(cfg: dict, out_dir: Path) -> bool:
 
 
 def _read_config(path: str):
-    """The config file's JSON value; a file that is not UTF-8 JSON, or whose value is nested past the
-    parser's recursion limit or holds an integer past Python's digit limit, is an InputError."""
+    """The config file's JSON value; a file that is not UTF-8 JSON, or whose value is nested past the parser's
+    recursion limit, holds an integer past Python's digit limit or gives an object a key twice, is an InputError."""
+    def unique(pairs: list) -> dict:  # an object's dict, refusing the repeated key whose last value json keeps
+        if len(obj := dict(pairs)) < len(pairs):
+            key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+            raise InputError(f"config key {key!r} is given twice")
+        return obj
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except RecursionError:
         raise InputError("the config is nested too deeply to parse") from None
     except ValueError as exc:  # a UnicodeDecodeError, a JSONDecodeError, or int() past the digit limit

@@ -5,9 +5,9 @@ row-major JSON array of pairs, in the stdlib's ``json.dumps(obj, indent=2,
 sort_keys=True)`` layout.  An array is written a node block at a time, each
 block one ``%s`` template filled by one C-level ``%``, and a ``Table`` (records
 given as columns) the same way through one row template, so no row object is
-built and a finite float array's text is never held whole.  A finite float
+built and no array's text or slot values are ever held whole.  A finite float
 fills its slot as itself; any other entry (NaN, Infinity, an int, a bool, a
-label) as the text ``json.dumps`` gives it, made for its whole array at once.
+label) as the text ``json.dumps`` gives it, made for its node block.
 CSV files have one row per grid node, a complex value takes an _re and an _im
 column, and floats have 17 significant digits, so identical runs produce
 byte-identical artifacts.
@@ -117,18 +117,18 @@ def nahm_from_json(data: dict) -> NahmData:
 
 def write_csv(grid: Grid, names: list, table: np.ndarray, path) -> None:
     """One row per grid node: s, then the node's row of ``table`` (shape
-    (n+1, len(names))).  A complex table gives each name an ``_re`` and an
-    ``_im`` column.  The rows are formatted and written a node block at a
-    time, so the file's text is never held whole."""
+    (n+1, len(names)), else ValueError).  A complex table gives each name an
+    ``_re`` and an ``_im`` column.  The rows are paired, formatted and written
+    a node block at a time, so neither text nor pairs are ever held whole."""
     table = np.asarray(table)
-    if np.iscomplexobj(table):
-        names = [f"{name}_{part}" for name in names for part in ("re", "im")]
-        table = to_pairs(table).reshape(len(table), -1)
-    s, row = grid.nodes, ",".join(["%.17g"] * (1 + len(names))) + "\r\n"
+    names = [f"{name}_{part}" for name in names for part in ("re", "im")] if np.iscomplexobj(table) else names
+    s, row = np.broadcast_to(grid.nodes, len(table)), ",".join(["%.17g"] * (1 + len(names))) + "\r\n"
     with Path(path).open("w", newline="") as out:
         out.write(",".join(["s"] + names) + "\r\n")
         for nodes in _node_slices(table):
-            block = np.column_stack([s[nodes], table[nodes]])
+            block = table[nodes]
+            block = to_pairs(block).reshape(len(block), -1) if np.iscomplexobj(block) else block
+            block = np.column_stack([s[nodes], block])
             out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -155,25 +155,23 @@ def _template(shape: tuple, depth: int) -> str:
     return text
 
 
-def _blocks(rows, values: np.ndarray, depth: int, write, keep=None) -> None:
-    """The list of ``values``' rows at nesting ``depth``, each laid out by
-    ``rows`` (one template for all, or an array of one per row) and filled
-    with its entries (those of ``keep`` when given) a node block at a time,
-    each block by one C-level ``%``."""
+def _blocks(rows, values: np.ndarray, depth: int, write, fill) -> None:
+    """The list of ``values``' rows at nesting ``depth``, each laid out by ``rows``
+    (one template for all, or a list of one per row), a node block of ``values``
+    at a time, each block filled by one ``%`` with its slot values ``fill(nodes)``."""
     if not len(values):
         return write("[]")
     inner = "\n" + "  " * (depth + 1)
     sep, lead = "," + inner, "[" + inner
     for nodes in _node_slices(values):
-        block = values[nodes]
-        layout = sep.join([rows] * len(block) if isinstance(rows, str) else rows[nodes])
-        write(lead + layout % tuple((block if keep is None else block[keep[nodes]]).ravel().tolist()))
+        layout = sep.join([rows] * len(values[nodes]) if isinstance(rows, str) else rows[nodes])
+        write(lead + layout % tuple(fill(nodes).ravel().tolist()))
         lead = sep
     write("\n" + "  " * depth + "]")
 
 
 def _fill(a: np.ndarray) -> np.ndarray:
-    """The slot values of an array's entries: a complex entry as its [re, im]
+    """The slot values of a node block's entries: a complex entry as its [re, im]
     pair, a finite float as itself (its ``str`` is its ``repr``), and any other
     entry (NaN, Infinity, an int, a bool, a label) as ``_scalar``'s text."""
     a = to_pairs(a) if a.dtype.kind == "c" else a
@@ -182,32 +180,32 @@ def _fill(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Table:
-    """Records given as columns, which ``write_json`` writes as the list of
-    their row objects without building them.  ``columns`` maps each key (one
-    at least) to an array over the rows, of any dtype ``write_json`` writes
-    and any trailing shape (a row's entry is its nested list, a complex number
-    as [re, im]); ``null`` maps a key to the boolean rows whose entry is null."""
+    """Records given as columns, written by ``write_json`` a block of rows at a
+    time as their row objects, never built.  ``columns`` maps each key (one at
+    least) to an array over the rows, of any dtype ``write_json`` writes and any
+    trailing shape (an entry as its nested list, a complex as [re, im]); ``null``
+    a key to the boolean mask of its null rows; another length raises ValueError."""
 
     columns: dict
     null: dict = field(default_factory=dict)
 
 
 def _table(table: Table, depth: int, write) -> None:
-    """A table's rows at nesting ``depth``: a row template for each pattern of
-    nulls, laid out once, filled a block of rows at a time."""
-    keys = sorted(table.columns)
-    cols = [_fill(table.columns[key]) for key in keys]
-    n = len(cols[0])
-    flats = [col.reshape(n, col[:1].size) for col in cols]
-    null = [table.null.get(key, np.zeros(n, bool)) for key in keys]
-    keep = np.concatenate([np.repeat(~no[:, None], flat.shape[1], axis=1) for no, flat in zip(null, flats)], axis=1)
+    """A table's rows at nesting ``depth``: a row template for each pattern of nulls,
+    laid out once, and blocks of rows, sized at a pointer a slot, filled column by column."""
+    keys, cols = zip(*sorted(table.columns.items()))
+    null = np.stack([table.null.get(key, np.zeros(len(cols[0]), bool)) for key in keys], axis=1)
+    if any(len(col) != len(null) for col in cols):
+        raise ValueError(f"a Table's columns and null masks must be of one length, got {[len(c) for c in cols]}")
+    firsts = [_fill(col[:1]) for col in cols]  # a row's slot values: its template and its width
+    keep = np.repeat(~null, [first.size for first in firsts], axis=1)
     inner = "\n" + "  " * (depth + 2)
-    pattern = [tuple(row) for row in np.stack(null, axis=1).tolist()]
+    pattern = list(zip(*null.T.tolist()))
     templates = {nulls: "{" + inner + ("," + inner).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": " + ("null" if no else _template(col.shape[1:], depth + 2))
-        for key, col, no in zip(keys, cols, nulls)) + "\n" + "  " * (depth + 1) + "}" for nulls in set(pattern)}
-    _blocks(np.array([templates[nulls] for nulls in pattern], dtype=object), np.concatenate(flats, axis=1), depth,
-            write, keep)
+        encode_basestring_ascii(key).replace("%", "%%") + ": " + ("null" if no else _template(first.shape[1:], depth + 2))
+        for key, first, no in zip(keys, firsts, nulls)) + "\n" + "  " * (depth + 1) + "}" for nulls in set(pattern)}
+    _blocks([templates[nulls] for nulls in pattern], np.broadcast_to(None, keep.shape), depth, write,
+            lambda nodes: np.hstack([_fill(col[nodes]).reshape(len(keep[nodes]), -1) for col in cols])[keep[nodes]])
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -238,8 +236,7 @@ def _write(obj, depth: int, write) -> None:
     elif isinstance(obj, Table):
         return _table(obj, depth, write)
     elif isinstance(obj, np.ndarray):
-        obj = _fill(obj)
-        return _blocks(_template(obj.shape[1:], depth + 1), obj, depth, write)
+        return _blocks(_template(_fill(obj[:1]).shape[1:], depth + 1), obj, depth, write, lambda nodes: _fill(obj[nodes]))
     if isinstance(obj, dict):
         keys, brackets = sorted(obj), "{}"
         items = [(encode_basestring_ascii(key) + ": ", obj[key]) for key in keys]
@@ -262,7 +259,7 @@ def write_json(data, path) -> None:
     """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline,
     complex values as [re, im] pairs and a ``Table`` as its list of rows.  The
     text is written as it is made, an array or a table a block of rows at a
-    time, so a finite float array's text is never held whole.  A value that is
+    time, so no array's text or slot values are held whole.  A value that is
     not JSON (a set, a non-str key, an array entry that is no JSON scalar)
     raises TypeError partway and leaves at ``path`` the text written before it."""
     with Path(path).open("w") as out:

@@ -144,25 +144,24 @@ def _parareal(Y0: np.ndarray, grid: Grid, bound: float, out: np.ndarray) -> bool
     steps = np.diff(np.arange(M + 1) * grid.n // M)  # the longest last, so no member steps past s1
     fine, coarse = Grid(0.0, steps[-1] * grid.h, int(steps[-1])), {m: _rk4_scalars(m * grid.h / _COARSE) for m in set(steps)}
     U, (F, G) = Y0.repeat(M, axis=0), np.zeros((2, M - 1) + Y0.shape[1:], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, _CORRECTIONS + 2):
-            for j in range(M - 1):
-                y = _real_form(project(U[j]))  # the start the fine flow takes
-                for _ in range(_COARSE):
-                    y = _rk4_step(_nahm_rhs, y, coarse[steps[j]], None, None, None)
-                g = y[..., ::2, :].copy().view(complex)
-                U[j + 1], G[j] = F[j] + (g - G[j]), g
-            if not sup_norm(G) <= bound:
-                return False
-            traj, blowups = _nahm_flow(U, fine, bound)
-            F = traj[:, steps[:-1], np.arange(M - 1)].swapaxes(0, 1)
-            jump, scale = np.max(np.abs(F - U[1:])), np.max(np.abs(U))  # a product, as a zero path's quotient is 0 / 0
-            if blowups != [None] * M or not jump <= _JUMP_TOL ** (i / (_CORRECTIONS + 1)) * scale:
-                return False
-            if jump <= _JUMP_TOL * scale:
-                np.concatenate([traj[:, int(j == 0) : m + (j == M - 1), j] for j, m in enumerate(steps)], axis=1, out=out)
-                return True
-            del traj  # freed before the next batch's buffer is taken
+    for i in range(1, _CORRECTIONS + 2):
+        for j in range(M - 1):
+            y = _real_form(project(U[j]))  # the start the fine flow takes
+            for _ in range(_COARSE):
+                y = _rk4_step(_nahm_rhs, y, coarse[steps[j]], None, None, None)
+            g = y[..., ::2, :].copy().view(complex)
+            U[j + 1], G[j] = F[j] + (g - G[j]), g
+        if not sup_norm(G) <= bound:
+            return False
+        traj, blowups = _nahm_flow(U, fine, bound)
+        F = traj[:, steps[:-1], np.arange(M - 1)].swapaxes(0, 1)
+        jump, scale = np.max(np.abs(F - U[1:])), np.max(np.abs(U))  # a product, as a zero path's quotient is 0 / 0
+        if blowups != [None] * M or not jump <= _JUMP_TOL ** (i / (_CORRECTIONS + 1)) * scale:
+            return False
+        if jump <= _JUMP_TOL * scale:
+            np.concatenate([traj[:, int(j == 0) : m + (j == M - 1), j] for j, m in enumerate(steps)], axis=1, out=out)
+            return True
+        del traj  # freed before the next batch's buffer is taken
 
 
 def integrate_nahm(

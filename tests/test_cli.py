@@ -411,8 +411,9 @@ SL2 = {"family": "sl_complex", "dim": 2}
 SMALL_GRID = {"s0": 0.0, "s1": 1.0, "n": 50}
 HERMITIAN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
 ZERO_PAIRS = [[0.0, 0.0]] * 4
-NOT_AN_OBJECT = {"evolve-grid-int": "grid must be an object, got int",  # the refusals' messages, by case id
-                 "evolve-config-list": "the config must be an object, got list"}
+MESSAGES = {"evolve-grid-int": "grid must be an object, got int",  # the refusals' messages, by case id
+            "evolve-config-list": "the config must be an object, got list",
+            "check-n-twice": "config key 'n' is given twice", "evolve-grid-n-twice": "config key 'n' is given twice"}
 
 
 @pytest.mark.parametrize(
@@ -496,6 +497,10 @@ NOT_AN_OBJECT = {"evolve-grid-int": "grid must be an object, got int",  # the re
         # a block, or the config itself, that is no JSON object
         pytest.param("evolve", {"grid": 5, "init": {"kind": "nil"}}, id="evolve-grid-int"),
         pytest.param("evolve", [1, 2], id="evolve-config-list"),
+        # a key given twice, which json would read as its last value, at the top level and in a block
+        pytest.param("check", '{"seed": 0, "n": 300, "n": 40, "samples": 1}', id="check-n-twice"),
+        pytest.param("evolve", '{"grid": {"s0": 0.0, "s1": 1.0, "n": 50, "n": 60}, "init": {"kind": "nil"}}',
+                     id="evolve-grid-n-twice"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, request, command, cfg):
@@ -504,8 +509,8 @@ def test_bad_config_exits_2(tmp_path, capsys, request, command, cfg):
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
-    if request.node.callspec.id in NOT_AN_OBJECT:
-        assert err == f"config error: {NOT_AN_OBJECT[request.node.callspec.id]}\n"
+    if request.node.callspec.id in MESSAGES:
+        assert err == f"config error: {MESSAGES[request.node.callspec.id]}\n"
 
 
 @pytest.mark.parametrize(

@@ -184,21 +184,38 @@ def test_write_json_rejects_unknown_types(tmp_path):
         assert (tmp_path / "bad.json").read_text() == left
 
 
+def _vergne_shaped(rng, n: int) -> Table:
+    """A table shaped like vergne.json's samples: complex u, v, b and a 2 x 2
+    image, two label columns, and b null on a third of the rows."""
+    z = rng.standard_normal((n, 7, 2)).view(complex)[..., 0]
+    form = np.array(["plus_form", "minus_form", "neither"])[np.arange(n) % 3]
+    orbit = np.array(["O_plus", "O_minus"])[rng.integers(0, 2, n)]
+    return Table({"u": z[:, 0], "v": z[:, 1], "image": z[:, 2:6], "b": z[:, 6], "orbit": orbit, "form": form},
+                 {"b": form == "neither"})
+
+
 def test_write_json_memory_does_not_grow_with_the_text(rng, tmp_path):
-    # four times the nodes: the file grows by 9000 nodes of pairs, the traced
-    # peak by the array's finiteness mask only, not by the text, its floats or
-    # their tuple
-    sizes, peaks = [], []
-    for n in (3000, 12000):
-        data = {"T1": rng.standard_normal((n + 1, 4, 2)), "n": n}
-        tracemalloc.start()
-        try:
-            write_json(data, tmp_path / "sol.json")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        sizes.append((tmp_path / "sol.json").stat().st_size)
-    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
+    # four times the nodes: the file grows by 9000 nodes' text, the traced peak
+    # by a table's null masks and row templates only, not by the text, its
+    # slot values or their tuple: a finite array, one holding a NaN (filled as
+    # text a node block at a time) and a table (each column's block filled)
+    def nan_array(n):
+        a = rng.standard_normal((n + 1, 4, 2))
+        a[n // 2, 1, 0] = np.nan
+        return a
+
+    for make in (lambda n: rng.standard_normal((n + 1, 4, 2)), nan_array, lambda n: _vergne_shaped(rng, n)):
+        sizes, peaks = [], []
+        for n in (3000, 12000):
+            data = {"T1": make(n), "n": n}
+            tracemalloc.start()
+            try:
+                write_json(data, tmp_path / "sol.json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append((tmp_path / "sol.json").stat().st_size)
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
 
 
 def _table_rows(columns: dict, null: dict) -> list:
@@ -283,6 +300,11 @@ def test_write_json_node_blocks_keep_the_layout(entry, rng, json_dir):
             write_json({"a": a, "t": table}, json_dir / "out.json")
             reference = {"a": a.tolist(), "t": _table_rows(table.columns, table.null)}
             assert (json_dir / "out.json").read_text() == json.dumps(_pyify(reference), indent=2, sort_keys=True) + "\n"
+    # a column longer or shorter than the others is refused, not cut at the last block
+    for other in (np.zeros(rows + 1), np.zeros(rows - 1)):
+        for null in ({}, {"other": np.zeros(rows, bool)}, {"other": np.zeros(len(other), bool)}):
+            with pytest.raises(ValueError):
+                write_json(Table({"a": c, "other": other}, null), json_dir / "out.json")
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,23 +351,30 @@ def test_write_csv_node_blocks_keep_the_rows(ncols, is_complex, rng, csv_dir):
         write_csv(grid, names, table, csv_dir / "new.csv")
         _reference_csv(grid, names, table, csv_dir / "ref.csv")
         assert (csv_dir / "new.csv").read_bytes() == (csv_dir / "ref.csv").read_bytes()
+        # a table with a row more or less than the grid has nodes is refused
+        for other in (Grid(-1.0, 3.0, rows), Grid(-1.0, 3.0, rows - 2)):
+            with pytest.raises(ValueError):
+                write_csv(other, names, table, csv_dir / "new.csv")
 
 
 def test_write_csv_memory_does_not_grow_with_the_text(rng, tmp_path):
     # four times the rows: the file grows by 9000 rows of text, the traced peak by
-    # the node array only, not by the text, its floats or their tuple
-    sizes, peaks = [], []
-    for n in (3000, 12000):
-        grid = Grid(0.0, 1.0, n)
-        table = rng.standard_normal((n + 1, 3))
-        tracemalloc.start()
-        try:
-            write_csv(grid, ["mu1", "mu2", "mu3"], table, tmp_path / "res.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        sizes.append((tmp_path / "res.csv").stat().st_size)
-    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
+    # the node array only, not by the text, its floats or their tuple; a complex
+    # table is split into its [re, im] columns a block at a time
+    for table_of in (lambda n: rng.standard_normal((n + 1, 3)),
+                     lambda n: rng.standard_normal((n + 1, 3, 2)).view(complex)[..., 0]):
+        sizes, peaks = [], []
+        for n in (3000, 12000):
+            grid = Grid(0.0, 1.0, n)
+            table = table_of(n)
+            tracemalloc.start()
+            try:
+                write_csv(grid, ["mu1", "mu2", "mu3"], table, tmp_path / "res.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append((tmp_path / "res.csv").stat().st_size)
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
 
 
 # --------------------------------------------------------------------------
